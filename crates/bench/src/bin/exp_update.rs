@@ -177,6 +177,7 @@ fn main() {
         queue_capacity: 1024,
         cache_capacity: 0, // measure engine latency, not cache hits
     };
+    let arena_bytes_initial = flat.arena_bytes();
     let delta_service = Arc::new(
         QueryService::new(
             graph.clone(),
@@ -316,6 +317,7 @@ fn main() {
         clone_wall,
         cloned_bytes,
         cloned_bytes_max_event,
+        arena_bytes_initial,
         arena_bytes: streamed.arena_bytes(),
         resident_bytes: streamed.resident_bytes(),
         mapped_bytes: streamed.mapped_bytes(),

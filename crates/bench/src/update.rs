@@ -63,6 +63,10 @@ pub struct UpdateReport {
     /// `cloned_bytes_max_event <= arena_bytes` (one event never costs a
     /// whole-arena deep clone again).
     pub cloned_bytes_max_event: u64,
+    /// Arena size (chunk data + directory) before the first event; CI
+    /// asserts `arena_bytes <= 1.5 * arena_bytes_initial` (patches keep
+    /// the index at the resolution it was built at).
+    pub arena_bytes_initial: usize,
     /// Final arena size (chunk data + directory) after the stream.
     pub arena_bytes: usize,
     /// Heap-resident bytes of the final arena (< `arena_bytes` when chunks
@@ -167,6 +171,10 @@ impl UpdateReport {
             "  \"cloned_bytes_max_event\": {},\n",
             self.cloned_bytes_max_event
         ));
+        out.push_str(&format!(
+            "  \"arena_bytes_initial\": {},\n",
+            self.arena_bytes_initial
+        ));
         out.push_str(&format!("  \"arena_bytes\": {},\n", self.arena_bytes));
         out.push_str(&format!("  \"resident_bytes\": {},\n", self.resident_bytes));
         out.push_str(&format!("  \"mapped_bytes\": {},\n", self.mapped_bytes));
@@ -256,6 +264,7 @@ mod tests {
             clone_wall: Duration::from_millis(40),
             cloned_bytes: 65536,
             cloned_bytes_max_event: 4096,
+            arena_bytes_initial: 1 << 20,
             arena_bytes: 1 << 20,
             resident_bytes: 1 << 18,
             mapped_bytes: 3 << 18,
@@ -311,6 +320,7 @@ mod tests {
             "\"clone_wall_ms\"",
             "\"cloned_bytes\"",
             "\"cloned_bytes_max_event\"",
+            "\"arena_bytes_initial\"",
             "\"arena_bytes\"",
             "\"resident_bytes\"",
             "\"mapped_bytes\"",

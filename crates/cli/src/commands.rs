@@ -701,6 +701,7 @@ fn serve_flat(
         options,
     ));
     if let Some(w) = wal_dir {
+        let entries_before = service.store().total_entries();
         let mut replayed = 0u64;
         for batch in &w.pending {
             for ev in &batch.events {
@@ -712,10 +713,11 @@ fn serve_flat(
         if w.checkpoint_seq > 0 || replayed > 0 {
             eprintln!(
                 "recovered from {}: checkpoint at event {}, replayed {replayed} \
-                 wal events (serving epoch {})",
+                 wal events (serving epoch {}; index entries {entries_before} -> {})",
                 w.dir.display(),
                 w.checkpoint_seq,
-                service.epoch()
+                service.epoch(),
+                service.store().total_entries()
             );
         }
     }
@@ -799,6 +801,7 @@ fn serve_loop<S: PpvStore + Send + Sync>(
         mb(service.store().mapped_bytes())
     );
 
+    let entries_at_start = service.store().total_entries();
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
@@ -898,7 +901,7 @@ fn serve_loop<S: PpvStore + Send + Sync>(
          hub sources {} (p50 {:.2?}, p99 {:.2?}), \
          non-hub sources {} (p50 {:.2?}, p99 {:.2?}); \
          cache hits {} / misses {}; \
-         index {:.2} MB resident, {:.2} MB mapped",
+         index entries {entries_at_start} -> {}, {:.2} MB resident, {:.2} MB mapped",
         served as f64 / elapsed.as_secs_f64().max(1e-9),
         overall_p50,
         overall_p99,
@@ -910,6 +913,7 @@ fn serve_loop<S: PpvStore + Send + Sync>(
         nonhub.p99,
         stats.hits,
         stats.misses,
+        service.store().total_entries(),
         mb(service.store().resident_bytes()),
         mb(service.store().mapped_bytes())
     );
@@ -1257,6 +1261,8 @@ pub fn update(argv: &[String]) -> CmdResult {
     let mut wall = std::time::Duration::ZERO;
     let (mut patched, mut noop, mut recomputed) = (0usize, 0usize, 0usize);
     let mut watermark = 0.0f64;
+    let entries_before = service.store().total_entries();
+    let mut clip_dropped = 0.0f64;
     let mut checkpoints = 0usize;
     let mut cur = service.graph();
     for (i, ev) in events.iter().enumerate().skip(applied as usize) {
@@ -1273,6 +1279,7 @@ pub fn update(argv: &[String]) -> CmdResult {
         noop += stats.delta_noop;
         recomputed += stats.recomputed;
         watermark = watermark.max(stats.budget_watermark);
+        clip_dropped += stats.clip_dropped;
         cur = service.graph();
         applied = i as u64 + 1;
         if let Some(w) = wal_dir.as_mut() {
@@ -1321,6 +1328,11 @@ pub fn update(argv: &[String]) -> CmdResult {
         noop,
         recomputed,
         service.epoch()
+    );
+    println!(
+        "index entries: {entries_before} -> {} ({clip_dropped:.3e} score mass dropped \
+         below the clip by patches)",
+        service.store().total_entries()
     );
     if budget > 0.0 {
         println!(

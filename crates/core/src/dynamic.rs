@@ -36,29 +36,54 @@
 //! maintained state has no mass there), so most dirty hubs turn out to be
 //! no-op patches.
 //!
-//! **Error budget.** The patch is inexact in two places, both charged to a
+//! **Error budget.** A patch is inexact in three places, all charged to a
 //! per-hub accumulated budget stored alongside the index entry
 //! ([`MemoryIndex::budget_spent`] / [`FlatIndex::budget_spent`]):
 //!
-//! * push **leftover** — Σ|residual| never settled (sub-threshold crumbs,
-//!   or the settle safety valve). One unit of residual mass yields at most
-//!   one unit of score L1 (`α·Σ(1-α)^i = 1`), so the mass-unit leftover
-//!   bounds the score-L1 error directly;
-//! * **clamp loss** — a patched entry that would go negative (possible
-//!   because stored entries were clipped) is clamped to absent; storing `0`
-//!   instead of `v < 0` perturbs `m̂` by `|v|/α`, and a point perturbation
-//!   `δ` of `m̂` moves the invariant by at most `2δ` in mass units —
-//!   charged as `2|v|/α`.
+//! * push **leftover** — Σ|residual| the push stopped short of. One unit
+//!   of residual mass yields at most one unit of score L1
+//!   (`α·Σ(1-α)^i = 1`), so the mass-unit leftover bounds the score-L1
+//!   error directly. How much is left is scheduled, not fixed: a patch may
+//!   leave `budget /` [`PATCHES_PER_BUDGET`] behind, and [`DeltaPush::run`]
+//!   refines its push threshold only until the leftover fits. A
+//!   perturbation that fits unpushed is not pushed at all (the stored PPV
+//!   stays as it is and the hub's spend grows by the injected mass); a
+//!   larger one is chased exactly as far as the allowance demands. There
+//!   is no absolute push threshold: work follows the mass an event moves
+//!   and the accuracy the operator asked for, not the size of the graph;
+//! * **clamp loss** — a patched entry that would go negative by the clip
+//!   or more, `v ≤ −clip` (possible because stored entries were clipped),
+//!   is clamped to absent; storing `0` instead of `v < 0` perturbs `m̂` by
+//!   `|v|/α`, and a point perturbation `δ` of `m̂` moves the invariant by
+//!   at most `2δ` in mass units — charged as `2|v|/α`;
+//! * **clip loss** — the merge works at the index's own resolution,
+//!   [`Config::clip`], exactly like `emit_entries` on a fresh solve: a
+//!   deposit opens a new entry only if it reaches `clip`, and an entry a
+//!   deposit leaves with `|v| < clip` is dropped. Storing `0` instead of
+//!   `v` moves the stored PPV by `|v|` — charged as `|v|`
+//!   ([`RefreshStats::clip_dropped`]). Without this a push deposits a
+//!   crumb on every node it reaches and the patch stores them all: after
+//!   150 single-edge events on a 20 000-node graph most hubs held an entry
+//!   for *every* node (an 18× larger arena), and since a stored crumb
+//!   makes its node look like stored mass to the next event, ever more
+//!   patches had work to do. The dropped mass is the same kind of loss a
+//!   fresh build's clip causes — unretained mass the query layer's φ
+//!   already counts — but unlike a fresh build's it is counted against the
+//!   budget, because it accumulates from patch to patch.
 //!
 //! When a hub's accumulated spend would exceed [`DeltaConfig::budget`], it
 //! falls back to an exact recompute, which resets its spend to zero. Every
 //! served PPV therefore stays within `budget` (score L1) of an exact
 //! recompute, on top of the baseline approximation the index already
 //! carries (clip/ε/solve-tolerance crumbs — which the query layer's φ
-//! accounting absorbs as unretained mass). `budget = 0` disables the delta
-//! path entirely: [`DeltaConfig::exact`] makes the `_delta` entry points
+//! accounting absorbs as unretained mass).
+//!
+//! Two settings are exact controls. `budget = 0` disables the delta path
+//! entirely: [`DeltaConfig::exact`] makes the `_delta` entry points
 //! bit-identical to the exact refreshers, which are thin wrappers over
-//! them.
+//! them. `clip = 0` disables the clip loss: every deposit is stored, and
+//! the merge is the plain clamped sum `view + deposits` (only the push
+//! extent then separates a patched PPV from the unbounded push).
 
 use std::time::{Duration, Instant};
 
@@ -203,21 +228,27 @@ pub struct DeltaConfig {
     /// certified distance between a served (patched) prime PPV and an
     /// exact recompute. Exceeding it triggers an exact recompute for that
     /// hub (resetting its spend). `0` disables the delta path — every
-    /// dirty hub recomputes, exactly like [`refresh_index`].
+    /// dirty hub recomputes, exactly like [`refresh_index`]. The budget
+    /// also sets how far a patch is pushed: one patch may leave at most
+    /// `budget /` [`PATCHES_PER_BUDGET`] of residual behind (see the
+    /// module docs), so there is no separate push threshold to tune.
     pub budget: f64,
-    /// Residual magnitude (mass units) below which [`DeltaPush`] does not
-    /// propagate; sub-threshold crumbs are charged to the budget instead.
-    pub push_threshold: f64,
     /// Safety cap on push settles per patch; a truncated push falls back
     /// to exact recompute.
     pub max_settles: usize,
 }
 
+/// How many worst-case patches one hub's budget pays for: a patch's push
+/// stops as soon as the residual it leaves behind fits
+/// `budget / PATCHES_PER_BUDGET`. Larger pushes each patch further and
+/// recomputes less often; the value balances the two on the profiled
+/// deployment and is deliberately not a [`DeltaConfig`] field.
+pub const PATCHES_PER_BUDGET: f64 = 16.0;
+
 impl Default for DeltaConfig {
     fn default() -> Self {
         DeltaConfig {
             budget: 0.01,
-            push_threshold: 1e-9,
             max_settles: 1_000_000,
         }
     }
@@ -245,11 +276,6 @@ impl DeltaConfig {
             self.budget >= 0.0 && self.budget.is_finite(),
             "delta budget must be finite and ≥ 0, got {}",
             self.budget
-        );
-        assert!(
-            self.push_threshold > 0.0,
-            "push_threshold must be > 0, got {}",
-            self.push_threshold
         );
         assert!(self.max_settles > 0, "max_settles must be > 0");
     }
@@ -288,6 +314,14 @@ pub struct RefreshStats {
     /// flat-arena refresh paths fill this; [`MemoryIndex`]-based refreshes
     /// leave it 0.
     pub cloned_bytes: u64,
+    /// Entries stored in the refreshed index ([`PpvStore::total_entries`])
+    /// — with `delta_patched` / `recomputed` it shows whether patches
+    /// keep the index at the size a fresh build would have.
+    pub live_entries: usize,
+    /// Score mass this refresh's patches dropped for falling below
+    /// [`Config::clip`] (summed over hubs; each hub's share is inside its
+    /// budget spend). Always 0 with `clip = 0`.
+    pub clip_dropped: f64,
     /// [`FlatIndex::resident_bytes`] of the refreshed arena (0 for
     /// [`MemoryIndex`]-based refreshes).
     pub resident_bytes: usize,
@@ -362,11 +396,13 @@ fn dedup_tails(changed_tails: &[NodeId]) -> Vec<NodeId> {
 enum Patch {
     /// Delta declined; recompute the prime PPV exactly.
     Recompute,
-    /// The perturbation never reached the stored mass: keep the stored
-    /// PPV, carry the (leftover-charged) spend.
+    /// The perturbation never reached the stored mass (or fits the patch
+    /// allowance unpushed): keep the stored PPV, carry the
+    /// (leftover-charged) spend.
     Unchanged { spent: f64 },
     /// Merged entries are in the scratch; store them with this spend.
-    Patched { spent: f64 },
+    /// `clipped` is the part of it the merge dropped below the clip.
+    Patched { spent: f64, clipped: f64 },
 }
 
 /// Mutable state of the delta patch path, reused across hubs and batches.
@@ -407,23 +443,48 @@ fn inject_row(push: &mut DeltaPush, row: &[NodeId], scale: f64) {
     }
 }
 
-#[inline]
-fn merge_entry(out: &mut Vec<(NodeId, f64)>, clamp_loss: &mut f64, id: NodeId, s: f64) {
-    if s > 0.0 {
-        out.push((id, s));
-    } else if s < 0.0 {
-        *clamp_loss += -s;
-    }
-    // s == 0.0 exactly: absent and value zero are the same state — free.
+/// Score mass a merge declined to store.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct MergeLoss {
+    /// Σ|v| over entries that would have gone negative by the clip or more
+    /// and were clamped to absent (charged `2|v|/α`).
+    clamped: f64,
+    /// Σ|v| over entries dropped for being below the index's resolution,
+    /// `|v| < clip` (charged `|v|`).
+    clipped: f64,
 }
 
-/// Merges sorted score deltas into a stored view: `out = view + deposits`,
-/// ascending, entries clamped at zero. Returns the total clamped magnitude
-/// in score units (the caller charges `2·loss/α` to the budget).
-fn merge_patch(view: &PpvRef<'_>, deposits: &[(NodeId, f64)], out: &mut Vec<(NodeId, f64)>) -> f64 {
+#[inline]
+fn merge_entry(out: &mut Vec<(NodeId, f64)>, loss: &mut MergeLoss, clip: f64, id: NodeId, s: f64) {
+    if s >= clip && s > 0.0 {
+        out.push((id, s));
+    } else if s <= -clip && s < 0.0 {
+        loss.clamped += -s;
+    } else {
+        // |s| is below the resolution the index stores at — what
+        // `emit_entries` drops on a fresh solve. (s == 0.0 exactly: absent
+        // and value zero are the same state — free.)
+        loss.clipped += s.abs();
+    }
+}
+
+/// Merges sorted score deltas into a stored view at the index's
+/// resolution: `out = view + deposits`, ascending, keeping only entries
+/// `≥ clip` (and `> 0`). Untouched stored entries pass through as they
+/// are; a deposit opens a *new* entry only if it reaches `clip` by itself,
+/// and a stored entry a deposit pulls below `clip` is dropped — so a
+/// patched segment is as sparse as a freshly solved one instead of
+/// collecting every crumb a push deposits. With `clip = 0` this is the
+/// plain clamped sum.
+fn merge_patch(
+    view: &PpvRef<'_>,
+    deposits: &[(NodeId, f64)],
+    clip: f64,
+    out: &mut Vec<(NodeId, f64)>,
+) -> MergeLoss {
     out.clear();
     out.reserve(view.len() + deposits.len());
-    let mut clamp_loss = 0.0f64;
+    let mut loss = MergeLoss::default();
     let (mut i, mut j) = (0usize, 0usize);
     let n_view = view.len();
     while i < n_view && j < deposits.len() {
@@ -433,10 +494,10 @@ fn merge_patch(view: &PpvRef<'_>, deposits: &[(NodeId, f64)], out: &mut Vec<(Nod
             out.push((vid, vs));
             i += 1;
         } else if did < vid {
-            merge_entry(out, &mut clamp_loss, did, ds);
+            merge_entry(out, &mut loss, clip, did, ds);
             j += 1;
         } else {
-            merge_entry(out, &mut clamp_loss, vid, vs + ds);
+            merge_entry(out, &mut loss, clip, vid, vs + ds);
             i += 1;
             j += 1;
         }
@@ -447,10 +508,10 @@ fn merge_patch(view: &PpvRef<'_>, deposits: &[(NodeId, f64)], out: &mut Vec<(Nod
     }
     while j < deposits.len() {
         let (did, ds) = deposits[j];
-        merge_entry(out, &mut clamp_loss, did, ds);
+        merge_entry(out, &mut loss, clip, did, ds);
         j += 1;
     }
-    clamp_loss
+    loss
 }
 
 /// Attempts to patch one dirty hub's stored PPV in place of an exact
@@ -470,6 +531,7 @@ fn try_delta_patch(
     scratch: &mut DeltaScratch,
 ) -> Patch {
     let alpha = config.alpha;
+    let mut injected = false;
     for &u in tails {
         if hubs.is_hub(u) && u != hub {
             continue; // another hub's row never propagates inside G'(hub)
@@ -502,12 +564,18 @@ fn try_delta_patch(
         }
         inject_row(&mut scratch.push, old_row, -m * (1.0 - alpha));
         inject_row(&mut scratch.push, new_row, m * (1.0 - alpha));
+        injected = true;
+    }
+    if !injected {
+        // The common case for a far-away event: nothing to push, nothing
+        // to merge, nothing spent.
+        return Patch::Unchanged { spent: spent_old };
     }
     let outcome = scratch.push.run(
         new_graph,
         hubs,
         alpha,
-        delta.push_threshold,
+        delta.budget / PATCHES_PER_BUDGET,
         delta.max_settles,
     );
     let mut spent = spent_old + outcome.leftover;
@@ -519,12 +587,15 @@ fn try_delta_patch(
     if scratch.deposits.is_empty() {
         return Patch::Unchanged { spent };
     }
-    let clamp_loss = merge_patch(view, &scratch.deposits, &mut scratch.merged);
-    spent += 2.0 * clamp_loss / alpha;
+    let loss = merge_patch(view, &scratch.deposits, config.clip, &mut scratch.merged);
+    spent += 2.0 * loss.clamped / alpha + loss.clipped;
     if spent > delta.budget {
         return Patch::Recompute;
     }
-    Patch::Patched { spent }
+    Patch::Patched {
+        spent,
+        clipped: loss.clipped,
+    }
 }
 
 /// Refreshes `old_index` after edge updates, recomputing only affected hubs.
@@ -654,7 +725,7 @@ pub fn refresh_index_delta_subset(
                 stats.delta_patched += 1;
                 stats.delta_noop += 1;
             }
-            Patch::Patched { spent } => {
+            Patch::Patched { spent, clipped } => {
                 let scratch = ds.as_mut().expect("patched implies scratch");
                 let entries = std::mem::take(&mut scratch.merged);
                 index.insert(
@@ -665,10 +736,12 @@ pub fn refresh_index_delta_subset(
                 );
                 index.set_budget_spent(h, spent);
                 stats.delta_patched += 1;
+                stats.clip_dropped += clipped;
             }
         }
     }
     stats.budget_watermark = index.budget_watermark();
+    stats.live_entries = index.total_entries();
     stats.elapsed = start.elapsed();
     (index, stats)
 }
@@ -772,15 +845,17 @@ pub fn refresh_flat_index_delta(
                 stats.delta_patched += 1;
                 stats.delta_noop += 1;
             }
-            Patch::Patched { spent } => {
+            Patch::Patched { spent, clipped } => {
                 let scratch = ds.as_ref().expect("patched implies scratch");
                 index.replace_entries(h, &scratch.merged, hubs);
                 index.set_budget_spent(h, spent);
                 stats.delta_patched += 1;
+                stats.clip_dropped += clipped;
             }
         }
     }
     stats.budget_watermark = index.budget_watermark();
+    stats.live_entries = index.total_entries();
     stats.cloned_bytes = index.bytes_cloned() - cloned_before;
     stats.resident_bytes = index.resident_bytes();
     stats.mapped_bytes = index.mapped_bytes();
@@ -1090,11 +1165,7 @@ mod tests {
         let g0 = barabasi_albert(300, 3, 13);
         let hubs = select_hubs(&g0, HubPolicy::ExpectedUtility, 30, 0);
         let config = tight_config();
-        let delta = DeltaConfig {
-            budget: 0.05,
-            push_threshold: 1e-13,
-            ..DeltaConfig::default()
-        };
+        let delta = DeltaConfig::default().with_budget(0.05);
         let (mut index, _) = build_index(&g0, &hubs, &config);
         let mut g = g0;
         let mut patched_total = 0usize;
@@ -1135,6 +1206,118 @@ mod tests {
             let allowed = index.budget_spent(h) + 1e-6;
             assert!(l1 <= allowed, "hub {h}: L1 {l1} > allowed {allowed}");
         }
+    }
+
+    /// The parent merge, before it learned about the clip: every deposit
+    /// stored, entries clamped at zero. The reference `clip = 0` must equal.
+    fn merge_unclipped(view: &PpvRef<'_>, deposits: &[(NodeId, f64)]) -> (Vec<(NodeId, f64)>, f64) {
+        let mut sum: std::collections::BTreeMap<NodeId, f64> = std::collections::BTreeMap::new();
+        view.for_each(|id, s| {
+            sum.insert(id, s);
+        });
+        let mut clamped = 0.0;
+        let mut out = Vec::new();
+        for &(id, d) in deposits {
+            // A deposit-only entry is `d` itself, not `0.0 + d` (the two
+            // differ in the sign of zero only, which is dropped anyway).
+            sum.entry(id).and_modify(|s| *s += d).or_insert(d);
+        }
+        for (id, s) in sum {
+            if s > 0.0 {
+                out.push((id, s));
+            } else if s < 0.0 {
+                clamped += -s;
+            }
+        }
+        (out, clamped)
+    }
+
+    #[test]
+    fn clip_zero_merge_is_bit_identical_to_the_unclipped_merge() {
+        let stored: Vec<(NodeId, f64)> =
+            vec![(1, 0.25), (4, 3e-5), (9, 1e-9), (12, 0.01), (20, 7e-4)];
+        let deposits: Vec<(NodeId, f64)> = vec![
+            (0, 1e-7),   // new crumb: stored
+            (1, -0.05),  // shrinks a stored entry
+            (4, -3e-5),  // cancels one exactly: absent, free
+            (9, -2e-9),  // drives one negative: clamped
+            (10, -4e-6), // negative with nothing stored: clamped
+            (12, 1e-12), // grows one by a crumb
+            (33, 2e-3),  // new entry past the end
+        ];
+        let view = PpvRef::Aos(&stored);
+        let (want, want_clamped) = merge_unclipped(&view, &deposits);
+        let mut got = Vec::new();
+        let loss = merge_patch(&view, &deposits, 0.0, &mut got);
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!((g.0, g.1.to_bits()), (w.0, w.1.to_bits()));
+        }
+        assert_eq!(loss.clamped.to_bits(), want_clamped.to_bits());
+        assert_eq!(loss.clipped, 0.0, "nothing is below a zero clip");
+    }
+
+    #[test]
+    fn merge_admits_and_keeps_entries_only_at_the_clip() {
+        let clip = 1e-4;
+        let stored: Vec<(NodeId, f64)> = vec![(1, 0.5), (3, 2e-4), (7, 1.5e-4), (8, 3e-4)];
+        let deposits: Vec<(NodeId, f64)> = vec![
+            (2, 5e-5),    // new, below the clip: refused
+            (3, -1.5e-4), // stored entry falls to 5e-5: dropped
+            (4, 2e-4),    // new, at the clip: admitted
+            (5, -3e-5),   // negative crumb on nothing: below resolution
+            (6, -5e-4),   // negative beyond the resolution: clamped
+            (8, -3.2e-4), // stored entry overshoots to -2e-5: dropped
+        ];
+        let mut got = Vec::new();
+        let loss = merge_patch(&PpvRef::Aos(&stored), &deposits, clip, &mut got);
+        assert_eq!(got, vec![(1, 0.5), (4, 2e-4), (7, 1.5e-4)]);
+        assert!(got.iter().all(|&(_, s)| s >= clip));
+        assert_eq!(loss.clamped, 5e-4);
+        let dropped = 5e-5 + (2e-4 - 1.5e-4) + 3e-5 + (3.2e-4 - 3e-4);
+        assert!((loss.clipped - dropped).abs() < 1e-18, "{}", loss.clipped);
+    }
+
+    #[test]
+    fn clipped_patches_charge_what_they_drop_and_stay_sparse() {
+        let g0 = barabasi_albert(600, 3, 23);
+        let hubs = select_hubs(&g0, HubPolicy::ExpectedUtility, 40, 0);
+        let config = Config::default().with_epsilon(1e-6);
+        let delta = DeltaConfig::default().with_budget(0.05);
+        let (mut index, _) = build_index(&g0, &hubs, &config);
+        let mut g = g0;
+        let mut dropped = 0.0;
+        for step in 0..40u32 {
+            let u = (step * 67 + 11) % 600;
+            let g2 = add_edge(&g, u, (u + 101 + step) % 600);
+            let (next, stats) = refresh_index_delta(&index, &g, &g2, &hubs, &[u], &config, &delta);
+            assert!(stats.budget_watermark <= delta.budget);
+            assert_eq!(stats.live_entries, next.total_entries());
+            dropped += stats.clip_dropped;
+            index = next;
+            g = g2;
+        }
+        assert!(dropped > 0.0, "no patch ever met the clip");
+        // What the patches dropped sits inside the hubs' recorded spend…
+        let spent: f64 = hubs.ids().iter().map(|&h| index.budget_spent(h)).sum();
+        assert!(spent > 0.0);
+        // …no stored entry is below the index's resolution, and the index
+        // is the size a fresh build of the final graph is.
+        let (rebuilt, _) = build_index(&g, &hubs, &config);
+        for &h in hubs.ids() {
+            let ppv = index.get(h).unwrap();
+            assert!(ppv.entries.entries().iter().all(|&(_, s)| s >= config.clip));
+            let l1 = entries_l1(
+                ppv.entries.entries(),
+                rebuilt.get(h).unwrap().entries.entries(),
+            );
+            assert!(l1 <= 1.5 * delta.budget, "hub {h}: L1 {l1}");
+        }
+        let (ours, fresh) = (index.total_entries(), rebuilt.total_entries());
+        assert!(
+            ours as f64 <= 1.1 * fresh as f64,
+            "{ours} entries vs {fresh} fresh"
+        );
     }
 
     #[test]
@@ -1199,11 +1382,7 @@ mod tests {
         let g0 = barabasi_albert(300, 3, 31);
         let hubs = select_hubs(&g0, HubPolicy::ExpectedUtility, 30, 0);
         let config = tight_config();
-        let delta = DeltaConfig {
-            budget: 0.05,
-            push_threshold: 1e-13,
-            ..DeltaConfig::default()
-        };
+        let delta = DeltaConfig::default().with_budget(0.05);
         let (mut mem, _) = build_index(&g0, &hubs, &config);
         let (mut flat, _) = crate::offline::build_flat_index(&g0, &hubs, &config, 1);
         let mut g = g0;

@@ -850,11 +850,12 @@ impl PrimeComputer {
 /// What a [`DeltaPush::run`] left behind.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DeltaOutcome {
-    /// Σ|residual| (mass units) never settled — sub-threshold crumbs plus
-    /// anything abandoned by the safety valve. Because one unit of residual
-    /// mass can contribute at most one unit of score-L1 after α-scaling
-    /// (the geometric series `α · Σ (1-α)^i = 1`), this is a sound bound on
-    /// the score-L1 the patch fails to account for.
+    /// Σ|residual| (mass units) never settled — what the push extent left
+    /// behind (at most the caller's allowance) plus anything abandoned by
+    /// the safety valve. Because one unit of residual mass can contribute
+    /// at most one unit of score-L1 after α-scaling (the geometric series
+    /// `α · Σ (1-α)^i = 1`), this is a sound bound on the score-L1 the
+    /// patch fails to account for.
     pub leftover: f64,
     /// Node settles performed.
     pub settles: usize,
@@ -926,20 +927,52 @@ impl DeltaPush {
             .sum()
     }
 
-    /// Pushes every injected residual with `|r| ≥ threshold` through the
-    /// non-hub nodes of `graph` (hubs and dangling nodes absorb), FIFO
-    /// worklist. Deposits accumulate per node; collect them with
-    /// [`DeltaPush::drain_deposits`].
+    /// Pushes the injected residual through the non-hub nodes of `graph`
+    /// (hubs and dangling nodes absorb) until what is left behind fits
+    /// `allowance`: Σ|residual| ≤ `allowance` on return unless the settle
+    /// safety valve tripped. The extent is scheduled coarse to fine — a
+    /// FIFO pass settles every node holding `|r| ≥ threshold`, the
+    /// threshold starts at `allowance` (a single residual that large can
+    /// never be left) and is halved until the leftover fits — so a
+    /// perturbation already inside the allowance is not pushed at all and
+    /// a larger one is chased only as far as the allowance demands, never
+    /// to a fixed absolute floor. Deposits accumulate per node; collect
+    /// them with [`DeltaPush::drain_deposits`].
     pub fn run(
+        &mut self,
+        graph: &Graph,
+        hubs: &HubSet,
+        alpha: f64,
+        allowance: f64,
+        max_settles: usize,
+    ) -> DeltaOutcome {
+        debug_assert!(self.capacity() >= graph.num_nodes());
+        debug_assert!(allowance > 0.0);
+        let mut outcome = DeltaOutcome {
+            leftover: self.pending_mass(),
+            ..DeltaOutcome::default()
+        };
+        let mut threshold = allowance;
+        while outcome.leftover > allowance && !outcome.truncated {
+            self.settle_above(graph, hubs, alpha, threshold, max_settles, &mut outcome);
+            outcome.leftover = self.pending_mass();
+            threshold *= 0.5;
+        }
+        outcome
+    }
+
+    /// One FIFO pass of [`DeltaPush::run`]: settles every node whose
+    /// residual reaches `threshold`, including those the pass itself lifts
+    /// over it.
+    fn settle_above(
         &mut self,
         graph: &Graph,
         hubs: &HubSet,
         alpha: f64,
         threshold: f64,
         max_settles: usize,
-    ) -> DeltaOutcome {
-        debug_assert!(self.capacity() >= graph.num_nodes());
-        debug_assert!(threshold > 0.0);
+        outcome: &mut DeltaOutcome,
+    ) {
         for i in 0..self.touched.len() {
             let v = self.touched[i];
             if self.residual[v as usize].abs() >= threshold && !self.in_queue[v as usize] {
@@ -947,21 +980,19 @@ impl DeltaPush {
                 self.queue.push_back(v);
             }
         }
-        let mut settles = 0usize;
-        let mut truncated = false;
         while let Some(x) = self.queue.pop_front() {
             self.in_queue[x as usize] = false;
             let r = self.residual[x as usize];
             if r == 0.0 {
                 continue;
             }
-            if settles >= max_settles {
-                // Safety valve: leave the rest as residual (it is counted
-                // into the leftover below, so the bound still holds).
-                truncated = true;
-                break;
+            if outcome.settles >= max_settles {
+                // Safety valve: leave the rest as residual (the caller
+                // counts it into the leftover, so the bound still holds).
+                outcome.truncated = true;
+                return;
             }
-            settles += 1;
+            outcome.settles += 1;
             self.residual[x as usize] = 0.0;
             self.deposit[x as usize] += alpha * r;
             if hubs.is_hub(x) {
@@ -983,16 +1014,6 @@ impl DeltaPush {
                     self.queue.push_back(t);
                 }
             }
-        }
-        let leftover = self
-            .touched
-            .iter()
-            .map(|&v| self.residual[v as usize].abs())
-            .sum();
-        DeltaOutcome {
-            leftover,
-            settles,
-            truncated,
         }
     }
 
@@ -1037,6 +1058,42 @@ mod tests {
 
     fn toy_hubs() -> HubSet {
         HubSet::from_ids(8, toy::PAPER_HUBS.to_vec())
+    }
+
+    #[test]
+    fn delta_push_goes_as_far_as_the_allowance_demands() {
+        let g = barabasi_albert(400, 3, 4);
+        let hubs = HubSet::from_ids(400, (0..20).collect());
+        let mut push = DeltaPush::new(400);
+        let mut deposits = Vec::new();
+        let mut run = |allowance: f64| {
+            push.inject(57, 1e-3);
+            push.inject(211, -4e-4);
+            let outcome = push.run(&g, &hubs, 0.15, allowance, usize::MAX);
+            push.drain_deposits(&mut deposits);
+            (outcome, deposits.len())
+        };
+        // Inside the allowance: nothing is pushed, everything is leftover.
+        let (fits, deposited) = run(2e-3);
+        assert_eq!((fits.settles, deposited), (0, 0));
+        assert!((fits.leftover - 1.4e-3).abs() < 1e-15);
+        // Beyond it: pushed until the leftover fits, and a tighter
+        // allowance costs more settles.
+        let mut last_settles = 0;
+        for allowance in [1e-3, 1e-4, 1e-5, 1e-6] {
+            let (outcome, deposited) = run(allowance);
+            assert!(!outcome.truncated);
+            assert!(outcome.leftover <= allowance, "{outcome:?}");
+            assert!(deposited > 0);
+            assert!(outcome.settles > last_settles, "{outcome:?}");
+            last_settles = outcome.settles;
+        }
+        // The safety valve reports what it abandoned.
+        push.inject(57, 1e-3);
+        let cut = push.run(&g, &hubs, 0.15, 1e-9, 5);
+        assert!(cut.truncated && cut.settles == 5 && cut.leftover > 1e-9);
+        push.reset();
+        assert_eq!(push.pending_mass(), 0.0);
     }
 
     #[test]

@@ -48,6 +48,62 @@ impl Graph {
         }
     }
 
+    /// A copy of the graph with `u`'s out-row replaced by `new_row` (sorted
+    /// ascending; parallel edges allowed). Only that row and the in-rows of
+    /// the heads whose multiplicity changed are rewritten — everything
+    /// else is a straight copy of the CSR arrays with shifted offsets, so
+    /// a single-edge change costs a memcpy, not a rebuild.
+    pub(crate) fn with_out_row(&self, u: NodeId, new_row: &[NodeId]) -> Graph {
+        debug_assert!(new_row.windows(2).all(|w| w[0] <= w[1]));
+        let old_row = self.out_neighbors(u);
+        let start = self.out_offsets[u as usize];
+        let new_edges = self.num_edges() - old_row.len() + new_row.len();
+
+        let mut out_targets = Vec::with_capacity(new_edges);
+        out_targets.extend_from_slice(&self.out_targets[..start]);
+        out_targets.extend_from_slice(new_row);
+        out_targets.extend_from_slice(&self.out_targets[start + old_row.len()..]);
+        let mut out_offsets = self.out_offsets.clone();
+        shift_offsets(
+            &mut out_offsets[u as usize + 1..],
+            new_row.len() as isize - old_row.len() as isize,
+        );
+
+        // `u` sits in `in_row(t)` once per occurrence of `t` in its out-row,
+        // contiguously (rows are sorted): walk the heads of both rows in
+        // ascending order and swap the run of `u`s where the counts differ.
+        let mut in_targets = Vec::with_capacity(new_edges);
+        let mut in_offsets = self.in_offsets.clone();
+        let (mut i, mut j) = (0usize, 0usize);
+        let mut copied = 0usize; // old in_targets consumed so far
+        let mut shift = 0isize; // offset shift owed to rows after `settled`
+        let mut settled = 0usize; // in_offsets[..=settled] are final
+        while i < old_row.len() || j < new_row.len() {
+            let next_heads = old_row.get(i).into_iter().chain(new_row.get(j));
+            let t = *next_heads.min().expect("a row has heads left");
+            let lost = old_row[i..].iter().take_while(|&&x| x == t).count();
+            let gained = new_row[j..].iter().take_while(|&&x| x == t).count();
+            i += lost;
+            j += gained;
+            if lost == gained {
+                continue;
+            }
+            let t = t as usize;
+            let row_start = self.in_offsets[t];
+            let row = &self.in_targets[row_start..self.in_offsets[t + 1]];
+            let at = row_start + row.partition_point(|&x| x < u);
+            in_targets.extend_from_slice(&self.in_targets[copied..at]);
+            in_targets.extend(std::iter::repeat_n(u, gained));
+            copied = at + lost;
+            shift_offsets(&mut in_offsets[settled + 1..=t], shift);
+            shift += gained as isize - lost as isize;
+            settled = t;
+        }
+        in_targets.extend_from_slice(&self.in_targets[copied..]);
+        shift_offsets(&mut in_offsets[settled + 1..], shift);
+        Graph::from_csr(out_offsets, out_targets, in_offsets, in_targets)
+    }
+
     /// An empty graph with `n` isolated nodes.
     pub fn empty(n: usize) -> Self {
         Graph {
@@ -153,6 +209,15 @@ impl Graph {
         CsrView {
             offsets: &self.out_offsets,
             targets: &self.out_targets,
+        }
+    }
+}
+
+/// Adds `delta` to every offset in `offsets`.
+fn shift_offsets(offsets: &mut [usize], delta: isize) {
+    if delta != 0 {
+        for o in offsets {
+            *o = o.wrapping_add_signed(delta);
         }
     }
 }

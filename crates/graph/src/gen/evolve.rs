@@ -126,42 +126,145 @@ pub fn synth_events(
     events
 }
 
-/// Applies one event, returning the updated graph (same node set). The
-/// builder's dangling policy keeps the self-loop invariant: a node gaining
-/// its first real edge sheds its dangling-fix self-loop, a node losing its
-/// last real edge gets one back at build time.
+/// Applies one event, returning the updated graph (same node set) —
+/// exactly the graph a [`GraphBuilder`] rebuild of the edited edge list
+/// would lay out, at the cost of copying the CSR arrays instead of
+/// re-sorting every edge: only the tail's out-row and the touched heads'
+/// in-rows are spliced. The builder's dangling policy is kept by hand: a
+/// node gaining its first real edge sheds its dangling-fix self-loop, a
+/// node losing its last real edge gets one back.
 pub fn apply_event(graph: &Graph, event: &EdgeEvent) -> Graph {
-    let mut b = GraphBuilder::new(graph.num_nodes()).with_edge_capacity(graph.num_edges() + 1);
+    let (u, v) = (event.tail, event.head);
+    let old_row = graph.out_neighbors(u);
+    let mut row = Vec::with_capacity(old_row.len() + 1);
     if event.insert {
+        assert!(
+            (v as usize) < graph.num_nodes(),
+            "edge ({u}, {v}) out of range for {} nodes",
+            graph.num_nodes()
+        );
+        row.extend(old_row.iter().copied().filter(|&t| t != u));
+        row.insert(row.partition_point(|&t| t < v), v);
+    } else {
+        row.extend_from_slice(old_row);
+        match row.binary_search(&v) {
+            Ok(at) => {
+                row.remove(at);
+            }
+            Err(_) => debug_assert!(false, "delete of absent edge ({u}, {v})"),
+        }
+    }
+    if row.is_empty() {
+        row.push(u);
+    }
+    let mut next = graph.with_out_row(u, &row);
+    // A rebuild self-loops *every* dangling node, not just the tail (only
+    // a `DanglingPolicy::Keep` graph has any).
+    for w in graph.nodes().filter(|&w| w != u && graph.is_dangling(w)) {
+        next = next.with_out_row(w, &[w]);
+    }
+    next
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::{from_edges, DanglingPolicy};
+
+    /// The pre-splice `apply_event`: re-add every edge through the builder.
+    /// Kept as the oracle the splice must equal.
+    fn rebuild_event(graph: &Graph, event: &EdgeEvent) -> Graph {
+        let mut b = GraphBuilder::new(graph.num_nodes());
+        let mut removed = event.insert;
         for (s, t) in graph.edges() {
-            if s == t && s == event.tail {
+            if event.insert && s == t && s == event.tail {
                 continue; // shed the dangling-fix self-loop
             }
-            b.add_edge(s, t);
-        }
-        b.add_edge(event.tail, event.head);
-    } else {
-        let mut removed = false;
-        for (s, t) in graph.edges() {
             if !removed && s == event.tail && t == event.head {
                 removed = true;
                 continue;
             }
             b.add_edge(s, t);
         }
-        debug_assert!(
-            removed,
-            "delete of absent edge ({}, {})",
-            event.tail, event.head
-        );
+        if event.insert {
+            b.add_edge(event.tail, event.head);
+        }
+        b.build()
     }
-    b.build()
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::builder::from_edges;
+    #[test]
+    fn splice_equals_rebuild_on_random_event_sequences() {
+        // Cases the stream must have hit: [self-loop shed, self-loop
+        // restored, parallel edge inserted].
+        let mut hit = [0usize; 3];
+        for seed in 0..40u64 {
+            let mut rng = crate::gen::rng(seed);
+            let n = rng.gen_range(2..12) as NodeId;
+            let edges: Vec<(NodeId, NodeId)> = (0..rng.gen_range(0..3 * n))
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .collect();
+            // Parallel edges and real self-loops included; sparse seeds
+            // leave nodes on their dangling-fix self-loop alone.
+            let mut g = from_edges(n as usize, &edges);
+            for step in 0..60 {
+                let tail = rng.gen_range(0..n);
+                let row = g.out_neighbors(tail);
+                let event = if rng.gen::<f64>() < 0.5 {
+                    // Deleting a node's last edge restores its self-loop.
+                    let head = row[rng.gen_range(0..row.len())];
+                    EdgeEvent {
+                        tail,
+                        head,
+                        insert: false,
+                    }
+                } else {
+                    // Inserting (duplicates allowed) sheds it.
+                    let head = rng.gen_range(0..n);
+                    EdgeEvent {
+                        tail,
+                        head,
+                        insert: true,
+                    }
+                };
+                hit[0] += usize::from(event.insert && row == [tail] && event.head != tail);
+                hit[1] += usize::from(!event.insert && row.len() == 1 && event.head != tail);
+                hit[2] += usize::from(event.insert && row.contains(&event.head));
+                let next = apply_event(&g, &event);
+                assert_eq!(
+                    next,
+                    rebuild_event(&g, &event),
+                    "seed {seed} step {step}: {event:?} on {:?}",
+                    g.edges().collect::<Vec<_>>()
+                );
+                g = next;
+            }
+        }
+        assert!(hit.iter().all(|&h| h > 10), "cases hit: {hit:?}");
+    }
+
+    #[test]
+    fn splice_self_loops_every_dangling_node_like_a_rebuild() {
+        let mut b = GraphBuilder::new(4).dangling(DanglingPolicy::Keep);
+        b.add_edge(0, 1);
+        let g = b.build();
+        assert_eq!(g.num_dangling(), 3);
+        for event in [
+            EdgeEvent {
+                tail: 2,
+                head: 0,
+                insert: true,
+            },
+            EdgeEvent {
+                tail: 0,
+                head: 1,
+                insert: false,
+            },
+        ] {
+            let next = apply_event(&g, &event);
+            assert_eq!(next, rebuild_event(&g, &event), "{event:?}");
+            assert_eq!(next.num_dangling(), 0);
+        }
+    }
 
     #[test]
     fn prefix_compacts_ids() {

@@ -5,12 +5,14 @@
 //! arena must evolve exactly like the memory layout.
 
 use fastppv::core::dynamic::{
-    refresh_flat_index_delta, refresh_index, refresh_index_delta, DeltaConfig,
+    refresh_flat_index_delta, refresh_flat_index_snapshot_delta, refresh_index,
+    refresh_index_delta, DeltaConfig,
 };
 use fastppv::core::index::PpvStore;
 use fastppv::core::offline::{build_flat_index, build_index};
 use fastppv::core::{select_hubs, Config, HubPolicy};
 use fastppv::graph::builder::{from_edges, GraphBuilder};
+use fastppv::graph::gen::{apply_event, barabasi_albert, synth_events};
 use fastppv::graph::{Graph, NodeId};
 use proptest::prelude::*;
 
@@ -76,6 +78,100 @@ fn entries_l1(a: &[(NodeId, f64)], b: &[(NodeId, f64)]) -> f64 {
     d
 }
 
+/// The update path must not grow the index: a long stream of single-edge
+/// events at the default clip leaves both layouts the size a fresh build
+/// of the final graph is, every segment the length a fresh segment is, the
+/// arena's resident bytes without a trend, and every stored PPV within the
+/// budget of a fresh clipped solve. (Before patches respected the clip
+/// every push crumb was stored: most hubs ended with an entry per node.)
+#[test]
+fn long_event_stream_does_not_bloat_the_index() {
+    const EVENTS: usize = 320;
+    let g0 = barabasi_albert(2_000, 4, 0xB10A7);
+    let hubs = select_hubs(&g0, HubPolicy::ExpectedUtility, 80, 0);
+    let config = Config::default().with_epsilon(1e-6);
+    assert!(
+        config.clip > 0.0,
+        "the default clip is what keeps patches sparse"
+    );
+    let delta = DeltaConfig::default().with_budget(0.01);
+    let (mut memory, _) = build_index(&g0, &hubs, &config);
+    let (mut flat, _) = build_flat_index(&g0, &hubs, &config, 1);
+    let events = synth_events(&g0, EVENTS, 0.2, 41);
+    let mut graph = g0;
+    let mut resident = Vec::with_capacity(EVENTS);
+    for ev in &events {
+        let next = apply_event(&graph, ev);
+        let (m, ms) =
+            refresh_index_delta(&memory, &graph, &next, &hubs, &[ev.tail], &config, &delta);
+        let (f, fs) = refresh_flat_index_snapshot_delta(
+            &flat,
+            &graph,
+            &next,
+            &hubs,
+            &[ev.tail],
+            &config,
+            &delta,
+        );
+        for stats in [&ms, &fs] {
+            assert!(stats.budget_watermark <= delta.budget, "{stats:?}");
+        }
+        assert_eq!(ms.live_entries, m.total_entries());
+        assert_eq!(fs.live_entries, f.total_entries());
+        assert_eq!(fs.resident_bytes, f.resident_bytes());
+        resident.push(fs.resident_bytes);
+        (memory, flat, graph) = (m, f, next);
+    }
+
+    let (fresh, _) = build_index(&graph, &hubs, &config);
+    let fresh_total = fresh.total_entries() as f64;
+    let fresh_longest = hubs
+        .ids()
+        .iter()
+        .map(|&h| fresh.get(h).unwrap().len())
+        .max()
+        .unwrap();
+    for (layout, total) in [
+        ("memory", memory.total_entries()),
+        ("flat", flat.total_entries()),
+    ] {
+        assert!(
+            total as f64 <= 1.25 * fresh_total,
+            "{layout}: {total} entries after {EVENTS} events, a fresh build has {fresh_total}"
+        );
+    }
+    for &h in hubs.ids() {
+        let want = fresh.get(h).unwrap();
+        for (layout, stored) in [
+            ("memory", memory.load(h).unwrap()),
+            ("flat", flat.load(h).unwrap()),
+        ] {
+            assert!(
+                stored.len() <= 2 * fresh_longest,
+                "{layout} hub {h}: {} entries, the longest fresh segment has {fresh_longest}",
+                stored.len()
+            );
+            let l1 = entries_l1(stored.entries.entries(), want.entries.entries());
+            assert!(
+                l1 <= 1.5 * delta.budget,
+                "{layout} hub {h}: {l1} from a fresh clipped solve (budget {})",
+                delta.budget
+            );
+        }
+    }
+    // Tombstones come and go with compaction; what must not happen is a
+    // trend. The second half peaks no higher than the first (plus slack
+    // for where in a compaction cycle each half happens to end).
+    let (first, second) = resident.split_at(EVENTS / 2);
+    let peak = |half: &[usize]| *half.iter().max().unwrap() as f64;
+    assert!(
+        peak(second) <= 1.1 * peak(first),
+        "resident bytes grew: first-half peak {}, second-half peak {}",
+        peak(first),
+        peak(second)
+    );
+}
+
 /// A generated case: node count, initial edge list, proposed edge flips.
 type GraphAndFlips = (usize, Vec<(NodeId, NodeId)>, Vec<(NodeId, NodeId)>);
 
@@ -115,11 +211,7 @@ proptest! {
         (n, edges, flips) in graph_and_flips()
     ) {
         let config = tight_config();
-        let delta = DeltaConfig {
-            budget: 0.05,
-            push_threshold: 1e-13,
-            ..DeltaConfig::default()
-        };
+        let delta = DeltaConfig::default().with_budget(0.05);
         let mut graph = from_edges(n, &edges);
         let hubs = select_hubs(&graph, HubPolicy::ExpectedUtility, (n / 3).max(2), 0);
         let (mut memory, _) = build_index(&graph, &hubs, &config);
