@@ -99,36 +99,4 @@ fn main() {
         );
     }
     clip_table.print("Ablation: index storage clip threshold");
-
-    // On-disk format comparison: plain vs compressed (delta-varint ids),
-    // f32 vs log-u16 scores.
-    use fastppv_core::codec::{write_compressed, ScoreQuantization};
-    use fastppv_core::offline::build_index_parallel;
-    use fastppv_core::select_hubs_with_pagerank;
-    let hubs =
-        select_hubs_with_pagerank(graph, HubPolicy::ExpectedUtility, hub_count, 0, Some(&pr));
-    let (index, _) = build_index_parallel(graph, &hubs, &base, args.threads);
-    let tmp = std::env::temp_dir();
-    let plain = tmp.join(format!("fastppv-abl-{}.idx", std::process::id()));
-    let f32c = tmp.join(format!("fastppv-abl-{}.idx2", std::process::id()));
-    let u16c = tmp.join(format!("fastppv-abl-{}.idx2q", std::process::id()));
-    index.write_to_file(&plain).expect("write plain");
-    write_compressed(&index, &f32c, ScoreQuantization::F32).expect("write f32");
-    write_compressed(&index, &u16c, ScoreQuantization::LogU16).expect("write u16");
-    let mut fmt_table = Table::new(vec!["format", "bytes", "vs plain"]);
-    let plain_len = std::fs::metadata(&plain).unwrap().len();
-    for (name, path) in [
-        ("plain (u32+f32)", &plain),
-        ("compressed (varint+f32)", &f32c),
-        ("compressed (varint+log-u16)", &u16c),
-    ] {
-        let len = std::fs::metadata(path).unwrap().len();
-        fmt_table.row(vec![
-            name.to_string(),
-            len.to_string(),
-            format!("{:.0}%", 100.0 * len as f64 / plain_len as f64),
-        ]);
-        std::fs::remove_file(path).ok();
-    }
-    fmt_table.print("Ablation: on-disk index format");
 }

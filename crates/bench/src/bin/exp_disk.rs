@@ -3,7 +3,8 @@
 //! The graph is segmented into clusters (anchor-based PPR clustering,
 //! §5.3); at query time only one cluster is memory-resident and the prime-
 //! subgraph search swaps clusters on demand, capped at one fault per
-//! cluster. The PPV index is also read from disk (`DiskIndex`).
+//! cluster. The PPV index is also read from disk: the arena file, mapped
+//! rather than loaded (`FlatIndex::open`).
 //!
 //! Paper findings: query time stays roughly stable as the cluster count
 //! grows (more faults × smaller clusters), while the memory need (largest
@@ -23,10 +24,9 @@ use fastppv_cluster::partition::{cluster_graph, ClusteringOptions};
 use fastppv_cluster::query::{disk_query, DiskQueryWorkspace};
 use fastppv_cluster::store::{write_clustered_graph, DiskGraph};
 use fastppv_core::hubs::{select_hubs_with_pagerank, HubPolicy};
-use fastppv_core::index::DiskIndex;
-use fastppv_core::offline::build_index_parallel;
+use fastppv_core::offline::build_flat_index;
 use fastppv_core::query::StoppingCondition;
-use fastppv_core::Config;
+use fastppv_core::{Config, FlatIndex};
 use fastppv_graph::{pagerank, PageRankOptions};
 
 fn main() {
@@ -61,15 +61,15 @@ fn main() {
             Some(&pr),
         );
         let config = Config::default().with_epsilon(1e-6);
-        let (index, _) = build_index_parallel(graph, &hubs, &config, args.threads);
-        // The PPV index lives on disk too (small read cache).
+        let (index, _) = build_flat_index(graph, &hubs, &config, args.threads);
+        // The PPV index lives on disk too (paged in by the kernel).
         let idx_path = tmp.join(format!(
             "fastppv-exp-disk-{}-{}.idx",
             std::process::id(),
             dataset.name
         ));
         index.write_to_file(&idx_path).expect("write index");
-        let disk_index = DiskIndex::open(&idx_path, 64).expect("open disk index");
+        let disk_index = FlatIndex::open(&idx_path).expect("open index");
         let queries = sample_queries(graph, args.queries, args.seed);
 
         for n_clusters in [10usize, 15, 25, 35, 50] {

@@ -14,7 +14,7 @@
 use fastppv_bench::cli::CommonArgs;
 use fastppv_bench::datasets;
 use fastppv_bench::table::{fmt_ratio, fmt_s, Table};
-use fastppv_core::dynamic::refresh_index;
+use fastppv_core::dynamic::{refresh_index_delta, DeltaConfig};
 use fastppv_core::hubs::{select_hubs_with_pagerank, HubPolicy};
 use fastppv_core::offline::build_index_parallel;
 use fastppv_core::Config;
@@ -60,6 +60,7 @@ fn main() {
         "identical",
     ]);
     let mut rng = ChaCha8Rng::seed_from_u64(args.seed);
+    let exact = DeltaConfig::exact();
     for batch in [1usize, 4, 16, 64] {
         // Insert `batch` random edges (from non-hub tails, the common case).
         let n = graph.num_nodes() as NodeId;
@@ -75,7 +76,8 @@ fn main() {
         let tails: Vec<NodeId> = edges.iter().map(|&(u, _)| u).collect();
 
         let t = std::time::Instant::now();
-        let (refreshed, stats) = refresh_index(&index, &graph, &new_graph, &hubs, &tails, &config);
+        let (refreshed, stats) =
+            refresh_index_delta(&index, &graph, &new_graph, &hubs, &tails, &config, &exact);
         let refresh_time = t.elapsed();
 
         let t = std::time::Instant::now();

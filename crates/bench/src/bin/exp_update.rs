@@ -29,7 +29,7 @@ use fastppv_bench::update::UpdateReport;
 use fastppv_bench::workload::sample_queries_zipf;
 use fastppv_core::hubs::{select_hubs_with_pagerank, HubPolicy};
 use fastppv_core::index::FlatIndex;
-use fastppv_core::offline::build_index_parallel;
+use fastppv_core::offline::build_flat_index;
 use fastppv_core::{Config, DeltaConfig, HubSet, PpvStore};
 use fastppv_graph::gen::{apply_event, barabasi_albert, synth_events};
 use fastppv_graph::NodeId;
@@ -132,8 +132,7 @@ fn main() {
     let config = Config::default().with_epsilon(1e-6);
 
     let build_started = Instant::now();
-    let (memory, stats) = build_index_parallel(&graph, &hubs, &config, args.threads);
-    let flat = FlatIndex::from_memory(&memory, &hubs);
+    let (flat, stats) = build_flat_index(&graph, &hubs, &config, args.threads);
     println!(
         "built |H| = {} ({} entries) in {:.2?}",
         stats.hubs,
@@ -141,36 +140,20 @@ fn main() {
         build_started.elapsed()
     );
 
-    // Open-path timing: the single-file arena (mmap, zero-copy) against
-    // the record-format deserialize path, over the same index.
-    let tmp = std::env::temp_dir();
-    let arena_path = tmp.join(format!("fastppv-exp-update-{}.fppv3", std::process::id()));
-    let record_path = tmp.join(format!("fastppv-exp-update-{}.fppv", std::process::id()));
+    // Open-path timing: the index file, mapped zero-copy.
+    let arena_path =
+        std::env::temp_dir().join(format!("fastppv-exp-update-{}.fppv", std::process::id()));
     flat.write_to_file(&arena_path).expect("write arena file");
-    memory
-        .write_to_file(&record_path)
-        .expect("write record file");
-    drop(memory);
     let started = Instant::now();
     let opened = FlatIndex::open(&arena_path).expect("open arena");
     let open = started.elapsed();
-    let started = Instant::now();
-    let disk = fastppv_core::DiskIndex::open(&record_path, 4096).expect("open record file");
-    let deserialized = FlatIndex::from_store(graph.num_nodes(), &disk, &disk.hub_ids(), &hubs);
-    let open_deserialize = started.elapsed();
-    drop(disk);
-    drop(deserialized);
     // The mmap-opened arena must answer bit-identically to the built one.
     for &h in hubs.ids().iter().step_by((hubs.len() / 64).max(1)) {
         assert_eq!(opened.load(h), flat.load(h), "hub {h} differs after open");
     }
     drop(opened);
     std::fs::remove_file(&arena_path).ok();
-    std::fs::remove_file(&record_path).ok();
-    println!(
-        "open: arena {open:.2?} vs deserialize {open_deserialize:.2?} ({:.1}x)",
-        open_deserialize.as_secs_f64() / open.as_secs_f64().max(1e-9)
-    );
+    println!("open: arena {open:.2?}");
 
     let options = ServiceOptions {
         workers: args.threads.max(1),
@@ -256,8 +239,7 @@ fn main() {
     // watermark; this adds the ε-frontier difference between patching on
     // the full graph and a fresh ε-pruned extraction.
     let final_graph = delta_service.graph();
-    let (rebuilt, _) =
-        fastppv_core::offline::build_flat_index(&final_graph, &hubs, &config, args.threads);
+    let (rebuilt, _) = build_flat_index(&final_graph, &hubs, &config, args.threads);
     let streamed = delta_service.store();
     let mut max_rebuild_l1 = 0.0f64;
     for &h in hubs.ids() {
@@ -322,7 +304,6 @@ fn main() {
         resident_bytes: streamed.resident_bytes(),
         mapped_bytes: streamed.mapped_bytes(),
         open,
-        open_deserialize,
         noop_update_skips: delta_service.cache_stats().noop_update_skips,
         serve_quiet,
         serve_updating,

@@ -74,12 +74,8 @@ pub struct UpdateReport {
     pub resident_bytes: usize,
     /// File-mapped bytes of the final arena.
     pub mapped_bytes: usize,
-    /// Wall-clock of `FlatIndex::open` on the single-file arena format.
+    /// Wall-clock of `FlatIndex::open` on the index file.
     pub open: Duration,
-    /// Wall-clock of the deserialize path (record file → `DiskIndex` →
-    /// `FlatIndex::from_store`) over the same index; `open_deserialize_ms /
-    /// open_ms` is the ≥ 10× open-speed criterion.
-    pub open_deserialize: Duration,
     /// Batches that skipped the publish (expected 0: every synthesized
     /// event changes the adjacency).
     pub noop_update_skips: u64,
@@ -180,10 +176,6 @@ impl UpdateReport {
         out.push_str(&format!("  \"mapped_bytes\": {},\n", self.mapped_bytes));
         out.push_str(&format!("  \"open_ms\": {:.3},\n", ms(self.open)));
         out.push_str(&format!(
-            "  \"open_deserialize_ms\": {:.3},\n",
-            ms(self.open_deserialize)
-        ));
-        out.push_str(&format!(
             "  \"noop_update_skips\": {},\n",
             self.noop_update_skips
         ));
@@ -269,7 +261,6 @@ mod tests {
             resident_bytes: 1 << 18,
             mapped_bytes: 3 << 18,
             open: Duration::from_millis(2),
-            open_deserialize: Duration::from_millis(120),
             noop_update_skips: 0,
             serve_quiet: LatencySummary {
                 queries: 400,
@@ -325,7 +316,6 @@ mod tests {
             "\"resident_bytes\"",
             "\"mapped_bytes\"",
             "\"open_ms\"",
-            "\"open_deserialize_ms\"",
             "\"noop_update_skips\"",
             "\"serve_quiet_p99_us\"",
             "\"serve_updating_p99_us\"",

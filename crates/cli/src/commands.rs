@@ -9,8 +9,8 @@ use fastppv_cluster::ShardMap;
 use fastppv_core::atomic_io;
 use fastppv_core::autotune::{suggest_hub_count, AutotuneOptions};
 use fastppv_core::hubs::{select_hubs_with_pagerank, HubPolicy, HubSet};
-use fastppv_core::index::{DiskIndex, FlatIndex, PpvStore};
-use fastppv_core::offline::build_index_parallel;
+use fastppv_core::index::{FlatIndex, PpvStore};
+use fastppv_core::offline::build_flat_index;
 use fastppv_core::query::{QueryEngine, StoppingCondition};
 use fastppv_core::{Config, DeltaConfig, Manifest, Wal, WalBatch};
 use fastppv_graph::gen::{
@@ -153,19 +153,16 @@ pub fn pagerank_cmd(argv: &[String]) -> CmdResult {
 pub fn build(argv: &[String]) -> CmdResult {
     let usage = "fastppv build --graph edges.txt [--undirected] --out index.fppv\n\
                  (--hubs N | --auto-target SUBGRAPH_NODES)\n\
-                 [--arena-out arena.fppv3]\n\
                  [--policy eu|pagerank|outdeg|indeg|random] [--alpha A]\n\
                  [--epsilon E] [--delta D] [--clip C] [--threads T] [--seed S]\n\
                  \n\
-                 --arena-out additionally writes the single-file arena\n\
-                 format, which `query`/`serve`/`update` open zero-copy\n\
-                 (mmap) instead of deserializing.";
+                 Writes the single-file arena, which `query`/`topk`/`serve`/\n\
+                 `update` open zero-copy (mmap), scores bit-exact.";
     let args = Args::parse(
         argv,
         &with_config_flags(&[
             "graph",
             "out",
-            "arena-out",
             "hubs",
             "auto-target",
             "policy",
@@ -215,120 +212,49 @@ pub fn build(argv: &[String]) -> CmdResult {
         }
     };
     let hubs = select_hubs_with_pagerank(&graph, policy, hub_count, seed, None);
-    let (index, stats) = build_index_parallel(&graph, &hubs, &config, threads);
-    index.write_to_file(&out).map_err(|e| e.to_string())?;
+    let (flat, stats) = build_flat_index(&graph, &hubs, &config, threads);
+    flat.write_to_file(&out).map_err(|e| e.to_string())?;
     println!(
         "built {}: {} hubs, {} entries, {:.2} MB in {:.2?} \
          (avg subgraph {:.0} nodes, avg border hubs {:.1})",
         out,
         stats.hubs,
         stats.total_entries,
-        stats.storage_bytes as f64 / (1024.0 * 1024.0),
+        flat.file_bytes() as f64 / (1024.0 * 1024.0),
         stats.build_time,
         stats.avg_subgraph_nodes,
         stats.avg_border_hubs
     );
-    if let Some(arena_out) = args.get::<String>("arena-out")? {
-        let flat = FlatIndex::from_memory(&index, &hubs);
-        flat.write_to_file(&arena_out).map_err(|e| e.to_string())?;
-        println!(
-            "wrote arena {}: {:.2} MB single-file layout (opens zero-copy)",
-            arena_out,
-            flat.file_bytes() as f64 / (1024.0 * 1024.0)
-        );
-    }
     Ok(())
 }
 
-fn open_index_and_hubs(args: &Args, graph: &Graph) -> Result<(DiskIndex, HubSet), String> {
+/// Opens `--index` — the arena file `fastppv build` wrote — zero-copy
+/// (mmap), and reconstructs the hub set it declares.
+fn open_index(args: &Args, graph: &Graph) -> Result<(FlatIndex, HubSet), CliError> {
     let path: String = args.require("index")?;
-    let cache: usize = args.get_or("cache", 4096)?;
-    let index = DiskIndex::open(&path, cache).map_err(|e| format!("{path}: {e}"))?;
-    let hubs = HubSet::from_ids(graph.num_nodes(), index.hub_ids());
-    Ok((index, hubs))
-}
-
-/// Whether `path` starts with the single-file arena magic (`FPPVIDX3`).
-/// Used to pick the opener: arena files load zero-copy via
-/// [`FlatIndex::open`], everything else goes through the record-format
-/// openers (which produce their own magic errors on mismatch).
-fn is_arena_file(path: &str) -> Result<bool, String> {
-    use std::io::Read;
-    let mut f = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut magic = [0u8; 8];
-    let n = f.read(&mut magic).map_err(|e| format!("{path}: {e}"))?;
-    Ok(n == 8 && &magic == fastppv_core::protocol_consts::IDX3_MAGIC)
-}
-
-/// Opens `--index` as a serving [`FlatIndex`]: zero-copy (mmap) when the
-/// file is the single-file arena format, otherwise deserialized from the
-/// plain record format through [`FlatIndex::from_store`].
-fn open_flat_store(args: &Args, graph: &Graph) -> Result<(FlatIndex, HubSet), CliError> {
-    let path: String = args.require("index")?;
-    if is_arena_file(&path)? {
-        let flat = FlatIndex::open(&path).map_err(|e| format!("{path}: {e}"))?;
-        if flat.capacity() != graph.num_nodes() {
-            return Err(format!(
-                "{path}: arena built for {} nodes but the graph has {}; \
-                 rebuild the arena against this graph",
-                flat.capacity(),
-                graph.num_nodes()
-            )
-            .into());
-        }
-        let hubs = HubSet::from_ids(graph.num_nodes(), flat.hub_ids().to_vec());
-        Ok((flat, hubs))
-    } else {
-        let (index, hubs) = open_index_and_hubs(args, graph)?;
-        let flat = FlatIndex::from_store(graph.num_nodes(), &index, &index.hub_ids(), &hubs);
-        Ok((flat, hubs))
+    let flat = FlatIndex::open(&path).map_err(|e| format!("{path}: {e}"))?;
+    if flat.capacity() != graph.num_nodes() {
+        return Err(format!(
+            "{path}: index built for {} nodes but the graph has {}; \
+             rebuild the index against this graph",
+            flat.capacity(),
+            graph.num_nodes()
+        )
+        .into());
     }
-}
-
-/// The serving store layout: the flat structure-of-arrays arena (default —
-/// the index file is pulled into RAM once, reads are zero-copy) or the
-/// file-backed store with a read cache (`--store disk`, for indexes larger
-/// than memory).
-enum StoreChoice {
-    Flat(FlatIndex),
-    Disk(DiskIndex),
-}
-
-fn open_store(args: &Args, graph: &Graph) -> Result<(StoreChoice, HubSet), CliError> {
-    let kind: String = args.get_or("store", "flat".to_string())?;
-    match kind.as_str() {
-        "flat" => {
-            let (flat, hubs) = open_flat_store(args, graph)?;
-            Ok((StoreChoice::Flat(flat), hubs))
-        }
-        "disk" => {
-            let path: String = args.require("index")?;
-            if is_arena_file(&path)? {
-                return Err(CliError::Usage(format!(
-                    "{path} is a single-file arena; serve it with --store flat \
-                     (the arena is mmap'd, not pulled into RAM)"
-                )));
-            }
-            let (index, hubs) = open_index_and_hubs(args, graph)?;
-            Ok((StoreChoice::Disk(index), hubs))
-        }
-        other => Err(CliError::Usage(format!(
-            "--store must be flat or disk, got `{other}`"
-        ))),
-    }
+    let hubs = HubSet::from_ids(graph.num_nodes(), flat.hub_ids().to_vec());
+    Ok((flat, hubs))
 }
 
 /// `fastppv query`
 pub fn query(argv: &[String]) -> CmdResult {
     let usage = "fastppv query --graph edges.txt [--undirected] \
                  --index index.fppv --node Q\n\
-                 [--eta K | --l1 ERR] [--top K] [--store flat|disk] \
+                 [--eta K | --l1 ERR] [--top K] \
                  [--alpha A] [--epsilon E] [--delta D]";
     let args = Args::parse(
         argv,
-        &with_config_flags(&[
-            "graph", "index", "node", "eta", "l1", "top", "cache", "store",
-        ]),
+        &with_config_flags(&["graph", "index", "node", "eta", "l1", "top"]),
         &["undirected"],
         usage,
     )?;
@@ -339,26 +265,10 @@ pub fn query(argv: &[String]) -> CmdResult {
     }
     let config = config_from_args(&args)?;
     let top: usize = args.get_or("top", 10)?;
-    let (store, hubs) = open_store(&args, &graph)?;
+    let (store, hubs) = open_index(&args, &graph)?;
     let stop = stop_from_args(&args)?;
-    match store {
-        StoreChoice::Flat(s) => run_query(&graph, &hubs, &s, config, q, &stop, top),
-        StoreChoice::Disk(s) => run_query(&graph, &hubs, &s, config, q, &stop, top),
-    }
-    Ok(())
-}
-
-fn run_query<S: PpvStore>(
-    graph: &Graph,
-    hubs: &HubSet,
-    store: &S,
-    config: Config,
-    q: u32,
-    stop: &StoppingCondition,
-    top: usize,
-) {
-    let engine = QueryEngine::new(graph, hubs, store, config);
-    let result = engine.query(q, stop);
+    let engine = QueryEngine::new(&graph, &hubs, &store, config);
+    let result = engine.query(q, &stop);
     println!(
         "query {q}: {} iterations, guaranteed L1 error <= {:.5}, {:.2?}{}",
         result.iterations,
@@ -373,16 +283,16 @@ fn run_query<S: PpvStore>(
     for (rank, (node, score)) in result.top_k(top).into_iter().enumerate() {
         println!("{:>4}. node {node:<10} score {score:.6}", rank + 1);
     }
+    Ok(())
 }
 
 /// `fastppv topk`
 pub fn topk(argv: &[String]) -> CmdResult {
     let usage = "fastppv topk --graph edges.txt [--undirected] \
-                 --index index.fppv --node Q --k K [--max-eta K] \
-                 [--store flat|disk]";
+                 --index index.fppv --node Q --k K [--max-eta K]";
     let args = Args::parse(
         argv,
-        &with_config_flags(&["graph", "index", "node", "k", "max-eta", "cache", "store"]),
+        &with_config_flags(&["graph", "index", "node", "k", "max-eta"]),
         &["undirected"],
         usage,
     )?;
@@ -391,24 +301,8 @@ pub fn topk(argv: &[String]) -> CmdResult {
     let k: usize = args.require("k")?;
     let max_eta: usize = args.get_or("max-eta", 10)?;
     let config = config_from_args(&args)?;
-    let (store, hubs) = open_store(&args, &graph)?;
-    match store {
-        StoreChoice::Flat(s) => run_topk(&graph, &hubs, &s, config, q, k, max_eta),
-        StoreChoice::Disk(s) => run_topk(&graph, &hubs, &s, config, q, k, max_eta),
-    }
-    Ok(())
-}
-
-fn run_topk<S: PpvStore>(
-    graph: &Graph,
-    hubs: &HubSet,
-    store: &S,
-    config: Config,
-    q: u32,
-    k: usize,
-    max_eta: usize,
-) {
-    let engine = QueryEngine::new(graph, hubs, store, config);
+    let (store, hubs) = open_index(&args, &graph)?;
+    let engine = QueryEngine::new(&graph, &hubs, &store, config);
     let res = engine.query_top_k(q, k, max_eta);
     println!(
         "top-{k} for query {q}: {} after {} iterations (phi = {:.5})",
@@ -423,14 +317,14 @@ fn run_topk<S: PpvStore>(
     for (rank, (node, score)) in res.nodes.into_iter().enumerate() {
         println!("{:>4}. node {node:<10} score >= {score:.6}", rank + 1);
     }
+    Ok(())
 }
 
 /// `fastppv serve`
 pub fn serve(argv: &[String]) -> CmdResult {
     let usage = "fastppv serve --graph edges.txt [--undirected] --index index.fppv\n\
                  [--listen ADDR] [--workers N] [--queue N] [--hot-cache N]\n\
-                 [--cache N] [--store flat|disk] [--eta K | --l1 ERR]\n\
-                 [--top K] [--batch B] [--wal DIR]\n\
+                 [--eta K | --l1 ERR] [--top K] [--batch B] [--wal DIR]\n\
                  [--alpha A] [--epsilon E] [--delta D]\n\
                  \n\
                  Default mode reads one query per line from stdin:\n\
@@ -449,7 +343,7 @@ pub fn serve(argv: &[String]) -> CmdResult {
                  checkpointed graph + arena replace --graph/--index content\n\
                  and logged-but-uncheckpointed events are replayed before\n\
                  the first query is served. The log itself is left\n\
-                 untouched. Requires --store flat.\n\
+                 untouched.\n\
                  \n\
                  With --shard-id N the opened index is sliced to the hubs\n\
                  this shard owns before serving (--num-shards K for the\n\
@@ -470,12 +364,10 @@ pub fn serve(argv: &[String]) -> CmdResult {
             "workers",
             "queue",
             "hot-cache",
-            "cache",
             "eta",
             "l1",
             "top",
             "batch",
-            "store",
             "wal",
             "shard-id",
             "num-shards",
@@ -517,7 +409,7 @@ pub fn serve(argv: &[String]) -> CmdResult {
     let wal: Option<String> = args.get("wal")?;
     let graph = load_graph(&args)?;
     let config = config_from_args(&args)?;
-    let (store, hubs) = open_store(&args, &graph)?;
+    let (store, hubs) = open_index(&args, &graph)?;
     if let Some(shard_id) = args.get::<u32>("shard-id")? {
         if wal.is_some() {
             return Err(CliError::Usage(
@@ -536,17 +428,14 @@ pub fn serve(argv: &[String]) -> CmdResult {
         // Slice the full index down to the hubs this shard owns; the
         // service still gets the full hub set (prime-PPV decomposition
         // needs to block at *every* hub, not just owned ones).
-        let slice = match &store {
-            StoreChoice::Flat(s) => fastppv_cluster::slice_store(s, &hubs, &map, shard_id),
-            StoreChoice::Disk(s) => fastppv_cluster::slice_store(s, &hubs, &map, shard_id),
-        };
+        let slice = fastppv_cluster::slice_store(&store, &hubs, &map, shard_id);
         eprintln!(
             "shard {shard_id}/{}: holding {} of {} hubs",
             map.num_shards(),
             slice.hub_ids().len(),
             hubs.ids().len()
         );
-        return serve_entry(
+        return serve_store(
             graph,
             hubs,
             slice,
@@ -556,6 +445,7 @@ pub fn serve(argv: &[String]) -> CmdResult {
             top,
             batch,
             listen,
+            None,
         );
     }
     if args.get::<String>("shard-map")?.is_some() || args.get::<u32>("num-shards")?.is_some() {
@@ -563,64 +453,40 @@ pub fn serve(argv: &[String]) -> CmdResult {
             "--shard-map/--num-shards only apply together with --shard-id".into(),
         ));
     }
-    match store {
-        StoreChoice::Flat(s) => {
-            let (graph, hubs, s, wal_dir) = match wal {
-                None => (graph, hubs, s, None),
-                Some(dir) => {
-                    let mut w = open_wal_dir(PathBuf::from(dir))?;
-                    match w.recovered.take() {
-                        None => (graph, hubs, s, Some(w)),
-                        Some((g, flat)) => {
-                            if g.num_nodes() != graph.num_nodes()
-                                || flat.capacity() != graph.num_nodes()
-                            {
-                                return Err(format!(
-                                    "wal dir checkpoint has {} nodes but --graph has {}; \
-                                     wrong --wal directory for this graph?",
-                                    g.num_nodes(),
-                                    graph.num_nodes()
-                                )
-                                .into());
-                            }
-                            let hubs = HubSet::from_ids(g.num_nodes(), flat.hub_ids().to_vec());
-                            (g, hubs, flat, Some(w))
-                        }
+    let (graph, hubs, store, wal_dir) = match wal {
+        None => (graph, hubs, store, None),
+        Some(dir) => {
+            let mut w = open_wal_dir(PathBuf::from(dir))?;
+            match w.recovered.take() {
+                None => (graph, hubs, store, Some(w)),
+                Some((g, flat)) => {
+                    if g.num_nodes() != graph.num_nodes() || flat.capacity() != graph.num_nodes() {
+                        return Err(format!(
+                            "wal dir checkpoint has {} nodes but --graph has {}; \
+                             wrong --wal directory for this graph?",
+                            g.num_nodes(),
+                            graph.num_nodes()
+                        )
+                        .into());
                     }
+                    let hubs = HubSet::from_ids(g.num_nodes(), flat.hub_ids().to_vec());
+                    (g, hubs, flat, Some(w))
                 }
-            };
-            serve_flat(
-                graph,
-                hubs,
-                s,
-                config,
-                options,
-                default_stop,
-                top,
-                batch,
-                listen,
-                wal_dir,
-            )
-        }
-        StoreChoice::Disk(s) => {
-            if wal.is_some() {
-                return Err(CliError::Usage(
-                    "--wal requires --store flat (recovery replays into the arena)".into(),
-                ));
             }
-            serve_entry(
-                graph,
-                hubs,
-                s,
-                config,
-                options,
-                default_stop,
-                top,
-                batch,
-                listen,
-            )
         }
-    }
+    };
+    serve_store(
+        graph,
+        hubs,
+        store,
+        config,
+        options,
+        default_stop,
+        top,
+        batch,
+        listen,
+        wal_dir,
+    )
 }
 
 /// Resolves `--shard-id`'s hub→shard map: a `--shard-map` file (written
@@ -676,14 +542,15 @@ fn print_remote_stats(addr: &str) -> CmdResult {
     Ok(())
 }
 
-/// The `--store flat` serve path: like [`serve_entry`], plus WAL startup
-/// recovery — events the last `fastppv update` logged but had not yet
-/// checkpointed are replayed into the service before the first query.
+/// Builds the service over the whole arena or a shard's slice of it, runs
+/// WAL startup recovery — events the last `fastppv update` logged but had
+/// not yet checkpointed are replayed into the service before the first
+/// query — and dispatches to the stdin/stdout loop or the TCP front-end.
 #[allow(clippy::too_many_arguments)]
-fn serve_flat(
+fn serve_store<S: PpvStore + fastppv_server::ShardRefresh + Send + Sync + 'static>(
     graph: Graph,
     hubs: HubSet,
-    store: FlatIndex,
+    store: S,
     config: Config,
     options: ServiceOptions,
     default_stop: StoppingCondition,
@@ -721,34 +588,6 @@ fn serve_flat(
             );
         }
     }
-    match listen {
-        Some(addr) => serve_net(service, &addr, num_nodes, options),
-        None => serve_loop(service, num_nodes, options, default_stop, top, batch),
-    }
-}
-
-/// Builds the service and dispatches to the stdin/stdout loop or the TCP
-/// front-end, generic over the store layout.
-#[allow(clippy::too_many_arguments)]
-fn serve_entry<S: PpvStore + fastppv_server::ShardRefresh + Send + Sync + 'static>(
-    graph: Graph,
-    hubs: HubSet,
-    store: S,
-    config: Config,
-    options: ServiceOptions,
-    default_stop: StoppingCondition,
-    top: usize,
-    batch: usize,
-    listen: Option<String>,
-) -> CmdResult {
-    let num_nodes = graph.num_nodes();
-    let service = std::sync::Arc::new(QueryService::new(
-        std::sync::Arc::new(graph),
-        std::sync::Arc::new(hubs),
-        std::sync::Arc::new(store),
-        config,
-        options,
-    ));
     match listen {
         Some(addr) => serve_net(service, &addr, num_nodes, options),
         None => serve_loop(service, num_nodes, options, default_stop, top, batch),
@@ -1121,7 +960,6 @@ pub fn update(argv: &[String]) -> CmdResult {
             "delete-fraction",
             "budget",
             "seed",
-            "cache",
             "wal",
             "checkpoint-every",
         ]),
@@ -1196,7 +1034,7 @@ pub fn update(argv: &[String]) -> CmdResult {
             (g, f, hubs)
         }
         None => {
-            let (f, h) = open_flat_store(&args, &graph)?;
+            let (f, h) = open_index(&args, &graph)?;
             (graph, f, h)
         }
     };
@@ -1354,36 +1192,17 @@ pub fn stats(argv: &[String]) -> CmdResult {
     let args = Args::parse(argv, &["index"], &[], usage)?;
     let path: String = args.require("index")?;
     let mb = |b: usize| b as f64 / (1024.0 * 1024.0);
-    if is_arena_file(&path)? {
-        let flat = FlatIndex::open(&path).map_err(|e| format!("{path}: {e}"))?;
-        let ids = flat.hub_ids();
-        println!("index {path} (single-file arena):");
-        println!("  hubs:          {}", flat.hub_count());
-        println!("  total entries: {}", flat.total_entries());
-        println!("  file size:     {:.2} MB", mb(flat.file_bytes()));
-        println!("  resident:      {:.2} MB", mb(flat.resident_bytes()));
-        println!("  mapped:        {:.2} MB", mb(flat.mapped_bytes()));
-        println!(
-            "  entries/hub:   {:.1}",
-            flat.total_entries() as f64 / flat.hub_count().max(1) as f64
-        );
-        if let (Some(first), Some(last)) = (ids.first(), ids.last()) {
-            println!("  hub id range:  {first}..={last}");
-        }
-        return Ok(());
-    }
-    let index = DiskIndex::open(&path, 1).map_err(|e| format!("{path}: {e}"))?;
-    let ids = index.hub_ids();
-    println!("index {path}:");
-    println!("  hubs:          {}", index.hub_count());
-    println!("  total entries: {}", index.total_entries());
-    println!(
-        "  size:          {:.2} MB",
-        index.storage_bytes() as f64 / (1024.0 * 1024.0)
-    );
+    let flat = FlatIndex::open(&path).map_err(|e| format!("{path}: {e}"))?;
+    let ids = flat.hub_ids();
+    println!("index {path} (single-file arena):");
+    println!("  hubs:          {}", flat.hub_count());
+    println!("  total entries: {}", flat.total_entries());
+    println!("  file size:     {:.2} MB", mb(flat.file_bytes()));
+    println!("  resident:      {:.2} MB", mb(flat.resident_bytes()));
+    println!("  mapped:        {:.2} MB", mb(flat.mapped_bytes()));
     println!(
         "  entries/hub:   {:.1}",
-        index.total_entries() as f64 / index.hub_count().max(1) as f64
+        flat.total_entries() as f64 / flat.hub_count().max(1) as f64
     );
     if let (Some(first), Some(last)) = (ids.first(), ids.last()) {
         println!("  hub id range:  {first}..={last}");

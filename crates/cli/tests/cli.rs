@@ -332,9 +332,8 @@ fn serve_listen_answers_over_tcp_identical_to_direct_engine() {
     use std::io::BufRead;
     use std::process::Stdio;
 
-    use fastppv_core::index::DiskIndex;
     use fastppv_core::query::StoppingCondition;
-    use fastppv_core::{Config, FlatIndex, HubSet, QueryEngine};
+    use fastppv_core::{build_flat_index, Config, FlatIndex, HubSet, QueryEngine};
     use fastppv_graph::io::read_edge_list_file;
     use fastppv_graph::DanglingPolicy;
     use fastppv_server::net::{Client, WireRequest};
@@ -388,12 +387,15 @@ fn serve_listen_answers_over_tcp_identical_to_direct_engine() {
         .unwrap()
         .to_string();
 
-    // An independent engine over the exact deployment the server loaded.
+    // The CLI deploys what the benchmark measures: an engine over an arena
+    // built in this process — the file contributes only the hub ids it
+    // declares — must agree with the served answers bit for bit, scores
+    // and certificate alike, under an η stop and an accuracy stop.
     let graph = read_edge_list_file(&graph_path, true, DanglingPolicy::SelfLoop).unwrap();
-    let disk = DiskIndex::open(&index_path, 16).unwrap();
-    let hubs = HubSet::from_ids(graph.num_nodes(), disk.hub_ids());
-    let flat = FlatIndex::from_store(graph.num_nodes(), &disk, &disk.hub_ids(), &hubs);
+    let declared = FlatIndex::open(&index_path).unwrap().hub_ids().to_vec();
+    let hubs = HubSet::from_ids(graph.num_nodes(), declared);
     let config = Config::default();
+    let (flat, _) = build_flat_index(&graph, &hubs, &config, 1);
     let engine = QueryEngine::new(&graph, &hubs, &flat, config);
 
     let mut client = Client::connect(&addr).unwrap();
@@ -403,25 +405,34 @@ fn serve_listen_answers_over_tcp_identical_to_direct_engine() {
         .iter()
         .map(|&q| WireRequest::iterations(q, 2))
         .collect();
+    let accuracy_requests: Vec<WireRequest> = queries
+        .iter()
+        .map(|&q| WireRequest::l1_error(q, 0.2))
+        .collect();
+    let bits = |entries: &[(u32, f64)]| -> Vec<(u32, u64)> {
+        entries.iter().map(|&(v, s)| (v, s.to_bits())).collect()
+    };
     let responses = client.request_batch(&requests).unwrap();
-    for (r, &q) in responses.iter().zip(&queries) {
-        let answer = r.answer().expect("in-range query is served");
-        let direct = engine.query(q, &StoppingCondition::iterations(2));
-        let mut diff: f64 = answer
-            .entries
-            .iter()
-            .map(|&(v, s)| (s - direct.scores.get(v)).abs())
-            .sum();
-        for &(v, s) in direct.scores.entries() {
-            if !answer.entries.iter().any(|&(e, _)| e == v) {
-                diff += s.abs();
-            }
+    let accuracy_responses = client.request_batch(&accuracy_requests).unwrap();
+    for (i, &q) in queries.iter().enumerate() {
+        for (response, stop) in [
+            (&responses[i], StoppingCondition::iterations(2)),
+            (&accuracy_responses[i], StoppingCondition::l1_error(0.2)),
+        ] {
+            let answer = response.answer().expect("in-range query is served");
+            let direct = engine.query(q, &stop);
+            assert_eq!(
+                bits(&answer.entries),
+                bits(direct.scores.entries()),
+                "query {q} ({stop:?}): served scores are not the built arena's"
+            );
+            assert_eq!(
+                answer.l1_error.to_bits(),
+                direct.l1_error.to_bits(),
+                "query {q} ({stop:?}): served φ is not the built arena's"
+            );
+            assert_eq!(answer.iterations as usize, direct.iterations);
         }
-        assert!(
-            diff <= 1e-12,
-            "query {q}: socket answer diverges from direct engine by {diff}"
-        );
-        assert_eq!(answer.iterations as usize, direct.iterations);
     }
 
     // The repeat batch is served from the hot-PPV cache, identically.
@@ -778,8 +789,7 @@ fn update_unwritable_wal_dir_exits_1_and_names_the_opt_out() {
 #[test]
 fn arena_pipeline_build_query_stats() {
     let graph = temp("arena.txt");
-    let index = temp("arena.fppv");
-    let arena = temp("arena.fppv3");
+    let arena = temp("arena.fppv");
 
     let out = bin()
         .args([
@@ -790,13 +800,11 @@ fn arena_pipeline_build_query_stats() {
         .unwrap();
     assert!(out.status.success());
 
-    // Build writes both the record format and the single-file arena.
+    // Build writes the single-file arena: the file starts with its magic.
     let out = bin()
         .args(["build", "--graph"])
         .arg(&graph)
         .args(["--undirected", "--hubs", "40", "--epsilon", "1e-6", "--out"])
-        .arg(&index)
-        .args(["--arena-out"])
         .arg(&arena)
         .output()
         .unwrap();
@@ -805,42 +813,26 @@ fn arena_pipeline_build_query_stats() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    assert!(std::fs::read(&arena).unwrap().starts_with(b"FPPVIDX3"));
+
+    let out = bin()
+        .args(["query", "--graph"])
+        .arg(&graph)
+        .args(["--undirected", "--index"])
+        .arg(&arena)
+        .args(["--node", "11", "--eta", "3", "--top", "5"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("wrote arena"), "{text}");
+    assert!(text.contains("query 11"), "{text}");
+    assert_eq!(text.lines().filter(|l| l.contains("score")).count(), 5);
 
-    // The arena-opened query must answer exactly like the record-format
-    // deserialize path.
-    let query_with = |idx: &PathBuf| {
-        let out = bin()
-            .args(["query", "--graph"])
-            .arg(&graph)
-            .args(["--undirected", "--index"])
-            .arg(idx)
-            .args(["--node", "11", "--eta", "3", "--top", "5"])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    let from_record = query_with(&index);
-    let from_arena = query_with(&arena);
-    // The header line carries wall-clock timing; the ranked top-k lines
-    // are deterministic and must match exactly (scores to 6 decimals).
-    let ranks = |s: &str| {
-        s.lines()
-            .filter(|l| l.contains("score"))
-            .map(str::to_string)
-            .collect::<Vec<_>>()
-    };
-    assert!(from_arena.contains("query 11"));
-    assert_eq!(ranks(&from_record), ranks(&from_arena));
-    assert_eq!(ranks(&from_arena).len(), 5);
-
-    // stats recognizes the arena format and reports memory accounting.
+    // stats reports the arena's memory accounting.
     let out = bin()
         .args(["stats", "--index"])
         .arg(&arena)
@@ -853,16 +845,37 @@ fn arena_pipeline_build_query_stats() {
     assert!(text.contains("resident:"), "{text}");
     assert!(text.contains("mapped:"), "{text}");
 
-    // --store disk on an arena file is a usage error (exit 2).
-    let out = bin()
-        .args(["query", "--graph"])
-        .arg(&graph)
-        .args(["--undirected", "--index"])
-        .arg(&arena)
-        .args(["--node", "11", "--store", "disk"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
+    // A file of a retired format is a runtime error that says what to do
+    // (exit 1 — not a usage error, never a panic) from every opener.
+    let retired = temp("retired.fppv");
+    std::fs::write(&retired, b"FPPVIDX1 then whatever the old writer wrote").unwrap();
+    let with_graph = |cmd: &str, extra: &[&str]| {
+        let mut c = bin();
+        c.args([cmd, "--graph"])
+            .arg(&graph)
+            .args(["--undirected", "--index"])
+            .arg(&retired)
+            .args(extra);
+        c
+    };
+    let mut stats = bin();
+    stats.args(["stats", "--index"]).arg(&retired);
+    for mut cmd in [
+        with_graph("query", &["--node", "11"]),
+        with_graph("topk", &["--node", "11", "--k", "3"]),
+        with_graph("serve", &[]),
+        with_graph("update", &["--no-wal"]),
+        stats,
+    ] {
+        let out = cmd.output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd:?}: {err}");
+        assert!(
+            err.contains("FPPVIDX1") && err.contains("fastppv build"),
+            "{cmd:?}: {err}"
+        );
+    }
+    std::fs::remove_file(&retired).ok();
 
     // update accepts the arena directly (zero-copy open, then COW patch).
     let out = bin()
@@ -889,7 +902,6 @@ fn arena_pipeline_build_query_stats() {
     );
 
     std::fs::remove_file(&graph).ok();
-    std::fs::remove_file(&index).ok();
     std::fs::remove_dir_all(format!("{}.wal.d", arena.display())).ok();
     std::fs::remove_file(&arena).ok();
 }
@@ -908,7 +920,6 @@ fn route_survives_shard_sigkill_with_zero_client_errors() {
     use std::io::BufRead;
     use std::process::Stdio;
 
-    use fastppv_core::index::DiskIndex;
     use fastppv_core::query::StoppingCondition;
     use fastppv_core::{Config, FlatIndex, HubSet, QueryEngine};
     use fastppv_graph::io::read_edge_list_file;
@@ -1005,9 +1016,8 @@ fn route_survives_shard_sigkill_with_zero_client_errors() {
 
     // Independent oracle over the same deployment.
     let graph = read_edge_list_file(&graph_path, true, DanglingPolicy::SelfLoop).unwrap();
-    let disk = DiskIndex::open(&index_path, 16).unwrap();
-    let hubs = HubSet::from_ids(graph.num_nodes(), disk.hub_ids());
-    let flat = FlatIndex::from_store(graph.num_nodes(), &disk, &disk.hub_ids(), &hubs);
+    let flat = FlatIndex::open(&index_path).unwrap();
+    let hubs = HubSet::from_ids(graph.num_nodes(), flat.hub_ids().to_vec());
     let engine = QueryEngine::new(&graph, &hubs, &flat, Config::default());
 
     let mut client = Client::connect(&router_addr).unwrap();

@@ -1,10 +1,11 @@
 //! Crash-safe file publication: temp file + fsync + atomic rename.
 //!
-//! Every on-disk index format (`FPPVIDX1`/`FPPVIDX2`/`FPPVIDX3`) is
-//! published through [`write_atomic`], so a crash — at *any* byte offset
-//! of the write, including mid-`rename` — either leaves the previous
-//! good file untouched or the complete new file in place. A torn index
-//! file can therefore never exist at the published path; the openers'
+//! The index file (`FPPVIDX3`) — like the WAL manifest, the checkpointed
+//! graph and the shard map — is published through [`write_atomic`], so a
+//! crash — at *any* byte offset of the write, including mid-`rename` —
+//! either leaves the previous good file untouched or the complete new
+//! file in place. A torn index
+//! file can therefore never exist at the published path; the opener's
 //! fail-closed validation only ever has to reject files that were
 //! corrupted by something other than our own writer.
 //!

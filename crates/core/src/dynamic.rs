@@ -17,13 +17,18 @@
 //! and zero per-event allocation. For deletions, walks that existed only in
 //! the old graph matter too, so invalidation runs on both graphs.
 //!
-//! **Exact refresh.** [`refresh_index`] / [`refresh_flat_index`] recompute
-//! every dirty hub's prime PPV from scratch and share (memory) or keep
-//! (flat arena) the rest. Correct, but a single edge event near a
+//! **Two entry points, one per layout.** [`refresh_index_delta`]
+//! returns a refreshed [`MemoryIndex`] sharing every clean PPV with the
+//! old one; [`refresh_flat_index_snapshot_delta`] returns a patched
+//! copy-on-write clone of a [`FlatIndex`] arena. Both take a
+//! [`DeltaConfig`].
+//!
+//! **Exact refresh** ([`DeltaConfig::exact`]) recomputes every dirty hub's
+//! prime PPV from scratch. Correct, but a single edge event near a
 //! well-connected node dirties many hubs and costs a full extract + solve
 //! for each — the streaming-update throughput blocker.
 //!
-//! **Delta refresh.** [`refresh_index_delta`] and friends instead *patch*
+//! **Delta refresh** (a positive [`DeltaConfig::budget`]) instead *patches*
 //! each dirty hub's stored PPV. The stored vector `S` is read as settled
 //! mass `m̂ = S/α` of a forward push whose invariant is
 //! `ρ = e_σ + (1-α)·Pᵀm̂ − m̂` (the virtual start node `σ` carries the
@@ -78,10 +83,10 @@
 //! carries (clip/ε/solve-tolerance crumbs — which the query layer's φ
 //! accounting absorbs as unretained mass).
 //!
-//! Two settings are exact controls. `budget = 0` disables the delta path
-//! entirely: [`DeltaConfig::exact`] makes the `_delta` entry points
-//! bit-identical to the exact refreshers, which are thin wrappers over
-//! them. `clip = 0` disables the clip loss: every deposit is stored, and
+//! Two settings are exact controls. `budget = 0` ([`DeltaConfig::exact`])
+//! disables the delta path entirely: every dirty hub is recomputed, and
+//! the refreshed index is bit-identical to a rebuild on the new graph.
+//! `clip = 0` disables the clip loss: every deposit is stored, and
 //! the merge is the plain clamped sum `view + deposits` (only the push
 //! extent then separates a patched PPV from the unbounded push).
 
@@ -228,7 +233,7 @@ pub struct DeltaConfig {
     /// certified distance between a served (patched) prime PPV and an
     /// exact recompute. Exceeding it triggers an exact recompute for that
     /// hub (resetting its spend). `0` disables the delta path — every
-    /// dirty hub recomputes, exactly like [`refresh_index`]. The budget
+    /// dirty hub recomputes ([`DeltaConfig::exact`]). The budget
     /// also sets how far a patch is pushed: one patch may leave at most
     /// `budget /` [`PATCHES_PER_BUDGET`] of residual behind (see the
     /// module docs), so there is no separate push threshold to tune.
@@ -256,7 +261,7 @@ impl Default for DeltaConfig {
 
 impl DeltaConfig {
     /// A configuration with the delta path disabled: every dirty hub is
-    /// recomputed exactly. The exact refreshers are wrappers over this.
+    /// recomputed exactly.
     pub fn exact() -> Self {
         DeltaConfig {
             budget: 0.0,
@@ -286,7 +291,8 @@ impl DeltaConfig {
 pub struct RefreshStats {
     /// Hubs whose prime PPVs were recomputed exactly (dirty hubs the delta
     /// path declined — budget exhausted, push truncated, or delta
-    /// disabled — plus hubs missing from the old index).
+    /// disabled — plus, in a [`FlatIndex`] refresh, hubs the old arena
+    /// did not hold).
     pub recomputed: usize,
     /// Dirty hubs resolved by the delta patch path (includes
     /// [`RefreshStats::delta_noop`]).
@@ -301,7 +307,7 @@ pub struct RefreshStats {
     /// ≤ [`DeltaConfig::budget`] by construction (exceeding it forces a
     /// recompute, which resets the hub's spend to zero).
     pub budget_watermark: f64,
-    /// Snapshot-clone time (zero for in-place refreshes). The clone is
+    /// Snapshot-clone time (zero for [`MemoryIndex`] refreshes). The clone is
     /// shallow — chunks are `Arc`-shared and only the per-hub directory is
     /// copied — so this is microseconds even on arenas where the old deep
     /// copy took tens of seconds. Included in `elapsed`; reported
@@ -427,7 +433,6 @@ fn view_entry(view: &PpvRef<'_>, i: usize) -> (NodeId, f64) {
     match view {
         PpvRef::Soa { ids, scores } => (ids[i], scores[i]),
         PpvRef::Aos(entries) => entries[i],
-        PpvRef::Owned(ppv) => ppv.entries.entries()[i],
     }
 }
 
@@ -598,75 +603,27 @@ fn try_delta_patch(
     }
 }
 
-/// Refreshes `old_index` after edge updates, recomputing only affected hubs.
+/// Refreshes `old_index` after edge updates, touching only affected hubs.
 ///
 /// `changed_tails` are the source nodes of every inserted or deleted edge.
 /// `old_graph` is consulted so that deletions (walks that existed only
 /// before the change) also invalidate their dependents; pass the same graph
 /// twice for pure insertions. Unaffected PPVs are shared with the old
-/// index (`Arc` handles, no entry copies).
+/// index (`Arc` handles, no entry copies). Dirty hubs whose perturbation
+/// can be pushed within the per-hub error budget are patched (or kept
+/// untouched when the patch is empty) instead of recomputed; with
+/// [`DeltaConfig::exact`] every dirty hub is recomputed. See the module
+/// docs for the accounting.
 ///
-/// Every dirty hub is recomputed exactly; this is
-/// [`refresh_index_delta`] with [`DeltaConfig::exact`].
-pub fn refresh_index(
-    old_index: &MemoryIndex,
-    old_graph: &Graph,
-    new_graph: &Graph,
-    hubs: &HubSet,
-    changed_tails: &[NodeId],
-    config: &Config,
-) -> (MemoryIndex, RefreshStats) {
-    refresh_index_delta(
-        old_index,
-        old_graph,
-        new_graph,
-        hubs,
-        changed_tails,
-        config,
-        &DeltaConfig::exact(),
-    )
-}
-
-/// [`refresh_index`] with the delta patch path: dirty hubs whose
-/// perturbation can be pushed within the per-hub error budget are patched
-/// (or kept untouched when the patch is empty) instead of recomputed. See
-/// the module docs for the accounting.
+/// The refreshed index holds exactly the hubs `old_index` holds, so a
+/// shard's slice stays a slice (recomputing the hubs it does *not* hold
+/// would balloon it back to a full copy). `hubs` must still be the **full**
+/// hub set: it defines prime-PPV semantics — which nodes stop tours.
 pub fn refresh_index_delta(
     old_index: &MemoryIndex,
     old_graph: &Graph,
     new_graph: &Graph,
     hubs: &HubSet,
-    changed_tails: &[NodeId],
-    config: &Config,
-    delta: &DeltaConfig,
-) -> (MemoryIndex, RefreshStats) {
-    refresh_index_delta_subset(
-        old_index,
-        old_graph,
-        new_graph,
-        hubs,
-        hubs.ids(),
-        changed_tails,
-        config,
-        delta,
-    )
-}
-
-/// [`refresh_index_delta`] restricted to `subset`: only the listed hubs
-/// are carried into (and, when dirty, recomputed for) the refreshed index.
-/// This is the shard-side refresh — a shard's store holds only the hubs it
-/// owns, and a full-hub-set refresh would recompute every *missing* hub
-/// and balloon the partial store back to a full copy. `hubs` must still be
-/// the **full** hub set (it defines prime-PPV semantics: which nodes stop
-/// tours); `subset` picks which of them this store materializes. Every
-/// subset member must be a hub.
-#[allow(clippy::too_many_arguments)]
-pub fn refresh_index_delta_subset(
-    old_index: &MemoryIndex,
-    old_graph: &Graph,
-    new_graph: &Graph,
-    hubs: &HubSet,
-    subset: &[NodeId],
     changed_tails: &[NodeId],
     config: &Config,
     delta: &DeltaConfig,
@@ -685,20 +642,19 @@ pub fn refresh_index_delta_subset(
     let mut pc: Option<PrimeComputer> = None;
     let mut ds: Option<DeltaScratch> = None;
     let mut stats = RefreshStats::default();
-    for &h in subset {
-        assert!(hubs.is_hub(h), "subset member {h} is not a hub");
-        let present = old_index.contains(h);
-        if present && !dirty[h as usize] {
-            index.insert_shared(h, old_index.get_shared(h).expect("checked contains"));
+    for &h in old_index.hub_ids() {
+        assert!(hubs.is_hub(h), "indexed node {h} is not in the hub set");
+        let stored = old_index.get_shared(h).expect("listed hub is stored");
+        if !dirty[h as usize] {
+            index.insert_shared(h, stored);
             index.set_budget_spent(h, old_index.budget_spent(h));
             stats.reused += 1;
             continue;
         }
-        let patch = if present && delta_enabled {
+        let patch = if delta_enabled {
             let scratch = ds.get_or_insert_with(|| DeltaScratch::new(n));
-            let view = old_index.view(h).expect("checked contains");
             try_delta_patch(
-                &view,
+                &PpvRef::Aos(stored.entries.entries()),
                 old_index.budget_spent(h),
                 h,
                 old_graph,
@@ -720,7 +676,7 @@ pub fn refresh_index_delta_subset(
                 stats.recomputed += 1;
             }
             Patch::Unchanged { spent } => {
-                index.insert_shared(h, old_index.get_shared(h).expect("checked contains"));
+                index.insert_shared(h, stored);
                 index.set_budget_spent(h, spent);
                 stats.delta_patched += 1;
                 stats.delta_noop += 1;
@@ -746,43 +702,17 @@ pub fn refresh_index_delta_subset(
     (index, stats)
 }
 
-/// Refreshes a [`FlatIndex`] arena in place after edge updates: affected
-/// hubs are recomputed and patched via [`FlatIndex::replace`]
+/// Refreshes a [`FlatIndex`] arena in place after edge updates — the body
+/// of [`refresh_flat_index_snapshot_delta`]. Recomputed hubs go through
+/// [`FlatIndex::replace`] and patched ones through
+/// [`FlatIndex::replace_entries`] straight from the merge scratch
 /// (tombstone-and-append; the arena compacts itself once dead entries
 /// cross [`FlatIndex::COMPACTION_THRESHOLD`]). Unaffected segments are
-/// untouched — no entry is copied for them.
-///
-/// `changed_tails` as in [`refresh_index`]. The arena must cover
-/// `new_graph` (node additions require a rebuild via
-/// [`crate::offline::build_flat_index`]).
-///
-/// Every dirty hub is recomputed exactly; this is
-/// [`refresh_flat_index_delta`] with [`DeltaConfig::exact`].
-pub fn refresh_flat_index(
-    index: &mut FlatIndex,
-    old_graph: &Graph,
-    new_graph: &Graph,
-    hubs: &HubSet,
-    changed_tails: &[NodeId],
-    config: &Config,
-) -> RefreshStats {
-    refresh_flat_index_delta(
-        index,
-        old_graph,
-        new_graph,
-        hubs,
-        changed_tails,
-        config,
-        &DeltaConfig::exact(),
-    )
-}
-
-/// [`refresh_flat_index`] with the delta patch path. Patched segments go
-/// through [`FlatIndex::replace_entries`] straight from the merge scratch;
-/// empty patches leave the segment untouched entirely (no tombstone, no
-/// arena growth) and only bump the slot's budget spend.
+/// untouched — no entry is copied for them — and empty patches only bump
+/// the slot's budget spend. The arena must cover `new_graph` (node
+/// additions require a rebuild via [`crate::offline::build_flat_index`]).
 #[allow(clippy::too_many_arguments)]
-pub fn refresh_flat_index_delta(
+fn refresh_flat_index_delta(
     index: &mut FlatIndex,
     old_graph: &Graph,
     new_graph: &Graph,
@@ -863,7 +793,8 @@ pub fn refresh_flat_index_delta(
     stats
 }
 
-/// Snapshot-style counterpart of [`refresh_flat_index`]: leaves `old`
+/// Refreshes a [`FlatIndex`] arena after edge updates (`changed_tails` and
+/// `old_graph` as in [`refresh_index_delta`]): leaves `old`
 /// untouched and returns a freshly patched arena. This is the entry point
 /// an epoch-snapshot service wants — readers pinning the old arena (behind
 /// an `Arc` swap cell) keep seeing it undisturbed while the clone is
@@ -877,26 +808,6 @@ pub fn refresh_flat_index_delta(
 /// cost is included in [`RefreshStats::elapsed`] and broken out in
 /// [`RefreshStats::clone_elapsed`]; bulk bytes copied by compactions show
 /// up in [`RefreshStats::cloned_bytes`].
-pub fn refresh_flat_index_snapshot(
-    old: &FlatIndex,
-    old_graph: &Graph,
-    new_graph: &Graph,
-    hubs: &HubSet,
-    changed_tails: &[NodeId],
-    config: &Config,
-) -> (FlatIndex, RefreshStats) {
-    refresh_flat_index_snapshot_delta(
-        old,
-        old_graph,
-        new_graph,
-        hubs,
-        changed_tails,
-        config,
-        &DeltaConfig::exact(),
-    )
-}
-
-/// [`refresh_flat_index_snapshot`] with the delta patch path.
 #[allow(clippy::too_many_arguments)]
 pub fn refresh_flat_index_snapshot_delta(
     old: &FlatIndex,
@@ -1040,12 +951,14 @@ mod tests {
         let g = barabasi_albert(250, 3, 7);
         let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 25, 0);
         let config = Config::default();
+        let exact = DeltaConfig::exact();
         let (old_index, _) = build_index(&g, &hubs, &config);
         // Insert an edge from a non-hub node.
         let u = (0..250u32).find(|&v| !hubs.is_hub(v)).unwrap();
         let v = (u + 17) % 250;
         let g2 = add_edge(&g, u, v);
-        let (refreshed, stats) = refresh_index(&old_index, &g, &g2, &hubs, &[u], &config);
+        let (refreshed, stats) =
+            refresh_index_delta(&old_index, &g, &g2, &hubs, &[u], &config, &exact);
         let (rebuilt, _) = build_index(&g2, &hubs, &config);
         assert_eq!(refreshed.hub_count(), rebuilt.hub_count());
         for &h in hubs.ids() {
@@ -1068,10 +981,11 @@ mod tests {
         let g = barabasi_albert(250, 3, 7);
         let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 25, 0);
         let config = Config::default();
+        let exact = DeltaConfig::exact();
         let (mut flat, _) = crate::offline::build_flat_index(&g, &hubs, &config, 1);
         let u = (0..250u32).find(|&v| !hubs.is_hub(v)).unwrap();
         let g2 = add_edge(&g, u, (u + 17) % 250);
-        let stats = refresh_flat_index(&mut flat, &g, &g2, &hubs, &[u], &config);
+        let stats = refresh_flat_index_delta(&mut flat, &g, &g2, &hubs, &[u], &config, &exact);
         let (rebuilt, _) = crate::offline::build_flat_index(&g2, &hubs, &config, 1);
         assert_eq!(flat.hub_count(), rebuilt.hub_count());
         for &h in hubs.ids() {
@@ -1090,11 +1004,13 @@ mod tests {
         let g = barabasi_albert(250, 3, 7);
         let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 25, 0);
         let config = Config::default();
+        let exact = DeltaConfig::exact();
         let (flat, _) = crate::offline::build_flat_index(&g, &hubs, &config, 1);
         let before: Vec<_> = hubs.ids().iter().map(|&h| flat.load(h).unwrap()).collect();
         let u = (0..250u32).find(|&v| !hubs.is_hub(v)).unwrap();
         let g2 = add_edge(&g, u, (u + 17) % 250);
-        let (next, stats) = refresh_flat_index_snapshot(&flat, &g, &g2, &hubs, &[u], &config);
+        let (next, stats) =
+            refresh_flat_index_snapshot_delta(&flat, &g, &g2, &hubs, &[u], &config, &exact);
         assert!(stats.recomputed > 0);
         // The clone is timed, and inside the total.
         assert!(stats.elapsed >= stats.clone_elapsed);
@@ -1114,11 +1030,12 @@ mod tests {
         let g = barabasi_albert(200, 3, 11);
         let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 20, 0);
         let config = Config::default();
+        let exact = DeltaConfig::exact();
         let u = (0..200u32).find(|&v| !hubs.is_hub(v)).unwrap();
         let v = g.out_neighbors(u)[0];
         let g2 = remove_edge(&g, u, v);
         let (old_index, _) = build_index(&g, &hubs, &config);
-        let (refreshed, _) = refresh_index(&old_index, &g, &g2, &hubs, &[u], &config);
+        let (refreshed, _) = refresh_index_delta(&old_index, &g, &g2, &hubs, &[u], &config, &exact);
         let (rebuilt, _) = build_index(&g2, &hubs, &config);
         for &h in hubs.ids() {
             assert_eq!(
@@ -1139,10 +1056,11 @@ mod tests {
         // refresh_matches_full_rebuild pins the semantics). At 1e-4 the
         // dependence sets are genuinely local (~18 of 60 hubs here).
         let config = Config::default().with_epsilon(1e-4);
+        let exact = DeltaConfig::exact();
         let (old_index, _) = build_index(&g, &hubs, &config);
         let u = (0..400u32).find(|&v| !hubs.is_hub(v)).unwrap();
         let g2 = add_edge(&g, u, (u + 31) % 400);
-        let (_, stats) = refresh_index(&old_index, &g, &g2, &hubs, &[u], &config);
+        let (_, stats) = refresh_index_delta(&old_index, &g, &g2, &hubs, &[u], &config, &exact);
         assert!(
             stats.recomputed < hubs.len() / 2,
             "recomputed {} of {} hubs",
@@ -1326,26 +1244,29 @@ mod tests {
         let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 25, 0);
         let config = Config::default();
         let (old_index, _) = build_index(&g, &hubs, &config);
+        let old_flat = FlatIndex::from_memory(&old_index, &hubs);
         let u = (0..250u32).find(|&v| !hubs.is_hub(v)).unwrap();
         let g2 = add_edge(&g, u, (u + 23) % 250);
-        let (exact, es) = refresh_index(&old_index, &g, &g2, &hubs, &[u], &config);
-        let (zero, zs) = refresh_index_delta(
-            &old_index,
-            &g,
-            &g2,
-            &hubs,
-            &[u],
-            &config,
-            &DeltaConfig::exact(),
-        );
-        assert_eq!(es.recomputed, zs.recomputed);
-        assert_eq!(zs.delta_patched, 0);
+        // A zero budget is the exact control: nothing is patched and the
+        // refreshed index is a from-scratch build of the new graph, bit
+        // for bit, in both layouts.
+        let zero = DeltaConfig::default().with_budget(0.0);
+        assert_eq!(zero, DeltaConfig::exact());
+        let (mem, ms) = refresh_index_delta(&old_index, &g, &g2, &hubs, &[u], &config, &zero);
+        let (flat, fs) =
+            refresh_flat_index_snapshot_delta(&old_flat, &g, &g2, &hubs, &[u], &config, &zero);
+        assert!(ms.recomputed > 0);
+        assert_eq!(ms.recomputed, fs.recomputed);
+        assert_eq!((ms.delta_patched, fs.delta_patched), (0, 0));
+        let (rebuilt, _) = build_index(&g2, &hubs, &config);
+        let bits = |ppv: &PrimePpv| -> Vec<(NodeId, u64)> {
+            let entries = ppv.entries.entries().iter();
+            entries.map(|&(v, s)| (v, s.to_bits())).collect()
+        };
         for &h in hubs.ids() {
-            assert_eq!(
-                exact.get(h).unwrap().entries,
-                zero.get(h).unwrap().entries,
-                "hub {h}"
-            );
+            let want = bits(rebuilt.get(h).unwrap());
+            assert_eq!(bits(mem.get(h).unwrap()), want, "hub {h}");
+            assert_eq!(bits(&flat.load(h).unwrap()), want, "hub {h} (flat)");
         }
     }
 

@@ -1,44 +1,29 @@
 //! The PPV index: precomputed prime PPVs of hub nodes (paper §5.1).
 //!
-//! Three interchangeable stores implement [`PpvStore`]:
+//! Two layouts implement [`PpvStore`]:
 //!
-//! * [`FlatIndex`] — one contiguous structure-of-arrays arena (`ids` /
-//!   `scores` slices per hub plus a precomputed border-hub sublist), the
-//!   zero-copy hot path of the online engine;
+//! * [`FlatIndex`] — one structure-of-arrays arena (`ids` / `scores`
+//!   slices per hub plus a precomputed border-hub sublist), the zero-copy
+//!   hot path of the online engine and the only layout with a file format;
 //! * [`MemoryIndex`] — a slot map of per-hub [`PrimePpv`]s, the mutable
-//!   build-time representation (convert with [`FlatIndex::from_memory`]);
-//! * [`DiskIndex`] — a file-backed store with a per-hub directory for O(1)
-//!   random access and a small FIFO read cache, used by the disk-resident
-//!   experiments (§5.3 / §6.4.2).
+//!   build-time representation (convert with [`FlatIndex::from_memory`])
+//!   and the layout of a shard's slice of the arena.
 //!
 //! ## The zero-copy store contract
 //!
 //! Reads go through [`PpvStore::view`], which returns a borrowed
-//! [`PpvRef`] — no `Arc` refcount traffic, no cloning, no allocation on the
-//! in-memory paths. Stores that must materialize on a miss (the disk
-//! stores) return the [`PpvRef::Owned`] fallback, which carries an `Arc`
-//! from their read cache. Code that genuinely needs an owned copy calls
-//! [`PpvStore::load`].
+//! [`PpvRef`] aliasing the store's own memory — no `Arc` refcount traffic,
+//! no cloning, no allocation, for a heap arena and an `mmap`ed one alike.
+//! Code that genuinely needs an owned copy calls [`PpvStore::load`].
 //!
-//! Two hand-rolled little-endian on-disk formats:
+//! ## The index file
 //!
-//! `FPPVIDX1` version 2 — the record-oriented format of [`MemoryIndex`] /
-//! [`DiskIndex`]:
-//!
-//! ```text
-//! magic "FPPVIDX1" | u32 version=2 | u32 flags | u64 num_hubs
-//! directory: num_hubs × { u32 hub_id, u64 offset, u32 num_entries }
-//! spend:     num_hubs × f64 budget_spent   (directory order)
-//! data:      per hub { num_entries × (u32 node, f32 score) }
-//! ```
-//!
-//! Scores are stored as `f32`: entries are clipped at 1e-4 anyway (§6), so
-//! the ~1e-7 relative quantization error is far below the approximation
-//! error budget.
-//!
-//! `FPPVIDX3` — the arena file of [`FlatIndex`]: its body *is* the flat
-//! structure-of-arrays arena, section-aligned so [`FlatIndex::open`] can
-//! borrow it zero-copy from an `mmap` (see the private `mapfile` module):
+//! `FPPVIDX3` is the one on-disk format. Its body *is* the flat
+//! structure-of-arrays arena, little-endian and section-aligned so
+//! [`FlatIndex::open`] can borrow it zero-copy from an `mmap` (see the
+//! private `mapfile` module); scores are raw `f64`, so a served answer and
+//! its certificate are bit-identical before and after a trip through the
+//! file:
 //!
 //! ```text
 //! magic "FPPVIDX3" | u32 version=3 | u32 flags
@@ -58,17 +43,15 @@
 //! tightly packed `entry_start`/`border_start`, so an opened arena carves
 //! the sections into borrowed [`FlatIndex`] chunks without any decode pass.
 //! [`FlatIndex::open`] fails closed ([`OpenError`]): every header and
-//! directory field is validated with checked arithmetic before any slice of
-//! the backing is formed.
+//! directory field is read through one bounds-checked reader and validated
+//! with checked arithmetic before any slice of the backing is formed. Files
+//! of the two retired record formats are rejected by name, with the
+//! instruction to rebuild.
 
-use std::collections::HashMap;
 use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use fastppv_graph::{NodeId, SparseVector};
 
@@ -107,8 +90,7 @@ impl PrimePpv {
 /// A borrowed view of one stored prime PPV — the unit of the zero-copy
 /// store contract (see the module docs).
 ///
-/// The borrowed variants alias the store's own memory; the `Owned` variant
-/// exists for stores that materialize on a miss (disk-backed reads).
+/// Both variants alias the store's own memory.
 #[derive(Clone, Debug)]
 pub enum PpvRef<'a> {
     /// Structure-of-arrays slices into a [`FlatIndex`] arena.
@@ -120,8 +102,6 @@ pub enum PpvRef<'a> {
     },
     /// Array-of-structs entries borrowed from a [`MemoryIndex`] slot.
     Aos(&'a [(NodeId, f64)]),
-    /// Materialized fallback (disk stores): shared with the read cache.
-    Owned(Arc<PrimePpv>),
 }
 
 impl PpvRef<'_> {
@@ -130,7 +110,6 @@ impl PpvRef<'_> {
         match self {
             PpvRef::Soa { ids, .. } => ids.len(),
             PpvRef::Aos(entries) => entries.len(),
-            PpvRef::Owned(ppv) => ppv.len(),
         }
     }
 
@@ -153,11 +132,6 @@ impl PpvRef<'_> {
                     f(id, s);
                 }
             }
-            PpvRef::Owned(ppv) => {
-                for &(id, s) in ppv.entries.entries() {
-                    f(id, s);
-                }
-            }
         }
     }
 
@@ -169,7 +143,6 @@ impl PpvRef<'_> {
         match self {
             PpvRef::Soa { scores, .. } => scores[pos],
             PpvRef::Aos(entries) => entries[pos].1,
-            PpvRef::Owned(ppv) => ppv.entries.entries()[pos].1,
         }
     }
 
@@ -190,13 +163,6 @@ impl PpvRef<'_> {
                 .binary_search_by_key(&id, |&(v, _)| v)
                 .ok()
                 .map(|pos| entries[pos].1),
-            PpvRef::Owned(ppv) => {
-                let entries = ppv.entries.entries();
-                entries
-                    .binary_search_by_key(&id, |&(v, _)| v)
-                    .ok()
-                    .map(|pos| entries[pos].1)
-            }
         }
     }
 
@@ -211,7 +177,6 @@ impl PpvRef<'_> {
             PpvRef::Aos(entries) => PrimePpv {
                 entries: SparseVector::from_sorted(entries.to_vec()),
             },
-            PpvRef::Owned(ppv) => PrimePpv::clone(ppv),
         }
     }
 }
@@ -219,8 +184,7 @@ impl PpvRef<'_> {
 /// Read access to precomputed prime PPVs.
 ///
 /// The primary read is [`PpvStore::view`] — a borrowed, clone-free
-/// [`PpvRef`]. Per-query `Arc` bumps and deep copies are reserved for
-/// stores that must materialize (disk reads) and for callers that opt into
+/// [`PpvRef`]. Deep copies are reserved for callers that opt into
 /// [`PpvStore::load`].
 pub trait PpvStore {
     /// A borrowed view of `hub`'s prime PPV, or `None` if not indexed.
@@ -258,11 +222,14 @@ pub trait PpvStore {
         0.0
     }
 
-    /// Index size in bytes (on-disk layout equivalent).
+    /// Nominal index size in bytes: the paper's 8-byte record per entry
+    /// (`u32` node, `f32` score) plus a 24-byte directory-and-spend record
+    /// per hub and a 24-byte header. This is the paper-comparable figure
+    /// the index-size columns of the Fig. 7b / Fig. 11 reproductions
+    /// report, not the size of any file; [`FlatIndex`] overrides it with
+    /// the exact length of its arena file.
     fn storage_bytes(&self) -> usize {
-        HEADER_LEN
-            + self.hub_count() * (DIR_RECORD_LEN + SPEND_LEN)
-            + self.total_entries() * ENTRY_LEN
+        24 + self.hub_count() * 24 + self.total_entries() * 8
     }
 
     /// Bytes this store keeps resident in process memory. The default —
@@ -304,68 +271,6 @@ impl<S: PpvStore> PpvStore for &S {
     }
 }
 
-use crate::protocol_consts::{IDX1_MAGIC as MAGIC, IDX1_VERSION as VERSION};
-
-const HEADER_LEN: usize = 8 + 4 + 4 + 8;
-const DIR_RECORD_LEN: usize = 4 + 8 + 4;
-const SPEND_LEN: usize = 8;
-const ENTRY_LEN: usize = 8;
-
-/// Writes the `FPPVIDX1` (version 2) layout given sorted hub ids, a
-/// per-hub entry lookup, and a per-hub budget spend. Used by
-/// [`MemoryIndex::write_to_file`]; [`FlatIndex`] serializes to the
-/// `FPPVIDX3` arena format instead.
-fn write_index_file<'a, P, F, G>(
-    path: P,
-    sorted_hubs: &[NodeId],
-    mut entries_of: F,
-    mut spent_of: G,
-) -> io::Result<()>
-where
-    P: AsRef<Path>,
-    F: FnMut(NodeId) -> PpvRef<'a>,
-    G: FnMut(NodeId) -> f64,
-{
-    // Published atomically (temp + fsync + rename): a crash mid-write can
-    // never leave a torn FPPVIDX1 file at `path`.
-    crate::atomic_io::write_atomic(path, move |w| {
-        w.write_all(MAGIC)?;
-        w.write_all(&VERSION.to_le_bytes())?;
-        w.write_all(&0u32.to_le_bytes())?;
-        w.write_all(&(sorted_hubs.len() as u64).to_le_bytes())?;
-        // Directory (blobs start after the directory and the spend section).
-        let mut offset = (HEADER_LEN + sorted_hubs.len() * (DIR_RECORD_LEN + SPEND_LEN)) as u64;
-        for &h in sorted_hubs {
-            let view = entries_of(h);
-            w.write_all(&h.to_le_bytes())?;
-            w.write_all(&offset.to_le_bytes())?;
-            w.write_all(&(view.len() as u32).to_le_bytes())?;
-            offset += (view.len() * ENTRY_LEN) as u64;
-        }
-        // Budget-spend section, directory order: the PR 6 self-certification
-        // state must survive a serialize/reopen cycle.
-        for &h in sorted_hubs {
-            w.write_all(&spent_of(h).to_le_bytes())?;
-        }
-        // Data blobs.
-        for &h in sorted_hubs {
-            let mut err = None;
-            entries_of(h).for_each(|id, s| {
-                if err.is_none() {
-                    err = w
-                        .write_all(&id.to_le_bytes())
-                        .and_then(|()| w.write_all(&(s as f32).to_le_bytes()))
-                        .err();
-                }
-            });
-            if let Some(e) = err {
-                return Err(e);
-            }
-        }
-        Ok(())
-    })
-}
-
 /// In-memory PPV index: the mutable build-time store.
 #[derive(Clone, Debug, Default)]
 pub struct MemoryIndex {
@@ -374,7 +279,7 @@ pub struct MemoryIndex {
     total_entries: usize,
     /// Per-hub accumulated score-L1 error bound of the stored PPV relative
     /// to an exact recompute — runtime state of the delta-update path
-    /// ([`crate::dynamic`]), not serialized. 0 for freshly computed PPVs.
+    /// ([`crate::dynamic`]). 0 for freshly computed PPVs.
     spent: Vec<f64>,
 }
 
@@ -400,7 +305,8 @@ impl MemoryIndex {
     }
 
     /// Inserts (or replaces) an already-shared prime PPV without copying
-    /// its entries — the sharing path of [`crate::dynamic::refresh_index`].
+    /// its entries — the sharing path of
+    /// [`crate::dynamic::refresh_index_delta`].
     pub fn insert_shared(&mut self, hub: NodeId, ppv: Arc<PrimePpv>) {
         let slot = &mut self.slots[hub as usize];
         match slot {
@@ -448,27 +354,6 @@ impl MemoryIndex {
     /// Indexed hub ids, in insertion order.
     pub fn hub_ids(&self) -> &[NodeId] {
         &self.hub_ids
-    }
-
-    /// Serializes the index to the `FPPVIDX1` (version 2) format,
-    /// including the per-hub budget-spend section.
-    pub fn write_to_file<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        let mut sorted_hubs = self.hub_ids.clone();
-        sorted_hubs.sort_unstable();
-        write_index_file(
-            path,
-            &sorted_hubs,
-            |h| {
-                PpvRef::Aos(
-                    self.slots[h as usize]
-                        .as_ref()
-                        .expect("indexed hub")
-                        .entries
-                        .entries(),
-                )
-            },
-            |h| self.spent[h as usize],
-        )
     }
 }
 
@@ -537,6 +422,37 @@ impl From<io::Error> for OpenError {
 
 fn bad(detail: impl Into<String>) -> OpenError {
     OpenError::Format(detail.into())
+}
+
+/// A bounds-checked little-endian cursor over file bytes — the one way
+/// [`FlatIndex::open`] reads a header, directory or spend field. Running
+/// off the end of `what` is an [`OpenError::Format`], never a panic.
+struct LeReader<'a> {
+    bytes: &'a [u8],
+    what: &'static str,
+}
+
+impl LeReader<'_> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], OpenError> {
+        let (head, rest) = self
+            .bytes
+            .split_first_chunk::<N>()
+            .ok_or_else(|| bad(format!("{} is truncated", self.what)))?;
+        self.bytes = rest;
+        Ok(*head)
+    }
+
+    fn u32(&mut self) -> Result<u32, OpenError> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, OpenError> {
+        self.take().map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self) -> Result<f64, OpenError> {
+        self.take().map(f64::from_le_bytes)
+    }
 }
 
 use crate::protocol_consts::{IDX3_MAGIC as FLAT_MAGIC, IDX3_VERSION as FLAT_VERSION};
@@ -876,18 +792,6 @@ impl FlatIndex {
             let ppv = index.get(h).expect("indexed hub");
             flat.append_segment(h, &PpvRef::Aos(ppv.entries.entries()), hubs);
             flat.set_budget_spent(h, index.budget_spent(h));
-        }
-        flat
-    }
-
-    /// Builds the arena from any store (e.g. a [`DiskIndex`], to pull a
-    /// file-resident index into the zero-copy layout). Hubs are laid out
-    /// in the order given.
-    pub fn from_store<S: PpvStore>(n: usize, store: &S, hub_ids: &[NodeId], hubs: &HubSet) -> Self {
-        let mut flat = FlatIndex::new(n);
-        for &h in hub_ids {
-            let view = store.view(h).expect("hub listed but not stored");
-            flat.append_segment(h, &view, hubs);
         }
         flat
     }
@@ -1254,40 +1158,50 @@ impl FlatIndex {
     /// borrowed chunks — no decode pass, so open time is O(header +
     /// directory) instead of O(arena).
     ///
-    /// Fails closed: every header and directory field is validated with
-    /// checked arithmetic (magic, version, section offsets, bounds,
-    /// tight packing, border positions) before any data is referenced. A
-    /// corrupt file yields [`OpenError::Format`], never a panic.
+    /// Fails closed: every header and directory field is read through one
+    /// bounds-checked reader and validated with checked arithmetic (magic,
+    /// version, section offsets, bounds, tight packing, border positions)
+    /// before any data is referenced. A corrupt file — or one of the
+    /// retired `FPPVIDX1` / `FPPVIDX2` formats — yields
+    /// [`OpenError::Format`], never a panic.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<FlatIndex, OpenError> {
         let file = File::open(path)?;
         let file_len = file.metadata()?.len();
-        if file_len < FLAT_HEADER_LEN as u64 {
-            return Err(bad("file too short for an arena header"));
-        }
         let byte_len =
             usize::try_from(file_len).map_err(|_| bad("file larger than the address space"))?;
-        let mut header = [0u8; FLAT_HEADER_LEN];
-        {
-            let mut r = &file;
-            r.read_exact(&mut header)?;
+        let mut header = Vec::with_capacity(FLAT_HEADER_LEN);
+        (&file)
+            .take(FLAT_HEADER_LEN as u64)
+            .read_to_end(&mut header)?;
+        let mut r = LeReader {
+            bytes: &header,
+            what: "arena header",
+        };
+        let magic: [u8; 8] = r.take()?;
+        if let b"FPPVIDX1" | b"FPPVIDX2" = &magic {
+            return Err(bad(format!(
+                "{} is a retired index format this binary no longer reads; \
+                 rebuild the index with `fastppv build`",
+                String::from_utf8_lossy(&magic)
+            )));
         }
-        if &header[..8] != FLAT_MAGIC {
+        if &magic != FLAT_MAGIC {
             return Err(bad("not a FastPPV arena (bad magic)"));
         }
-        let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
+        let version = r.u32()?;
         if version != FLAT_VERSION {
             return Err(bad(format!(
                 "unsupported arena version {version} (expected {FLAT_VERSION}); \
                  rebuild the index with this binary"
             )));
         }
-        let flags = u32::from_le_bytes(header[12..16].try_into().unwrap());
+        let flags = r.u32()?;
         if flags != 0 {
             return Err(bad(format!("unknown flags 0x{flags:x}")));
         }
         let mut words = [0u64; 11];
-        for (i, word) in words.iter_mut().enumerate() {
-            *word = u64::from_le_bytes(header[16 + i * 8..24 + i * 8].try_into().unwrap());
+        for word in &mut words {
+            *word = r.u64()?;
         }
         let [num_nodes, num_hubs, num_entries, num_border, ..] = words;
         if num_nodes > MAX_ARENA_NODES {
@@ -1312,14 +1226,18 @@ impl FlatIndex {
         FlatIndex::from_backing(backing, &layout)
     }
 
-    /// Builds the directory and carves the chunks out of a validated
-    /// backing. Separated from [`FlatIndex::open`] so tests can drive it
-    /// with heap backings.
+    /// Builds the directory and carves the chunks out of a backing whose
+    /// length matches `layout`.
     fn from_backing(backing: Arc<Backing>, layout: &ArenaLayout) -> Result<FlatIndex, OpenError> {
         let bytes = backing.bytes();
-        let num_nodes = layout.num_nodes as usize;
+        let section = |from: u64, to: u64, what: &'static str| {
+            let bytes = bytes
+                .get(from as usize..to as usize)
+                .ok_or_else(|| bad(format!("{what} lies outside the file")))?;
+            Ok::<_, OpenError>(LeReader { bytes, what })
+        };
         let num_hubs = layout.num_hubs as usize;
-        let mut slot_of = vec![NO_SLOT; num_nodes];
+        let mut slot_of = vec![NO_SLOT; layout.num_nodes as usize];
         let mut hub_ids = Vec::with_capacity(num_hubs);
         let mut segs: Vec<SegRef> = Vec::with_capacity(num_hubs);
         let mut chunks: Vec<Arc<Chunk>> = Vec::new();
@@ -1329,17 +1247,14 @@ impl FlatIndex {
         // Chunk under construction: first entry/border and counts.
         let (mut c_entry0, mut c_border0) = (0u64, 0u64);
         let (mut c_len, mut c_blen) = (0u64, 0u64);
-        let dir = &bytes[layout.dir_off as usize..layout.spend_off as usize];
-        for (slot, rec) in dir.chunks_exact(FLAT_DIR_RECORD_LEN).enumerate() {
-            let hub = u32::from_le_bytes(rec[0..4].try_into().unwrap());
-            let len = u32::from_le_bytes(rec[4..8].try_into().unwrap());
-            let blen = u32::from_le_bytes(rec[8..12].try_into().unwrap());
-            let reserved = u32::from_le_bytes(rec[12..16].try_into().unwrap());
-            let entry_start = u64::from_le_bytes(rec[16..24].try_into().unwrap());
-            let border_start = u64::from_le_bytes(rec[24..32].try_into().unwrap());
-            if (hub as u64) >= layout.num_nodes {
-                return Err(bad(format!("hub {hub} out of node range")));
-            }
+        let mut dir = section(layout.dir_off, layout.spend_off, "arena directory")?;
+        for slot in 0..num_hubs {
+            let hub = dir.u32()?;
+            let len = dir.u32()?;
+            let blen = dir.u32()?;
+            let reserved = dir.u32()?;
+            let entry_start = dir.u64()?;
+            let border_start = dir.u64()?;
             if hub_ids.last().is_some_and(|&prev| prev >= hub) {
                 return Err(bad("directory hubs not strictly ascending"));
             }
@@ -1382,7 +1297,9 @@ impl FlatIndex {
             });
             c_len += len as u64;
             c_blen += blen as u64;
-            slot_of[hub as usize] = slot as u32;
+            *slot_of
+                .get_mut(hub as usize)
+                .ok_or_else(|| bad(format!("hub {hub} out of node range")))? = slot as u32;
             hub_ids.push(hub);
         }
         if entry_sum != layout.num_entries || border_sum != layout.num_border {
@@ -1393,11 +1310,10 @@ impl FlatIndex {
                 &backing, layout, c_entry0, c_len, c_border0, c_blen,
             )));
         }
-        let spend = &bytes[layout.spend_off as usize..layout.ids_off as usize];
-        let spent: Vec<f64> = spend
-            .chunks_exact(8)
-            .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
-            .collect();
+        let mut spend = section(layout.spend_off, layout.ids_off, "arena spend section")?;
+        let spent = (0..num_hubs)
+            .map(|_| spend.f64())
+            .collect::<Result<Vec<f64>, _>>()?;
         let flat = FlatIndex {
             slot_of,
             hub_ids,
@@ -1411,12 +1327,11 @@ impl FlatIndex {
         };
         // Border positions index into their segment's entry slice at query
         // time; validate them now so a corrupt file cannot panic later.
-        for (slot, &seg) in flat.segs.iter().enumerate() {
+        for (&hub, &seg) in flat.hub_ids.iter().zip(&flat.segs) {
             let (_, positions) = flat.seg_borders(seg);
             if positions.iter().any(|&p| p >= seg.len) {
                 return Err(bad(format!(
-                    "hub {}: border position out of segment range",
-                    flat.hub_ids[slot]
+                    "hub {hub}: border position out of segment range"
                 )));
             }
         }
@@ -1562,220 +1477,6 @@ impl PpvStore for FlatIndex {
     }
 }
 
-/// A bounded FIFO read cache (approximates LRU without per-hit bookkeeping).
-struct FifoCache {
-    map: HashMap<NodeId, Arc<PrimePpv>>,
-    order: std::collections::VecDeque<NodeId>,
-    capacity: usize,
-}
-
-impl FifoCache {
-    fn new(capacity: usize) -> Self {
-        FifoCache {
-            map: HashMap::with_capacity(capacity),
-            order: std::collections::VecDeque::with_capacity(capacity),
-            capacity,
-        }
-    }
-
-    fn get(&self, hub: NodeId) -> Option<Arc<PrimePpv>> {
-        self.map.get(&hub).cloned()
-    }
-
-    fn put(&mut self, hub: NodeId, ppv: Arc<PrimePpv>) {
-        if self.capacity == 0 || self.map.contains_key(&hub) {
-            return;
-        }
-        if self.map.len() >= self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
-            }
-        }
-        self.map.insert(hub, ppv);
-        self.order.push_back(hub);
-    }
-}
-
-/// File-backed PPV index with a per-hub directory and a FIFO read cache.
-pub struct DiskIndex {
-    file: Mutex<File>,
-    directory: HashMap<NodeId, (u64, u32)>,
-    /// Per-hub budget spend from the file's spend section.
-    spent: HashMap<NodeId, f64>,
-    total_entries: usize,
-    cache: Mutex<FifoCache>,
-    reads: AtomicU64,
-}
-
-impl DiskIndex {
-    /// Opens an index written by [`MemoryIndex::write_to_file`].
-    ///
-    /// `cache_capacity` bounds the number of prime PPVs kept in memory.
-    pub fn open<P: AsRef<Path>>(path: P, cache_capacity: usize) -> io::Result<Self> {
-        let mut file = File::open(path)?;
-        let mut header = [0u8; HEADER_LEN];
-        file.read_exact(&mut header)?;
-        if &header[..8] != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a FastPPV index (bad magic)",
-            ));
-        }
-        let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        if version != VERSION {
-            let hint = if version == 1 {
-                " (version 1 predates the budget-spend section; rebuild the index)"
-            } else {
-                ""
-            };
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unsupported index version {version}{hint}"),
-            ));
-        }
-        let num_hubs = u64::from_le_bytes(header[16..24].try_into().unwrap()) as usize;
-        let file_len = file.metadata()?.len();
-        let dir_len = (num_hubs as u64).checked_mul((DIR_RECORD_LEN + SPEND_LEN) as u64);
-        if dir_len.is_none_or(|d| HEADER_LEN as u64 + d > file_len) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "index directory exceeds file size (corrupt header)",
-            ));
-        }
-        let mut dir_bytes = vec![0u8; num_hubs * DIR_RECORD_LEN];
-        file.read_exact(&mut dir_bytes)?;
-        let mut spend_bytes = vec![0u8; num_hubs * SPEND_LEN];
-        file.read_exact(&mut spend_bytes)?;
-        let mut directory = HashMap::with_capacity(num_hubs);
-        let mut spent = HashMap::with_capacity(num_hubs);
-        let mut total_entries = 0usize;
-        for (i, rec) in dir_bytes.chunks_exact(DIR_RECORD_LEN).enumerate() {
-            let hub = NodeId::from_le_bytes(rec[0..4].try_into().unwrap());
-            let offset = u64::from_le_bytes(rec[4..12].try_into().unwrap());
-            let count = u32::from_le_bytes(rec[12..16].try_into().unwrap());
-            // Every blob must lie within the file; a corrupt directory must
-            // fail at open, not panic (or over-allocate) at query time.
-            let end = offset
-                .checked_add(count as u64 * ENTRY_LEN as u64)
-                .filter(|&e| e <= file_len);
-            if end.is_none() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("hub {hub} blob out of bounds (corrupt directory)"),
-                ));
-            }
-            if directory.insert(hub, (offset, count)).is_some() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("hub {hub} appears twice in the directory"),
-                ));
-            }
-            let s = f64::from_le_bytes(
-                spend_bytes[i * SPEND_LEN..(i + 1) * SPEND_LEN]
-                    .try_into()
-                    .unwrap(),
-            );
-            spent.insert(hub, s);
-            total_entries += count as usize;
-        }
-        Ok(DiskIndex {
-            file: Mutex::new(file),
-            directory,
-            spent,
-            total_entries,
-            cache: Mutex::new(FifoCache::new(cache_capacity)),
-            reads: AtomicU64::new(0),
-        })
-    }
-
-    /// Accumulated error-budget spend of `hub`'s stored PPV, as carried by
-    /// the file's spend section (0 for unindexed hubs).
-    pub fn budget_spent(&self, hub: NodeId) -> f64 {
-        self.spent.get(&hub).copied().unwrap_or(0.0)
-    }
-
-    /// Number of disk reads performed so far (cache misses).
-    pub fn disk_reads(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed)
-    }
-
-    /// Indexed hub ids, sorted ascending. The hub set is implicit in the
-    /// index file, so a deployment can reconstruct its
-    /// [`crate::hubs::HubSet`] from the index alone.
-    pub fn hub_ids(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = self.directory.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// The stored prime PPV of `hub`, served from the read cache when
-    /// possible. The cache lock is taken exactly once and held across the
-    /// (already file-lock serialized) miss read — deliberately trading
-    /// concurrent hits during a cold miss (they wait one disk read) for a
-    /// single lock acquisition per `get`; a hot multi-reader deployment
-    /// should serve from a [`FlatIndex`] instead.
-    pub fn get(&self, hub: NodeId) -> Option<Arc<PrimePpv>> {
-        let &(offset, count) = self.directory.get(&hub)?;
-        let mut cache = self.cache.lock();
-        if let Some(hit) = cache.get(hub) {
-            return Some(hit);
-        }
-        let ppv = Arc::new(
-            self.read_ppv(offset, count)
-                .expect("index file truncated or corrupt"),
-        );
-        cache.put(hub, Arc::clone(&ppv));
-        Some(ppv)
-    }
-
-    fn read_ppv(&self, offset: u64, count: u32) -> io::Result<PrimePpv> {
-        let mut buf = vec![0u8; count as usize * ENTRY_LEN];
-        {
-            let mut file = self.file.lock();
-            file.seek(SeekFrom::Start(offset))?;
-            file.read_exact(&mut buf)?;
-            self.reads.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut entries = Vec::with_capacity(count as usize);
-        for rec in buf.chunks_exact(ENTRY_LEN) {
-            let id = NodeId::from_le_bytes(rec[0..4].try_into().unwrap());
-            let s = f32::from_le_bytes(rec[4..8].try_into().unwrap());
-            entries.push((id, s as f64));
-        }
-        Ok(PrimePpv {
-            entries: SparseVector::from_sorted(entries),
-        })
-    }
-}
-
-impl PpvStore for DiskIndex {
-    fn view(&self, hub: NodeId) -> Option<PpvRef<'_>> {
-        self.get(hub).map(PpvRef::Owned)
-    }
-
-    fn contains(&self, hub: NodeId) -> bool {
-        self.directory.contains_key(&hub)
-    }
-
-    fn hub_count(&self) -> usize {
-        self.directory.len()
-    }
-
-    fn total_entries(&self) -> usize {
-        self.total_entries
-    }
-
-    fn spent_budget(&self, hub: NodeId) -> f64 {
-        self.budget_spent(hub)
-    }
-
-    /// Only the directory and spend tables stay resident; entry blobs live
-    /// on disk (plus a bounded read cache not counted here).
-    fn resident_bytes(&self) -> usize {
-        self.directory.len() * (4 + 8 + 4 + 4 + 8)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1834,7 +1535,6 @@ mod tests {
                 scores: &scores,
             },
             PpvRef::Aos(ppv.entries.entries()),
-            PpvRef::Owned(Arc::new(ppv.clone())),
         ];
         for view in &views {
             assert_eq!(view.len(), 3);
@@ -2002,123 +1702,38 @@ mod tests {
     }
 
     #[test]
-    fn flat_from_store_round_trips_disk() {
-        let mut idx = MemoryIndex::new(50);
-        idx.insert(10, sample_ppv(&[(1, 0.5), (20, 0.25)]));
-        idx.insert(20, sample_ppv(&[(10, 0.125)]));
-        let path = temp_path("fromstore.idx");
-        idx.write_to_file(&path).unwrap();
-        let disk = DiskIndex::open(&path, 4).unwrap();
-        let hubs = HubSet::from_ids(50, disk.hub_ids());
-        let flat = FlatIndex::from_store(50, &disk, &disk.hub_ids(), &hubs);
-        assert_eq!(flat.hub_count(), 2);
-        for h in [10u32, 20] {
-            assert_eq!(flat.load(h).unwrap(), *disk.get(h).unwrap(), "hub {h}");
-        }
-        assert_eq!(flat.border_sublist(10).unwrap().0, &[20]);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn disk_round_trip() {
-        let mut idx = MemoryIndex::new(100);
-        idx.insert(42, sample_ppv(&[(0, 0.125), (42, 0.5), (99, 0.0625)]));
-        idx.insert(7, sample_ppv(&[(7, 1.0)]));
-        idx.insert(0, sample_ppv(&[]));
-        let path = temp_path("roundtrip.idx");
-        idx.write_to_file(&path).unwrap();
-        let disk = DiskIndex::open(&path, 8).unwrap();
-        assert_eq!(disk.hub_count(), 3);
-        assert_eq!(disk.total_entries(), 4);
-        for h in [0u32, 7, 42] {
-            let mem = idx.get(h).unwrap();
-            let dsk = disk.get(h).unwrap();
-            assert_eq!(mem.len(), dsk.len());
-            for (&(a, sa), &(b, sb)) in mem.entries.entries().iter().zip(dsk.entries.entries()) {
-                assert_eq!(a, b);
-                assert!((sa - sb).abs() < 1e-7); // f32 quantization
-            }
-        }
-        assert!(disk.get(1).is_none());
-        assert!(disk.view(1).is_none());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn disk_cache_avoids_rereads() {
-        let mut idx = MemoryIndex::new(10);
-        idx.insert(1, sample_ppv(&[(1, 0.5)]));
-        idx.insert(2, sample_ppv(&[(2, 0.5)]));
-        let path = temp_path("cache.idx");
-        idx.write_to_file(&path).unwrap();
-        let disk = DiskIndex::open(&path, 1).unwrap();
-        disk.get(1).unwrap();
-        disk.get(1).unwrap();
-        assert_eq!(disk.disk_reads(), 1, "second get must hit the cache");
-        disk.get(2).unwrap(); // evicts 1 (capacity 1)
-        disk.get(1).unwrap();
-        assert_eq!(disk.disk_reads(), 3);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn open_rejects_garbage() {
         let path = temp_path("garbage.idx");
         std::fs::write(&path, b"definitely not an index file").unwrap();
-        let err = match DiskIndex::open(&path, 1) {
-            Ok(_) => panic!("garbage accepted"),
-            Err(e) => e,
-        };
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn open_rejects_truncated_file() {
-        let mut idx = MemoryIndex::new(10);
-        idx.insert(1, sample_ppv(&[(1, 0.5), (3, 0.25)]));
-        idx.insert(2, sample_ppv(&[(0, 0.125)]));
-        let path = temp_path("truncated.idx");
-        idx.write_to_file(&path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        // Cut the file mid-blob: the directory then points past EOF.
-        std::fs::write(&path, &bytes[..bytes.len() - 6]).unwrap();
-        let err = match DiskIndex::open(&path, 1) {
-            Ok(_) => panic!("truncated file accepted"),
-            Err(e) => e,
-        };
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_file(&path).unwrap();
+        expect_format_error(&path, "garbage");
+        let path = temp_path("empty.idx");
+        std::fs::write(&path, b"").unwrap();
+        expect_format_error(&path, "empty file");
     }
 
     #[test]
     fn open_rejects_absurd_hub_count() {
         // A header claiming 2^40 hubs must not allocate terabytes.
-        let path = temp_path("absurd.idx");
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&(1u64 << 40).to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let err = match DiskIndex::open(&path, 1) {
-            Ok(_) => panic!("absurd header accepted"),
-            Err(e) => e,
-        };
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_file(&path).unwrap();
+        let path = write_arena_bytes("absurd-hubs.fppv", |b| {
+            b[24..32].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        });
+        expect_format_error(&path, "absurd hub count");
     }
 
     #[test]
     fn storage_bytes_matches_file_size() {
+        let (flat, _) = sample_arena();
+        let path = temp_path("size.fppv");
+        flat.write_to_file(&path).unwrap();
+        let file_len = std::fs::metadata(&path).unwrap().len() as usize;
+        assert_eq!(flat.storage_bytes(), file_len);
+        std::fs::remove_file(&path).unwrap();
+        // A MemoryIndex has no file; it reports the paper's nominal record
+        // size (the figure the Fig. 7b / Fig. 11 columns print).
         let mut idx = MemoryIndex::new(10);
         idx.insert(1, sample_ppv(&[(1, 0.5), (3, 0.1)]));
         idx.insert(5, sample_ppv(&[(0, 0.2)]));
-        let path = temp_path("size.idx");
-        idx.write_to_file(&path).unwrap();
-        let file_len = std::fs::metadata(&path).unwrap().len() as usize;
-        assert_eq!(idx.storage_bytes(), file_len);
-        std::fs::remove_file(&path).unwrap();
+        assert_eq!(idx.storage_bytes(), 24 + 2 * 24 + 3 * 8);
     }
 
     #[test]
@@ -2130,39 +1745,23 @@ mod tests {
     }
 
     #[test]
-    fn disk_round_trips_budget_spend() {
-        let mut idx = MemoryIndex::new(10);
-        idx.insert(1, sample_ppv(&[(1, 0.5)]));
-        idx.insert(2, sample_ppv(&[(2, 0.5)]));
-        idx.set_budget_spent(1, 0.007);
-        let path = temp_path("spend.idx");
-        idx.write_to_file(&path).unwrap();
-        let disk = DiskIndex::open(&path, 2).unwrap();
-        assert_eq!(disk.budget_spent(1), 0.007);
-        assert_eq!(disk.budget_spent(2), 0.0);
-        assert_eq!(disk.budget_spent(9), 0.0, "unindexed hub");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn disk_open_rejects_version_1_with_hint() {
-        let path = temp_path("v1.idx");
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let err = match DiskIndex::open(&path, 1) {
-            Ok(_) => panic!("v1 header accepted"),
-            Err(e) => e,
-        };
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(
-            err.to_string().contains("rebuild"),
-            "v1 rejection must tell the operator what to do: {err}"
-        );
-        std::fs::remove_file(&path).unwrap();
+    fn open_rejects_retired_formats_with_rebuild_hint() {
+        for magic in [b"FPPVIDX1", b"FPPVIDX2"] {
+            // No writer of either format survives: the magic plus junk.
+            let path = temp_path("retired.idx");
+            let mut bytes = magic.to_vec();
+            bytes.extend_from_slice(&[0xAB; 57]);
+            std::fs::write(&path, &bytes).unwrap();
+            let Err(OpenError::Format(msg)) = FlatIndex::open(&path) else {
+                panic!("retired format accepted or misreported");
+            };
+            let name = std::str::from_utf8(magic).unwrap();
+            assert!(
+                msg.contains(name) && msg.contains("rebuild") && msg.contains("fastppv build"),
+                "the rejection must name the format and say what to do: {msg}"
+            );
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     /// A small arena used by the FPPVIDX3 failure-mode tests.

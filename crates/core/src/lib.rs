@@ -12,9 +12,9 @@
 //! 1. [`hubs`] selects hubs by expected utility `EU(v) = PageRank(v)·|Out(v)|`.
 //! 2. [`prime`] extracts, per node, the *prime subgraph* (the hub-free
 //!    neighborhood, pruned at reachability `ε`) and computes its *prime PPV*.
-//! 3. [`offline`] precomputes prime PPVs for every hub into a [`index`]
-//!    (in-memory or on-disk) — the query-independent building blocks. The
-//!    serving layout is the flat structure-of-arrays arena
+//! 3. [`offline`] precomputes prime PPVs for every hub into an [`index`]
+//!    — the query-independent building blocks. The serving layout, and the
+//!    one index file, is the flat structure-of-arrays arena
 //!    ([`index::FlatIndex`], built by [`offline::build_flat_index`]), whose
 //!    reads are zero-copy borrowed views ([`index::PpvRef`]).
 //! 4. [`query`] answers queries incrementally: iteration `i` assembles the
@@ -77,7 +77,6 @@
 
 pub mod atomic_io;
 pub mod autotune;
-pub mod codec;
 pub mod config;
 pub mod dynamic;
 pub mod error;
@@ -91,11 +90,10 @@ pub mod protocol_consts;
 pub mod query;
 pub mod wal;
 
-pub use codec::{CompressedDiskIndex, ScoreQuantization};
 pub use config::Config;
 pub use dynamic::{DeltaConfig, RefreshStats};
 pub use hubs::{select_hubs, select_hubs_with_pagerank, HubPolicy, HubSet};
-pub use index::{DiskIndex, FlatIndex, MemoryIndex, OpenError, PpvRef, PpvStore, PrimePpv};
+pub use index::{FlatIndex, MemoryIndex, OpenError, PpvRef, PpvStore, PrimePpv};
 pub use offline::{
     build_flat_index, build_index, build_index_in_order, build_index_parallel, OfflineStats,
 };

@@ -1,8 +1,9 @@
 //! Offline precomputation (paper §5.1, Algorithm 1).
 //!
 //! For each hub, extract its prime subgraph and solve for its prime PPV;
-//! store everything in a [`MemoryIndex`] (serialize with
-//! [`MemoryIndex::write_to_file`] for the disk-based setting). Hub builds
+//! store everything in a [`MemoryIndex`], or — [`build_flat_index`], what
+//! a deployment wants — in the [`FlatIndex`] arena that is served and
+//! written to disk ([`FlatIndex::write_to_file`]). Hub builds
 //! are independent, so [`build_index_parallel`] shards them across scoped
 //! threads pulling hubs off a shared atomic counter (work stealing):
 //! prime-subgraph sizes follow the graph's power law, so any static
@@ -32,7 +33,8 @@ pub struct OfflineStats {
     pub hubs: usize,
     /// Total entries stored (after clipping).
     pub total_entries: usize,
-    /// Index size in bytes (on-disk layout equivalent).
+    /// Nominal index size in bytes ([`PpvStore::storage_bytes`] of the
+    /// built [`MemoryIndex`] — the paper-comparable figure).
     pub storage_bytes: usize,
     /// Mean prime-subgraph size (nodes, including absorbers).
     pub avg_subgraph_nodes: f64,

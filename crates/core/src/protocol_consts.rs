@@ -15,18 +15,7 @@
 //! fail-closed (they must reject the new magic/version, never
 //! misinterpret it).
 
-/// Magic of the record-oriented index format (`MemoryIndex` /
-/// `CompactIndex` serialization).
-pub const IDX1_MAGIC: &[u8; 8] = b"FPPVIDX1";
-/// Current version of the `FPPVIDX1` format.
-pub const IDX1_VERSION: u32 = 2;
-
-/// Magic of the compressed (quantized + varint) index format.
-pub const IDX2_MAGIC: &[u8; 8] = b"FPPVIDX2";
-/// Current version of the `FPPVIDX2` format (a `u8` in the header).
-pub const IDX2_VERSION: u8 = 1;
-
-/// Magic of the single-file mmap arena format (`FlatIndex`).
+/// Magic of the index file: the single-file mmap arena (`FlatIndex`).
 pub const IDX3_MAGIC: &[u8; 8] = b"FPPVIDX3";
 /// Current version of the `FPPVIDX3` format.
 pub const IDX3_VERSION: u32 = 3;
@@ -83,14 +72,7 @@ mod tests {
 
     #[test]
     fn eight_byte_magics_are_distinct() {
-        let magics = [
-            IDX1_MAGIC,
-            IDX2_MAGIC,
-            IDX3_MAGIC,
-            WAL_MAGIC,
-            MANIFEST_MAGIC,
-            CLUSTER_GRAPH_MAGIC,
-        ];
+        let magics = [IDX3_MAGIC, WAL_MAGIC, MANIFEST_MAGIC, CLUSTER_GRAPH_MAGIC];
         for (i, a) in magics.iter().enumerate() {
             for b in &magics[i + 1..] {
                 assert_ne!(a, b);

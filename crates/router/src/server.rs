@@ -20,10 +20,9 @@
 
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fastppv_cluster::ShardMap;
@@ -32,9 +31,9 @@ use fastppv_graph::vec::top_k_entries;
 use fastppv_graph::{NodeId, ScoreScratch};
 use fastppv_server::net::{
     decode_request_batch, decode_update_request, encode_hello, encode_response_batch,
-    encode_stats_response, encode_update_response, read_frame_stalling, write_frame, NetOptions,
-    ServerHello, UpdatePhase, WireAnswer, WireRequest, WireResponse, WireStats, WireStop,
-    MAX_FRAME_BYTES, OP_QUERY, OP_STATS, OP_UPDATE,
+    encode_stats_response, encode_update_response, read_frame_stalling, serve_connections,
+    write_frame, NetOptions, NetServer, ServerHello, UpdatePhase, WireAnswer, WireRequest,
+    WireResponse, WireStats, WireStop, MAX_FRAME_BYTES, OP_QUERY, OP_STATS, OP_UPDATE,
 };
 use fastppv_server::{percentile, LruCache};
 use parking_lot::Mutex;
@@ -378,47 +377,9 @@ fn format_answer(merged: &MergedAnswer, top_k: u32, cached: bool, latency: Durat
 // TCP front-end
 // ---------------------------------------------------------------------------
 
-/// A running router front-end; same lifecycle contract as
-/// [`fastppv_server::net::NetServer`].
-pub struct RouterServer {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-}
-
-impl RouterServer {
-    /// The address the router is listening on (resolves port-0 binds).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Blocks until the acceptor exits (the CLI's foreground mode).
-    pub fn wait(mut self) {
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-    }
-
-    /// Stops accepting and joins the acceptor.
-    pub fn shutdown(mut self) {
-        self.signal_and_join();
-    }
-
-    fn signal_and_join(&mut self) {
-        let Some(handle) = self.acceptor.take() else {
-            return;
-        };
-        self.stop.store(true, Ordering::Release);
-        let _ = TcpStream::connect(self.local_addr);
-        let _ = handle.join();
-    }
-}
-
-impl Drop for RouterServer {
-    fn drop(&mut self) {
-        self.signal_and_join();
-    }
-}
+/// A running router front-end: the same handle, acceptor and
+/// [`fastppv_server::net::MAX_CONNECTIONS`] admission cap as a shard's.
+pub type RouterServer = NetServer;
 
 /// Starts the router front-end: one acceptor thread plus one thread per
 /// client connection, each serving `OP_QUERY`, `OP_STATS`, and
@@ -432,34 +393,10 @@ where
     B: SubBackend + UpdateBackend + Send + Sync + 'static,
 {
     let options = router.options.net;
-    let local_addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
-    let acceptor = std::thread::Builder::new()
-        .name("fastppv-route-accept".into())
-        .spawn(move || {
-            for conn in listener.incoming() {
-                if stop_flag.load(Ordering::Acquire) {
-                    break;
-                }
-                let Ok(stream) = conn else {
-                    std::thread::sleep(Duration::from_millis(10));
-                    continue;
-                };
-                let router = Arc::clone(&router);
-                let stop = Arc::clone(&stop_flag);
-                let _ = std::thread::Builder::new()
-                    .name("fastppv-route-conn".into())
-                    .spawn(move || {
-                        let _ = handle_connection(&router, stream, &stop, options);
-                    });
-            }
-        })?;
-    Ok(RouterServer {
-        local_addr,
-        stop,
-        acceptor: Some(acceptor),
-    })
+    let handle = move |stream: TcpStream, stop: &AtomicBool| {
+        handle_connection(&router, stream, stop, options)
+    };
+    serve_connections(listener, "fastppv-route", Arc::new(handle))
 }
 
 fn handle_connection<B: SubBackend + UpdateBackend>(

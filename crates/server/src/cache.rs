@@ -1,8 +1,7 @@
 //! A true LRU cache with O(1) get/insert (hash map + intrusive list).
 //!
-//! The disk index ships a FIFO read cache (good enough below the store);
-//! the *service* cache sits in front of whole query results, where repeat
-//! traffic is Zipf-skewed and recency actually matters, so this one pays
+//! The *service* cache sits in front of whole query results, where repeat
+//! traffic is Zipf-skewed and recency actually matters, so it pays
 //! for the doubly-linked bookkeeping. Entries live in a slab indexed by the
 //! map; the list threads through the slab, most-recently-used first.
 

@@ -1113,8 +1113,8 @@ pub fn read_frame_stalling<R: Read>(
     Ok(Some(std::mem::take(buf_scratch)))
 }
 
-/// A running TCP front-end: a thread-per-connection acceptor feeding the
-/// service's worker pool. Dropped or [`NetServer::shutdown`]: stops
+/// A running TCP front-end (a shard's or the router's): a
+/// thread-per-connection acceptor. Dropped or [`NetServer::shutdown`]: stops
 /// accepting and joins the acceptor; connection threads observe the stop
 /// flag within one frame-stall timeout, and in-flight queries are
 /// cancelled at their next increment boundary.
@@ -1188,12 +1188,41 @@ pub fn serve_with_options<S: PpvStore + ShardRefresh + Send + Sync + 'static>(
     options: NetOptions,
 ) -> io::Result<NetServer> {
     options.validate();
+    let handle = move |stream: TcpStream, stop: &AtomicBool| {
+        handle_connection(&service, stream, stop, options)
+    };
+    spawn_acceptor(listener, "fastppv", MAX_CONNECTIONS, Arc::new(handle))
+}
+
+/// What a front-end runs on each admitted connection. An error (protocol
+/// violation, broken pipe) closes just that connection; the flag is the
+/// one [`NetServer::shutdown`] raises.
+pub type ConnectionHandler = dyn Fn(TcpStream, &AtomicBool) -> io::Result<()> + Send + Sync;
+
+/// The accept loop of every FastPPV front-end (this module's [`serve`]
+/// and `fastppv_router::serve_router`): one `{name}-accept` thread plus
+/// one `{name}-conn` thread per admitted connection running `handle`,
+/// under the [`MAX_CONNECTIONS`] admission cap.
+pub fn serve_connections(
+    listener: TcpListener,
+    name: &'static str,
+    handle: Arc<ConnectionHandler>,
+) -> io::Result<NetServer> {
+    spawn_acceptor(listener, name, MAX_CONNECTIONS, handle)
+}
+
+fn spawn_acceptor(
+    listener: TcpListener,
+    name: &'static str,
+    max_connections: usize,
+    handle: Arc<ConnectionHandler>,
+) -> io::Result<NetServer> {
     let local_addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
     let active = Arc::new(AtomicUsize::new(0));
     let acceptor = std::thread::Builder::new()
-        .name("fastppv-accept".into())
+        .name(format!("{name}-accept"))
         .spawn(move || {
             for conn in listener.incoming() {
                 if stop_flag.load(Ordering::Acquire) {
@@ -1212,23 +1241,23 @@ pub fn serve_with_options<S: PpvStore + ShardRefresh + Send + Sync + 'static>(
                 // Admission control: past the cap, close before hello. The
                 // slot is released by a Drop guard so a panicking handler
                 // cannot leak it and starve future connections.
-                if active.fetch_add(1, Ordering::AcqRel) >= MAX_CONNECTIONS {
+                if active.fetch_add(1, Ordering::AcqRel) >= max_connections {
                     active.fetch_sub(1, Ordering::AcqRel);
                     drop(stream);
                     continue;
                 }
                 let slot = SlotGuard(Arc::clone(&active));
-                let service = Arc::clone(&service);
+                let handle = Arc::clone(&handle);
                 let stop = Arc::clone(&stop_flag);
                 // If the spawn itself fails, the closure — and the guard
                 // inside it — is dropped here, releasing the slot.
                 let _ = std::thread::Builder::new()
-                    .name("fastppv-conn".into())
+                    .name(format!("{name}-conn"))
                     .spawn(move || {
                         let _slot = slot;
                         // A protocol error or broken pipe closes just this
                         // connection; the acceptor keeps serving others.
-                        let _ = handle_connection(&service, stream, &stop, options);
+                        let _ = handle(stream, &stop);
                     });
             }
         })?;
@@ -2384,6 +2413,47 @@ mod tests {
             .unwrap();
         assert!(r.answer().is_some());
         drop(idle);
+        server.shutdown();
+    }
+
+    #[test]
+    fn admission_cap_closes_before_hello_and_frees_slots() {
+        let service = toy_service();
+        let options = NetOptions::default();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        // The acceptor `serve` and `serve_router` run, with a cap of 2.
+        let handle = move |stream: TcpStream, stop: &AtomicBool| {
+            handle_connection(&service, stream, stop, options)
+        };
+        let server = spawn_acceptor(listener, "fastppv-test", 2, Arc::new(handle)).unwrap();
+        let addr = server.local_addr();
+        // A connected client has read its hello, so its slot is taken.
+        let first = Client::connect(addr).unwrap();
+        let mut second = Client::connect(addr).unwrap();
+        let Err(refused) = Client::connect(addr) else {
+            panic!("a third connection was admitted past a cap of 2");
+        };
+        assert!(
+            refused.to_string().contains("before sending hello"),
+            "{refused}"
+        );
+        // Disconnecting frees the slot once the handler has seen the EOF.
+        drop(first);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut third = loop {
+            match Client::connect(addr) {
+                Ok(client) => break client,
+                Err(e) if Instant::now() >= deadline => panic!("slot never freed: {e}"),
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            }
+        };
+        for client in [&mut second, &mut third] {
+            let r = client
+                .request_one(WireRequest::iterations(toy::A, 2))
+                .unwrap();
+            assert!(r.answer().is_some());
+        }
+        drop((second, third));
         server.shutdown();
     }
 

@@ -33,8 +33,8 @@ use arc_swap::ArcSwap;
 use parking_lot::Mutex;
 
 use fastppv_core::dynamic::{
-    refresh_flat_index_snapshot_delta, refresh_index_delta, refresh_index_delta_subset,
-    same_adjacency, DeltaConfig, RefreshStats,
+    refresh_flat_index_snapshot_delta, refresh_index_delta, same_adjacency, DeltaConfig,
+    RefreshStats,
 };
 use fastppv_core::query::{expand_frontier, QueryWorkspace, StoppingCondition};
 use fastppv_core::{Config, FlatIndex, HubSet, MemoryIndex, PpvStore, QueryEngine};
@@ -1256,13 +1256,91 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
     }
 }
 
-impl QueryService<MemoryIndex> {
+/// Store-specific half of an update: build the next epoch's store off the
+/// pinned one without publishing. The crucial property for sharded
+/// deployments: the refresh is restricted to the hubs the old store
+/// actually holds, so a partial (sliced) store stays partial — a
+/// full-hub-set refresh would recompute every missing hub and balloon one
+/// shard's slice into the whole index.
+pub trait ShardRefresh: Sized {
+    /// Builds the refreshed store for `new_graph`. `hubs` is the full hub
+    /// set; the result holds exactly the hubs `self` holds.
+    #[allow(clippy::too_many_arguments)]
+    fn refresh_for_shard(
+        &self,
+        old_graph: &Graph,
+        new_graph: &Graph,
+        hubs: &HubSet,
+        changed_tails: &[NodeId],
+        config: &Config,
+        delta: &DeltaConfig,
+    ) -> (Self, RefreshStats);
+}
+
+impl ShardRefresh for MemoryIndex {
+    /// Clean PPVs are `Arc`-shared with the old index; only the hubs this
+    /// index holds are carried over.
+    fn refresh_for_shard(
+        &self,
+        old_graph: &Graph,
+        new_graph: &Graph,
+        hubs: &HubSet,
+        changed_tails: &[NodeId],
+        config: &Config,
+        delta: &DeltaConfig,
+    ) -> (Self, RefreshStats) {
+        refresh_index_delta(
+            self,
+            old_graph,
+            new_graph,
+            hubs,
+            changed_tails,
+            config,
+            delta,
+        )
+    }
+}
+
+impl ShardRefresh for FlatIndex {
+    /// The arena is cloned and patched copy-on-write at *chunk*
+    /// granularity: the clone Arc-shares every chunk with the old snapshot
+    /// (O(chunks) pointer copies, no entry data moved), and the patch seals
+    /// shared chunks before appending, so readers pinning the old snapshot
+    /// keep the pre-update arena bit-identical for as long as they hold it.
+    /// [`RefreshStats::cloned_bytes`] reports the bytes actually copied
+    /// (compaction only); [`RefreshStats::resident_bytes`] and
+    /// [`RefreshStats::mapped_bytes`] report the new arena's footprint.
+    /// Flat arenas are only deployed whole (slices are [`MemoryIndex`]),
+    /// so the refresh covers the full hub set.
+    fn refresh_for_shard(
+        &self,
+        old_graph: &Graph,
+        new_graph: &Graph,
+        hubs: &HubSet,
+        changed_tails: &[NodeId],
+        config: &Config,
+        delta: &DeltaConfig,
+    ) -> (Self, RefreshStats) {
+        refresh_flat_index_snapshot_delta(
+            self,
+            old_graph,
+            new_graph,
+            hubs,
+            changed_tails,
+            config,
+            delta,
+        )
+    }
+}
+
+impl<S: PpvStore + ShardRefresh + Send + Sync> QueryService<S> {
     /// Applies a graph update **concurrently with serving**: pins the
     /// current snapshot, refreshes only the prime PPVs whose prime
-    /// subgraphs the changed edges touch ([`fastppv_core::dynamic`])
-    /// against that pinned state, then publishes a new snapshot with a
-    /// bumped epoch and clears the hot-PPV cache. In-flight queries keep
-    /// answering on the old snapshot until they finish.
+    /// subgraphs the changed edges touch ([`ShardRefresh`] over
+    /// [`fastppv_core::dynamic`]) against that pinned state, then publishes
+    /// a new snapshot with a bumped epoch and clears the hot-PPV cache.
+    /// In-flight queries keep answering on the old snapshot until they
+    /// finish.
     ///
     /// `changed_tails` are the source nodes of every inserted or deleted
     /// edge (both endpoints for undirected edits). Concurrent updates
@@ -1276,53 +1354,7 @@ impl QueryService<MemoryIndex> {
     pub fn apply_update(&self, new_graph: Graph, changed_tails: &[NodeId]) -> RefreshStats {
         let _updates = self.update_lock.lock();
         let old = self.snapshot();
-        let (index, stats) = refresh_index_delta(
-            &old.store,
-            &old.graph,
-            &new_graph,
-            &old.hubs,
-            changed_tails,
-            &self.config,
-            &self.delta,
-        );
-        if self.update_was_noop(&stats, &old.graph, &new_graph, changed_tails) {
-            self.noop_skips.fetch_add(1, Ordering::Relaxed);
-            return stats;
-        }
-        // fppv-lint: allow(lock-across-io) -- update_lock exists to serialize publishers; readers never take it
-        self.publish(ServingState {
-            graph: Arc::new(new_graph),
-            hubs: Arc::clone(&old.hubs),
-            store: Arc::new(index),
-            epoch: old.epoch + 1,
-        });
-        stats
-    }
-}
-
-impl QueryService<FlatIndex> {
-    /// Applies a graph update to a flat-arena deployment, concurrently
-    /// with serving: the pinned snapshot's arena is cloned and patched via
-    /// [`fastppv_core::dynamic::refresh_flat_index_snapshot`]
-    /// (tombstone-and-append with threshold compaction), then published as
-    /// the next epoch. The clone is copy-on-write at *chunk* granularity:
-    /// it Arc-shares every arena chunk with the old snapshot (O(chunks)
-    /// pointer copies, no entry data moved), and the patch seals shared
-    /// chunks before appending, so readers pinning the old snapshot keep
-    /// the pre-update arena bit-identical for as long as they hold it.
-    /// [`RefreshStats::cloned_bytes`] reports the bytes actually copied
-    /// (compaction only); [`RefreshStats::resident_bytes`] and
-    /// [`RefreshStats::mapped_bytes`] report the published arena's memory
-    /// footprint.
-    /// Dirty hubs are patched by delta propagation when
-    /// [`QueryService::with_delta_config`] enabled a budget, and no-op
-    /// batches skip the publish (and the cache eviction) entirely, exactly
-    /// as in the [`MemoryIndex`] variant.
-    pub fn apply_update(&self, new_graph: Graph, changed_tails: &[NodeId]) -> RefreshStats {
-        let _updates = self.update_lock.lock();
-        let old = self.snapshot();
-        let (store, stats) = refresh_flat_index_snapshot_delta(
-            &old.store,
+        let (store, stats) = old.store.refresh_for_shard(
             &old.graph,
             &new_graph,
             &old.hubs,
@@ -1343,85 +1375,7 @@ impl QueryService<FlatIndex> {
         });
         stats
     }
-}
 
-/// Store-specific half of a staged (two-phase) update: build the next
-/// store off the pinned one without publishing. The crucial property for
-/// sharded deployments: the refresh is restricted to the hubs the old
-/// store actually holds, so a partial (sliced) store stays partial —
-/// a full-hub-set refresh would recompute every missing hub and balloon
-/// one shard's slice into the whole index. Stores that cannot refresh
-/// incrementally keep the `None` default and refuse staged updates.
-pub trait ShardRefresh: Sized {
-    /// Builds the refreshed store for `new_graph`, or `None` if this
-    /// store type does not support staged refreshes.
-    #[allow(clippy::too_many_arguments)]
-    fn refresh_for_shard(
-        &self,
-        old_graph: &Graph,
-        new_graph: &Graph,
-        hubs: &HubSet,
-        changed_tails: &[NodeId],
-        config: &Config,
-        delta: &DeltaConfig,
-    ) -> Option<(Self, RefreshStats)> {
-        let _ = (old_graph, new_graph, hubs, changed_tails, config, delta);
-        None
-    }
-}
-
-impl ShardRefresh for MemoryIndex {
-    fn refresh_for_shard(
-        &self,
-        old_graph: &Graph,
-        new_graph: &Graph,
-        hubs: &HubSet,
-        changed_tails: &[NodeId],
-        config: &Config,
-        delta: &DeltaConfig,
-    ) -> Option<(Self, RefreshStats)> {
-        Some(refresh_index_delta_subset(
-            self,
-            old_graph,
-            new_graph,
-            hubs,
-            self.hub_ids(),
-            changed_tails,
-            config,
-            delta,
-        ))
-    }
-}
-
-/// Disk-resident stores cannot rebuild themselves in memory — they keep
-/// the default (`None`) and refuse staged updates over the wire.
-impl ShardRefresh for fastppv_core::DiskIndex {}
-
-impl ShardRefresh for FlatIndex {
-    fn refresh_for_shard(
-        &self,
-        old_graph: &Graph,
-        new_graph: &Graph,
-        hubs: &HubSet,
-        changed_tails: &[NodeId],
-        config: &Config,
-        delta: &DeltaConfig,
-    ) -> Option<(Self, RefreshStats)> {
-        // Flat arenas are only deployed whole (slices are MemoryIndex),
-        // so the full-hub-set snapshot refresh is the right one.
-        Some(refresh_flat_index_snapshot_delta(
-            self,
-            old_graph,
-            new_graph,
-            hubs,
-            changed_tails,
-            config,
-            delta,
-        ))
-    }
-}
-
-impl<S: PpvStore + ShardRefresh + Send + Sync> QueryService<S> {
     /// Phase one of a coordinated cluster update: refresh the store
     /// against `new_graph` and stage the resulting snapshot at
     /// `target_epoch` **without publishing it**. Serving continues on the
@@ -1449,17 +1403,14 @@ impl<S: PpvStore + ShardRefresh + Send + Sync> QueryService<S> {
                 old.epoch + 1
             ));
         }
-        let (store, stats) = old
-            .store
-            .refresh_for_shard(
-                &old.graph,
-                &new_graph,
-                &old.hubs,
-                changed_tails,
-                &self.config,
-                &self.delta,
-            )
-            .ok_or_else(|| "store does not support staged updates".to_string())?;
+        let (store, stats) = old.store.refresh_for_shard(
+            &old.graph,
+            &new_graph,
+            &old.hubs,
+            changed_tails,
+            &self.config,
+            &self.delta,
+        );
         *self.staged.lock() = Some(ServingState {
             graph: Arc::new(new_graph),
             hubs: Arc::clone(&old.hubs),
@@ -1726,6 +1677,37 @@ mod tests {
         // The new result reflects the new graph, not the stale cache: the
         // fresh estimate must put mass on e (now a direct out-neighbor).
         assert!(fresh.scores.get(toy::E) > stale.scores.get(toy::E));
+    }
+
+    #[test]
+    fn apply_update_keeps_a_sliced_store_sliced() {
+        let g = toy::graph();
+        let hubs = HubSet::from_ids(8, toy::PAPER_HUBS.to_vec());
+        let config = Config::exhaustive();
+        let (full, _) = build_index(&g, &hubs, &config);
+        // A shard's slice: one of the three hubs, under the full hub set.
+        let owned = toy::PAPER_HUBS[0];
+        let mut slice = MemoryIndex::new(8);
+        slice.insert_shared(owned, full.get_shared(owned).unwrap());
+        let mut b = GraphBuilder::new(8);
+        for (s, t) in g.edges() {
+            b.add_edge(s, t);
+        }
+        b.add_edge(toy::A, toy::E);
+        let service = QueryService::new(
+            Arc::new(g),
+            Arc::new(hubs),
+            Arc::new(slice),
+            config,
+            ServiceOptions::default(),
+        );
+        service.apply_update(b.build(), &[toy::A]);
+        assert_eq!(service.epoch(), 1);
+        assert_eq!(
+            service.store().hub_ids(),
+            &[owned],
+            "a local update must not recompute the hubs other shards own"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! cargo run --release --example dynamic_updates
 //! ```
 
-use fastppv::core::dynamic::refresh_index;
+use fastppv::core::dynamic::{refresh_index_delta, DeltaConfig};
 use fastppv::core::query::StoppingCondition;
 use fastppv::core::{build_index_parallel, select_hubs, Config, HubPolicy, QueryEngine};
 use fastppv::graph::gen::{SocialNetwork, SocialParams};
@@ -37,7 +37,9 @@ fn main() {
     let (u, v) = (100u32, 9000u32);
     let new_graph = with_edge(&graph, u, v);
     let started = std::time::Instant::now();
-    let (new_index, refresh) = refresh_index(&index, &graph, &new_graph, &hubs, &[u], &config);
+    let exact = DeltaConfig::exact();
+    let (new_index, refresh) =
+        refresh_index_delta(&index, &graph, &new_graph, &hubs, &[u], &config, &exact);
     println!(
         "edge ({u} -> {v}) inserted: recomputed {} of {} hub PPVs in {:.2?} \
          (reused {})",

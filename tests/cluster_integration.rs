@@ -10,9 +10,8 @@ use fastppv::cluster::partition::{cluster_graph, ClusteringOptions};
 use fastppv::cluster::query::{disk_query, DiskQueryWorkspace};
 use fastppv::cluster::store::{write_clustered_graph, DiskGraph};
 use fastppv::cluster::{slice_store, ShardMap};
-use fastppv::core::index::DiskIndex;
 use fastppv::core::query::{QueryEngine, StoppingCondition};
-use fastppv::core::{build_index_parallel, select_hubs, Config, HubPolicy, MemoryIndex};
+use fastppv::core::{build_index_parallel, select_hubs, Config, FlatIndex, HubPolicy, MemoryIndex};
 use fastppv::graph::gen::{BibNetwork, DblpParams};
 use fastppv::graph::vec::ScoreScratch;
 use fastppv::graph::Graph;
@@ -53,10 +52,12 @@ fn fully_disk_resident_pipeline_matches_memory() {
     let idx = temp_path("index.fppv");
     let clustering = cluster_graph(graph, 12, ClusteringOptions::default());
     write_clustered_graph(graph, &clustering, &clg).unwrap();
-    index.write_to_file(&idx).unwrap();
+    FlatIndex::from_memory(&index, &hubs)
+        .write_to_file(&idx)
+        .unwrap();
 
     let mut disk = DiskGraph::open(&clg, 1).unwrap();
-    let disk_index = DiskIndex::open(&idx, 32).unwrap();
+    let disk_index = FlatIndex::open(&idx).unwrap();
     let mut ws = DiskQueryWorkspace::new(n);
     let mem_engine = QueryEngine::new(graph, &hubs, &index, config);
     let stop = StoppingCondition::iterations(2);
@@ -78,11 +79,11 @@ fn fully_disk_resident_pipeline_matches_memory() {
             None,
             &mut ws,
         );
-        // f32 index storage rounds scores; structure must be identical.
+        // The arena file stores the index's own f64 scores.
         assert_eq!(mem.scores.len(), dsk.result.scores.len(), "q {q}");
         for (&(va, sa), &(vb, sb)) in mem.scores.entries().iter().zip(dsk.result.scores.entries()) {
             assert_eq!(va, vb, "q {q}");
-            assert!((sa - sb).abs() < 1e-4, "q {q} node {va}: {sa} vs {sb}");
+            assert!((sa - sb).abs() < 1e-12, "q {q} node {va}: {sa} vs {sb}");
         }
     }
     std::fs::remove_file(&clg).unwrap();

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use fastppv::core::offline::{build_index, build_index_in_order, build_index_parallel};
 use fastppv::core::query::StoppingCondition;
 use fastppv::core::{
-    select_hubs, Config, HubPolicy, HubSet, MemoryIndex, PrimeComputer, QueryEngine,
+    select_hubs, Config, FlatIndex, HubPolicy, HubSet, MemoryIndex, PrimeComputer, QueryEngine,
 };
 use fastppv::graph::gen::barabasi_albert;
 use fastppv::graph::{Graph, GraphBuilder, NodeId, SparseVector};
@@ -132,13 +132,17 @@ fn service_pool_matches_single_threaded_engine() {
     }
 }
 
-fn serialize_index(index: &MemoryIndex, name: &str) -> Vec<u8> {
+/// The bytes of the index file (`f64` scores, so byte-identical means
+/// bit-identical PPVs).
+fn serialize_index(index: &MemoryIndex, hubs: &HubSet, name: &str) -> Vec<u8> {
     let mut path = std::env::temp_dir();
     path.push(format!(
         "fastppv-determinism-{}-{name}.idx",
         std::process::id()
     ));
-    index.write_to_file(&path).unwrap();
+    FlatIndex::from_memory(index, hubs)
+        .write_to_file(&path)
+        .unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
     bytes
@@ -150,10 +154,10 @@ fn parallel_build_is_byte_identical() {
     let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 50, 0);
     let config = Config::default();
     let (serial, _) = build_index(&g, &hubs, &config);
-    let reference = serialize_index(&serial, "serial");
+    let reference = serialize_index(&serial, &hubs, "serial");
     for threads in [2usize, 4, 8] {
         let (parallel, _) = build_index_parallel(&g, &hubs, &config, threads);
-        let bytes = serialize_index(&parallel, &format!("t{threads}"));
+        let bytes = serialize_index(&parallel, &hubs, &format!("t{threads}"));
         assert_eq!(
             bytes, reference,
             "{threads}-thread build must serialize byte-identically to serial"
@@ -188,10 +192,10 @@ fn work_stealing_build_is_byte_identical_under_pathological_order() {
     let order: Vec<NodeId> = sized.into_iter().map(|(_, h)| h).collect();
 
     let (serial, _) = build_index_in_order(&g, &hubs, &order, &config, 1);
-    let reference = serialize_index(&serial, "pathological-serial");
+    let reference = serialize_index(&serial, &hubs, "pathological-serial");
     for threads in [2usize, 4, 8] {
         let (parallel, _) = build_index_in_order(&g, &hubs, &order, &config, threads);
-        let bytes = serialize_index(&parallel, &format!("pathological-t{threads}"));
+        let bytes = serialize_index(&parallel, &hubs, &format!("pathological-t{threads}"));
         assert_eq!(
             bytes, reference,
             "{threads}-thread largest-first build must serialize byte-identically"
@@ -199,7 +203,7 @@ fn work_stealing_build_is_byte_identical_under_pathological_order() {
     }
     let (default_order, _) = build_index(&g, &hubs, &config);
     assert_eq!(
-        serialize_index(&default_order, "default-order"),
+        serialize_index(&default_order, &hubs, "default-order"),
         reference,
         "serialized index must not depend on build order at all"
     );
@@ -264,5 +268,5 @@ fn engine_and_service_are_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<QueryEngine<'_, MemoryIndex>>();
     assert_send_sync::<QueryService<MemoryIndex>>();
-    assert_send_sync::<fastppv::core::DiskIndex>();
+    assert_send_sync::<QueryService<FlatIndex>>();
 }

@@ -1,13 +1,10 @@
 //! Property-based tests of the delta-propagated index refresh: over random
 //! graphs and random insert/delete event sequences, the patched index must
 //! stay within its *declared* per-hub error budget of an exact rebuild,
-//! budget 0 must be bit-identical to the exact refresher, and the flat
-//! arena must evolve exactly like the memory layout.
+//! budget 0 must be bit-identical to that rebuild, and the flat arena must
+//! evolve exactly like the memory layout.
 
-use fastppv::core::dynamic::{
-    refresh_flat_index_delta, refresh_flat_index_snapshot_delta, refresh_index,
-    refresh_index_delta, DeltaConfig,
-};
+use fastppv::core::dynamic::{refresh_flat_index_snapshot_delta, refresh_index_delta, DeltaConfig};
 use fastppv::core::index::PpvStore;
 use fastppv::core::offline::{build_flat_index, build_index};
 use fastppv::core::{select_hubs, Config, HubPolicy};
@@ -226,11 +223,12 @@ proptest! {
                 stats.delta_patched + stats.recomputed + stats.reused,
                 hubs.len()
             );
-            let flat_stats = refresh_flat_index_delta(
-                &mut flat, &graph, &next, &hubs, &[u], &config, &delta,
+            let (flat_patched, flat_stats) = refresh_flat_index_snapshot_delta(
+                &flat, &graph, &next, &hubs, &[u], &config, &delta,
             );
             prop_assert_eq!(flat_stats.delta_patched, stats.delta_patched);
             prop_assert_eq!(flat_stats.recomputed, stats.recomputed);
+            flat = flat_patched;
             memory = patched;
             graph = next;
         }
@@ -253,8 +251,9 @@ proptest! {
         }
     }
 
-    /// Budget 0 must disable the delta path entirely: the refresher's
-    /// output is bit-identical to the exact one, with nothing patched.
+    /// Budget 0 must disable the delta path entirely: nothing is patched
+    /// and the refreshed index is a from-scratch build of the new graph,
+    /// bit for bit, in both layouts.
     #[test]
     fn zero_budget_is_bit_identical_to_exact_refresh(
         (n, edges, flips) in graph_and_flips()
@@ -263,6 +262,7 @@ proptest! {
         let graph = from_edges(n, &edges);
         let hubs = select_hubs(&graph, HubPolicy::ExpectedUtility, (n / 3).max(2), 0);
         let (index, _) = build_index(&graph, &hubs, &config);
+        let (flat, _) = build_flat_index(&graph, &hubs, &config, 1);
         let Some(next) = flips
             .iter()
             .find_map(|&(u, v)| apply_flip(&graph, u, v).map(|g| (u, g)))
@@ -270,19 +270,26 @@ proptest! {
             return; // every proposal was a self-loop
         };
         let (u, next) = next;
-        let (exact, exact_stats) = refresh_index(&index, &graph, &next, &hubs, &[u], &config);
-        let (zero, zero_stats) = refresh_index_delta(
-            &index, &graph, &next, &hubs, &[u], &config, &DeltaConfig::exact(),
+        let zero = DeltaConfig::default().with_budget(0.0);
+        let (mem_zero, mem_stats) = refresh_index_delta(
+            &index, &graph, &next, &hubs, &[u], &config, &zero,
         );
-        prop_assert_eq!(exact_stats.delta_patched, 0);
-        prop_assert_eq!(zero_stats.delta_patched, 0);
-        prop_assert_eq!(zero_stats.recomputed, exact_stats.recomputed);
+        let (flat_zero, flat_stats) = refresh_flat_index_snapshot_delta(
+            &flat, &graph, &next, &hubs, &[u], &config, &zero,
+        );
+        prop_assert_eq!(mem_stats.delta_patched, 0);
+        prop_assert_eq!(flat_stats.delta_patched, 0);
+        prop_assert_eq!(flat_stats.recomputed, mem_stats.recomputed);
+        let (exact, _) = build_index(&next, &hubs, &config);
+        let bits = |entries: &[(NodeId, f64)]| -> Vec<(NodeId, u64)> {
+            entries.iter().map(|&(v, s)| (v, s.to_bits())).collect()
+        };
         for &h in hubs.ids() {
-            prop_assert_eq!(
-                &zero.get(h).unwrap().entries,
-                &exact.get(h).unwrap().entries
-            );
-            prop_assert_eq!(zero.budget_spent(h), 0.0);
+            let want = bits(exact.get(h).unwrap().entries.entries());
+            prop_assert_eq!(bits(mem_zero.get(h).unwrap().entries.entries()), want.clone());
+            prop_assert_eq!(bits(flat_zero.load(h).unwrap().entries.entries()), want);
+            prop_assert_eq!(mem_zero.budget_spent(h), 0.0);
+            prop_assert_eq!(flat_zero.budget_spent(h), 0.0);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The flat SoA arena versus the slot-map store: equivalence, determinism,
 //! dynamic patching, and a round-trip property test.
 
-use fastppv::core::dynamic::{refresh_flat_index, refresh_index};
+use fastppv::core::dynamic::{refresh_flat_index_snapshot_delta, refresh_index_delta, DeltaConfig};
 use fastppv::core::index::{FlatIndex, MemoryIndex, PpvStore, PrimePpv};
 use fastppv::core::offline::{build_flat_index, build_index};
 use fastppv::core::query::{QueryEngine, StoppingCondition};
@@ -144,10 +144,20 @@ fn dynamic_patching_agrees_with_rebuild_and_memory_refresh() {
             continue;
         }
         let new_graph = add_edges(&graph, &[(u, v)]);
-        let stats = refresh_flat_index(&mut flat, &graph, &new_graph, &hubs, &[u], &config);
+        let exact = DeltaConfig::exact();
+        let (flat_refreshed, stats) = refresh_flat_index_snapshot_delta(
+            &flat,
+            &graph,
+            &new_graph,
+            &hubs,
+            &[u],
+            &config,
+            &exact,
+        );
         let (mem_refreshed, mem_stats) =
-            refresh_index(&memory, &graph, &new_graph, &hubs, &[u], &config);
+            refresh_index_delta(&memory, &graph, &new_graph, &hubs, &[u], &config, &exact);
         assert_eq!(stats.recomputed, mem_stats.recomputed, "round {round}");
+        flat = flat_refreshed;
         memory = mem_refreshed;
         graph = new_graph;
 

@@ -2,7 +2,7 @@
 //! exercised end-to-end on generated graphs.
 
 use fastppv::baselines::exact::{exact_ppv, ExactOptions};
-use fastppv::core::dynamic::refresh_index;
+use fastppv::core::dynamic::{refresh_index_delta, DeltaConfig};
 use fastppv::core::linearity::query_multi;
 use fastppv::core::query::{QueryEngine, StoppingCondition};
 use fastppv::core::{build_index_parallel, select_hubs, Config, HubPolicy};
@@ -70,7 +70,8 @@ fn refresh_after_insertions_matches_rebuild_and_serves_queries() {
     }
     let g2 = b.build();
 
-    let (refreshed, stats) = refresh_index(&index, &g, &g2, &hubs, &tails, &config);
+    let exact = DeltaConfig::exact();
+    let (refreshed, stats) = refresh_index_delta(&index, &g, &g2, &hubs, &tails, &config, &exact);
     let (rebuilt, _) = build_index_parallel(&g2, &hubs, &config, 2);
     assert!(stats.recomputed + stats.reused == hubs.len());
     for &h in hubs.ids() {
@@ -96,7 +97,8 @@ fn refresh_with_no_changes_reuses_everything() {
     let config = Config::default();
     let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 60, 0);
     let (index, _) = build_index_parallel(&g, &hubs, &config, 2);
-    let (refreshed, stats) = refresh_index(&index, &g, &g, &hubs, &[], &config);
+    let (refreshed, stats) =
+        refresh_index_delta(&index, &g, &g, &hubs, &[], &config, &DeltaConfig::exact());
     assert_eq!(stats.recomputed, 0);
     assert_eq!(stats.reused, hubs.len());
     for &h in hubs.ids() {

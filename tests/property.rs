@@ -3,7 +3,7 @@
 
 use fastppv::baselines::exact::{exact_ppv, ExactOptions};
 use fastppv::core::error::l1_error_bound;
-use fastppv::core::index::{DiskIndex, MemoryIndex, PpvStore, PrimePpv};
+use fastppv::core::index::{FlatIndex, MemoryIndex, PpvStore, PrimePpv};
 use fastppv::core::query::{QueryEngine, StoppingCondition};
 use fastppv::core::{build_index_parallel, Config, HubSet};
 use fastppv::graph::builder::from_edges;
@@ -69,12 +69,13 @@ proptest! {
         hubs in prop::collection::btree_map(0u32..500, prop::collection::vec(
             (0u32..1000, 1e-6..1.0f64), 0..40), 1..10),
     ) {
-        let mut index = MemoryIndex::new(500);
+        let mut index = MemoryIndex::new(1000);
         for (&h, entries) in &hubs {
             index.insert(h, PrimePpv {
                 entries: SparseVector::from_unsorted(entries.clone()),
             });
         }
+        let hub_set = HubSet::from_ids(1000, hubs.keys().copied().collect());
         let mut path = std::env::temp_dir();
         path.push(format!(
             "fastppv-prop-{}-{}.idx",
@@ -84,18 +85,19 @@ proptest! {
                 .unwrap()
                 .as_nanos()
         ));
-        index.write_to_file(&path).unwrap();
-        let disk = DiskIndex::open(&path, 4).unwrap();
-        prop_assert_eq!(disk.hub_count(), index.hub_count());
+        FlatIndex::from_memory(&index, &hub_set).write_to_file(&path).unwrap();
+        let opened = FlatIndex::open(&path).unwrap();
+        prop_assert_eq!(opened.hub_count(), index.hub_count());
         for &h in hubs.keys() {
+            // The file stores raw f64: entries come back bit for bit.
             let a = index.get(h).unwrap();
-            let b = disk.get(h).unwrap();
+            let b = opened.load(h).unwrap();
             prop_assert_eq!(a.len(), b.len());
             for (&(va, sa), &(vb, sb)) in
                 a.entries.entries().iter().zip(b.entries.entries())
             {
                 prop_assert_eq!(va, vb);
-                prop_assert!((sa - sb).abs() <= sa.abs() * 1e-6 + 1e-9);
+                prop_assert_eq!(sa.to_bits(), sb.to_bits());
             }
         }
         std::fs::remove_file(&path).unwrap();

@@ -1,0 +1,56 @@
+//! The "answers unchanged" guard: `exp_hotpath`'s smoke configuration
+//! (`--scale 0.02 --queries 200`: BA-1k, 40 hubs, 200 Zipf queries, seed
+//! 42, η = 2) must digest to the value committed in
+//! `BENCH_smoke_baseline.json` — every score bit and every φ bit of the
+//! result stream — from the build-time layout, from the built arena, and
+//! from that arena after a trip through its file. A PR that changes results
+//! on purpose regenerates the baseline (see `ci.yml`) and this constant
+//! together.
+
+use fastppv::core::hubs::{select_hubs_with_pagerank, HubPolicy};
+use fastppv::core::offline::{build_flat_index, build_index};
+use fastppv::core::{Config, FlatIndex};
+use fastppv::graph::gen::barabasi_albert;
+use fastppv::graph::{pagerank, PageRankOptions};
+use fastppv_bench::hotpath::results_digest;
+use fastppv_bench::workload::sample_queries_zipf;
+
+const BASELINE_DIGEST: u64 = 0x7fce_d45f_448d_6918;
+
+#[test]
+fn smoke_results_digest_matches_the_committed_baseline() {
+    let baseline = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/BENCH_smoke_baseline.json"
+    ))
+    .unwrap();
+    assert!(
+        baseline.contains(&format!("\"results_digest\": \"{BASELINE_DIGEST:#x}\"")),
+        "BENCH_smoke_baseline.json and this test pin different digests"
+    );
+
+    let graph = barabasi_albert(1000, 4, 42);
+    let pr = pagerank(&graph, PageRankOptions::default());
+    let hubs = select_hubs_with_pagerank(&graph, HubPolicy::ExpectedUtility, 40, 0, Some(&pr));
+    let config = Config::default().with_epsilon(1e-6);
+    let queries = sample_queries_zipf(&graph, 200, 1.0, 42);
+    let digest_queries = &queries[..64];
+
+    let (memory, _) = build_index(&graph, &hubs, &config);
+    let (flat, _) = build_flat_index(&graph, &hubs, &config, 1);
+    let path = std::env::temp_dir().join(format!("fastppv-digest-{}.fppv", std::process::id()));
+    flat.write_to_file(&path).unwrap();
+    let opened = FlatIndex::open(&path).unwrap();
+
+    let digest_of_memory = results_digest(&graph, &hubs, &memory, config, digest_queries, 2);
+    let digest_of_arena = results_digest(&graph, &hubs, &flat, config, digest_queries, 2);
+    let digest_of_file = results_digest(&graph, &hubs, &opened, config, digest_queries, 2);
+    drop(opened);
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(digest_of_memory, BASELINE_DIGEST, "MemoryIndex");
+    assert_eq!(digest_of_arena, BASELINE_DIGEST, "built arena");
+    assert_eq!(
+        digest_of_file, BASELINE_DIGEST,
+        "arena opened from its file"
+    );
+}

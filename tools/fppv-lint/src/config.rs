@@ -90,8 +90,6 @@ impl Config {
             readme_checks: vec![
                 check("NET_MAGIC", "0x{}", Render::Hex),
                 check("PROTOCOL_VERSION", "version-{} frames", Render::Dec),
-                check("IDX1_MAGIC", "{}", Render::Ascii),
-                check("IDX2_MAGIC", "{}", Render::Ascii),
                 check("IDX3_MAGIC", "{}", Render::Ascii),
                 check("IDX3_VERSION", "u32 version={}", Render::Dec),
                 check("WAL_MAGIC", "{}", Render::Ascii),
@@ -116,12 +114,22 @@ impl Config {
                     path_suffix: "crates/core/src/atomic_io.rs".into(),
                     scope: Scope::WholeFile,
                 },
-                // The codec's *open* path must reject corrupt input with
-                // a typed error; `get()`'s materialize-on-miss contract
-                // is separate and out of scope.
+                // Index open: a corrupt or foreign file must be rejected
+                // with a typed `OpenError` before any slice of it is
+                // formed; nothing is decoded after open, so there is no
+                // query-time read left to fail.
                 FailClosed {
-                    path_suffix: "crates/core/src/codec.rs".into(),
-                    scope: fns(&["open", "decode_blob", "read_varint", "from_tag"]),
+                    path_suffix: "crates/core/src/index.rs".into(),
+                    scope: fns(&[
+                        "open",
+                        "from_backing",
+                        "compute",
+                        "pad8",
+                        "take",
+                        "u32",
+                        "u64",
+                        "f64",
+                    ]),
                 },
                 // Frame decode: a malformed frame must produce a protocol
                 // error on that connection, never a server panic.
@@ -163,7 +171,6 @@ impl Config {
             wire_files: vec![
                 "crates/server/src/net.rs".into(),
                 "crates/core/src/wal.rs".into(),
-                "crates/core/src/codec.rs".into(),
                 "crates/cluster/src/store.rs".into(),
                 "crates/cluster/src/shard.rs".into(),
             ],
