@@ -56,41 +56,62 @@ fn bench_solve_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-/// The fused one-shot kernel against the materialized two-step pipeline
-/// and the dynamic-dispatch `AdjacencyAccess` path: what the online cold
-/// non-hub query saves by staying inside the reused arena, and what the
-/// CSR fast path saves over trait-object adjacency.
+/// The kernel's two families side by side on the same sources: the
+/// *stored* one (`prime_ppv`, fused, and `extract` + `solve`, materialized
+/// — both solved to `solve_tolerance`) and the *query-time* one
+/// (`prime_ppv_into` over the CSR, `prime_ppv_from` over dynamic-dispatch
+/// adjacency — both stop at a residual of `config.delta`). The gap between
+/// the families is what a cold non-hub query saves by not buying precision
+/// its increment loop discards; the gaps inside them are what fusing and
+/// the CSR fast path save.
 fn bench_kernel_paths(c: &mut Criterion) {
     let dataset = datasets::dblp(0.2, 42);
     let graph = &dataset.graph;
     let n = graph.num_nodes();
     let hubs = select_hubs(graph, HubPolicy::ExpectedUtility, n / 25, 0);
     let config = Config::default().with_epsilon(1e-6);
-    let source = (0..n as u32).find(|&v| !hubs.is_hub(v)).expect("non-hub");
+    // Two non-hub sources: the first by id and the first past the middle
+    // of the id range (ids are in creation order, so one sits among the
+    // network's oldest papers and authors, the other among mid-period ones).
+    let non_hub_from = |start: usize| {
+        (start as u32..n as u32)
+            .find(|&v| !hubs.is_hub(v))
+            .expect("non-hub")
+    };
     let mut group = c.benchmark_group("prime_ppv_kernel");
     group.sample_size(30);
-    group.bench_with_input(BenchmarkId::from_parameter("fused_into"), &(), |b, _| {
-        let mut pc = PrimeComputer::new(n);
-        b.iter(|| {
-            let (entries, size) = pc.prime_ppv_into(graph, &hubs, source, &config, 1e-4);
-            std::hint::black_box((entries.len(), size));
+    for (label, source) in [("first", non_hub_from(0)), ("mid", non_hub_from(n / 2))] {
+        group.bench_with_input(BenchmarkId::new("stored_fused", label), &(), |b, _| {
+            let mut pc = PrimeComputer::new(n);
+            b.iter(|| std::hint::black_box(pc.prime_ppv(graph, &hubs, source, &config, 0.0)));
         });
-    });
-    group.bench_with_input(
-        BenchmarkId::from_parameter("extract_then_solve"),
-        &(),
-        |b, _| {
+        group.bench_with_input(
+            BenchmarkId::new("stored_extract_then_solve", label),
+            &(),
+            |b, _| {
+                let mut pc = PrimeComputer::new(n);
+                b.iter(|| {
+                    let sub = pc.extract(graph, &hubs, source, &config);
+                    std::hint::black_box(pc.solve(&sub, &config, 0.0));
+                });
+            },
+        );
+        group.bench_with_input(BenchmarkId::new("query_time_into", label), &(), |b, _| {
             let mut pc = PrimeComputer::new(n);
             b.iter(|| {
-                let sub = pc.extract(graph, &hubs, source, &config);
-                std::hint::black_box(pc.solve(&sub, &config, 1e-4));
+                let (entries, size) = pc.prime_ppv_into(graph, &hubs, source, &config);
+                std::hint::black_box((entries.len(), size));
             });
-        },
-    );
-    group.bench_with_input(BenchmarkId::from_parameter("dyn_adjacency"), &(), |b, _| {
-        let mut pc = PrimeComputer::new(n);
-        b.iter(|| std::hint::black_box(pc.prime_ppv_from(graph, &hubs, source, &config, 1e-4)));
-    });
+        });
+        group.bench_with_input(
+            BenchmarkId::new("query_time_dyn_adjacency", label),
+            &(),
+            |b, _| {
+                let mut pc = PrimeComputer::new(n);
+                b.iter(|| std::hint::black_box(pc.prime_ppv_from(graph, &hubs, source, &config)));
+            },
+        );
+    }
     group.finish();
 }
 

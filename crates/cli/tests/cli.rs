@@ -673,7 +673,7 @@ fn serve_sigkill_mid_batch_surfaces_typed_error_not_hang() {
     use std::io::BufRead;
     use std::process::Stdio;
 
-    use fastppv_server::net::{Client, WireRequest};
+    use fastppv_server::net::{Client, ClientError, WireRequest};
 
     let graph = temp("kill9.txt");
     let index = temp("kill9.fppv");
@@ -713,17 +713,31 @@ fn serve_sigkill_mid_batch_surfaces_typed_error_not_hang() {
 
     let mut client = Client::connect(&addr).unwrap();
     let requests: Vec<WireRequest> = (0..64).map(|q| WireRequest::iterations(q, 6)).collect();
-    let waiter = std::thread::spawn(move || client.request_batch(&requests));
-    // The batch is in flight; now the server process vanishes mid-answer.
-    std::thread::sleep(Duration::from_millis(20));
+    // "In flight" is a fact here, not a bet that 64 queries outlast a
+    // sleep: the waiter sends batch after batch until one fails, and says
+    // so once the first has been answered. From then on the connection
+    // always has a batch outstanding or about to be written, so wherever
+    // the kill lands there is an error to surface.
+    let (answered, first_answered) = std::sync::mpsc::sync_channel(1);
+    let waiter = std::thread::spawn(move || loop {
+        match client.request_batch(&requests) {
+            Ok(_) => {
+                let _ = answered.try_send(());
+            }
+            Err(e) => return e,
+        }
+    });
+    first_answered
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the server never answered a batch");
     child.kill().unwrap();
     child.wait().unwrap();
 
     let started = std::time::Instant::now();
-    let result = waiter.join().unwrap();
+    let error = ClientError::from(waiter.join().unwrap());
     assert!(
-        result.is_err(),
-        "a SIGKILLed server cannot deliver a complete batch"
+        matches!(error, ClientError::Disconnected(_)),
+        "a SIGKILLed server must surface as a disconnect, got {error:?}"
     );
     assert!(
         started.elapsed() < Duration::from_secs(10),

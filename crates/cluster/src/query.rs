@@ -59,11 +59,20 @@ pub fn disk_query<S: PpvStore>(
         None => {
             workspace
                 .prime
-                .prime_ppv_from(&mut *disk, hubs, q, config, 0.0)
+                .prime_ppv_from(&mut *disk, hubs, q, config)
                 .0
         }
     };
-    let result = run_increments(q, &prime0, hubs, store, config, stop, &mut workspace.inc);
+    let result = run_increments(
+        q,
+        &prime0,
+        hubs,
+        store,
+        config,
+        stop,
+        &mut workspace.inc,
+        started,
+    );
     DiskQueryResult {
         result,
         faults: disk.faults(),

@@ -14,12 +14,17 @@ pub struct Config {
     /// backtracks at nodes whose best hub-free walk probability is below it.
     pub epsilon: f64,
     /// Border-hub expansion threshold `δ`: a hub is expanded in iteration
-    /// `i` only if the previous increment gives it more mass than this.
+    /// `i` only if the previous increment gives it more mass than this. It
+    /// is also the residual a *query-time* prime-0 solve may leave
+    /// un-pushed (see [`crate::prime`]): the increment loop forfeits up to
+    /// `(1-α)/α · δ` per skipped hub, the solve at most `δ` once, and `φ`
+    /// reports both. `δ = 0` makes every query-time solve exact.
     pub delta: f64,
     /// Entries below this are dropped when prime PPVs are stored offline.
     pub clip: f64,
-    /// Per-node residual threshold of the worklist prime-PPV solve; at most
-    /// `tolerance × |interior nodes|` mass is left unsettled.
+    /// Per-node residual threshold of the prime-PPV solve, and the only
+    /// exit of the *stored* family (offline build, exact recompute): at
+    /// most `tolerance × |interior nodes|` mass is left unsettled.
     pub solve_tolerance: f64,
     /// Safety cap on solve work, in units of pushes per interior node.
     pub solve_max_iterations: usize,

@@ -38,8 +38,11 @@
 //! decay `1-α` so pops stay exact despite quantization, and everything
 //! downstream (interior set, best probabilities, degree-ordered local
 //! numbering) is independent of pop order — so results are deterministic
-//! and bit-identical across runs, thread counts, and platforms. See the
-//! [`prime`] module docs for the full argument.
+//! and bit-identical across runs, thread counts, and platforms. Stored
+//! prime PPVs are solved to `solve_tolerance`; the one a cold non-hub
+//! query computes for itself stops at a residual of `δ`, the mass its
+//! increment loop discards anyway (exact when `δ = 0`). See the [`prime`]
+//! module docs for the full argument.
 //!
 //! ## Concurrency
 //!
@@ -98,7 +101,7 @@ pub use offline::{
     build_flat_index, build_index, build_index_in_order, build_index_parallel, OfflineStats,
 };
 pub use prime::{
-    AdjacencyAccess, BucketQueue, DeltaOutcome, DeltaPush, PrimeComputer, PrimeSubgraph,
+    AdjacencyAccess, BucketQueue, DeltaOutcome, DeltaPush, PrimeComputer, PrimeSubgraph, SolveWork,
 };
 pub use query::{
     expand_frontier, ExpandOutcome, IncrementScratch, MassList, QueryEngine, QueryResult,

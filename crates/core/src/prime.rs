@@ -44,8 +44,11 @@
 //!    traffic inside a few cache lines — and puts the subgraph's own core
 //!    at the front of every sweep. The local CSR is *class-split*: each
 //!    node's interior targets and sink targets (absorbers, plus a hub
-//!    source's return slot) live in separate, per-node-sorted arrays, so
-//!    the solve's inner loops are branch-free.
+//!    source's return slot) live in separate arrays, so the solve's inner
+//!    loops are branch-free. Rows keep the graph's adjacency order: a
+//!    target's accumulator receives one addend per *source row*, in sweep
+//!    order, whatever the order of targets within a row, so sorting rows
+//!    would change no solved bit — and cost a quarter of the extraction.
 //! 3. **Solve** runs threshold-gated Gauss–Seidel sweeps in ascending
 //!    local-id order: each pass settles every residual above
 //!    `solve_tolerance` and re-propagates mass forward within the same
@@ -56,10 +59,37 @@
 //! The three stages share one reusable arena inside [`PrimeComputer`]:
 //! after warmup, [`PrimeComputer::prime_ppv_into`] — the *fused* one-shot
 //! path — extracts, solves, and emits the sorted entry list without a
-//! single heap allocation (the materializing [`PrimeComputer::extract`] /
-//! [`PrimeComputer::solve`] pair still exists for callers that keep the
-//! [`PrimeSubgraph`] around, and is pinned bit-for-bit equal to the fused
-//! path by the kernel-equivalence tests).
+//! single heap allocation.
+//!
+//! ## Two families, one sweep loop
+//!
+//! The kernel has two kinds of caller, and they want different exits from
+//! the same loop:
+//!
+//! * The **stored** family — [`PrimeComputer::prime_ppv`],
+//!   [`PrimeComputer::extract`] + [`PrimeComputer::solve`] — computes PPVs
+//!   that are kept: the offline build, `dynamic`'s exact recompute, a
+//!   benchmark's fresh-solve check. It sweeps until every residual is at
+//!   most `solve_tolerance` and clips at the caller's storage threshold.
+//!   The fused and the materialized route are bit-for-bit equal (pinned by
+//!   the kernel-equivalence tests).
+//! * The **query-time** family — [`PrimeComputer::prime_ppv_into`],
+//!   [`PrimeComputer::prime_ppv_from`] — computes iteration 0 of a cold
+//!   non-hub query, which is consumed once and never stored. It stops
+//!   sweeping as soon as the total un-pushed residual is at most
+//!   `config.delta`, and never clips. The increment loop that consumes the
+//!   result already forfeits up to `(1-α)/α · δ` of covered mass for
+//!   *every* border hub holding ≤ `δ`; a whole residual of ≤ `δ` forfeits
+//!   at most `δ`, once. With `δ = 0` — the guaranteed-accuracy setting —
+//!   the rule is inert and the two families agree in every bit.
+//!
+//! Stopping early needs no correction term. The solve only ever *emits
+//! settled mass*: every emitted score is the mass of a subset of the tours
+//! the full solve would count, so the estimate stays an entry-wise lower
+//! bound on the exact PPV, and `φ = 1 − ‖r̂‖₁` (Eq. 6) is still the exact
+//! L1 error of what was emitted — the residual left behind shows up in `φ`
+//! by itself, as mass not covered. [`PrimeComputer::last_solve`] reports
+//! how many sweeps a solve took and what it left.
 //!
 //! ## Why quantized priorities preserve determinism
 //!
@@ -292,12 +322,12 @@ impl BucketQueue {
 /// `num_interior..nodes.len()` are absorbers (border hubs and sub-`ε`
 /// frontier nodes).
 ///
-/// Each interior node's out-edges are stored **split by target class** and
-/// sorted ascending within the class:
+/// Each interior node's out-edges are stored **split by target class**, in
+/// the graph's adjacency order within the class (no particular order is
+/// promised — see below):
 ///
 /// * [`PrimeSubgraph::interior_targets`] — interior locals, the solve's
-///   scatter targets (ascending order turns the scatter into a forward
-///   walk over the dense mass array);
+///   scatter targets;
 /// * [`PrimeSubgraph::sink_targets`] — *sink* indices: when the source is
 ///   a hub, sink `0` is the source's own return-mass accumulator (the
 ///   second visit would be an interior hub occurrence, so it absorbs) and
@@ -318,13 +348,12 @@ pub struct PrimeSubgraph {
     /// CSR offsets over interior locals into `int_targets`
     /// (`num_interior + 1` entries).
     pub int_offsets: Vec<u32>,
-    /// Interior-local targets, per-node ranges sorted ascending.
+    /// Interior-local targets, one range per interior node.
     pub int_targets: Vec<u32>,
     /// CSR offsets over interior locals into `sink_targets`
     /// (`num_interior + 1` entries).
     pub sink_offsets: Vec<u32>,
-    /// Sink-index targets (see type docs), per-node ranges sorted
-    /// ascending.
+    /// Sink-index targets (see type docs), one range per interior node.
     pub sink_targets: Vec<u32>,
     /// Global out-degree of each interior local (propagation denominators —
     /// mass leaking to pruned out-neighbors is intentionally lost).
@@ -350,16 +379,29 @@ impl PrimeSubgraph {
         self.num_absorbers() + usize::from(self.source_is_hub)
     }
 
-    /// Interior out-edges of interior local `u` (interior locals,
-    /// ascending).
+    /// Interior out-edges of interior local `u` (interior locals).
     pub fn interior_targets(&self, u: usize) -> &[u32] {
         &self.int_targets[self.int_offsets[u] as usize..self.int_offsets[u + 1] as usize]
     }
 
-    /// Sink out-edges of interior local `u` (sink indices, ascending).
+    /// Sink out-edges of interior local `u` (sink indices).
     pub fn sink_targets(&self, u: usize) -> &[u32] {
         &self.sink_targets[self.sink_offsets[u] as usize..self.sink_offsets[u + 1] as usize]
     }
+}
+
+/// Work counters of a [`PrimeComputer`]'s most recent solve (see
+/// [`PrimeComputer::last_solve`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct SolveWork {
+    /// Passes over the interior nodes, the final one included.
+    pub sweeps: usize,
+    /// Node settles (one residual pushed to a node's out-edges) in total.
+    pub settles: usize,
+    /// Σ residual (mass units) the solve left un-pushed: at most
+    /// `solve_tolerance × |interior|` for the stored family, at most
+    /// `config.delta` for the query-time family.
+    pub leftover: f64,
 }
 
 /// Sweep scratch of the prime-PPV solve, reused across solves.
@@ -368,6 +410,8 @@ struct SolveScratch {
     mass: Vec<f64>,
     mass_next: Vec<f64>,
     absorbed: Vec<f64>,
+    sweeps: usize,
+    settles: usize,
 }
 
 impl SolveScratch {
@@ -380,10 +424,18 @@ impl SolveScratch {
     /// higher local id is re-propagated within the sweep), so the residual
     /// tail decays in far fewer edge-visits than a FIFO worklist — and the
     /// per-edge work is a branch-free scatter into the dense `mass_next`
-    /// array, walked in ascending order. The exit guarantee is unchanged:
-    /// at most `tolerance × |interior|` mass is left unaccounted. On
-    /// return `self.mass` holds interior visit mass and `self.absorbed`
-    /// the per-sink mass (sink 0 is a hub source's returns).
+    /// array. The exit guarantee is unchanged: at most
+    /// `tolerance × |interior|` mass is left unaccounted.
+    ///
+    /// `leave` is the residual allowance, in mass units (what
+    /// [`DeltaPush::run`] calls `allowance`): when positive, the solve also
+    /// stops after the first sweep that leaves Σ residual ≤ `leave`. Zero
+    /// never evaluates the sum. Only settled mass is ever emitted, so an
+    /// early stop keeps the result an entry-wise lower bound (module docs).
+    ///
+    /// On return `self.mass` holds interior visit mass, `self.mass_next`
+    /// the un-pushed residual and `self.absorbed` the per-sink mass (sink 0
+    /// is a hub source's returns).
     #[allow(clippy::too_many_arguments)]
     fn run(
         &mut self,
@@ -395,6 +447,7 @@ impl SolveScratch {
         num_interior: usize,
         num_sinks: usize,
         config: &Config,
+        leave: f64,
     ) {
         let alpha = config.alpha;
         let ni = num_interior;
@@ -411,7 +464,8 @@ impl SolveScratch {
             .solve_max_iterations
             .saturating_mul(ni.max(1))
             .max(1_000);
-        let mut settles = 0usize;
+        self.sweeps = 0;
+        self.settles = 0;
         loop {
             let mut settled_this_sweep = 0usize;
             for u in 0..ni {
@@ -434,13 +488,22 @@ impl SolveScratch {
                     self.absorbed[t as usize] += share;
                 }
             }
-            settles += settled_this_sweep;
-            if settled_this_sweep == 0 || settles > max_settles {
+            self.sweeps += 1;
+            self.settles += settled_this_sweep;
+            if settled_this_sweep == 0 || self.settles > max_settles {
                 // Clean sweep: every residual ≤ θ — or the safety valve
                 // tripped (residual left is reported via clip/φ).
                 break;
             }
+            if leave > 0.0 && self.leftover() <= leave {
+                break;
+            }
         }
+    }
+
+    /// Σ residual the last [`SolveScratch::run`] left un-pushed.
+    fn leftover(&self) -> f64 {
+        self.mass_next.iter().sum()
     }
 }
 
@@ -501,7 +564,7 @@ pub struct PrimeComputer {
     // The renumbered, class-split local CSR of the last extraction (the
     // arena).
     nodes: Vec<NodeId>,
-    deg_order: Vec<(u32, NodeId)>,
+    deg_order: Vec<u64>,
     int_offsets: Vec<u32>,
     int_targets: Vec<u32>,
     sink_offsets: Vec<u32>,
@@ -612,28 +675,30 @@ impl PrimeComputer {
         // global out-degree (ties by id; a deterministic order independent
         // of pop order) — and build the class-split local CSR over the new
         // numbering: interior targets and sink targets in separate arrays,
-        // each per-node range sorted ascending (the solve's scatter then
-        // walks the dense mass array forward). Absorbers get locals after
-        // the interior block as they are discovered; a hub source's
-        // returning mass is routed to the reserved sink 0.
+        // rows in adjacency order (module docs: the solved values do not
+        // depend on it). Absorbers get locals after the interior block as
+        // they are discovered; a hub source's returning mass is routed to
+        // the reserved sink 0. The order is sorted on one packed
+        // `(!degree, id)` integer per node: ascending keys are descending
+        // degrees with ascending-id ties.
         debug_assert_eq!(touched[0], source);
         let src_hub = hubs.is_hub(source);
         let sink_base = u32::from(src_hub);
         deg_order.clear();
         for &v in touched[1..].iter() {
-            deg_order.push((src.degree(v) as u32, v));
+            deg_order.push((u64::from(!(src.degree(v) as u32)) << 32) | u64::from(v));
         }
-        deg_order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        deg_order.sort_unstable();
         nodes.clear();
         nodes.push(source);
-        nodes.extend(deg_order.iter().map(|&(_, v)| v));
+        nodes.extend(deg_order.iter().map(|&key| key as NodeId));
         let ni = nodes.len();
         for (i, &v) in nodes.iter().enumerate() {
             local_of[v as usize] = i as u32;
         }
         out_degree.clear();
         out_degree.push(src.degree(source) as u32);
-        out_degree.extend(deg_order.iter().map(|&(d, _)| d));
+        out_degree.extend(deg_order.iter().map(|&key| !((key >> 32) as u32)));
         int_offsets.clear();
         int_offsets.push(0);
         int_targets.clear();
@@ -642,8 +707,6 @@ impl PrimeComputer {
         sink_targets.clear();
         for u in 0..ni {
             let v = nodes[u];
-            let int_start = int_targets.len();
-            let sink_start = sink_targets.len();
             src.visit(v, |t| {
                 if src_hub && t == source {
                     sink_targets.push(0);
@@ -662,8 +725,6 @@ impl PrimeComputer {
                     sink_targets.push(l - ni as u32 + sink_base);
                 }
             });
-            int_targets[int_start..].sort_unstable();
-            sink_targets[sink_start..].sort_unstable();
             int_offsets.push(int_targets.len() as u32);
             sink_offsets.push(sink_targets.len() as u32);
         }
@@ -694,8 +755,10 @@ impl PrimeComputer {
     }
 
     /// Solves over the internal arena, leaving sorted clipped entries in
-    /// `self.entries`.
-    fn solve_arena(&mut self, config: &Config, clip: f64) {
+    /// `self.entries`. The one place the two families (module docs) part:
+    /// stored PPVs pass their storage `clip` and `leave = 0`, query-time
+    /// ones no clip and `leave = config.delta`.
+    fn solve_arena(&mut self, config: &Config, clip: f64, leave: f64) {
         let PrimeComputer {
             nodes,
             int_offsets,
@@ -719,6 +782,7 @@ impl PrimeComputer {
             *num_interior,
             num_sinks,
             config,
+            leave,
         );
         emit_entries(
             entries,
@@ -758,9 +822,9 @@ impl PrimeComputer {
     }
 
     /// Solves for the prime PPV of `sub.source` over the subgraph
-    /// (threshold-gated Gauss–Seidel sweeps, see [`SolveScratch::run`]).
-    /// Returns the **trivial-tour-excluded** reachabilities `r̊⁰` (see
-    /// module docs), clipped at `clip`.
+    /// (threshold-gated Gauss–Seidel sweeps to `solve_tolerance` — the
+    /// stored family). Returns the **trivial-tour-excluded** reachabilities
+    /// `r̊⁰` (see module docs), clipped at `clip`.
     pub fn solve(&mut self, sub: &PrimeSubgraph, config: &Config, clip: f64) -> PrimePpv {
         self.solve.run(
             &sub.int_offsets,
@@ -771,6 +835,7 @@ impl PrimeComputer {
             sub.num_interior,
             sub.num_sinks(),
             config,
+            0.0,
         );
         emit_entries(
             &mut self.entries,
@@ -781,14 +846,13 @@ impl PrimeComputer {
             config.alpha,
             clip,
         );
-        PrimePpv {
-            entries: SparseVector::from_sorted(self.entries.clone()),
-        }
+        self.entries_to_ppv()
     }
 
-    /// Convenience: extract + solve in one call (fused internally — no
-    /// [`PrimeSubgraph`] is materialized). Returns the PPV and the prime
-    /// subgraph's node count.
+    /// The stored family's one-shot: extract + solve in one call, fused
+    /// internally (no [`PrimeSubgraph`] is materialized), solved to
+    /// `solve_tolerance` and clipped at `clip`. Returns the PPV and the
+    /// prime subgraph's node count.
     pub fn prime_ppv(
         &mut self,
         graph: &Graph,
@@ -797,53 +861,61 @@ impl PrimeComputer {
         config: &Config,
         clip: f64,
     ) -> (PrimePpv, usize) {
-        let (entries, size) = self.prime_ppv_into(graph, hubs, source, config, clip);
-        let entries = entries.to_vec();
-        (
-            PrimePpv {
-                entries: SparseVector::from_sorted(entries),
-            },
-            size,
-        )
+        self.extract_arena(&mut CsrSource(graph.out_csr()), hubs, source, config);
+        self.solve_arena(config, clip, 0.0);
+        (self.entries_to_ppv(), self.nodes.len())
     }
 
-    /// Like [`PrimeComputer::prime_ppv`], over any [`AdjacencyAccess`]
-    /// (pass `&mut access` for by-reference use).
+    /// Like [`PrimeComputer::prime_ppv_into`] — the query-time family —
+    /// over any [`AdjacencyAccess`] (pass `&mut access` for by-reference
+    /// use), returning an owned PPV.
     pub fn prime_ppv_from<A: AdjacencyAccess>(
         &mut self,
         graph: A,
         hubs: &HubSet,
         source: NodeId,
         config: &Config,
-        clip: f64,
     ) -> (PrimePpv, usize) {
         self.extract_arena(&mut DynSource(graph), hubs, source, config);
-        self.solve_arena(config, clip);
-        let size = self.nodes.len();
-        (
-            PrimePpv {
-                entries: SparseVector::from_sorted(self.entries.clone()),
-            },
-            size,
-        )
+        self.solve_arena(config, 0.0, config.delta);
+        (self.entries_to_ppv(), self.nodes.len())
     }
 
-    /// The fused one-shot path: extract + solve entirely inside the reused
-    /// arena and return the sorted, clipped entry list as a borrowed slice
-    /// — **zero heap allocations** once the workspace is warm. This is
-    /// what the online engine runs for cold non-hub queries; the slice is
-    /// valid until the next call on this computer.
+    /// The query-time family's fused one-shot: extract + solve entirely
+    /// inside the reused arena and return the sorted entry list as a
+    /// borrowed slice — **zero heap allocations** once the workspace is
+    /// warm. This is what the online engine runs for cold non-hub queries:
+    /// unclipped (the result is never stored), and swept only until the
+    /// un-pushed residual is at most `config.delta` (module docs; exact
+    /// when `δ = 0`). The slice is valid until the next call on this
+    /// computer.
     pub fn prime_ppv_into(
         &mut self,
         graph: &Graph,
         hubs: &HubSet,
         source: NodeId,
         config: &Config,
-        clip: f64,
     ) -> (&[(NodeId, f64)], usize) {
         self.extract_arena(&mut CsrSource(graph.out_csr()), hubs, source, config);
-        self.solve_arena(config, clip);
+        self.solve_arena(config, 0.0, config.delta);
         (&self.entries, self.nodes.len())
+    }
+
+    fn entries_to_ppv(&self) -> PrimePpv {
+        PrimePpv {
+            entries: SparseVector::from_sorted(self.entries.clone()),
+        }
+    }
+
+    /// What the most recent solve on this computer cost — any entry point
+    /// of either family. The counters are plain fields the sweep loop
+    /// maintains anyway; the leftover residual is summed here, on demand.
+    pub fn last_solve(&self) -> SolveWork {
+        SolveWork {
+            sweeps: self.solve.sweeps,
+            settles: self.solve.settles,
+            leftover: self.solve.leftover(),
+        }
     }
 }
 
@@ -1200,13 +1272,54 @@ mod tests {
         let config = Config::default().with_epsilon(1e-7);
         let mut pc = PrimeComputer::new(500);
         for q in [0u32, 17, 123, 499] {
+            // The stored family, under any configuration.
             let sub = pc.extract(&g, &hubs, q, &config);
             let materialized = pc.solve(&sub, &config, config.clip);
             let (fused, size) = pc.prime_ppv(&g, &hubs, q, &config, config.clip);
             assert_eq!(size, sub.num_nodes(), "query {q}");
             assert_eq!(materialized, fused, "query {q}: fused must be exact");
-            let (slice, _) = pc.prime_ppv_into(&g, &hubs, q, &config, config.clip);
-            assert_eq!(slice, fused.entries.entries(), "query {q}");
+            // The query-time family is the stored one, unclipped, once
+            // δ = 0 disarms its early stop.
+            let (unclipped, _) = pc.prime_ppv(&g, &hubs, q, &config, 0.0);
+            let (slice, size) = pc.prime_ppv_into(&g, &hubs, q, &config.with_delta(0.0));
+            assert_eq!(size, sub.num_nodes(), "query {q}");
+            assert_eq!(slice, unclipped.entries.entries(), "query {q}");
+        }
+    }
+
+    #[test]
+    fn query_time_solve_stops_at_the_residual_delta_allows() {
+        let g = barabasi_albert(500, 3, 77);
+        let hubs = crate::hubs::select_hubs(&g, crate::hubs::HubPolicy::ExpectedUtility, 40, 0);
+        let config = Config::default().with_epsilon(1e-7);
+        let mut pc = PrimeComputer::new(500);
+        for q in [17u32, 123, 499] {
+            let (full, _) = pc.prime_ppv(&g, &hubs, q, &config, 0.0);
+            let stored = pc.last_solve();
+            assert!(
+                stored.leftover <= config.solve_tolerance * 500.0,
+                "{stored:?}"
+            );
+            let (early, _) = pc.prime_ppv_into(&g, &hubs, q, &config);
+            let early = early.to_vec();
+            let online = pc.last_solve();
+            // Fewer sweeps, at most δ left behind …
+            assert!(online.sweeps < stored.sweeps, "{online:?} vs {stored:?}");
+            assert!(online.settles < stored.settles, "{online:?} vs {stored:?}");
+            assert!(
+                online.leftover > 0.0 && online.leftover <= config.delta,
+                "{online:?}"
+            );
+            // … and only settled mass emitted: an entry-wise lower bound
+            // whose missing score is at most the residual left.
+            for &(v, s) in &early {
+                assert!(s <= full.entries.get(v), "query {q} node {v}");
+            }
+            let missing = full.entries.l1_norm() - early.iter().map(|e| e.1).sum::<f64>();
+            assert!(
+                missing > 0.0 && missing <= online.leftover + 1e-12,
+                "query {q}: {missing} missing, {online:?}"
+            );
         }
     }
 
@@ -1337,20 +1450,45 @@ mod tests {
     #[test]
     fn generic_access_path_matches_csr_path() {
         // The AdjacencyAccess path (disk-resident graphs) must agree with
-        // the CSR fast path exactly: same arena, same numbering, same PPV.
+        // the CSR fast path exactly, within each family: same numbering,
+        // same rows (as multisets — row order is not part of the contract),
+        // same PPV bits.
         let g = barabasi_albert(300, 3, 41);
         let hubs = crate::hubs::select_hubs(&g, crate::hubs::HubPolicy::ExpectedUtility, 25, 0);
         let config = Config::default();
         let mut pc = PrimeComputer::new(300);
+        let sorted = |row: &[u32]| {
+            let mut row = row.to_vec();
+            row.sort_unstable();
+            row
+        };
         for q in [0u32, 50, 123] {
             let fast = pc.extract(&g, &hubs, q, &config);
             let generic = pc.extract_from(&g, &hubs, q, &config);
             assert_eq!(fast.nodes, generic.nodes, "query {q}");
-            assert_eq!(fast.int_targets, generic.int_targets, "query {q}");
-            assert_eq!(fast.sink_targets, generic.sink_targets, "query {q}");
-            let (fast_ppv, _) = pc.prime_ppv(&g, &hubs, q, &config, 0.0);
-            let (generic_ppv, _) = pc.prime_ppv_from(&g, &hubs, q, &config, 0.0);
+            assert_eq!(fast.out_degree, generic.out_degree, "query {q}");
+            for u in 0..fast.num_interior {
+                assert_eq!(
+                    sorted(fast.interior_targets(u)),
+                    sorted(generic.interior_targets(u)),
+                    "query {q} row {u}"
+                );
+                assert_eq!(
+                    sorted(fast.sink_targets(u)),
+                    sorted(generic.sink_targets(u)),
+                    "query {q} row {u}"
+                );
+            }
+            // Stored family: one solve over either extraction.
+            let fast_ppv = pc.solve(&fast, &config, 0.0);
+            let generic_ppv = pc.solve(&generic, &config, 0.0);
             assert_eq!(fast_ppv, generic_ppv, "query {q}");
+            // Query-time family: the two fused entry points.
+            let (fast_slice, fast_size) = pc.prime_ppv_into(&g, &hubs, q, &config);
+            let fast_slice = fast_slice.to_vec();
+            let (generic_ppv, generic_size) = pc.prime_ppv_from(&g, &hubs, q, &config);
+            assert_eq!(fast_size, generic_size, "query {q}");
+            assert_eq!(fast_slice, generic_ppv.entries.entries(), "query {q}");
         }
     }
 

@@ -29,7 +29,9 @@
 //! Cold **non-hub** queries are allocation-free too: iteration 0 runs the
 //! fused [`PrimeComputer::prime_ppv_into`] extract+solve inside the
 //! workspace's reused arena and is consumed as a borrowed slice, so no
-//! per-query prime subgraph or PPV is ever materialized.
+//! per-query prime subgraph or PPV is ever materialized. That solve is the
+//! kernel's *query-time* family: it leaves up to `δ` of residual un-pushed
+//! (see [`crate::prime`]), which `φ` reports like any other uncovered mass.
 
 use std::time::{Duration, Instant};
 
@@ -232,10 +234,10 @@ impl QueryWorkspace {
     /// PPV entries (trivial tour excluded, exactly as stored) and their
     /// border-hub frontier, in entry order. Reads the stored PPV when `q`
     /// is indexed — the same bytes a single-process query would use — and
-    /// computes it unclipped on the fly otherwise, mirroring
-    /// [`QueryEngine::query`]'s iteration 0. The caller (the router) adds
-    /// the trivial tour `α` at `q` and sums the covered mass itself, in
-    /// the same order [`IncrementalState::new`] does.
+    /// computes it on the fly otherwise, through the same query-time kernel
+    /// family as [`QueryEngine::query`]'s iteration 0. The caller (the
+    /// router) adds the trivial tour `α` at `q` and sums the covered mass
+    /// itself, in the same order [`IncrementalState::new`] does.
     pub fn prime0_parts<S: PpvStore>(
         &mut self,
         graph: &Graph,
@@ -259,7 +261,7 @@ impl QueryWorkspace {
         match store.view(q) {
             Some(view) => view.for_each(&mut collect),
             None => {
-                let (slice, _) = self.prime.prime_ppv_into(graph, hubs, q, config, 0.0);
+                let (slice, _) = self.prime.prime_ppv_into(graph, hubs, q, config);
                 for &(p, s) in slice {
                     collect(p, s);
                 }
@@ -428,30 +430,28 @@ impl<'a, S: PpvStore> QueryEngine<'a, S> {
             (q as usize) < self.graph.num_nodes(),
             "query node {q} out of range"
         );
+        // The session clock starts before iteration 0: on a non-hub source
+        // that is the most expensive step of the query, and a deadline
+        // that did not count it would be a deadline plus milliseconds.
+        let started = Instant::now();
         // Iteration 0: r̊⁰_q viewed straight from the index (zero-copy)
         // when q is a hub, computed on the fly otherwise — through the
         // fused extract+solve path, which leaves the sorted entries in the
         // workspace's prime computer instead of materializing a
         // `PrimeSubgraph` and a `PrimePpv` per query. Either way iteration
         // 0 borrows; the only allocation on a cold warm-workspace query is
-        // the per-session stats vector. Query-time prime PPVs are not
-        // clipped (they are never stored).
+        // the per-session stats vector.
         let state = {
             let QueryWorkspace { prime, inc } = ws.get_mut();
-            match self.store.view(q) {
-                Some(view) => IncrementalState::new(q, view, self.hubs, self.config.alpha, inc),
-                None => {
-                    let (entries, _) =
-                        prime.prime_ppv_into(self.graph, self.hubs, q, &self.config, 0.0);
-                    IncrementalState::new(
-                        q,
-                        PpvRef::Aos(entries),
-                        self.hubs,
-                        self.config.alpha,
-                        inc,
-                    )
-                }
-            }
+            let prime0 = match self.store.view(q) {
+                Some(view) => view,
+                None => PpvRef::Aos(
+                    prime
+                        .prime_ppv_into(self.graph, self.hubs, q, &self.config)
+                        .0,
+                ),
+            };
+            IncrementalState::new(q, prime0, self.hubs, self.config.alpha, inc, started)
         };
         QuerySession {
             engine: self,
@@ -483,14 +483,19 @@ impl IncrementalState {
     /// (with the trivial tour excluded, as stored; it is added back here).
     /// Resets `scratch` first, so a dirty scratch from an abandoned session
     /// is safe to reuse.
+    ///
+    /// `started` is when the query began — taken by the caller *before* it
+    /// obtained `prime0`, so that [`IncrementalState::elapsed`], every
+    /// [`IterationStats::elapsed`] and [`StoppingCondition::time_limit`]
+    /// count the cost of iteration 0.
     pub fn new(
         q: NodeId,
         prime0: PpvRef<'_>,
         hubs: &HubSet,
         alpha: f64,
         scratch: &mut IncrementScratch,
+        started: Instant,
     ) -> Self {
-        let started = Instant::now();
         scratch.reset();
         let IncrementScratch { estimate, prev, .. } = scratch;
         let mut covered = 0.0;
@@ -625,7 +630,7 @@ impl IncrementalState {
         self.exhausted
     }
 
-    /// Wall-clock time since iteration 0 started.
+    /// Wall-clock time since the query started (iteration 0 included).
     pub fn elapsed(&self) -> Duration {
         self.started.elapsed()
     }
@@ -693,7 +698,10 @@ impl IncrementalState {
 
 /// Runs Algorithm 2's increment loop to completion given a precomputed
 /// iteration 0. This is the entry point for engines that obtained `r̊⁰_q`
-/// by other means (e.g. the disk-based engine in `fastppv-cluster`).
+/// by other means (e.g. the disk-based engine in `fastppv-cluster`);
+/// `started` is the instant taken before they did (see
+/// [`IncrementalState::new`]).
+#[allow(clippy::too_many_arguments)]
 pub fn run_increments<S: PpvStore>(
     q: NodeId,
     prime0: &crate::index::PrimePpv,
@@ -702,6 +710,7 @@ pub fn run_increments<S: PpvStore>(
     config: &Config,
     stop: &StoppingCondition,
     scratch: &mut IncrementScratch,
+    started: Instant,
 ) -> QueryResult {
     let mut state = IncrementalState::new(
         q,
@@ -709,6 +718,7 @@ pub fn run_increments<S: PpvStore>(
         hubs,
         config.alpha,
         scratch,
+        started,
     );
     while !stop.met(state.iterations_done(), state.l1_error(), state.elapsed()) {
         if !state.step(hubs, store, config, scratch) {
@@ -1075,6 +1085,39 @@ mod tests {
         let engine = QueryEngine::new(&g, &hubs, &index, config);
         let r = engine.query(toy::A, &StoppingCondition::time_limit(Duration::ZERO));
         assert_eq!(r.iterations, 0);
+    }
+
+    #[test]
+    fn session_clock_starts_before_iteration_zero() {
+        // On BA-5k a non-hub source's prime-0 takes milliseconds: the
+        // clock must count them, or a deadline handed down as a time limit
+        // silently grows by that much. The store is never read — both
+        // limits below are spent before the first expansion.
+        let g = barabasi_albert(5000, 4, 3);
+        let hubs = select_hubs(&g, HubPolicy::OutDegree, 50, 0);
+        let config = Config::default().with_epsilon(1e-6);
+        let index = crate::index::MemoryIndex::new(5000);
+        let q = (0..5000u32).find(|&v| !hubs.is_hub(v)).unwrap();
+        let mut pc = PrimeComputer::new(5000);
+        let bare = (0..3)
+            .map(|_| {
+                let started = Instant::now();
+                pc.prime_ppv_into(&g, &hubs, q, &config);
+                started.elapsed()
+            })
+            .min()
+            .unwrap();
+        let engine = QueryEngine::new(&g, &hubs, &index, config);
+        for limit in [Duration::ZERO, bare / 4] {
+            let r = engine.query(q, &StoppingCondition::time_limit(limit));
+            assert_eq!(r.iterations, 0, "limit {limit:?}, bare prime-0 {bare:?}");
+            assert!(
+                r.elapsed >= bare / 2 && r.iteration_stats[0].elapsed >= bare / 2,
+                "elapsed {:?} (iteration 0 at {:?}) excludes a {bare:?} prime-0",
+                r.elapsed,
+                r.iteration_stats[0].elapsed
+            );
+        }
     }
 
     #[test]

@@ -7,8 +7,12 @@
 //! sets are order-free fixed points and match exactly; the solved prime
 //! PPVs differ only in floating-point accumulation order (the new kernel
 //! renumbers interiors by degree), so entries match to ≤ 1e-12. On top of
-//! that, the fused one-shot path (`prime_ppv_into`) is pinned bit-for-bit
-//! against the materialized `extract` + `solve` pipeline.
+//! that, the fused one-shot paths are pinned bit-for-bit against the
+//! materialized `extract` + `solve` pipeline: the stored family
+//! (`prime_ppv`) under every configuration, the query-time family
+//! (`prime_ppv_into`) once δ = 0 disarms its early stop — and under the
+//! configuration's own δ it is pinned as an entry-wise lower bound that is
+//! short by at most δ.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -240,13 +244,34 @@ fn assert_kernels_agree(
         );
     }
 
-    // The fused one-shot path is pinned bit-for-bit to the materialized
-    // extract + solve pipeline (same arrays, same op order).
+    // The fused one-shot paths are pinned bit-for-bit to the materialized
+    // extract + solve pipeline (same arrays, same op order): the stored
+    // family as is, the query-time family with its early stop disarmed.
     let materialized = pc.solve(&new_sub, config, 0.0);
     assert_eq!(&materialized, &new_ppv);
-    let (slice, fused_size) = pc.prime_ppv_into(g, hubs, q, config, 0.0);
+    let (slice, fused_size) = pc.prime_ppv_into(g, hubs, q, &config.with_delta(0.0));
     assert_eq!(fused_size, size);
     assert_eq!(slice, new_ppv.entries.entries());
+
+    // Under the configuration's own δ the query-time family may stop
+    // early: what it emits is settled mass only, so every score is at most
+    // the stored family's, and the total shortfall at most δ.
+    let (slice, fused_size) = pc.prime_ppv_into(g, hubs, q, config);
+    assert_eq!(fused_size, size);
+    let mut covered = 0.0;
+    for &(v, s) in slice {
+        assert!(
+            s <= new_ppv.entries.get(v),
+            "source {q} node {v}: query-time score above the stored one"
+        );
+        covered += s;
+    }
+    let shortfall = new_ppv.entries.l1_norm() - covered;
+    assert!(
+        (-1e-12..=config.delta + 1e-12).contains(&shortfall),
+        "source {q}: query-time prime-0 short by {shortfall}, δ = {}",
+        config.delta
+    );
 }
 
 proptest! {

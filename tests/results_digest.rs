@@ -6,16 +6,26 @@
 //! from that arena after a trip through its file. A PR that changes results
 //! on purpose regenerates the baseline (see `ci.yml`) and this constant
 //! together.
+//!
+//! Two more pins hold what such a PR must *not* move. The same stream
+//! under `δ = 0` — where a query-time prime-0 is solved exactly like a
+//! stored one — and the arena file's own bytes were both recorded at the
+//! commit before the query-time solve learned to stop at `δ` (PR 19) and
+//! must never follow the default-`δ` digest when it is re-pinned: they are
+//! the bit-level proof that an accuracy-for-speed rule keyed on `δ` is
+//! inert at `δ = 0` and that stored PPVs are untouched by it.
 
 use fastppv::core::hubs::{select_hubs_with_pagerank, HubPolicy};
 use fastppv::core::offline::{build_flat_index, build_index};
 use fastppv::core::{Config, FlatIndex};
 use fastppv::graph::gen::barabasi_albert;
 use fastppv::graph::{pagerank, PageRankOptions};
-use fastppv_bench::hotpath::results_digest;
+use fastppv_bench::hotpath::{results_digest, Fnv1a};
 use fastppv_bench::workload::sample_queries_zipf;
 
-const BASELINE_DIGEST: u64 = 0x7fce_d45f_448d_6918;
+const BASELINE_DIGEST: u64 = 0x9d49_eb71_a28e_ebfd;
+const DELTA_ZERO_DIGEST: u64 = 0x0c50_9d69_d9ea_5d38;
+const ARENA_FILE_DIGEST: u64 = 0xc14a_ad96_1331_a1ef;
 
 #[test]
 fn smoke_results_digest_matches_the_committed_baseline() {
@@ -40,11 +50,17 @@ fn smoke_results_digest_matches_the_committed_baseline() {
     let (flat, _) = build_flat_index(&graph, &hubs, &config, 1);
     let path = std::env::temp_dir().join(format!("fastppv-digest-{}.fppv", std::process::id()));
     flat.write_to_file(&path).unwrap();
+    let mut arena_file = Fnv1a::default();
+    arena_file.update(&std::fs::read(&path).unwrap());
     let opened = FlatIndex::open(&path).unwrap();
 
     let digest_of_memory = results_digest(&graph, &hubs, &memory, config, digest_queries, 2);
     let digest_of_arena = results_digest(&graph, &hubs, &flat, config, digest_queries, 2);
     let digest_of_file = results_digest(&graph, &hubs, &opened, config, digest_queries, 2);
+    // δ is an online gate only: the same stores serve the δ = 0 stream.
+    let exact_prime0 = config.with_delta(0.0);
+    let delta_zero_memory = results_digest(&graph, &hubs, &memory, exact_prime0, digest_queries, 2);
+    let delta_zero_file = results_digest(&graph, &hubs, &opened, exact_prime0, digest_queries, 2);
     drop(opened);
     std::fs::remove_file(&path).unwrap();
     assert_eq!(digest_of_memory, BASELINE_DIGEST, "MemoryIndex");
@@ -52,5 +68,15 @@ fn smoke_results_digest_matches_the_committed_baseline() {
     assert_eq!(
         digest_of_file, BASELINE_DIGEST,
         "arena opened from its file"
+    );
+    assert_eq!(delta_zero_memory, DELTA_ZERO_DIGEST, "δ = 0, MemoryIndex");
+    assert_eq!(
+        delta_zero_file, DELTA_ZERO_DIGEST,
+        "δ = 0, arena opened from its file"
+    );
+    assert_eq!(
+        arena_file.finish(),
+        ARENA_FILE_DIGEST,
+        "stored PPVs (the arena file's bytes)"
     );
 }
