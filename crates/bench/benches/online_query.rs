@@ -9,7 +9,7 @@ use fastppv_bench::datasets;
 use fastppv_bench::workload::sample_queries;
 use fastppv_core::hubs::{select_hubs, HubPolicy};
 use fastppv_core::index::FlatIndex;
-use fastppv_core::offline::build_index_parallel;
+use fastppv_core::offline::{build_flat_index, build_index_parallel};
 use fastppv_core::query::{QueryEngine, StoppingCondition};
 use fastppv_core::Config;
 use fastppv_graph::gen::barabasi_albert;
@@ -115,5 +115,38 @@ fn bench_store_layout(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_eta, bench_hub_count, bench_store_layout);
+/// The accuracy-aware stop on an accuracy-grade index — the shape of
+/// ppvbench's `accuracy` workload (BA-5k, 200 hubs, `δ = 0`, clip 0, stop
+/// `φ ≤ 0.1`): several rounds over most of the hub set, where the query
+/// *is* the increment loop. One hub source (iteration 0 is an arena view)
+/// and one non-hub source (iteration 0 is an exact prime-0 solve).
+fn bench_phi_stop(c: &mut Criterion) {
+    let graph = barabasi_albert(5000, 4, 0xacc0);
+    let config = Config::default()
+        .with_epsilon(1e-6)
+        .with_delta(0.0)
+        .with_clip(0.0);
+    let hubs = select_hubs(&graph, HubPolicy::ExpectedUtility, 200, 0);
+    let (flat, _) = build_flat_index(&graph, &hubs, &config, 2);
+    let non_hub = graph.nodes().find(|&v| !hubs.is_hub(v)).expect("non-hub");
+    let stop = StoppingCondition::l1_error(0.1);
+    let mut group = c.benchmark_group("online_query_phi_stop");
+    group.sample_size(30);
+    for (label, q) in [("hub", hubs.ids()[0]), ("non_hub", non_hub)] {
+        group.bench_with_input(BenchmarkId::from_parameter(label), &q, |b, &q| {
+            let engine = QueryEngine::new(&graph, &hubs, &flat, config);
+            let mut ws = engine.workspace();
+            b.iter(|| std::hint::black_box(engine.query_with(&mut ws, q, &stop)));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_eta,
+    bench_hub_count,
+    bench_store_layout,
+    bench_phi_stop
+);
 criterion_main!(benches);

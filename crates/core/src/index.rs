@@ -3,8 +3,9 @@
 //! Two layouts implement [`PpvStore`]:
 //!
 //! * [`FlatIndex`] — one structure-of-arrays arena (`ids` / `scores`
-//!   slices per hub plus a precomputed border-hub sublist), the zero-copy
-//!   hot path of the online engine and the only layout with a file format;
+//!   slices per hub plus a precomputed border-hub sublist and norm), the
+//!   zero-copy hot path of the online engine and the only layout with a
+//!   file format;
 //! * [`MemoryIndex`] — a slot map of per-hub [`PrimePpv`]s, the mutable
 //!   build-time representation (convert with [`FlatIndex::from_memory`])
 //!   and the layout of a shard's slice of the arena.
@@ -47,6 +48,14 @@
 //! with checked arithmetic before any slice of the backing is formed. Files
 //! of the two retired record formats are rejected by name, with the
 //! instruction to rebuild.
+//!
+//! One directory column is **not** in the file: the per-hub norm `‖r̊⁰_h‖₁`
+//! ([`PpvStore::stored_norm`]) that lets the online engine account for an
+//! expanded hub's mass without scanning it. It is a pure function of the
+//! score section — the scores of a segment summed in entry order — so it is
+//! summed where a segment is written and once more over the score section
+//! at [`FlatIndex::open`]; serializing it would add a field that can
+//! disagree with the data it is derived from.
 
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -208,6 +217,15 @@ pub trait PpvStore {
         None
     }
 
+    /// `‖r̊⁰_hub‖₁`: the scores of `hub`'s stored PPV summed in entry
+    /// order, or `None` if it is not indexed. The mass an expansion of
+    /// `hub` covers is this times its coefficient, so the query engine's
+    /// rounds never scan an entry to know `φ`. The default sums the view;
+    /// [`FlatIndex`] keeps the sum per slot, bit-equal to it.
+    fn stored_norm(&self, hub: NodeId) -> Option<f64> {
+        self.view(hub).map(|v| v.l1_norm())
+    }
+
     /// Materializes an owned copy of `hub`'s prime PPV (convenience; not
     /// the hot path).
     fn load(&self, hub: NodeId) -> Option<PrimePpv> {
@@ -262,6 +280,9 @@ impl<S: PpvStore> PpvStore for &S {
     }
     fn border_sublist(&self, hub: NodeId) -> Option<(&[NodeId], &[u32])> {
         (**self).border_sublist(hub)
+    }
+    fn stored_norm(&self, hub: NodeId) -> Option<f64> {
+        (**self).stored_norm(hub)
     }
     fn resident_bytes(&self) -> usize {
         (**self).resident_bytes()
@@ -707,8 +728,9 @@ impl Chunk {
 /// positions of the entries that are themselves hubs, so the query
 /// engine's `step()` walks only the expansion candidates instead of
 /// filtering every entry through a hub mask). A per-hub directory
-/// ([`SegRef`]) carves the chunks into segments; segments never span a
-/// chunk boundary.
+/// ([`SegRef`], budget spend, and the in-memory norm `‖r̊⁰_h‖₁` that lets
+/// `step()` account for a hub's mass without scanning it) carves the
+/// chunks into segments; segments never span a chunk boundary.
 ///
 /// Reads are zero-copy: [`PpvStore::view`] returns slices into the chunk.
 /// A chunk either owns its vectors on the heap or borrows spans of an
@@ -755,6 +777,10 @@ pub struct FlatIndex {
     /// an exact recompute — runtime state of the delta-update path
     /// ([`crate::dynamic`]), serialized in the arena's spend section.
     spent: Vec<f64>,
+    /// slot → `‖r̊⁰_h‖₁`, the segment's scores summed in entry order
+    /// ([`PpvStore::stored_norm`]). In memory only: derived from the score
+    /// section wherever a segment is written or a file is opened.
+    norms: Vec<f64>,
 }
 
 impl FlatIndex {
@@ -779,6 +805,7 @@ impl FlatIndex {
             compactions: 0,
             bytes_cloned: 0,
             spent: Vec::new(),
+            norms: Vec::new(),
         }
     }
 
@@ -831,7 +858,7 @@ impl FlatIndex {
         self.live_entries -= old_len;
         self.dead_entries += old_len;
         // Append the new segment and point the directory at it.
-        self.segs[slot] = self.push_segment_data(&view, hubs);
+        (self.segs[slot], self.norms[slot]) = self.push_segment_data(&view, hubs);
         self.spent[slot] = 0.0;
         if (self.dead_entries as f64)
             > Self::COMPACTION_THRESHOLD * (self.live_entries + self.dead_entries) as f64
@@ -896,20 +923,23 @@ impl FlatIndex {
         let slot = self.hub_ids.len() as u32;
         self.slot_of[hub as usize] = slot;
         self.hub_ids.push(hub);
-        let seg = self.push_segment_data(view, hubs);
+        let (seg, norm) = self.push_segment_data(view, hubs);
         self.segs.push(seg);
         self.spent.push(0.0);
+        self.norms.push(norm);
     }
 
     /// Copies one segment's entries (and its border-hub sublist) into the
-    /// tail chunk — the single place the segment encoding is written.
+    /// tail chunk — the single place the segment encoding is written — and
+    /// returns the segment's location and its norm (the scores summed in
+    /// the order they are copied).
     ///
     /// The tail chunk is grown in place only while it is uniquely owned,
     /// heap-resident, and has room; otherwise it is *sealed* and a fresh
     /// owned chunk is started. Appends therefore never deep-copy a chunk a
     /// snapshot is still reading — that is what makes the shallow `Clone`
     /// a sound copy-on-write publish.
-    fn push_segment_data(&mut self, view: &PpvRef<'_>, hubs: &HubSet) -> SegRef {
+    fn push_segment_data(&mut self, view: &PpvRef<'_>, hubs: &HubSet) -> (SegRef, f64) {
         let need = view.len();
         let start_new = match self.chunks.last() {
             None => true,
@@ -929,6 +959,7 @@ impl FlatIndex {
         let off = chunk.ids.len() as u32;
         let border_off = chunk.border_ids.len() as u32;
         let mut n_border = 0u32;
+        let mut norm = 0.0;
         view.for_each(|id, s| {
             if hubs.is_hub(id) {
                 chunk.border_ids.push(id);
@@ -937,15 +968,17 @@ impl FlatIndex {
             }
             chunk.ids.push(id);
             chunk.scores.push(s);
+            norm += s;
         });
         self.live_entries += need;
-        SegRef {
+        let seg = SegRef {
             chunk: ci as u32,
             off,
             len: need as u32,
             border_off,
             border_len: n_border,
-        }
+        };
+        (seg, norm)
     }
 
     /// The entry slices of a segment.
@@ -1010,13 +1043,14 @@ impl FlatIndex {
         self.spent.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Directory overhead in bytes (`slot_of`, `hub_ids`, `segs`, `spent`)
-    /// — the part a shallow snapshot clone actually copies.
+    /// Directory overhead in bytes (`slot_of`, `hub_ids`, `segs`, `spent`,
+    /// `norms`) — the part a shallow snapshot clone actually copies.
     fn directory_bytes(&self) -> usize {
         self.slot_of.len() * 4
             + self.hub_ids.len() * 4
             + self.segs.len() * std::mem::size_of::<SegRef>()
             + self.spent.len() * 8
+            + self.norms.len() * 8
     }
 
     /// Bytes viewed through the arena chunks (including tombstoned
@@ -1155,8 +1189,9 @@ impl FlatIndex {
 
     /// Opens a `FPPVIDX3` arena file zero-copy: the file is mapped (or
     /// heap-loaded where `mmap` is unavailable) and the sections become
-    /// borrowed chunks — no decode pass, so open time is O(header +
-    /// directory) instead of O(arena).
+    /// borrowed chunks — no decode pass and nothing copied. Open reads
+    /// the header, the directory, the border positions (validation) and
+    /// the score section once (the per-hub norms).
     ///
     /// Fails closed: every header and directory field is read through one
     /// bounds-checked reader and validated with checked arithmetic (magic,
@@ -1314,7 +1349,7 @@ impl FlatIndex {
         let spent = (0..num_hubs)
             .map(|_| spend.f64())
             .collect::<Result<Vec<f64>, _>>()?;
-        let flat = FlatIndex {
+        let mut flat = FlatIndex {
             slot_of,
             hub_ids,
             segs,
@@ -1324,6 +1359,7 @@ impl FlatIndex {
             compactions: 0,
             bytes_cloned: 0,
             spent,
+            norms: Vec::new(),
         };
         // Border positions index into their segment's entry slice at query
         // time; validate them now so a corrupt file cannot panic later.
@@ -1335,6 +1371,13 @@ impl FlatIndex {
                 )));
             }
         }
+        // The norm column is not in the file: one read of the score
+        // section, summed per segment in entry order like the writer's.
+        let norm_of = |&seg| {
+            let (_, scores) = flat.seg_entries(seg);
+            scores.iter().fold(0.0, |norm, &s| norm + s)
+        };
+        flat.norms = flat.segs.iter().map(norm_of).collect();
         Ok(flat)
     }
 }
@@ -1461,6 +1504,14 @@ impl PpvStore for FlatIndex {
             return None;
         }
         Some(self.seg_borders(self.segs[slot as usize]))
+    }
+
+    #[inline]
+    fn stored_norm(&self, hub: NodeId) -> Option<f64> {
+        match *self.slot_of.get(hub as usize)? {
+            NO_SLOT => None,
+            slot => Some(self.norms[slot as usize]),
+        }
     }
 
     /// The `FPPVIDX3` serialized size.

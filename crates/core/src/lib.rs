@@ -105,6 +105,6 @@ pub use prime::{
 };
 pub use query::{
     expand_frontier, ExpandOutcome, IncrementScratch, MassList, QueryEngine, QueryResult,
-    QuerySession, QueryWorkspace, TopKResult,
+    QuerySession, QueryWorkspace, ScanWork, TopKResult,
 };
 pub use wal::{Manifest, Wal, WalBatch};

@@ -2,8 +2,8 @@
 //!
 //! Iteration 0 produces the prime PPV of the query (loaded from the index
 //! when the query is a hub, computed on the fly otherwise). Iteration `i`
-//! assembles the tour partition `T^i` from the previous increment and the
-//! stored prime PPVs of its border hubs (Theorem 4):
+//! is the tour partition `T^i`, a combination of the stored prime PPVs of
+//! the previous increment's border hubs (Theorem 4):
 //!
 //! ```text
 //! r̂ⁱ_q = (1/α) · Σ_{h hub, r̂ⁱ⁻¹_q(h) > δ}  r̂ⁱ⁻¹_q(h) · r̊⁰_h
@@ -13,19 +13,53 @@
 //! `φ(k) = 1 − ‖r̂_q^(k)‖₁` (Eq. 6) — no exact PPV needed — which powers the
 //! accuracy-aware [`StoppingCondition`].
 //!
+//! ## Two kernels: advance every round, assemble once
+//!
+//! Theorem 4's recursion reads only the *hub coordinates* of the previous
+//! increment, and Eq. 6 only its mass — `(r̂ⁱ⁻¹_q(h)/α) · ‖r̊⁰_h‖₁` per
+//! expanded hub, with the norm a per-hub constant of the store
+//! ([`PpvStore::stored_norm`]). So a round does not need the increment
+//! itself, and the loop is split into the two kernels it is made of:
+//!
+//! * **advance** (every round, [`IncrementalState::step`]): per frontier
+//!   hub above `δ`, add its coefficient `r̂ⁱ⁻¹_q(h)/α` to a per-hub
+//!   *pending* accumulator, add coefficient × norm to the covered mass, and
+//!   build the next frontier from the hub's border sublist. No stored entry
+//!   is scanned; a round costs the sum of the border-list lengths.
+//! * **assemble** (once, [`IncrementScratch::assemble`]): one pass in
+//!   ascending hub id, `estimate += pending[h] · r̊⁰_h` for every hub with
+//!   a pending coefficient. However many rounds ran, a stored PPV is
+//!   scanned at most once per query, and the scan carries no reduction.
+//!
+//! The estimate is the same sum over the same tours — `Σᵢ (cᵢ·s)` became
+//! `(Σᵢ cᵢ)·s`, equal up to floating-point reassociation — and every
+//! round's `φ`, `hubs_expanded` and frontier are what they were, so `η`,
+//! `φ` and deadline stops decide exactly as before. Everything that reads
+//! the estimate ([`QuerySession::estimate`], [`QuerySession::top_k`],
+//! [`QuerySession::certified_top_k`], [`QuerySession::into_result`])
+//! assembles first. The clock is checked between rounds, so
+//! [`IterationStats::elapsed`] and a [`StoppingCondition::time_limit`] see
+//! the rounds only: a deadline is overshot by at most the one assemble
+//! pass, which [`QueryResult::elapsed`] includes. [`ScanWork`] counts what
+//! the pass scanned — the regression guard that reads no clock.
+//!
+//! [`expand_frontier`], the shard side of a scattered round, is the same
+//! two kernels back to back over one frontier sublist.
+//!
 //! ## The allocation-free hot path
 //!
 //! The increment loop never materializes intermediate sparse vectors: the
 //! running estimate lives in a dense [`ScoreScratch`] inside the
-//! [`IncrementScratch`], increments are accumulated straight into it from
-//! borrowed store views ([`PpvRef`]), the frontier of border hubs is
-//! tracked in a second dense scratch and drained into a reused buffer, and
-//! the covered mass `‖r̂‖₁` is maintained incrementally. The sorted sparse
-//! estimate is materialized exactly once, in
-//! [`IncrementalState::into_result`]. On a warmed-up workspace over a
-//! [`crate::index::FlatIndex`], [`IncrementalState::step`] performs no
-//! heap allocation at all (the per-iteration stats vector is preallocated
-//! for 16 iterations and only reallocates — amortized — beyond that).
+//! [`IncrementScratch`], stored PPVs are accumulated straight into it from
+//! borrowed store views ([`PpvRef`]), the pending coefficients and the
+//! frontier of border hubs are tracked in two more dense scratches and
+//! drained into reused buffers, and the covered mass `‖r̂‖₁` is maintained
+//! incrementally. The sorted sparse estimate is materialized exactly once,
+//! in [`IncrementalState::into_result`]. On a warmed-up workspace over a
+//! [`crate::index::FlatIndex`], neither [`IncrementalState::step`] nor the
+//! assemble pass performs any heap allocation (the per-iteration stats
+//! vector is preallocated for 16 iterations and only reallocates —
+//! amortized — beyond that).
 //! Cold **non-hub** queries are allocation-free too: iteration 0 runs the
 //! fused [`PrimeComputer::prime_ppv_into`] extract+solve inside the
 //! workspace's reused arena and is consumed as a borrowed slice, so no
@@ -124,7 +158,9 @@ pub struct IterationStats {
     pub hubs_expanded: usize,
     /// Accuracy-aware L1 error `φ` after this iteration.
     pub l1_error_after: f64,
-    /// Cumulative wall-clock time when this iteration finished.
+    /// Cumulative wall-clock time when this iteration's round finished
+    /// (the assemble pass that folds the rounds into the estimate runs
+    /// later and is counted by [`QueryResult::elapsed`] only).
     pub elapsed: Duration,
 }
 
@@ -139,7 +175,7 @@ pub struct QueryResult {
     pub iterations: usize,
     /// Accuracy-aware L1 error `φ` of the estimate (Eq. 6).
     pub l1_error: f64,
-    /// Total wall-clock time.
+    /// Total wall-clock time: iteration 0, the rounds and the assemble pass.
     pub elapsed: Duration,
     /// Whether the expansion frontier emptied (estimate is as exact as the
     /// configuration's `ε`/`δ`/clip truncations allow).
@@ -168,9 +204,22 @@ pub struct TopKResult {
     pub l1_error: f64,
 }
 
+/// What the assemble passes of one query (or one [`expand_frontier`] call)
+/// scanned — counted by the product, so a test can hold "at most one scan
+/// per stored PPV per query" without reading a clock. Reset when the
+/// next query starts; read through [`QueryWorkspace::last_scan`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ScanWork {
+    /// Stored PPVs folded into the estimate.
+    pub hubs_scanned: usize,
+    /// Their entries, i.e. scatter-adds into the dense estimate.
+    pub entries_scanned: usize,
+}
+
 /// The dense per-query scratch Algorithm 2's increment loop runs over:
-/// the running estimate, the border-hub frontier accumulator, and the
-/// reused previous-increment buffer. Graph-sized once, reused across
+/// the running estimate, the per-hub pending coefficients not yet folded
+/// into it, the border-hub frontier accumulator, and the reused
+/// previous-increment buffer. Graph-sized once, reused across
 /// queries; [`IncrementalState`] holds only bookkeeping, so the same
 /// scratch serves the in-memory engine and the disk engine in
 /// `fastppv-cluster`.
@@ -178,6 +227,11 @@ pub struct IncrementScratch {
     estimate: ScoreScratch,
     frontier: ScoreScratch,
     prev: Vec<(NodeId, f64)>,
+    /// hub → `Σ r̂ⁱ⁻¹(h)/α` over the rounds since the last assemble pass.
+    pending: ScoreScratch,
+    /// `pending`, drained and sorted by hub id for one assemble pass.
+    assembling: Vec<(NodeId, f64)>,
+    scan: ScanWork,
 }
 
 impl IncrementScratch {
@@ -187,6 +241,9 @@ impl IncrementScratch {
             estimate: ScoreScratch::new(n),
             frontier: ScoreScratch::new(n),
             prev: Vec::new(),
+            pending: ScoreScratch::new(n),
+            assembling: Vec::new(),
+            scan: ScanWork::default(),
         }
     }
 
@@ -199,7 +256,89 @@ impl IncrementScratch {
         self.estimate.clear();
         self.frontier.clear();
         self.prev.clear();
+        self.pending.clear();
+        self.scan = ScanWork::default();
     }
+
+    /// The assemble kernel: folds every pending coefficient into the dense
+    /// estimate, `estimate += pending[h] · r̊⁰_h` in ascending hub id — the
+    /// order the arena lays segments out in — and clears them, so a second
+    /// call is free. `store` must be the store the rounds advanced over.
+    pub fn assemble<S: PpvStore>(&mut self, store: &S) {
+        let IncrementScratch {
+            estimate,
+            pending,
+            assembling,
+            scan,
+            ..
+        } = self;
+        pending.drain_into(assembling);
+        assembling.sort_unstable_by_key(|&(h, _)| h);
+        for &(h, coeff) in assembling.iter() {
+            let view = store
+                .view(h)
+                .expect("a pending coefficient is only ever added for a stored hub");
+            scan.hubs_scanned += 1;
+            scan.entries_scanned += view.len();
+            // The bandwidth-bound loop: scale every entry into the dense
+            // estimate. The SoA arm runs over two contiguous slices with
+            // no tuple loads.
+            match &view {
+                PpvRef::Soa { ids, scores } => {
+                    for (&p, &s) in ids.iter().zip(scores.iter()) {
+                        estimate.add(p, coeff * s);
+                    }
+                }
+                other => other.for_each(|p, s| estimate.add(p, coeff * s)),
+            }
+        }
+    }
+}
+
+/// The advance kernel: one Theorem-4 round over `sublist` (sorted by hub
+/// id) on hub coordinates only. Per hub above `δ`: its coefficient joins
+/// `pending`, coefficient × stored norm joins the round's mass, and its
+/// border sublist feeds `frontier`. Returns `(hubs expanded, increment
+/// mass)`, or the first hub missing from the store.
+fn advance<S: PpvStore>(
+    sublist: &[(NodeId, f64)],
+    hubs: &HubSet,
+    store: &S,
+    config: &Config,
+    pending: &mut ScoreScratch,
+    frontier: &mut ScoreScratch,
+) -> Result<(usize, f64), NodeId> {
+    let inv_alpha = 1.0 / config.alpha;
+    let mut hubs_expanded = 0usize;
+    let mut inc_mass = 0.0;
+    for &(h, mass) in sublist {
+        if mass <= config.delta {
+            continue;
+        }
+        let (Some(view), Some(norm)) = (store.view(h), store.stored_norm(h)) else {
+            return Err(h);
+        };
+        hubs_expanded += 1;
+        let coeff = mass * inv_alpha;
+        pending.add(h, coeff);
+        inc_mass += coeff * norm;
+        // The next frontier: only this PPV's hub entries matter. With
+        // a precomputed border sublist we touch exactly those; other
+        // stores fall back to the hub-mask filter.
+        match store.border_sublist(h) {
+            Some((border_ids, border_pos)) => {
+                for (&b, &pos) in border_ids.iter().zip(border_pos.iter()) {
+                    frontier.add(b, coeff * view.score_at(pos as usize));
+                }
+            }
+            None => view.for_each(|p, s| {
+                if hubs.is_hub(p) {
+                    frontier.add(p, coeff * s);
+                }
+            }),
+        }
+    }
+    Ok((hubs_expanded, inc_mass))
 }
 
 /// Per-query mutable scratch space, sized to the graph once and reused
@@ -228,6 +367,12 @@ impl QueryWorkspace {
     /// expansion path ([`expand_frontier`]) directly.
     pub fn increment_scratch(&mut self) -> &mut IncrementScratch {
         &mut self.inc
+    }
+
+    /// What the last query over this workspace scanned to assemble its
+    /// estimate (like [`PrimeComputer::last_solve`] for its prime-0).
+    pub fn last_scan(&self) -> ScanWork {
+        self.inc.scan
     }
 
     /// Computes iteration 0 of `q` for a scattered query: the raw prime
@@ -527,8 +672,11 @@ impl IncrementalState {
         }
     }
 
-    /// Computes the next increment (Theorem 4). Returns `false` when the
-    /// frontier is exhausted (no border hub clears `δ`).
+    /// Advances one round (Theorem 4 on hub coordinates — see the module
+    /// docs): the increment's mass, `φ` and the next frontier are final
+    /// when this returns, its entries reach the estimate at the next
+    /// assemble pass. Returns `false` when the frontier is exhausted (no
+    /// border hub clears `δ`).
     ///
     /// `scratch` must be the same scratch this state was created over.
     pub fn step<S: PpvStore>(
@@ -541,58 +689,16 @@ impl IncrementalState {
         if self.exhausted {
             return false;
         }
-        let inv_alpha = 1.0 / config.alpha;
         let IncrementScratch {
-            estimate,
             frontier,
             prev,
+            pending,
+            ..
         } = scratch;
-        let mut hubs_expanded = 0usize;
-        let mut inc_mass = 0.0;
-        for &(h, mass) in prev.iter() {
-            if mass <= config.delta {
-                continue;
-            }
-            let Some(view) = store.view(h) else {
-                // Every hub is indexed by construction; a missing entry
-                // would silently bias results, so fail loudly.
-                panic!("hub {h} has no prime PPV in the store");
-            };
-            hubs_expanded += 1;
-            let coeff = mass * inv_alpha;
-            // The bandwidth-bound loop: scale every entry into the dense
-            // estimate. The SoA arm runs over two contiguous slices with
-            // no tuple loads.
-            match &view {
-                PpvRef::Soa { ids, scores } => {
-                    for (&p, &s) in ids.iter().zip(scores.iter()) {
-                        let x = coeff * s;
-                        estimate.add(p, x);
-                        inc_mass += x;
-                    }
-                }
-                other => other.for_each(|p, s| {
-                    let x = coeff * s;
-                    estimate.add(p, x);
-                    inc_mass += x;
-                }),
-            }
-            // The next frontier: only this PPV's hub entries matter. With
-            // a precomputed border sublist we touch exactly those; other
-            // stores fall back to the hub-mask filter.
-            match store.border_sublist(h) {
-                Some((border_ids, border_pos)) => {
-                    for (&b, &pos) in border_ids.iter().zip(border_pos.iter()) {
-                        frontier.add(b, coeff * view.score_at(pos as usize));
-                    }
-                }
-                None => view.for_each(|p, s| {
-                    if hubs.is_hub(p) {
-                        frontier.add(p, coeff * s);
-                    }
-                }),
-            }
-        }
+        // Every hub is indexed by construction; a missing entry would
+        // silently bias results, so fail loudly.
+        let (hubs_expanded, inc_mass) = advance(prev, hubs, store, config, pending, frontier)
+            .unwrap_or_else(|h| panic!("hub {h} has no prime PPV in the store"));
         if hubs_expanded == 0 {
             self.exhausted = true;
             return false;
@@ -637,13 +743,25 @@ impl IncrementalState {
 
     /// Materializes the current estimate as a sorted sparse vector (the
     /// scratch keeps its state). Prefer [`IncrementalState::into_result`],
-    /// which materializes exactly once.
-    pub fn estimate_sparse(&self, scratch: &IncrementScratch) -> SparseVector {
+    /// which materializes exactly once. Like every reader of the estimate
+    /// it runs the assemble pass over `store` first.
+    pub fn estimate_sparse<S: PpvStore>(
+        &self,
+        store: &S,
+        scratch: &mut IncrementScratch,
+    ) -> SparseVector {
+        scratch.assemble(store);
         scratch.estimate.to_sparse()
     }
 
     /// Top-`k` nodes of the current estimate, descending (ties by id).
-    pub fn top_k(&self, k: usize, scratch: &IncrementScratch) -> Vec<(NodeId, f64)> {
+    pub fn top_k<S: PpvStore>(
+        &self,
+        k: usize,
+        store: &S,
+        scratch: &mut IncrementScratch,
+    ) -> Vec<(NodeId, f64)> {
+        scratch.assemble(store);
         scratch.estimate.top_k(k)
     }
 
@@ -657,14 +775,15 @@ impl IncrementalState {
     /// accuracy-aware error into rank certification, in the spirit of the
     /// top-K lines of work the paper cites ([Gupta et al. 2008; Fujiwara et
     /// al. 2012]).
-    pub fn certified_top_k(
+    pub fn certified_top_k<S: PpvStore>(
         &self,
         k: usize,
-        scratch: &IncrementScratch,
+        store: &S,
+        scratch: &mut IncrementScratch,
     ) -> Option<Vec<(NodeId, f64)>> {
         assert!(k > 0, "k must be positive");
         let phi = self.l1_error();
-        let top = scratch.estimate.top_k(k + 1);
+        let top = self.top_k(k + 1, store, scratch);
         if top.len() <= k {
             // Fewer than k+1 scored nodes: outside nodes have estimate 0,
             // so certification needs the k-th score to beat 0 + φ.
@@ -680,10 +799,15 @@ impl IncrementalState {
         })
     }
 
-    /// Finalizes into a [`QueryResult`], materializing the sorted sparse
-    /// estimate (the single materialization of the query) and resetting
-    /// the scratch's estimate for reuse.
-    pub fn into_result(self, scratch: &mut IncrementScratch) -> QueryResult {
+    /// Finalizes into a [`QueryResult`]: the query's one assemble pass,
+    /// then the single materialization of the sorted sparse estimate,
+    /// which resets the scratch's estimate for reuse.
+    pub fn into_result<S: PpvStore>(
+        self,
+        store: &S,
+        scratch: &mut IncrementScratch,
+    ) -> QueryResult {
+        scratch.assemble(store);
         QueryResult {
             query: self.query,
             l1_error: (1.0 - self.covered).max(0.0),
@@ -725,7 +849,7 @@ pub fn run_increments<S: PpvStore>(
             break;
         }
     }
-    state.into_result(scratch)
+    state.into_result(store, scratch)
 }
 
 /// A list of `(node, mass)` pairs — prime-PPV entries or a border-hub
@@ -747,8 +871,9 @@ pub struct ExpandOutcome {
     /// This store's contribution to the next border-hub frontier, sorted
     /// by node id.
     pub frontier: Vec<(NodeId, f64)>,
-    /// L1 mass of `entries` accumulated in expansion order — the shard's
-    /// contribution to the covered mass `‖r̂‖₁` behind `φ`.
+    /// L1 mass of `entries`, as `Σ_h coefficient · ‖r̊⁰_h‖₁` in expansion
+    /// order — the shard's contribution to the covered mass `‖r̂‖₁` behind
+    /// `φ`.
     pub increment_mass: f64,
     /// Border hubs actually expanded (entries at or below `δ` are skipped,
     /// exactly as in [`IncrementalState::step`]).
@@ -757,11 +882,13 @@ pub struct ExpandOutcome {
 
 /// Expands one sublist of a border-hub frontier against a (possibly
 /// partial) store: the shard-side half of a scattered
-/// [`IncrementalState::step`]. `sublist` must be sorted by hub id — the
-/// same order `step` expands in — so per-entry accumulation order matches
-/// the single-store loop. Hubs whose mass does not clear `config.delta`
-/// are skipped; a hub missing from the store is an error (`Err(hub)`)
-/// rather than a silent bias, mirroring the panic in `step`.
+/// [`IncrementalState::step`] — the advance kernel and the assemble pass
+/// back to back, since the caller wants this round's entries now.
+/// `sublist` must be sorted by hub id — the same order `step` expands in —
+/// so per-entry accumulation order matches the single-store loop. Hubs
+/// whose mass does not clear `config.delta` are skipped; a hub missing
+/// from the store is an error (`Err(hub)`) rather than a silent bias,
+/// mirroring the panic in `step`.
 pub fn expand_frontier<S: PpvStore>(
     sublist: &[(NodeId, f64)],
     hubs: &HubSet,
@@ -770,55 +897,22 @@ pub fn expand_frontier<S: PpvStore>(
     scratch: &mut IncrementScratch,
 ) -> Result<ExpandOutcome, NodeId> {
     scratch.reset();
-    let IncrementScratch {
-        estimate, frontier, ..
-    } = scratch;
-    let inv_alpha = 1.0 / config.alpha;
-    let mut inc_mass = 0.0;
-    let mut hubs_expanded = 0usize;
-    for &(h, mass) in sublist {
-        if mass <= config.delta {
-            continue;
-        }
-        let Some(view) = store.view(h) else {
-            return Err(h);
-        };
-        hubs_expanded += 1;
-        let coeff = mass * inv_alpha;
-        match &view {
-            PpvRef::Soa { ids, scores } => {
-                for (&p, &s) in ids.iter().zip(scores.iter()) {
-                    let x = coeff * s;
-                    estimate.add(p, x);
-                    inc_mass += x;
-                }
-            }
-            other => other.for_each(|p, s| {
-                let x = coeff * s;
-                estimate.add(p, x);
-                inc_mass += x;
-            }),
-        }
-        match store.border_sublist(h) {
-            Some((border_ids, border_pos)) => {
-                for (&b, &pos) in border_ids.iter().zip(border_pos.iter()) {
-                    frontier.add(b, coeff * view.score_at(pos as usize));
-                }
-            }
-            None => view.for_each(|p, s| {
-                if hubs.is_hub(p) {
-                    frontier.add(p, coeff * s);
-                }
-            }),
-        }
-    }
-    let mut next = Vec::new();
-    frontier.drain_into(&mut next);
-    next.sort_unstable_by_key(|&(id, _)| id);
+    let (hubs_expanded, increment_mass) = advance(
+        sublist,
+        hubs,
+        store,
+        config,
+        &mut scratch.pending,
+        &mut scratch.frontier,
+    )?;
+    scratch.assemble(store);
+    let mut frontier = Vec::new();
+    scratch.frontier.drain_into(&mut frontier);
+    frontier.sort_unstable_by_key(|&(id, _)| id);
     Ok(ExpandOutcome {
-        entries: estimate.drain_sparse(),
-        frontier: next,
-        increment_mass: inc_mass,
+        entries: scratch.estimate.drain_sparse(),
+        frontier,
+        increment_mass,
         hubs_expanded,
     })
 }
@@ -831,13 +925,6 @@ enum WorkspaceSlot<'w> {
 }
 
 impl WorkspaceSlot<'_> {
-    fn get(&self) -> &QueryWorkspace {
-        match self {
-            WorkspaceSlot::Owned(ws) => ws,
-            WorkspaceSlot::Borrowed(ws) => ws,
-        }
-    }
-
     fn get_mut(&mut self) -> &mut QueryWorkspace {
         match self {
             WorkspaceSlot::Owned(ws) => ws,
@@ -887,23 +974,33 @@ impl<S: PpvStore> QuerySession<'_, '_, S> {
         self.state.elapsed()
     }
 
+    /// Folds the rounds run so far into the dense estimate now (see the
+    /// module docs). Every reader below does this itself; calling it
+    /// directly moves the pass to a moment of the caller's choosing.
+    pub fn assemble(&mut self) {
+        self.ws.get_mut().inc.assemble(self.engine.store);
+    }
+
     /// The current estimate, materialized as a sorted sparse vector. The
     /// estimate itself lives densely in the session's workspace; calling
-    /// this mid-session costs one sort — [`QuerySession::into_result`]
-    /// is the materialize-once path.
-    pub fn estimate(&self) -> SparseVector {
-        self.state.estimate_sparse(&self.ws.get().inc)
+    /// this mid-session costs an assemble pass and one sort —
+    /// [`QuerySession::into_result`] is the materialize-once path.
+    pub fn estimate(&mut self) -> SparseVector {
+        let inc = &mut self.ws.get_mut().inc;
+        self.state.estimate_sparse(self.engine.store, inc)
     }
 
     /// Top-`k` nodes of the current estimate, descending (ties by id).
-    pub fn top_k(&self, k: usize) -> Vec<(NodeId, f64)> {
-        self.state.top_k(k, &self.ws.get().inc)
+    pub fn top_k(&mut self, k: usize) -> Vec<(NodeId, f64)> {
+        let inc = &mut self.ws.get_mut().inc;
+        self.state.top_k(k, self.engine.store, inc)
     }
 
     /// The certified top-`k` set, if the current accuracy proves it (see
     /// [`IncrementalState::certified_top_k`]).
-    pub fn certified_top_k(&self, k: usize) -> Option<Vec<(NodeId, f64)>> {
-        self.state.certified_top_k(k, &self.ws.get().inc)
+    pub fn certified_top_k(&mut self, k: usize) -> Option<Vec<(NodeId, f64)>> {
+        let inc = &mut self.ws.get_mut().inc;
+        self.state.certified_top_k(k, self.engine.store, inc)
     }
 
     /// The query node.
@@ -918,8 +1015,12 @@ impl<S: PpvStore> QuerySession<'_, '_, S> {
 
     /// Finalizes the session.
     pub fn into_result(self) -> QueryResult {
-        let QuerySession { mut ws, state, .. } = self;
-        state.into_result(&mut ws.get_mut().inc)
+        let QuerySession {
+            engine,
+            mut ws,
+            state,
+        } = self;
+        state.into_result(engine.store, &mut ws.get_mut().inc)
     }
 }
 

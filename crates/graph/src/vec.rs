@@ -80,10 +80,10 @@ impl SparseVector {
     /// The `k` highest-scoring entries, ties broken by node id (ascending)
     /// for determinism, returned in descending score order.
     ///
-    /// O(n + k log k): a selection partitions the top `k` to the front, and
-    /// only that prefix is sorted — the full list is never ordered.
+    /// O(n + k log k) over the borrowed entries ([`top_k_of`]): the vector
+    /// is never cloned and the full list never ordered.
     pub fn top_k(&self, k: usize) -> Vec<(NodeId, f64)> {
-        top_k_entries(self.entries.clone(), k)
+        top_k_of(self.entries.iter().copied(), k)
     }
 
     /// Materializes into a dense vector of length `n`.
@@ -144,16 +144,20 @@ impl SparseVector {
     }
 }
 
-/// Selects the `k` highest-scoring entries of `v` (ties broken by ascending
-/// node id), returned in descending score order. Shared by
-/// [`SparseVector::top_k`] and [`ScoreScratch::top_k`]. Uses
-/// [`f64::total_cmp`], so a NaN score (which should not occur, but can leak
-/// in from corrupt input) ranks deterministically instead of panicking.
+/// Rank order of scored entries: descending score, ties by ascending node
+/// id. Uses [`f64::total_cmp`], so a NaN score (which should not occur, but
+/// can leak in from corrupt input) ranks deterministically instead of
+/// panicking.
+fn by_rank(a: &(NodeId, f64), b: &(NodeId, f64)) -> std::cmp::Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
+/// Selects the `k` highest-ranking entries of an owned list, in rank order
+/// (see [`top_k_of`] for selecting out of entries that are only borrowed).
 pub fn top_k_entries(mut v: Vec<(NodeId, f64)>, k: usize) -> Vec<(NodeId, f64)> {
     if k == 0 {
         return Vec::new();
     }
-    let by_rank = |a: &(NodeId, f64), b: &(NodeId, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
     if k < v.len() {
         // Partition: everything at or before index k-1 ranks at least as
         // high as everything after it. The prefix is unsorted until below.
@@ -162,6 +166,41 @@ pub fn top_k_entries(mut v: Vec<(NodeId, f64)>, k: usize) -> Vec<(NodeId, f64)> 
     }
     v.sort_unstable_by(by_rank);
     v
+}
+
+/// Selects the `k` highest-ranking of `entries` in one pass over a buffer
+/// of at most `2k` candidates — what [`top_k_entries`] returns for the
+/// collected list, without collecting it. Shared by [`SparseVector::top_k`]
+/// and [`ScoreScratch::top_k`]: picking ten nodes out of a 19 k-entry
+/// answer copies twenty entries, not the answer.
+///
+/// Whenever the buffer fills it is cut back to its best `k`, and the worst
+/// of those becomes the bar a later entry must outrank to be buffered at
+/// all, so past the first `2k` entries almost every one costs a single
+/// comparison.
+pub fn top_k_of(entries: impl IntoIterator<Item = (NodeId, f64)>, k: usize) -> Vec<(NodeId, f64)> {
+    if k == 0 {
+        return Vec::new();
+    }
+    let entries = entries.into_iter();
+    let limit = k.saturating_mul(2);
+    let (at_least, at_most) = entries.size_hint();
+    let mut buf: Vec<(NodeId, f64)> = Vec::with_capacity(limit.min(at_most.unwrap_or(at_least)));
+    let mut bar: Option<(NodeId, f64)> = None;
+    for e in entries {
+        // `<` on the scores settles nearly every entry; it implies the
+        // total order's verdict, which only ties, zeros and NaNs need.
+        if bar.is_some_and(|bar| e.1 < bar.1 || by_rank(&e, &bar).is_ge()) {
+            continue;
+        }
+        buf.push(e);
+        if buf.len() == limit {
+            buf.select_nth_unstable_by(k - 1, by_rank);
+            buf.truncate(k);
+            bar = Some(buf[k - 1]);
+        }
+    }
+    top_k_entries(buf, k)
 }
 
 impl FromIterator<(NodeId, f64)> for SparseVector {
@@ -279,15 +318,11 @@ impl ScoreScratch {
     /// The `k` highest-scoring touched entries (ties broken by ascending
     /// node id), descending, without resetting the scratch.
     pub fn top_k(&self, k: usize) -> Vec<(NodeId, f64)> {
-        let candidates: Vec<(NodeId, f64)> = self
-            .touched
-            .iter()
-            .filter_map(|&v| {
-                let s = self.values[v as usize];
-                (s != 0.0).then_some((v, s))
-            })
-            .collect();
-        top_k_entries(candidates, k)
+        let live = self.touched.iter().filter_map(|&v| {
+            let s = self.values[v as usize];
+            (s != 0.0).then_some((v, s))
+        });
+        top_k_of(live, k)
     }
 
     /// Resets without materializing.

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use fastppv_cluster::ShardMap;
 use fastppv_core::query::StoppingCondition;
-use fastppv_graph::vec::top_k_entries;
+use fastppv_graph::vec::top_k_of;
 use fastppv_graph::{NodeId, ScoreScratch};
 use fastppv_server::net::{
     decode_request_batch, decode_update_request, encode_hello, encode_response_batch,
@@ -359,7 +359,7 @@ fn format_answer(merged: &MergedAnswer, top_k: u32, cached: bool, latency: Durat
     let entries = if top_k == 0 {
         merged.scores.clone()
     } else {
-        top_k_entries(merged.scores.clone(), top_k as usize)
+        top_k_of(merged.scores.iter().copied(), top_k as usize)
     };
     WireAnswer {
         query: merged.query,

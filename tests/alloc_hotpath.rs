@@ -1,12 +1,13 @@
 //! Proves two acceptance criteria with a counting global allocator:
 //!
-//! * zero per-iteration heap allocations in `IncrementalState::step` on
-//!   the `FlatIndex` path (hub sources — iteration 0 is an arena view);
+//! * zero heap allocations in `IncrementalState::step` rounds and in the
+//!   assemble pass that folds them into the estimate, on the `FlatIndex`
+//!   path (hub sources — iteration 0 is an arena view);
 //! * O(1) amortized allocations for a **cold non-hub query** on the fused
 //!   extract+solve path (`PrimeComputer::prime_ppv_into`): once the
 //!   workspace is warm, starting a session computes the whole prime PPV
 //!   on the fly with the session bookkeeping's single allocation, and
-//!   every subsequent step allocates nothing.
+//!   every subsequent step, and the assemble pass, allocate nothing.
 //!
 //! This file deliberately holds a single test: the allocation counter is
 //! process-global, and a lone test keeps other threads from muddying the
@@ -77,13 +78,19 @@ fn steps_allocate_nothing_on_flat_path_with_warm_workspace() {
     while steps < 6 && session.step() {
         steps += 1;
     }
+    session.assemble();
     let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert!(steps >= 3, "frontier exhausted after {steps} steps");
     assert_eq!(
         during, 0,
-        "{during} heap allocations across {steps} warm steps on the flat path"
+        "{during} heap allocations across {steps} warm steps and their \
+         assemble pass on the flat path"
     );
     drop(session);
+    assert!(
+        ws.last_scan().hubs_scanned > 0,
+        "the assemble pass scanned nothing"
+    );
 
     // Phase 2: a cold non-hub source. Iteration 0 must run the fused
     // extract+solve inside the workspace's reused arena: no PrimeSubgraph,
@@ -111,11 +118,13 @@ fn steps_allocate_nothing_on_flat_path_with_warm_workspace() {
     while steps < 6 && session.step() {
         steps += 1;
     }
+    session.assemble();
     let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert!(steps >= 3, "non-hub frontier exhausted after {steps} steps");
     assert_eq!(
         during, 0,
-        "{during} heap allocations across {steps} warm non-hub steps"
+        "{during} heap allocations across {steps} warm non-hub steps and \
+         their assemble pass"
     );
 
     // Sanity check that the counter is actually live.

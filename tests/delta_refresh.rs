@@ -116,6 +116,15 @@ fn long_event_stream_does_not_bloat_the_index() {
         assert_eq!(ms.live_entries, m.total_entries());
         assert_eq!(fs.live_entries, f.total_entries());
         assert_eq!(fs.resident_bytes, f.resident_bytes());
+        // The in-memory norm column follows every patch, recompute and
+        // compaction: it is the segment's scores summed in entry order.
+        for &h in hubs.ids() {
+            assert_eq!(
+                f.stored_norm(h).map(f64::to_bits),
+                f.view(h).map(|view| view.l1_norm().to_bits()),
+                "hub {h} after {ev:?}"
+            );
+        }
         resident.push(fs.resident_bytes);
         (memory, flat, graph) = (m, f, next);
     }

@@ -41,6 +41,46 @@ proptest! {
     }
 
     #[test]
+    fn borrowed_top_k_selects_what_the_owned_selection_does((pairs, nan_bits, k) in (
+        // Few distinct scores, so ties (broken by ascending id) are the
+        // common case, plus what `total_cmp` orders and `<` does not:
+        // NaNs and the two zeros.
+        prop::collection::vec((0u32..400, 0u32..6), 0..120),
+        prop::collection::vec(any::<bool>(), 120),
+        0usize..140,
+    )) {
+        let mut seen = std::collections::BTreeMap::new();
+        for (i, &(v, level)) in pairs.iter().enumerate() {
+            let score = match (nan_bits[i], level) {
+                (true, 5) => f64::NAN,
+                (true, 0) => -0.0,
+                _ => level as f64 * 0.125,
+            };
+            seen.entry(v).or_insert(score);
+        }
+        let entries: Vec<(NodeId, f64)> = seen.into_iter().collect();
+        let bits = |top: Vec<(NodeId, f64)>| -> Vec<(NodeId, u64)> {
+            top.into_iter().map(|(v, s)| (v, s.to_bits())).collect()
+        };
+        let want = bits(fastppv::graph::vec::top_k_entries(entries.clone(), k));
+        // Out of a sorted sparse vector, out of the same entries in another
+        // order, and out of a dense scratch's touched list.
+        let sparse = SparseVector::from_sorted(entries.clone());
+        prop_assert_eq!(bits(sparse.top_k(k)), want.clone());
+        let reversed = entries.iter().rev().copied();
+        prop_assert_eq!(bits(fastppv::graph::vec::top_k_of(reversed, k)), want.clone());
+        let mut scratch = fastppv::graph::ScoreScratch::new(400);
+        for &(v, s) in entries.iter().filter(|e| e.1 != 0.0) {
+            scratch.add(v, s);
+        }
+        let nonzero = entries.iter().copied().filter(|e| e.1 != 0.0).collect();
+        prop_assert_eq!(
+            bits(scratch.top_k(k)),
+            bits(fastppv::graph::vec::top_k_entries(nonzero, k))
+        );
+    }
+
+    #[test]
     fn fastppv_converges_to_exact_on_random_graphs(
         (n, edges) in small_graph(),
         hub_bits in prop::collection::vec(any::<bool>(), 20),
