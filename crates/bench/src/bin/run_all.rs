@@ -5,10 +5,12 @@
 //! ```
 //!
 //! Flags after `--` are forwarded to every experiment. Output goes to
-//! stdout; `tee` it into `EXPERIMENTS.md` material.
+//! stdout as GitHub-flavored markdown tables.
 
 use std::process::Command;
 
+/// The exhibit binaries, in the order of the table in `fastppv_bench`'s
+/// module docs.
 const EXPERIMENTS: &[&str] = &[
     "exp_toy",
     "exp_datasets",
@@ -20,7 +22,6 @@ const EXPERIMENTS: &[&str] = &[
     "exp_disk",
     "exp_ablation",
     "exp_dynamic",
-    "exp_throughput",
 ];
 
 fn main() {
@@ -47,5 +48,34 @@ fn main() {
     } else {
         println!("FAILED: {failures:?}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::EXPERIMENTS;
+
+    /// The list is the contents of `src/bin/`, this file aside, and the
+    /// crate docs' table has a row for each, in the same order.
+    #[test]
+    fn experiments_are_the_exhibit_binaries() {
+        let bin_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin");
+        let mut on_disk: Vec<String> = std::fs::read_dir(bin_dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter_map(|f| f.strip_suffix(".rs").map(str::to_owned))
+            .filter(|name| name != "run_all")
+            .collect();
+        on_disk.sort();
+        let mut listed: Vec<&str> = EXPERIMENTS.to_vec();
+        listed.sort_unstable();
+        assert_eq!(listed, on_disk);
+        let docs = include_str!("../lib.rs");
+        let mut at = 0;
+        for exp in EXPERIMENTS {
+            at += docs[at..]
+                .find(&format!("| `{exp}` |"))
+                .unwrap_or_else(|| panic!("{exp}: missing from the docs table, or out of order"));
+        }
     }
 }

@@ -37,7 +37,7 @@ impl CommonArgs {
     }
 
     /// Parses from an explicit iterator (testable).
-    pub fn parse_from(args: impl IntoIterator<Item = String>, default_queries: usize) -> Self {
+    fn parse_from(args: impl IntoIterator<Item = String>, default_queries: usize) -> Self {
         let mut out = CommonArgs {
             scale: 1.0,
             queries: default_queries,

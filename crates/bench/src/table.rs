@@ -1,8 +1,7 @@
 //! Fixed-width table output for experiment binaries.
 //!
 //! Every experiment prints paper-style tables to stdout; [`Table`] keeps the
-//! formatting consistent and `EXPERIMENTS.md`-ready (the output doubles as
-//! GitHub-flavored markdown).
+//! formatting consistent (the output doubles as GitHub-flavored markdown).
 
 /// A simple markdown-compatible table builder.
 pub struct Table {

@@ -1,11 +1,13 @@
-//! Test queries and exact ground truth.
+//! Test queries, exact ground truth, and the result-stream digest.
 //!
 //! The paper samples 1000 random query nodes per graph and reports averages.
 //! Exact PPVs (the accuracy reference) are the expensive part at any scale,
-//! so the default query count here is smaller (see `DESIGN.md` §4) and the
-//! ground-truth solves run on all cores.
+//! so the default query count here is smaller and the ground-truth solves
+//! run on all cores.
 
 use fastppv_baselines::exact::{exact_ppv, ExactOptions};
+use fastppv_core::query::StoppingCondition;
+use fastppv_core::{Config, HubSet, PpvStore, QueryEngine};
 use fastppv_graph::{Graph, NodeId};
 use rand::seq::SliceRandom;
 use rand_chacha::rand_core::SeedableRng;
@@ -47,6 +49,59 @@ pub fn sample_queries_zipf(graph: &Graph, count: usize, exponent: f64, seed: u64
             by_degree[rank]
         })
         .collect()
+}
+
+/// FNV-1a over a byte stream — stable, dependency-free.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Folds `bytes` into the digest.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+
+    /// The digest value.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Digest of the full result stream of `queries` at iteration budget
+/// `eta`: every `(query, node, score-bits, φ-bits)` is folded in. Two runs
+/// over equal deployments must produce equal digests, whatever the store
+/// layout — what `tests/results_digest.rs` pins.
+pub fn results_digest<S: PpvStore>(
+    graph: &Graph,
+    hubs: &HubSet,
+    store: &S,
+    config: Config,
+    queries: &[NodeId],
+    eta: usize,
+) -> u64 {
+    let engine = QueryEngine::new(graph, hubs, store, config);
+    let mut ws = engine.workspace();
+    let stop = StoppingCondition::iterations(eta);
+    let mut h = Fnv1a::default();
+    for &q in queries {
+        let result = engine.query_with(&mut ws, q, &stop);
+        h.update(&q.to_le_bytes());
+        h.update(&result.l1_error.to_bits().to_le_bytes());
+        for &(v, s) in result.scores.entries() {
+            h.update(&v.to_le_bytes());
+            h.update(&s.to_bits().to_le_bytes());
+        }
+    }
+    h.finish()
 }
 
 /// Exact PPVs for every query (parallel power iteration).

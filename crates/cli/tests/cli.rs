@@ -581,9 +581,8 @@ fn update_streams_events_delta_and_exact() {
     std::fs::remove_file(&index).ok();
 }
 
-/// Crash rounds, scaled by `FASTPPV_FAULT_ROUNDS` in CI (the crash demo
-/// in `BENCH_overload.json` runs hundreds; the default keeps `cargo
-/// test` quick).
+/// Crash rounds, scaled by `FASTPPV_FAULT_ROUNDS` in CI (the default
+/// keeps `cargo test` quick).
 fn fault_rounds(default: usize) -> usize {
     std::env::var("FASTPPV_FAULT_ROUNDS")
         .ok()

@@ -4,7 +4,9 @@
 //! budget 0 must be bit-identical to that rebuild, and the flat arena must
 //! evolve exactly like the memory layout.
 
-use fastppv::core::dynamic::{refresh_flat_index_snapshot_delta, refresh_index_delta, DeltaConfig};
+use fastppv::core::dynamic::{
+    affected_hubs, refresh_flat_index_snapshot_delta, refresh_index_delta, DeltaConfig,
+};
 use fastppv::core::index::PpvStore;
 use fastppv::core::offline::{build_flat_index, build_index};
 use fastppv::core::{select_hubs, Config, HubPolicy};
@@ -95,6 +97,7 @@ fn long_event_stream_does_not_bloat_the_index() {
     let (mut memory, _) = build_index(&g0, &hubs, &config);
     let (mut flat, _) = build_flat_index(&g0, &hubs, &config, 1);
     let events = synth_events(&g0, EVENTS, 0.2, 41);
+    let resident_at_build = flat.resident_bytes();
     let mut graph = g0;
     let mut resident = Vec::with_capacity(EVENTS);
     for ev in &events {
@@ -110,9 +113,24 @@ fn long_event_stream_does_not_bloat_the_index() {
             &config,
             &delta,
         );
+        // The dirty set is exactly the hubs whose G'(h) expands the tail,
+        // before or after the event; each is patched or recomputed once.
+        let mut affected: Vec<NodeId> = [&graph, &next]
+            .into_iter()
+            .flat_map(|g| affected_hubs(g, &hubs, ev.tail, config.epsilon, config.alpha))
+            .collect();
+        affected.sort_unstable();
+        affected.dedup();
         for stats in [&ms, &fs] {
             assert!(stats.budget_watermark <= delta.budget, "{stats:?}");
+            assert_eq!(stats.dirty(), affected.len(), "{stats:?} after {ev:?}");
+            assert!(stats.delta_noop <= stats.delta_patched, "{stats:?}");
+            assert_eq!(stats.reused + stats.dirty(), hubs.len(), "{stats:?}");
         }
+        // Chunked copy-on-write publish: no event copies more than the
+        // arena holds, and a heap-built arena maps nothing.
+        assert!(fs.cloned_bytes <= fs.resident_bytes as u64, "{fs:?}");
+        assert_eq!(fs.mapped_bytes, 0);
         assert_eq!(ms.live_entries, m.total_entries());
         assert_eq!(fs.live_entries, f.total_entries());
         assert_eq!(fs.resident_bytes, f.resident_bytes());
@@ -128,6 +146,11 @@ fn long_event_stream_does_not_bloat_the_index() {
         resident.push(fs.resident_bytes);
         (memory, flat, graph) = (m, f, next);
     }
+    assert!(
+        flat.resident_bytes() as f64 <= 1.5 * resident_at_build as f64,
+        "resident bytes: {resident_at_build} at build, {} after {EVENTS} events",
+        flat.resident_bytes()
+    );
 
     let (fresh, _) = build_index(&graph, &hubs, &config);
     let fresh_total = fresh.total_entries() as f64;

@@ -12,11 +12,11 @@
 //! 3. **Snapshot isolation under fire** — duplicated queries inside one
 //!    batch must agree bit-for-bit while updates publish new epochs
 //!    concurrently (no epoch mixing inside a batch).
-//! 4. **Overload** — with the service pinned past its shed watermark,
-//!    every rejection carries a positive retry hint and every admitted
-//!    answer (degraded or not) keeps φ a true bound against an exact
-//!    offline recompute; once the load drains the service admits at full
-//!    accuracy again.
+//! 4. **Overload** — with the service pinned past its shed and degrade
+//!    watermarks in turn, every rejection carries a positive retry hint
+//!    and every admitted answer (degraded or not) honors its deadline and
+//!    keeps φ a true bound against an exact offline recompute; once the
+//!    load drains the service admits at full accuracy again.
 //!
 //! Rounds scale with `FASTPPV_FAULT_ROUNDS` (CI turns it up; the local
 //! default keeps the suite fast). Mid-batch SIGKILL of a real server
@@ -313,7 +313,7 @@ fn sheds_carry_positive_retry_hints_and_admitted_answers_stay_certified() {
         )
         .with_overload(OverloadOptions {
             degrade_in_flight: 2,
-            shed_in_flight: 2,
+            shed_in_flight: 4,
             degraded_max_iterations: 1,
             ..OverloadOptions::default()
         }),
@@ -331,32 +331,50 @@ fn sheds_carry_positive_retry_hints_and_admitted_answers_stay_certified() {
         .map(|&q| exact_ppv(&graph, q, ExactOptions::default()))
         .collect();
 
+    // Every probe carries a deadline, and an admitted answer's service-clock
+    // latency must honor it. The service clamps `time_limit` to what is
+    // left of the deadline and the engine checks that once per increment
+    // round, so an answer may run past it by one round plus
+    // materialization; a whole request on this fixture takes about a
+    // millisecond, and the slack is ten of those. The deadline's cut never
+    // fires here (`expired_deadline_*` in `tests/serving.rs` holds that);
+    // what this bound holds is that a probe admitted under pressure is
+    // served at once, not queued behind the pin.
+    const DEADLINE_MS: u32 = 40;
+    const ROUND_SLACK: Duration = Duration::from_millis(10);
     let mut sheds = 0usize;
     let mut admitted = 0usize;
+    let mut sent = 0usize;
+    let mut slowest_admitted = Duration::ZERO;
     let storm_over = AtomicBool::new(false);
     std::thread::scope(|scope| {
-        // The pin thread keeps the pool parked above the shed watermark by
-        // re-submitting time-limited batches until the probe side is done.
+        // The pin thread keeps the pool parked by re-submitting
+        // time-limited batches until the probe side is done, alternately
+        // past the shed watermark and past the degrade watermark only, so
+        // probes meet both regimes.
         let svc = Arc::clone(&service);
         let storm = &storm_over;
         scope.spawn(move || {
-            while !storm.load(Ordering::Acquire) {
-                svc.process_batch(pin_batch(8, Duration::from_millis(60)));
+            for n in [8, 2].into_iter().cycle() {
+                if storm.load(Ordering::Acquire) {
+                    break;
+                }
+                svc.process_batch(pin_batch(n, Duration::from_millis(60)));
             }
         });
         let deadline = Instant::now() + Duration::from_secs(20);
         let want = rounds(6).max(3);
-        let mut i = 0usize;
-        while sheds < want && Instant::now() < deadline {
-            // Only fire while the pin is visibly inside the service;
-            // between pin batches a probe may be admitted — also checked.
+        while (sheds < want || admitted < want) && Instant::now() < deadline {
+            // Only fire while the pin is visibly inside the service: a
+            // probe is shed past the shed watermark and admitted (capped)
+            // below it — both checked.
             while service.load_stats().in_flight < 2 && Instant::now() < deadline {
                 std::thread::yield_now();
             }
-            let k = i % probes.len();
-            i += 1;
+            let k = sent % probes.len();
+            sent += 1;
             let r = client
-                .request_one(WireRequest::iterations(probes[k], 3))
+                .request_one(WireRequest::iterations(probes[k], 3).with_deadline_ms(DEADLINE_MS))
                 .unwrap();
             if let Some(retry) = r.retry_after() {
                 assert!(
@@ -383,14 +401,23 @@ fn sheds_carry_positive_retry_hints_and_admitted_answers_stay_certified() {
                     "admitted φ {} does not bound the true gap {gap}",
                     a.l1_error
                 );
+                slowest_admitted = slowest_admitted.max(a.latency);
                 admitted += 1;
             }
         }
         storm_over.store(true, Ordering::Release);
     });
+    // Offered load is partitioned: every probe was shed or answered (an
+    // error response fails the `expect` above), and the service counted
+    // the same sheds the client saw.
+    assert_eq!(sheds + admitted, sent);
     assert!(
-        sheds >= 3,
-        "the pinned service never shed ({sheds} sheds, {admitted} admitted)"
+        slowest_admitted <= Duration::from_millis(DEADLINE_MS.into()) + ROUND_SLACK,
+        "admitted under pressure, answered {slowest_admitted:?} after receipt"
+    );
+    assert!(
+        sheds >= 3 && admitted >= 3,
+        "the pinned service met one regime only ({sheds} sheds, {admitted} admitted)"
     );
     assert_eq!(service.load_stats().shed, sheds as u64);
 

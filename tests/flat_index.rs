@@ -92,8 +92,8 @@ fn bench_inputs_are_byte_identical_across_builds() {
     let (flat_a, _) = build_flat_index(&g, &hubs, &config, 1);
     let (flat_b, _) = build_flat_index(&g, &hubs, &config, 2);
     let queries = fastppv_bench::workload::sample_queries_zipf(&g, 64, 1.0, 42);
-    let da = fastppv_bench::hotpath::results_digest(&g, &hubs, &flat_a, config, &queries, 2);
-    let db = fastppv_bench::hotpath::results_digest(&g, &hubs, &flat_b, config, &queries, 2);
+    let da = fastppv_bench::workload::results_digest(&g, &hubs, &flat_a, config, &queries, 2);
+    let db = fastppv_bench::workload::results_digest(&g, &hubs, &flat_b, config, &queries, 2);
     assert_eq!(da, db, "result digests differ across independent builds");
 
     let mut pa = std::env::temp_dir();

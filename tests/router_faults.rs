@@ -106,19 +106,40 @@ fn shard_death_mid_batch_degrades_never_errors() {
     let fx = fixture(900, 60, 21);
     let map = ShardMap::round_robin(fx.graph.num_nodes(), 4);
     let backend = LocalBackend::new(shard_services(&fx, &map));
-    let router = Router::new(backend, map, router_cfg(&fx), RouterOptions::default());
+    let router = Router::new(
+        backend,
+        map.clone(),
+        router_cfg(&fx),
+        RouterOptions::default(),
+    );
     let queries = non_hub_queries(&fx, 8);
+    // The first scatter round of a query goes to the owners of its
+    // prime-0 border hubs above δ; any shard computes that frontier.
+    let first_round_owners: Vec<Vec<usize>> = queries
+        .iter()
+        .map(|&q| match router.backend().prime0(0, q, None) {
+            Ok(SubReply::Ok(p0)) => p0
+                .frontier
+                .iter()
+                .filter(|&&(_, m)| m > fx.config.delta)
+                .map(|&(h, _)| map.owner(h) as usize)
+                .collect(),
+            other => panic!("q {q}: no prime-0 from a live shard: {other:?}"),
+        })
+        .collect();
 
+    let kill_at = queries.len() / 2;
+    let mut exposed_rounds = 0;
     for round in 0..rounds(3) {
         let dead = round % 4;
-        let mut degraded = 0u32;
+        let (mut answered, mut degraded) = (0usize, 0u32);
         for (i, &q) in queries.iter().enumerate() {
-            if i == queries.len() / 2 {
+            if i == kill_at {
                 router.backend().set_dead(dead, true);
             }
             // Distinct (query, η) per round so the answer cache cannot
             // mask the dead shard.
-            let request = WireRequest::iterations(q, 2 + (round % 2) as u32);
+            let request = WireRequest::iterations(q, 2 + round as u32);
             match router.serve_request(&request) {
                 WireResponse::Answer(a) => {
                     assert!(
@@ -130,9 +151,20 @@ fn shard_death_mid_batch_degrades_never_errors() {
                         assert!(!a.exhausted, "degraded answers never claim exhaustion");
                         degraded += 1;
                     }
+                    answered += 1;
                 }
                 other => panic!("round {round} q {q}: client-visible failure {other:?}"),
             }
+        }
+        assert_eq!(answered, queries.len(), "round {round}");
+        // The outage is visible: a query whose first scatter round needs
+        // the dead shard comes back degraded, not silently short.
+        if first_round_owners[kill_at..]
+            .iter()
+            .any(|owners| owners.contains(&dead))
+        {
+            exposed_rounds += 1;
+            assert!(degraded > 0, "round {round}: shard {dead} died unnoticed");
         }
         router.backend().set_dead(dead, false);
         // Revived: a fresh (uncached) query must be clean again.
@@ -143,8 +175,8 @@ fn shard_death_mid_batch_degrades_never_errors() {
             }
             other => panic!("round {round}: failure after revival: {other:?}"),
         }
-        let _ = degraded; // how many were degraded depends on hub ownership
     }
+    assert!(exposed_rounds > 0, "no round ever needed its dead shard");
     let stats = router.stats();
     assert_eq!(stats.shed, 0, "iteration-stop requests are never shed");
 }

@@ -181,6 +181,8 @@ fn hammer<S: PpvStore + Send + Sync>(
         std::thread::sleep(Duration::from_millis(40));
         stop.store(true, Ordering::Release);
     });
+    // Every event in the stream changes the adjacency: none is skipped.
+    assert_eq!(service.cache_stats().noop_update_skips, 0);
 
     // Post-invalidation: every response — and in particular every *cached*
     // response — must carry final-epoch scores, never resurrected ones.
