@@ -936,12 +936,16 @@ pub fn update(argv: &[String]) -> CmdResult {
                  Streaming-update exerciser: synthesizes N seeded single-edge\n\
                  insert/delete events and streams them through a serving\n\
                  QueryService, refreshing the index after each one. With a\n\
-                 positive --budget B dirty hubs are patched by delta\n\
-                 propagation under a per-hub error budget (B = 0 recomputes\n\
-                 every dirty hub exactly). Reports sustained edge-events/s,\n\
-                 the patched/recomputed split, and the certified budget\n\
-                 watermark of the final index. Pass the same --epsilon etc.\n\
-                 the index was built with.\n\
+                 positive --budget B the hubs whose stored PPV holds mass at\n\
+                 the changed tail are patched by delta propagation under a\n\
+                 per-hub error budget and every other hub is left untouched;\n\
+                 B = 0 recomputes exactly every hub an epsilon-search from\n\
+                 the tail reaches. Reports sustained edge-events/s, the\n\
+                 patched / recomputed / reused split (per event the three\n\
+                 sum to the hub count; a no-op patch only grew the hub's\n\
+                 spend), and the certified budget watermark of the final\n\
+                 index. Pass the same --epsilon etc. the index was built\n\
+                 with.\n\
                  \n\
                  Durability: each event is appended to a write-ahead log\n\
                  (--wal DIR, default <index>.wal.d) before it is applied,\n\
@@ -1097,7 +1101,7 @@ pub fn update(argv: &[String]) -> CmdResult {
     }
 
     let mut wall = std::time::Duration::ZERO;
-    let (mut patched, mut noop, mut recomputed) = (0usize, 0usize, 0usize);
+    let (mut patched, mut noop, mut recomputed, mut reused) = (0usize, 0usize, 0usize, 0usize);
     let mut watermark = 0.0f64;
     let entries_before = service.store().total_entries();
     let mut clip_dropped = 0.0f64;
@@ -1116,6 +1120,7 @@ pub fn update(argv: &[String]) -> CmdResult {
         patched += stats.delta_patched;
         noop += stats.delta_noop;
         recomputed += stats.recomputed;
+        reused += stats.reused;
         watermark = watermark.max(stats.budget_watermark);
         clip_dropped += stats.clip_dropped;
         cur = service.graph();
@@ -1159,12 +1164,17 @@ pub fn update(argv: &[String]) -> CmdResult {
             w.dir.display()
         );
     }
+    // What "dirty" means depends on the path: the delta path asks each
+    // hub's stored vector, the exact path searches from the tail.
+    let dirty_means = if budget > 0.0 {
+        "hubs holding mass at a changed tail"
+    } else {
+        "hubs an epsilon-search from a changed tail reaches"
+    };
     println!(
-        "dirty hubs: {} delta-patched ({} no-op) + {} recomputed exactly; \
-         published epoch {}",
-        patched,
-        noop,
-        recomputed,
+        "dirty hubs ({dirty_means}): {patched} delta-patched ({noop} no-op, \
+         spend only) + {recomputed} recomputed exactly; {reused} reused untouched \
+         (per event the three sum to the hub count); published epoch {}",
         service.epoch()
     );
     println!(

@@ -4,18 +4,50 @@
 //! graph updates is to only re-compute the affected prime PPVs, without
 //! touching the unaffected ones". This module implements it — twice.
 //!
-//! **Invalidation.** A hub `h`'s prime PPV depends only on its prime
-//! subgraph `G'(h)`, and an edge change at tail `u` can alter `G'(h)` only
-//! if `u` is an *expanded* (propagating) node of `G'(h)` — i.e. there is a
-//! hub-free walk `h ⇝ u` with probability ≥ ε and `u` is not itself a hub
-//! (hubs absorb; nothing beyond them is explored, and entries *at* `u` only
-//! depend on the out-degrees of nodes strictly before `u`).
+//! **Invalidation** answers "which hubs can this batch have moved", and
+//! the two refresh modes ask it differently.
+//!
+//! *The exact path searches.* A hub `h`'s prime PPV depends only on its
+//! prime subgraph `G'(h)`, and an edge change at tail `u` can alter `G'(h)`
+//! only if `u` is an *expanded* (propagating) node of `G'(h)` — i.e. there
+//! is a hub-free walk `h ⇝ u` with probability ≥ ε and `u` is not itself a
+//! hub (hubs absorb; nothing beyond them is explored, and entries *at* `u`
+//! only depend on the out-degrees of nodes strictly before `u`).
 //! [`affected_hubs`] finds that set with a reverse max-probability search;
 //! [`ReverseScratch`] seeds one such search with a whole batch of tails at
 //! once (the fixed point of max-relaxation from all seeds is exactly the
-//! union of the per-seed fixed points), so a k-event batch costs one pass
-//! and zero per-event allocation. For deletions, walks that existed only in
-//! the old graph matter too, so invalidation runs on both graphs.
+//! union of the per-seed fixed points). For deletions, walks that existed
+//! only in the old graph matter too, so the search runs on both graphs.
+//! This is the dependence set of [`DeltaConfig::exact`] (and of a
+//! node-growing batch): bit-identity with a rebuild needs dependence at
+//! every magnitude down to ε, far below the clip, which stored entries
+//! cannot show.
+//!
+//! *The delta path asks the stored vector.* A patch restores the push
+//! invariant of the *maintained state* — the stored entries read as
+//! settled mass (below) — and a row swap at `u` perturbs that invariant by
+//! exactly `m̂(u)·(1-α)·(new_row − old_row)`. A hub whose stored vector has
+//! no entry at `u` has `m̂(u) = 0`: the swap is invisible to its maintained
+//! state, there is nothing to inject, push, merge or charge, and the error
+//! accounting — derived from that invariant, never from a dirty mask —
+//! holds with the hub untouched. (Zhang, Lofgren & Goel's dynamic forward
+//! push makes the same observation: after an edge change at `u` only the
+//! residual at `u` moves, in proportion to the current estimate there.) So
+//! a delta refresh runs no graph search: per held hub and tail it makes
+//! one binary search in the hub's sorted ids ([`PpvRef::score_of`]; the
+//! hub's own row carries unit mass by construction), `O(hubs · tails ·
+//! log len)` per batch — ≈ 50 µs for 800 hubs where the two ε-searches
+//! cost ≈ 1.7 ms and named 573 hubs, 99 % of which then found no entry at
+//! the tail. A node → hubs posting list would make the probe `O(holders)`;
+//! it is the follow-up only if hub counts reach 10⁵. At the default clip
+//! the two oracles name the same hubs that have work to do, and the
+//! refreshed index is bit-identical to the one the search-driven path
+//! produced. With `clip = 0` the probe is strictly *more* conservative: a
+//! hub stores mass at every node its extraction reached, including ε-leaves
+//! it never expanded, which the search skips; such a hub is now charged
+//! the (tiny) perturbation as an unpushed no-op — stored PPV untouched,
+//! spend grown by at most one patch allowance — where it used to be
+//! passed over.
 //!
 //! **Two entry points, one per layout.** [`refresh_index_delta`]
 //! returns a refreshed [`MemoryIndex`] sharing every clean PPV with the
@@ -29,7 +61,7 @@
 //! for each — the streaming-update throughput blocker.
 //!
 //! **Delta refresh** (a positive [`DeltaConfig::budget`]) instead *patches*
-//! each dirty hub's stored PPV. The stored vector `S` is read as settled
+//! the stored PPV of each hub that holds mass at a changed tail. The stored vector `S` is read as settled
 //! mass `m̂ = S/α` of a forward push whose invariant is
 //! `ρ = e_σ + (1-α)·Pᵀm̂ − m̂` (the virtual start node `σ` carries the
 //! source hub's out-row with unit mass; hubs — the source included — never
@@ -38,8 +70,8 @@
 //! `m̂(u)·(1-α)·(new_row − old_row)` as signed residual and pushing it
 //! forward through the full graph with hub absorption
 //! ([`DeltaPush`]). Tails with no stored entry inject nothing (the
-//! maintained state has no mass there), so most dirty hubs turn out to be
-//! no-op patches.
+//! maintained state has no mass there), which is what lets the stored
+//! vector stand in for the dependence search.
 //!
 //! **Error budget.** A patch is inexact in three places, all charged to a
 //! per-hub accumulated budget stored alongside the index entry
@@ -289,20 +321,27 @@ impl DeltaConfig {
 /// Statistics from an index refresh.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RefreshStats {
-    /// Hubs whose prime PPVs were recomputed exactly (dirty hubs the delta
-    /// path declined — budget exhausted, push truncated, or delta
-    /// disabled — plus, in a [`FlatIndex`] refresh, hubs the old arena
-    /// did not hold).
+    /// Hubs whose prime PPVs were recomputed exactly (the dependence set
+    /// of an exact refresh; on the delta path the hubs it declined —
+    /// budget exhausted or push truncated — plus, in a [`FlatIndex`]
+    /// refresh, hubs the old arena did not hold).
     pub recomputed: usize,
-    /// Dirty hubs resolved by the delta patch path (includes
-    /// [`RefreshStats::delta_noop`]).
+    /// Hubs resolved by the delta patch path: their stored state held mass
+    /// at a changed tail (includes [`RefreshStats::delta_noop`]).
     pub delta_patched: usize,
-    /// Delta-patched hubs whose patch turned out empty — the perturbation
-    /// never touched their stored mass, so the segment was not rewritten
-    /// (the common case for far-away events).
+    /// Delta-patched hubs whose perturbation fit the patch allowance
+    /// unpushed: the stored PPV was not rewritten, only the hub's spend
+    /// grew (the common case for a hub that holds little mass at the
+    /// tail).
     pub delta_noop: usize,
-    /// Hubs reused unchanged (not dirty).
+    /// Hubs the batch was invisible to — not in the exact path's
+    /// dependence set, or holding no stored mass at any changed tail on
+    /// the delta path. Nothing is written for them.
     pub reused: usize,
+    /// Node settles the delta path's pushes performed, summed over the
+    /// refresh's hubs — the work an event costs, counted rather than
+    /// timed. Always 0 for an exact refresh.
+    pub push_settles: usize,
     /// Largest per-hub accumulated budget spend in the refreshed index —
     /// ≤ [`DeltaConfig::budget`] by construction (exceeding it forces a
     /// recompute, which resets the hub's spend to zero).
@@ -337,7 +376,9 @@ pub struct RefreshStats {
 }
 
 impl RefreshStats {
-    /// Hubs invalidated by the batch: `recomputed + delta_patched`.
+    /// Hubs the batch touched, `recomputed + delta_patched`: for an exact
+    /// refresh the hubs the ε-search reached, for a delta refresh the hubs
+    /// whose stored state saw the event (mass at a changed tail).
     pub fn dirty(&self) -> usize {
         self.recomputed + self.delta_patched
     }
@@ -356,35 +397,32 @@ pub fn same_adjacency(old: &Graph, new: &Graph, changed_tails: &[NodeId]) -> boo
         })
 }
 
-/// The per-node dirty mask of an edge batch: true for every hub whose
-/// prime PPV may have changed. `old_graph` is consulted so that deletions
+/// The per-node dirty mask of an edge batch — the **exact** path's
+/// dependence set: true for every hub whose prime PPV may have changed at
+/// any magnitude down to ε. `old_graph` is consulted so that deletions
 /// (walks that existed only before the change) also invalidate their
-/// dependents.
+/// dependents. The delta path never calls this (see the module docs): it
+/// asks each hub's stored vector instead.
 fn dirty_hubs(
-    scratch: &mut ReverseScratch,
     old_graph: &Graph,
     new_graph: &Graph,
     hubs: &HubSet,
     changed_tails: &[NodeId],
     config: &Config,
 ) -> Vec<bool> {
-    let mut dirty = vec![false; new_graph.num_nodes()];
-    scratch.mark_affected(
-        new_graph,
-        hubs,
-        changed_tails,
-        config.epsilon,
-        config.alpha,
-        &mut dirty,
-    );
-    scratch.mark_affected(
-        old_graph,
-        hubs,
-        changed_tails,
-        config.epsilon,
-        config.alpha,
-        &mut dirty,
-    );
+    let n = new_graph.num_nodes();
+    let mut scratch = ReverseScratch::new(n.max(old_graph.num_nodes()));
+    let mut dirty = vec![false; n];
+    for graph in [new_graph, old_graph] {
+        scratch.mark_affected(
+            graph,
+            hubs,
+            changed_tails,
+            config.epsilon,
+            config.alpha,
+            &mut dirty,
+        );
+    }
     dirty
 }
 
@@ -398,34 +436,35 @@ fn dedup_tails(changed_tails: &[NodeId]) -> Vec<NodeId> {
     tails
 }
 
-/// How a dirty hub was resolved.
+/// How one held hub came out of a refresh.
 enum Patch {
-    /// Delta declined; recompute the prime PPV exactly.
+    /// The event is invisible to this hub — the exact path's search did
+    /// not reach it, or (delta path) its stored state holds no mass at any
+    /// changed tail: nothing is written, the hub counts as reused.
+    Untouched,
+    /// Recompute the prime PPV exactly (the exact path's dirty hubs, and
+    /// hubs the delta path declined).
     Recompute,
-    /// The perturbation never reached the stored mass (or fits the patch
-    /// allowance unpushed): keep the stored PPV, carry the
-    /// (leftover-charged) spend.
+    /// The perturbation fits the patch allowance unpushed: keep the stored
+    /// PPV, carry the (leftover-charged) spend.
     Unchanged { spent: f64 },
     /// Merged entries are in the scratch; store them with this spend.
     /// `clipped` is the part of it the merge dropped below the clip.
     Patched { spent: f64, clipped: f64 },
 }
 
-/// Mutable state of the delta patch path, reused across hubs and batches.
+/// Mutable state of the delta patch path, reused across the hubs of a
+/// refresh. Empty until a hub actually injects: the three graph-sized
+/// arrays of the push are built at the first injection, so an event no
+/// held hub sees allocates nothing.
+#[derive(Default)]
 struct DeltaScratch {
-    push: DeltaPush,
+    push: Option<DeltaPush>,
     deposits: Vec<(NodeId, f64)>,
     merged: Vec<(NodeId, f64)>,
-}
-
-impl DeltaScratch {
-    fn new(n: usize) -> Self {
-        DeltaScratch {
-            push: DeltaPush::new(n),
-            deposits: Vec::new(),
-            merged: Vec::new(),
-        }
-    }
+    /// Σ [`DeltaOutcome::settles`](crate::prime::DeltaOutcome::settles)
+    /// over the pushes run so far.
+    settles: usize,
 }
 
 #[inline]
@@ -519,8 +558,10 @@ fn merge_patch(
     loss
 }
 
-/// Attempts to patch one dirty hub's stored PPV in place of an exact
-/// recompute. `tails` must be deduplicated. On [`Patch::Patched`] the
+/// Resolves one held hub on the delta path: asks its stored vector whether
+/// the batch is visible at all ([`Patch::Untouched`] if not) and patches it
+/// in place of an exact recompute if so. `tails` must be deduplicated and
+/// the two graphs must agree on node count. On [`Patch::Patched`] the
 /// merged entries are left in `scratch.merged`.
 #[allow(clippy::too_many_arguments)]
 fn try_delta_patch(
@@ -554,41 +595,37 @@ fn try_delta_patch(
                 _ => continue,
             }
         };
-        let old_row = if (u as usize) < old_graph.num_nodes() {
-            old_graph.out_neighbors(u)
-        } else {
-            &[][..]
-        };
-        let new_row = if (u as usize) < new_graph.num_nodes() {
-            new_graph.out_neighbors(u)
-        } else {
-            &[][..]
-        };
+        let (old_row, new_row) = (old_graph.out_neighbors(u), new_graph.out_neighbors(u));
         if old_row == new_row {
             continue;
         }
-        inject_row(&mut scratch.push, old_row, -m * (1.0 - alpha));
-        inject_row(&mut scratch.push, new_row, m * (1.0 - alpha));
+        let push = scratch
+            .push
+            .get_or_insert_with(|| DeltaPush::new(new_graph.num_nodes()));
+        inject_row(push, old_row, -m * (1.0 - alpha));
+        inject_row(push, new_row, m * (1.0 - alpha));
         injected = true;
     }
     if !injected {
         // The common case for a far-away event: nothing to push, nothing
-        // to merge, nothing spent.
-        return Patch::Unchanged { spent: spent_old };
+        // to merge, nothing spent, nothing written.
+        return Patch::Untouched;
     }
-    let outcome = scratch.push.run(
+    let push = scratch.push.as_mut().expect("injected implies a push");
+    let outcome = push.run(
         new_graph,
         hubs,
         alpha,
         delta.budget / PATCHES_PER_BUDGET,
         delta.max_settles,
     );
+    scratch.settles += outcome.settles;
     let mut spent = spent_old + outcome.leftover;
     if outcome.truncated || spent > delta.budget {
-        scratch.push.reset();
+        push.reset();
         return Patch::Recompute;
     }
-    scratch.push.drain_deposits(&mut scratch.deposits);
+    push.drain_deposits(&mut scratch.deposits);
     if scratch.deposits.is_empty() {
         return Patch::Unchanged { spent };
     }
@@ -605,15 +642,16 @@ fn try_delta_patch(
 
 /// Refreshes `old_index` after edge updates, touching only affected hubs.
 ///
-/// `changed_tails` are the source nodes of every inserted or deleted edge.
-/// `old_graph` is consulted so that deletions (walks that existed only
-/// before the change) also invalidate their dependents; pass the same graph
-/// twice for pure insertions. Unaffected PPVs are shared with the old
-/// index (`Arc` handles, no entry copies). Dirty hubs whose perturbation
-/// can be pushed within the per-hub error budget are patched (or kept
-/// untouched when the patch is empty) instead of recomputed; with
-/// [`DeltaConfig::exact`] every dirty hub is recomputed. See the module
-/// docs for the accounting.
+/// `changed_tails` are the source nodes of every inserted or deleted edge;
+/// `old_graph` supplies their rows before the change (and, on the exact
+/// path, the walks that existed only before it). Unaffected PPVs are
+/// shared with the old index (`Arc` handles, no entry copies). With a
+/// positive budget the hubs whose stored PPV holds mass at a changed tail
+/// are patched within the per-hub error budget (or only charged, when the
+/// perturbation fits the allowance unpushed) and recomputed when it does
+/// not fit; with [`DeltaConfig::exact`] every hub the ε-search reaches is
+/// recomputed. See the module docs for both dependence oracles and the
+/// accounting.
 ///
 /// The refreshed index holds exactly the hubs `old_index` holds, so a
 /// shard's slice stays a slice (recomputing the hubs it does *not* hold
@@ -633,27 +671,21 @@ pub fn refresh_index_delta(
     let start = Instant::now();
     let n = new_graph.num_nodes();
     let tails = dedup_tails(changed_tails);
-    let mut reverse = ReverseScratch::new(n.max(old_graph.num_nodes()));
-    let dirty = dirty_hubs(&mut reverse, old_graph, new_graph, hubs, &tails, config);
-    // The push scratch is sized for (and runs on) the new graph; a node
-    // count change would let old-row injections land out of range.
+    // The push runs on the new graph; a node count change would let
+    // old-row injections land out of range, so such a batch is exact.
     let delta_enabled = delta.budget > 0.0 && old_graph.num_nodes() == n;
+    let dirty = (!delta_enabled).then(|| dirty_hubs(old_graph, new_graph, hubs, &tails, config));
     let mut index = MemoryIndex::new(n);
     let mut pc: Option<PrimeComputer> = None;
-    let mut ds: Option<DeltaScratch> = None;
+    let mut ds = DeltaScratch::default();
     let mut stats = RefreshStats::default();
     for &h in old_index.hub_ids() {
         assert!(hubs.is_hub(h), "indexed node {h} is not in the hub set");
         let stored = old_index.get_shared(h).expect("listed hub is stored");
-        if !dirty[h as usize] {
-            index.insert_shared(h, stored);
-            index.set_budget_spent(h, old_index.budget_spent(h));
-            stats.reused += 1;
-            continue;
-        }
-        let patch = if delta_enabled {
-            let scratch = ds.get_or_insert_with(|| DeltaScratch::new(n));
-            try_delta_patch(
+        let patch = match &dirty {
+            Some(dirty) if dirty[h as usize] => Patch::Recompute,
+            Some(_) => Patch::Untouched,
+            None => try_delta_patch(
                 &PpvRef::Aos(stored.entries.entries()),
                 old_index.budget_spent(h),
                 h,
@@ -663,12 +695,15 @@ pub fn refresh_index_delta(
                 &tails,
                 config,
                 delta,
-                scratch,
-            )
-        } else {
-            Patch::Recompute
+                &mut ds,
+            ),
         };
         match patch {
+            Patch::Untouched => {
+                index.insert_shared(h, stored);
+                index.set_budget_spent(h, old_index.budget_spent(h));
+                stats.reused += 1;
+            }
             Patch::Recompute => {
                 let pc = pc.get_or_insert_with(|| PrimeComputer::new(n));
                 let (ppv, _) = pc.prime_ppv(new_graph, hubs, h, config, config.clip);
@@ -682,8 +717,7 @@ pub fn refresh_index_delta(
                 stats.delta_noop += 1;
             }
             Patch::Patched { spent, clipped } => {
-                let scratch = ds.as_mut().expect("patched implies scratch");
-                let entries = std::mem::take(&mut scratch.merged);
+                let entries = std::mem::take(&mut ds.merged);
                 index.insert(
                     h,
                     PrimePpv {
@@ -696,6 +730,7 @@ pub fn refresh_index_delta(
             }
         }
     }
+    stats.push_settles = ds.settles;
     stats.budget_watermark = index.budget_watermark();
     stats.live_entries = index.total_entries();
     stats.elapsed = start.elapsed();
@@ -708,7 +743,7 @@ pub fn refresh_index_delta(
 /// [`FlatIndex::replace_entries`] straight from the merge scratch
 /// (tombstone-and-append; the arena compacts itself once dead entries
 /// cross [`FlatIndex::COMPACTION_THRESHOLD`]). Unaffected segments are
-/// untouched — no entry is copied for them — and empty patches only bump
+/// untouched — no entry is copied for them — and unpushed patches only bump
 /// the slot's budget spend. The arena must cover `new_graph` (node
 /// additions require a rebuild via [`crate::offline::build_flat_index`]).
 #[allow(clippy::too_many_arguments)]
@@ -733,22 +768,17 @@ fn refresh_flat_index_delta(
     let cloned_before = index.bytes_cloned();
     let n = new_graph.num_nodes();
     let tails = dedup_tails(changed_tails);
-    let mut reverse = ReverseScratch::new(n.max(old_graph.num_nodes()));
-    let dirty = dirty_hubs(&mut reverse, old_graph, new_graph, hubs, &tails, config);
     let delta_enabled = delta.budget > 0.0 && old_graph.num_nodes() == n;
+    let dirty = (!delta_enabled).then(|| dirty_hubs(old_graph, new_graph, hubs, &tails, config));
     let mut pc: Option<PrimeComputer> = None;
-    let mut ds: Option<DeltaScratch> = None;
+    let mut ds = DeltaScratch::default();
     let mut stats = RefreshStats::default();
     for &h in hubs.ids() {
-        let present = index.contains(h);
-        if present && !dirty[h as usize] {
-            stats.reused += 1;
-            continue;
-        }
-        let patch = if present && delta_enabled {
-            let scratch = ds.get_or_insert_with(|| DeltaScratch::new(n));
-            let view = index.view(h).expect("checked contains");
-            try_delta_patch(
+        let patch = match (index.view(h), &dirty) {
+            (None, _) => Patch::Recompute, // a hub the old arena did not hold
+            (Some(_), Some(dirty)) if dirty[h as usize] => Patch::Recompute,
+            (Some(_), Some(_)) => Patch::Untouched,
+            (Some(view), None) => try_delta_patch(
                 &view,
                 index.budget_spent(h),
                 h,
@@ -758,12 +788,11 @@ fn refresh_flat_index_delta(
                 &tails,
                 config,
                 delta,
-                scratch,
-            )
-        } else {
-            Patch::Recompute
+                &mut ds,
+            ),
         };
         match patch {
+            Patch::Untouched => stats.reused += 1,
             Patch::Recompute => {
                 let pc = pc.get_or_insert_with(|| PrimeComputer::new(n));
                 let (ppv, _) = pc.prime_ppv(new_graph, hubs, h, config, config.clip);
@@ -776,14 +805,14 @@ fn refresh_flat_index_delta(
                 stats.delta_noop += 1;
             }
             Patch::Patched { spent, clipped } => {
-                let scratch = ds.as_ref().expect("patched implies scratch");
-                index.replace_entries(h, &scratch.merged, hubs);
+                index.replace_entries(h, &ds.merged, hubs);
                 index.set_budget_spent(h, spent);
                 stats.delta_patched += 1;
                 stats.clip_dropped += clipped;
             }
         }
     }
+    stats.push_settles = ds.settles;
     stats.budget_watermark = index.budget_watermark();
     stats.live_entries = index.total_entries();
     stats.cloned_bytes = index.bytes_cloned() - cloned_before;
@@ -1271,7 +1300,7 @@ mod tests {
     }
 
     #[test]
-    fn vacuous_batch_is_all_noop_patches() {
+    fn vacuous_batch_dirties_nothing() {
         let g = barabasi_albert(250, 3, 29);
         let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 25, 0);
         let config = Config::default();
@@ -1279,12 +1308,13 @@ mod tests {
         let (old_index, _) = build_index(&g, &hubs, &config);
         let u = (0..250u32).find(|&v| !hubs.is_hub(v)).unwrap();
         assert!(same_adjacency(&g, &g, &[u]));
-        // Same graph on both sides: hubs are invalidated (the dependence
-        // search cannot know the rows are equal) but every patch is empty.
+        // Same graph on both sides: hubs that store mass at the tail find
+        // its row unchanged, so no hub sees the batch and nothing is
+        // pushed, spent or written.
         let (next, stats) = refresh_index_delta(&old_index, &g, &g, &hubs, &[u], &config, &delta);
-        assert!(stats.dirty() > 0);
-        assert_eq!(stats.recomputed, 0);
-        assert_eq!(stats.delta_noop, stats.delta_patched);
+        assert_eq!(stats.dirty(), 0);
+        assert_eq!(stats.reused, hubs.len());
+        assert_eq!(stats.push_settles, 0);
         assert_eq!(stats.budget_watermark, 0.0);
         for &h in hubs.ids() {
             assert_eq!(

@@ -1797,12 +1797,11 @@ mod tests {
         })
         .with_delta_config(DeltaConfig::default());
         service.query(Request::iterations(toy::A, 4));
-        // A hub tail is listed, so hubs *are* invalidated — but its row is
-        // unchanged, every patch comes back empty, and nothing publishes.
+        // A hub tail is listed, but its row is unchanged: no hub's stored
+        // state sees the batch, nothing is patched, and nothing publishes.
         let h = service.hubs().ids()[0];
         let stats = service.apply_update(toy::graph(), &[h]);
-        assert!(stats.delta_patched > 0);
-        assert_eq!(stats.delta_patched, stats.delta_noop);
+        assert_eq!(stats.delta_patched, 0);
         assert_eq!(stats.recomputed, 0);
         assert_eq!(service.epoch(), 0);
         assert_eq!(service.cache_stats().entries, 1);

@@ -1,4 +1,4 @@
-//! Proves two acceptance criteria with a counting global allocator:
+//! Proves three acceptance criteria with a counting global allocator:
 //!
 //! * zero heap allocations in `IncrementalState::step` rounds and in the
 //!   assemble pass that folds them into the estimate, on the `FlatIndex`
@@ -7,7 +7,12 @@
 //!   extract+solve path (`PrimeComputer::prime_ppv_into`): once the
 //!   workspace is warm, starting a session computes the whole prime PPV
 //!   on the fly with the session bookkeeping's single allocation, and
-//!   every subsequent step, and the assemble pass, allocate nothing.
+//!   every subsequent step, and the assemble pass, allocate nothing;
+//! * nothing graph-sized for an **edge event no hub sees**: a delta
+//!   refresh whose tail no stored PPV holds mass at allocates less than
+//!   `8·n` bytes beyond the arena's copy-on-write directory clone — no
+//!   reverse-search scratch (`8·n` by itself), no dirty mask, no push
+//!   arrays.
 //!
 //! This file deliberately holds a single test: the allocation counter is
 //! process-global, and a lone test keeps other threads from muddying the
@@ -16,20 +21,25 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use fastppv::core::dynamic::refresh_flat_index_snapshot_delta;
 use fastppv::core::offline::build_flat_index;
 use fastppv::core::query::StoppingCondition;
-use fastppv::core::{select_hubs, Config, HubPolicy, QueryEngine};
-use fastppv::graph::gen::barabasi_albert;
+use fastppv::core::{select_hubs, Config, DeltaConfig, HubPolicy, PpvStore, QueryEngine};
+use fastppv::graph::builder::from_edges;
+use fastppv::graph::gen::{apply_event, barabasi_albert, EdgeEvent};
+use fastppv::graph::NodeId;
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: pure pass-through to the `System` allocator (plus a side-effect-
 // free counter bump), so `System`'s allocation guarantees carry over.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim — the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -42,6 +52,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim — the caller upholds `realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -125,6 +136,42 @@ fn steps_allocate_nothing_on_flat_path_with_warm_workspace() {
         during, 0,
         "{during} heap allocations across {steps} warm non-hub steps and \
          their assemble pass"
+    );
+
+    drop(session);
+
+    // Phase 3: an edge event invisible to every stored PPV. Node `n - 1`
+    // is appended with one out-edge and no in-edge, so no hub holds mass
+    // there; the delta refresh probes each hub's stored ids, finds
+    // nothing, and must not build anything graph-sized on the way.
+    let n = g.num_nodes() + 1;
+    let unreferenced = (n - 1) as NodeId;
+    let mut edges: Vec<(NodeId, NodeId)> = g.edges().collect();
+    edges.push((unreferenced, 0));
+    let g = from_edges(n, &edges);
+    let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 80, 0);
+    let (flat, _) = build_flat_index(&g, &hubs, &config, 1);
+    let event = EdgeEvent {
+        tail: unreferenced,
+        head: 1,
+        insert: true,
+    };
+    let next = apply_event(&g, &event);
+    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    let clone = flat.clone();
+    let clone_bytes = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+    drop(clone);
+    let delta = DeltaConfig::default();
+    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    let (refreshed, stats) =
+        refresh_flat_index_snapshot_delta(&flat, &g, &next, &hubs, &[event.tail], &config, &delta);
+    let refresh_bytes = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+    assert_eq!(stats.reused, hubs.len(), "{stats:?}");
+    assert_eq!(refreshed.total_entries(), flat.total_entries());
+    assert!(
+        refresh_bytes < clone_bytes + 8 * n as u64,
+        "an invisible event allocated {refresh_bytes} bytes; the directory \
+         clone is {clone_bytes} and n is {n}"
     );
 
     // Sanity check that the counter is actually live.

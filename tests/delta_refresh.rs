@@ -6,13 +6,15 @@
 
 use fastppv::core::dynamic::{
     affected_hubs, refresh_flat_index_snapshot_delta, refresh_index_delta, DeltaConfig,
+    PATCHES_PER_BUDGET,
 };
 use fastppv::core::index::PpvStore;
 use fastppv::core::offline::{build_flat_index, build_index};
-use fastppv::core::{select_hubs, Config, HubPolicy};
+use fastppv::core::{select_hubs, Config, HubPolicy, HubSet};
 use fastppv::graph::builder::{from_edges, GraphBuilder};
-use fastppv::graph::gen::{apply_event, barabasi_albert, synth_events};
+use fastppv::graph::gen::{apply_event, barabasi_albert, synth_events, EdgeEvent};
 use fastppv::graph::{Graph, NodeId};
+use fastppv_bench::workload::Fnv1a;
 use proptest::prelude::*;
 
 /// Exact-ish config: no clipping and a deep ε so the rebuild the budget is
@@ -77,6 +79,74 @@ fn entries_l1(a: &[(NodeId, f64)], b: &[(NodeId, f64)]) -> f64 {
     d
 }
 
+/// FNV-1a over `(hub, budget_spent bits, (id, score bits)…)` of every hub,
+/// in hub-set order: two stores with equal digests hold the same PPVs and
+/// the same spends, bit for bit.
+fn index_digest<S: PpvStore>(store: &S, hubs: &HubSet) -> u64 {
+    let mut digest = Fnv1a::default();
+    for &h in hubs.ids() {
+        digest.update(&h.to_le_bytes());
+        digest.update(&store.spent_budget(h).to_bits().to_le_bytes());
+        store.view(h).expect("held hub").for_each(|id, s| {
+            digest.update(&id.to_le_bytes());
+            digest.update(&s.to_bits().to_le_bytes());
+        });
+    }
+    digest.finish()
+}
+
+/// The exact path's dependence set: hubs whose `G'(h)` expands `tail`
+/// before or after the event (the ε-search, run on both graphs).
+fn search_dependents(
+    old: &Graph,
+    new: &Graph,
+    hubs: &HubSet,
+    tail: NodeId,
+    config: &Config,
+) -> Vec<NodeId> {
+    let mut affected: Vec<NodeId> = [old, new]
+        .into_iter()
+        .flat_map(|g| affected_hubs(g, hubs, tail, config.epsilon, config.alpha))
+        .collect();
+    affected.sort_unstable();
+    affected.dedup();
+    affected
+}
+
+/// The delta path's dependence oracle, recomputed from a store: the held
+/// hubs whose stored state sees a change of `tail`'s out-row between `old`
+/// and `new` — `tail` itself if it is a hub, otherwise every hub holding a
+/// nonzero entry at `tail`; nobody if the row did not change.
+fn stored_dependents<S: PpvStore>(
+    store: &S,
+    hubs: &HubSet,
+    old: &Graph,
+    new: &Graph,
+    tail: NodeId,
+) -> Vec<NodeId> {
+    if old.out_neighbors(tail) == new.out_neighbors(tail) {
+        return Vec::new();
+    }
+    let holds_mass = |h: NodeId| {
+        let view = store.view(h).expect("held hub");
+        !matches!(view.score_of(tail), None | Some(0.0))
+    };
+    let sees = |h: NodeId| {
+        if hubs.is_hub(tail) {
+            h == tail
+        } else {
+            holds_mass(h)
+        }
+    };
+    hubs.ids().iter().copied().filter(|&h| sees(h)).collect()
+}
+
+/// [`index_digest`] of both layouts after the 320 events of
+/// `long_event_stream_does_not_bloat_the_index`, recorded at the commit
+/// before the delta path stopped running the affected-hub search: asking
+/// the stored vector instead moves no stored PPV and no spend by one bit.
+const LONG_STREAM_DIGEST: u64 = 0xab39_135e_56d9_ac08;
+
 /// The update path must not grow the index: a long stream of single-edge
 /// events at the default clip leaves both layouts the size a fresh build
 /// of the final graph is, every segment the length a fresh segment is, the
@@ -113,17 +183,20 @@ fn long_event_stream_does_not_bloat_the_index() {
             &config,
             &delta,
         );
-        // The dirty set is exactly the hubs whose G'(h) expands the tail,
-        // before or after the event; each is patched or recomputed once.
-        let mut affected: Vec<NodeId> = [&graph, &next]
-            .into_iter()
-            .flat_map(|g| affected_hubs(g, &hubs, ev.tail, config.epsilon, config.alpha))
-            .collect();
-        affected.sort_unstable();
-        affected.dedup();
-        for stats in [&ms, &fs] {
+        // The dirty set is exactly the hubs whose *stored* state sees the
+        // event, read here from the old stores: the tail itself when it is
+        // a hub (unit mass on its own row; another hub's row propagates
+        // nothing), else every hub holding mass at the tail — provided the
+        // tail's row changed at all. Each is patched or recomputed once.
+        for (stats, seen) in [
+            (
+                &ms,
+                stored_dependents(&memory, &hubs, &graph, &next, ev.tail),
+            ),
+            (&fs, stored_dependents(&flat, &hubs, &graph, &next, ev.tail)),
+        ] {
             assert!(stats.budget_watermark <= delta.budget, "{stats:?}");
-            assert_eq!(stats.dirty(), affected.len(), "{stats:?} after {ev:?}");
+            assert_eq!(stats.dirty(), seen.len(), "{stats:?} after {ev:?}");
             assert!(stats.delta_noop <= stats.delta_patched, "{stats:?}");
             assert_eq!(stats.reused + stats.dirty(), hubs.len(), "{stats:?}");
         }
@@ -146,6 +219,11 @@ fn long_event_stream_does_not_bloat_the_index() {
         resident.push(fs.resident_bytes);
         (memory, flat, graph) = (m, f, next);
     }
+    assert_eq!(
+        (index_digest(&memory, &hubs), index_digest(&flat, &hubs)),
+        (LONG_STREAM_DIGEST, LONG_STREAM_DIGEST),
+        "stored PPVs or spends moved"
+    );
     assert!(
         flat.resident_bytes() as f64 <= 1.5 * resident_at_build as f64,
         "resident bytes: {resident_at_build} at build, {} after {EVENTS} events",
@@ -199,6 +277,121 @@ fn long_event_stream_does_not_bloat_the_index() {
         peak(first),
         peak(second)
     );
+}
+
+/// BA-2k plus one node nobody links to (id 2 000, a single out-edge): no
+/// walk reaches it, so no hub stores mass there — an edge event at that
+/// tail is invisible to every stored PPV.
+fn ba_2k_with_an_unreferenced_node() -> (Graph, NodeId) {
+    let ba = barabasi_albert(2_000, 4, 0xB10A7);
+    let mut edges: Vec<(NodeId, NodeId)> = ba.edges().collect();
+    edges.push((2_000, 0));
+    (from_edges(2_001, &edges), 2_000)
+}
+
+/// An event costs the hubs that hold mass at its tail, not the hubs an
+/// ε-search can reach from it — guarded by count, not by a clock. On this
+/// stream the stored vectors name 1 hub for every 4.1 the search reaches
+/// (Σ dirty 1 799 vs Σ |search set| 7 446 over the 101 events — exact per
+/// seed; on BA-2k every referenced node is some hub's near neighbour,
+/// BA-20k / 800 hubs reads 1 : 45), and an event no held hub stores
+/// pushes nothing.
+#[test]
+fn an_event_costs_the_hubs_that_hold_mass_at_its_tail() {
+    let (g0, unreferenced) = ba_2k_with_an_unreferenced_node();
+    let hubs = select_hubs(&g0, HubPolicy::ExpectedUtility, 80, 0);
+    let config = Config::default().with_epsilon(1e-6);
+    let delta = DeltaConfig::default().with_budget(0.01);
+    let (mut flat, _) = build_flat_index(&g0, &hubs, &config, 1);
+    let invisible = EdgeEvent {
+        tail: unreferenced,
+        head: 1,
+        insert: true,
+    };
+    let events = [vec![invisible], synth_events(&g0, 100, 0.2, 41)].concat();
+    let mut graph = g0;
+    let (mut dirty, mut searched, mut settles) = (0usize, 0usize, 0usize);
+    for ev in &events {
+        let next = apply_event(&graph, ev);
+        let seen = stored_dependents(&flat, &hubs, &graph, &next, ev.tail);
+        let (f, stats) = refresh_flat_index_snapshot_delta(
+            &flat,
+            &graph,
+            &next,
+            &hubs,
+            &[ev.tail],
+            &config,
+            &delta,
+        );
+        if seen.is_empty() {
+            assert_eq!(stats.push_settles, 0, "{stats:?} after {ev:?}");
+            assert_eq!(stats.reused, hubs.len(), "{stats:?} after {ev:?}");
+        }
+        assert!(*ev != invisible || seen.is_empty());
+        dirty += stats.dirty();
+        settles += stats.push_settles;
+        searched += search_dependents(&graph, &next, &hubs, ev.tail, &config).len();
+        (flat, graph) = (f, next);
+    }
+    assert!(settles > 0, "no patch ever pushed");
+    assert!(
+        4 * dirty <= searched,
+        "{dirty} hubs dirtied where the ε-search reaches {searched}"
+    );
+}
+
+/// With `clip = 0` the stored vector is a strict *superset* oracle: a hub
+/// may store mass at a tail its prime subgraph never expanded (an ε-leaf),
+/// which the ε-search skips. Such a hub is charged the perturbation as an
+/// unpushed no-op — entries untouched, spend grown by at most one patch
+/// allowance — and every hub the search does name that stores mass at the
+/// tail is dirtied, so nothing the exact path would recompute is missed
+/// where the maintained state can see it.
+#[test]
+fn clip_zero_probe_is_a_conservative_superset_of_the_search() {
+    let g0 = barabasi_albert(2_000, 4, 0xB10A7);
+    let hubs = select_hubs(&g0, HubPolicy::ExpectedUtility, 80, 0);
+    let config = Config::default()
+        .with_epsilon(1e-6)
+        .with_delta(0.0)
+        .with_clip(0.0);
+    let delta = DeltaConfig::default().with_budget(0.01);
+    let (mut flat, _) = build_flat_index(&g0, &hubs, &config, 1);
+    let events = synth_events(&g0, 60, 0.2, 41);
+    let mut graph = g0;
+    let (mut outside, mut inside) = (0usize, 0usize);
+    for ev in &events {
+        let next = apply_event(&graph, ev);
+        let seen = stored_dependents(&flat, &hubs, &graph, &next, ev.tail);
+        let searched = search_dependents(&graph, &next, &hubs, ev.tail, &config);
+        let (f, stats) = refresh_flat_index_snapshot_delta(
+            &flat,
+            &graph,
+            &next,
+            &hubs,
+            &[ev.tail],
+            &config,
+            &delta,
+        );
+        assert_eq!(stats.dirty(), seen.len(), "{stats:?} after {ev:?}");
+        assert_eq!(stats.reused + stats.dirty(), hubs.len(), "{stats:?}");
+        for &h in &seen {
+            if searched.binary_search(&h).is_ok() {
+                inside += 1;
+                continue;
+            }
+            outside += 1;
+            assert_eq!(f.load(h), flat.load(h), "hub {h} after {ev:?}");
+            let grown = f.budget_spent(h) - flat.budget_spent(h);
+            assert!(
+                grown > 0.0 && grown <= delta.budget / PATCHES_PER_BUDGET,
+                "hub {h} after {ev:?}: spend grew by {grown}"
+            );
+        }
+        (flat, graph) = (f, next);
+    }
+    assert!(inside > 0, "no event reached a hub the search names");
+    assert!(outside > 0, "the probe never exceeded the search");
 }
 
 /// A generated case: node count, initial edge list, proposed edge flips.
@@ -312,6 +505,11 @@ proptest! {
         prop_assert_eq!(mem_stats.delta_patched, 0);
         prop_assert_eq!(flat_stats.delta_patched, 0);
         prop_assert_eq!(flat_stats.recomputed, mem_stats.recomputed);
+        // The exact path's dirty set is the ε-search's: the hubs whose
+        // G'(h) expands the tail, before or after the event.
+        let searched = search_dependents(&graph, &next, &hubs, u, &config);
+        prop_assert_eq!(mem_stats.recomputed, searched.len());
+        prop_assert_eq!(mem_stats.push_settles, 0);
         let (exact, _) = build_index(&next, &hubs, &config);
         let bits = |entries: &[(NodeId, f64)]| -> Vec<(NodeId, u64)> {
             entries.iter().map(|&(v, s)| (v, s.to_bits())).collect()
