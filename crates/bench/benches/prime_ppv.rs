@@ -1,5 +1,15 @@
 //! Criterion micro-bench: prime-subgraph extraction and prime-PPV solve —
 //! the dominant cost of both the offline phase and non-hub queries.
+//!
+//! The kernel's one sweep loop has two row sources, and every group below
+//! says which one it times:
+//!
+//! * **graph rows** — the in-memory one-shots `prime_ppv` and
+//!   `prime_ppv_into` sweep the graph's own CSR in graph-indexed scratch
+//!   (what the offline build and every served non-hub miss run);
+//! * **local rows** — `extract` (+ `solve`) and `prime_ppv_from` copy the
+//!   subgraph into a renumbered local CSR first, then sweep that (the
+//!   materialized API and disk-resident graphs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -19,10 +29,12 @@ fn bench_extract_and_solve(c: &mut Criterion) {
         let config = Config::default().with_epsilon(1e-6);
         // A non-hub source with an average-sized neighborhood.
         let source = (0..n as u32).find(|&v| !hubs.is_hub(v)).expect("non-hub");
+        // Local rows: the search plus the local-CSR copy, no solve.
         group.bench_with_input(BenchmarkId::new("extract", label), &(), |b, _| {
             let mut pc = PrimeComputer::new(n);
             b.iter(|| std::hint::black_box(pc.extract(graph, &hubs, source, &config)));
         });
+        // Graph rows: search, solve and emit in one call.
         group.bench_with_input(BenchmarkId::new("extract_and_solve", label), &(), |b, _| {
             let mut pc = PrimeComputer::new(n);
             b.iter(|| std::hint::black_box(pc.prime_ppv(graph, &hubs, source, &config, 1e-4)));
@@ -31,10 +43,9 @@ fn bench_extract_and_solve(c: &mut Criterion) {
     group.finish();
 }
 
-/// Solve in isolation (extraction hoisted out): exercises the reusable
-/// solve scratch — `absorbed`/`in_queue`/`queue` now live inside the
-/// computer, so repeated solves allocate nothing proportional to the
-/// subgraph once warm.
+/// Solve in isolation (extraction hoisted out), on local rows: the sweep
+/// over a materialized subgraph's local CSR, in the computer's reused
+/// scratch, plus the sorted emit.
 fn bench_solve_reuse(c: &mut Criterion) {
     let dataset = datasets::dblp(0.2, 42);
     let graph = &dataset.graph;
@@ -56,14 +67,17 @@ fn bench_solve_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-/// The kernel's two families side by side on the same sources: the
-/// *stored* one (`prime_ppv`, fused, and `extract` + `solve`, materialized
-/// — both solved to `solve_tolerance`) and the *query-time* one
-/// (`prime_ppv_into` over the CSR, `prime_ppv_from` over dynamic-dispatch
-/// adjacency — both stop at a residual of `config.delta`). The gap between
-/// the families is what a cold non-hub query saves by not buying precision
-/// its increment loop discards; the gaps inside them are what fusing and
-/// the CSR fast path save.
+/// The kernel's two families side by side on the same sources, each on
+/// both row sources: the *stored* one (`stored_fused` = `prime_ppv` on
+/// graph rows, `stored_extract_then_solve` = `extract` + `solve` on local
+/// rows — both solved to `solve_tolerance`) and the *query-time* one
+/// (`query_time_into` = `prime_ppv_into` on graph rows,
+/// `query_time_dyn_adjacency` = `prime_ppv_from` on local rows copied
+/// through dynamic-dispatch adjacency — both stop at a residual of
+/// `config.delta`). The gap between the families is what a cold non-hub
+/// query saves by not buying precision its increment loop discards; the
+/// gaps inside them are what sweeping the graph's own CSR saves over
+/// copying the subgraph first.
 fn bench_kernel_paths(c: &mut Criterion) {
     let dataset = datasets::dblp(0.2, 42);
     let graph = &dataset.graph;
@@ -115,6 +129,7 @@ fn bench_kernel_paths(c: &mut Criterion) {
     group.finish();
 }
 
+/// `prime_ppv` (graph rows) across ε: the subgraph's size is the cost.
 fn bench_epsilon(c: &mut Criterion) {
     let dataset = datasets::dblp(0.2, 42);
     let graph = &dataset.graph;

@@ -325,7 +325,7 @@ pub fn serve(argv: &[String]) -> CmdResult {
     let usage = "fastppv serve --graph edges.txt [--undirected] --index index.fppv\n\
                  [--listen ADDR] [--workers N] [--queue N] [--hot-cache N]\n\
                  [--eta K | --l1 ERR] [--top K] [--batch B] [--wal DIR]\n\
-                 [--alpha A] [--epsilon E] [--delta D]\n\
+                 [--budget B] [--alpha A] [--epsilon E] [--delta D]\n\
                  \n\
                  Default mode reads one query per line from stdin:\n\
                  `NODE [eta=K | l1=ERR]` (the optional suffix overrides the\n\
@@ -344,6 +344,12 @@ pub fn serve(argv: &[String]) -> CmdResult {
                  and logged-but-uncheckpointed events are replayed before\n\
                  the first query is served. The log itself is left\n\
                  untouched.\n\
+                 \n\
+                 Updates (replayed WAL events, the router's OP_UPDATE\n\
+                 batches) patch the hubs holding mass at a changed tail by\n\
+                 delta propagation under a per-hub error budget B (default\n\
+                 0.01, as for `fastppv update`); --budget 0 recomputes them\n\
+                 exactly instead.\n\
                  \n\
                  With --shard-id N the opened index is sliced to the hubs\n\
                  this shard owns before serving (--num-shards K for the\n\
@@ -369,6 +375,7 @@ pub fn serve(argv: &[String]) -> CmdResult {
             "top",
             "batch",
             "wal",
+            "budget",
             "shard-id",
             "num-shards",
             "shard-map",
@@ -407,6 +414,7 @@ pub fn serve(argv: &[String]) -> CmdResult {
     }
     let listen: Option<String> = args.get("listen")?;
     let wal: Option<String> = args.get("wal")?;
+    let delta = delta_config_from_args(&args)?;
     let graph = load_graph(&args)?;
     let config = config_from_args(&args)?;
     let (store, hubs) = open_index(&args, &graph)?;
@@ -440,6 +448,7 @@ pub fn serve(argv: &[String]) -> CmdResult {
             hubs,
             slice,
             config,
+            delta,
             options,
             default_stop,
             top,
@@ -480,6 +489,7 @@ pub fn serve(argv: &[String]) -> CmdResult {
         hubs,
         store,
         config,
+        delta,
         options,
         default_stop,
         top,
@@ -487,6 +497,21 @@ pub fn serve(argv: &[String]) -> CmdResult {
         listen,
         wal_dir,
     )
+}
+
+/// `--budget B` of the commands that refresh the index: the per-hub error
+/// budget of delta-patched refreshes (default 0.01); `0` selects the exact
+/// path.
+fn delta_config_from_args(args: &Args) -> Result<DeltaConfig, CliError> {
+    let budget: f64 = args.get_or("budget", 0.01)?;
+    if budget < 0.0 {
+        return Err(CliError::Usage("--budget must be non-negative".into()));
+    }
+    Ok(if budget > 0.0 {
+        DeltaConfig::default().with_budget(budget)
+    } else {
+        DeltaConfig::exact()
+    })
 }
 
 /// Resolves `--shard-id`'s hub→shard map: a `--shard-map` file (written
@@ -542,16 +567,18 @@ fn print_remote_stats(addr: &str) -> CmdResult {
     Ok(())
 }
 
-/// Builds the service over the whole arena or a shard's slice of it, runs
-/// WAL startup recovery — events the last `fastppv update` logged but had
-/// not yet checkpointed are replayed into the service before the first
-/// query — and dispatches to the stdin/stdout loop or the TCP front-end.
+/// Builds the service over the whole arena or a shard's slice of it, with
+/// `delta` as its update path, runs WAL startup recovery — events the last
+/// `fastppv update` logged but had not yet checkpointed are replayed into
+/// the service before the first query — and dispatches to the
+/// stdin/stdout loop or the TCP front-end.
 #[allow(clippy::too_many_arguments)]
 fn serve_store<S: PpvStore + fastppv_server::ShardRefresh + Send + Sync + 'static>(
     graph: Graph,
     hubs: HubSet,
     store: S,
     config: Config,
+    delta: DeltaConfig,
     options: ServiceOptions,
     default_stop: StoppingCondition,
     top: usize,
@@ -560,27 +587,33 @@ fn serve_store<S: PpvStore + fastppv_server::ShardRefresh + Send + Sync + 'stati
     wal_dir: Option<WalDir>,
 ) -> CmdResult {
     let num_nodes = graph.num_nodes();
-    let service = std::sync::Arc::new(QueryService::new(
-        std::sync::Arc::new(graph),
-        std::sync::Arc::new(hubs),
-        std::sync::Arc::new(store),
-        config,
-        options,
-    ));
+    let service = std::sync::Arc::new(
+        QueryService::new(
+            std::sync::Arc::new(graph),
+            std::sync::Arc::new(hubs),
+            std::sync::Arc::new(store),
+            config,
+            options,
+        )
+        .with_delta_config(delta),
+    );
     if let Some(w) = wal_dir {
         let entries_before = service.store().total_entries();
-        let mut replayed = 0u64;
+        let (mut replayed, mut patched, mut recomputed) = (0u64, 0usize, 0usize);
         for batch in &w.pending {
             for ev in &batch.events {
                 let next = apply_event(&service.graph(), ev);
-                service.apply_update(next, &[ev.tail]);
+                let stats = service.apply_update(next, &[ev.tail]);
+                patched += stats.delta_patched;
+                recomputed += stats.recomputed;
                 replayed += 1;
             }
         }
         if w.checkpoint_seq > 0 || replayed > 0 {
             eprintln!(
                 "recovered from {}: checkpoint at event {}, replayed {replayed} \
-                 wal events (serving epoch {}; index entries {entries_before} -> {})",
+                 wal events ({patched} hubs delta-patched, {recomputed} recomputed \
+                 exactly; serving epoch {}; index entries {entries_before} -> {})",
                 w.dir.display(),
                 w.checkpoint_seq,
                 service.epoch(),
@@ -972,16 +1005,14 @@ pub fn update(argv: &[String]) -> CmdResult {
     )?;
     let events_count: usize = args.get_or("events", 100)?;
     let delete_fraction: f64 = args.get_or("delete-fraction", 0.2)?;
-    let budget: f64 = args.get_or("budget", 0.01)?;
+    let delta = delta_config_from_args(&args)?;
+    let budget = delta.budget;
     let seed: u64 = args.get_or("seed", 42)?;
     let checkpoint_every: u64 = args.get_or("checkpoint-every", 64)?;
     if !(0.0..=1.0).contains(&delete_fraction) {
         return Err(CliError::Usage(
             "--delete-fraction must be in [0, 1]".into(),
         ));
-    }
-    if budget < 0.0 {
-        return Err(CliError::Usage("--budget must be non-negative".into()));
     }
     if checkpoint_every == 0 {
         return Err(CliError::Usage(
@@ -1041,11 +1072,6 @@ pub fn update(argv: &[String]) -> CmdResult {
             let (f, h) = open_index(&args, &graph)?;
             (graph, f, h)
         }
-    };
-    let delta = if budget > 0.0 {
-        DeltaConfig::default().with_budget(budget)
-    } else {
-        DeltaConfig::exact()
     };
     let service = QueryService::new(
         std::sync::Arc::new(start_graph),

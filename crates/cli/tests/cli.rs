@@ -328,6 +328,89 @@ fn serve_answers_queries_from_stdin() {
 }
 
 #[test]
+fn serve_patches_replayed_updates_by_delta_at_the_default_budget() {
+    use fastppv_core::wal::Wal;
+    use fastppv_core::FlatIndex;
+    use fastppv_graph::gen::EdgeEvent;
+
+    let graph = temp("budget.txt");
+    let index = temp("budget.fppv");
+    let wal_dir = temp("budget.wal.d");
+    assert!(bin()
+        .args(["generate", "--kind", "ba", "--nodes", "300", "--seed", "4", "--out"])
+        .arg(&graph)
+        .status()
+        .unwrap()
+        .success());
+    assert!(bin()
+        .args(["build", "--graph"])
+        .arg(&graph)
+        .args(["--undirected", "--hubs", "30", "--out"])
+        .arg(&index)
+        .status()
+        .unwrap()
+        .success());
+
+    // Three logged-but-uncheckpointed inserts, each at a hub's own row:
+    // the hub stores mass at its tail (itself), so the delta path must
+    // patch it. `serve --wal` replays them through the service's update
+    // path — the one a shard's OP_UPDATE takes — before serving.
+    let hub_ids = FlatIndex::open(&index).unwrap().hub_ids().to_vec();
+    let events: Vec<EdgeEvent> = hub_ids[..3]
+        .iter()
+        .map(|&h| EdgeEvent {
+            tail: h,
+            head: (h + 150) % 300,
+            insert: true,
+        })
+        .collect();
+    std::fs::create_dir_all(&wal_dir).unwrap();
+    let (mut wal, pending) = Wal::open(wal_dir.join("wal.log")).unwrap();
+    assert!(pending.is_empty());
+    wal.append(0, &events).unwrap();
+    drop(wal);
+
+    let replay = |budget: Option<&str>| -> (usize, usize) {
+        let mut cmd = bin();
+        cmd.args(["serve", "--graph"])
+            .arg(&graph)
+            .args(["--undirected", "--index"])
+            .arg(&index)
+            .arg("--wal")
+            .arg(&wal_dir);
+        if let Some(b) = budget {
+            cmd.args(["--budget", b]);
+        }
+        let out = cmd.output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(out.status.success(), "{err}");
+        let count = |before: &str| -> usize {
+            let head = err.split(before).next().expect("replay line");
+            head.rsplit(|c: char| !c.is_ascii_digit())
+                .find(|s| !s.is_empty())
+                .and_then(|s| s.parse().ok())
+                .unwrap_or_else(|| panic!("no count before `{before}`: {err}"))
+        };
+        assert!(err.contains("replayed 3 wal events"), "{err}");
+        (count(" hubs delta-patched"), count(" recomputed exactly"))
+    };
+    let (patched, recomputed) = replay(None);
+    assert!(patched > 0, "default budget patched nothing");
+    assert_eq!(recomputed, 0, "default budget recomputed {recomputed} hubs");
+    // `--budget 0` is the exact control: nothing patched, all recomputed.
+    let (patched, recomputed) = replay(Some("0"));
+    assert_eq!(patched, 0);
+    assert!(
+        recomputed >= 3,
+        "exact path recomputed only {recomputed} hubs"
+    );
+
+    std::fs::remove_file(&graph).ok();
+    std::fs::remove_file(&index).ok();
+    std::fs::remove_dir_all(&wal_dir).ok();
+}
+
+#[test]
 fn serve_listen_answers_over_tcp_identical_to_direct_engine() {
     use std::io::BufRead;
     use std::process::Stdio;

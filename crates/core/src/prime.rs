@@ -37,29 +37,38 @@
 //!    directly ([`fastppv_graph::CsrView`]) on the in-memory path instead
 //!    of the dynamic-dispatch [`AdjacencyAccess`] indirection (which
 //!    remains available for disk-resident graphs).
-//! 2. **Renumbering**: interior nodes get local ids ordered by descending
-//!    global out-degree (source first, ties by node id). High-degree nodes
-//!    are the ones every other row's target list points at, so packing
-//!    them into the low local ids keeps the solve's dense `mass` array
-//!    traffic inside a few cache lines — and puts the subgraph's own core
-//!    at the front of every sweep. The local CSR is *class-split*: each
-//!    node's interior targets and sink targets (absorbers, plus a hub
-//!    source's return slot) live in separate arrays, so the solve's inner
-//!    loops are branch-free. Rows keep the graph's adjacency order: a
-//!    target's accumulator receives one addend per *source row*, in sweep
-//!    order, whatever the order of targets within a row, so sorting rows
-//!    would change no solved bit — and cost a quarter of the extraction.
-//! 3. **Solve** runs threshold-gated Gauss–Seidel sweeps in ascending
-//!    local-id order: each pass settles every residual above
-//!    `solve_tolerance` and re-propagates mass forward within the same
-//!    pass, until a pass settles nothing — the same
-//!    `tolerance × |interior|` leftover guarantee as a worklist push, in a
-//!    fraction of the edge-visits.
+//!    The same search marks every node of the subgraph — interior nodes
+//!    and the absorbers their rows reach — in a graph-sized bitmap.
+//! 2. **The sweep list**: the source first, then the interior by
+//!    descending global out-degree (ties by node id). High-degree nodes are
+//!    the ones every other row points at, so sweeping them first carries
+//!    mass forward through the subgraph's own core within one pass. On the
+//!    in-memory path nothing is renumbered or copied: the sweeps read rows
+//!    straight from the graph's CSR and scatter into graph-indexed `mass`
+//!    and `residual` arrays, in which absorbers (hubs and sub-`ε` frontier
+//!    nodes) just collect and a hub source's slot, after its one settle,
+//!    collects its returns. Only the materialized
+//!    ([`PrimeComputer::extract`] → [`PrimeSubgraph`] →
+//!    [`PrimeComputer::solve`]) and disk-resident
+//!    ([`PrimeComputer::prime_ppv_from`]) callers copy the subgraph into a
+//!    local CSR, renumbered in sweep order, since that is their only row
+//!    source. Both row sources feed one sweep loop: a target's accumulator
+//!    receives one addend per *source row*, in sweep order, whatever the
+//!    slot numbering or the order of targets within a row, so the two
+//!    solve to the same bits.
+//! 3. **Solve** runs threshold-gated Gauss–Seidel sweeps down the sweep
+//!    list: each pass settles every residual above `solve_tolerance` and
+//!    re-propagates mass forward within the same pass, until a pass
+//!    settles nothing — the same `tolerance × |interior|` leftover
+//!    guarantee as a worklist push, in a fraction of the edge-visits.
+//! 4. **Emit** walks the membership bitmap in ascending id order, so the
+//!    entry list comes out sorted without a sort, and resets exactly the
+//!    slots it visits: O(subgraph + n/64).
 //!
-//! The three stages share one reusable arena inside [`PrimeComputer`]:
-//! after warmup, [`PrimeComputer::prime_ppv_into`] — the *fused* one-shot
-//! path — extracts, solves, and emits the sorted entry list without a
-//! single heap allocation.
+//! The stages share one reusable workspace, [`PrimeComputer`]: after
+//! warmup, [`PrimeComputer::prime_ppv_into`] — the *fused* one-shot path —
+//! searches, solves, and emits the sorted entry list without a single heap
+//! allocation.
 //!
 //! ## Two families, one sweep loop
 //!
@@ -71,8 +80,8 @@
 //!   that are kept: the offline build, `dynamic`'s exact recompute, a
 //!   benchmark's fresh-solve check. It sweeps until every residual is at
 //!   most `solve_tolerance` and clips at the caller's storage threshold.
-//!   The fused and the materialized route are bit-for-bit equal (pinned by
-//!   the kernel-equivalence tests).
+//!   The in-memory route (graph rows) and the materialized route (local
+//!   rows) are bit-for-bit equal (pinned by the kernel-equivalence tests).
 //! * The **query-time** family — [`PrimeComputer::prime_ppv_into`],
 //!   [`PrimeComputer::prime_ppv_from`] — computes iteration 0 of a cold
 //!   non-hub query, which is consumed once and never stored. It stops
@@ -98,7 +107,7 @@
 //! *pop-order independent*: the interior node **set** (`{u : best(u) ≥ ε}`,
 //! a fixed point of max-relaxation), the per-node **best probabilities**
 //! (maxima of per-path products, each evaluated left-to-right), and the
-//! local numbering (sorted by degree/id, not by discovery). The bucket
+//! sweep list (sorted by degree/id, not by discovery). The bucket
 //! width is chosen ≤ `log2(1/(1-α))` — one random-walk step always decays
 //! probability past at least one full bucket — so a popped node's best is
 //! final, exactly as in an exact-priority search; even if a coarser width
@@ -314,30 +323,24 @@ impl BucketQueue {
     }
 }
 
-/// The extracted prime subgraph of a source node, in local-id form.
+/// The extracted prime subgraph of a source node, in local-id form — the
+/// row source of the materialized ([`PrimeComputer::extract`] +
+/// [`PrimeComputer::solve`]) and disk-resident
+/// ([`PrimeComputer::prime_ppv_from`]) paths. The in-memory one-shots
+/// sweep the graph's own CSR instead and build none of this.
 ///
-/// Local ids `0..num_interior` are *interior* (propagating) nodes — the
-/// source first, then descending global out-degree (ties by node id, the
-/// cache-locality numbering the solve runs over); ids
-/// `num_interior..nodes.len()` are absorbers (border hubs and sub-`ε`
-/// frontier nodes).
+/// Local ids `0..num_interior` are *interior* (propagating) nodes, in
+/// sweep order: the source first, then descending global out-degree (ties
+/// by node id). Ids `num_interior..nodes.len()` are absorbers (border hubs
+/// and sub-`ε` frontier nodes), in order of first appearance in the rows.
 ///
-/// Each interior node's out-edges are stored **split by target class**, in
-/// the graph's adjacency order within the class (no particular order is
-/// promised — see below):
-///
-/// * [`PrimeSubgraph::interior_targets`] — interior locals, the solve's
-///   scatter targets;
-/// * [`PrimeSubgraph::sink_targets`] — *sink* indices: when the source is
-///   a hub, sink `0` is the source's own return-mass accumulator (the
-///   second visit would be an interior hub occurrence, so it absorbs) and
-///   absorber local `num_interior + k` is sink `k + 1`; for a non-hub
-///   source, absorber local `num_interior + k` is sink `k`.
-///
-/// Splitting is exact, not a reordering trick: each target's accumulator
-/// still receives its contributions in the same processing order, so the
-/// solved values are independent of the within-list target order.
-#[derive(Clone, Debug)]
+/// Row `u` holds every out-edge of interior local `u`, in the graph's
+/// adjacency order, as local ids, so its length is the node's global
+/// out-degree (the propagation denominator). A hub source's row entries
+/// pointing back at it target local 0, which after the source's single
+/// settle only collects returns (the second visit would be an interior hub
+/// occurrence, so it absorbs).
+#[derive(Clone, Debug, Default)]
 pub struct PrimeSubgraph {
     /// The source node (global id).
     pub source: NodeId,
@@ -345,19 +348,11 @@ pub struct PrimeSubgraph {
     pub nodes: Vec<NodeId>,
     /// Number of interior (propagating) nodes; the rest absorb.
     pub num_interior: usize,
-    /// CSR offsets over interior locals into `int_targets`
+    /// CSR offsets over interior locals into `targets`
     /// (`num_interior + 1` entries).
-    pub int_offsets: Vec<u32>,
-    /// Interior-local targets, one range per interior node.
-    pub int_targets: Vec<u32>,
-    /// CSR offsets over interior locals into `sink_targets`
-    /// (`num_interior + 1` entries).
-    pub sink_offsets: Vec<u32>,
-    /// Sink-index targets (see type docs), one range per interior node.
-    pub sink_targets: Vec<u32>,
-    /// Global out-degree of each interior local (propagation denominators —
-    /// mass leaking to pruned out-neighbors is intentionally lost).
-    pub out_degree: Vec<u32>,
+    pub offsets: Vec<u32>,
+    /// Out-edge targets (local ids), one range per interior node.
+    pub targets: Vec<u32>,
     /// Whether the source is a hub (its returning mass then absorbs).
     pub source_is_hub: bool,
 }
@@ -373,20 +368,9 @@ impl PrimeSubgraph {
         self.nodes.len() - self.num_interior
     }
 
-    /// Number of sink accumulators (absorbers, plus the hub source's
-    /// return slot).
-    pub fn num_sinks(&self) -> usize {
-        self.num_absorbers() + usize::from(self.source_is_hub)
-    }
-
-    /// Interior out-edges of interior local `u` (interior locals).
-    pub fn interior_targets(&self, u: usize) -> &[u32] {
-        &self.int_targets[self.int_offsets[u] as usize..self.int_offsets[u + 1] as usize]
-    }
-
-    /// Sink out-edges of interior local `u` (sink indices).
-    pub fn sink_targets(&self, u: usize) -> &[u32] {
-        &self.sink_targets[self.sink_offsets[u] as usize..self.sink_offsets[u + 1] as usize]
+    /// Out-edges of interior local `u` (local ids, adjacency order).
+    pub fn row(&self, u: usize) -> &[u32] {
+        &self.targets[self.offsets[u] as usize..self.offsets[u + 1] as usize]
     }
 }
 
@@ -404,177 +388,247 @@ pub struct SolveWork {
     pub leftover: f64,
 }
 
-/// Sweep scratch of the prime-PPV solve, reused across solves.
-#[derive(Debug, Default)]
-struct SolveScratch {
-    mass: Vec<f64>,
-    mass_next: Vec<f64>,
-    absorbed: Vec<f64>,
-    sweeps: usize,
-    settles: usize,
+/// Where the sweep kernel reads its rows. Position `i` of the sweep list
+/// names a scratch slot and that node's out-row, in the same slot space;
+/// the row's length is the node's global out-degree, because every
+/// out-neighbor of an interior node belongs to the subgraph.
+trait SweepRows {
+    /// Scratch slot of sweep position `i`.
+    fn slot(&self, i: usize) -> usize;
+    /// Out-row of sweep position `i`, as scratch slots.
+    fn row(&self, i: usize) -> &[u32];
 }
 
-impl SolveScratch {
-    /// Solves the linear system over a split local CSR (see
-    /// [`PrimeSubgraph`]) with threshold-gated Gauss–Seidel sweeps:
-    /// ascending-local-id passes settle every residual above
-    /// `solve_tolerance`, until a pass finds none. Because the numbering
-    /// is degree-descending, a sweep pushes mass *forward* through the
-    /// subgraph's own high-degree core in the same pass (mass sent to a
-    /// higher local id is re-propagated within the sweep), so the residual
-    /// tail decays in far fewer edge-visits than a FIFO worklist — and the
-    /// per-edge work is a branch-free scatter into the dense `mass_next`
-    /// array. The exit guarantee is unchanged: at most
-    /// `tolerance × |interior|` mass is left unaccounted.
-    ///
-    /// `leave` is the residual allowance, in mass units (what
-    /// [`DeltaPush::run`] calls `allowance`): when positive, the solve also
-    /// stops after the first sweep that leaves Σ residual ≤ `leave`. Zero
-    /// never evaluates the sum. Only settled mass is ever emitted, so an
-    /// early stop keeps the result an entry-wise lower bound (module docs).
-    ///
-    /// On return `self.mass` holds interior visit mass, `self.mass_next`
-    /// the un-pushed residual and `self.absorbed` the per-sink mass (sink 0
-    /// is a hub source's returns).
-    #[allow(clippy::too_many_arguments)]
-    fn run(
-        &mut self,
-        int_offsets: &[u32],
-        int_targets: &[u32],
-        sink_offsets: &[u32],
-        sink_targets: &[u32],
-        out_degree: &[u32],
-        num_interior: usize,
-        num_sinks: usize,
-        config: &Config,
-        leave: f64,
-    ) {
-        let alpha = config.alpha;
-        let ni = num_interior;
-        let theta = config.solve_tolerance;
-        // mass = settled visit mass m; mass_next = pending residual ρ.
-        self.mass.clear();
-        self.mass.resize(ni, 0.0);
-        self.mass_next.clear();
-        self.mass_next.resize(ni, 0.0);
-        self.absorbed.clear();
-        self.absorbed.resize(num_sinks, 0.0);
-        self.mass_next[0] = 1.0;
-        let max_settles = config
-            .solve_max_iterations
-            .saturating_mul(ni.max(1))
-            .max(1_000);
-        self.sweeps = 0;
-        self.settles = 0;
-        loop {
-            let mut settled_this_sweep = 0usize;
-            for u in 0..ni {
-                let r = self.mass_next[u];
-                if r <= theta {
-                    continue;
-                }
-                settled_this_sweep += 1;
-                self.mass_next[u] = 0.0;
-                self.mass[u] += r;
-                let d = out_degree[u];
-                if d == 0 {
-                    continue;
-                }
-                let share = r * (1.0 - alpha) / d as f64;
-                for &t in &int_targets[int_offsets[u] as usize..int_offsets[u + 1] as usize] {
-                    self.mass_next[t as usize] += share;
-                }
-                for &t in &sink_targets[sink_offsets[u] as usize..sink_offsets[u + 1] as usize] {
-                    self.absorbed[t as usize] += share;
-                }
-            }
-            self.sweeps += 1;
-            self.settles += settled_this_sweep;
-            if settled_this_sweep == 0 || self.settles > max_settles {
-                // Clean sweep: every residual ≤ θ — or the safety valve
-                // tripped (residual left is reported via clip/φ).
-                break;
-            }
-            if leave > 0.0 && self.leftover() <= leave {
-                break;
-            }
-        }
+/// The in-memory path: slots are global node ids and rows are the graph's
+/// own CSR slices. `order` holds the sweep list as packed `(!degree, id)`
+/// keys (the id in the low 32 bits).
+struct GraphRows<'a> {
+    csr: CsrView<'a>,
+    order: &'a [u64],
+}
+
+impl SweepRows for GraphRows<'_> {
+    #[inline]
+    fn slot(&self, i: usize) -> usize {
+        self.order[i] as NodeId as usize
     }
 
-    /// Σ residual the last [`SolveScratch::run`] left un-pushed.
-    fn leftover(&self) -> f64 {
-        self.mass_next.iter().sum()
+    #[inline]
+    fn row(&self, i: usize) -> &[u32] {
+        self.csr.out_neighbors(self.order[i] as NodeId)
     }
 }
 
-/// Gathers a solved system into `(global id, score)` entries sorted by id:
-/// α × visit mass, trivial tour excluded at the source, clipped at `clip`.
-fn emit_entries(
-    out: &mut Vec<(NodeId, f64)>,
-    solve: &SolveScratch,
-    nodes: &[NodeId],
-    num_interior: usize,
+/// The materialized and disk paths: slots are local ids and rows the
+/// subgraph's local CSR.
+impl SweepRows for PrimeSubgraph {
+    #[inline]
+    fn slot(&self, i: usize) -> usize {
+        i
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[u32] {
+        PrimeSubgraph::row(self, i)
+    }
+}
+
+/// The one solve loop of both families and both row sources:
+/// threshold-gated Gauss–Seidel sweeps over the first `len` sweep
+/// positions, each pass settling every residual above `solve_tolerance`,
+/// until a pass finds none. Because the sweep list is degree-descending, a
+/// sweep pushes mass *forward* through the subgraph's own high-degree core
+/// in the same pass (mass sent to a later position is re-propagated within
+/// the sweep), so the residual tail decays in far fewer edge-visits than a
+/// FIFO worklist — and the per-edge work is a branch-free scatter into the
+/// dense `residual` array. Absorbers are never swept: their slots just
+/// collect. A hub source is swept once; from then on its slot only
+/// collects returns. The exit guarantee: at most `tolerance × |interior|`
+/// mass is left unaccounted.
+///
+/// Every target's accumulator receives one addend per settled source row,
+/// in sweep order, whatever the row source and whatever the order of
+/// targets within a row — so the two row sources solve to the same bits.
+///
+/// `leave` is the residual allowance, in mass units (what
+/// [`DeltaPush::run`] calls `allowance`): when positive, the solve also
+/// stops after the first sweep that leaves Σ residual ≤ `leave`. Zero
+/// never evaluates the sum. Only settled mass is ever emitted, so an early
+/// stop keeps the result an entry-wise lower bound (module docs).
+///
+/// Expects every slot the rows reach to be zero in both arrays. On return
+/// `mass` holds interior visit mass, and `residual` the un-pushed residual
+/// of interior slots and the collected mass of absorbers and of a hub
+/// source's returns.
+fn sweep<R: SweepRows>(
+    rows: &R,
+    len: usize,
     source_is_hub: bool,
-    alpha: f64,
+    mass: &mut [f64],
+    residual: &mut [f64],
+    config: &Config,
+    leave: f64,
+) -> SolveWork {
+    let alpha = config.alpha;
+    let theta = config.solve_tolerance;
+    let max_settles = config
+        .solve_max_iterations
+        .saturating_mul(len.max(1))
+        .max(1_000);
+    residual[rows.slot(0)] = 1.0;
+    let mut work = SolveWork::default();
+    let mut first = 0;
+    loop {
+        let mut settled_this_sweep = 0usize;
+        for i in first..len {
+            let u = rows.slot(i);
+            let r = residual[u];
+            if r <= theta {
+                continue;
+            }
+            settled_this_sweep += 1;
+            residual[u] = 0.0;
+            mass[u] += r;
+            let row = rows.row(i);
+            if row.is_empty() {
+                continue;
+            }
+            let share = r * (1.0 - alpha) / row.len() as f64;
+            for &t in row {
+                residual[t as usize] += share;
+            }
+        }
+        first = usize::from(source_is_hub);
+        work.sweeps += 1;
+        work.settles += settled_this_sweep;
+        if settled_this_sweep == 0 || work.settles > max_settles {
+            // Clean sweep: every residual ≤ θ — or the safety valve
+            // tripped (residual left is reported via clip/φ).
+            break;
+        }
+        if leave > 0.0 {
+            work.leftover = residual_left(rows, first, len, residual);
+            if work.leftover <= leave {
+                return work;
+            }
+        }
+    }
+    work.leftover = residual_left(rows, first, len, residual);
+    work
+}
+
+/// Σ residual still pending at sweep positions `first..len`, summed in
+/// sweep order.
+fn residual_left<R: SweepRows>(rows: &R, first: usize, len: usize, residual: &[f64]) -> f64 {
+    (first..len).fold(0.0, |sum, i| sum + residual[rows.slot(i)])
+}
+
+/// The mass a solved subgraph node holds for emission: settled visit mass
+/// for an interior node (minus the trivial tour at a non-hub source), the
+/// collected mass for an absorber and for a hub source's returns.
+#[inline]
+fn emitted_mass(
+    is_source: bool,
+    interior: bool,
+    source_is_hub: bool,
+    mass: f64,
+    residual: f64,
+) -> f64 {
+    match (is_source, interior) {
+        (true, _) if source_is_hub => residual,
+        (true, _) => mass - 1.0,
+        (false, true) => mass,
+        (false, false) => residual,
+    }
+}
+
+/// Appends `(v, score)` unless the score is zero or below `clip`.
+#[inline]
+fn push_entry(out: &mut Vec<(NodeId, f64)>, v: NodeId, score: f64, clip: f64) {
+    if score >= clip && score > 0.0 {
+        out.push((v, score));
+    }
+}
+
+/// Solves a local-CSR subgraph in `mass` / `residual` (grown if the
+/// subgraph outsizes them; slots `0..sub.num_nodes()` are zeroed again on
+/// return) and leaves its clipped entries, sorted by id, in `out`: α ×
+/// emitted mass, trivial tour excluded at the source.
+fn solve_local(
+    sub: &PrimeSubgraph,
+    mass: &mut Vec<f64>,
+    residual: &mut Vec<f64>,
+    out: &mut Vec<(NodeId, f64)>,
+    config: &Config,
     clip: f64,
-) {
+    leave: f64,
+) -> SolveWork {
+    let len = sub.num_nodes();
+    if mass.len() < len {
+        mass.resize(len, 0.0);
+        residual.resize(len, 0.0);
+    }
+    let work = sweep(
+        sub,
+        sub.num_interior,
+        sub.source_is_hub,
+        mass,
+        residual,
+        config,
+        leave,
+    );
     out.clear();
-    // A hub source's returning mass lives in sink 0; a non-hub source
-    // re-propagates, so its own entry is visit mass minus the trivial tour.
-    let (src_score, absorbers) = if source_is_hub {
-        (alpha * solve.absorbed[0], &solve.absorbed[1..])
-    } else {
-        (alpha * (solve.mass[0] - 1.0), &solve.absorbed[..])
-    };
-    if src_score >= clip && src_score > 0.0 {
-        out.push((nodes[0], src_score));
+    for (u, &v) in sub.nodes.iter().enumerate() {
+        let m = emitted_mass(
+            u == 0,
+            u < sub.num_interior,
+            sub.source_is_hub,
+            mass[u],
+            residual[u],
+        );
+        push_entry(out, v, config.alpha * m, clip);
     }
-    for (&v, &m) in nodes[1..num_interior]
-        .iter()
-        .zip(&solve.mass[1..num_interior])
-    {
-        let s = alpha * m;
-        if s >= clip && s > 0.0 {
-            out.push((v, s));
-        }
-    }
-    for (i, &a) in absorbers.iter().enumerate() {
-        let s = alpha * a;
-        if s >= clip && s > 0.0 {
-            out.push((nodes[num_interior + i], s));
-        }
-    }
+    mass[..len].fill(0.0);
+    residual[..len].fill(0.0);
     out.sort_unstable_by_key(|&(id, _)| id);
+    work
 }
 
 /// Reusable workspace for prime-subgraph extraction and prime-PPV solves.
 ///
-/// Holds graph-sized search scratch, the renumbered local-CSR arena of the
-/// last extraction, the solve scratch, and the emitted-entries buffer, so
-/// repeated computations (one per hub offline; one per cold non-hub query
-/// online) allocate nothing once warm — the fused
-/// [`PrimeComputer::prime_ppv_into`] is fully allocation-free after the
-/// buffers have grown to the workload's footprint.
+/// Repeated computations — one per hub offline, one per cold non-hub query
+/// online — allocate nothing once warm: the in-memory one-shots
+/// ([`PrimeComputer::prime_ppv_into`], [`PrimeComputer::prime_ppv`]) solve
+/// on the graph's own CSR in graph-indexed scratch and emit the sorted
+/// entry list by walking a membership bitmap, so `prime_ppv_into` is fully
+/// allocation-free after the buffers have grown to the workload's
+/// footprint, and `prime_ppv` allocates only the vector it returns.
+///
+/// Graph-sized scratch is 24.125 bytes per node: `best`, `mass` and
+/// `residual` (8 bytes each) and the membership bitmap (1 bit). The
+/// materialized and disk-resident paths add a 4-byte-per-node local-id map,
+/// allocated on their first call. Everything else (the bucket queue, the
+/// sweep list, the local CSR, the entries) is sized by the subgraph.
 pub struct PrimeComputer {
-    // Graph-sized search scratch.
+    // Graph-sized, all-zero between calls: search probabilities, the
+    // solve's settled mass and residual, and subgraph membership (interior
+    // and absorbers, one bit per node).
     best: Vec<f64>,
-    local_of: Vec<u32>,
-    touched: Vec<NodeId>,
+    mass: Vec<f64>,
+    residual: Vec<f64>,
+    members: Vec<u64>,
+    // Search scratch and the sweep list: packed `(!degree, id)` keys, the
+    // source first.
     queue: BucketQueue,
-    // The renumbered, class-split local CSR of the last extraction (the
-    // arena).
-    nodes: Vec<NodeId>,
-    deg_order: Vec<u64>,
-    int_offsets: Vec<u32>,
-    int_targets: Vec<u32>,
-    sink_offsets: Vec<u32>,
-    sink_targets: Vec<u32>,
-    out_degree: Vec<u32>,
-    num_interior: usize,
-    source_is_hub: bool,
-    // Solve scratch and the fused path's output buffer.
-    solve: SolveScratch,
+    touched: Vec<NodeId>,
+    order: Vec<u64>,
+    // The local CSR of the materialized and disk paths, and its id map
+    // (empty until first used).
+    local: PrimeSubgraph,
+    local_of: Vec<u32>,
+    // Emitted entries and the last solve's counters.
     entries: Vec<(NodeId, f64)>,
+    last: SolveWork,
 }
 
 const NO_LOCAL: u32 = u32::MAX;
@@ -584,27 +638,24 @@ impl PrimeComputer {
     pub fn new(n: usize) -> Self {
         PrimeComputer {
             best: vec![0.0; n],
-            local_of: vec![NO_LOCAL; n],
-            touched: Vec::new(),
+            mass: vec![0.0; n],
+            residual: vec![0.0; n],
+            members: vec![0; n.div_ceil(64)],
             queue: BucketQueue::new(),
-            nodes: Vec::new(),
-            deg_order: Vec::new(),
-            int_offsets: Vec::new(),
-            int_targets: Vec::new(),
-            sink_offsets: Vec::new(),
-            sink_targets: Vec::new(),
-            out_degree: Vec::new(),
-            num_interior: 0,
-            source_is_hub: false,
-            solve: SolveScratch::default(),
+            touched: Vec::new(),
+            order: Vec::new(),
+            local: PrimeSubgraph::default(),
+            local_of: Vec::new(),
             entries: Vec::new(),
+            last: SolveWork::default(),
         }
     }
 
-    /// Extracts `source`'s prime subgraph into the internal arena: bucket-
-    /// queue best-first search, then degree-ordered renumbering and the
-    /// local CSR build.
-    fn extract_arena<Src: NbrSource>(
+    /// Finds `source`'s prime subgraph: a monotone bucket-queue search over
+    /// walk probability leaves the interior's probabilities in `best`, its
+    /// whole node set (interior and absorbers) in `members`, and the sweep
+    /// list in `order`.
+    fn search<Src: NbrSource>(
         &mut self,
         src: &mut Src,
         hubs: &HubSet,
@@ -615,33 +666,27 @@ impl PrimeComputer {
         let eps = config.epsilon;
         let PrimeComputer {
             best,
-            local_of,
-            touched,
+            members,
             queue,
-            nodes,
-            deg_order,
-            int_offsets,
-            int_targets,
-            sink_offsets,
-            sink_targets,
-            out_degree,
-            num_interior,
-            source_is_hub,
+            touched,
+            order,
             ..
         } = self;
         debug_assert!(queue.is_empty());
-        debug_assert!(touched.is_empty());
+        let mut mark = |t: NodeId| members[t as usize >> 6] |= 1u64 << (t & 63);
 
-        // Phase 1: monotone bucket-queue search over walk probability.
         // Interior = every node reached with probability ≥ ε (hubs are
-        // never enqueued; they are collected as absorbers in phase 2, as is
-        // a hub source re-encountered). A popped entry whose probability no
-        // longer matches `best` is stale; a node improved after its pop
-        // (possible only below the monotone-width α threshold) re-enqueues
-        // itself on the improvement, so `best` always converges to the
-        // exact per-node maximum.
+        // never enqueued; like sub-ε frontier nodes they are members only,
+        // absorbers). Every interior row is visited once to mark its
+        // targets as members — expanded if its walk weight stays ≥ ε. A
+        // popped entry whose probability no longer matches `best` is
+        // stale; a node improved after its pop (possible only below the
+        // monotone-width α threshold) re-enqueues itself on the
+        // improvement, so `best` always converges to the exact per-node
+        // maximum.
         best[source as usize] = 1.0;
-        touched.push(source);
+        mark(source);
+        touched.clear();
         queue.configure(alpha);
         queue.push(1.0, source);
         while let Some((p, v)) = queue.pop() {
@@ -654,9 +699,11 @@ impl PrimeComputer {
             }
             let w = p * (1.0 - alpha) / d as f64;
             if w < eps {
+                src.visit(v, &mut mark);
                 continue;
             }
             src.visit(v, |t| {
+                mark(t);
                 if hubs.is_hub(t) {
                     return;
                 }
@@ -671,128 +718,151 @@ impl PrimeComputer {
             });
         }
 
-        // Phase 2: renumber interior nodes — source first, then descending
-        // global out-degree (ties by id; a deterministic order independent
-        // of pop order) — and build the class-split local CSR over the new
-        // numbering: interior targets and sink targets in separate arrays,
-        // rows in adjacency order (module docs: the solved values do not
-        // depend on it). Absorbers get locals after the interior block as
-        // they are discovered; a hub source's returning mass is routed to
-        // the reserved sink 0. The order is sorted on one packed
-        // `(!degree, id)` integer per node: ascending keys are descending
-        // degrees with ascending-id ties.
-        debug_assert_eq!(touched[0], source);
-        let src_hub = hubs.is_hub(source);
-        let sink_base = u32::from(src_hub);
-        deg_order.clear();
-        for &v in touched[1..].iter() {
-            deg_order.push((u64::from(!(src.degree(v) as u32)) << 32) | u64::from(v));
+        // The sweep list: the source, then the interior by descending
+        // global out-degree, ties by id — a deterministic order independent
+        // of pop order, sorted on one packed `(!degree, id)` integer per
+        // node (ascending keys are descending degrees with ascending-id
+        // ties). High-degree nodes are the ones every other row points at,
+        // so sweeping them first carries mass forward within a pass.
+        order.clear();
+        order.push(u64::from(source));
+        for &v in touched.iter() {
+            order.push((u64::from(!(src.degree(v) as u32)) << 32) | u64::from(v));
         }
-        deg_order.sort_unstable();
-        nodes.clear();
-        nodes.push(source);
-        nodes.extend(deg_order.iter().map(|&key| key as NodeId));
-        let ni = nodes.len();
-        for (i, &v) in nodes.iter().enumerate() {
-            local_of[v as usize] = i as u32;
+        order[1..].sort_unstable();
+    }
+
+    /// Solves the searched subgraph on the graph's own CSR and emits its
+    /// clipped entries into `self.entries` in ascending id order, walking
+    /// the membership bitmap and resetting every slot it visits. Returns
+    /// the subgraph's node count.
+    fn solve_in_place(
+        &mut self,
+        csr: CsrView<'_>,
+        source: NodeId,
+        source_is_hub: bool,
+        config: &Config,
+        clip: f64,
+        leave: f64,
+    ) -> usize {
+        let PrimeComputer {
+            best,
+            mass,
+            residual,
+            members,
+            order,
+            entries,
+            last,
+            ..
+        } = self;
+        let rows = GraphRows { csr, order };
+        *last = sweep(
+            &rows,
+            order.len(),
+            source_is_hub,
+            mass,
+            residual,
+            config,
+            leave,
+        );
+        entries.clear();
+        let mut size = 0;
+        for (w, word) in members.iter_mut().enumerate() {
+            let mut bits = *word;
+            if bits == 0 {
+                continue;
+            }
+            *word = 0;
+            size += bits.count_ones() as usize;
+            while bits != 0 {
+                let v = (w << 6) | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let m = emitted_mass(
+                    v == source as usize,
+                    best[v] > 0.0,
+                    source_is_hub,
+                    mass[v],
+                    residual[v],
+                );
+                push_entry(entries, v as NodeId, config.alpha * m, clip);
+                best[v] = 0.0;
+                mass[v] = 0.0;
+                residual[v] = 0.0;
+            }
         }
-        out_degree.clear();
-        out_degree.push(src.degree(source) as u32);
-        out_degree.extend(deg_order.iter().map(|&key| !((key >> 32) as u32)));
-        int_offsets.clear();
-        int_offsets.push(0);
-        int_targets.clear();
-        sink_offsets.clear();
-        sink_offsets.push(0);
-        sink_targets.clear();
-        for u in 0..ni {
+        size
+    }
+
+    /// The in-memory one-shot both families share: search, then solve and
+    /// emit on the graph's CSR. Returns the subgraph's node count.
+    fn prime_in_place(
+        &mut self,
+        graph: &Graph,
+        hubs: &HubSet,
+        source: NodeId,
+        config: &Config,
+        clip: f64,
+        leave: f64,
+    ) -> usize {
+        let csr = graph.out_csr();
+        self.search(&mut CsrSource(csr), hubs, source, config);
+        self.solve_in_place(csr, source, hubs.is_hub(source), config, clip, leave)
+    }
+
+    /// Searches `source`'s prime subgraph and copies it into `self.local`:
+    /// interior nodes renumbered in sweep order, absorbers numbered as the
+    /// rows reach them, rows in adjacency order. Resets the graph-sized
+    /// search scratch.
+    fn extract_local<Src: NbrSource>(
+        &mut self,
+        src: &mut Src,
+        hubs: &HubSet,
+        source: NodeId,
+        config: &Config,
+    ) {
+        self.search(src, hubs, source, config);
+        let PrimeComputer {
+            best,
+            members,
+            order,
+            local,
+            local_of,
+            ..
+        } = self;
+        if local_of.len() < best.len() {
+            local_of.resize(best.len(), NO_LOCAL);
+        }
+        local.source = source;
+        local.source_is_hub = hubs.is_hub(source);
+        local.nodes.clear();
+        local.nodes.extend(order.iter().map(|&key| key as NodeId));
+        local.num_interior = order.len();
+        for (u, &v) in local.nodes.iter().enumerate() {
+            local_of[v as usize] = u as u32;
+        }
+        local.offsets.clear();
+        local.offsets.push(0);
+        local.targets.clear();
+        for u in 0..local.num_interior {
+            let PrimeSubgraph { nodes, targets, .. } = &mut *local;
             let v = nodes[u];
             src.visit(v, |t| {
-                if src_hub && t == source {
-                    sink_targets.push(0);
-                    return;
-                }
                 let slot = &mut local_of[t as usize];
                 if *slot == NO_LOCAL {
                     *slot = nodes.len() as u32;
                     nodes.push(t);
-                    touched.push(t);
                 }
-                let l = *slot;
-                if (l as usize) < ni {
-                    int_targets.push(l);
-                } else {
-                    sink_targets.push(l - ni as u32 + sink_base);
-                }
+                targets.push(*slot);
             });
-            int_offsets.push(int_targets.len() as u32);
-            sink_offsets.push(sink_targets.len() as u32);
+            local.offsets.push(local.targets.len() as u32);
         }
-        *num_interior = ni;
-        *source_is_hub = src_hub;
-
-        // Reset graph-sized scratch.
-        for &v in touched.iter() {
+        // Every member is in `nodes`, so clearing whole bitmap words
+        // clears exactly this subgraph's bits.
+        for &v in &local.nodes {
             best[v as usize] = 0.0;
             local_of[v as usize] = NO_LOCAL;
+            members[v as usize >> 6] = 0;
         }
-        touched.clear();
-    }
-
-    /// Copies the arena out into an owned [`PrimeSubgraph`].
-    fn materialize_subgraph(&self, source: NodeId) -> PrimeSubgraph {
-        PrimeSubgraph {
-            source,
-            nodes: self.nodes.clone(),
-            num_interior: self.num_interior,
-            int_offsets: self.int_offsets.clone(),
-            int_targets: self.int_targets.clone(),
-            sink_offsets: self.sink_offsets.clone(),
-            sink_targets: self.sink_targets.clone(),
-            out_degree: self.out_degree.clone(),
-            source_is_hub: self.source_is_hub,
-        }
-    }
-
-    /// Solves over the internal arena, leaving sorted clipped entries in
-    /// `self.entries`. The one place the two families (module docs) part:
-    /// stored PPVs pass their storage `clip` and `leave = 0`, query-time
-    /// ones no clip and `leave = config.delta`.
-    fn solve_arena(&mut self, config: &Config, clip: f64, leave: f64) {
-        let PrimeComputer {
-            nodes,
-            int_offsets,
-            int_targets,
-            sink_offsets,
-            sink_targets,
-            out_degree,
-            num_interior,
-            source_is_hub,
-            solve,
-            entries,
-            ..
-        } = self;
-        let num_sinks = nodes.len() - *num_interior + usize::from(*source_is_hub);
-        solve.run(
-            int_offsets,
-            int_targets,
-            sink_offsets,
-            sink_targets,
-            out_degree,
-            *num_interior,
-            num_sinks,
-            config,
-            leave,
-        );
-        emit_entries(
-            entries,
-            solve,
-            nodes,
-            *num_interior,
-            *source_is_hub,
-            config.alpha,
-            clip,
-        );
     }
 
     /// Extracts the prime subgraph of `source` (paper §5.1): best-first
@@ -804,8 +874,8 @@ impl PrimeComputer {
         source: NodeId,
         config: &Config,
     ) -> PrimeSubgraph {
-        self.extract_arena(&mut CsrSource(graph.out_csr()), hubs, source, config);
-        self.materialize_subgraph(source)
+        self.extract_local(&mut CsrSource(graph.out_csr()), hubs, source, config);
+        self.local.clone()
     }
 
     /// Like [`PrimeComputer::extract`], over any [`AdjacencyAccess`] (pass
@@ -817,8 +887,8 @@ impl PrimeComputer {
         source: NodeId,
         config: &Config,
     ) -> PrimeSubgraph {
-        self.extract_arena(&mut DynSource(graph), hubs, source, config);
-        self.materialize_subgraph(source)
+        self.extract_local(&mut DynSource(graph), hubs, source, config);
+        self.local.clone()
     }
 
     /// Solves for the prime PPV of `sub.source` over the subgraph
@@ -826,33 +896,22 @@ impl PrimeComputer {
     /// stored family). Returns the **trivial-tour-excluded** reachabilities
     /// `r̊⁰` (see module docs), clipped at `clip`.
     pub fn solve(&mut self, sub: &PrimeSubgraph, config: &Config, clip: f64) -> PrimePpv {
-        self.solve.run(
-            &sub.int_offsets,
-            &sub.int_targets,
-            &sub.sink_offsets,
-            &sub.sink_targets,
-            &sub.out_degree,
-            sub.num_interior,
-            sub.num_sinks(),
-            config,
-            0.0,
-        );
-        emit_entries(
+        self.last = solve_local(
+            sub,
+            &mut self.mass,
+            &mut self.residual,
             &mut self.entries,
-            &self.solve,
-            &sub.nodes,
-            sub.num_interior,
-            sub.source_is_hub,
-            config.alpha,
+            config,
             clip,
+            0.0,
         );
         self.entries_to_ppv()
     }
 
-    /// The stored family's one-shot: extract + solve in one call, fused
-    /// internally (no [`PrimeSubgraph`] is materialized), solved to
-    /// `solve_tolerance` and clipped at `clip`. Returns the PPV and the
-    /// prime subgraph's node count.
+    /// The stored family's one-shot: search, then solve on the graph's own
+    /// CSR (no [`PrimeSubgraph`] is built), swept to `solve_tolerance` and
+    /// clipped at `clip`. Returns the PPV and the prime subgraph's node
+    /// count; the returned entry vector is its only allocation once warm.
     pub fn prime_ppv(
         &mut self,
         graph: &Graph,
@@ -861,14 +920,14 @@ impl PrimeComputer {
         config: &Config,
         clip: f64,
     ) -> (PrimePpv, usize) {
-        self.extract_arena(&mut CsrSource(graph.out_csr()), hubs, source, config);
-        self.solve_arena(config, clip, 0.0);
-        (self.entries_to_ppv(), self.nodes.len())
+        let size = self.prime_in_place(graph, hubs, source, config, clip, 0.0);
+        (self.entries_to_ppv(), size)
     }
 
     /// Like [`PrimeComputer::prime_ppv_into`] — the query-time family —
     /// over any [`AdjacencyAccess`] (pass `&mut access` for by-reference
-    /// use), returning an owned PPV.
+    /// use), returning an owned PPV. Disk-resident rows are copied into a
+    /// local CSR once, then swept by the same loop.
     pub fn prime_ppv_from<A: AdjacencyAccess>(
         &mut self,
         graph: A,
@@ -876,13 +935,21 @@ impl PrimeComputer {
         source: NodeId,
         config: &Config,
     ) -> (PrimePpv, usize) {
-        self.extract_arena(&mut DynSource(graph), hubs, source, config);
-        self.solve_arena(config, 0.0, config.delta);
-        (self.entries_to_ppv(), self.nodes.len())
+        self.extract_local(&mut DynSource(graph), hubs, source, config);
+        self.last = solve_local(
+            &self.local,
+            &mut self.mass,
+            &mut self.residual,
+            &mut self.entries,
+            config,
+            0.0,
+            config.delta,
+        );
+        (self.entries_to_ppv(), self.local.num_nodes())
     }
 
-    /// The query-time family's fused one-shot: extract + solve entirely
-    /// inside the reused arena and return the sorted entry list as a
+    /// The query-time family's one-shot: search, then solve on the graph's
+    /// own CSR in the reused scratch and return the sorted entry list as a
     /// borrowed slice — **zero heap allocations** once the workspace is
     /// warm. This is what the online engine runs for cold non-hub queries:
     /// unclipped (the result is never stored), and swept only until the
@@ -896,9 +963,8 @@ impl PrimeComputer {
         source: NodeId,
         config: &Config,
     ) -> (&[(NodeId, f64)], usize) {
-        self.extract_arena(&mut CsrSource(graph.out_csr()), hubs, source, config);
-        self.solve_arena(config, 0.0, config.delta);
-        (&self.entries, self.nodes.len())
+        let size = self.prime_in_place(graph, hubs, source, config, 0.0, config.delta);
+        (&self.entries, size)
     }
 
     fn entries_to_ppv(&self) -> PrimePpv {
@@ -908,14 +974,10 @@ impl PrimeComputer {
     }
 
     /// What the most recent solve on this computer cost — any entry point
-    /// of either family. The counters are plain fields the sweep loop
-    /// maintains anyway; the leftover residual is summed here, on demand.
+    /// of either family. The kernel records the counters and the residual
+    /// it left as it exits, before any scratch is reset.
     pub fn last_solve(&self) -> SolveWork {
-        SolveWork {
-            sweeps: self.solve.sweeps,
-            settles: self.solve.settles,
-            leftover: self.solve.leftover(),
-        }
+        self.last
     }
 }
 
@@ -937,7 +999,7 @@ pub struct DeltaOutcome {
 }
 
 /// Signed-residual forward push over the full graph with hub absorption —
-/// the delta counterpart of the [`SolveScratch`] sweeps, used by
+/// the delta counterpart of the prime solve's sweeps, used by
 /// [`crate::dynamic`] to patch a stored prime PPV after an edge change
 /// instead of re-extracting and re-solving its subgraph.
 ///
@@ -1259,9 +1321,10 @@ mod tests {
                 "interior numbering must be degree-descending with id ties"
             );
         }
-        // Stored denominators match the global degrees of the numbering.
+        // Each row is the node's whole out-row, so its length is the
+        // propagation denominator.
         for (u, &v) in sub.nodes[..sub.num_interior].iter().enumerate() {
-            assert_eq!(sub.out_degree[u] as usize, g.out_degree(v));
+            assert_eq!(sub.row(u).len(), g.out_degree(v));
         }
     }
 
@@ -1426,8 +1489,8 @@ mod tests {
         let _second = pc.extract(&g, &hubs, toy::G, &config);
         let third = pc.extract(&g, &hubs, toy::A, &config);
         assert_eq!(first.nodes, third.nodes);
-        assert_eq!(first.int_targets, third.int_targets);
-        assert_eq!(first.sink_targets, third.sink_targets);
+        assert_eq!(first.offsets, third.offsets);
+        assert_eq!(first.targets, third.targets);
         assert_eq!(first.num_interior, third.num_interior);
     }
 
@@ -1466,16 +1529,10 @@ mod tests {
             let fast = pc.extract(&g, &hubs, q, &config);
             let generic = pc.extract_from(&g, &hubs, q, &config);
             assert_eq!(fast.nodes, generic.nodes, "query {q}");
-            assert_eq!(fast.out_degree, generic.out_degree, "query {q}");
             for u in 0..fast.num_interior {
                 assert_eq!(
-                    sorted(fast.interior_targets(u)),
-                    sorted(generic.interior_targets(u)),
-                    "query {q} row {u}"
-                );
-                assert_eq!(
-                    sorted(fast.sink_targets(u)),
-                    sorted(generic.sink_targets(u)),
+                    sorted(fast.row(u)),
+                    sorted(generic.row(u)),
                     "query {q} row {u}"
                 );
             }

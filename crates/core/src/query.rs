@@ -61,9 +61,9 @@
 //! vector is preallocated for 16 iterations and only reallocates —
 //! amortized — beyond that).
 //! Cold **non-hub** queries are allocation-free too: iteration 0 runs the
-//! fused [`PrimeComputer::prime_ppv_into`] extract+solve inside the
-//! workspace's reused arena and is consumed as a borrowed slice, so no
-//! per-query prime subgraph or PPV is ever materialized. That solve is the
+//! fused [`PrimeComputer::prime_ppv_into`] search+solve on the graph's own
+//! CSR, in the workspace's reused scratch, and is consumed as a borrowed
+//! slice, so no per-query prime subgraph or PPV is ever materialized. That solve is the
 //! kernel's *query-time* family: it leaves up to `δ` of residual un-pushed
 //! (see [`crate::prime`]), which `φ` reports like any other uncovered mass.
 

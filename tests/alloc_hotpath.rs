@@ -1,4 +1,4 @@
-//! Proves three acceptance criteria with a counting global allocator:
+//! Proves four acceptance criteria with a counting global allocator:
 //!
 //! * zero heap allocations in `IncrementalState::step` rounds and in the
 //!   assemble pass that folds them into the estimate, on the `FlatIndex`
@@ -8,6 +8,10 @@
 //!   workspace is warm, starting a session computes the whole prime PPV
 //!   on the fly with the session bookkeeping's single allocation, and
 //!   every subsequent step, and the assemble pass, allocate nothing;
+//! * one allocation per **stored prime PPV** (`PrimeComputer::prime_ppv`,
+//!   what the offline build and an exact recompute run per hub): on a
+//!   warm computer the solve runs on the graph's own CSR in reused
+//!   scratch, and the returned entry vector is all it allocates;
 //! * nothing graph-sized for an **edge event no hub sees**: a delta
 //!   refresh whose tail no stored PPV holds mass at allocates less than
 //!   `8·n` bytes beyond the arena's copy-on-write directory clone — no
@@ -24,7 +28,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use fastppv::core::dynamic::refresh_flat_index_snapshot_delta;
 use fastppv::core::offline::build_flat_index;
 use fastppv::core::query::StoppingCondition;
-use fastppv::core::{select_hubs, Config, DeltaConfig, HubPolicy, PpvStore, QueryEngine};
+use fastppv::core::{
+    select_hubs, Config, DeltaConfig, HubPolicy, PpvStore, PrimeComputer, QueryEngine,
+};
 use fastppv::graph::builder::from_edges;
 use fastppv::graph::gen::{apply_event, barabasi_albert, EdgeEvent};
 use fastppv::graph::NodeId;
@@ -140,7 +146,27 @@ fn steps_allocate_nothing_on_flat_path_with_warm_workspace() {
 
     drop(session);
 
-    // Phase 3: an edge event invisible to every stored PPV. Node `n - 1`
+    // Phase 3: the stored family, over every hub. A warm pass grows the
+    // computer's buffers to the largest footprint; after it, each
+    // `prime_ppv` allocates exactly the entry vector it returns.
+    let mut pc = PrimeComputer::new(g.num_nodes());
+    for &h in hubs.ids() {
+        pc.prime_ppv(&g, &hubs, h, &config, config.clip);
+    }
+    let mut returned = 0u64;
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for &h in hubs.ids() {
+        let (ppv, _) = pc.prime_ppv(&g, &hubs, h, &config, config.clip);
+        returned += u64::from(!ppv.entries.is_empty());
+    }
+    let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert!(returned > 0);
+    assert_eq!(
+        during, returned,
+        "{during} heap allocations for {returned} warm stored prime PPVs"
+    );
+
+    // Phase 4: an edge event invisible to every stored PPV. Node `n - 1`
     // is appended with one out-edge and no in-edge, so no hub holds mass
     // there; the delta refresh probes each hub's stored ids, finds
     // nothing, and must not build anything graph-sized on the way.

@@ -2,8 +2,9 @@
 //! one sweep loop"): a cold non-hub query stops its own prime-PPV solve
 //! once the un-pushed residual is at most `δ`. Checked here as properties
 //! on random graphs — the certificate is untouched, the cost in `φ` is at
-//! most `δ`, and `δ = 0` is bit-for-bit the stored family — and as a count
-//! of sweeps, the regression guard that does not read a clock.
+//! most `δ`, and `δ = 0` is bit-for-bit the stored family — and as counts
+//! of sweeps, settles and extracted nodes, the regression guards that do
+//! not read a clock.
 
 use std::time::Instant;
 
@@ -12,7 +13,9 @@ use fastppv::core::index::MemoryIndex;
 use fastppv::core::query::{
     run_increments, IncrementScratch, QueryEngine, QueryResult, StoppingCondition,
 };
-use fastppv::core::{build_index_parallel, select_hubs, Config, HubPolicy, HubSet, PrimeComputer};
+use fastppv::core::{
+    build_index_parallel, select_hubs, Config, HubPolicy, HubSet, PrimeComputer, SolveWork,
+};
 use fastppv::graph::gen::{barabasi_albert, erdos_renyi};
 use fastppv::graph::{Graph, NodeId};
 use proptest::prelude::*;
@@ -185,5 +188,63 @@ fn query_time_family_sweeps_less_than_half_as_often() {
     assert_eq!(
         online_exact, stored,
         "δ = 0 must sweep like the stored family"
+    );
+}
+
+#[test]
+fn solve_work_and_subgraph_sizes_are_pinned() {
+    // BA-2k / 80 hubs / ε = 1e-6 again: the stored family over every hub,
+    // the query-time family (default δ) over the first 64 non-hubs. The
+    // sweep order — source, then descending degree, ties by id — is part
+    // of the kernel, so every count repeats exactly, and so does the
+    // residual each solve left (read from the arrays it ran in, summed
+    // here in hub / source order). A change that moves any of them re-pins
+    // it in the same diff.
+    let g = barabasi_albert(2000, 4, 5);
+    let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 80, 0);
+    let config = Config::default().with_epsilon(1e-6);
+    let mut pc = PrimeComputer::new(2000);
+    let total = |work: SolveWork, size: usize, sum: &mut [u64; 3], left: &mut f64| {
+        sum[0] += work.sweeps as u64;
+        sum[1] += work.settles as u64;
+        sum[2] += size as u64;
+        *left += work.leftover;
+    };
+
+    let (mut stored, mut stored_left) = ([0u64; 3], 0.0f64);
+    for &h in hubs.ids() {
+        let (_, size) = pc.prime_ppv(&g, &hubs, h, &config, config.clip);
+        total(pc.last_solve(), size, &mut stored, &mut stored_left);
+    }
+    assert_eq!(
+        stored,
+        [2_716, 4_272_693, 159_620],
+        "stored: sweeps, settles, nodes"
+    );
+    assert_eq!(
+        stored_left.to_bits(),
+        0x3e73_a750_b8f0_6b1b,
+        "{stored_left:e}"
+    );
+
+    let (mut online, mut online_left) = ([0u64; 3], 0.0f64);
+    for q in (0..2000).filter(|&v| !hubs.is_hub(v)).take(64) {
+        let (_, size) = pc.prime_ppv_into(&g, &hubs, q, &config);
+        let work = pc.last_solve();
+        assert!(
+            work.leftover > 0.0 && work.leftover <= config.delta,
+            "{work:?}"
+        );
+        total(work, size, &mut online, &mut online_left);
+    }
+    assert_eq!(
+        online,
+        [473, 798_058, 127_675],
+        "query-time: sweeps, settles, nodes"
+    );
+    assert_eq!(
+        online_left.to_bits(),
+        0x3fcc_7be2_a536_3cdc,
+        "{online_left:e}"
     );
 }

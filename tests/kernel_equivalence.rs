@@ -6,20 +6,26 @@
 //! The two kernels must agree on the *semantics* — the prime-subgraph node
 //! sets are order-free fixed points and match exactly; the solved prime
 //! PPVs differ only in floating-point accumulation order (the new kernel
-//! renumbers interiors by degree), so entries match to ≤ 1e-12. On top of
-//! that, the fused one-shot paths are pinned bit-for-bit against the
-//! materialized `extract` + `solve` pipeline: the stored family
-//! (`prime_ppv`) under every configuration, the query-time family
-//! (`prime_ppv_into`) once δ = 0 disarms its early stop — and under the
-//! configuration's own δ it is pinned as an entry-wise lower bound that is
-//! short by at most δ.
+//! sweeps interiors by degree), so entries match to ≤ 1e-12. On top of
+//! that, the two row sources of the one sweep loop are pinned bit-for-bit
+//! against each other: the in-memory one-shots, which sweep the graph's
+//! own CSR, against the local-CSR paths (the materialized `extract` +
+//! `solve` pipeline and the disk-style `prime_ppv_from`). The stored family
+//! (`prime_ppv`) matches under every configuration, unclipped and at a
+//! storage clip; the query-time family (`prime_ppv_into`) matches the
+//! stored one once δ = 0 disarms its early stop, matches `prime_ppv_from`
+//! at any δ — work counters and leftover residual included — and under the
+//! configuration's own δ is pinned as an entry-wise lower bound that is
+//! short by at most δ. Graphs with parallel edges, self-loops (a hub source
+//! whose row points back at itself among them) and dangling interior nodes
+//! give the two row sources every chance to disagree.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use fastppv::core::{Config, HubSet, PrimeComputer};
 use fastppv::graph::gen::barabasi_albert;
-use fastppv::graph::{Graph, NodeId};
+use fastppv::graph::{DanglingPolicy, Graph, GraphBuilder, NodeId};
 use proptest::prelude::*;
 
 /// The original kernel, kept verbatim as a test oracle: max-probability
@@ -209,9 +215,49 @@ fn sorted(mut v: Vec<NodeId>) -> Vec<NodeId> {
     v
 }
 
+fn bits(entries: &[(NodeId, f64)]) -> Vec<(NodeId, u64)> {
+    entries.iter().map(|&(v, s)| (v, s.to_bits())).collect()
+}
+
+/// A BA graph roughened with every row shape a row source could mishandle:
+/// parallel edges, self-loops — doubled on some nodes, and on hubs, so a
+/// hub source's row points back at itself — and dangling nodes (every
+/// `u % 11 == 7` keeps no out-edge, hubs and the reachable interior
+/// included). Hubs are every `hub_stride`-th node.
+fn messy_graph(n: usize, seed: u64, hub_stride: usize) -> (Graph, HubSet) {
+    let base = barabasi_albert(n, 3, seed);
+    let dangling = |u: NodeId| u % 11 == 7;
+    let mut b = GraphBuilder::new(n).dangling(DanglingPolicy::Keep);
+    for (u, v) in base.edges() {
+        if dangling(u) {
+            continue;
+        }
+        b.add_edge(u, v);
+        if (u + v) % 5 == 0 {
+            b.add_edge(u, v);
+        }
+    }
+    for v in (0..n as NodeId).step_by(3).filter(|&v| !dangling(v)) {
+        b.add_edge(v, v);
+        if v % 2 == 0 {
+            b.add_edge(v, v);
+        }
+    }
+    let hubs = HubSet::from_ids(n, (0..n as NodeId).step_by(hub_stride).collect());
+    (b.build(), hubs)
+}
+
+fn tight_config(epsilon: f64) -> Config {
+    let mut config = Config::default().with_epsilon(epsilon).with_clip(0.0);
+    config.solve_tolerance = 1e-15;
+    config
+}
+
 /// Asserts the new kernel against the reference for one (graph, hubs,
-/// source, config) instance. `clip` is 0 throughout: a positive clip would
-/// let sub-ulp score differences flip borderline entries in or out.
+/// source, config) instance, and its row sources against each other. The
+/// reference comparison runs at `clip = 0`: a positive clip would let
+/// sub-ulp score differences flip borderline entries in or out — between
+/// row sources there are none, so they are also compared at a clip.
 fn assert_kernels_agree(
     g: &Graph,
     hubs: &HubSet,
@@ -244,14 +290,54 @@ fn assert_kernels_agree(
         );
     }
 
-    // The fused one-shot paths are pinned bit-for-bit to the materialized
-    // extract + solve pipeline (same arrays, same op order): the stored
-    // family as is, the query-time family with its early stop disarmed.
+    // The graph-row one-shots are pinned bit-for-bit to the local-row
+    // paths (one sweep loop, same addends in the same order): the stored
+    // family unclipped and at a storage clip, the query-time family with
+    // its early stop disarmed.
     let materialized = pc.solve(&new_sub, config, 0.0);
-    assert_eq!(&materialized, &new_ppv);
+    assert_eq!(bits(materialized.entries.entries()), bits(new_entries));
+    let (clipped, _) = pc.prime_ppv(g, hubs, q, config, 1e-4);
+    let clipped_work = pc.last_solve();
+    let materialized = pc.solve(&new_sub, config, 1e-4);
+    assert_eq!(
+        bits(materialized.entries.entries()),
+        bits(clipped.entries.entries())
+    );
+    assert_eq!(pc.last_solve(), clipped_work);
     let (slice, fused_size) = pc.prime_ppv_into(g, hubs, q, &config.with_delta(0.0));
     assert_eq!(fused_size, size);
-    assert_eq!(slice, new_ppv.entries.entries());
+    assert_eq!(bits(slice), bits(new_entries));
+
+    // The query-time family on either row source, at δ = 0 and at the
+    // configuration's own δ: same entries, same sweeps and settles, and
+    // the same residual left behind, read from the arrays the solve ran in.
+    for delta in [0.0, config.delta] {
+        let at = config.with_delta(delta);
+        let (slice, fused_size) = pc.prime_ppv_into(g, hubs, q, &at);
+        let fused = bits(slice);
+        let fused_work = pc.last_solve();
+        let (local, local_size) = pc.prime_ppv_from(g, hubs, q, &at);
+        assert_eq!(local_size, fused_size, "source {q}, δ = {delta}");
+        assert_eq!(
+            bits(local.entries.entries()),
+            fused,
+            "source {q}, δ = {delta}"
+        );
+        let local_work = pc.last_solve();
+        assert_eq!(
+            local_work.sweeps, fused_work.sweeps,
+            "source {q}, δ = {delta}"
+        );
+        assert_eq!(
+            local_work.settles, fused_work.settles,
+            "source {q}, δ = {delta}"
+        );
+        assert_eq!(
+            local_work.leftover.to_bits(),
+            fused_work.leftover.to_bits(),
+            "source {q}, δ = {delta}"
+        );
+    }
 
     // Under the configuration's own δ the query-time family may stop
     // early: what it emits is settled mass only, so every score is at most
@@ -323,6 +409,44 @@ proptest! {
         config.solve_tolerance = 1e-15;
         let mut pc = PrimeComputer::new(n);
         assert_kernels_agree(&g, &hubs, &mut pc, 0, &config);
+    }
+
+    #[test]
+    fn kernels_agree_on_parallel_edges_self_loops_and_dangling_nodes(
+        n in 60usize..200,
+        seed in 0u64..1_000,
+        hub_stride in 3usize..9,
+        eps_exp in 5u32..9,
+    ) {
+        let (g, hubs) = messy_graph(n, seed, hub_stride);
+        let config = tight_config(10f64.powi(-(eps_exp as i32)));
+        let mut pc = PrimeComputer::new(n);
+        // Hub 0 carries a doubled self-loop; 7 is a dangling source; 3 and
+        // 1 are plain and self-looped non-hubs unless the stride hits them.
+        for q in [0 as NodeId, 3, 7, 1, hub_stride as NodeId * 3] {
+            if (q as usize) < n {
+                assert_kernels_agree(&g, &hubs, &mut pc, q, &config);
+            }
+        }
+    }
+}
+
+#[test]
+fn kernels_agree_on_a_hub_source_whose_row_points_back_at_itself() {
+    // Every multiple of 6 is a hub with one or two self-loops (18 and 84
+    // are dangling hubs instead): each such source's own row sends mass
+    // straight to its return slot, once per parallel copy, in the first
+    // sweep — and the slot must never be swept again.
+    let (g, hubs) = messy_graph(150, 3, 6);
+    let config = tight_config(1e-8);
+    let mut pc = PrimeComputer::new(150);
+    for q in [0 as NodeId, 6, 12, 18, 24, 84] {
+        assert!(hubs.is_hub(q));
+        if g.out_neighbors(q).contains(&q) {
+            let (ppv, _) = pc.prime_ppv(&g, &hubs, q, &config, 0.0);
+            assert!(ppv.entries.get(q) > 0.0, "hub {q} returns nothing");
+        }
+        assert_kernels_agree(&g, &hubs, &mut pc, q, &config);
     }
 }
 
