@@ -55,7 +55,9 @@
 //! frontier of border hubs are tracked in two more dense scratches and
 //! drained into reused buffers, and the covered mass `‖r̂‖₁` is maintained
 //! incrementally. The sorted sparse estimate is materialized exactly once,
-//! in [`IncrementalState::into_result`]. On a warmed-up workspace over a
+//! in [`IncrementalState::into_result`]. Every drain comes out in node-id
+//! order ([`ScoreScratch`] owns that order), so nothing here sorts the
+//! pending hubs, the frontier or the answer. On a warmed-up workspace over a
 //! [`crate::index::FlatIndex`], neither [`IncrementalState::step`] nor the
 //! assemble pass performs any heap allocation (the per-iteration stats
 //! vector is preallocated for 16 iterations and only reallocates —
@@ -229,7 +231,7 @@ pub struct IncrementScratch {
     prev: Vec<(NodeId, f64)>,
     /// hub → `Σ r̂ⁱ⁻¹(h)/α` over the rounds since the last assemble pass.
     pending: ScoreScratch,
-    /// `pending`, drained and sorted by hub id for one assemble pass.
+    /// `pending`, drained in hub-id order for one assemble pass.
     assembling: Vec<(NodeId, f64)>,
     scan: ScanWork,
 }
@@ -262,8 +264,9 @@ impl IncrementScratch {
 
     /// The assemble kernel: folds every pending coefficient into the dense
     /// estimate, `estimate += pending[h] · r̊⁰_h` in ascending hub id — the
-    /// order the arena lays segments out in — and clears them, so a second
-    /// call is free. `store` must be the store the rounds advanced over.
+    /// order `pending` drains in, and the order the arena lays segments out
+    /// in — and clears them, so a second call is free. `store` must be the
+    /// store the rounds advanced over.
     pub fn assemble<S: PpvStore>(&mut self, store: &S) {
         let IncrementScratch {
             estimate,
@@ -273,7 +276,6 @@ impl IncrementScratch {
             ..
         } = self;
         pending.drain_into(assembling);
-        assembling.sort_unstable_by_key(|&(h, _)| h);
         for &(h, coeff) in assembling.iter() {
             let view = store
                 .view(h)
@@ -704,11 +706,10 @@ impl IncrementalState {
             return false;
         }
         // The frontier becomes the next previous-increment: drained into
-        // the reused buffer and sorted by node id (in place) so expansion
-        // order — and therefore floating-point accumulation order — is
-        // identical across store implementations.
+        // the reused buffer, which the drain leaves in node-id order, so
+        // expansion order — and therefore floating-point accumulation
+        // order — is identical across store implementations.
         frontier.drain_into(prev);
-        prev.sort_unstable_by_key(|&(id, _)| id);
         self.covered += inc_mass;
         self.iterations_done += 1;
         self.stats.push(IterationStats {
@@ -908,7 +909,6 @@ pub fn expand_frontier<S: PpvStore>(
     scratch.assemble(store);
     let mut frontier = Vec::new();
     scratch.frontier.drain_into(&mut frontier);
-    frontier.sort_unstable_by_key(|&(id, _)| id);
     Ok(ExpandOutcome {
         entries: scratch.estimate.drain_sparse(),
         frontier,
@@ -983,7 +983,7 @@ impl<S: PpvStore> QuerySession<'_, '_, S> {
 
     /// The current estimate, materialized as a sorted sparse vector. The
     /// estimate itself lives densely in the session's workspace; calling
-    /// this mid-session costs an assemble pass and one sort —
+    /// this mid-session costs an assemble pass and a copy of the estimate —
     /// [`QuerySession::into_result`] is the materialize-once path.
     pub fn estimate(&mut self) -> SparseVector {
         let inc = &mut self.ws.get_mut().inc;

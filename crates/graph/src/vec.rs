@@ -1,10 +1,15 @@
 //! Shared numeric kernels for PPR computations.
 //!
-//! Every algorithm in the workspace accumulates scores over a small, shifting
-//! subset of nodes. [`ScoreScratch`] is the dense-array-plus-touched-list
-//! workspace that makes those accumulations allocation-free and hash-free on
-//! the hot path; [`SparseVector`] is the compact, sorted materialization used
-//! for results and the on-disk index.
+//! Every algorithm in the workspace accumulates scores over a shifting
+//! subset of nodes. [`ScoreScratch`] is the dense workspace that makes those
+//! accumulations allocation-free and hash-free on the hot path, and it owns
+//! the order its entries come out in: every read of the whole scratch visits
+//! each nonzero slot once, in ascending node id, by whichever of two exact
+//! methods is cheaper for the number of slots touched — a sort of the
+//! touched ids when they are few, one sequential pass over the value array
+//! once they cover an eighth of it. Callers never re-sort what a drain
+//! returns. [`SparseVector`] is the compact, sorted materialization used for
+//! results and the on-disk index.
 
 use crate::csr::NodeId;
 
@@ -173,34 +178,64 @@ pub fn top_k_entries(mut v: Vec<(NodeId, f64)>, k: usize) -> Vec<(NodeId, f64)> 
 /// collected list, without collecting it. Shared by [`SparseVector::top_k`]
 /// and [`ScoreScratch::top_k`]: picking ten nodes out of a 19 k-entry
 /// answer copies twenty entries, not the answer.
-///
-/// Whenever the buffer fills it is cut back to its best `k`, and the worst
-/// of those becomes the bar a later entry must outrank to be buffered at
-/// all, so past the first `2k` entries almost every one costs a single
-/// comparison.
 pub fn top_k_of(entries: impl IntoIterator<Item = (NodeId, f64)>, k: usize) -> Vec<(NodeId, f64)> {
     if k == 0 {
         return Vec::new();
     }
     let entries = entries.into_iter();
-    let limit = k.saturating_mul(2);
     let (at_least, at_most) = entries.size_hint();
-    let mut buf: Vec<(NodeId, f64)> = Vec::with_capacity(limit.min(at_most.unwrap_or(at_least)));
-    let mut bar: Option<(NodeId, f64)> = None;
-    for e in entries {
-        // `<` on the scores settles nearly every entry; it implies the
-        // total order's verdict, which only ties, zeros and NaNs need.
-        if bar.is_some_and(|bar| e.1 < bar.1 || by_rank(&e, &bar).is_ge()) {
-            continue;
-        }
-        buf.push(e);
-        if buf.len() == limit {
-            buf.select_nth_unstable_by(k - 1, by_rank);
-            buf.truncate(k);
-            bar = Some(buf[k - 1]);
+    let mut top = TopK::new(k, at_most.unwrap_or(at_least));
+    entries.for_each(|e| top.offer(e));
+    top.finish()
+}
+
+/// [`top_k_of`]'s selection, fed one entry at a time.
+///
+/// Whenever the buffer fills it is cut back to its best `k`, and the worst
+/// of those becomes the bar a later entry must outrank to be buffered at
+/// all, so past the first `2k` entries almost every one costs a single
+/// comparison.
+struct TopK {
+    k: usize,
+    limit: usize,
+    buf: Vec<(NodeId, f64)>,
+    bar: Option<(NodeId, f64)>,
+}
+
+impl TopK {
+    /// A selector for a positive `k` over about `expected` entries.
+    fn new(k: usize, expected: usize) -> Self {
+        debug_assert!(k > 0);
+        let limit = k.saturating_mul(2);
+        TopK {
+            k,
+            limit,
+            buf: Vec::with_capacity(limit.min(expected)),
+            bar: None,
         }
     }
-    top_k_entries(buf, k)
+
+    #[inline]
+    fn offer(&mut self, e: (NodeId, f64)) {
+        // `<` on the scores settles nearly every entry; it implies the
+        // total order's verdict, which only ties, zeros and NaNs need.
+        if self
+            .bar
+            .is_some_and(|bar| e.1 < bar.1 || by_rank(&e, &bar).is_ge())
+        {
+            return;
+        }
+        self.buf.push(e);
+        if self.buf.len() == self.limit {
+            self.buf.select_nth_unstable_by(self.k - 1, by_rank);
+            self.buf.truncate(self.k);
+            self.bar = Some(self.buf[self.k - 1]);
+        }
+    }
+
+    fn finish(self) -> Vec<(NodeId, f64)> {
+        top_k_entries(self.buf, self.k)
+    }
 }
 
 impl FromIterator<(NodeId, f64)> for SparseVector {
@@ -211,14 +246,37 @@ impl FromIterator<(NodeId, f64)> for SparseVector {
 
 /// Reusable dense accumulator with a touched list.
 ///
-/// `add` is O(1); draining back to a [`SparseVector`] and resetting is
-/// O(touched). The backing array is sized to the graph once and reused across
-/// queries (the "workhorse collection" pattern).
+/// `add` is O(1). The backing array is sized to the graph once and reused
+/// across queries (the "workhorse collection" pattern).
+///
+/// Every read of the whole scratch — the drains, [`ScoreScratch::to_sparse`],
+/// [`ScoreScratch::top_k`] and [`ScoreScratch::sum`] — visits each nonzero
+/// slot exactly once, in ascending node id, so a drained list is sorted and
+/// needs no sort after it. The visit picks one of two exact methods from the
+/// touched count `t` against the capacity `n`:
+///
+/// * `t < n/8`: sort the touched ids in place and read their slots,
+///   O(t log t);
+/// * `t ≥ n/8`: one sequential pass over the value array, O(n), which is
+///   already in id order. A non-hub answer, which covers most of the graph,
+///   takes this path.
+///
+/// The eighth is a measured crossover: draining into a fresh vector on a
+/// 2-vCPU x86-64 Xeon, the pass beats the sort from t ≈ n/12 at n = 5 k and
+/// 20 k, and from t ≈ n/6 at n = 200 k, so at the switch either method
+/// costs at most about a quarter more than the better one.
 #[derive(Clone, Debug)]
 pub struct ScoreScratch {
     values: Vec<f64>,
+    /// Every slot `add` found at 0 since the last drain or clear, in no
+    /// particular order. A slot that cancels to exactly 0 and is touched
+    /// again is listed twice; the visit reads it once.
     touched: Vec<NodeId>,
 }
+
+/// The visit scans the whole value array once the touched list covers
+/// `1/DENSE_SHARE` of it (see [`ScoreScratch`] for the measurement).
+const DENSE_SHARE: usize = 8;
 
 impl ScoreScratch {
     /// A scratch for graphs of `n` nodes.
@@ -257,72 +315,81 @@ impl ScoreScratch {
         self.values[v as usize]
     }
 
-    /// Nodes with a (possibly zero after cancellation) touched slot.
-    pub fn touched(&self) -> &[NodeId] {
-        &self.touched
+    /// The ordered visit every whole-scratch read goes through: calls
+    /// `f(v, value)` once per nonzero slot, in ascending `v`, by the method
+    /// the touched count selects (see [`ScoreScratch`]). With `DRAIN` it
+    /// zeroes each visited slot and empties the touched list, leaving the
+    /// scratch reset; otherwise the scratch keeps its values.
+    #[inline]
+    fn visit<const DRAIN: bool>(&mut self, mut f: impl FnMut(NodeId, f64)) {
+        let mut read = |v: NodeId, slot: &mut f64| {
+            let s = *slot;
+            if s != 0.0 {
+                if DRAIN {
+                    *slot = 0.0;
+                }
+                f(v, s);
+            }
+        };
+        if self.touched.len() * DENSE_SHARE >= self.values.len() {
+            for (v, slot) in self.values.iter_mut().enumerate() {
+                read(v as NodeId, slot);
+            }
+        } else {
+            self.touched.sort_unstable();
+            self.touched.dedup();
+            for &v in &self.touched {
+                read(v, &mut self.values[v as usize]);
+            }
+        }
+        if DRAIN {
+            self.touched.clear();
+        }
     }
 
-    /// Sum over touched slots.
-    pub fn sum(&self) -> f64 {
-        self.touched.iter().map(|&v| self.values[v as usize]).sum()
+    /// Sum over nonzero slots, in ascending node id.
+    pub fn sum(&mut self) -> f64 {
+        let mut total = 0.0;
+        self.visit::<false>(|_, s| total += s);
+        total
     }
 
-    /// Materializes touched entries (> 0) into a sorted [`SparseVector`] and
-    /// resets the scratch for reuse.
+    /// Materializes the nonzero entries into a [`SparseVector`] and resets
+    /// the scratch for reuse. The entry vector is allocated once, sized to
+    /// the touched count, and filled in id order.
     pub fn drain_sparse(&mut self) -> SparseVector {
         let mut entries = Vec::with_capacity(self.touched.len());
-        for &v in &self.touched {
-            let s = self.values[v as usize];
-            self.values[v as usize] = 0.0;
-            if s != 0.0 {
-                entries.push((v, s));
-            }
-        }
-        self.touched.clear();
-        entries.sort_unstable_by_key(|&(id, _)| id);
+        self.visit::<true>(|v, s| entries.push((v, s)));
         SparseVector::from_sorted(entries)
     }
 
-    /// Drains touched entries (≠ 0) into `out` in touched (first-insertion)
-    /// order and resets the scratch. `out` is cleared first; with a reused
-    /// `out` whose capacity has warmed up, the call performs no heap
-    /// allocation — this is the hot-path alternative to
-    /// [`ScoreScratch::drain_sparse`].
+    /// Drains the nonzero entries into `out` in ascending node id and
+    /// resets the scratch. `out` is cleared first; with a reused `out`
+    /// whose capacity has warmed up, the call performs no heap allocation —
+    /// this is the hot-path alternative to [`ScoreScratch::drain_sparse`].
     pub fn drain_into(&mut self, out: &mut Vec<(NodeId, f64)>) {
         out.clear();
-        for &v in &self.touched {
-            let s = self.values[v as usize];
-            self.values[v as usize] = 0.0;
-            if s != 0.0 {
-                out.push((v, s));
-            }
-        }
-        self.touched.clear();
+        out.reserve(self.touched.len());
+        self.visit::<true>(|v, s| out.push((v, s)));
     }
 
-    /// Materializes touched entries (≠ 0) into a sorted [`SparseVector`]
-    /// *without* resetting the scratch.
-    pub fn to_sparse(&self) -> SparseVector {
-        let mut entries: Vec<(NodeId, f64)> = self
-            .touched
-            .iter()
-            .filter_map(|&v| {
-                let s = self.values[v as usize];
-                (s != 0.0).then_some((v, s))
-            })
-            .collect();
-        entries.sort_unstable_by_key(|&(id, _)| id);
+    /// Materializes the nonzero entries into a [`SparseVector`] *without*
+    /// resetting the scratch.
+    pub fn to_sparse(&mut self) -> SparseVector {
+        let mut entries = Vec::with_capacity(self.touched.len());
+        self.visit::<false>(|v, s| entries.push((v, s)));
         SparseVector::from_sorted(entries)
     }
 
-    /// The `k` highest-scoring touched entries (ties broken by ascending
+    /// The `k` highest-scoring nonzero entries (ties broken by ascending
     /// node id), descending, without resetting the scratch.
-    pub fn top_k(&self, k: usize) -> Vec<(NodeId, f64)> {
-        let live = self.touched.iter().filter_map(|&v| {
-            let s = self.values[v as usize];
-            (s != 0.0).then_some((v, s))
-        });
-        top_k_of(live, k)
+    pub fn top_k(&mut self, k: usize) -> Vec<(NodeId, f64)> {
+        if k == 0 {
+            return Vec::new();
+        }
+        let mut top = TopK::new(k, self.touched.len());
+        self.visit::<false>(|v, s| top.offer((v, s)));
+        top.finish()
     }
 
     /// Resets without materializing.
@@ -393,7 +460,7 @@ mod tests {
         assert_eq!(s.get(3), 2.0);
         let v = s.drain_sparse();
         assert_eq!(v.entries(), &[(0, 0.5), (3, 2.0)]);
-        assert_eq!(s.touched().len(), 0);
+        assert!(s.to_sparse().is_empty());
         assert_eq!(s.get(3), 0.0);
         // Reusable after drain.
         s.add(1, 1.0);
@@ -407,6 +474,22 @@ mod tests {
         s.add(1, -1.0);
         let v = s.drain_sparse();
         assert!(v.is_empty());
+    }
+
+    #[test]
+    fn scratch_visits_a_cancelled_then_retouched_slot_once() {
+        // The slot lands on the touched list twice. Capacity 3 takes the
+        // value-array pass, capacity 1000 the sort of the touched ids.
+        for n in [3, 1000] {
+            let mut s = ScoreScratch::new(n);
+            s.add(2, 1.0);
+            s.add(2, -1.0);
+            s.add(2, 0.5);
+            assert_eq!(s.top_k(3), vec![(2, 0.5)], "n = {n}");
+            assert_eq!(s.sum(), 0.5, "n = {n}");
+            assert_eq!(s.to_sparse().entries(), &[(2, 0.5)], "n = {n}");
+            assert_eq!(s.drain_sparse().entries(), &[(2, 0.5)], "n = {n}");
+        }
     }
 
     #[test]
@@ -449,12 +532,8 @@ mod tests {
         s.add(2, 1.0);
         s.add(2, -1.0); // cancels: must be skipped
         s.drain_into(&mut buf);
-        assert_eq!(
-            buf,
-            vec![(4, 1.0), (1, 0.5)],
-            "touched order, zeros dropped"
-        );
-        assert_eq!(s.touched().len(), 0);
+        assert_eq!(buf, vec![(1, 0.5), (4, 1.0)], "id order, zeros dropped");
+        assert!(s.to_sparse().is_empty());
         assert_eq!(s.get(4), 0.0);
         // Reuse: previous contents are replaced, not appended.
         s.add(0, 2.0);
@@ -471,7 +550,7 @@ mod tests {
         assert_eq!(s.top_k(1), vec![(3, 0.75)]);
         // Still intact afterwards.
         assert_eq!(s.get(3), 0.75);
-        assert_eq!(s.touched().len(), 2);
+        assert_eq!(s.drain_sparse().len(), 2);
     }
 
     #[test]

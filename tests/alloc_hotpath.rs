@@ -1,4 +1,4 @@
-//! Proves four acceptance criteria with a counting global allocator:
+//! Proves five acceptance criteria with a counting global allocator:
 //!
 //! * zero heap allocations in `IncrementalState::step` rounds and in the
 //!   assemble pass that folds them into the estimate, on the `FlatIndex`
@@ -8,6 +8,10 @@
 //!   workspace is warm, starting a session computes the whole prime PPV
 //!   on the fly with the session bookkeeping's single allocation, and
 //!   every subsequent step, and the assemble pass, allocate nothing;
+//! * one allocation to **materialize a warm answer**, hub or non-hub
+//!   source, by either of the drain's two methods: the entry vector, at
+//!   exact capacity — the drain writes it in id order, with no sort buffer
+//!   and no growth;
 //! * one allocation per **stored prime PPV** (`PrimeComputer::prime_ppv`,
 //!   what the offline build and an exact recompute run per hub): on a
 //!   warm computer the solve runs on the graph's own CSR in reused
@@ -27,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use fastppv::core::dynamic::refresh_flat_index_snapshot_delta;
 use fastppv::core::offline::build_flat_index;
-use fastppv::core::query::StoppingCondition;
+use fastppv::core::query::{QuerySession, QueryWorkspace, StoppingCondition};
 use fastppv::core::{
     select_hubs, Config, DeltaConfig, HubPolicy, PpvStore, PrimeComputer, QueryEngine,
 };
@@ -103,10 +107,23 @@ fn steps_allocate_nothing_on_flat_path_with_warm_workspace() {
         "{during} heap allocations across {steps} warm steps and their \
          assemble pass on the flat path"
     );
-    drop(session);
+    // Six rounds at δ = 0 reach every node, so this answer's drain scans
+    // the value array.
+    answer_is_one_exact_allocation(session, "hub");
     assert!(
         ws.last_scan().hubs_scanned > 0,
         "the assemble pass scanned nothing"
+    );
+    // The same hub's iteration 0 in a workspace sixteen times the graph:
+    // the answer covers under an eighth of the scratch, so its drain sorts
+    // the touched ids instead — the path a hub answer on a large graph
+    // takes.
+    let mut wide = QueryWorkspace::new(16 * g.num_nodes());
+    engine.query_with(&mut wide, q, &StoppingCondition::iterations(0));
+    let len = answer_is_one_exact_allocation(engine.session_in(&mut wide, q), "hub");
+    assert!(
+        len * 8 < wide.capacity(),
+        "a {len}-entry answer does not exercise the sort path"
     );
 
     // Phase 2: a cold non-hub source. Iteration 0 must run the fused
@@ -143,8 +160,7 @@ fn steps_allocate_nothing_on_flat_path_with_warm_workspace() {
         "{during} heap allocations across {steps} warm non-hub steps and \
          their assemble pass"
     );
-
-    drop(session);
+    answer_is_one_exact_allocation(session, "non-hub");
 
     // Phase 3: the stored family, over every hub. A warm pass grows the
     // computer's buffers to the largest footprint; after it, each
@@ -204,4 +220,31 @@ fn steps_allocate_nothing_on_flat_path_with_warm_workspace() {
     let probe = ALLOCATIONS.load(Ordering::Relaxed);
     std::hint::black_box(Vec::<u64>::with_capacity(32));
     assert!(ALLOCATIONS.load(Ordering::Relaxed) > probe);
+}
+
+/// Finalizes a session over a warm workspace and checks that materializing
+/// the answer allocated exactly one buffer — its entry vector, at exactly
+/// the answer's length. A drain that sorted through a scratch buffer, or
+/// grew its output, would show here. Returns the answer's length.
+fn answer_is_one_exact_allocation<S: PpvStore>(
+    session: QuerySession<'_, '_, S>,
+    source: &str,
+) -> usize {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let result = session.into_result();
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let entries = result.scores.into_entries();
+    assert_eq!(
+        allocs,
+        1,
+        "{allocs} heap allocations to materialize a warm {source} answer of \
+         {} entries",
+        entries.len()
+    );
+    assert_eq!(
+        entries.capacity(),
+        entries.len(),
+        "the {source} answer's entry vector is not at exact capacity"
+    );
+    entries.len()
 }

@@ -7,7 +7,7 @@ use fastppv::core::index::{FlatIndex, MemoryIndex, PpvStore, PrimePpv};
 use fastppv::core::query::{QueryEngine, StoppingCondition};
 use fastppv::core::{build_index_parallel, Config, HubSet};
 use fastppv::graph::builder::from_edges;
-use fastppv::graph::{NodeId, SparseVector};
+use fastppv::graph::{NodeId, ScoreScratch, SparseVector};
 use fastppv::metrics::{kendall_tau, precision_at_k, rag, AccuracyReport};
 use proptest::prelude::*;
 
@@ -69,7 +69,7 @@ proptest! {
         prop_assert_eq!(bits(sparse.top_k(k)), want.clone());
         let reversed = entries.iter().rev().copied();
         prop_assert_eq!(bits(fastppv::graph::vec::top_k_of(reversed, k)), want.clone());
-        let mut scratch = fastppv::graph::ScoreScratch::new(400);
+        let mut scratch = ScoreScratch::new(400);
         for &(v, s) in entries.iter().filter(|e| e.1 != 0.0) {
             scratch.add(v, s);
         }
@@ -78,6 +78,72 @@ proptest! {
             bits(scratch.top_k(k)),
             bits(fastppv::graph::vec::top_k_entries(nonzero, k))
         );
+    }
+
+    #[test]
+    fn scratch_reads_match_an_ordered_reference_by_either_method((n, ops, k) in
+        (8usize..400).prop_flat_map(|n| {
+            // Up to n/4 adds over n slots puts the touched count on both
+            // sides of the n/8 switch between sorting the touched ids and
+            // one pass over the value array. Level 0 cancels a slot to
+            // exactly 0 and touches it again, level 5 only cancels it.
+            let ops = prop::collection::vec((0..n as NodeId, -4i32..6), 0..n / 4 + 1);
+            (Just(n), ops, 0usize..12)
+        })
+    ) {
+        let score = |level: i32| level as f64 * 0.375;
+        let fill = |scratch: &mut ScoreScratch| {
+            for &(v, level) in &ops {
+                match level {
+                    0 | 5 => scratch.add(v, -scratch.get(v)),
+                    _ => scratch.add(v, score(level)),
+                }
+                if level == 0 {
+                    scratch.add(v, 0.25);
+                }
+            }
+        };
+        let mut reference = std::collections::BTreeMap::new();
+        for &(v, level) in &ops {
+            let slot = reference.entry(v).or_insert(0.0f64);
+            match level {
+                0 => *slot = 0.25,
+                5 => *slot = 0.0,
+                _ => *slot += score(level),
+            }
+        }
+        let want: Vec<(NodeId, f64)> =
+            reference.into_iter().filter(|&(_, s)| s != 0.0).collect();
+        let bits = |entries: &[(NodeId, f64)]| -> Vec<(NodeId, u64)> {
+            entries.iter().map(|&(v, s)| (v, s.to_bits())).collect()
+        };
+        let want_sum = want.iter().fold(0.0, |total, &(_, s)| total + s);
+        let want_top = bits(&fastppv::graph::vec::top_k_entries(want.clone(), k));
+        let reads_empty = |scratch: &mut ScoreScratch| {
+            scratch.to_sparse().is_empty()
+                && scratch.top_k(4).is_empty()
+                && scratch.sum() == 0.0
+                && (0..n as NodeId).all(|v| scratch.get(v) == 0.0)
+        };
+
+        // The non-draining reads keep the scratch; the drain then empties it.
+        let mut scratch = ScoreScratch::new(n);
+        fill(&mut scratch);
+        prop_assert_eq!(bits(scratch.to_sparse().entries()), bits(&want));
+        prop_assert_eq!(bits(&scratch.top_k(k)), want_top);
+        prop_assert_eq!(scratch.sum().to_bits(), want_sum.to_bits());
+        prop_assert_eq!(bits(scratch.drain_sparse().entries()), bits(&want));
+        prop_assert!(reads_empty(&mut scratch));
+
+        // The same scratch, refilled: the buffer drain, then a plain clear.
+        fill(&mut scratch);
+        let mut out = vec![(0, 1.0)];
+        scratch.drain_into(&mut out);
+        prop_assert_eq!(bits(&out), bits(&want));
+        prop_assert!(reads_empty(&mut scratch));
+        fill(&mut scratch);
+        scratch.clear();
+        prop_assert!(reads_empty(&mut scratch));
     }
 
     #[test]
