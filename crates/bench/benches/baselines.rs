@@ -10,7 +10,7 @@ use fastppv_baselines::montecarlo::{build_fingerprint_index, montecarlo_query, M
 use fastppv_bench::datasets;
 use fastppv_bench::workload::sample_queries;
 use fastppv_core::hubs::{select_hubs, HubPolicy};
-use fastppv_core::offline::build_index_parallel;
+use fastppv_core::offline::build_flat_index;
 use fastppv_core::query::{QueryEngine, StoppingCondition};
 use fastppv_core::Config;
 use fastppv_graph::{pagerank, PageRankOptions, ScoreScratch};
@@ -28,7 +28,7 @@ fn bench_methods(c: &mut Criterion) {
     // FastPPV at η = 2.
     let config = Config::default().with_epsilon(1e-6);
     let hubs = select_hubs(graph, HubPolicy::ExpectedUtility, hub_count, 0);
-    let (index, _) = build_index_parallel(graph, &hubs, &config, 4);
+    let (index, _) = build_flat_index(graph, &hubs, &config, 4);
     group.bench_function("fastppv_eta2", |b| {
         let engine = QueryEngine::new(graph, &hubs, &index, config);
         let stop = StoppingCondition::iterations(2);

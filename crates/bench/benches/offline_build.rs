@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use fastppv_bench::datasets;
 use fastppv_core::hubs::{select_hubs, HubPolicy};
-use fastppv_core::offline::build_index_parallel;
+use fastppv_core::offline::build_flat_index;
 use fastppv_core::Config;
 
 fn bench_build(c: &mut Criterion) {
@@ -19,10 +19,10 @@ fn bench_build(c: &mut Criterion) {
     for divisor in [50usize, 25, 12] {
         let hubs = select_hubs(graph, HubPolicy::ExpectedUtility, n / divisor, 0);
         group.bench_with_input(BenchmarkId::new("serial", hubs.len()), &(), |b, _| {
-            b.iter(|| std::hint::black_box(build_index_parallel(graph, &hubs, &config, 1)));
+            b.iter(|| std::hint::black_box(build_flat_index(graph, &hubs, &config, 1)));
         });
         group.bench_with_input(BenchmarkId::new("threads4", hubs.len()), &(), |b, _| {
-            b.iter(|| std::hint::black_box(build_index_parallel(graph, &hubs, &config, 4)));
+            b.iter(|| std::hint::black_box(build_flat_index(graph, &hubs, &config, 4)));
         });
     }
     group.finish();

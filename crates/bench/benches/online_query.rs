@@ -8,8 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fastppv_bench::datasets;
 use fastppv_bench::workload::sample_queries;
 use fastppv_core::hubs::{select_hubs, HubPolicy};
-use fastppv_core::index::FlatIndex;
-use fastppv_core::offline::{build_flat_index, build_index_parallel};
+use fastppv_core::offline::build_flat_index;
 use fastppv_core::query::{QueryEngine, StoppingCondition};
 use fastppv_core::Config;
 use fastppv_graph::gen::barabasi_albert;
@@ -19,7 +18,7 @@ fn bench_eta(c: &mut Criterion) {
     let graph = &dataset.graph;
     let config = Config::default().with_epsilon(1e-6);
     let hubs = select_hubs(graph, HubPolicy::ExpectedUtility, graph.num_nodes() / 25, 0);
-    let (index, _) = build_index_parallel(graph, &hubs, &config, 4);
+    let (index, _) = build_flat_index(graph, &hubs, &config, 4);
     let queries = sample_queries(graph, 16, 7);
     let mut group = c.benchmark_group("online_query_eta");
     group.sample_size(20);
@@ -53,7 +52,7 @@ fn bench_hub_count(c: &mut Criterion) {
             graph.num_nodes() / divisor,
             0,
         );
-        let (index, _) = build_index_parallel(graph, &hubs, &config, 4);
+        let (index, _) = build_flat_index(graph, &hubs, &config, 4);
         group.bench_with_input(BenchmarkId::from_parameter(hubs.len()), &(), |b, _| {
             let engine = QueryEngine::new(graph, &hubs, &index, config);
             let stop = StoppingCondition::iterations(2);
@@ -66,52 +65,6 @@ fn bench_hub_count(c: &mut Criterion) {
             });
         });
     }
-    group.finish();
-}
-
-/// The acceptance comparison: the Arc/AoS [`fastppv_core::MemoryIndex`]
-/// versus the zero-copy SoA [`FlatIndex`] serving the same BA-5k workload.
-///
-/// Queries are *hub nodes* and `δ = 0`: iteration 0 is a store read and
-/// every increment scans stored PPVs, so the measurement isolates the
-/// index hot path (non-hub queries spend most of their time computing the
-/// query's own prime PPV, which is store-independent — see
-/// `online_query_eta` for that mix).
-fn bench_store_layout(c: &mut Criterion) {
-    let graph = barabasi_albert(5000, 4, 42);
-    let config = Config::default().with_epsilon(1e-6).with_delta(0.0);
-    let hubs = select_hubs(
-        &graph,
-        HubPolicy::ExpectedUtility,
-        graph.num_nodes() / 25,
-        0,
-    );
-    let (memory, _) = build_index_parallel(&graph, &hubs, &config, 4);
-    let flat = FlatIndex::from_memory(&memory, &hubs);
-    let queries: Vec<u32> = hubs.ids().iter().copied().step_by(6).take(32).collect();
-    let stop = StoppingCondition::iterations(3);
-    let mut group = c.benchmark_group("online_query_store_layout");
-    group.sample_size(50);
-    group.bench_with_input(BenchmarkId::from_parameter("arc_aos"), &(), |b, _| {
-        let engine = QueryEngine::new(&graph, &hubs, &memory, config);
-        let mut ws = engine.workspace();
-        let mut i = 0;
-        b.iter(|| {
-            let q = queries[i % queries.len()];
-            i += 1;
-            std::hint::black_box(engine.query_with(&mut ws, q, &stop))
-        });
-    });
-    group.bench_with_input(BenchmarkId::from_parameter("flat_soa"), &(), |b, _| {
-        let engine = QueryEngine::new(&graph, &hubs, &flat, config);
-        let mut ws = engine.workspace();
-        let mut i = 0;
-        b.iter(|| {
-            let q = queries[i % queries.len()];
-            i += 1;
-            std::hint::black_box(engine.query_with(&mut ws, q, &stop))
-        });
-    });
     group.finish();
 }
 
@@ -142,11 +95,5 @@ fn bench_phi_stop(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_eta,
-    bench_hub_count,
-    bench_store_layout,
-    bench_phi_stop
-);
+criterion_group!(benches, bench_eta, bench_hub_count, bench_phi_stop);
 criterion_main!(benches);

@@ -14,10 +14,10 @@
 use fastppv_bench::cli::CommonArgs;
 use fastppv_bench::datasets;
 use fastppv_bench::table::{fmt_ratio, fmt_s, Table};
-use fastppv_core::dynamic::{refresh_index_delta, DeltaConfig};
+use fastppv_core::dynamic::{refresh_flat_index_snapshot_delta, DeltaConfig};
 use fastppv_core::hubs::{select_hubs_with_pagerank, HubPolicy};
-use fastppv_core::offline::build_index_parallel;
-use fastppv_core::Config;
+use fastppv_core::offline::build_flat_index;
+use fastppv_core::{Config, PpvStore};
 use fastppv_graph::{pagerank, Graph, GraphBuilder, NodeId, PageRankOptions};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
@@ -44,7 +44,7 @@ fn main() {
         Some(&pr),
     );
     let config = Config::default().with_epsilon(1e-6);
-    let (index, build_stats) = build_index_parallel(&graph, &hubs, &config, args.threads);
+    let (index, build_stats) = build_flat_index(&graph, &hubs, &config, args.threads);
     println!(
         "|H| = {}, initial build {:.2}s",
         hubs.len(),
@@ -76,17 +76,19 @@ fn main() {
         let tails: Vec<NodeId> = edges.iter().map(|&(u, _)| u).collect();
 
         let t = std::time::Instant::now();
-        let (refreshed, stats) =
-            refresh_index_delta(&index, &graph, &new_graph, &hubs, &tails, &config, &exact);
+        let (refreshed, stats) = refresh_flat_index_snapshot_delta(
+            &index, &graph, &new_graph, &hubs, &tails, &config, &exact,
+        );
         let refresh_time = t.elapsed();
 
         let t = std::time::Instant::now();
-        let (rebuilt, _) = build_index_parallel(&new_graph, &hubs, &config, 1);
+        let (rebuilt, _) = build_flat_index(&new_graph, &hubs, &config, 1);
         let rebuild_time = t.elapsed();
 
-        let identical = hubs.ids().iter().all(|&h| {
-            refreshed.get(h).map(|p| p.entries.clone()) == rebuilt.get(h).map(|p| p.entries.clone())
-        });
+        let identical = hubs
+            .ids()
+            .iter()
+            .all(|&h| refreshed.load(h) == rebuilt.load(h));
         table.row(vec![
             batch.to_string(),
             format!(

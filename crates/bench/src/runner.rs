@@ -12,9 +12,9 @@ use fastppv_baselines::hubrank::{
 };
 use fastppv_baselines::montecarlo::{build_fingerprint_index, montecarlo_query, MonteCarloOptions};
 use fastppv_core::hubs::{select_hubs_with_pagerank, HubPolicy, HubSet};
-use fastppv_core::offline::{build_index_parallel, OfflineStats};
+use fastppv_core::offline::{build_flat_index, OfflineStats};
 use fastppv_core::query::{QueryEngine, StoppingCondition};
-use fastppv_core::{Config, MemoryIndex};
+use fastppv_core::{Config, FlatIndex};
 use fastppv_graph::{Graph, NodeId, ScoreScratch};
 use fastppv_metrics::AccuracyReport;
 
@@ -41,7 +41,7 @@ pub struct FastPpvSetup {
     /// The hub set.
     pub hubs: HubSet,
     /// The PPV index.
-    pub index: MemoryIndex,
+    pub index: FlatIndex,
     /// The configuration used to build (and to query).
     pub config: Config,
     /// Offline build statistics.
@@ -58,7 +58,7 @@ pub fn build_fastppv(
     pagerank: Option<&[f64]>,
 ) -> FastPpvSetup {
     let hubs = select_hubs_with_pagerank(graph, policy, hub_count, 0, pagerank);
-    let (index, stats) = build_index_parallel(graph, &hubs, &config, threads);
+    let (index, stats) = build_flat_index(graph, &hubs, &config, threads);
     FastPpvSetup {
         hubs,
         index,

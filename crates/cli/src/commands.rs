@@ -573,10 +573,10 @@ fn print_remote_stats(addr: &str) -> CmdResult {
 /// the service before the first query — and dispatches to the
 /// stdin/stdout loop or the TCP front-end.
 #[allow(clippy::too_many_arguments)]
-fn serve_store<S: PpvStore + fastppv_server::ShardRefresh + Send + Sync + 'static>(
+fn serve_store(
     graph: Graph,
     hubs: HubSet,
-    store: S,
+    store: FlatIndex,
     config: Config,
     delta: DeltaConfig,
     options: ServiceOptions,
@@ -629,8 +629,8 @@ fn serve_store<S: PpvStore + fastppv_server::ShardRefresh + Send + Sync + 'stati
 
 /// The `--listen` mode: the length-prefixed binary TCP protocol of
 /// [`fastppv_server::net`], served until the process is killed.
-fn serve_net<S: PpvStore + fastppv_server::ShardRefresh + Send + Sync + 'static>(
-    service: std::sync::Arc<QueryService<S>>,
+fn serve_net(
+    service: std::sync::Arc<QueryService<FlatIndex>>,
     addr: &str,
     num_nodes: usize,
     options: ServiceOptions,
@@ -654,8 +654,8 @@ fn serve_net<S: PpvStore + fastppv_server::ShardRefresh + Send + Sync + 'static>
 }
 
 /// The stdin/stdout serving loop.
-fn serve_loop<S: PpvStore + Send + Sync>(
-    service: std::sync::Arc<QueryService<S>>,
+fn serve_loop(
+    service: std::sync::Arc<QueryService<FlatIndex>>,
     num_nodes: usize,
     options: ServiceOptions,
     default_stop: StoppingCondition,

@@ -14,8 +14,8 @@
 //!   the map in the `FPVM1` format (byte layout below) with crash-safe
 //!   atomic publication; the reader fails closed on any structural
 //!   inconsistency.
-//! * [`slice_store`] materializes one shard's partial
-//!   [`MemoryIndex`] — exactly the hubs it owns — from any full store.
+//! * [`slice_store`] materializes one shard's partial [`FlatIndex`]
+//!   arena — exactly the hubs it owns — from the whole arena.
 //!
 //! ## `FPVM1` byte layout (all little-endian)
 //!
@@ -34,7 +34,7 @@ use std::path::Path;
 
 use fastppv_core::atomic_io::write_atomic;
 use fastppv_core::hubs::HubSet;
-use fastppv_core::index::{MemoryIndex, PpvStore};
+use fastppv_core::index::FlatIndex;
 use fastppv_graph::NodeId;
 
 use crate::partition::Clustering;
@@ -213,30 +213,18 @@ impl ShardMap {
     }
 }
 
-/// Materializes shard `shard`'s partial index from a full store: exactly
-/// the hubs the map assigns to it, PPV bytes copied verbatim (so a
+/// Materializes shard `shard`'s arena from the whole one: exactly the
+/// hubs the map assigns to it, each segment copied verbatim (so a
 /// scattered expansion reads the same numbers a single-process query
-/// would). Per-hub error-budget spend is carried over, keeping later
-/// delta refreshes on the slice as strict as on the source.
-pub fn slice_store<S: PpvStore>(
-    store: &S,
-    hubs: &HubSet,
-    map: &ShardMap,
-    shard: u32,
-) -> MemoryIndex {
+/// would) in ascending hub id. Per-hub error-budget spend is carried over,
+/// keeping later delta refreshes on the slice as strict as on the source.
+pub fn slice_store(store: &FlatIndex, hubs: &HubSet, map: &ShardMap, shard: u32) -> FlatIndex {
     assert!(shard < map.num_shards(), "shard {shard} out of range");
-    let mut index = MemoryIndex::new(map.num_nodes());
-    for &h in hubs.ids() {
-        if map.owner(h) != shard {
-            continue;
-        }
-        let Some(view) = store.view(h) else {
-            panic!("hub {h} has no prime PPV in the store being sliced");
-        };
-        index.insert(h, view.to_prime_ppv());
-        index.set_budget_spent(h, store.spent_budget(h));
+    let mut slice = FlatIndex::new(map.num_nodes());
+    for h in map.owned_hubs(hubs, shard) {
+        slice.insert_from(store, h, hubs);
     }
-    index
+    slice
 }
 
 #[cfg(test)]
@@ -244,7 +232,7 @@ mod tests {
     use super::*;
     use crate::partition::{cluster_graph, ClusteringOptions};
     use fastppv_core::offline::build_index;
-    use fastppv_core::{select_hubs, Config, HubPolicy};
+    use fastppv_core::{select_hubs, Config, HubPolicy, PpvStore};
     use fastppv_graph::gen::barabasi_albert;
 
     fn temp_file(name: &str) -> std::path::PathBuf {
@@ -317,19 +305,19 @@ mod tests {
         let config = Config::default().with_epsilon(1e-6);
         let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 40, 0);
         let (index, _) = build_index(&g, &hubs, &config);
-        let slices: Vec<MemoryIndex> = (0..4)
+        let slices: Vec<FlatIndex> = (0..4)
             .map(|s| slice_store(&index, &hubs, &map, s))
             .collect();
         let total: usize = slices.iter().map(|s| s.hub_count()).sum();
         assert_eq!(total, index.hub_count(), "slices must partition the hubs");
         for (s, slice) in slices.iter().enumerate() {
+            assert!(slice.hub_ids().is_sorted(), "slices are laid out ascending");
             for &h in slice.hub_ids() {
                 assert_eq!(map.owner(h), s as u32);
-                // Byte-identical PPV content.
-                assert_eq!(
-                    slice.view(h).unwrap().to_prime_ppv(),
-                    index.view(h).unwrap().to_prime_ppv()
-                );
+                // Byte-identical PPV content, norm and border sublist.
+                assert_eq!(slice.load(h), index.load(h));
+                assert_eq!(slice.stored_norm(h), index.stored_norm(h));
+                assert_eq!(slice.border_sublist(h), index.border_sublist(h));
             }
         }
     }

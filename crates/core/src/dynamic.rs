@@ -49,11 +49,10 @@
 //! spend grown by at most one patch allowance — where it used to be
 //! passed over.
 //!
-//! **Two entry points, one per layout.** [`refresh_index_delta`]
-//! returns a refreshed [`MemoryIndex`] sharing every clean PPV with the
-//! old one; [`refresh_flat_index_snapshot_delta`] returns a patched
-//! copy-on-write clone of a [`FlatIndex`] arena. Both take a
-//! [`DeltaConfig`].
+//! **One entry point.** [`refresh_flat_index_snapshot_delta`] returns a
+//! patched copy-on-write clone of a [`FlatIndex`] arena, configured by a
+//! [`DeltaConfig`]. It refreshes exactly the hubs the arena holds: a whole
+//! arena holds every hub, and a shard's slice stays a slice.
 //!
 //! **Exact refresh** ([`DeltaConfig::exact`]) recomputes every dirty hub's
 //! prime PPV from scratch. Correct, but a single edge event near a
@@ -75,7 +74,7 @@
 //!
 //! **Error budget.** A patch is inexact in three places, all charged to a
 //! per-hub accumulated budget stored alongside the index entry
-//! ([`MemoryIndex::budget_spent`] / [`FlatIndex::budget_spent`]):
+//! ([`FlatIndex::budget_spent`]):
 //!
 //! * push **leftover** — Σ|residual| the push stopped short of. One unit
 //!   of residual mass yields at most one unit of score L1
@@ -124,11 +123,11 @@
 
 use std::time::{Duration, Instant};
 
-use fastppv_graph::{Graph, NodeId, SparseVector};
+use fastppv_graph::{Graph, NodeId};
 
 use crate::config::Config;
 use crate::hubs::HubSet;
-use crate::index::{FlatIndex, MemoryIndex, PpvRef, PpvStore, PrimePpv};
+use crate::index::{FlatIndex, PpvRef, PpvStore};
 use crate::prime::{BucketQueue, DeltaPush, PrimeComputer};
 
 /// Hubs whose prime PPV depends on the out-edges of `u` in `graph`:
@@ -323,8 +322,7 @@ impl DeltaConfig {
 pub struct RefreshStats {
     /// Hubs whose prime PPVs were recomputed exactly (the dependence set
     /// of an exact refresh; on the delta path the hubs it declined —
-    /// budget exhausted or push truncated — plus, in a [`FlatIndex`]
-    /// refresh, hubs the old arena did not hold).
+    /// budget exhausted or push truncated).
     pub recomputed: usize,
     /// Hubs resolved by the delta patch path: their stored state held mass
     /// at a changed tail (includes [`RefreshStats::delta_noop`]).
@@ -346,8 +344,7 @@ pub struct RefreshStats {
     /// ≤ [`DeltaConfig::budget`] by construction (exceeding it forces a
     /// recompute, which resets the hub's spend to zero).
     pub budget_watermark: f64,
-    /// Snapshot-clone time (zero for [`MemoryIndex`] refreshes). The clone is
-    /// shallow — chunks are `Arc`-shared and only the per-hub directory is
+    /// Snapshot-clone time. The clone is shallow — chunks are `Arc`-shared and only the per-hub directory is
     /// copied — so this is microseconds even on arenas where the old deep
     /// copy took tens of seconds. Included in `elapsed`; reported
     /// separately so a regression back to deep copying is visible.
@@ -355,9 +352,7 @@ pub struct RefreshStats {
     /// Wall-clock time of the whole refresh, clone included.
     pub elapsed: Duration,
     /// Chunk bytes deep-copied during this refresh (compaction rewrites;
-    /// tombstone patches and shallow clones contribute zero). Only the
-    /// flat-arena refresh paths fill this; [`MemoryIndex`]-based refreshes
-    /// leave it 0.
+    /// tombstone patches and shallow clones contribute zero).
     pub cloned_bytes: u64,
     /// Entries stored in the refreshed index ([`PpvStore::total_entries`])
     /// — with `delta_patched` / `recomputed` it shows whether patches
@@ -367,11 +362,9 @@ pub struct RefreshStats {
     /// [`Config::clip`] (summed over hubs; each hub's share is inside its
     /// budget spend). Always 0 with `clip = 0`.
     pub clip_dropped: f64,
-    /// [`FlatIndex::resident_bytes`] of the refreshed arena (0 for
-    /// [`MemoryIndex`]-based refreshes).
+    /// [`FlatIndex::resident_bytes`] of the refreshed arena.
     pub resident_bytes: usize,
-    /// [`FlatIndex::mapped_bytes`] of the refreshed arena (0 for
-    /// [`MemoryIndex`]-based refreshes).
+    /// [`FlatIndex::mapped_bytes`] of the refreshed arena.
     pub mapped_bytes: usize,
 }
 
@@ -640,103 +633,6 @@ fn try_delta_patch(
     }
 }
 
-/// Refreshes `old_index` after edge updates, touching only affected hubs.
-///
-/// `changed_tails` are the source nodes of every inserted or deleted edge;
-/// `old_graph` supplies their rows before the change (and, on the exact
-/// path, the walks that existed only before it). Unaffected PPVs are
-/// shared with the old index (`Arc` handles, no entry copies). With a
-/// positive budget the hubs whose stored PPV holds mass at a changed tail
-/// are patched within the per-hub error budget (or only charged, when the
-/// perturbation fits the allowance unpushed) and recomputed when it does
-/// not fit; with [`DeltaConfig::exact`] every hub the ε-search reaches is
-/// recomputed. See the module docs for both dependence oracles and the
-/// accounting.
-///
-/// The refreshed index holds exactly the hubs `old_index` holds, so a
-/// shard's slice stays a slice (recomputing the hubs it does *not* hold
-/// would balloon it back to a full copy). `hubs` must still be the **full**
-/// hub set: it defines prime-PPV semantics — which nodes stop tours.
-pub fn refresh_index_delta(
-    old_index: &MemoryIndex,
-    old_graph: &Graph,
-    new_graph: &Graph,
-    hubs: &HubSet,
-    changed_tails: &[NodeId],
-    config: &Config,
-    delta: &DeltaConfig,
-) -> (MemoryIndex, RefreshStats) {
-    config.validate();
-    delta.validate();
-    let start = Instant::now();
-    let n = new_graph.num_nodes();
-    let tails = dedup_tails(changed_tails);
-    // The push runs on the new graph; a node count change would let
-    // old-row injections land out of range, so such a batch is exact.
-    let delta_enabled = delta.budget > 0.0 && old_graph.num_nodes() == n;
-    let dirty = (!delta_enabled).then(|| dirty_hubs(old_graph, new_graph, hubs, &tails, config));
-    let mut index = MemoryIndex::new(n);
-    let mut pc: Option<PrimeComputer> = None;
-    let mut ds = DeltaScratch::default();
-    let mut stats = RefreshStats::default();
-    for &h in old_index.hub_ids() {
-        assert!(hubs.is_hub(h), "indexed node {h} is not in the hub set");
-        let stored = old_index.get_shared(h).expect("listed hub is stored");
-        let patch = match &dirty {
-            Some(dirty) if dirty[h as usize] => Patch::Recompute,
-            Some(_) => Patch::Untouched,
-            None => try_delta_patch(
-                &PpvRef::Aos(stored.entries.entries()),
-                old_index.budget_spent(h),
-                h,
-                old_graph,
-                new_graph,
-                hubs,
-                &tails,
-                config,
-                delta,
-                &mut ds,
-            ),
-        };
-        match patch {
-            Patch::Untouched => {
-                index.insert_shared(h, stored);
-                index.set_budget_spent(h, old_index.budget_spent(h));
-                stats.reused += 1;
-            }
-            Patch::Recompute => {
-                let pc = pc.get_or_insert_with(|| PrimeComputer::new(n));
-                let (ppv, _) = pc.prime_ppv(new_graph, hubs, h, config, config.clip);
-                index.insert(h, ppv);
-                stats.recomputed += 1;
-            }
-            Patch::Unchanged { spent } => {
-                index.insert_shared(h, stored);
-                index.set_budget_spent(h, spent);
-                stats.delta_patched += 1;
-                stats.delta_noop += 1;
-            }
-            Patch::Patched { spent, clipped } => {
-                let entries = std::mem::take(&mut ds.merged);
-                index.insert(
-                    h,
-                    PrimePpv {
-                        entries: SparseVector::from_sorted(entries),
-                    },
-                );
-                index.set_budget_spent(h, spent);
-                stats.delta_patched += 1;
-                stats.clip_dropped += clipped;
-            }
-        }
-    }
-    stats.push_settles = ds.settles;
-    stats.budget_watermark = index.budget_watermark();
-    stats.live_entries = index.total_entries();
-    stats.elapsed = start.elapsed();
-    (index, stats)
-}
-
 /// Refreshes a [`FlatIndex`] arena in place after edge updates — the body
 /// of [`refresh_flat_index_snapshot_delta`]. Recomputed hubs go through
 /// [`FlatIndex::replace`] and patched ones through
@@ -774,11 +670,12 @@ fn refresh_flat_index_delta(
     let mut ds = DeltaScratch::default();
     let mut stats = RefreshStats::default();
     for &h in hubs.ids() {
-        let patch = match (index.view(h), &dirty) {
-            (None, _) => Patch::Recompute, // a hub the old arena did not hold
-            (Some(_), Some(dirty)) if dirty[h as usize] => Patch::Recompute,
-            (Some(_), Some(_)) => Patch::Untouched,
-            (Some(view), None) => try_delta_patch(
+        // A hub the arena does not hold is another shard's to refresh.
+        let Some(view) = index.view(h) else { continue };
+        let patch = match &dirty {
+            Some(dirty) if dirty[h as usize] => Patch::Recompute,
+            Some(_) => Patch::Untouched,
+            None => try_delta_patch(
                 &view,
                 index.budget_spent(h),
                 h,
@@ -822,12 +719,26 @@ fn refresh_flat_index_delta(
     stats
 }
 
-/// Refreshes a [`FlatIndex`] arena after edge updates (`changed_tails` and
-/// `old_graph` as in [`refresh_index_delta`]): leaves `old`
-/// untouched and returns a freshly patched arena. This is the entry point
-/// an epoch-snapshot service wants — readers pinning the old arena (behind
-/// an `Arc` swap cell) keep seeing it undisturbed while the clone is
-/// patched and published as the next epoch's store.
+/// Refreshes a [`FlatIndex`] arena after edge updates, touching only
+/// affected hubs: leaves `old` untouched and returns a freshly patched
+/// arena. This is the entry point an epoch-snapshot service wants —
+/// readers pinning the old arena (behind an `Arc` swap cell) keep seeing
+/// it undisturbed while the clone is patched and published as the next
+/// epoch's store.
+///
+/// `changed_tails` are the source nodes of every inserted or deleted edge;
+/// `old_graph` supplies their rows before the change (and, on the exact
+/// path, the walks that existed only before it). With a positive budget
+/// the hubs whose stored PPV holds mass at a changed tail are patched
+/// within the per-hub error budget (or only charged, when the perturbation
+/// fits the allowance unpushed) and recomputed when it does not fit; with
+/// [`DeltaConfig::exact`] every hub the ε-search reaches is recomputed. See
+/// the module docs for both dependence oracles and the accounting.
+///
+/// The refreshed arena holds exactly the hubs `old` holds, so a shard's
+/// slice stays a slice (recomputing the hubs it does *not* hold would
+/// balloon it back to a full copy). `hubs` must still be the **full** hub
+/// set: it defines prime-PPV semantics — which nodes stop tours.
 ///
 /// The clone is *shallow*: the arena chunks are `Arc`-shared with the old
 /// snapshot and only the per-hub directory is copied, so publishing costs
@@ -868,6 +779,7 @@ pub fn refresh_flat_index_snapshot_delta(
 mod tests {
     use super::*;
     use crate::hubs::{select_hubs, HubPolicy};
+    use crate::index::PrimePpv;
     use crate::offline::build_index;
     use fastppv_graph::gen::barabasi_albert;
     use fastppv_graph::{Graph, GraphBuilder};
@@ -987,13 +899,13 @@ mod tests {
         let v = (u + 17) % 250;
         let g2 = add_edge(&g, u, v);
         let (refreshed, stats) =
-            refresh_index_delta(&old_index, &g, &g2, &hubs, &[u], &config, &exact);
+            refresh_flat_index_snapshot_delta(&old_index, &g, &g2, &hubs, &[u], &config, &exact);
         let (rebuilt, _) = build_index(&g2, &hubs, &config);
         assert_eq!(refreshed.hub_count(), rebuilt.hub_count());
         for &h in hubs.ids() {
             assert_eq!(
-                refreshed.get(h).unwrap().entries,
-                rebuilt.get(h).unwrap().entries,
+                refreshed.load(h).unwrap().entries,
+                rebuilt.load(h).unwrap().entries,
                 "hub {h}"
             );
         }
@@ -1064,12 +976,13 @@ mod tests {
         let v = g.out_neighbors(u)[0];
         let g2 = remove_edge(&g, u, v);
         let (old_index, _) = build_index(&g, &hubs, &config);
-        let (refreshed, _) = refresh_index_delta(&old_index, &g, &g2, &hubs, &[u], &config, &exact);
+        let (refreshed, _) =
+            refresh_flat_index_snapshot_delta(&old_index, &g, &g2, &hubs, &[u], &config, &exact);
         let (rebuilt, _) = build_index(&g2, &hubs, &config);
         for &h in hubs.ids() {
             assert_eq!(
-                refreshed.get(h).unwrap().entries,
-                rebuilt.get(h).unwrap().entries,
+                refreshed.load(h).unwrap().entries,
+                rebuilt.load(h).unwrap().entries,
                 "hub {h}"
             );
         }
@@ -1089,7 +1002,8 @@ mod tests {
         let (old_index, _) = build_index(&g, &hubs, &config);
         let u = (0..400u32).find(|&v| !hubs.is_hub(v)).unwrap();
         let g2 = add_edge(&g, u, (u + 31) % 400);
-        let (_, stats) = refresh_index_delta(&old_index, &g, &g2, &hubs, &[u], &config, &exact);
+        let (_, stats) =
+            refresh_flat_index_snapshot_delta(&old_index, &g, &g2, &hubs, &[u], &config, &exact);
         assert!(
             stats.recomputed < hubs.len() / 2,
             "recomputed {} of {} hubs",
@@ -1126,7 +1040,7 @@ mod tests {
                 (add_edge(&g, u, (u + 59 + step) % 300), u)
             };
             let (next, stats) =
-                refresh_index_delta(&index, &g, &g2, &hubs, &[tail], &config, &delta);
+                refresh_flat_index_snapshot_delta(&index, &g, &g2, &hubs, &[tail], &config, &delta);
             assert_eq!(
                 stats.delta_patched + stats.recomputed + stats.reused,
                 hubs.len()
@@ -1147,8 +1061,8 @@ mod tests {
         let (rebuilt, _) = build_index(&g, &hubs, &config);
         for &h in hubs.ids() {
             let l1 = entries_l1(
-                index.get(h).unwrap().entries.entries(),
-                rebuilt.get(h).unwrap().entries.entries(),
+                index.load(h).unwrap().entries.entries(),
+                rebuilt.load(h).unwrap().entries.entries(),
             );
             let allowed = index.budget_spent(h) + 1e-6;
             assert!(l1 <= allowed, "hub {h}: L1 {l1} > allowed {allowed}");
@@ -1237,7 +1151,8 @@ mod tests {
         for step in 0..40u32 {
             let u = (step * 67 + 11) % 600;
             let g2 = add_edge(&g, u, (u + 101 + step) % 600);
-            let (next, stats) = refresh_index_delta(&index, &g, &g2, &hubs, &[u], &config, &delta);
+            let (next, stats) =
+                refresh_flat_index_snapshot_delta(&index, &g, &g2, &hubs, &[u], &config, &delta);
             assert!(stats.budget_watermark <= delta.budget);
             assert_eq!(stats.live_entries, next.total_entries());
             dropped += stats.clip_dropped;
@@ -1252,11 +1167,11 @@ mod tests {
         // is the size a fresh build of the final graph is.
         let (rebuilt, _) = build_index(&g, &hubs, &config);
         for &h in hubs.ids() {
-            let ppv = index.get(h).unwrap();
+            let ppv = index.load(h).unwrap();
             assert!(ppv.entries.entries().iter().all(|&(_, s)| s >= config.clip));
             let l1 = entries_l1(
                 ppv.entries.entries(),
-                rebuilt.get(h).unwrap().entries.entries(),
+                rebuilt.load(h).unwrap().entries.entries(),
             );
             assert!(l1 <= 1.5 * delta.budget, "hub {h}: L1 {l1}");
         }
@@ -1273,29 +1188,25 @@ mod tests {
         let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 25, 0);
         let config = Config::default();
         let (old_index, _) = build_index(&g, &hubs, &config);
-        let old_flat = FlatIndex::from_memory(&old_index, &hubs);
         let u = (0..250u32).find(|&v| !hubs.is_hub(v)).unwrap();
         let g2 = add_edge(&g, u, (u + 23) % 250);
         // A zero budget is the exact control: nothing is patched and the
         // refreshed index is a from-scratch build of the new graph, bit
-        // for bit, in both layouts.
+        // for bit.
         let zero = DeltaConfig::default().with_budget(0.0);
         assert_eq!(zero, DeltaConfig::exact());
-        let (mem, ms) = refresh_index_delta(&old_index, &g, &g2, &hubs, &[u], &config, &zero);
         let (flat, fs) =
-            refresh_flat_index_snapshot_delta(&old_flat, &g, &g2, &hubs, &[u], &config, &zero);
-        assert!(ms.recomputed > 0);
-        assert_eq!(ms.recomputed, fs.recomputed);
-        assert_eq!((ms.delta_patched, fs.delta_patched), (0, 0));
+            refresh_flat_index_snapshot_delta(&old_index, &g, &g2, &hubs, &[u], &config, &zero);
+        assert!(fs.recomputed > 0);
+        assert_eq!(fs.delta_patched, 0);
         let (rebuilt, _) = build_index(&g2, &hubs, &config);
-        let bits = |ppv: &PrimePpv| -> Vec<(NodeId, u64)> {
+        let bits = |ppv: PrimePpv| -> Vec<(NodeId, u64)> {
             let entries = ppv.entries.entries().iter();
             entries.map(|&(v, s)| (v, s.to_bits())).collect()
         };
         for &h in hubs.ids() {
-            let want = bits(rebuilt.get(h).unwrap());
-            assert_eq!(bits(mem.get(h).unwrap()), want, "hub {h}");
-            assert_eq!(bits(&flat.load(h).unwrap()), want, "hub {h} (flat)");
+            let want = bits(rebuilt.load(h).unwrap());
+            assert_eq!(bits(flat.load(h).unwrap()), want, "hub {h}");
         }
     }
 
@@ -1311,54 +1222,21 @@ mod tests {
         // Same graph on both sides: hubs that store mass at the tail find
         // its row unchanged, so no hub sees the batch and nothing is
         // pushed, spent or written.
-        let (next, stats) = refresh_index_delta(&old_index, &g, &g, &hubs, &[u], &config, &delta);
+        let (next, stats) =
+            refresh_flat_index_snapshot_delta(&old_index, &g, &g, &hubs, &[u], &config, &delta);
         assert_eq!(stats.dirty(), 0);
         assert_eq!(stats.reused, hubs.len());
         assert_eq!(stats.push_settles, 0);
         assert_eq!(stats.budget_watermark, 0.0);
         for &h in hubs.ids() {
             assert_eq!(
-                next.get(h).unwrap().entries,
-                old_index.get(h).unwrap().entries,
+                next.load(h).unwrap().entries,
+                old_index.load(h).unwrap().entries,
                 "hub {h}"
             );
         }
         // A genuine change is *not* vacuous.
         let g2 = add_edge(&g, u, (u + 11) % 250);
         assert!(!same_adjacency(&g, &g2, &[u]));
-    }
-
-    #[test]
-    fn flat_delta_matches_memory_delta() {
-        let g0 = barabasi_albert(300, 3, 31);
-        let hubs = select_hubs(&g0, HubPolicy::ExpectedUtility, 30, 0);
-        let config = tight_config();
-        let delta = DeltaConfig::default().with_budget(0.05);
-        let (mut mem, _) = build_index(&g0, &hubs, &config);
-        let (mut flat, _) = crate::offline::build_flat_index(&g0, &hubs, &config, 1);
-        let mut g = g0;
-        for step in 0..5u32 {
-            let u = (step * 41 + 7) % 300;
-            let g2 = add_edge(&g, u, (u + 83 + step) % 300);
-            let (next, ms) = refresh_index_delta(&mem, &g, &g2, &hubs, &[u], &config, &delta);
-            let fs = refresh_flat_index_delta(&mut flat, &g, &g2, &hubs, &[u], &config, &delta);
-            assert_eq!(ms.recomputed, fs.recomputed, "step {step}");
-            assert_eq!(ms.delta_patched, fs.delta_patched, "step {step}");
-            assert_eq!(ms.delta_noop, fs.delta_noop, "step {step}");
-            mem = next;
-            g = g2;
-        }
-        for &h in hubs.ids() {
-            assert_eq!(
-                flat.load(h).unwrap().entries,
-                mem.get(h).unwrap().entries,
-                "hub {h}"
-            );
-            assert_eq!(
-                flat.budget_spent(h),
-                mem.budget_spent(h),
-                "hub {h} budget spend"
-            );
-        }
     }
 }

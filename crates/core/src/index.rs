@@ -1,14 +1,11 @@
 //! The PPV index: precomputed prime PPVs of hub nodes (paper §5.1).
 //!
-//! Two layouts implement [`PpvStore`]:
-//!
-//! * [`FlatIndex`] — one structure-of-arrays arena (`ids` / `scores`
-//!   slices per hub plus a precomputed border-hub sublist and norm), the
-//!   zero-copy hot path of the online engine and the only layout with a
-//!   file format;
-//! * [`MemoryIndex`] — a slot map of per-hub [`PrimePpv`]s, the mutable
-//!   build-time representation (convert with [`FlatIndex::from_memory`])
-//!   and the layout of a shard's slice of the arena.
+//! One layout holds them: the [`FlatIndex`] arena — `ids` / `scores`
+//! slices per hub plus a precomputed border-hub sublist and norm — which
+//! the builder fills, the online engine reads zero-copy, the delta path
+//! patches copy-on-write, a shard serves as its slice of the hubs
+//! ([`FlatIndex::insert_from`]), and the index file stores. [`PpvStore`]
+//! is the read interface the engine is written against.
 //!
 //! ## The zero-copy store contract
 //!
@@ -99,7 +96,7 @@ impl PrimePpv {
 /// A borrowed view of one stored prime PPV — the unit of the zero-copy
 /// store contract (see the module docs).
 ///
-/// Both variants alias the store's own memory.
+/// Both variants borrow; a store's reads are always [`PpvRef::Soa`].
 #[derive(Clone, Debug)]
 pub enum PpvRef<'a> {
     /// Structure-of-arrays slices into a [`FlatIndex`] arena.
@@ -109,7 +106,9 @@ pub enum PpvRef<'a> {
         /// Scores, parallel to `ids`.
         scores: &'a [f64],
     },
-    /// Array-of-structs entries borrowed from a [`MemoryIndex`] slot.
+    /// Array-of-structs entries borrowed from a sorted entry slice — the
+    /// writer side: a [`PrimePpv`] or a delta patch's merge output on its
+    /// way into the arena.
     Aos(&'a [(NodeId, f64)]),
 }
 
@@ -208,23 +207,16 @@ pub trait PpvStore {
     /// Total stored entries across hubs.
     fn total_entries(&self) -> usize;
 
-    /// The precomputed border-hub sublist of `hub`'s PPV, if this store
-    /// maintains one: the hub-entry node ids plus their positions within
+    /// The precomputed border-hub sublist of `hub`'s PPV, or `None` if it
+    /// is not indexed: the hub-entry node ids plus their positions within
     /// the PPV's entry list (so `view.score_at(pos)` is the hub's score).
-    /// Stores without sublists return `None` and the query engine falls
-    /// back to filtering every entry through [`HubSet::is_hub`].
-    fn border_sublist(&self, _hub: NodeId) -> Option<(&[NodeId], &[u32])> {
-        None
-    }
+    fn border_sublist(&self, hub: NodeId) -> Option<(&[NodeId], &[u32])>;
 
     /// `‖r̊⁰_hub‖₁`: the scores of `hub`'s stored PPV summed in entry
     /// order, or `None` if it is not indexed. The mass an expansion of
     /// `hub` covers is this times its coefficient, so the query engine's
-    /// rounds never scan an entry to know `φ`. The default sums the view;
-    /// [`FlatIndex`] keeps the sum per slot, bit-equal to it.
-    fn stored_norm(&self, hub: NodeId) -> Option<f64> {
-        self.view(hub).map(|v| v.l1_norm())
-    }
+    /// rounds never scan an entry to know `φ`.
+    fn stored_norm(&self, hub: NodeId) -> Option<f64>;
 
     /// Materializes an owned copy of `hub`'s prime PPV (convenience; not
     /// the hot path).
@@ -232,37 +224,17 @@ pub trait PpvStore {
         self.view(hub).map(|v| v.to_prime_ppv())
     }
 
-    /// Accumulated delta-refresh error-budget spend of `hub`'s stored PPV
-    /// (see [`crate::dynamic`]); 0 for stores that do not track it.
-    /// Exposed on the trait so store slicing (`fastppv-cluster`) can carry
-    /// spend into a shard's partial index regardless of source layout.
-    fn spent_budget(&self, _hub: NodeId) -> f64 {
-        0.0
-    }
+    /// Exact byte size of the index file this store serializes to. The
+    /// paper's nominal record size is [`crate::offline::OfflineStats`]'s.
+    fn storage_bytes(&self) -> usize;
 
-    /// Nominal index size in bytes: the paper's 8-byte record per entry
-    /// (`u32` node, `f32` score) plus a 24-byte directory-and-spend record
-    /// per hub and a 24-byte header. This is the paper-comparable figure
-    /// the index-size columns of the Fig. 7b / Fig. 11 reproductions
-    /// report, not the size of any file; [`FlatIndex`] overrides it with
-    /// the exact length of its arena file.
-    fn storage_bytes(&self) -> usize {
-        24 + self.hub_count() * 24 + self.total_entries() * 8
-    }
+    /// Bytes this store keeps resident on the process heap.
+    fn resident_bytes(&self) -> usize;
 
-    /// Bytes this store keeps resident in process memory. The default —
-    /// the serialized size — is right for fully in-memory stores;
-    /// file-backed stores override it with their actual heap footprint.
-    fn resident_bytes(&self) -> usize {
-        self.storage_bytes()
-    }
-
-    /// Bytes this store serves through a memory-mapped file (0 for
-    /// heap-only stores). Mapped bytes are page-cache resident at the
-    /// kernel's discretion, not process heap.
-    fn mapped_bytes(&self) -> usize {
-        0
-    }
+    /// Bytes this store serves through a memory-mapped file. Mapped bytes
+    /// are page-cache resident at the kernel's discretion, not process
+    /// heap.
+    fn mapped_bytes(&self) -> usize;
 }
 
 impl<S: PpvStore> PpvStore for &S {
@@ -284,6 +256,9 @@ impl<S: PpvStore> PpvStore for &S {
     fn stored_norm(&self, hub: NodeId) -> Option<f64> {
         (**self).stored_norm(hub)
     }
+    fn storage_bytes(&self) -> usize {
+        (**self).storage_bytes()
+    }
     fn resident_bytes(&self) -> usize {
         (**self).resident_bytes()
     }
@@ -292,116 +267,9 @@ impl<S: PpvStore> PpvStore for &S {
     }
 }
 
-/// In-memory PPV index: the mutable build-time store.
-#[derive(Clone, Debug, Default)]
-pub struct MemoryIndex {
-    slots: Vec<Option<Arc<PrimePpv>>>,
-    hub_ids: Vec<NodeId>,
-    total_entries: usize,
-    /// Per-hub accumulated score-L1 error bound of the stored PPV relative
-    /// to an exact recompute — runtime state of the delta-update path
-    /// ([`crate::dynamic`]). 0 for freshly computed PPVs.
-    spent: Vec<f64>,
-}
-
-impl MemoryIndex {
-    /// An empty index for graphs of `n` nodes.
-    pub fn new(n: usize) -> Self {
-        MemoryIndex {
-            slots: vec![None; n],
-            hub_ids: Vec::new(),
-            total_entries: 0,
-            spent: vec![0.0; n],
-        }
-    }
-
-    /// Number of node slots (the graph size the index was created for).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Inserts (or replaces) the prime PPV of `hub`.
-    pub fn insert(&mut self, hub: NodeId, ppv: PrimePpv) {
-        self.insert_shared(hub, Arc::new(ppv));
-    }
-
-    /// Inserts (or replaces) an already-shared prime PPV without copying
-    /// its entries — the sharing path of
-    /// [`crate::dynamic::refresh_index_delta`].
-    pub fn insert_shared(&mut self, hub: NodeId, ppv: Arc<PrimePpv>) {
-        let slot = &mut self.slots[hub as usize];
-        match slot {
-            Some(old) => self.total_entries -= old.len(),
-            None => self.hub_ids.push(hub),
-        }
-        self.total_entries += ppv.len();
-        *slot = Some(ppv);
-        // An inserted PPV is presumed exact; the delta refresh path
-        // re-applies a carried-over budget via `set_budget_spent`.
-        self.spent[hub as usize] = 0.0;
-    }
-
-    /// Accumulated error-budget spend of `hub`'s stored PPV (score-L1
-    /// bound vs an exact recompute; see [`crate::dynamic`]).
-    pub fn budget_spent(&self, hub: NodeId) -> f64 {
-        self.spent.get(hub as usize).copied().unwrap_or(0.0)
-    }
-
-    /// Sets `hub`'s accumulated error-budget spend (delta refresh only).
-    pub fn set_budget_spent(&mut self, hub: NodeId, spent: f64) {
-        self.spent[hub as usize] = spent;
-    }
-
-    /// Largest per-hub budget spend in the index — the watermark reported
-    /// by [`crate::dynamic::RefreshStats`].
-    pub fn budget_watermark(&self) -> f64 {
-        self.hub_ids
-            .iter()
-            .map(|&h| self.spent[h as usize])
-            .fold(0.0, f64::max)
-    }
-
-    /// The stored prime PPV of `hub`, borrowed (no refcount traffic).
-    pub fn get(&self, hub: NodeId) -> Option<&PrimePpv> {
-        self.slots.get(hub as usize).and_then(|s| s.as_deref())
-    }
-
-    /// The stored prime PPV of `hub` as a shared handle (for callers that
-    /// retain it past the index borrow, e.g. index refresh reuse).
-    pub fn get_shared(&self, hub: NodeId) -> Option<Arc<PrimePpv>> {
-        self.slots.get(hub as usize).and_then(|s| s.clone())
-    }
-
-    /// Indexed hub ids, in insertion order.
-    pub fn hub_ids(&self) -> &[NodeId] {
-        &self.hub_ids
-    }
-}
-
-impl PpvStore for MemoryIndex {
-    fn view(&self, hub: NodeId) -> Option<PpvRef<'_>> {
-        self.slots
-            .get(hub as usize)
-            .and_then(|s| s.as_deref())
-            .map(|ppv| PpvRef::Aos(ppv.entries.entries()))
-    }
-
-    fn contains(&self, hub: NodeId) -> bool {
-        self.slots.get(hub as usize).is_some_and(|s| s.is_some())
-    }
-
-    fn hub_count(&self) -> usize {
-        self.hub_ids.len()
-    }
-
-    fn total_entries(&self) -> usize {
-        self.total_entries
-    }
-
-    fn spent_budget(&self, hub: NodeId) -> f64 {
-        self.budget_spent(hub)
-    }
-}
+/// The arena's name from when a second, slot-map layout existed. Kept only
+/// for callers that still spell it; new code names [`FlatIndex`].
+pub type MemoryIndex = FlatIndex;
 
 /// Sentinel for "node is not an indexed hub" in [`FlatIndex::slot_of`].
 const NO_SLOT: u32 = u32::MAX;
@@ -809,20 +677,6 @@ impl FlatIndex {
         }
     }
 
-    /// Builds the arena from a [`MemoryIndex`] (hubs laid out in ascending
-    /// hub-id order, so two builds from equal inputs are byte-identical).
-    pub fn from_memory(index: &MemoryIndex, hubs: &HubSet) -> Self {
-        let mut sorted: Vec<NodeId> = index.hub_ids().to_vec();
-        sorted.sort_unstable();
-        let mut flat = FlatIndex::new(index.capacity());
-        for h in sorted {
-            let ppv = index.get(h).expect("indexed hub");
-            flat.append_segment(h, &PpvRef::Aos(ppv.entries.entries()), hubs);
-            flat.set_budget_spent(h, index.budget_spent(h));
-        }
-        flat
-    }
-
     /// Appends a brand-new segment for `hub` (which must not be indexed
     /// yet — use [`FlatIndex::replace`] to patch an existing hub).
     pub fn insert(&mut self, hub: NodeId, ppv: &PrimePpv, hubs: &HubSet) {
@@ -831,6 +685,21 @@ impl FlatIndex {
             "hub {hub} already indexed (use replace)"
         );
         self.append_segment(hub, &PpvRef::Aos(ppv.entries.entries()), hubs);
+    }
+
+    /// Appends `hub`'s segment and budget spend copied straight from
+    /// `src`'s arena — the bytes a shard's slice serves are the ones the
+    /// whole arena holds. `hub` must be indexed in `src` and not here.
+    pub fn insert_from(&mut self, src: &FlatIndex, hub: NodeId, hubs: &HubSet) {
+        let view = src
+            .view(hub)
+            .unwrap_or_else(|| panic!("hub {hub} has no prime PPV in the source arena"));
+        assert!(
+            self.slot_of[hub as usize] == NO_SLOT,
+            "hub {hub} already indexed (use replace)"
+        );
+        self.append_segment(hub, &view, hubs);
+        self.set_budget_spent(hub, src.budget_spent(hub));
     }
 
     /// Replaces `hub`'s prime PPV: tombstone-and-append, then compaction
@@ -868,8 +737,8 @@ impl FlatIndex {
     }
 
     /// Rewrites the live segments into fresh owned chunks in ascending
-    /// hub-id order (the same layout a fresh [`FlatIndex::from_memory`]
-    /// build produces), dropping tombstoned bytes and releasing any shared
+    /// hub-id order (the same layout a fresh
+    /// [`crate::offline::build_flat_index`] produces), dropping tombstoned bytes and releasing any shared
     /// or file-backed chunks. The copied bytes are metered in
     /// [`FlatIndex::bytes_cloned`].
     pub fn compact(&mut self) {
@@ -1485,10 +1354,6 @@ impl PpvStore for FlatIndex {
             .is_some_and(|&s| s != NO_SLOT)
     }
 
-    fn spent_budget(&self, hub: NodeId) -> f64 {
-        self.budget_spent(hub)
-    }
-
     fn hub_count(&self) -> usize {
         self.hub_ids.len()
     }
@@ -1538,6 +1403,15 @@ mod tests {
         }
     }
 
+    /// An arena of `ppvs`, inserted in the order given.
+    fn arena(n: usize, hubs: &HubSet, ppvs: &[(NodeId, &[(NodeId, f64)])]) -> FlatIndex {
+        let mut flat = FlatIndex::new(n);
+        for &(h, entries) in ppvs {
+            flat.insert(h, &sample_ppv(entries), hubs);
+        }
+        flat
+    }
+
     fn temp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!(
@@ -1553,26 +1427,25 @@ mod tests {
 
     #[test]
     fn memory_index_insert_and_get() {
-        let mut idx = MemoryIndex::new(10);
-        idx.insert(3, sample_ppv(&[(1, 0.5), (2, 0.25)]));
-        idx.insert(7, sample_ppv(&[(0, 0.1)]));
+        let hubs = HubSet::from_ids(10, vec![3, 7]);
+        let idx = arena(10, &hubs, &[(3, &[(1, 0.5), (2, 0.25)]), (7, &[(0, 0.1)])]);
         assert_eq!(idx.hub_count(), 2);
         assert_eq!(idx.total_entries(), 3);
         assert!(idx.contains(3) && !idx.contains(4));
-        assert_eq!(idx.get(3).unwrap().entries.get(2), 0.25);
-        assert!(idx.get(4).is_none());
+        assert_eq!(idx.view(3).unwrap().score_of(2), Some(0.25));
         assert!(idx.view(4).is_none());
+        assert!(idx.load(4).is_none());
         assert_eq!(idx.load(3).unwrap().entries.get(1), 0.5);
     }
 
     #[test]
     fn memory_index_replace_updates_totals() {
-        let mut idx = MemoryIndex::new(10);
-        idx.insert(3, sample_ppv(&[(1, 0.5), (2, 0.25)]));
-        idx.insert(3, sample_ppv(&[(1, 0.9)]));
+        let hubs = HubSet::from_ids(10, vec![3]);
+        let mut idx = arena(10, &hubs, &[(3, &[(1, 0.5), (2, 0.25)])]);
+        idx.replace(3, &sample_ppv(&[(1, 0.9)]), &hubs);
         assert_eq!(idx.hub_count(), 1);
         assert_eq!(idx.total_entries(), 1);
-        assert_eq!(idx.get(3).unwrap().entries.get(1), 0.9);
+        assert_eq!(idx.load(3).unwrap().entries.get(1), 0.9);
     }
 
     #[test]
@@ -1600,20 +1473,22 @@ mod tests {
 
     #[test]
     fn flat_index_matches_memory_index() {
-        let mut idx = MemoryIndex::new(10);
-        idx.insert(3, sample_ppv(&[(1, 0.5), (2, 0.25), (7, 0.1)]));
-        idx.insert(7, sample_ppv(&[(0, 0.1), (3, 0.2)]));
-        idx.insert(5, sample_ppv(&[]));
+        // The arena returns exactly the in-memory PPVs it was filled from.
+        let ppvs: [(NodeId, &[(NodeId, f64)]); 3] = [
+            (3, &[(1, 0.5), (2, 0.25), (7, 0.1)]),
+            (5, &[]),
+            (7, &[(0, 0.1), (3, 0.2)]),
+        ];
         let hubs = HubSet::from_ids(10, vec![3, 5, 7]);
-        let flat = FlatIndex::from_memory(&idx, &hubs);
+        let flat = arena(10, &hubs, &ppvs);
         assert_eq!(flat.hub_count(), 3);
         assert_eq!(flat.total_entries(), 5);
         assert_eq!(flat.storage_bytes(), flat.file_bytes());
         assert!(flat.resident_bytes() > 0);
         assert_eq!(flat.mapped_bytes(), 0, "built arena is heap-resident");
-        for h in [3u32, 5, 7] {
+        for (h, entries) in ppvs {
             assert!(flat.contains(h));
-            assert_eq!(flat.load(h).unwrap(), *idx.get(h).unwrap(), "hub {h}");
+            assert_eq!(flat.load(h).unwrap(), sample_ppv(entries), "hub {h}");
         }
         assert!(!flat.contains(4));
         assert!(flat.view(4).is_none());
@@ -1621,11 +1496,9 @@ mod tests {
 
     #[test]
     fn flat_index_border_sublist_points_at_hub_entries() {
-        let mut idx = MemoryIndex::new(10);
-        idx.insert(2, sample_ppv(&[(1, 0.5), (4, 0.3), (6, 0.2), (9, 0.1)]));
-        idx.insert(4, sample_ppv(&[(2, 0.7)]));
         let hubs = HubSet::from_ids(10, vec![2, 4, 9]);
-        let flat = FlatIndex::from_memory(&idx, &hubs);
+        let ppv2 = [(1, 0.5), (4, 0.3), (6, 0.2), (9, 0.1)];
+        let flat = arena(10, &hubs, &[(2, &ppv2), (4, &[(2, 0.7)])]);
         let (bids, bpos) = flat.border_sublist(2).unwrap();
         assert_eq!(bids, &[4, 9]);
         let view = flat.view(2).unwrap();
@@ -1634,7 +1507,7 @@ mod tests {
             .zip(bpos)
             .map(|(&id, &p)| (id, view.score_at(p as usize)))
             .collect();
-        let expected: Vec<(NodeId, f64)> = idx.get(2).unwrap().border_hubs(&hubs).collect();
+        let expected: Vec<(NodeId, f64)> = sample_ppv(&ppv2).border_hubs(&hubs).collect();
         assert_eq!(borders, expected);
         // Non-hub-entry segments have empty sublists.
         let (bids4, _) = flat.border_sublist(4).unwrap();
@@ -1643,11 +1516,8 @@ mod tests {
 
     #[test]
     fn flat_replace_tombstones_then_compacts() {
-        let mut idx = MemoryIndex::new(10);
-        idx.insert(1, sample_ppv(&[(2, 0.5), (3, 0.25)]));
-        idx.insert(2, sample_ppv(&[(1, 0.5)]));
         let hubs = HubSet::from_ids(10, vec![1, 2]);
-        let mut flat = FlatIndex::from_memory(&idx, &hubs);
+        let mut flat = arena(10, &hubs, &[(1, &[(2, 0.5), (3, 0.25)]), (2, &[(1, 0.5)])]);
         assert_eq!(flat.dead_entries(), 0);
         flat.replace(1, &sample_ppv(&[(2, 0.9), (5, 0.05)]), &hubs);
         // 2 of 5 arena entries are dead (40% > 30%): compaction fired.
@@ -1665,12 +1535,9 @@ mod tests {
 
     #[test]
     fn flat_replace_below_threshold_keeps_tombstones() {
-        let mut idx = MemoryIndex::new(20);
         let big: Vec<(NodeId, f64)> = (0..15).map(|v| (v, 0.01)).collect();
-        idx.insert(1, sample_ppv(&big));
-        idx.insert(2, sample_ppv(&[(3, 0.5)]));
         let hubs = HubSet::from_ids(20, vec![1, 2]);
-        let mut flat = FlatIndex::from_memory(&idx, &hubs);
+        let mut flat = arena(20, &hubs, &[(1, &big), (2, &[(3, 0.5)])]);
         flat.replace(2, &sample_ppv(&[(4, 0.25)]), &hubs);
         // 1 dead of 17 total: below the 30% threshold, tombstone retained.
         assert_eq!(flat.dead_entries(), 1);
@@ -1694,12 +1561,16 @@ mod tests {
 
     #[test]
     fn arena_file_round_trips_bit_exact() {
-        let mut idx = MemoryIndex::new(100);
-        idx.insert(42, sample_ppv(&[(0, 0.125), (42, 0.5), (99, 0.0625)]));
-        idx.insert(7, sample_ppv(&[(7, 1.0)]));
-        idx.insert(9, sample_ppv(&[]));
         let hubs = HubSet::from_ids(100, vec![7, 9, 42]);
-        let mut flat = FlatIndex::from_memory(&idx, &hubs);
+        let mut flat = arena(
+            100,
+            &hubs,
+            &[
+                (7, &[(7, 1.0)]),
+                (9, &[]),
+                (42, &[(0, 0.125), (42, 0.5), (99, 0.0625)]),
+            ],
+        );
         flat.set_budget_spent(42, 0.0042);
         let path = temp_path("arena.fppv");
         flat.write_to_file(&path).unwrap();
@@ -1779,12 +1650,6 @@ mod tests {
         let file_len = std::fs::metadata(&path).unwrap().len() as usize;
         assert_eq!(flat.storage_bytes(), file_len);
         std::fs::remove_file(&path).unwrap();
-        // A MemoryIndex has no file; it reports the paper's nominal record
-        // size (the figure the Fig. 7b / Fig. 11 columns print).
-        let mut idx = MemoryIndex::new(10);
-        idx.insert(1, sample_ppv(&[(1, 0.5), (3, 0.1)]));
-        idx.insert(5, sample_ppv(&[(0, 0.2)]));
-        assert_eq!(idx.storage_bytes(), 24 + 2 * 24 + 3 * 8);
     }
 
     #[test]
@@ -1817,12 +1682,17 @@ mod tests {
 
     /// A small arena used by the FPPVIDX3 failure-mode tests.
     fn sample_arena() -> (FlatIndex, HubSet) {
-        let mut idx = MemoryIndex::new(30);
-        idx.insert(3, sample_ppv(&[(1, 0.5), (5, 0.25), (20, 0.125)]));
-        idx.insert(5, sample_ppv(&[(3, 0.3)]));
-        idx.insert(20, sample_ppv(&[(2, 0.1), (5, 0.05)]));
         let hubs = HubSet::from_ids(30, vec![3, 5, 20]);
-        (FlatIndex::from_memory(&idx, &hubs), hubs)
+        let flat = arena(
+            30,
+            &hubs,
+            &[
+                (3, &[(1, 0.5), (5, 0.25), (20, 0.125)]),
+                (5, &[(3, 0.3)]),
+                (20, &[(2, 0.1), (5, 0.05)]),
+            ],
+        );
+        (flat, hubs)
     }
 
     fn write_arena_bytes(name: &str, mutate: impl FnOnce(&mut Vec<u8>)) -> std::path::PathBuf {
@@ -1958,16 +1828,15 @@ mod tests {
     #[test]
     fn multi_chunk_arena_round_trips_and_compacts() {
         let n = FlatIndex::CHUNK_ENTRIES / 2;
-        let mut idx = MemoryIndex::new(200_000);
         let hub_list: Vec<NodeId> = (0..6).map(|i| i * 30_000).collect();
+        let hubs = HubSet::from_ids(200_000, hub_list.clone());
+        let mut flat = FlatIndex::new(200_000);
         for &h in &hub_list {
             let entries: Vec<(NodeId, f64)> = (0..n)
                 .map(|i| (h + i as NodeId + 1, 1.0 / (i + 2) as f64))
                 .collect();
-            idx.insert(h, sample_ppv(&entries));
+            flat.insert(h, &sample_ppv(&entries), &hubs);
         }
-        let hubs = HubSet::from_ids(200_000, hub_list.clone());
-        let flat = FlatIndex::from_memory(&idx, &hubs);
         assert!(
             flat.chunk_count() >= 2,
             "6×{n} entries must span multiple chunks (got {})",

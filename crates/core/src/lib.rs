@@ -97,9 +97,7 @@ pub use config::Config;
 pub use dynamic::{DeltaConfig, RefreshStats};
 pub use hubs::{select_hubs, select_hubs_with_pagerank, HubPolicy, HubSet};
 pub use index::{FlatIndex, MemoryIndex, OpenError, PpvRef, PpvStore, PrimePpv};
-pub use offline::{
-    build_flat_index, build_index, build_index_in_order, build_index_parallel, OfflineStats,
-};
+pub use offline::{build_flat_index, build_index, build_index_in_order, OfflineStats};
 pub use prime::{
     AdjacencyAccess, BucketQueue, DeltaOutcome, DeltaPush, PrimeComputer, PrimeSubgraph, SolveWork,
 };

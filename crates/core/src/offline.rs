@@ -1,27 +1,25 @@
 //! Offline precomputation (paper §5.1, Algorithm 1).
 //!
-//! For each hub, extract its prime subgraph and solve for its prime PPV;
-//! store everything in a [`MemoryIndex`], or — [`build_flat_index`], what
-//! a deployment wants — in the [`FlatIndex`] arena that is served and
-//! written to disk ([`FlatIndex::write_to_file`]). Hub builds
-//! are independent, so [`build_index_parallel`] shards them across scoped
-//! threads pulling hubs off a shared atomic counter (work stealing):
-//! prime-subgraph sizes follow the graph's power law, so any static
-//! partition of the hub list leaves most threads idle behind whichever one
-//! drew the giants. Stealing changes wall-clock only, not results — each
-//! hub's PPV is deterministic, workers remember the list position of
-//! everything they built, and the merge reassembles hub order, so the
+//! For each hub, extract its prime subgraph and solve for its prime PPV,
+//! and store everything in the [`FlatIndex`] arena that is served and
+//! written to disk ([`FlatIndex::write_to_file`]). Hub builds are
+//! independent, so [`build_flat_index`] shards them across scoped threads
+//! pulling hubs off a shared atomic counter (work stealing): prime-subgraph
+//! sizes follow the graph's power law, so any static partition of the hub
+//! list leaves most threads idle behind whichever one drew the giants.
+//! Stealing changes wall-clock only, not results — each hub's PPV is
+//! deterministic and the arena is filled in ascending hub id, so the
 //! output is byte-identical to a serial build regardless of thread count
 //! or hub ordering.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use fastppv_graph::Graph;
+use fastppv_graph::{Graph, NodeId};
 
 use crate::config::Config;
 use crate::hubs::HubSet;
-use crate::index::{FlatIndex, MemoryIndex, PpvStore, PrimePpv};
+use crate::index::{FlatIndex, PpvStore, PrimePpv};
 use crate::prime::PrimeComputer;
 
 /// Statistics from an offline build.
@@ -33,8 +31,11 @@ pub struct OfflineStats {
     pub hubs: usize,
     /// Total entries stored (after clipping).
     pub total_entries: usize,
-    /// Nominal index size in bytes ([`PpvStore::storage_bytes`] of the
-    /// built [`MemoryIndex`] — the paper-comparable figure).
+    /// Nominal index size in bytes: the paper's 8-byte record per entry
+    /// (`u32` node, `f32` score) plus a 24-byte directory-and-spend record
+    /// per hub and a 24-byte header. This is the paper-comparable figure
+    /// the index-size columns of the Fig. 7b / Fig. 11 reproductions
+    /// report, not the size of any file.
     pub storage_bytes: usize,
     /// Mean prime-subgraph size (nodes, including absorbers).
     pub avg_subgraph_nodes: f64,
@@ -46,42 +47,45 @@ pub struct OfflineStats {
 }
 
 /// Builds the PPV index single-threaded.
-pub fn build_index(graph: &Graph, hubs: &HubSet, config: &Config) -> (MemoryIndex, OfflineStats) {
-    build_index_parallel(graph, hubs, config, 1)
+pub fn build_index(graph: &Graph, hubs: &HubSet, config: &Config) -> (FlatIndex, OfflineStats) {
+    build_flat_index(graph, hubs, config, 1)
 }
 
 /// Builds the PPV index with `threads` worker threads (work-stealing over
-/// the hub list; byte-identical output to [`build_index`]).
-pub fn build_index_parallel(
+/// the hub list; byte-identical output to [`build_index`]). The arena is
+/// chunked ([`FlatIndex::CHUNK_ENTRIES`] entries per chunk), so a later
+/// [`FlatIndex::write_to_file`] / [`FlatIndex::open`] round trip can
+/// serve it zero-copy from an mmap'd file, and snapshot clones share
+/// chunks copy-on-write.
+pub fn build_flat_index(
     graph: &Graph,
     hubs: &HubSet,
     config: &Config,
     threads: usize,
-) -> (MemoryIndex, OfflineStats) {
+) -> (FlatIndex, OfflineStats) {
     build_index_in_order(graph, hubs, hubs.ids(), config, threads)
 }
 
-/// Like [`build_index_parallel`], building the hubs of `order` (each id
-/// must be a hub, listed at most once) and inserting them into the index
-/// in exactly that order. Output depends only on `order`, never on
-/// `threads`: workers steal the next unbuilt hub off a shared counter, tag
-/// each PPV with its list position, and the merge reassembles the list —
-/// so even an adversarial order (largest prime subgraph first, the
+/// Like [`build_flat_index`], building the hubs of `order` (each id must
+/// be a hub, listed at most once) in that order. Output depends only on
+/// the set of hubs in `order`, never on their order or on `threads`:
+/// workers steal the next unbuilt hub off a shared counter, and the arena
+/// is filled in ascending hub id — so even an adversarial order (largest prime subgraph first, the
 /// worst case for static chunking) parallelizes without skew.
 pub fn build_index_in_order(
     graph: &Graph,
     hubs: &HubSet,
-    order: &[fastppv_graph::NodeId],
+    order: &[NodeId],
     config: &Config,
     threads: usize,
-) -> (MemoryIndex, OfflineStats) {
+) -> (FlatIndex, OfflineStats) {
     config.validate();
     let threads = threads.clamp(1, order.len().max(1));
     let start = Instant::now();
 
     struct Shard {
-        // (position in `order`, built PPV, subgraph node count)
-        ppvs: Vec<(usize, PrimePpv, usize)>,
+        // (hub, built PPV, subgraph node count)
+        ppvs: Vec<(NodeId, PrimePpv, usize)>,
         border_hubs: usize,
     }
 
@@ -103,7 +107,7 @@ pub fn build_index_in_order(
                             let Some(&h) = order.get(i) else { break };
                             let (ppv, size) = pc.prime_ppv(graph, hubs, h, config, config.clip);
                             shard.border_hubs += ppv.border_hubs(hubs).count();
-                            shard.ppvs.push((i, ppv, size));
+                            shard.ppvs.push((h, ppv, size));
                         }
                         shard
                     })
@@ -113,58 +117,36 @@ pub fn build_index_in_order(
         })
     };
 
-    // Reassemble `order`: stats are order-insensitive sums, but index
-    // insertion order (and therefore the serialized layout) must not
-    // depend on which worker built what.
-    let mut slots: Vec<Option<PrimePpv>> = Vec::with_capacity(order.len());
-    slots.resize_with(order.len(), || None);
+    // Stats are order-insensitive sums; the arena layout must not depend
+    // on which worker built what, so segments go in by ascending hub id.
+    let mut built: Vec<(NodeId, PrimePpv)> = Vec::with_capacity(order.len());
     let mut subgraph_nodes = 0usize;
     let mut max_subgraph = 0usize;
     let mut border_hubs = 0usize;
     for shard in shards {
         border_hubs += shard.border_hubs;
-        for (i, ppv, size) in shard.ppvs {
+        for (h, ppv, size) in shard.ppvs {
             subgraph_nodes += size;
             max_subgraph = max_subgraph.max(size);
-            slots[i] = Some(ppv);
+            built.push((h, ppv));
         }
     }
-    let mut index = MemoryIndex::new(graph.num_nodes());
-    for (slot, &h) in slots.iter_mut().zip(order) {
-        index.insert(h, slot.take().expect("every ordered hub is built"));
+    built.sort_unstable_by_key(|&(h, _)| h);
+    let mut index = FlatIndex::new(graph.num_nodes());
+    for (h, ppv) in built {
+        index.insert(h, &ppv, hubs);
     }
     let n_hubs = index.hub_count();
     let stats = OfflineStats {
         build_time: start.elapsed(),
         hubs: n_hubs,
         total_entries: index.total_entries(),
-        storage_bytes: index.storage_bytes(),
+        storage_bytes: 24 + n_hubs * 24 + index.total_entries() * 8,
         avg_subgraph_nodes: ratio(subgraph_nodes, n_hubs),
         max_subgraph_nodes: max_subgraph,
         avg_border_hubs: ratio(border_hubs, n_hubs),
     };
     (index, stats)
-}
-
-/// Builds the PPV index directly into the flat structure-of-arrays arena
-/// (the online hot-path layout): a [`build_index_parallel`] build followed
-/// by [`FlatIndex::from_memory`]. The conversion is one linear pass over
-/// the entries and is included in the reported build time. The resulting
-/// arena is chunked ([`FlatIndex::CHUNK_ENTRIES`] entries per chunk), so a
-/// later [`FlatIndex::write_to_file`] / [`FlatIndex::open`] round trip can
-/// serve it zero-copy from an mmap'd file, and snapshot clones share
-/// chunks copy-on-write.
-pub fn build_flat_index(
-    graph: &Graph,
-    hubs: &HubSet,
-    config: &Config,
-    threads: usize,
-) -> (FlatIndex, OfflineStats) {
-    let start = Instant::now();
-    let (memory, mut stats) = build_index_parallel(graph, hubs, config, threads);
-    let flat = FlatIndex::from_memory(&memory, hubs);
-    stats.build_time = start.elapsed();
-    (flat, stats)
 }
 
 fn ratio(total: usize, count: usize) -> f64 {
@@ -203,29 +185,16 @@ mod tests {
         let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 50, 0);
         let config = Config::default();
         let (serial, s_stats) = build_index(&g, &hubs, &config);
-        let (parallel, p_stats) = build_index_parallel(&g, &hubs, &config, 4);
+        let (parallel, p_stats) = build_flat_index(&g, &hubs, &config, 4);
         assert_eq!(s_stats.total_entries, p_stats.total_entries);
         assert_eq!(serial.hub_count(), parallel.hub_count());
+        assert_eq!(serial.hub_ids(), parallel.hub_ids());
         for &h in hubs.ids() {
             assert_eq!(
-                serial.get(h).unwrap().entries,
-                parallel.get(h).unwrap().entries,
+                serial.load(h).unwrap(),
+                parallel.load(h).unwrap(),
                 "hub {h}"
             );
-        }
-    }
-
-    #[test]
-    fn flat_build_matches_memory_build() {
-        let g = barabasi_albert(500, 3, 13);
-        let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 40, 0);
-        let config = Config::default();
-        let (memory, m_stats) = build_index(&g, &hubs, &config);
-        let (flat, f_stats) = build_flat_index(&g, &hubs, &config, 1);
-        assert_eq!(m_stats.total_entries, f_stats.total_entries);
-        assert_eq!(flat.hub_count(), memory.hub_count());
-        for &h in hubs.ids() {
-            assert_eq!(flat.load(h).unwrap(), *memory.get(h).unwrap(), "hub {h}");
         }
     }
 
@@ -235,17 +204,27 @@ mod tests {
         let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 30, 0);
         let config = Config::default();
         let (default, _) = build_index(&g, &hubs, &config);
-        // Reversed order: same PPVs, insertion order follows `order`.
+        // Reversed order: same PPVs, and the arena is laid out in
+        // ascending hub id whatever order the hubs were built in.
         let mut reversed: Vec<_> = hubs.ids().to_vec();
         reversed.reverse();
         let (ordered, _) = build_index_in_order(&g, &hubs, &reversed, &config, 3);
-        assert_eq!(ordered.hub_ids(), &reversed[..]);
+        let mut ascending = reversed.clone();
+        ascending.sort_unstable();
+        assert_eq!(ordered.hub_ids(), &ascending[..]);
+        assert_eq!(default.hub_ids(), &ascending[..]);
         for &h in hubs.ids() {
             assert_eq!(
-                ordered.get(h).unwrap().entries,
-                default.get(h).unwrap().entries,
+                ordered.load(h).unwrap(),
+                default.load(h).unwrap(),
                 "hub {h}"
             );
+        }
+        // A sub-list builds exactly the hubs it names.
+        let (part, stats) = build_index_in_order(&g, &hubs, &reversed[..7], &config, 2);
+        assert_eq!(stats.hubs, 7);
+        for (i, &h) in reversed.iter().enumerate() {
+            assert_eq!(part.contains(h), i < 7, "hub {h}");
         }
     }
 
@@ -255,7 +234,7 @@ mod tests {
         let hubs = crate::hubs::HubSet::from_ids(8, toy::PAPER_HUBS.to_vec());
         // More threads than hubs: workers beyond the hub count exit
         // immediately; output unaffected.
-        let (index, stats) = build_index_parallel(&g, &hubs, &Config::default(), 64);
+        let (index, stats) = build_flat_index(&g, &hubs, &Config::default(), 64);
         assert_eq!(index.hub_count(), 3);
         assert_eq!(stats.hubs, 3);
     }
@@ -295,5 +274,17 @@ mod tests {
         let (_, full) = build_index(&g, &hubs, &Config::default().with_clip(0.0));
         assert!(clipped.total_entries < full.total_entries);
         assert!(clipped.storage_bytes < full.storage_bytes);
+    }
+
+    #[test]
+    fn storage_bytes_is_the_papers_nominal_record_size() {
+        // Not a file size: 8 bytes per entry (`u32` node, `f32` score), a
+        // 24-byte record per hub and a 24-byte header — the figure the
+        // Fig. 7b / Fig. 11 columns print.
+        let g = toy::graph();
+        let hubs = crate::hubs::HubSet::from_ids(8, toy::PAPER_HUBS.to_vec());
+        let (index, stats) = build_index(&g, &hubs, &Config::default());
+        assert_eq!(stats.storage_bytes, 24 + 3 * 24 + index.total_entries() * 8);
+        assert_ne!(stats.storage_bytes, index.storage_bytes());
     }
 }

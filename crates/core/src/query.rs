@@ -304,7 +304,6 @@ impl IncrementScratch {
 /// mass)`, or the first hub missing from the store.
 fn advance<S: PpvStore>(
     sublist: &[(NodeId, f64)],
-    hubs: &HubSet,
     store: &S,
     config: &Config,
     pending: &mut ScoreScratch,
@@ -317,27 +316,19 @@ fn advance<S: PpvStore>(
         if mass <= config.delta {
             continue;
         }
-        let (Some(view), Some(norm)) = (store.view(h), store.stored_norm(h)) else {
+        let (Some(view), Some(norm), Some((border_ids, border_pos))) =
+            (store.view(h), store.stored_norm(h), store.border_sublist(h))
+        else {
             return Err(h);
         };
         hubs_expanded += 1;
         let coeff = mass * inv_alpha;
         pending.add(h, coeff);
         inc_mass += coeff * norm;
-        // The next frontier: only this PPV's hub entries matter. With
-        // a precomputed border sublist we touch exactly those; other
-        // stores fall back to the hub-mask filter.
-        match store.border_sublist(h) {
-            Some((border_ids, border_pos)) => {
-                for (&b, &pos) in border_ids.iter().zip(border_pos.iter()) {
-                    frontier.add(b, coeff * view.score_at(pos as usize));
-                }
-            }
-            None => view.for_each(|p, s| {
-                if hubs.is_hub(p) {
-                    frontier.add(p, coeff * s);
-                }
-            }),
+        // The next frontier: only this PPV's hub entries matter, and the
+        // precomputed border sublist names exactly those.
+        for (&b, &pos) in border_ids.iter().zip(border_pos.iter()) {
+            frontier.add(b, coeff * view.score_at(pos as usize));
         }
     }
     Ok((hubs_expanded, inc_mass))
@@ -683,7 +674,6 @@ impl IncrementalState {
     /// `scratch` must be the same scratch this state was created over.
     pub fn step<S: PpvStore>(
         &mut self,
-        hubs: &HubSet,
         store: &S,
         config: &Config,
         scratch: &mut IncrementScratch,
@@ -699,7 +689,7 @@ impl IncrementalState {
         } = scratch;
         // Every hub is indexed by construction; a missing entry would
         // silently bias results, so fail loudly.
-        let (hubs_expanded, inc_mass) = advance(prev, hubs, store, config, pending, frontier)
+        let (hubs_expanded, inc_mass) = advance(prev, store, config, pending, frontier)
             .unwrap_or_else(|h| panic!("hub {h} has no prime PPV in the store"));
         if hubs_expanded == 0 {
             self.exhausted = true;
@@ -708,7 +698,7 @@ impl IncrementalState {
         // The frontier becomes the next previous-increment: drained into
         // the reused buffer, which the drain leaves in node-id order, so
         // expansion order — and therefore floating-point accumulation
-        // order — is identical across store implementations.
+        // order — depends on node ids alone.
         frontier.drain_into(prev);
         self.covered += inc_mass;
         self.iterations_done += 1;
@@ -846,7 +836,7 @@ pub fn run_increments<S: PpvStore>(
         started,
     );
     while !stop.met(state.iterations_done(), state.l1_error(), state.elapsed()) {
-        if !state.step(hubs, store, config, scratch) {
+        if !state.step(store, config, scratch) {
             break;
         }
     }
@@ -889,10 +879,11 @@ pub struct ExpandOutcome {
 /// so per-entry accumulation order matches the single-store loop. Hubs
 /// whose mass does not clear `config.delta` are skipped; a hub missing
 /// from the store is an error (`Err(hub)`) rather than a silent bias,
-/// mirroring the panic in `step`.
+/// mirroring the panic in `step`. The store's border sublists carry the
+/// hub set, so the hub-set argument is not read.
 pub fn expand_frontier<S: PpvStore>(
     sublist: &[(NodeId, f64)],
-    hubs: &HubSet,
+    _hubs: &HubSet,
     store: &S,
     config: &Config,
     scratch: &mut IncrementScratch,
@@ -900,7 +891,6 @@ pub fn expand_frontier<S: PpvStore>(
     scratch.reset();
     let (hubs_expanded, increment_mass) = advance(
         sublist,
-        hubs,
         store,
         config,
         &mut scratch.pending,
@@ -946,12 +936,8 @@ impl<S: PpvStore> QuerySession<'_, '_, S> {
     /// session state is unchanged.
     pub fn step(&mut self) -> bool {
         let engine = self.engine;
-        self.state.step(
-            engine.hubs,
-            engine.store,
-            &engine.config,
-            &mut self.ws.get_mut().inc,
-        )
+        self.state
+            .step(engine.store, &engine.config, &mut self.ws.get_mut().inc)
     }
 
     /// The accuracy-aware L1 error `φ = 1 − ‖r̂‖₁` (Eq. 6).
@@ -1034,7 +1020,7 @@ mod tests {
     use fastppv_graph::gen::barabasi_albert;
     use fastppv_graph::toy;
 
-    fn toy_setup(config: Config) -> (fastppv_graph::Graph, HubSet, crate::index::MemoryIndex) {
+    fn toy_setup(config: Config) -> (fastppv_graph::Graph, HubSet, crate::index::FlatIndex) {
         let g = toy::graph();
         let hubs = HubSet::from_ids(8, toy::PAPER_HUBS.to_vec());
         let (index, _) = build_index(&g, &hubs, &config);
@@ -1197,7 +1183,7 @@ mod tests {
         let g = barabasi_albert(5000, 4, 3);
         let hubs = select_hubs(&g, HubPolicy::OutDegree, 50, 0);
         let config = Config::default().with_epsilon(1e-6);
-        let index = crate::index::MemoryIndex::new(5000);
+        let index = crate::index::FlatIndex::new(5000);
         let q = (0..5000u32).find(|&v| !hubs.is_hub(v)).unwrap();
         let mut pc = PrimeComputer::new(5000);
         let bare = (0..3)

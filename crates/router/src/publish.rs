@@ -16,10 +16,9 @@
 //!    prober surfaces the lag via the stats op) until the shard is
 //!    repaired — queries never silently mix epochs.
 
-use fastppv_core::PpvStore;
+use fastppv_core::FlatIndex;
 use fastppv_graph::gen::EdgeEvent;
 use fastppv_server::net::prepare_from_events;
-use fastppv_server::ShardRefresh;
 
 use crate::backend::{BackendError, LocalBackend, TcpBackend};
 
@@ -76,7 +75,7 @@ impl UpdateBackend for TcpBackend {
     }
 }
 
-impl<S: PpvStore + ShardRefresh + Send + Sync> UpdateBackend for LocalBackend<S> {
+impl UpdateBackend for LocalBackend<FlatIndex> {
     fn num_shards(&self) -> usize {
         crate::SubBackend::num_shards(self)
     }

@@ -65,5 +65,5 @@ pub use cache::LruCache;
 pub use service::{
     percentile, percentile_of_sorted, percentile_of_sorted_pair, Admission, CacheStats,
     ExpandAnswer, LatencySummary, LoadRegime, LoadStats, OverloadOptions, Prime0Parts,
-    QueryService, Request, Response, ServiceOptions, ServingState, ShardRefresh, SubQueryError,
+    QueryService, Request, Response, ServiceOptions, ServingState, SubQueryError,
 };

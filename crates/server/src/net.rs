@@ -113,13 +113,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fastppv_core::query::StoppingCondition;
-use fastppv_core::PpvStore;
+use fastppv_core::FlatIndex;
 use fastppv_graph::gen::{apply_event, EdgeEvent};
 use fastppv_graph::{Graph, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::service::{QueryService, Request, Response, ShardRefresh, SubQueryError};
+use crate::service::{QueryService, Request, Response, SubQueryError};
 
 /// Wire constants, re-exported from the workspace constant registry
 /// under their historical public names. Protocol version history:
@@ -1174,16 +1174,16 @@ impl Drop for NetServer {
 /// [`Client`] sees "server closed before sending hello"). Size
 /// `options.workers` for the *expected concurrency*, not the core count
 /// alone, when many simultaneous connections are the workload.
-pub fn serve<S: PpvStore + ShardRefresh + Send + Sync + 'static>(
-    service: Arc<QueryService<S>>,
+pub fn serve(
+    service: Arc<QueryService<FlatIndex>>,
     listener: TcpListener,
 ) -> io::Result<NetServer> {
     serve_with_options(service, listener, NetOptions::default())
 }
 
 /// [`serve`] with explicit connection-robustness knobs ([`NetOptions`]).
-pub fn serve_with_options<S: PpvStore + ShardRefresh + Send + Sync + 'static>(
-    service: Arc<QueryService<S>>,
+pub fn serve_with_options(
+    service: Arc<QueryService<FlatIndex>>,
     listener: TcpListener,
     options: NetOptions,
 ) -> io::Result<NetServer> {
@@ -1278,8 +1278,8 @@ impl Drop for SlotGuard {
     }
 }
 
-fn handle_connection<S: PpvStore + ShardRefresh + Send + Sync>(
-    service: &QueryService<S>,
+fn handle_connection(
+    service: &QueryService<FlatIndex>,
     stream: TcpStream,
     stop: &AtomicBool,
     options: NetOptions,
@@ -1412,8 +1412,8 @@ fn cap_sub_frame(request_id: u64, encoded: Vec<u8>) -> Vec<u8> {
 /// graph (every shard holds the full graph; only the PPV store is sliced)
 /// and stages the shard-local refresh at `target_epoch`. Public so an
 /// in-process shard backend can stage updates without a socket.
-pub fn prepare_from_events<S: PpvStore + ShardRefresh + Send + Sync>(
-    service: &QueryService<S>,
+pub fn prepare_from_events(
+    service: &QueryService<FlatIndex>,
     target_epoch: u64,
     events: &[EdgeEvent],
 ) -> Result<(), String> {
@@ -1441,8 +1441,8 @@ pub fn prepare_from_events<S: PpvStore + ShardRefresh + Send + Sync>(
         .map(|_| ())
 }
 
-fn handle_query_frame<S: PpvStore + Send + Sync>(
-    service: &QueryService<S>,
+fn handle_query_frame(
+    service: &QueryService<FlatIndex>,
     writer: &mut BufWriter<TcpStream>,
     body: &[u8],
     stop: &AtomicBool,
@@ -1983,10 +1983,10 @@ mod tests {
     use super::*;
     use crate::service::ServiceOptions;
     use fastppv_core::offline::build_index;
-    use fastppv_core::{Config, HubSet, MemoryIndex, QueryEngine};
+    use fastppv_core::{Config, HubSet, PpvStore, QueryEngine};
     use fastppv_graph::toy;
 
-    fn toy_service() -> Arc<QueryService<MemoryIndex>> {
+    fn toy_service() -> Arc<QueryService<FlatIndex>> {
         let g = toy::graph();
         let hubs = HubSet::from_ids(8, toy::PAPER_HUBS.to_vec());
         let config = Config::exhaustive();

@@ -33,11 +33,10 @@ use arc_swap::ArcSwap;
 use parking_lot::Mutex;
 
 use fastppv_core::dynamic::{
-    refresh_flat_index_snapshot_delta, refresh_index_delta, same_adjacency, DeltaConfig,
-    RefreshStats,
+    refresh_flat_index_snapshot_delta, same_adjacency, DeltaConfig, RefreshStats,
 };
 use fastppv_core::query::{expand_frontier, QueryWorkspace, StoppingCondition};
-use fastppv_core::{Config, FlatIndex, HubSet, MemoryIndex, PpvStore, QueryEngine};
+use fastppv_core::{Config, FlatIndex, HubSet, PpvStore, QueryEngine};
 use fastppv_graph::{Graph, NodeId, SparseVector};
 
 use crate::cache::LruCache;
@@ -1256,91 +1255,41 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
     }
 }
 
-/// Store-specific half of an update: build the next epoch's store off the
-/// pinned one without publishing. The crucial property for sharded
-/// deployments: the refresh is restricted to the hubs the old store
-/// actually holds, so a partial (sliced) store stays partial — a
-/// full-hub-set refresh would recompute every missing hub and balloon one
-/// shard's slice into the whole index.
-pub trait ShardRefresh: Sized {
-    /// Builds the refreshed store for `new_graph`. `hubs` is the full hub
-    /// set; the result holds exactly the hubs `self` holds.
-    #[allow(clippy::too_many_arguments)]
-    fn refresh_for_shard(
+impl QueryService<FlatIndex> {
+    /// Builds the next epoch's arena off the pinned snapshot `old` without
+    /// publishing it ([`refresh_flat_index_snapshot_delta`]). The arena is
+    /// cloned and patched copy-on-write at *chunk* granularity: the clone
+    /// Arc-shares every chunk with the old snapshot (O(chunks) pointer
+    /// copies, no entry data moved), and the patch seals shared chunks
+    /// before appending, so readers pinning the old snapshot keep the
+    /// pre-update arena bit-identical for as long as they hold it. The
+    /// refresh covers exactly the hubs the arena holds, so a shard's slice
+    /// stays a slice. [`RefreshStats::cloned_bytes`] reports the bytes
+    /// actually copied (compaction only); [`RefreshStats::resident_bytes`]
+    /// and [`RefreshStats::mapped_bytes`] report the new arena's footprint.
+    fn refresh(
         &self,
-        old_graph: &Graph,
+        old: &ServingState<FlatIndex>,
         new_graph: &Graph,
-        hubs: &HubSet,
         changed_tails: &[NodeId],
-        config: &Config,
-        delta: &DeltaConfig,
-    ) -> (Self, RefreshStats);
-}
-
-impl ShardRefresh for MemoryIndex {
-    /// Clean PPVs are `Arc`-shared with the old index; only the hubs this
-    /// index holds are carried over.
-    fn refresh_for_shard(
-        &self,
-        old_graph: &Graph,
-        new_graph: &Graph,
-        hubs: &HubSet,
-        changed_tails: &[NodeId],
-        config: &Config,
-        delta: &DeltaConfig,
-    ) -> (Self, RefreshStats) {
-        refresh_index_delta(
-            self,
-            old_graph,
-            new_graph,
-            hubs,
-            changed_tails,
-            config,
-            delta,
-        )
-    }
-}
-
-impl ShardRefresh for FlatIndex {
-    /// The arena is cloned and patched copy-on-write at *chunk*
-    /// granularity: the clone Arc-shares every chunk with the old snapshot
-    /// (O(chunks) pointer copies, no entry data moved), and the patch seals
-    /// shared chunks before appending, so readers pinning the old snapshot
-    /// keep the pre-update arena bit-identical for as long as they hold it.
-    /// [`RefreshStats::cloned_bytes`] reports the bytes actually copied
-    /// (compaction only); [`RefreshStats::resident_bytes`] and
-    /// [`RefreshStats::mapped_bytes`] report the new arena's footprint.
-    /// Flat arenas are only deployed whole (slices are [`MemoryIndex`]),
-    /// so the refresh covers the full hub set.
-    fn refresh_for_shard(
-        &self,
-        old_graph: &Graph,
-        new_graph: &Graph,
-        hubs: &HubSet,
-        changed_tails: &[NodeId],
-        config: &Config,
-        delta: &DeltaConfig,
-    ) -> (Self, RefreshStats) {
+    ) -> (FlatIndex, RefreshStats) {
         refresh_flat_index_snapshot_delta(
-            self,
-            old_graph,
+            &old.store,
+            &old.graph,
             new_graph,
-            hubs,
+            &old.hubs,
             changed_tails,
-            config,
-            delta,
+            &self.config,
+            &self.delta,
         )
     }
-}
 
-impl<S: PpvStore + ShardRefresh + Send + Sync> QueryService<S> {
     /// Applies a graph update **concurrently with serving**: pins the
     /// current snapshot, refreshes only the prime PPVs whose prime
-    /// subgraphs the changed edges touch ([`ShardRefresh`] over
-    /// [`fastppv_core::dynamic`]) against that pinned state, then publishes
-    /// a new snapshot with a bumped epoch and clears the hot-PPV cache.
-    /// In-flight queries keep answering on the old snapshot until they
-    /// finish.
+    /// subgraphs the changed edges touch ([`fastppv_core::dynamic`])
+    /// against that pinned state, then publishes a new snapshot with a
+    /// bumped epoch and clears the hot-PPV cache. In-flight queries keep
+    /// answering on the old snapshot until they finish.
     ///
     /// `changed_tails` are the source nodes of every inserted or deleted
     /// edge (both endpoints for undirected edits). Concurrent updates
@@ -1354,14 +1303,7 @@ impl<S: PpvStore + ShardRefresh + Send + Sync> QueryService<S> {
     pub fn apply_update(&self, new_graph: Graph, changed_tails: &[NodeId]) -> RefreshStats {
         let _updates = self.update_lock.lock();
         let old = self.snapshot();
-        let (store, stats) = old.store.refresh_for_shard(
-            &old.graph,
-            &new_graph,
-            &old.hubs,
-            changed_tails,
-            &self.config,
-            &self.delta,
-        );
+        let (store, stats) = self.refresh(&old, &new_graph, changed_tails);
         if self.update_was_noop(&stats, &old.graph, &new_graph, changed_tails) {
             self.noop_skips.fetch_add(1, Ordering::Relaxed);
             return stats;
@@ -1403,14 +1345,7 @@ impl<S: PpvStore + ShardRefresh + Send + Sync> QueryService<S> {
                 old.epoch + 1
             ));
         }
-        let (store, stats) = old.store.refresh_for_shard(
-            &old.graph,
-            &new_graph,
-            &old.hubs,
-            changed_tails,
-            &self.config,
-            &self.delta,
-        );
+        let (store, stats) = self.refresh(&old, &new_graph, changed_tails);
         *self.staged.lock() = Some(ServingState {
             graph: Arc::new(new_graph),
             hubs: Arc::clone(&old.hubs),
@@ -1464,7 +1399,7 @@ mod tests {
     use fastppv_graph::toy;
     use fastppv_graph::GraphBuilder;
 
-    fn toy_service(options: ServiceOptions) -> QueryService<MemoryIndex> {
+    fn toy_service(options: ServiceOptions) -> QueryService<FlatIndex> {
         let g = toy::graph();
         let hubs = HubSet::from_ids(8, toy::PAPER_HUBS.to_vec());
         let config = Config::exhaustive();
@@ -1687,8 +1622,8 @@ mod tests {
         let (full, _) = build_index(&g, &hubs, &config);
         // A shard's slice: one of the three hubs, under the full hub set.
         let owned = toy::PAPER_HUBS[0];
-        let mut slice = MemoryIndex::new(8);
-        slice.insert_shared(owned, full.get_shared(owned).unwrap());
+        let mut slice = FlatIndex::new(8);
+        slice.insert_from(&full, owned, &hubs);
         let mut b = GraphBuilder::new(8);
         for (s, t) in g.edges() {
             b.add_edge(s, t);
@@ -1898,26 +1833,23 @@ mod tests {
         let g = toy::graph();
         let hubs = HubSet::from_ids(8, toy::PAPER_HUBS.to_vec());
         let config = Config::exhaustive();
-        let (index, _) = build_index(&g, &hubs, &config);
-        let flat = fastppv_core::FlatIndex::from_memory(&index, &hubs);
+        let (flat, _) = build_index(&g, &hubs, &config);
         let options = ServiceOptions {
             workers: 2,
             queue_capacity: 8,
             cache_capacity: 16,
         };
-        let mem_service = QueryService::new(
-            Arc::new(g.clone()),
-            Arc::new(hubs.clone()),
-            Arc::new(index),
-            config,
-            options,
-        );
+        // The pooled service answers exactly what the in-memory engine
+        // over the same arena does.
+        let engine = QueryEngine::new(&g, &hubs, &flat, config);
+        let want: Vec<SparseVector> = (0..8u32)
+            .map(|q| engine.query(q, &StoppingCondition::iterations(3)).scores)
+            .collect();
         let flat_service =
             QueryService::new(Arc::new(g), Arc::new(hubs), Arc::new(flat), config, options);
-        for q in 0..8u32 {
-            let a = mem_service.query(Request::iterations(q, 3));
-            let b = flat_service.query(Request::iterations(q, 3));
-            assert_eq!(*a.scores, *b.scores, "query {q}");
+        for (q, want) in (0..8u32).zip(&want) {
+            let got = flat_service.query(Request::iterations(q, 3));
+            assert_eq!(*got.scores, *want, "query {q}");
         }
         // A flat deployment takes updates too: patch a clone, publish it,
         // and reflect the edit — while a pinned pre-update snapshot keeps
@@ -1961,7 +1893,7 @@ mod tests {
         });
     }
 
-    fn overloadable_service(overload: OverloadOptions) -> QueryService<MemoryIndex> {
+    fn overloadable_service(overload: OverloadOptions) -> QueryService<FlatIndex> {
         toy_service(ServiceOptions {
             workers: 1,
             queue_capacity: 8,

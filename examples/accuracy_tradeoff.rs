@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use fastppv::core::error::l1_error_bound;
 use fastppv::core::query::StoppingCondition;
-use fastppv::core::{build_index_parallel, select_hubs, Config, HubPolicy, QueryEngine};
+use fastppv::core::{build_flat_index, select_hubs, Config, HubPolicy, QueryEngine};
 use fastppv::graph::gen::{SocialNetwork, SocialParams};
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
         .with_delta(0.0)
         .with_clip(0.0);
     let hubs = select_hubs(graph, HubPolicy::ExpectedUtility, graph.num_nodes() / 10, 0);
-    let (index, _) = build_index_parallel(graph, &hubs, &config, 4);
+    let (index, _) = build_flat_index(graph, &hubs, &config, 4);
     let engine = QueryEngine::new(graph, &hubs, &index, config);
 
     println!("incremental session for query 777:");

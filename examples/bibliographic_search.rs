@@ -10,7 +10,7 @@
 //! ```
 
 use fastppv::core::query::StoppingCondition;
-use fastppv::core::{build_index_parallel, select_hubs, Config, HubPolicy, QueryEngine};
+use fastppv::core::{build_flat_index, select_hubs, Config, HubPolicy, QueryEngine};
 use fastppv::graph::gen::{BibNetwork, DblpParams, NodeKind};
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
 
     let config = Config::default().with_epsilon(1e-6);
     let hubs = select_hubs(graph, HubPolicy::ExpectedUtility, graph.num_nodes() / 25, 0);
-    let (index, stats) = build_index_parallel(graph, &hubs, &config, 4);
+    let (index, stats) = build_flat_index(graph, &hubs, &config, 4);
     println!("indexed {} hubs in {:.2?}\n", stats.hubs, stats.build_time);
 
     // Query: a paper. We want the most relevant *authors* (reviewers), so

@@ -12,7 +12,7 @@
 //! cargo run --release --example certified_topk
 //! ```
 
-use fastppv::core::{build_index_parallel, select_hubs, Config, HubPolicy, QueryEngine};
+use fastppv::core::{build_flat_index, select_hubs, Config, HubPolicy, QueryEngine};
 use fastppv::graph::gen::{BibNetwork, DblpParams};
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
         .with_delta(0.0)
         .with_clip(0.0);
     let hubs = select_hubs(graph, HubPolicy::ExpectedUtility, graph.num_nodes() / 25, 0);
-    let (index, _) = build_index_parallel(graph, &hubs, &config, 4);
+    let (index, _) = build_flat_index(graph, &hubs, &config, 4);
     let engine = QueryEngine::new(graph, &hubs, &index, config);
 
     for (k, q) in [(3usize, 900u32), (5, 4321), (10, 17_000)] {

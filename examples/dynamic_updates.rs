@@ -5,9 +5,9 @@
 //! cargo run --release --example dynamic_updates
 //! ```
 
-use fastppv::core::dynamic::{refresh_index_delta, DeltaConfig};
+use fastppv::core::dynamic::{refresh_flat_index_snapshot_delta, DeltaConfig};
 use fastppv::core::query::StoppingCondition;
-use fastppv::core::{build_index_parallel, select_hubs, Config, HubPolicy, QueryEngine};
+use fastppv::core::{build_flat_index, select_hubs, Config, HubPolicy, QueryEngine};
 use fastppv::graph::gen::{SocialNetwork, SocialParams};
 use fastppv::graph::{Graph, GraphBuilder};
 
@@ -27,7 +27,7 @@ fn main() {
         graph.num_nodes() / 10,
         0,
     );
-    let (index, stats) = build_index_parallel(&graph, &hubs, &config, 4);
+    let (index, stats) = build_flat_index(&graph, &hubs, &config, 4);
     println!(
         "initial index: {} hubs in {:.2?}",
         stats.hubs, stats.build_time
@@ -39,7 +39,7 @@ fn main() {
     let started = std::time::Instant::now();
     let exact = DeltaConfig::exact();
     let (new_index, refresh) =
-        refresh_index_delta(&index, &graph, &new_graph, &hubs, &[u], &config, &exact);
+        refresh_flat_index_snapshot_delta(&index, &graph, &new_graph, &hubs, &[u], &config, &exact);
     println!(
         "edge ({u} -> {v}) inserted: recomputed {} of {} hub PPVs in {:.2?} \
          (reused {})",

@@ -5,7 +5,7 @@
 //! ```
 
 use fastppv::core::query::StoppingCondition;
-use fastppv::core::{build_index_parallel, select_hubs, Config, HubPolicy, QueryEngine};
+use fastppv::core::{build_flat_index, select_hubs, Config, HubPolicy, QueryEngine};
 use fastppv::graph::gen::barabasi_albert;
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
     //    online — see the exp_ablation experiment for their trade-offs.)
     let config = Config::default().with_epsilon(1e-5).with_delta(5e-4);
     let hubs = select_hubs(&graph, HubPolicy::ExpectedUtility, 500, 0);
-    let (index, stats) = build_index_parallel(&graph, &hubs, &config, 4);
+    let (index, stats) = build_flat_index(&graph, &hubs, &config, 4);
     println!(
         "offline: {} hubs indexed in {:.2?} ({} entries, {:.1} KB)",
         stats.hubs,
@@ -56,7 +56,7 @@ fn main() {
         .with_epsilon(1e-7)
         .with_delta(0.0)
         .with_clip(0.0);
-    let (index, _) = build_index_parallel(&graph, &hubs, &accurate, 4);
+    let (index, _) = build_flat_index(&graph, &hubs, &accurate, 4);
     let engine = QueryEngine::new(&graph, &hubs, &index, accurate);
     let precise = engine.query(query, &StoppingCondition::l1_error(0.01));
     println!(

@@ -9,12 +9,12 @@
 use std::time::Instant;
 
 use fastppv::baselines::exact::{exact_ppv, ExactOptions};
-use fastppv::core::index::MemoryIndex;
+use fastppv::core::index::FlatIndex;
 use fastppv::core::query::{
     run_increments, IncrementScratch, QueryEngine, QueryResult, StoppingCondition,
 };
 use fastppv::core::{
-    build_index_parallel, select_hubs, Config, HubPolicy, HubSet, PrimeComputer, SolveWork,
+    build_flat_index, select_hubs, Config, HubPolicy, HubSet, PrimeComputer, SolveWork,
 };
 use fastppv::graph::gen::{barabasi_albert, erdos_renyi};
 use fastppv::graph::{Graph, NodeId};
@@ -27,7 +27,7 @@ const DELTAS: [f64; 4] = [0.0, 5e-4, 5e-3, 5e-2];
 fn stored_family_query(
     g: &Graph,
     hubs: &HubSet,
-    index: &MemoryIndex,
+    index: &FlatIndex,
     config: &Config,
     q: NodeId,
     stop: &StoppingCondition,
@@ -83,7 +83,7 @@ proptest! {
         let delta = DELTAS[delta_ix];
         let config = Config::default().with_epsilon(1e-6).with_delta(delta);
         let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, n / hub_divisor, 0);
-        let (index, _) = build_index_parallel(&g, &hubs, &config, 1);
+        let (index, _) = build_flat_index(&g, &hubs, &config, 1);
         let non_hubs: Vec<NodeId> = (0..n as NodeId).filter(|&v| !hubs.is_hub(v)).collect();
         let q = non_hubs[source_pick % non_hubs.len()];
         // η ∈ 0..=3, then three φ targets.
@@ -146,7 +146,7 @@ fn delta_zero_configs_answer_bit_for_bit_like_the_stored_family() {
         StoppingCondition::l1_error(0.1),
     ];
     for (name, config) in named {
-        let (index, _) = build_index_parallel(&g, &hubs, &config, 2);
+        let (index, _) = build_flat_index(&g, &hubs, &config, 2);
         let engine = QueryEngine::new(&g, &hubs, &index, config);
         let mut ws = engine.workspace();
         for q in (0..400).filter(|&v| !hubs.is_hub(v)).step_by(97) {

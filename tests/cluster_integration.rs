@@ -11,7 +11,7 @@ use fastppv::cluster::query::{disk_query, DiskQueryWorkspace};
 use fastppv::cluster::store::{write_clustered_graph, DiskGraph};
 use fastppv::cluster::{slice_store, ShardMap};
 use fastppv::core::query::{QueryEngine, StoppingCondition};
-use fastppv::core::{build_index_parallel, select_hubs, Config, FlatIndex, HubPolicy, MemoryIndex};
+use fastppv::core::{build_flat_index, select_hubs, Config, FlatIndex, HubPolicy};
 use fastppv::graph::gen::{BibNetwork, DblpParams};
 use fastppv::graph::vec::ScoreScratch;
 use fastppv::graph::Graph;
@@ -45,16 +45,14 @@ fn fully_disk_resident_pipeline_matches_memory() {
     let n = graph.num_nodes();
     let config = Config::default().with_epsilon(1e-6).with_clip(0.0);
     let hubs = select_hubs(graph, HubPolicy::ExpectedUtility, n / 25, 0);
-    let (index, _) = build_index_parallel(graph, &hubs, &config, 2);
+    let (index, _) = build_flat_index(graph, &hubs, &config, 2);
 
     // Graph and PPV index both on disk.
     let clg = temp_path("graph.clg");
     let idx = temp_path("index.fppv");
     let clustering = cluster_graph(graph, 12, ClusteringOptions::default());
     write_clustered_graph(graph, &clustering, &clg).unwrap();
-    FlatIndex::from_memory(&index, &hubs)
-        .write_to_file(&idx)
-        .unwrap();
+    index.write_to_file(&idx).unwrap();
 
     let mut disk = DiskGraph::open(&clg, 1).unwrap();
     let disk_index = FlatIndex::open(&idx).unwrap();
@@ -105,7 +103,7 @@ fn fault_cap_bounds_io_and_keeps_phi_sound() {
     let config = Config::default().with_epsilon(1e-7);
     // Few hubs -> large prime subgraphs -> many cluster touches.
     let hubs = select_hubs(graph, HubPolicy::ExpectedUtility, 10, 0);
-    let (index, _) = build_index_parallel(graph, &hubs, &config, 2);
+    let (index, _) = build_flat_index(graph, &hubs, &config, 2);
     let clg = temp_path("capped.clg");
     let clustering = cluster_graph(graph, 20, ClusteringOptions::default());
     write_clustered_graph(graph, &clustering, &clg).unwrap();
@@ -142,10 +140,10 @@ fn fault_cap_bounds_io_and_keeps_phi_sound() {
 fn sharded_backend(
     graph: &Arc<Graph>,
     hubs: &Arc<fastppv::core::HubSet>,
-    index: &MemoryIndex,
+    index: &FlatIndex,
     config: Config,
     num_shards: u32,
-) -> (LocalBackend<MemoryIndex>, ShardMap) {
+) -> (LocalBackend<FlatIndex>, ShardMap) {
     let clustering = cluster_graph(graph, 10, ClusteringOptions::default());
     let map = ShardMap::from_clustering(&clustering, num_shards);
     let services: Vec<_> = (0..num_shards)
@@ -185,7 +183,7 @@ fn router_merge_matches_single_process_for_every_stop() {
     let n = graph.num_nodes();
     let config = Config::default().with_epsilon(1e-6);
     let hubs = Arc::new(select_hubs(&graph, HubPolicy::ExpectedUtility, n / 25, 0));
-    let (index, _) = build_index_parallel(&graph, &hubs, &config, 2);
+    let (index, _) = build_flat_index(&graph, &hubs, &config, 2);
     let (backend, map) = sharded_backend(&graph, &hubs, &index, config, 3);
     let cfg = RouterConfig {
         alpha: config.alpha,
@@ -255,7 +253,7 @@ fn router_degraded_phi_bounds_gap_to_full_answer() {
     let n = graph.num_nodes();
     let config = Config::default().with_epsilon(1e-6);
     let hubs = Arc::new(select_hubs(&graph, HubPolicy::ExpectedUtility, n / 20, 0));
-    let (index, _) = build_index_parallel(&graph, &hubs, &config, 2);
+    let (index, _) = build_flat_index(&graph, &hubs, &config, 2);
     let (backend, map) = sharded_backend(&graph, &hubs, &index, config, 4);
     let cfg = RouterConfig {
         alpha: config.alpha,

@@ -15,10 +15,10 @@
 
 use std::sync::Arc;
 
-use fastppv::core::offline::{build_index, build_index_in_order, build_index_parallel};
+use fastppv::core::offline::{build_flat_index, build_index, build_index_in_order};
 use fastppv::core::query::StoppingCondition;
 use fastppv::core::{
-    select_hubs, Config, FlatIndex, HubPolicy, HubSet, MemoryIndex, PrimeComputer, QueryEngine,
+    select_hubs, Config, FlatIndex, HubPolicy, HubSet, PrimeComputer, QueryEngine,
 };
 use fastppv::graph::gen::barabasi_albert;
 use fastppv::graph::{Graph, GraphBuilder, NodeId, SparseVector};
@@ -40,7 +40,7 @@ fn build_deployment(
     hubs: usize,
     seed: u64,
     config: Config,
-) -> (Graph, HubSet, MemoryIndex) {
+) -> (Graph, HubSet, FlatIndex) {
     let g = barabasi_albert(n, 3, seed);
     let h = select_hubs(&g, HubPolicy::ExpectedUtility, hubs, 0);
     let (index, _) = build_index(&g, &h, &config);
@@ -134,15 +134,13 @@ fn service_pool_matches_single_threaded_engine() {
 
 /// The bytes of the index file (`f64` scores, so byte-identical means
 /// bit-identical PPVs).
-fn serialize_index(index: &MemoryIndex, hubs: &HubSet, name: &str) -> Vec<u8> {
+fn serialize_index(index: &FlatIndex, name: &str) -> Vec<u8> {
     let mut path = std::env::temp_dir();
     path.push(format!(
         "fastppv-determinism-{}-{name}.idx",
         std::process::id()
     ));
-    FlatIndex::from_memory(index, hubs)
-        .write_to_file(&path)
-        .unwrap();
+    index.write_to_file(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
     bytes
@@ -154,10 +152,10 @@ fn parallel_build_is_byte_identical() {
     let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 50, 0);
     let config = Config::default();
     let (serial, _) = build_index(&g, &hubs, &config);
-    let reference = serialize_index(&serial, &hubs, "serial");
+    let reference = serialize_index(&serial, "serial");
     for threads in [2usize, 4, 8] {
-        let (parallel, _) = build_index_parallel(&g, &hubs, &config, threads);
-        let bytes = serialize_index(&parallel, &hubs, &format!("t{threads}"));
+        let (parallel, _) = build_flat_index(&g, &hubs, &config, threads);
+        let bytes = serialize_index(&parallel, &format!("t{threads}"));
         assert_eq!(
             bytes, reference,
             "{threads}-thread build must serialize byte-identically to serial"
@@ -192,10 +190,10 @@ fn work_stealing_build_is_byte_identical_under_pathological_order() {
     let order: Vec<NodeId> = sized.into_iter().map(|(_, h)| h).collect();
 
     let (serial, _) = build_index_in_order(&g, &hubs, &order, &config, 1);
-    let reference = serialize_index(&serial, &hubs, "pathological-serial");
+    let reference = serialize_index(&serial, "pathological-serial");
     for threads in [2usize, 4, 8] {
         let (parallel, _) = build_index_in_order(&g, &hubs, &order, &config, threads);
-        let bytes = serialize_index(&parallel, &hubs, &format!("pathological-t{threads}"));
+        let bytes = serialize_index(&parallel, &format!("pathological-t{threads}"));
         assert_eq!(
             bytes, reference,
             "{threads}-thread largest-first build must serialize byte-identically"
@@ -203,7 +201,7 @@ fn work_stealing_build_is_byte_identical_under_pathological_order() {
     }
     let (default_order, _) = build_index(&g, &hubs, &config);
     assert_eq!(
-        serialize_index(&default_order, &hubs, "default-order"),
+        serialize_index(&default_order, "default-order"),
         reference,
         "serialized index must not depend on build order at all"
     );
@@ -266,7 +264,6 @@ fn cache_hits_equal_misses_and_dynamic_update_invalidates() {
 #[test]
 fn engine_and_service_are_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<QueryEngine<'_, MemoryIndex>>();
-    assert_send_sync::<QueryService<MemoryIndex>>();
+    assert_send_sync::<QueryEngine<'_, FlatIndex>>();
     assert_send_sync::<QueryService<FlatIndex>>();
 }

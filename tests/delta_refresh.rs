@@ -1,14 +1,14 @@
 //! Property-based tests of the delta-propagated index refresh: over random
 //! graphs and random insert/delete event sequences, the patched index must
 //! stay within its *declared* per-hub error budget of an exact rebuild,
-//! budget 0 must be bit-identical to that rebuild, and the flat arena must
-//! evolve exactly like the memory layout.
+//! budget 0 must be bit-identical to that rebuild, and a shard's slice of
+//! the arena must refresh its own hubs exactly like the whole arena does.
 
+use fastppv::cluster::{slice_store, ShardMap};
 use fastppv::core::dynamic::{
-    affected_hubs, refresh_flat_index_snapshot_delta, refresh_index_delta, DeltaConfig,
-    PATCHES_PER_BUDGET,
+    affected_hubs, refresh_flat_index_snapshot_delta, DeltaConfig, PATCHES_PER_BUDGET,
 };
-use fastppv::core::index::PpvStore;
+use fastppv::core::index::{FlatIndex, PpvStore};
 use fastppv::core::offline::{build_flat_index, build_index};
 use fastppv::core::{select_hubs, Config, HubPolicy, HubSet};
 use fastppv::graph::builder::{from_edges, GraphBuilder};
@@ -82,11 +82,11 @@ fn entries_l1(a: &[(NodeId, f64)], b: &[(NodeId, f64)]) -> f64 {
 /// FNV-1a over `(hub, budget_spent bits, (id, score bits)…)` of every hub,
 /// in hub-set order: two stores with equal digests hold the same PPVs and
 /// the same spends, bit for bit.
-fn index_digest<S: PpvStore>(store: &S, hubs: &HubSet) -> u64 {
+fn index_digest(store: &FlatIndex, hubs: &HubSet) -> u64 {
     let mut digest = Fnv1a::default();
     for &h in hubs.ids() {
         digest.update(&h.to_le_bytes());
-        digest.update(&store.spent_budget(h).to_bits().to_le_bytes());
+        digest.update(&store.budget_spent(h).to_bits().to_le_bytes());
         store.view(h).expect("held hub").for_each(|id, s| {
             digest.update(&id.to_le_bytes());
             digest.update(&s.to_bits().to_le_bytes());
@@ -141,14 +141,14 @@ fn stored_dependents<S: PpvStore>(
     hubs.ids().iter().copied().filter(|&h| sees(h)).collect()
 }
 
-/// [`index_digest`] of both layouts after the 320 events of
+/// [`index_digest`] of the arena after the 320 events of
 /// `long_event_stream_does_not_bloat_the_index`, recorded at the commit
 /// before the delta path stopped running the affected-hub search: asking
 /// the stored vector instead moves no stored PPV and no spend by one bit.
 const LONG_STREAM_DIGEST: u64 = 0xab39_135e_56d9_ac08;
 
 /// The update path must not grow the index: a long stream of single-edge
-/// events at the default clip leaves both layouts the size a fresh build
+/// events at the default clip leaves the arena the size a fresh build
 /// of the final graph is, every segment the length a fresh segment is, the
 /// arena's resident bytes without a trend, and every stored PPV within the
 /// budget of a fresh clipped solve. (Before patches respected the clip
@@ -164,7 +164,6 @@ fn long_event_stream_does_not_bloat_the_index() {
         "the default clip is what keeps patches sparse"
     );
     let delta = DeltaConfig::default().with_budget(0.01);
-    let (mut memory, _) = build_index(&g0, &hubs, &config);
     let (mut flat, _) = build_flat_index(&g0, &hubs, &config, 1);
     let events = synth_events(&g0, EVENTS, 0.2, 41);
     let resident_at_build = flat.resident_bytes();
@@ -172,8 +171,6 @@ fn long_event_stream_does_not_bloat_the_index() {
     let mut resident = Vec::with_capacity(EVENTS);
     for ev in &events {
         let next = apply_event(&graph, ev);
-        let (m, ms) =
-            refresh_index_delta(&memory, &graph, &next, &hubs, &[ev.tail], &config, &delta);
         let (f, fs) = refresh_flat_index_snapshot_delta(
             &flat,
             &graph,
@@ -184,27 +181,19 @@ fn long_event_stream_does_not_bloat_the_index() {
             &delta,
         );
         // The dirty set is exactly the hubs whose *stored* state sees the
-        // event, read here from the old stores: the tail itself when it is
+        // event, read here from the old store: the tail itself when it is
         // a hub (unit mass on its own row; another hub's row propagates
         // nothing), else every hub holding mass at the tail — provided the
         // tail's row changed at all. Each is patched or recomputed once.
-        for (stats, seen) in [
-            (
-                &ms,
-                stored_dependents(&memory, &hubs, &graph, &next, ev.tail),
-            ),
-            (&fs, stored_dependents(&flat, &hubs, &graph, &next, ev.tail)),
-        ] {
-            assert!(stats.budget_watermark <= delta.budget, "{stats:?}");
-            assert_eq!(stats.dirty(), seen.len(), "{stats:?} after {ev:?}");
-            assert!(stats.delta_noop <= stats.delta_patched, "{stats:?}");
-            assert_eq!(stats.reused + stats.dirty(), hubs.len(), "{stats:?}");
-        }
+        let seen = stored_dependents(&flat, &hubs, &graph, &next, ev.tail);
+        assert!(fs.budget_watermark <= delta.budget, "{fs:?}");
+        assert_eq!(fs.dirty(), seen.len(), "{fs:?} after {ev:?}");
+        assert!(fs.delta_noop <= fs.delta_patched, "{fs:?}");
+        assert_eq!(fs.reused + fs.dirty(), hubs.len(), "{fs:?}");
         // Chunked copy-on-write publish: no event copies more than the
         // arena holds, and a heap-built arena maps nothing.
         assert!(fs.cloned_bytes <= fs.resident_bytes as u64, "{fs:?}");
         assert_eq!(fs.mapped_bytes, 0);
-        assert_eq!(ms.live_entries, m.total_entries());
         assert_eq!(fs.live_entries, f.total_entries());
         assert_eq!(fs.resident_bytes, f.resident_bytes());
         // The in-memory norm column follows every patch, recompute and
@@ -217,11 +206,11 @@ fn long_event_stream_does_not_bloat_the_index() {
             );
         }
         resident.push(fs.resident_bytes);
-        (memory, flat, graph) = (m, f, next);
+        (flat, graph) = (f, next);
     }
     assert_eq!(
-        (index_digest(&memory, &hubs), index_digest(&flat, &hubs)),
-        (LONG_STREAM_DIGEST, LONG_STREAM_DIGEST),
+        index_digest(&flat, &hubs),
+        LONG_STREAM_DIGEST,
         "stored PPVs or spends moved"
     );
     assert!(
@@ -235,36 +224,28 @@ fn long_event_stream_does_not_bloat_the_index() {
     let fresh_longest = hubs
         .ids()
         .iter()
-        .map(|&h| fresh.get(h).unwrap().len())
+        .map(|&h| fresh.view(h).unwrap().len())
         .max()
         .unwrap();
-    for (layout, total) in [
-        ("memory", memory.total_entries()),
-        ("flat", flat.total_entries()),
-    ] {
-        assert!(
-            total as f64 <= 1.25 * fresh_total,
-            "{layout}: {total} entries after {EVENTS} events, a fresh build has {fresh_total}"
-        );
-    }
+    let total = flat.total_entries();
+    assert!(
+        total as f64 <= 1.25 * fresh_total,
+        "{total} entries after {EVENTS} events, a fresh build has {fresh_total}"
+    );
     for &h in hubs.ids() {
-        let want = fresh.get(h).unwrap();
-        for (layout, stored) in [
-            ("memory", memory.load(h).unwrap()),
-            ("flat", flat.load(h).unwrap()),
-        ] {
-            assert!(
-                stored.len() <= 2 * fresh_longest,
-                "{layout} hub {h}: {} entries, the longest fresh segment has {fresh_longest}",
-                stored.len()
-            );
-            let l1 = entries_l1(stored.entries.entries(), want.entries.entries());
-            assert!(
-                l1 <= 1.5 * delta.budget,
-                "{layout} hub {h}: {l1} from a fresh clipped solve (budget {})",
-                delta.budget
-            );
-        }
+        let want = fresh.load(h).unwrap();
+        let stored = flat.load(h).unwrap();
+        assert!(
+            stored.len() <= 2 * fresh_longest,
+            "hub {h}: {} entries, the longest fresh segment has {fresh_longest}",
+            stored.len()
+        );
+        let l1 = entries_l1(stored.entries.entries(), want.entries.entries());
+        assert!(
+            l1 <= 1.5 * delta.budget,
+            "hub {h}: {l1} from a fresh clipped solve (budget {})",
+            delta.budget
+        );
     }
     // Tombstones come and go with compaction; what must not happen is a
     // trend. The second half peaks no higher than the first (plus slack
@@ -277,6 +258,65 @@ fn long_event_stream_does_not_bloat_the_index() {
         peak(first),
         peak(second)
     );
+}
+
+/// A shard's slice of the arena refreshes exactly the hubs it holds: the
+/// hubs it lacks are other shards' to refresh, and recomputing them would
+/// balloon the slice back into the whole index on the first event. What
+/// it does refresh — entries and spend — is what the whole arena's refresh
+/// makes of the same hubs, bit for bit, on the exact path and the delta
+/// path alike.
+#[test]
+fn sliced_arenas_refresh_only_their_hubs_like_the_whole_arena() {
+    let g0 = barabasi_albert(2_000, 4, 0xB10A7);
+    let hubs = select_hubs(&g0, HubPolicy::ExpectedUtility, 80, 0);
+    let config = Config::default().with_epsilon(1e-4);
+    let (built, _) = build_flat_index(&g0, &hubs, &config, 1);
+    let map = ShardMap::round_robin(g0.num_nodes(), 2);
+    let events = synth_events(&g0, 40, 0.2, 41);
+    let bits = |index: &FlatIndex, h: NodeId| -> (u64, Vec<(NodeId, u64)>) {
+        let entries = index.load(h).unwrap().entries;
+        let entries = entries.entries().iter().map(|&(v, s)| (v, s.to_bits()));
+        (index.budget_spent(h).to_bits(), entries.collect())
+    };
+    for budget in [0.0, 0.01] {
+        let delta = DeltaConfig::default().with_budget(budget);
+        let mut whole = built.clone();
+        let mut slices: Vec<FlatIndex> = (0..2)
+            .map(|s| slice_store(&built, &hubs, &map, s))
+            .collect();
+        let owned: Vec<Vec<NodeId>> = slices.iter().map(|s| s.hub_ids().to_vec()).collect();
+        let mut graph = g0.clone();
+        let mut dirty = 0usize;
+        for ev in &events {
+            let next = apply_event(&graph, ev);
+            let refresh = |index: &FlatIndex| {
+                refresh_flat_index_snapshot_delta(
+                    index,
+                    &graph,
+                    &next,
+                    &hubs,
+                    &[ev.tail],
+                    &config,
+                    &delta,
+                )
+            };
+            whole = refresh(&whole).0;
+            for (slice, owned) in slices.iter_mut().zip(&owned) {
+                let (refreshed, stats) = refresh(slice);
+                *slice = refreshed;
+                let what = format!("budget {budget}, after {ev:?}");
+                assert_eq!(slice.hub_ids(), &owned[..], "{what}: {stats:?}");
+                assert_eq!(stats.reused + stats.dirty(), owned.len(), "{what}");
+                dirty += stats.dirty();
+                for &h in owned {
+                    assert_eq!(bits(slice, h), bits(&whole, h), "hub {h}, {what}");
+                }
+            }
+            graph = next;
+        }
+        assert!(dirty > 0, "budget {budget}: no event reached a sliced hub");
+    }
 }
 
 /// BA-2k plus one node nobody links to (id 2 000, a single out-edge): no
@@ -427,7 +467,7 @@ proptest! {
     /// The headline contract: across a random insert/delete sequence,
     /// every hub of the delta-maintained index stays within its *recorded*
     /// budget spend — itself capped by the declared budget — of a
-    /// from-scratch rebuild, in both layouts, which also march in lockstep.
+    /// from-scratch rebuild.
     #[test]
     fn delta_maintained_index_stays_within_declared_budget(
         (n, edges, flips) in graph_and_flips()
@@ -436,49 +476,38 @@ proptest! {
         let delta = DeltaConfig::default().with_budget(0.05);
         let mut graph = from_edges(n, &edges);
         let hubs = select_hubs(&graph, HubPolicy::ExpectedUtility, (n / 3).max(2), 0);
-        let (mut memory, _) = build_index(&graph, &hubs, &config);
         let (mut flat, _) = build_flat_index(&graph, &hubs, &config, 1);
         for &(u, v) in &flips {
             let Some(next) = apply_flip(&graph, u, v) else { continue };
-            let (patched, stats) = refresh_index_delta(
-                &memory, &graph, &next, &hubs, &[u], &config, &delta,
+            let (patched, stats) = refresh_flat_index_snapshot_delta(
+                &flat, &graph, &next, &hubs, &[u], &config, &delta,
             );
             prop_assert!(stats.budget_watermark <= delta.budget);
             prop_assert_eq!(
                 stats.delta_patched + stats.recomputed + stats.reused,
                 hubs.len()
             );
-            let (flat_patched, flat_stats) = refresh_flat_index_snapshot_delta(
-                &flat, &graph, &next, &hubs, &[u], &config, &delta,
-            );
-            prop_assert_eq!(flat_stats.delta_patched, stats.delta_patched);
-            prop_assert_eq!(flat_stats.recomputed, stats.recomputed);
-            flat = flat_patched;
-            memory = patched;
+            flat = patched;
             graph = next;
         }
         // Certified accuracy: per-hub L1 against a fresh exact rebuild is
         // bounded by that hub's recorded spend (small float slack).
         let (rebuilt, _) = build_index(&graph, &hubs, &config);
         for &h in hubs.ids() {
-            let ours = memory.get(h).expect("maintained hub");
-            let fresh = rebuilt.get(h).expect("rebuilt hub");
+            let ours = flat.load(h).expect("maintained hub");
+            let fresh = rebuilt.load(h).expect("rebuilt hub");
             let l1 = entries_l1(ours.entries.entries(), fresh.entries.entries());
             prop_assert!(
-                l1 <= memory.budget_spent(h) + 1e-6,
+                l1 <= flat.budget_spent(h) + 1e-6,
                 "hub {}: L1 {} exceeds recorded spend {}",
-                h, l1, memory.budget_spent(h)
+                h, l1, flat.budget_spent(h)
             );
-            // Both layouts hold the same bits and the same spend.
-            let flat_ppv = flat.load(h).expect("flat hub");
-            prop_assert_eq!(&flat_ppv.entries, &ours.entries);
-            prop_assert_eq!(flat.budget_spent(h), memory.budget_spent(h));
         }
     }
 
     /// Budget 0 must disable the delta path entirely: nothing is patched
     /// and the refreshed index is a from-scratch build of the new graph,
-    /// bit for bit, in both layouts.
+    /// bit for bit.
     #[test]
     fn zero_budget_is_bit_identical_to_exact_refresh(
         (n, edges, flips) in graph_and_flips()
@@ -486,7 +515,6 @@ proptest! {
         let config = tight_config();
         let graph = from_edges(n, &edges);
         let hubs = select_hubs(&graph, HubPolicy::ExpectedUtility, (n / 3).max(2), 0);
-        let (index, _) = build_index(&graph, &hubs, &config);
         let (flat, _) = build_flat_index(&graph, &hubs, &config, 1);
         let Some(next) = flips
             .iter()
@@ -496,29 +524,22 @@ proptest! {
         };
         let (u, next) = next;
         let zero = DeltaConfig::default().with_budget(0.0);
-        let (mem_zero, mem_stats) = refresh_index_delta(
-            &index, &graph, &next, &hubs, &[u], &config, &zero,
-        );
         let (flat_zero, flat_stats) = refresh_flat_index_snapshot_delta(
             &flat, &graph, &next, &hubs, &[u], &config, &zero,
         );
-        prop_assert_eq!(mem_stats.delta_patched, 0);
         prop_assert_eq!(flat_stats.delta_patched, 0);
-        prop_assert_eq!(flat_stats.recomputed, mem_stats.recomputed);
         // The exact path's dirty set is the ε-search's: the hubs whose
         // G'(h) expands the tail, before or after the event.
         let searched = search_dependents(&graph, &next, &hubs, u, &config);
-        prop_assert_eq!(mem_stats.recomputed, searched.len());
-        prop_assert_eq!(mem_stats.push_settles, 0);
+        prop_assert_eq!(flat_stats.recomputed, searched.len());
+        prop_assert_eq!(flat_stats.push_settles, 0);
         let (exact, _) = build_index(&next, &hubs, &config);
         let bits = |entries: &[(NodeId, f64)]| -> Vec<(NodeId, u64)> {
             entries.iter().map(|&(v, s)| (v, s.to_bits())).collect()
         };
         for &h in hubs.ids() {
-            let want = bits(exact.get(h).unwrap().entries.entries());
-            prop_assert_eq!(bits(mem_zero.get(h).unwrap().entries.entries()), want.clone());
+            let want = bits(exact.load(h).unwrap().entries.entries());
             prop_assert_eq!(bits(flat_zero.load(h).unwrap().entries.entries()), want);
-            prop_assert_eq!(mem_zero.budget_spent(h), 0.0);
             prop_assert_eq!(flat_zero.budget_spent(h), 0.0);
         }
     }

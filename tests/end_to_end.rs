@@ -1,11 +1,11 @@
 //! End-to-end integration: offline precomputation → online queries →
 //! accuracy against exact ground truth, across both generated datasets and
-//! both index backends.
+//! a built as well as a file-opened arena.
 
 use fastppv::baselines::exact::{exact_ppv, ExactOptions};
 use fastppv::core::index::{FlatIndex, PpvStore};
 use fastppv::core::query::{QueryEngine, StoppingCondition};
-use fastppv::core::{build_index_parallel, select_hubs, Config, HubPolicy};
+use fastppv::core::{build_flat_index, select_hubs, Config, HubPolicy};
 use fastppv::graph::gen::{BibNetwork, DblpParams, SocialNetwork, SocialParams};
 use fastppv::graph::Graph;
 use fastppv::metrics::AccuracyReport;
@@ -28,7 +28,7 @@ fn check_dataset(graph: &Graph, hub_count: usize, queries: &[u32]) {
     // (the paper's δ = 0.005 targets million-node graphs).
     let config = Config::default().with_epsilon(1e-6).with_delta(1e-4);
     let hubs = select_hubs(graph, HubPolicy::ExpectedUtility, hub_count, 0);
-    let (index, stats) = build_index_parallel(graph, &hubs, &config, 4);
+    let (index, stats) = build_flat_index(graph, &hubs, &config, 4);
     assert_eq!(stats.hubs, hubs.len());
     let engine = QueryEngine::new(graph, &hubs, &index, config);
     let mut reports = Vec::new();
@@ -95,11 +95,9 @@ fn disk_index_serves_identical_results() {
     let graph = &net.graph;
     let config = Config::default().with_epsilon(1e-6);
     let hubs = select_hubs(graph, HubPolicy::ExpectedUtility, 200, 0);
-    let (mem_index, _) = build_index_parallel(graph, &hubs, &config, 2);
+    let (mem_index, _) = build_flat_index(graph, &hubs, &config, 2);
     let path = temp_path("index.fppv");
-    FlatIndex::from_memory(&mem_index, &hubs)
-        .write_to_file(&path)
-        .unwrap();
+    mem_index.write_to_file(&path).unwrap();
     let disk_index = FlatIndex::open(&path).unwrap();
     assert_eq!(disk_index.hub_count(), mem_index.hub_count());
     assert_eq!(disk_index.total_entries(), mem_index.total_entries());
@@ -111,8 +109,7 @@ fn disk_index_serves_identical_results() {
         let a = mem_engine.query(q, &stop);
         let b = disk_engine.query(q, &stop);
         assert_eq!(a.iterations, b.iterations, "q {q}");
-        // The file stores the index's own f64 scores; the two layouts
-        // differ only in summation order.
+        // The file stores the arena's own f64 scores.
         assert!(
             (a.l1_error - b.l1_error).abs() < 1e-12,
             "q {q}: {} vs {}",
@@ -139,7 +136,7 @@ fn hub_queries_and_non_hub_queries_both_work() {
     let graph = &net.graph;
     let config = Config::default().with_epsilon(1e-7).with_delta(1e-4);
     let hubs = select_hubs(graph, HubPolicy::ExpectedUtility, 150, 0);
-    let (index, _) = build_index_parallel(graph, &hubs, &config, 2);
+    let (index, _) = build_flat_index(graph, &hubs, &config, 2);
     let engine = QueryEngine::new(graph, &hubs, &index, config);
     let hub_q = hubs.ids()[0];
     let non_hub_q = (0..1500u32).find(|&v| !hubs.is_hub(v)).unwrap();
@@ -165,7 +162,7 @@ fn multi_seed_determinism() {
         );
         let config = Config::default();
         let hubs = select_hubs(&net.graph, HubPolicy::ExpectedUtility, 100, 0);
-        let (index, _) = build_index_parallel(&net.graph, &hubs, &config, 3);
+        let (index, _) = build_flat_index(&net.graph, &hubs, &config, 3);
         let engine = QueryEngine::new(&net.graph, &hubs, &index, config);
         engine.query(42, &StoppingCondition::iterations(2)).scores
     };

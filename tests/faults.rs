@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use fastppv::baselines::{exact_ppv, ExactOptions};
 use fastppv::core::offline::build_index;
 use fastppv::core::query::StoppingCondition;
-use fastppv::core::{select_hubs, Config, HubPolicy, MemoryIndex};
+use fastppv::core::{select_hubs, Config, FlatIndex, HubPolicy};
 use fastppv::graph::gen::barabasi_albert;
 use fastppv::graph::{Graph, GraphBuilder};
 use fastppv::server::net::{serve, serve_with_options, Client, NetOptions, WireRequest};
@@ -51,7 +51,7 @@ fn fixture(
     hubs: usize,
     seed: u64,
     options: ServiceOptions,
-) -> (Arc<Graph>, Arc<QueryService<MemoryIndex>>) {
+) -> (Arc<Graph>, Arc<QueryService<FlatIndex>>) {
     let config = Config::default().with_epsilon(1e-6);
     let g = barabasi_albert(nodes, 3, seed);
     let hub_set = select_hubs(&g, HubPolicy::ExpectedUtility, hubs, 0);
@@ -504,9 +504,9 @@ proptest! {
 
 /// Shared fixture for the degradation proptest: building the index per
 /// case would dominate the suite.
-fn degraded_fixture() -> &'static (Arc<Graph>, Arc<QueryService<MemoryIndex>>) {
+fn degraded_fixture() -> &'static (Arc<Graph>, Arc<QueryService<FlatIndex>>) {
     use std::sync::OnceLock;
-    static FIXTURE: OnceLock<(Arc<Graph>, Arc<QueryService<MemoryIndex>>)> = OnceLock::new();
+    static FIXTURE: OnceLock<(Arc<Graph>, Arc<QueryService<FlatIndex>>)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let config = Config::default().with_epsilon(1e-6);
         let g = barabasi_albert(200, 3, 15);

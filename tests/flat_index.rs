@@ -1,23 +1,16 @@
-//! The flat SoA arena versus the slot-map store: equivalence, determinism,
-//! dynamic patching, and a round-trip property test.
+//! The flat SoA arena: determinism, dynamic patching against a rebuild,
+//! the file round trip, and a round-trip property test.
 
-use fastppv::core::dynamic::{refresh_flat_index_snapshot_delta, refresh_index_delta, DeltaConfig};
-use fastppv::core::index::{FlatIndex, MemoryIndex, PpvStore, PrimePpv};
-use fastppv::core::offline::{build_flat_index, build_index};
+use std::collections::BTreeMap;
+
+use fastppv::core::dynamic::{refresh_flat_index_snapshot_delta, DeltaConfig};
+use fastppv::core::index::{FlatIndex, PpvStore, PrimePpv};
+use fastppv::core::offline::build_flat_index;
 use fastppv::core::query::{QueryEngine, StoppingCondition};
 use fastppv::core::{select_hubs, Config, HubPolicy, HubSet};
 use fastppv::graph::gen::barabasi_albert;
 use fastppv::graph::{Graph, GraphBuilder, NodeId, SparseVector};
 use proptest::prelude::*;
-
-fn ba2k_setup() -> (Graph, HubSet, MemoryIndex, FlatIndex) {
-    let g = barabasi_albert(2000, 4, 42);
-    let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 80, 0);
-    let config = Config::default().with_epsilon(1e-6);
-    let (memory, _) = build_index(&g, &hubs, &config);
-    let flat = FlatIndex::from_memory(&memory, &hubs);
-    (g, hubs, memory, flat)
-}
 
 fn assert_scores_close(a: &SparseVector, b: &SparseVector, tol: f64, ctx: &str) {
     assert_eq!(a.len(), b.len(), "{ctx}: support sizes differ");
@@ -28,55 +21,6 @@ fn assert_scores_close(a: &SparseVector, b: &SparseVector, tol: f64, ctx: &str) 
             "{ctx}: node {va}: {sa} vs {sb} (gap {})",
             (sa - sb).abs()
         );
-    }
-}
-
-#[test]
-fn flat_matches_memory_on_ba2k_all_stopping_conditions() {
-    let (g, hubs, memory, flat) = ba2k_setup();
-    let config = Config::default().with_epsilon(1e-6);
-    let mem_engine = QueryEngine::new(&g, &hubs, &memory, config);
-    let flat_engine = QueryEngine::new(&g, &hubs, &flat, config);
-    let mut mem_ws = mem_engine.workspace();
-    let mut flat_ws = flat_engine.workspace();
-    // A hub query, high-degree non-hubs, and arbitrary nodes.
-    let mut queries: Vec<NodeId> = vec![hubs.ids()[0], hubs.ids()[40]];
-    queries.extend((0..2000u32).filter(|v| !hubs.is_hub(*v)).step_by(311));
-    let stops: Vec<(&str, StoppingCondition)> = vec![
-        ("eta0", StoppingCondition::iterations(0)),
-        ("eta2", StoppingCondition::iterations(2)),
-        ("eta6", StoppingCondition::iterations(6)),
-        ("l1=0.05", StoppingCondition::l1_error(0.05)),
-        ("l1=1e-4", StoppingCondition::l1_error(1e-4)),
-        (
-            "combined",
-            StoppingCondition::l1_error(1e-3).or_iterations(4),
-        ),
-    ];
-    for &q in &queries {
-        for (label, stop) in &stops {
-            let a = mem_engine.query_with(&mut mem_ws, q, stop);
-            let b = flat_engine.query_with(&mut flat_ws, q, stop);
-            let ctx = format!("q {q}, stop {label}");
-            assert_eq!(a.iterations, b.iterations, "{ctx}: iterations");
-            assert_eq!(a.exhausted, b.exhausted, "{ctx}: exhaustion");
-            assert!(
-                (a.l1_error - b.l1_error).abs() <= 1e-12,
-                "{ctx}: φ {} vs {}",
-                a.l1_error,
-                b.l1_error
-            );
-            assert_scores_close(&a.scores, &b.scores, 1e-12, &ctx);
-        }
-        // Certified top-k agrees too.
-        let ka = mem_engine.query_top_k(q, 5, 10);
-        let kb = flat_engine.query_top_k(q, 5, 10);
-        assert_eq!(ka.certified, kb.certified, "q {q} topk certification");
-        assert_eq!(ka.nodes.len(), kb.nodes.len());
-        for (&(va, sa), &(vb, sb)) in ka.nodes.iter().zip(&kb.nodes) {
-            assert_eq!(va, vb, "q {q} topk node order");
-            assert!((sa - sb).abs() <= 1e-12);
-        }
     }
 }
 
@@ -126,17 +70,15 @@ fn add_edges(graph: &Graph, new_edges: &[(NodeId, NodeId)]) -> Graph {
 }
 
 #[test]
-fn dynamic_patching_agrees_with_rebuild_and_memory_refresh() {
+fn dynamic_patching_agrees_with_rebuild() {
     // Apply several update batches so the arena accumulates tombstones and
     // crosses the compaction threshold at least once; after every batch the
-    // patched arena must answer queries exactly like a fresh build and
-    // like the MemoryIndex refresh path.
+    // patched arena must answer queries exactly like a fresh build.
     let mut graph = barabasi_albert(600, 3, 9);
     let hubs = select_hubs(&graph, HubPolicy::ExpectedUtility, 40, 0);
     // ε matched to the graph scale so refreshes stay local (see dynamic.rs).
     let config = Config::default().with_epsilon(1e-4);
     let (mut flat, _) = build_flat_index(&graph, &hubs, &config, 1);
-    let (mut memory, _) = build_index(&graph, &hubs, &config);
     for round in 0u32..6 {
         let u = (37 * round + 11) % 600;
         let v = (u + 101 + round) % 600;
@@ -145,7 +87,7 @@ fn dynamic_patching_agrees_with_rebuild_and_memory_refresh() {
         }
         let new_graph = add_edges(&graph, &[(u, v)]);
         let exact = DeltaConfig::exact();
-        let (flat_refreshed, stats) = refresh_flat_index_snapshot_delta(
+        let (flat_refreshed, _) = refresh_flat_index_snapshot_delta(
             &flat,
             &graph,
             &new_graph,
@@ -154,25 +96,18 @@ fn dynamic_patching_agrees_with_rebuild_and_memory_refresh() {
             &config,
             &exact,
         );
-        let (mem_refreshed, mem_stats) =
-            refresh_index_delta(&memory, &graph, &new_graph, &hubs, &[u], &config, &exact);
-        assert_eq!(stats.recomputed, mem_stats.recomputed, "round {round}");
         flat = flat_refreshed;
-        memory = mem_refreshed;
         graph = new_graph;
 
         let (rebuilt, _) = build_flat_index(&graph, &hubs, &config, 1);
         let engine_patched = QueryEngine::new(&graph, &hubs, &flat, config);
         let engine_rebuilt = QueryEngine::new(&graph, &hubs, &rebuilt, config);
-        let engine_memory = QueryEngine::new(&graph, &hubs, &memory, config);
         let stop = StoppingCondition::iterations(3);
         for q in [u, v, hubs.ids()[0], 599] {
             let a = engine_patched.query(q, &stop);
             let b = engine_rebuilt.query(q, &stop);
-            let c = engine_memory.query(q, &stop);
-            let ctx = format!("round {round} q {q}");
-            assert_scores_close(&a.scores, &b.scores, 1e-12, &format!("{ctx} vs rebuild"));
-            assert_scores_close(&a.scores, &c.scores, 1e-12, &format!("{ctx} vs memory"));
+            let ctx = format!("round {round} q {q} vs rebuild");
+            assert_scores_close(&a.scores, &b.scores, 1e-12, &ctx);
         }
     }
     assert!(
@@ -191,30 +126,32 @@ proptest! {
         replace in prop::collection::vec((0u32..300, prop::collection::vec(
             (0u32..300, 1e-9..1.0f64), 0..50)), 0..4),
     ) {
-        let mut memory = MemoryIndex::new(300);
-        for (&h, entries) in &hubs_map {
-            memory.insert(h, PrimePpv {
-                entries: SparseVector::from_unsorted(entries.clone()),
-            });
-        }
+        let ppv = |entries: &Vec<(NodeId, f64)>| PrimePpv {
+            entries: SparseVector::from_unsorted(entries.clone()),
+        };
+        let mut model: BTreeMap<NodeId, PrimePpv> =
+            hubs_map.iter().map(|(&h, entries)| (h, ppv(entries))).collect();
         let hub_ids: Vec<NodeId> = hubs_map.keys().copied().collect();
         let hub_set = HubSet::from_ids(300, hub_ids.clone());
-        let mut flat = FlatIndex::from_memory(&memory, &hub_set);
-        prop_assert_eq!(flat.hub_count(), memory.hub_count());
-        prop_assert_eq!(flat.total_entries(), memory.total_entries());
+        let mut flat = FlatIndex::new(300);
+        for (&h, p) in &model {
+            flat.insert(h, p, &hub_set);
+        }
+        let model_entries = |m: &BTreeMap<NodeId, PrimePpv>| m.values().map(PrimePpv::len).sum::<usize>();
+        prop_assert_eq!(flat.hub_count(), model.len());
+        prop_assert_eq!(flat.total_entries(), model_entries(&model));
 
         // Patch a few segments (only over indexed hubs) and mirror in the
-        // slot map; equality must survive tombstoning and compaction.
+        // model; equality must survive tombstoning and compaction.
         for (pick, entries) in &replace {
             let h = hub_ids[*pick as usize % hub_ids.len()];
-            let ppv = PrimePpv { entries: SparseVector::from_unsorted(entries.clone()) };
-            flat.replace(h, &ppv, &hub_set);
-            memory.insert(h, ppv);
+            flat.replace(h, &ppv(entries), &hub_set);
+            model.insert(h, ppv(entries));
         }
         flat.compact();
-        prop_assert_eq!(flat.total_entries(), memory.total_entries());
+        prop_assert_eq!(flat.total_entries(), model_entries(&model));
         for &h in &hub_ids {
-            let expected = memory.get(h).unwrap();
+            let expected = &model[&h];
             let got = flat.load(h).unwrap();
             prop_assert_eq!(&got, expected);
             // Border sublists point exactly at the hub entries.
@@ -276,7 +213,10 @@ fn mmap_opened_arena_serves_identical_queries() {
     // write → open (mmap or heap fallback) → the opened arena must answer
     // every stopping condition bit-identically to the built one, and carry
     // the per-hub budget spends through.
-    let (g, hubs, _, mut flat) = ba2k_setup();
+    let g = barabasi_albert(2000, 4, 42);
+    let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 80, 0);
+    let config = Config::default().with_epsilon(1e-6);
+    let (mut flat, _) = build_flat_index(&g, &hubs, &config, 1);
     let spend_hub = hubs.ids()[3];
     flat.set_budget_spent(spend_hub, 1.25e-3);
     let path = arena_temp("queries");
@@ -296,7 +236,6 @@ fn mmap_opened_arena_serves_identical_queries() {
             assert_eq!(sa.to_bits(), sb.to_bits(), "hub {h} node {va}");
         }
     }
-    let config = Config::default().with_epsilon(1e-6);
     let built_engine = QueryEngine::new(&g, &hubs, &flat, config);
     let opened_engine = QueryEngine::new(&g, &hubs, &opened, config);
     let stop = StoppingCondition::l1_error(1e-3).or_iterations(5);

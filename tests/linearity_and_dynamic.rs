@@ -2,10 +2,10 @@
 //! exercised end-to-end on generated graphs.
 
 use fastppv::baselines::exact::{exact_ppv, ExactOptions};
-use fastppv::core::dynamic::{refresh_index_delta, DeltaConfig};
+use fastppv::core::dynamic::{refresh_flat_index_snapshot_delta, DeltaConfig};
 use fastppv::core::linearity::query_multi;
 use fastppv::core::query::{QueryEngine, StoppingCondition};
-use fastppv::core::{build_index_parallel, select_hubs, Config, HubPolicy};
+use fastppv::core::{build_flat_index, select_hubs, Config, HubPolicy, PpvStore};
 use fastppv::graph::gen::{SocialNetwork, SocialParams};
 use fastppv::graph::{Graph, GraphBuilder, NodeId};
 
@@ -28,7 +28,7 @@ fn multi_node_query_matches_weighted_exact() {
         .with_delta(0.0)
         .with_clip(0.0);
     let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 120, 0);
-    let (index, _) = build_index_parallel(&g, &hubs, &config, 2);
+    let (index, _) = build_flat_index(&g, &hubs, &config, 2);
     let engine = QueryEngine::new(&g, &hubs, &index, config);
     let seeds = [(10u32, 1.0), (500, 2.0), (1100, 1.0)];
     let res = query_multi(&engine, &seeds, &StoppingCondition::l1_error(1e-7));
@@ -53,7 +53,7 @@ fn refresh_after_insertions_matches_rebuild_and_serves_queries() {
     let g = dataset(2);
     let config = Config::default().with_epsilon(1e-6);
     let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 120, 0);
-    let (index, _) = build_index_parallel(&g, &hubs, &config, 2);
+    let (index, _) = build_flat_index(&g, &hubs, &config, 2);
 
     // Insert three edges from non-hub tails.
     let tails: Vec<NodeId> = (0..1200u32).filter(|&v| !hubs.is_hub(v)).take(3).collect();
@@ -71,13 +71,14 @@ fn refresh_after_insertions_matches_rebuild_and_serves_queries() {
     let g2 = b.build();
 
     let exact = DeltaConfig::exact();
-    let (refreshed, stats) = refresh_index_delta(&index, &g, &g2, &hubs, &tails, &config, &exact);
-    let (rebuilt, _) = build_index_parallel(&g2, &hubs, &config, 2);
+    let (refreshed, stats) =
+        refresh_flat_index_snapshot_delta(&index, &g, &g2, &hubs, &tails, &config, &exact);
+    let (rebuilt, _) = build_flat_index(&g2, &hubs, &config, 2);
     assert!(stats.recomputed + stats.reused == hubs.len());
     for &h in hubs.ids() {
         assert_eq!(
-            refreshed.get(h).unwrap().entries,
-            rebuilt.get(h).unwrap().entries,
+            refreshed.load(h).unwrap().entries,
+            rebuilt.load(h).unwrap().entries,
             "hub {h}"
         );
     }
@@ -96,15 +97,22 @@ fn refresh_with_no_changes_reuses_everything() {
     let g = dataset(3);
     let config = Config::default();
     let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 60, 0);
-    let (index, _) = build_index_parallel(&g, &hubs, &config, 2);
-    let (refreshed, stats) =
-        refresh_index_delta(&index, &g, &g, &hubs, &[], &config, &DeltaConfig::exact());
+    let (index, _) = build_flat_index(&g, &hubs, &config, 2);
+    let (refreshed, stats) = refresh_flat_index_snapshot_delta(
+        &index,
+        &g,
+        &g,
+        &hubs,
+        &[],
+        &config,
+        &DeltaConfig::exact(),
+    );
     assert_eq!(stats.recomputed, 0);
     assert_eq!(stats.reused, hubs.len());
     for &h in hubs.ids() {
         assert_eq!(
-            refreshed.get(h).unwrap().entries,
-            index.get(h).unwrap().entries
+            refreshed.load(h).unwrap().entries,
+            index.load(h).unwrap().entries
         );
     }
 }

@@ -3,9 +3,9 @@
 
 use fastppv::baselines::exact::{exact_ppv, ExactOptions};
 use fastppv::core::error::l1_error_bound;
-use fastppv::core::index::{FlatIndex, MemoryIndex, PpvStore, PrimePpv};
+use fastppv::core::index::{FlatIndex, PpvStore, PrimePpv};
 use fastppv::core::query::{QueryEngine, StoppingCondition};
-use fastppv::core::{build_index_parallel, Config, HubSet};
+use fastppv::core::{build_flat_index, Config, HubSet};
 use fastppv::graph::builder::from_edges;
 use fastppv::graph::{NodeId, ScoreScratch, SparseVector};
 use fastppv::metrics::{kendall_tau, precision_at_k, rag, AccuracyReport};
@@ -157,7 +157,7 @@ proptest! {
             .collect();
         let hubs = HubSet::from_ids(n, hub_ids);
         let config = Config::exhaustive();
-        let (index, _) = build_index_parallel(&g, &hubs, &config, 1);
+        let (index, _) = build_flat_index(&g, &hubs, &config, 1);
         let engine = QueryEngine::new(&g, &hubs, &index, config);
         let q = (edges[0].0 as usize % n) as NodeId;
         let exact = exact_ppv(&g, q, ExactOptions::default());
@@ -175,13 +175,15 @@ proptest! {
         hubs in prop::collection::btree_map(0u32..500, prop::collection::vec(
             (0u32..1000, 1e-6..1.0f64), 0..40), 1..10),
     ) {
-        let mut index = MemoryIndex::new(1000);
-        for (&h, entries) in &hubs {
-            index.insert(h, PrimePpv {
-                entries: SparseVector::from_unsorted(entries.clone()),
-            });
-        }
         let hub_set = HubSet::from_ids(1000, hubs.keys().copied().collect());
+        let ppvs: Vec<(NodeId, PrimePpv)> = hubs
+            .iter()
+            .map(|(&h, entries)| (h, PrimePpv { entries: SparseVector::from_unsorted(entries.clone()) }))
+            .collect();
+        let mut index = FlatIndex::new(1000);
+        for (h, ppv) in &ppvs {
+            index.insert(*h, ppv, &hub_set);
+        }
         let mut path = std::env::temp_dir();
         path.push(format!(
             "fastppv-prop-{}-{}.idx",
@@ -191,13 +193,12 @@ proptest! {
                 .unwrap()
                 .as_nanos()
         ));
-        FlatIndex::from_memory(&index, &hub_set).write_to_file(&path).unwrap();
+        index.write_to_file(&path).unwrap();
         let opened = FlatIndex::open(&path).unwrap();
         prop_assert_eq!(opened.hub_count(), index.hub_count());
-        for &h in hubs.keys() {
+        for (h, a) in &ppvs {
             // The file stores raw f64: entries come back bit for bit.
-            let a = index.get(h).unwrap();
-            let b = opened.load(h).unwrap();
+            let b = opened.load(*h).unwrap();
             prop_assert_eq!(a.len(), b.len());
             for (&(va, sa), &(vb, sb)) in
                 a.entries.entries().iter().zip(b.entries.entries())
@@ -247,7 +248,7 @@ proptest! {
         let g = from_edges(n, &edges);
         let hubs = HubSet::from_ids(n, vec![1.min(n as u32 - 1)]);
         let config = Config::default();
-        let (index, _) = build_index_parallel(&g, &hubs, &config, 1);
+        let (index, _) = build_flat_index(&g, &hubs, &config, 1);
         let engine = QueryEngine::new(&g, &hubs, &index, config);
         for q in 0..(n as NodeId).min(4) {
             let r = engine.query(q, &StoppingCondition::iterations(5));
@@ -271,7 +272,7 @@ proptest! {
         let g = from_edges(n, &edges);
         let hubs = HubSet::from_ids(n, vec![0, (n as NodeId) / 2]);
         let config = Config::default(); // truncation on
-        let (index, _) = build_index_parallel(&g, &hubs, &config, 1);
+        let (index, _) = build_flat_index(&g, &hubs, &config, 1);
         let engine = QueryEngine::new(&g, &hubs, &index, config);
         let q = (n as NodeId) - 1;
         let exact = exact_ppv(&g, q, ExactOptions::default());
@@ -296,7 +297,7 @@ proptest! {
         let hubs = HubSet::from_ids(n, hub_ids);
         let config = Config::exhaustive();
         let alpha = config.alpha;
-        let (index, _) = build_index_parallel(&g, &hubs, &config, 1);
+        let (index, _) = build_flat_index(&g, &hubs, &config, 1);
         let engine = QueryEngine::new(&g, &hubs, &index, config);
         let q = (edges[0].1 as usize % n) as NodeId;
         let mut session = engine.session(q);

@@ -2,8 +2,7 @@
 //! 4, 42)`), 40 expected-utility hubs, ε = 1e-6, the first 64 of 200 Zipf(1)
 //! queries drawn with seed 42, η = 2. Every score bit and every φ bit of its
 //! result stream must digest to the constant pinned below — from the
-//! build-time layout, from the built arena, and from that arena after a
-//! trip through its file. A PR that changes results on purpose re-pins the
+//! built arena, and from that arena after a trip through its file. A PR that changes results on purpose re-pins the
 //! constants in the same PR.
 //!
 //! Two more pins ride along. The same stream under `δ = 0` guards the
@@ -15,7 +14,7 @@
 //! the stored PPVs: no change to the online engine may move them.
 
 use fastppv::core::hubs::{select_hubs_with_pagerank, HubPolicy};
-use fastppv::core::offline::{build_flat_index, build_index};
+use fastppv::core::offline::build_flat_index;
 use fastppv::core::{Config, FlatIndex};
 use fastppv::graph::gen::barabasi_albert;
 use fastppv::graph::{pagerank, PageRankOptions};
@@ -34,7 +33,6 @@ fn smoke_results_digest_matches_the_committed_baseline() {
     let queries = sample_queries_zipf(&graph, 200, 1.0, 42);
     let digest_queries = &queries[..64];
 
-    let (memory, _) = build_index(&graph, &hubs, &config);
     let (flat, _) = build_flat_index(&graph, &hubs, &config, 1);
     let path = std::env::temp_dir().join(format!("fastppv-digest-{}.fppv", std::process::id()));
     flat.write_to_file(&path).unwrap();
@@ -42,22 +40,20 @@ fn smoke_results_digest_matches_the_committed_baseline() {
     arena_file.update(&std::fs::read(&path).unwrap());
     let opened = FlatIndex::open(&path).unwrap();
 
-    let digest_of_memory = results_digest(&graph, &hubs, &memory, config, digest_queries, 2);
     let digest_of_arena = results_digest(&graph, &hubs, &flat, config, digest_queries, 2);
     let digest_of_file = results_digest(&graph, &hubs, &opened, config, digest_queries, 2);
     // δ is an online gate only: the same stores serve the δ = 0 stream.
     let exact_prime0 = config.with_delta(0.0);
-    let delta_zero_memory = results_digest(&graph, &hubs, &memory, exact_prime0, digest_queries, 2);
+    let delta_zero_arena = results_digest(&graph, &hubs, &flat, exact_prime0, digest_queries, 2);
     let delta_zero_file = results_digest(&graph, &hubs, &opened, exact_prime0, digest_queries, 2);
     drop(opened);
     std::fs::remove_file(&path).unwrap();
-    assert_eq!(digest_of_memory, BASELINE_DIGEST, "MemoryIndex");
     assert_eq!(digest_of_arena, BASELINE_DIGEST, "built arena");
     assert_eq!(
         digest_of_file, BASELINE_DIGEST,
         "arena opened from its file"
     );
-    assert_eq!(delta_zero_memory, DELTA_ZERO_DIGEST, "δ = 0, MemoryIndex");
+    assert_eq!(delta_zero_arena, DELTA_ZERO_DIGEST, "δ = 0, built arena");
     assert_eq!(
         delta_zero_file, DELTA_ZERO_DIGEST,
         "δ = 0, arena opened from its file"

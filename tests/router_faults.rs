@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use fastppv::cluster::{cluster_graph, slice_store, ClusteringOptions, ShardMap};
 use fastppv::core::query::StoppingCondition;
-use fastppv::core::{build_index, select_hubs, Config, HubPolicy, HubSet, MemoryIndex};
+use fastppv::core::{build_index, select_hubs, Config, FlatIndex, HubPolicy, HubSet};
 use fastppv::graph::gen::{barabasi_albert, synth_events};
 use fastppv::graph::vec::ScoreScratch;
 use fastppv::graph::{Graph, NodeId};
@@ -40,7 +40,7 @@ fn rounds(default: usize) -> usize {
 struct Fixture {
     graph: Arc<Graph>,
     hubs: Arc<HubSet>,
-    index: MemoryIndex,
+    index: FlatIndex,
     config: Config,
 }
 
@@ -58,7 +58,7 @@ fn fixture(nodes: usize, hub_count: usize, seed: u64) -> Fixture {
     }
 }
 
-fn shard_services(fx: &Fixture, map: &ShardMap) -> Vec<Arc<QueryService<MemoryIndex>>> {
+fn shard_services(fx: &Fixture, map: &ShardMap) -> Vec<Arc<QueryService<FlatIndex>>> {
     (0..map.num_shards())
         .map(|s| {
             let slice = slice_store(&fx.index, &fx.hubs, map, s);
@@ -268,7 +268,7 @@ fn unattainable_l1_target_is_shed_not_silently_missed() {
 /// point on, so every shard refuses with epoch skew and the merge must
 /// retry once from scratch on the new epoch.
 struct SkewInject<'a> {
-    inner: &'a LocalBackend<MemoryIndex>,
+    inner: &'a LocalBackend<FlatIndex>,
     events: Vec<fastppv::graph::gen::EdgeEvent>,
     armed: AtomicBool,
 }

@@ -111,7 +111,7 @@ fn matching_epochs(
         .collect()
 }
 
-/// The hammer itself, generic over the store layout. `service` must be
+/// The hammer itself. `service` must be
 /// freshly built over `graphs[0]`; `truth[i]` is the from-scratch answer
 /// key for `graphs[i]`.
 fn hammer<S: PpvStore + Send + Sync>(
@@ -611,7 +611,6 @@ fn expired_deadline_yields_partial_but_certified_answer_without_perturbing_batch
 #[test]
 fn service_stays_sync_with_snapshot_state() {
     fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<QueryService<fastppv::core::MemoryIndex>>();
     assert_send_sync::<QueryService<FlatIndex>>();
     assert_send_sync::<fastppv::server::ServingState<FlatIndex>>();
 }

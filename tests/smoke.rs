@@ -5,7 +5,7 @@
 //! quickstart fails `cargo test` too.
 
 use fastppv::core::query::StoppingCondition;
-use fastppv::core::{build_index_parallel, select_hubs, Config, HubPolicy, QueryEngine};
+use fastppv::core::{build_flat_index, select_hubs, Config, HubPolicy, QueryEngine};
 use fastppv::graph::gen::barabasi_albert;
 
 #[test]
@@ -16,7 +16,7 @@ fn quickstart_path_runs_to_completion() {
 
     let config = Config::default().with_epsilon(1e-5).with_delta(5e-4);
     let hubs = select_hubs(&graph, HubPolicy::ExpectedUtility, 100, 0);
-    let (index, stats) = build_index_parallel(&graph, &hubs, &config, 4);
+    let (index, stats) = build_flat_index(&graph, &hubs, &config, 4);
     assert_eq!(stats.hubs, 100);
     assert!(stats.total_entries > 0);
     assert!(stats.storage_bytes > 0);
@@ -46,7 +46,7 @@ fn quickstart_path_runs_to_completion() {
         .with_epsilon(1e-7)
         .with_delta(0.0)
         .with_clip(0.0);
-    let (index, _) = build_index_parallel(&graph, &hubs, &accurate, 4);
+    let (index, _) = build_flat_index(&graph, &hubs, &accurate, 4);
     let engine = QueryEngine::new(&graph, &hubs, &index, accurate);
     let precise = engine.query(query, &StoppingCondition::l1_error(0.01));
     assert!(

@@ -6,7 +6,7 @@ use fastppv::baselines::exact::{exact_ppv, ExactOptions};
 use fastppv::baselines::naive::partition_by_hub_length_with_pruned;
 use fastppv::core::error::l1_error_bound;
 use fastppv::core::query::{QueryEngine, StoppingCondition};
-use fastppv::core::{build_index_parallel, select_hubs, Config, HubPolicy};
+use fastppv::core::{build_flat_index, select_hubs, Config, HubPolicy};
 use fastppv::graph::gen::{barabasi_albert, erdos_renyi};
 
 /// Untruncated configuration: Theorems 1/2 and Eq. 6 hold exactly.
@@ -23,7 +23,7 @@ fn theorem_1_monotone_convergence_to_exact() {
         let g = barabasi_albert(250, 3, seed);
         let config = exact_config();
         let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 25, 0);
-        let (index, _) = build_index_parallel(&g, &hubs, &config, 2);
+        let (index, _) = build_flat_index(&g, &hubs, &config, 2);
         let engine = QueryEngine::new(&g, &hubs, &index, config);
         let q = (seed * 37 % 250) as u32;
         let exact = exact_ppv(&g, q, ExactOptions::default());
@@ -63,7 +63,7 @@ fn theorem_2_bound_holds_across_graph_families() {
     ] {
         let config = exact_config();
         let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 30, 0);
-        let (index, _) = build_index_parallel(&g, &hubs, &config, 2);
+        let (index, _) = build_flat_index(&g, &hubs, &config, 2);
         let engine = QueryEngine::new(&g, &hubs, &index, config);
         for q in [0u32, 111, 299] {
             let mut session = engine.session(q);
@@ -85,7 +85,7 @@ fn eq_6_reported_error_equals_true_gap() {
     let g = barabasi_albert(200, 3, 11);
     let config = exact_config();
     let hubs = select_hubs(&g, HubPolicy::PageRank, 20, 0);
-    let (index, _) = build_index_parallel(&g, &hubs, &config, 2);
+    let (index, _) = build_flat_index(&g, &hubs, &config, 2);
     let engine = QueryEngine::new(&g, &hubs, &index, config);
     for q in [3u32, 50, 170] {
         let exact = exact_ppv(&g, q, ExactOptions::default());
@@ -112,7 +112,7 @@ fn increments_equal_naive_partitions_on_random_graphs() {
         let g = erdos_renyi(40, 120, seed);
         let config = exact_config();
         let hubs = select_hubs(&g, HubPolicy::OutDegree, 6, 0);
-        let (index, _) = build_index_parallel(&g, &hubs, &config, 1);
+        let (index, _) = build_flat_index(&g, &hubs, &config, 1);
         let (parts, pruned) = partition_by_hub_length_with_pruned(&g, 0, hubs.mask(), 0.15, 1e-9);
         let engine = QueryEngine::new(&g, &hubs, &index, config);
         let result = engine.query(0, &StoppingCondition::iterations(4));
@@ -163,7 +163,7 @@ fn truncated_configs_stay_conservative() {
     let g = barabasi_albert(300, 3, 13);
     let config = Config::default(); // paper defaults, truncation on
     let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 30, 0);
-    let (index, _) = build_index_parallel(&g, &hubs, &config, 2);
+    let (index, _) = build_flat_index(&g, &hubs, &config, 2);
     let engine = QueryEngine::new(&g, &hubs, &index, config);
     for q in [10u32, 150] {
         let exact = exact_ppv(&g, q, ExactOptions::default());
