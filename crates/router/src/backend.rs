@@ -24,7 +24,7 @@ use fastppv_graph::NodeId;
 use fastppv_server::net::{
     Client, ClientOptions, ServerHello, SubReply, WireExpand, WirePrime0, WireStats,
 };
-use fastppv_server::{QueryService, SubQueryError};
+use fastppv_server::QueryService;
 use parking_lot::Mutex;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -528,13 +528,6 @@ impl<S: PpvStore + Send + Sync> LocalBackend<S> {
     }
 }
 
-fn sub_failure<T>(e: SubQueryError) -> SubReply<T> {
-    match e {
-        SubQueryError::EpochSkew { current } => SubReply::EpochSkew { current },
-        other => SubReply::Error(other.to_string()),
-    }
-}
-
 impl<S: PpvStore + Send + Sync> SubBackend for LocalBackend<S> {
     fn num_shards(&self) -> usize {
         self.shards.len()
@@ -551,14 +544,7 @@ impl<S: PpvStore + Send + Sync> SubBackend for LocalBackend<S> {
             .shards
             .get(shard)
             .ok_or(BackendError::ShardDown(shard))?;
-        Ok(match service.prime0(query, expect_epoch) {
-            Ok((parts, epoch)) => SubReply::Ok(WirePrime0 {
-                epoch,
-                entries: parts.entries.clone(),
-                frontier: parts.frontier.clone(),
-            }),
-            Err(e) => sub_failure(e),
-        })
+        Ok(service.prime0_reply(query, expect_epoch))
     }
 
     fn expand(
@@ -572,15 +558,6 @@ impl<S: PpvStore + Send + Sync> SubBackend for LocalBackend<S> {
             .shards
             .get(shard)
             .ok_or(BackendError::ShardDown(shard))?;
-        Ok(match service.expand(sublist, expect_epoch) {
-            Ok(answer) => SubReply::Ok(WireExpand {
-                epoch: answer.epoch,
-                entries: answer.outcome.entries.entries().to_vec(),
-                frontier: answer.outcome.frontier,
-                increment_mass: answer.outcome.increment_mass,
-                hubs_expanded: answer.outcome.hubs_expanded as u32,
-            }),
-            Err(e) => sub_failure(e),
-        })
+        Ok(service.expand_reply(sublist, expect_epoch))
     }
 }

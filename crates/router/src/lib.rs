@@ -40,9 +40,10 @@
 //!   iteration 0 and retry once on skew, so cross-shard merges never mix
 //!   epochs.
 //!
-//! The TCP front-end ([`server`]) speaks the same length-prefixed
-//! protocol as a single `fastppv serve` process — clients connect to the
-//! router unchanged.
+//! The TCP front-end ([`server`]) is the [`Router`] served through the
+//! same accept and dispatch loop as a single `fastppv serve` process
+//! (`fastppv_server::net::Frontend`) — clients connect to the router
+//! unchanged.
 
 pub mod backend;
 pub mod health;

@@ -18,7 +18,7 @@
 
 use fastppv_core::FlatIndex;
 use fastppv_graph::gen::EdgeEvent;
-use fastppv_server::net::prepare_from_events;
+use fastppv_server::net::{Frontend, UpdatePhase};
 
 use crate::backend::{BackendError, LocalBackend, TcpBackend};
 
@@ -90,11 +90,8 @@ impl UpdateBackend for LocalBackend<FlatIndex> {
         target_epoch: u64,
         events: &[EdgeEvent],
     ) -> Result<Result<(), String>, BackendError> {
-        Ok(prepare_from_events(
-            self.service(shard),
-            target_epoch,
-            events,
-        ))
+        let service = self.service(shard);
+        Ok(service.update(UpdatePhase::Prepare, target_epoch, events))
     }
 
     fn commit(&self, shard: usize, target_epoch: u64) -> Result<Result<(), String>, BackendError> {
@@ -102,8 +99,7 @@ impl UpdateBackend for LocalBackend<FlatIndex> {
     }
 
     fn abort(&self, shard: usize) -> Result<Result<(), String>, BackendError> {
-        self.service(shard).abort_update();
-        Ok(Ok(()))
+        Ok(self.service(shard).update(UpdatePhase::Abort, 0, &[]))
     }
 }
 

@@ -17,23 +17,27 @@
 //!   router coordinates the phase across every shard (prepare-all with
 //!   abort-on-failure, commit-all), then clears the answer cache and
 //!   advances the epoch watermark.
+//!
+//! The router owns no connection handling: it implements
+//! [`fastppv_server::net::Frontend`] and [`serve_router`] starts it on
+//! the same acceptor and dispatch loop a shard runs, so frame limits,
+//! malformed-frame handling and option validation cannot drift between
+//! the two. It serves no shard sub-ops (`OP_PRIME0` / `OP_EXPAND`): a
+//! client that sends one is disconnected.
 
 use std::collections::VecDeque;
-use std::io::{BufReader, BufWriter};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fastppv_cluster::ShardMap;
-use fastppv_core::query::StoppingCondition;
+use fastppv_graph::gen::EdgeEvent;
 use fastppv_graph::vec::top_k_of;
 use fastppv_graph::{NodeId, ScoreScratch};
 use fastppv_server::net::{
-    decode_request_batch, decode_update_request, encode_hello, encode_response_batch,
-    encode_stats_response, encode_update_response, read_frame_stalling, serve_connections,
-    write_frame, NetOptions, NetServer, ServerHello, UpdatePhase, WireAnswer, WireRequest,
-    WireResponse, WireStats, WireStop, MAX_FRAME_BYTES, OP_QUERY, OP_STATS, OP_UPDATE,
+    serve_with_options, Frontend, NetOptions, NetServer, ServerHello, UpdatePhase, WireAnswer,
+    WireRequest, WireResponse, WireStats, WireStop,
 };
 use fastppv_server::{percentile, LruCache};
 use parking_lot::Mutex;
@@ -144,16 +148,6 @@ impl<B: SubBackend> Router<B> {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// What this router announces to connecting clients.
-    pub fn hello(&self) -> ServerHello {
-        ServerHello {
-            num_nodes: self.cfg.num_nodes as u64,
-            epoch: self.epoch(),
-            alpha: self.cfg.alpha,
-            delta: self.cfg.delta,
-        }
-    }
-
     /// The router's own load picture, served to `OP_STATS` probes.
     pub fn stats(&self) -> WireStats {
         let recent: Vec<Duration> = {
@@ -221,10 +215,7 @@ impl<B: SubBackend> Router<B> {
                 ));
             }
         }
-        let mut stop = match request.stop {
-            WireStop::Iterations(eta) => StoppingCondition::iterations(eta as usize),
-            WireStop::L1Error(target) => StoppingCondition::l1_error(target),
-        };
+        let mut stop = request.stop.condition();
         if let Some(ms) = request.deadline_ms {
             stop = stop.or_time_limit(Duration::from_millis(ms as u64));
         }
@@ -273,23 +264,86 @@ impl<B: SubBackend> Router<B> {
         }
         WireResponse::Answer(answer)
     }
+}
 
-    /// Serves a whole request batch in order (each request's scatter is
-    /// itself parallel).
-    pub fn serve_batch(&self, requests: &[WireRequest]) -> Vec<WireResponse> {
-        requests.iter().map(|r| self.serve_request(r)).collect()
+fn format_answer(merged: &MergedAnswer, top_k: u32, cached: bool, latency: Duration) -> WireAnswer {
+    let entries = if top_k == 0 {
+        merged.scores.clone()
+    } else {
+        top_k_of(merged.scores.iter().copied(), top_k as usize)
+    };
+    WireAnswer {
+        query: merged.query,
+        iterations: merged.iterations as u32,
+        l1_error: merged.l1_error,
+        exhausted: merged.exhausted,
+        cached,
+        degraded: merged.degraded,
+        latency,
+        entries,
     }
 }
 
-impl<B: SubBackend + UpdateBackend> Router<B> {
-    /// Forwards one two-phase update frame to every shard. Prepare
-    /// failures abort the round everywhere; a full commit advances the
-    /// router's epoch watermark and drops the answer cache.
-    pub fn forward_update(
+// ---------------------------------------------------------------------------
+// TCP front-end
+// ---------------------------------------------------------------------------
+
+/// A running router front-end: the same handle, acceptor and
+/// [`fastppv_server::net::MAX_CONNECTIONS`] admission cap as a shard's.
+pub type RouterServer = NetServer;
+
+/// Starts the router front-end on the one accept and dispatch loop
+/// shards run ([`fastppv_server::net::serve_with_options`], with
+/// [`RouterOptions::net`]): `OP_QUERY`, `OP_STATS` and `OP_UPDATE` frames
+/// are served against the shared [`Router`]; the shard-only sub-ops
+/// `OP_PRIME0` / `OP_EXPAND` close the connection. Returns immediately
+/// with a [`RouterServer`] handle.
+pub fn serve_router<B>(
+    router: Arc<Router<B>>,
+    listener: TcpListener,
+) -> std::io::Result<RouterServer>
+where
+    B: SubBackend + UpdateBackend + Send + Sync + 'static,
+{
+    serve_with_options(Arc::clone(&router), listener, router.options.net)
+}
+
+/// The router as a TCP front-end: a merged answer per request, its own
+/// load picture, and two-phase update forwarding. Deadlines bound each
+/// merge; shutdown does not cancel one in flight.
+impl<B> Frontend for Router<B>
+where
+    B: SubBackend + UpdateBackend + Send + Sync + 'static,
+{
+    const NAME: &'static str = "fastppv-route";
+
+    fn hello(&self) -> ServerHello {
+        ServerHello {
+            num_nodes: self.cfg.num_nodes as u64,
+            epoch: self.epoch(),
+            alpha: self.cfg.alpha,
+            delta: self.cfg.delta,
+        }
+    }
+
+    /// Serves the batch in order (each request's scatter is itself
+    /// parallel).
+    fn query(&self, requests: &[WireRequest], _stop: &AtomicBool) -> Vec<WireResponse> {
+        requests.iter().map(|r| self.serve_request(r)).collect()
+    }
+
+    fn stats(&self) -> WireStats {
+        Router::stats(self)
+    }
+
+    /// Forwards the phase to every shard. Prepare failures abort the
+    /// round everywhere; a full commit advances the router's epoch
+    /// watermark and drops the answer cache.
+    fn update(
         &self,
         phase: UpdatePhase,
         target_epoch: u64,
-        events: &[fastppv_graph::gen::EdgeEvent],
+        events: &[EdgeEvent],
     ) -> Result<(), String> {
         let n = UpdateBackend::num_shards(&self.backend);
         match phase {
@@ -353,114 +407,4 @@ impl<B: SubBackend + UpdateBackend> Router<B> {
             }
         }
     }
-}
-
-fn format_answer(merged: &MergedAnswer, top_k: u32, cached: bool, latency: Duration) -> WireAnswer {
-    let entries = if top_k == 0 {
-        merged.scores.clone()
-    } else {
-        top_k_of(merged.scores.iter().copied(), top_k as usize)
-    };
-    WireAnswer {
-        query: merged.query,
-        iterations: merged.iterations as u32,
-        l1_error: merged.l1_error,
-        exhausted: merged.exhausted,
-        cached,
-        degraded: merged.degraded,
-        latency,
-        entries,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TCP front-end
-// ---------------------------------------------------------------------------
-
-/// A running router front-end: the same handle, acceptor and
-/// [`fastppv_server::net::MAX_CONNECTIONS`] admission cap as a shard's.
-pub type RouterServer = NetServer;
-
-/// Starts the router front-end: one acceptor thread plus one thread per
-/// client connection, each serving `OP_QUERY`, `OP_STATS`, and
-/// `OP_UPDATE` frames against the shared [`Router`]. Returns immediately
-/// with a [`RouterServer`] handle.
-pub fn serve_router<B>(
-    router: Arc<Router<B>>,
-    listener: TcpListener,
-) -> std::io::Result<RouterServer>
-where
-    B: SubBackend + UpdateBackend + Send + Sync + 'static,
-{
-    let options = router.options.net;
-    let handle = move |stream: TcpStream, stop: &AtomicBool| {
-        handle_connection(&router, stream, stop, options)
-    };
-    serve_connections(listener, "fastppv-route", Arc::new(handle))
-}
-
-fn handle_connection<B: SubBackend + UpdateBackend>(
-    router: &Router<B>,
-    stream: TcpStream,
-    stop: &AtomicBool,
-    options: NetOptions,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(options.frame_stall_timeout))?;
-    stream.set_write_timeout(options.write_timeout)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    write_frame(&mut writer, &encode_hello(&router.hello()))?;
-    let mut scratch = Vec::new();
-    while let Some(payload) = read_frame_stalling(&mut reader, stop, &mut scratch)? {
-        let Some((&op, body)) = payload.split_first() else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "empty frame (missing op byte)",
-            ));
-        };
-        match op {
-            OP_QUERY => {
-                let requests = decode_request_batch(body)?;
-                let responses = router.serve_batch(&requests);
-                let mut encoded = encode_response_batch(&responses);
-                if encoded.len() > MAX_FRAME_BYTES {
-                    // Same degradation as the shard front-end: oversized
-                    // answer batches become per-request errors instead of
-                    // killing the connection.
-                    let errors: Vec<WireResponse> = responses
-                        .iter()
-                        .map(|r| match r {
-                            WireResponse::Answer(a) => WireResponse::Error(format!(
-                                "response batch exceeds the {} MiB frame cap; request \
-                                 fewer entries (top_k) or smaller batches (answer for \
-                                 node {} alone held {} entries)",
-                                MAX_FRAME_BYTES >> 20,
-                                a.query,
-                                a.entries.len()
-                            )),
-                            other => other.clone(),
-                        })
-                        .collect();
-                    encoded = encode_response_batch(&errors);
-                }
-                write_frame(&mut writer, &encoded)?;
-            }
-            OP_STATS => {
-                write_frame(&mut writer, &encode_stats_response(&router.stats()))?;
-            }
-            OP_UPDATE => {
-                let (phase, target_epoch, events) = decode_update_request(body)?;
-                let result = router.forward_update(phase, target_epoch, &events);
-                write_frame(&mut writer, &encode_update_response(&result))?;
-            }
-            tag => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("router does not serve op byte {tag} (shard-only sub-op?)"),
-                ))
-            }
-        }
-    }
-    Ok(())
 }

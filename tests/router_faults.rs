@@ -1,13 +1,14 @@
 //! Router fault matrix: shards dying mid-batch, slow-loris stragglers
-//! hedged around, epoch skew injected between merge iterations, and a
-//! property-based certification check — with one dead shard, the
-//! inflated φ must still upper-bound the true L1 gap to the full-cluster
-//! answer.
+//! hedged around, epoch skew injected between merge iterations,
+//! malformed frames and bad start-up options met the same way by the
+//! router's front-end and a shard's, and a property-based certification
+//! check — with one dead shard, the inflated φ must still upper-bound the
+//! true L1 gap to the full-cluster answer.
 //!
 //! Rounds scale with `FASTPPV_FAULT_ROUNDS` (CI turns it up; the local
 //! default keeps the suite fast).
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -19,12 +20,14 @@ use fastppv::core::{build_index, select_hubs, Config, FlatIndex, HubPolicy, HubS
 use fastppv::graph::gen::{barabasi_albert, synth_events};
 use fastppv::graph::vec::ScoreScratch;
 use fastppv::graph::{Graph, NodeId};
+use fastppv::router::serve_router;
 use fastppv::router::{
     merge_query, two_phase_publish, BackendError, Health, LocalBackend, Router, RouterConfig,
     RouterOptions, SubBackend, TcpBackend, TcpBackendOptions, UpdateBackend,
 };
 use fastppv::server::net::{
-    serve, ClientOptions, SubReply, WireExpand, WirePrime0, WireRequest, WireResponse,
+    serve, serve_with_options, Client, ClientOptions, NetOptions, SubReply, WireExpand, WirePrime0,
+    WireRequest, WireResponse, EPOCH_ANY, OP_EXPAND, OP_PRIME0, OP_STATS,
 };
 use fastppv::server::{QueryService, ServiceOptions};
 use proptest::prelude::*;
@@ -476,6 +479,116 @@ fn connection_refused_opens_breaker_and_fails_fast() {
         "open breaker must fail fast, took {:?}",
         started.elapsed()
     );
+}
+
+// ---------------------------------------------------------------------------
+// One front-end loop: the router and a shard fail the same way
+// ---------------------------------------------------------------------------
+
+/// Sends one raw frame after the hello: true if the server hangs up
+/// instead of answering.
+fn closes_on(addr: SocketAddr, payload: &[u8]) -> bool {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut len = [0u8; 4];
+    s.read_exact(&mut len).unwrap();
+    s.read_exact(&mut vec![0u8; u32::from_le_bytes(len) as usize])
+        .unwrap();
+    s.write_all(&[&(payload.len() as u32).to_le_bytes()[..], payload].concat())
+        .unwrap();
+    match s.read(&mut [0u8; 1]) {
+        Ok(n) => n == 0,
+        Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+    }
+}
+
+/// A router over a two-shard `LocalBackend` of the fixture's index.
+fn local_router(fx: &Fixture, net: NetOptions) -> Arc<Router<LocalBackend<FlatIndex>>> {
+    let map = ShardMap::round_robin(fx.graph.num_nodes(), 2);
+    let options = RouterOptions {
+        net,
+        ..RouterOptions::default()
+    };
+    let backend = LocalBackend::new(shard_services(fx, &map));
+    Arc::new(Router::new(backend, map, router_cfg(fx), options))
+}
+
+/// The whole index behind one shard.
+fn single_shard(fx: &Fixture) -> Arc<QueryService<FlatIndex>> {
+    let whole = ShardMap::round_robin(fx.graph.num_nodes(), 1);
+    shard_services(fx, &whole).remove(0)
+}
+
+/// An `OP_STATS` frame with a trailing byte closes the connection on both
+/// front-ends, and the shard-only sub-ops close it on the router; a fresh
+/// client is then served the same answer by both.
+#[test]
+fn malformed_frames_close_the_connection_on_both_front_ends() {
+    let fx = fixture(300, 20, 5);
+    let local = || TcpListener::bind("127.0.0.1:0").unwrap();
+    let single = serve(single_shard(&fx), local()).unwrap();
+    let routed = serve_router(local_router(&fx, NetOptions::default()), local()).unwrap();
+    let sub_op = |op: u8| {
+        [
+            &[op][..],
+            &1u64.to_le_bytes(),
+            &EPOCH_ANY.to_le_bytes(),
+            &[0; 4],
+        ]
+        .concat()
+    };
+    for addr in [single.local_addr(), routed.local_addr()] {
+        assert!(
+            closes_on(addr, &[OP_STATS, 0]),
+            "{addr}: stats with a trailing byte"
+        );
+        assert!(
+            !closes_on(addr, &[OP_STATS]),
+            "{addr}: a well-formed stats probe"
+        );
+    }
+    assert!(closes_on(routed.local_addr(), &sub_op(OP_PRIME0)));
+    assert!(closes_on(routed.local_addr(), &sub_op(OP_EXPAND)));
+
+    let request = WireRequest::iterations(non_hub_queries(&fx, 1)[0], 3);
+    let [a, b] = [single.local_addr(), routed.local_addr()].map(|addr| {
+        let response = Client::connect(addr).unwrap().request_one(request).unwrap();
+        response.answer().expect("served").clone()
+    });
+    assert_eq!(
+        (a.iterations, a.degraded, b.degraded),
+        (b.iterations, false, false)
+    );
+    assert_eq!(a.entries.len(), b.entries.len());
+    for (x, y) in a.entries.iter().zip(&b.entries) {
+        assert!(x.0 == y.0 && (x.1 - y.1).abs() <= 1e-12, "{x:?} vs {y:?}");
+    }
+}
+
+/// A zero frame-stall or write timeout is refused when either front-end
+/// starts, with the same typed error — not a server that drops every
+/// connection before its hello.
+#[test]
+fn both_front_ends_reject_zero_timeouts_at_start() {
+    let fx = fixture(200, 10, 6);
+    let local = || TcpListener::bind("127.0.0.1:0").unwrap();
+    for net in [
+        NetOptions {
+            frame_stall_timeout: Duration::ZERO,
+            ..NetOptions::default()
+        },
+        NetOptions {
+            write_timeout: Some(Duration::ZERO),
+            ..NetOptions::default()
+        },
+    ] {
+        let shard = serve_with_options(single_shard(&fx), local(), net).err();
+        let routed = serve_router(local_router(&fx, net), local()).err();
+        let shard = shard.expect("the shard started with a zero timeout");
+        let routed = routed.expect("the router started with a zero timeout");
+        assert_eq!(shard.kind(), ErrorKind::InvalidInput, "{shard}");
+        assert_eq!(shard.to_string(), routed.to_string());
+    }
 }
 
 // ---------------------------------------------------------------------------

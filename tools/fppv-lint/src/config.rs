@@ -132,13 +132,12 @@ impl Config {
                     ]),
                 },
                 // Frame decode: a malformed frame must produce a protocol
-                // error on that connection, never a server panic.
+                // error on that connection, never a server panic — the
+                // codec's decoders and payload reader...
                 FailClosed {
-                    path_suffix: "crates/server/src/net.rs".into(),
+                    path_suffix: "crates/server/src/net/wire.rs".into(),
                     scope: fns(&[
                         "decode_*",
-                        "read_frame",
-                        "read_frame_stalling",
                         "take_entry_list",
                         "take",
                         "finish",
@@ -148,6 +147,11 @@ impl Config {
                         "u64",
                         "f64",
                     ]),
+                },
+                // ...and the frame readers.
+                FailClosed {
+                    path_suffix: "crates/server/src/net/conn.rs".into(),
+                    scope: fns(&["read_frame", "read_frame_stalling"]),
                 },
                 // Router read paths: a bad shard id or a dead backend is
                 // a routing error, never a router panic.
@@ -169,7 +173,8 @@ impl Config {
             ],
             lock_dirs: vec!["crates/server/src".into(), "crates/router/src".into()],
             wire_files: vec![
-                "crates/server/src/net.rs".into(),
+                "crates/server/src/net/wire.rs".into(),
+                "crates/server/src/net/conn.rs".into(),
                 "crates/core/src/wal.rs".into(),
                 "crates/cluster/src/store.rs".into(),
                 "crates/cluster/src/shard.rs".into(),
