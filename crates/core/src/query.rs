@@ -134,7 +134,11 @@ impl StoppingCondition {
         self
     }
 
-    fn met(&self, iterations_done: usize, l1_error: f64, elapsed: Duration) -> bool {
+    /// Whether a run that has done `iterations_done` increments, with
+    /// certified error `l1_error` after `elapsed`, should stop: any
+    /// satisfied limit stops, and a condition with no limit at all means
+    /// "iteration 0 only". The scatter/gather router stops on it too.
+    pub fn met(&self, iterations_done: usize, l1_error: f64, elapsed: Duration) -> bool {
         if self.max_iterations.is_some_and(|k| iterations_done >= k) {
             return true;
         }

@@ -1,18 +1,26 @@
 //! Shard backends: how the merge loop reaches shards.
 //!
 //! [`TcpBackend`] is the production path — per-shard connection pools
-//! over the v3 protocol, gated by the [`crate::health`] state machine
-//! and wrapped in **hedged sub-requests**: if a shard has not answered
-//! within a p99-derived delay, the request is duplicated on a fresh
-//! connection and the first response wins. Hedging can never
-//! double-count mass: the merge takes exactly one reply per sub-request
-//! slot, and each connection validates the echoed request id, so a late
-//! loser is simply dropped with its connection.
+//! over the v3 protocol, gated by the [`crate::health`] state machine.
+//! A scatter runs on the caller's thread: it writes every target shard's
+//! sub-request on a pooled connection before reading any reply, then
+//! reads the replies in shard order, so a routed query starts no thread
+//! while its shards keep up. Threads enter only for **hedged
+//! sub-requests**: a shard whose reply has not arrived in full within a
+//! p99-derived delay (or whose first attempt failed, or which has no
+//! pooled connection yet) is raced — the original attempt keeps waiting
+//! on a thread while a duplicate goes out on a fresh connection, and the
+//! first response wins. Each raced shard gets its own thread and its own
+//! hedge clock. Hedging can never double-count mass: the merge takes
+//! exactly one reply per sub-request slot, and each connection validates
+//! the echoed request id, so a late loser is simply dropped with its
+//! connection.
 //!
 //! [`LocalBackend`] runs shards in-process (no sockets) with injectable
 //! failures — the exactness oracle and fault-matrix tests drive the same
 //! merge loop through it.
 
+use std::borrow::Borrow;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -22,7 +30,7 @@ use std::time::{Duration, Instant};
 use fastppv_core::PpvStore;
 use fastppv_graph::NodeId;
 use fastppv_server::net::{
-    Client, ClientOptions, ServerHello, SubReply, WireExpand, WirePrime0, WireStats,
+    Client, ClientOptions, ReplyWait, ServerHello, SubReply, WireExpand, WirePrime0, WireStats,
 };
 use fastppv_server::QueryService;
 use parking_lot::Mutex;
@@ -143,46 +151,68 @@ impl Inner {
 
 type Op<T> = Arc<dyn Fn(&mut Client) -> io::Result<T> + Send + Sync>;
 
-/// One attempt on its own thread: take a pooled (or fresh) connection,
-/// run the op, and report through the channel. A connection that
-/// *completed* its round trip is back in sync and returns to the pool
-/// even if it lost the hedge race; a failed connection is dropped.
+/// Writes a sub-request and returns its request id
+/// (`Client::send_prime0` / `Client::send_expand`).
+type SendFn<R> = fn(&mut Client, &R, Option<u64>) -> io::Result<u64>;
+
+/// Reads the reply to request `id` off a connection the request went out
+/// on (`Client::recv_prime0` / `Client::recv_expand`).
+type RecvFn<T> = fn(&mut Client, u64) -> io::Result<T>;
+
+/// A straggler's original attempt, handed to a thread: keep waiting for
+/// the reply to `id` on `client`. A connection that completes its round
+/// trip is back in sync and returns to the pool even if it lost the
+/// hedge race; a failed one is dropped.
+fn spawn_wait<T: Send + 'static>(
+    inner: &Arc<Inner>,
+    shard: usize,
+    (mut client, id): (Client, u64),
+    recv: RecvFn<T>,
+    tx: mpsc::Sender<io::Result<T>>,
+) {
+    let inner = Arc::clone(inner);
+    std::thread::spawn(move || {
+        let reply = recv(&mut client, id);
+        if reply.is_ok() {
+            inner.return_client(shard, client);
+        }
+        let _ = tx.send(reply);
+    });
+}
+
+/// A duplicate or retry on its own thread: run the whole op on a fresh
+/// connection and report through the channel. A completed connection
+/// joins the pool; a failed one is dropped.
 fn spawn_attempt<T: Send + 'static>(
     inner: &Arc<Inner>,
     shard: usize,
-    reuse_pool: bool,
     op: Op<T>,
     tx: mpsc::Sender<io::Result<T>>,
 ) {
     let inner = Arc::clone(inner);
     std::thread::spawn(move || {
-        let client = match if reuse_pool {
-            inner.take_pooled(shard)
-        } else {
-            None
-        } {
-            Some(c) => Ok(c),
-            None => inner
-                .addr(shard)
-                .and_then(|addr| Client::connect_with(addr, inner.options.client)),
-        };
-        let mut client = match client {
-            Ok(c) => c,
-            Err(e) => {
-                let _ = tx.send(Err(e));
-                return;
-            }
-        };
-        match op(&mut client) {
-            Ok(t) => {
-                inner.return_client(shard, client);
-                let _ = tx.send(Ok(t));
-            }
-            Err(e) => {
-                let _ = tx.send(Err(e));
-            }
-        }
+        let reply = inner
+            .addr(shard)
+            .and_then(|addr| Client::connect_with(addr, inner.options.client))
+            .and_then(|mut client| op(&mut client).inspect(|_| inner.return_client(shard, client)));
+        let _ = tx.send(reply);
     });
+}
+
+/// One shard's sub-request partway through a scatter.
+enum Flight<T> {
+    /// Sent on this pooled connection under this request id; the reply is
+    /// not in yet, or only in part (buffered on the client).
+    Sent(Client, u64),
+    /// No pooled connection: the first attempt, connect included, runs on
+    /// a thread and reports on this channel — a shard that accepts but
+    /// never greets cannot hold the caller past its hedge delay.
+    Spawned(mpsc::Sender<io::Result<T>>, mpsc::Receiver<io::Result<T>>),
+    /// The first attempt failed before its reply (a write error, or a
+    /// stale pooled connection): retry at once.
+    Failed,
+    /// Settled.
+    Done(Result<T, BackendError>),
 }
 
 /// Remote shards over TCP: pooled connections, health gating, hedging.
@@ -359,11 +389,7 @@ impl TcpBackend {
                 Ok(t)
             }
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                inner.health.on_failure(shard, Instant::now());
-                Err(BackendError::Protocol {
-                    shard,
-                    message: e.to_string(),
-                })
+                Err(self.protocol_failure(shard, e))
             }
             Err(_) => {
                 inner.health.on_failure(shard, Instant::now());
@@ -372,24 +398,198 @@ impl TcpBackend {
         }
     }
 
-    /// Runs `op` against a shard with straggler hedging: the first
-    /// attempt reuses a pooled connection; if no reply lands within the
-    /// hedge delay (p99 × factor, floored), a duplicate runs on a fresh
-    /// connection and the first reply wins. A failed first attempt
-    /// triggers the second immediately (fast retry). At most two
-    /// attempts; the whole call is bounded by `sub_request_timeout`.
-    fn hedged<T: Send + 'static>(&self, shard: usize, op: Op<T>) -> Result<T, BackendError> {
+    /// Sends one sub-request per target and gathers the replies, in
+    /// `targets` order. Every request is written on a pooled connection
+    /// before any reply is awaited, so the shards work concurrently; then
+    /// [`Self::gather_inline`] reads the replies on the caller's thread.
+    /// Whatever that leaves open — a straggler, a failed first attempt —
+    /// goes to [`Self::race`], one racing thread per open shard, each on
+    /// its own hedge clock. So does every target when some shard has no
+    /// pooled connection (a cold or drained pool): its first attempt,
+    /// connect included, starts on a thread, so that a shard which
+    /// accepts but never greets cannot hold the caller.
+    fn scatter<R, T>(
+        &self,
+        targets: &[(usize, &R)],
+        expect_epoch: Option<u64>,
+        send: SendFn<R>,
+        recv: RecvFn<T>,
+    ) -> Vec<Result<T, BackendError>>
+    where
+        R: ?Sized + ToOwned + 'static,
+        R::Owned: Send + Sync + 'static,
+        T: Send + 'static,
+    {
         let inner = &self.inner;
-        if !inner.health.allow(shard, Instant::now()) {
-            return Err(BackendError::ShardDown(shard));
+        // The whole sub-request as one op, for an attempt on a thread: an
+        // owned copy of the request, sent and read on one connection.
+        let op = |request: &R| -> Op<T> {
+            let request = request.to_owned();
+            Arc::new(move |c: &mut Client| {
+                let id = send(c, request.borrow(), expect_epoch)?;
+                recv(c, id)
+            })
+        };
+        let mut flights: Vec<(Instant, Flight<T>)> = targets
+            .iter()
+            .map(|&(shard, request)| {
+                let started = Instant::now();
+                if !inner.health.allow(shard, started) {
+                    return (started, Flight::Done(Err(BackendError::ShardDown(shard))));
+                }
+                let flight = match inner.take_pooled(shard) {
+                    Some(mut c) => match send(&mut c, request, expect_epoch) {
+                        Ok(id) => Flight::Sent(c, id),
+                        Err(_) => Flight::Failed,
+                    },
+                    None => {
+                        let (tx, rx) = mpsc::channel();
+                        spawn_attempt(inner, shard, op(request), tx.clone());
+                        Flight::Spawned(tx, rx)
+                    }
+                };
+                (started, flight)
+            })
+            .collect();
+        if flights
+            .iter()
+            .all(|(_, f)| matches!(f, Flight::Sent(..) | Flight::Done(_)))
+        {
+            self.gather_inline(targets, &mut flights, recv);
         }
-        let started = Instant::now();
+        std::thread::scope(|scope| {
+            let settling: Vec<_> = targets
+                .iter()
+                .zip(flights)
+                .map(|(&(shard, request), (started, flight))| match flight {
+                    Flight::Done(reply) => (shard, Ok(reply)),
+                    open => {
+                        let op = op(request);
+                        let racing = scope.spawn(move || self.race(shard, started, open, recv, op));
+                        (shard, Err(racing))
+                    }
+                })
+                .collect();
+            settling
+                .into_iter()
+                .map(|(shard, settled)| {
+                    settled.unwrap_or_else(|racing| {
+                        racing.join().unwrap_or(Err(BackendError::ShardDown(shard)))
+                    })
+                })
+                .collect()
+        })
+    }
+
+    /// Reads the replies in `targets` order on the caller's thread. Each
+    /// shard's whole reply is awaited up to that shard's own hedge
+    /// deadline (p99 × factor, floored, from when its request went out);
+    /// a reply that has not finished by then — started or not — stays
+    /// buffered on its connection for the race. Once one shard needs the
+    /// race, the rest are read only as far as they have already arrived,
+    /// so no shard's race waits behind another shard's read. A latency
+    /// sample is recorded only for a reply no earlier shard held up: the
+    /// first one read, or one the gather had to wait for.
+    fn gather_inline<R: ?Sized, T>(
+        &self,
+        targets: &[(usize, &R)],
+        flights: &mut [(Instant, Flight<T>)],
+        recv: RecvFn<T>,
+    ) {
+        let inner = &self.inner;
+        let total = inner.options.sub_request_timeout;
+        let mut racing = false;
+        let mut first = true;
+        for (&(shard, _), (started, flight)) in targets.iter().zip(flights.iter_mut()) {
+            let (mut client, id) = match std::mem::replace(flight, Flight::Failed) {
+                Flight::Sent(client, id) => (client, id),
+                settled => {
+                    *flight = settled;
+                    continue;
+                }
+            };
+            let window = if inner.options.hedge {
+                inner.hedge_delay(shard).min(total)
+            } else {
+                total
+            };
+            // A socket read timeout shorter than the window fails the
+            // attempt, as it would fail a blocking read.
+            let read_cut = inner.options.client.read_timeout.filter(|&r| r < window);
+            let deadline = if racing {
+                Instant::now()
+            } else {
+                *started + read_cut.unwrap_or(window)
+            };
+            let sampled = std::mem::replace(&mut first, false);
+            *flight = match client.wait_reply(deadline) {
+                Ok(ReplyWait::Pending) => {
+                    let cut = read_cut.is_some() && !racing;
+                    racing = true;
+                    if cut {
+                        Flight::Failed
+                    } else {
+                        Flight::Sent(client, id)
+                    }
+                }
+                Ok(wait) => match recv(&mut client, id) {
+                    Ok(t) => {
+                        inner.return_client(shard, client);
+                        if sampled || wait == ReplyWait::Arrived {
+                            inner.health.on_success(shard, started.elapsed());
+                        } else {
+                            inner.health.on_success_unsampled(shard);
+                        }
+                        Flight::Done(Ok(t))
+                    }
+                    Err(e) => self.inline_failure(shard, e, &mut racing),
+                },
+                Err(e) => self.inline_failure(shard, e, &mut racing),
+            };
+        }
+    }
+
+    /// An inline read that failed: a protocol violation settles the
+    /// shard; anything else is retried by the race.
+    fn inline_failure<T>(&self, shard: usize, e: io::Error, racing: &mut bool) -> Flight<T> {
+        if e.kind() == io::ErrorKind::InvalidData {
+            return Flight::Done(Err(self.protocol_failure(shard, e)));
+        }
+        *racing = true;
+        Flight::Failed
+    }
+
+    /// The straggler path, on threads: the original attempt keeps
+    /// waiting (or, if it failed, a retry runs at once on a fresh
+    /// connection); once the hedge delay has passed, a duplicate runs on
+    /// a fresh connection, and the first reply wins. At most two
+    /// attempts; the whole sub-request, counted from `started`, is bounded
+    /// by `sub_request_timeout`.
+    fn race<T: Send + 'static>(
+        &self,
+        shard: usize,
+        started: Instant,
+        original: Flight<T>,
+        recv: RecvFn<T>,
+        op: Op<T>,
+    ) -> Result<T, BackendError> {
+        let inner = &self.inner;
         let total = inner.options.sub_request_timeout;
         let hedge_delay = inner.hedge_delay(shard);
-        let (tx, rx) = mpsc::channel::<io::Result<T>>();
-        spawn_attempt(inner, shard, true, Arc::clone(&op), tx.clone());
+        let (tx, rx, mut failed) = match original {
+            Flight::Done(reply) => return reply,
+            Flight::Spawned(tx, rx) => (tx, rx, 0u32),
+            Flight::Sent(client, id) => {
+                let (tx, rx) = mpsc::channel();
+                spawn_wait(inner, shard, (client, id), recv, tx.clone());
+                (tx, rx, 0)
+            }
+            Flight::Failed => {
+                let (tx, rx) = mpsc::channel();
+                (tx, rx, 1)
+            }
+        };
         let mut launched = 1u32;
-        let mut failed = 0u32;
         loop {
             let elapsed = started.elapsed();
             if elapsed >= total {
@@ -403,7 +603,7 @@ impl TcpBackend {
                 // fresh connection instead of waiting for the hedge
                 // timer.
                 launched += 1;
-                spawn_attempt(inner, shard, false, Arc::clone(&op), tx.clone());
+                spawn_attempt(inner, shard, Arc::clone(&op), tx.clone());
                 continue;
             }
             let wait = if launched < 2 && inner.options.hedge {
@@ -417,18 +617,14 @@ impl TcpBackend {
                     return Ok(t);
                 }
                 Ok(Err(e)) if e.kind() == io::ErrorKind::InvalidData => {
-                    inner.health.on_failure(shard, Instant::now());
-                    return Err(BackendError::Protocol {
-                        shard,
-                        message: e.to_string(),
-                    });
+                    return Err(self.protocol_failure(shard, e));
                 }
                 Ok(Err(_)) => failed += 1,
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     if launched < 2 && inner.options.hedge && started.elapsed() >= hedge_delay {
                         launched += 1;
                         inner.hedges.fetch_add(1, Ordering::Relaxed);
-                        spawn_attempt(inner, shard, false, Arc::clone(&op), tx.clone());
+                        spawn_attempt(inner, shard, Arc::clone(&op), tx.clone());
                     }
                 }
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
@@ -436,6 +632,15 @@ impl TcpBackend {
         }
         inner.health.on_failure(shard, Instant::now());
         Err(BackendError::ShardDown(shard))
+    }
+
+    /// Records a protocol violation (not retryable) against `shard`.
+    fn protocol_failure(&self, shard: usize, e: io::Error) -> BackendError {
+        self.inner.health.on_failure(shard, Instant::now());
+        BackendError::Protocol {
+            shard,
+            message: e.to_string(),
+        }
     }
 }
 
@@ -450,10 +655,14 @@ impl SubBackend for TcpBackend {
         query: NodeId,
         expect_epoch: Option<u64>,
     ) -> Result<SubReply<WirePrime0>, BackendError> {
-        self.hedged(
-            shard,
-            Arc::new(move |c: &mut Client| c.prime0(query, expect_epoch)),
+        self.scatter(
+            &[(shard, &query)],
+            expect_epoch,
+            |c, &query, expect_epoch| c.send_prime0(query, expect_epoch),
+            Client::recv_prime0,
         )
+        .pop()
+        .unwrap_or(Err(BackendError::ShardDown(shard)))
     }
 
     fn expand(
@@ -462,10 +671,21 @@ impl SubBackend for TcpBackend {
         sublist: &[(NodeId, f64)],
         expect_epoch: Option<u64>,
     ) -> Result<SubReply<WireExpand>, BackendError> {
-        let sublist = sublist.to_vec();
-        self.hedged(
-            shard,
-            Arc::new(move |c: &mut Client| c.expand(&sublist, expect_epoch)),
+        self.expand_all(&[(shard, sublist)], expect_epoch)
+            .pop()
+            .unwrap_or(Err(BackendError::ShardDown(shard)))
+    }
+
+    fn expand_all(
+        &self,
+        targets: &[(usize, &[(NodeId, f64)])],
+        expect_epoch: Option<u64>,
+    ) -> Vec<Result<SubReply<WireExpand>, BackendError>> {
+        self.scatter(
+            targets,
+            expect_epoch,
+            Client::send_expand,
+            Client::recv_expand,
         )
     }
 }

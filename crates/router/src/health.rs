@@ -13,7 +13,7 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use fastppv_server::percentile;
+use fastppv_server::percentile_of_sorted;
 use parking_lot::Mutex;
 
 /// The observable health of one shard.
@@ -157,7 +157,10 @@ const LATENCY_WINDOW: usize = 256;
 
 struct ShardEntry {
     health: ShardHealth,
+    /// The window in arrival order (the next eviction is at the front).
     latencies: VecDeque<Duration>,
+    /// The same window, ascending: the p99 is an index read.
+    sorted: Vec<Duration>,
 }
 
 /// Shared health registry for a set of shards: the state machines plus a
@@ -176,6 +179,7 @@ impl HealthBoard {
                     Mutex::new(ShardEntry {
                         health: ShardHealth::new(options),
                         latencies: VecDeque::new(),
+                        sorted: Vec::new(),
                     })
                 })
                 .collect(),
@@ -202,9 +206,22 @@ impl HealthBoard {
         let mut e = self.shards[shard].lock();
         e.health.on_success();
         if e.latencies.len() == LATENCY_WINDOW {
-            e.latencies.pop_front();
+            if let Some(old) = e.latencies.pop_front() {
+                if let Ok(at) = e.sorted.binary_search(&old) {
+                    e.sorted.remove(at);
+                }
+            }
         }
         e.latencies.push_back(latency);
+        let at = e.sorted.partition_point(|&x| x <= latency);
+        e.sorted.insert(at, latency);
+    }
+
+    /// Records a completed sub-request whose latency is unknown (its
+    /// reply was read late, behind another shard's): the shard is healthy,
+    /// and the p99 window is left alone.
+    pub fn on_success_unsampled(&self, shard: usize) {
+        self.shards[shard].lock().health.on_success();
     }
 
     /// Records a failed sub-request.
@@ -221,14 +238,10 @@ impl HealthBoard {
     /// (`None` until any sample exists).
     pub fn p99(&self, shard: usize) -> Option<Duration> {
         let e = self.shards[shard].lock();
-        if e.latencies.is_empty() {
+        if e.sorted.is_empty() {
             return None;
         }
-        let (a, b) = e.latencies.as_slices();
-        let mut all: Vec<Duration> = Vec::with_capacity(e.latencies.len());
-        all.extend_from_slice(a);
-        all.extend_from_slice(b);
-        Some(percentile(&all, 0.99))
+        Some(percentile_of_sorted(&e.sorted, 0.99))
     }
 
     /// Shards currently not `Down` (the breaker clock is not advanced).
@@ -323,5 +336,28 @@ mod tests {
         assert!(!board.allow(2, now));
         board.on_success(2, Duration::from_millis(1));
         assert_eq!(board.live_shards(), vec![0, 1, 2]);
+    }
+
+    /// The sorted window answers exactly what sorting the ring would,
+    /// after every push — duplicates and evictions included.
+    #[test]
+    fn p99_matches_percentile_of_the_window_across_eviction() {
+        let board = HealthBoard::new(1, opts());
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for push in 0..3 * LATENCY_WINDOW {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // A narrow range forces ties, so eviction must remove one
+            // copy of a repeated value, not all of them.
+            board.on_success(0, Duration::from_micros(state % 97));
+            let window: Vec<Duration> = board.shards[0].lock().latencies.iter().copied().collect();
+            assert_eq!(window.len(), (push + 1).min(LATENCY_WINDOW));
+            assert_eq!(
+                board.p99(0),
+                Some(fastppv_server::percentile(&window, 0.99)),
+                "push {push}"
+            );
+        }
     }
 }

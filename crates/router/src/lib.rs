@@ -27,10 +27,12 @@
 //!   Down on consecutive failures, with a circuit breaker and capped
 //!   exponential backoff before half-open retries, fed by both request
 //!   outcomes and a background `OP_STATS` prober;
-//! * **hedged sub-requests** ([`backend`]) — a straggling shard's
-//!   sub-request is duplicated on a fresh connection after a p99-based
-//!   delay; the first response wins, and per-connection request-id echo
-//!   validation keeps a late loser from ever being mis-credited;
+//! * **hedged sub-requests** ([`backend`]) — a scatter writes every
+//!   shard's sub-request, then reads the replies, all on the caller's
+//!   thread; only a straggling shard's sub-request is raced on threads,
+//!   duplicated on a fresh connection after a p99-based delay; the first
+//!   response wins, and per-connection request-id echo validation keeps a
+//!   late loser from ever being mis-credited;
 //! * **graceful degradation** ([`merge`]) — a Down shard's sublist is
 //!   dropped (φ inflates to cover it) and the answer is flagged
 //!   `degraded`; an accuracy target made unattainable by dead shards is

@@ -32,7 +32,7 @@ use crate::backend::BackendError;
 /// by [`crate::backend::TcpBackend`] (remote shards, hedged) and
 /// [`crate::backend::LocalBackend`] (in-process shards, for tests and
 /// single-machine serving).
-pub trait SubBackend: Sync {
+pub trait SubBackend {
     /// Number of shards addressed by this backend (must equal the shard
     /// map's).
     fn num_shards(&self) -> usize;
@@ -54,6 +54,21 @@ pub trait SubBackend: Sync {
         sublist: &[(NodeId, f64)],
         expect_epoch: Option<u64>,
     ) -> Result<SubReply<WireExpand>, BackendError>;
+
+    /// One increment across shards: `targets` pairs each shard with its
+    /// sublist, and the replies come back in `targets` order. The default
+    /// expands one target after another; a remote backend overrides it to
+    /// put every sub-request in flight before waiting on any.
+    fn expand_all(
+        &self,
+        targets: &[(usize, &[(NodeId, f64)])],
+        expect_epoch: Option<u64>,
+    ) -> Vec<Result<SubReply<WireExpand>, BackendError>> {
+        targets
+            .iter()
+            .map(|&(shard, sublist)| self.expand(shard, sublist, expect_epoch))
+            .collect()
+    }
 }
 
 /// What the router must know about the cluster's index to merge
@@ -120,22 +135,6 @@ impl std::fmt::Display for MergeError {
             MergeError::Shard(msg) => write!(f, "shard error: {msg}"),
         }
     }
-}
-
-/// Mirrors `StoppingCondition::met` (private in `fastppv-core`): any
-/// satisfied limit stops, and a condition with no limit at all means
-/// "iteration 0 only".
-fn met(stop: &StoppingCondition, iterations_done: usize, l1_error: f64, elapsed: Duration) -> bool {
-    if stop.max_iterations.is_some_and(|k| iterations_done >= k) {
-        return true;
-    }
-    if stop.l1_target.is_some_and(|t| l1_error <= t) {
-        return true;
-    }
-    if stop.time_limit.is_some_and(|l| elapsed >= l) {
-        return true;
-    }
-    stop.max_iterations.is_none() && stop.l1_target.is_none() && stop.time_limit.is_none()
 }
 
 fn check_entries(
@@ -248,7 +247,7 @@ fn merge_once<B: SubBackend>(
 
     loop {
         let l1 = (1.0 - covered).max(0.0);
-        if met(stop, iterations, l1, started.elapsed()) {
+        if stop.met(iterations, l1, started.elapsed()) {
             break;
         }
         // δ-filter before partitioning (shards skip ≤ δ hubs anyway;
@@ -272,33 +271,24 @@ fn merge_once<B: SubBackend>(
         for &(h, m) in &live {
             sublists[map.owner(h) as usize].push((h, m));
         }
-        let targets: Vec<usize> = (0..n_shards).filter(|&s| !sublists[s].is_empty()).collect();
+        let targets: Vec<(usize, &[(NodeId, f64)])> = sublists
+            .iter()
+            .enumerate()
+            .filter(|(_, sublist)| !sublist.is_empty())
+            .map(|(s, sublist)| (s, sublist.as_slice()))
+            .collect();
 
-        // Scatter: one sub-request per owning shard, concurrently. Each
-        // backend call is individually bounded (health gate + hedging +
-        // timeouts), so the join is too.
-        let mut gathered: Vec<(usize, Result<SubReply<WireExpand>, BackendError>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = targets
-                    .iter()
-                    .map(|&s| {
-                        let sublist = &sublists[s];
-                        scope.spawn(move || (s, backend.expand(s, sublist, Some(epoch))))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("scatter worker panicked"))
-                    .collect()
-            });
-        // Gather in ascending shard order — the fixed merge order that
+        // Scatter: one sub-request per owning shard (a remote backend
+        // puts them all in flight at once); each reply is individually
+        // bounded (health gate, hedging, timeouts). Replies come back in
+        // `targets` order — ascending shard, the fixed merge order that
         // makes the reassembled floating-point sums deterministic.
-        gathered.sort_by_key(|&(s, _)| s);
+        let gathered = backend.expand_all(&targets, Some(epoch));
 
         let mut next: BTreeMap<NodeId, f64> = BTreeMap::new();
         let mut expanded = 0usize;
         let mut dropped = false;
-        for (shard, reply) in gathered {
+        for (&(shard, _), reply) in targets.iter().zip(gathered) {
             match reply {
                 Ok(SubReply::Ok(x)) => {
                     check_entries(&x.entries, cfg.num_nodes, "expand")?;

@@ -155,33 +155,29 @@ pub fn cluster_epoch<B: UpdateBackend>(backend: &B) -> Option<u64> {
         .max()
 }
 
-/// Per-shard prepare outcomes: each shard index paired with the transport
-/// result of that shard's own accept/refuse answer.
-pub(crate) type PrepareOutcomes = Vec<(usize, Result<Result<(), String>, BackendError>)>;
-
-/// Runs one two-phase publish: prepare `events` at `target_epoch` on
-/// every shard (in parallel — a prepare refreshes that shard's owned
-/// hubs, the expensive part), abort everywhere if any prepare fails,
-/// else commit everywhere.
-pub fn two_phase_publish<B: UpdateBackend>(
+/// Phase one on every shard: stage `events` at `target_epoch`, all
+/// shards in parallel (a prepare refreshes that shard's owned hubs, the
+/// expensive part). If any prepare fails, the round is aborted on every
+/// shard and the first failure (in shard order) is returned.
+pub(crate) fn prepare_all<B: UpdateBackend>(
     backend: &B,
     target_epoch: u64,
     events: &[EdgeEvent],
 ) -> Result<(), PublishError> {
     let n = backend.num_shards();
-    let prepared: PrepareOutcomes = std::thread::scope(|scope| {
+    let prepared: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n)
-            .map(|s| scope.spawn(move || (s, backend.prepare(s, target_epoch, events))))
+            .map(|s| scope.spawn(move || backend.prepare(s, target_epoch, events)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("prepare worker panicked"))
             .collect()
     });
-    for (shard, outcome) in &prepared {
+    for (shard, outcome) in prepared.into_iter().enumerate() {
         let message = match outcome {
             Ok(Ok(())) => continue,
-            Ok(Err(msg)) => msg.clone(),
+            Ok(Err(msg)) => msg,
             Err(e) => e.to_string(),
         };
         // Roll back best-effort: staged snapshots hold memory, and a
@@ -189,22 +185,39 @@ pub fn two_phase_publish<B: UpdateBackend>(
         for s in 0..n {
             let _ = backend.abort(s);
         }
-        return Err(PublishError::Prepare {
-            shard: *shard,
-            message,
-        });
+        return Err(PublishError::Prepare { shard, message });
     }
-    let mut failures = Vec::new();
-    for shard in 0..n {
-        match backend.commit(shard, target_epoch) {
-            Ok(Ok(())) => {}
-            Ok(Err(msg)) => failures.push((shard, msg)),
-            Err(e) => failures.push((shard, e.to_string())),
-        }
-    }
+    Ok(())
+}
+
+/// Phase two on every shard, in shard order: publish the snapshot staged
+/// at `target_epoch`. Every shard is tried; the ones that failed are
+/// listed in [`PublishError::Commit`].
+pub(crate) fn commit_all<B: UpdateBackend>(
+    backend: &B,
+    target_epoch: u64,
+) -> Result<(), PublishError> {
+    let failures: Vec<(usize, String)> = (0..backend.num_shards())
+        .filter_map(|shard| match backend.commit(shard, target_epoch) {
+            Ok(Ok(())) => None,
+            Ok(Err(msg)) => Some((shard, msg)),
+            Err(e) => Some((shard, e.to_string())),
+        })
+        .collect();
     if failures.is_empty() {
         Ok(())
     } else {
         Err(PublishError::Commit { failures })
     }
+}
+
+/// Runs one two-phase publish: prepare on every shard in parallel,
+/// aborting everywhere if any prepare fails, then commit on every shard.
+pub fn two_phase_publish<B: UpdateBackend>(
+    backend: &B,
+    target_epoch: u64,
+    events: &[EdgeEvent],
+) -> Result<(), PublishError> {
+    prepare_all(backend, target_epoch, events)?;
+    commit_all(backend, target_epoch)
 }

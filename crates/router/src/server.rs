@@ -43,7 +43,7 @@ use fastppv_server::{percentile, LruCache};
 use parking_lot::Mutex;
 
 use crate::merge::{merge_query, MergeError, MergedAnswer, RouterConfig, SubBackend};
-use crate::publish::UpdateBackend;
+use crate::publish::{commit_all, prepare_all, PublishError, UpdateBackend};
 
 /// Serving knobs of a [`Router`].
 #[derive(Clone, Copy, Debug)]
@@ -326,8 +326,9 @@ where
         }
     }
 
-    /// Serves the batch in order (each request's scatter is itself
-    /// parallel).
+    /// Serves the batch in order. Each request's scatter puts all of its
+    /// sub-requests in flight from this connection's thread; only a
+    /// straggling shard is raced on threads.
     fn query(&self, requests: &[WireRequest], _stop: &AtomicBool) -> Vec<WireResponse> {
         requests.iter().map(|r| self.serve_request(r)).collect()
     }
@@ -345,62 +346,29 @@ where
         target_epoch: u64,
         events: &[EdgeEvent],
     ) -> Result<(), String> {
-        let n = UpdateBackend::num_shards(&self.backend);
         match phase {
             UpdatePhase::Prepare => {
-                let prepared: crate::publish::PrepareOutcomes = std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..n)
-                        .map(|s| {
-                            scope.spawn(move || (s, self.backend.prepare(s, target_epoch, events)))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("prepare worker panicked"))
-                        .collect()
-                });
-                for (shard, outcome) in &prepared {
-                    let message = match outcome {
-                        Ok(Ok(())) => continue,
-                        Ok(Err(msg)) => msg.clone(),
-                        Err(e) => e.to_string(),
-                    };
-                    for s in 0..n {
-                        let _ = self.backend.abort(s);
-                    }
-                    return Err(format!(
-                        "prepare failed on shard {shard} (round aborted): {message}"
-                    ));
-                }
-                Ok(())
+                prepare_all(&self.backend, target_epoch, events).map_err(|e| e.to_string())
             }
-            UpdatePhase::Commit => {
-                let mut failures = Vec::new();
-                for shard in 0..n {
-                    match self.backend.commit(shard, target_epoch) {
-                        Ok(Ok(())) => {}
-                        Ok(Err(msg)) => failures.push((shard, msg)),
-                        Err(e) => failures.push((shard, e.to_string())),
-                    }
-                }
-                if failures.is_empty() {
+            UpdatePhase::Commit => match commit_all(&self.backend, target_epoch) {
+                Ok(()) => {
                     self.advance_epoch(target_epoch);
                     self.cache.lock().clear();
                     Ok(())
-                } else {
-                    Err(format!(
-                        "commit failed on {} shard(s): {}",
-                        failures.len(),
-                        failures
-                            .iter()
-                            .map(|(s, m)| format!("[{s}] {m}"))
-                            .collect::<Vec<_>>()
-                            .join("; ")
-                    ))
                 }
-            }
+                Err(PublishError::Commit { failures }) => Err(format!(
+                    "commit failed on {} shard(s): {}",
+                    failures.len(),
+                    failures
+                        .iter()
+                        .map(|(s, m)| format!("[{s}] {m}"))
+                        .collect::<Vec<_>>()
+                        .join("; ")
+                )),
+                Err(e) => Err(e.to_string()),
+            },
             UpdatePhase::Abort => {
-                for s in 0..n {
+                for s in 0..UpdateBackend::num_shards(&self.backend) {
                     let _ = self.backend.abort(s);
                 }
                 Ok(())

@@ -4,12 +4,12 @@
 
 use std::io::{self, BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use fastppv_graph::gen::EdgeEvent;
 use fastppv_graph::NodeId;
 
-use super::conn::{read_frame, write_frame};
+use super::conn::{is_timeout, read_frame, write_frame, PartialFrame};
 use super::wire::{
     bad_data, decode_expand_response, decode_hello, decode_prime0_response, decode_response_batch,
     decode_stats_response, decode_update_response, encode_expand_request, encode_prime0_request,
@@ -105,6 +105,11 @@ pub struct Client {
     hello: ServerHello,
     /// Monotonic per-connection request-id source for sub-ops.
     next_request_id: u64,
+    /// The socket read timeout [`Client::wait_reply`] restores.
+    read_timeout: Option<Duration>,
+    /// The reply frame being read, kept across a timed-out
+    /// [`Client::wait_reply`].
+    reply: PartialFrame,
 }
 
 impl Client {
@@ -156,6 +161,8 @@ impl Client {
             writer,
             hello,
             next_request_id: 1,
+            read_timeout: options.read_timeout,
+            reply: PartialFrame::default(),
         })
     }
 
@@ -201,7 +208,12 @@ impl Client {
 
     fn round_trip(&mut self, frame: &[u8]) -> io::Result<Vec<u8>> {
         write_frame(&mut self.writer, frame)?;
-        read_frame(&mut self.reader)?.ok_or_else(closed_mid_request)
+        self.read_reply()
+    }
+
+    fn read_reply(&mut self) -> io::Result<Vec<u8>> {
+        self.reply.fill(&mut self.reader)?;
+        Ok(self.reply.take())
     }
 
     fn take_request_id(&mut self) -> u64 {
@@ -224,9 +236,25 @@ impl Client {
         query: NodeId,
         expect_epoch: Option<u64>,
     ) -> io::Result<SubReply<WirePrime0>> {
+        let id = self.send_prime0(query, expect_epoch)?;
+        self.recv_prime0(id)
+    }
+
+    /// The sending half of [`Client::prime0`]: writes the request and
+    /// returns its id, which [`Client::recv_prime0`] validates.
+    pub fn send_prime0(&mut self, query: NodeId, expect_epoch: Option<u64>) -> io::Result<u64> {
         let id = self.take_request_id();
-        let payload = self.round_trip(&encode_prime0_request(id, expect_epoch, query))?;
-        decode_prime0_response(&payload, id)
+        write_frame(
+            &mut self.writer,
+            &encode_prime0_request(id, expect_epoch, query),
+        )?;
+        Ok(id)
+    }
+
+    /// The receiving half of [`Client::prime0`]: reads the reply to the
+    /// request `id`.
+    pub fn recv_prime0(&mut self, id: u64) -> io::Result<SubReply<WirePrime0>> {
+        decode_prime0_response(&self.read_reply()?, id)
     }
 
     /// Asks for one shard's slice of one increment step: `sublist` holds
@@ -237,9 +265,62 @@ impl Client {
         sublist: &[(NodeId, f64)],
         expect_epoch: Option<u64>,
     ) -> io::Result<SubReply<WireExpand>> {
+        let id = self.send_expand(sublist, expect_epoch)?;
+        self.recv_expand(id)
+    }
+
+    /// The sending half of [`Client::expand`]: writes the request and
+    /// returns its id, which [`Client::recv_expand`] validates.
+    pub fn send_expand(
+        &mut self,
+        sublist: &[(NodeId, f64)],
+        expect_epoch: Option<u64>,
+    ) -> io::Result<u64> {
         let id = self.take_request_id();
-        let payload = self.round_trip(&encode_expand_request(id, expect_epoch, sublist))?;
-        decode_expand_response(&payload, id)
+        write_frame(
+            &mut self.writer,
+            &encode_expand_request(id, expect_epoch, sublist),
+        )?;
+        Ok(id)
+    }
+
+    /// The receiving half of [`Client::expand`]: reads the reply to the
+    /// request `id`.
+    pub fn recv_expand(&mut self, id: u64) -> io::Result<SubReply<WireExpand>> {
+        decode_expand_response(&self.read_reply()?, id)
+    }
+
+    /// Reads the reply to the request in flight until it is whole or
+    /// `deadline` passes, whichever comes first — a reply that stalls
+    /// mid-frame holds the caller no longer than one that never starts.
+    /// Nothing read is lost: the reply stays buffered for the `recv_*`
+    /// call that decodes it, and after [`ReplyWait::Pending`] that call
+    /// finishes reading it under the client's own read timeout.
+    pub fn wait_reply(&mut self, deadline: Instant) -> io::Result<ReplyWait> {
+        self.reader.get_ref().set_nonblocking(true)?;
+        let queued = self.reply.fill(&mut self.reader);
+        self.reader.get_ref().set_nonblocking(false)?;
+        match queued {
+            Ok(()) => return Ok(ReplyWait::Queued),
+            Err(e) if !is_timeout(&e) => return Err(e),
+            Err(_) => {}
+        }
+        let waited = loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break Ok(ReplyWait::Pending);
+            }
+            if let Err(e) = self.reader.get_ref().set_read_timeout(Some(left)) {
+                break Err(e);
+            }
+            match self.reply.fill(&mut self.reader) {
+                Ok(()) => break Ok(ReplyWait::Arrived),
+                Err(e) if is_timeout(&e) => {}
+                Err(e) => break Err(e),
+            }
+        };
+        self.reader.get_ref().set_read_timeout(self.read_timeout)?;
+        waited
     }
 
     /// Phase one of a coordinated update: ship the event batch and stage
@@ -274,14 +355,15 @@ impl Client {
     }
 }
 
-/// The server went away cleanly between request and response. This is a
-/// *connection* failure (`ConnectionAborted` — a crashed or restarting
-/// peer, retryable on a fresh connection), never a protocol violation:
-/// the router's hedging layer treats `InvalidData` as non-retryable
-/// misbehavior, and a SIGKILLed shard must not be classified as that.
-fn closed_mid_request() -> io::Error {
-    io::Error::new(
-        io::ErrorKind::ConnectionAborted,
-        "server closed mid-request",
-    )
+/// How [`Client::wait_reply`] ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReplyWait {
+    /// The whole reply was already queued when the wait began, so when
+    /// it arrived is unknown.
+    Queued,
+    /// The reply finished arriving during the wait.
+    Arrived,
+    /// The deadline passed first. What did arrive stays buffered, so the
+    /// connection is still in sync.
+    Pending,
 }

@@ -83,22 +83,86 @@ pub(super) fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()>
 
 /// Reads one frame; `Ok(None)` on a clean EOF at a frame boundary.
 pub(super) fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    let mut frame = PartialFrame::default();
+    match frame.fill(r) {
+        Ok(()) => Ok(Some(frame.take())),
+        Err(e) if !frame.started() && e.kind() == io::ErrorKind::ConnectionAborted => Ok(None),
+        Err(e) => Err(e),
     }
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(bad_data(format!("frame of {len} bytes exceeds the cap")));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
 }
 
-fn is_timeout(e: &io::Error) -> bool {
+/// A frame read in as many pieces as the socket hands over: a read that
+/// times out mid-frame loses nothing, and the next [`PartialFrame::fill`]
+/// resumes where it stopped.
+#[derive(Debug, Default)]
+pub(super) struct PartialFrame {
+    /// The length prefix, and how many of its bytes are in.
+    head: [u8; 4],
+    head_filled: usize,
+    /// The payload (sized once the prefix is in), and how much of it is in.
+    body: Vec<u8>,
+    body_filled: usize,
+}
+
+impl PartialFrame {
+    /// Reads until the frame is whole. On an error — a socket timeout
+    /// included — what arrived stays put. The peer closing is an error
+    /// too (`ConnectionAborted`), even at a frame boundary: a frame is
+    /// due.
+    pub(super) fn fill<R: Read>(&mut self, r: &mut R) -> io::Result<()> {
+        while self.head_filled < 4 {
+            // fppv-lint: allow(panic-freedom) -- head_filled < 4 = head.len() is the loop condition
+            self.head_filled += read_some(r, &mut self.head[self.head_filled..])?;
+            if self.head_filled == 4 {
+                let len = u32::from_le_bytes(self.head) as usize;
+                if len > MAX_FRAME_BYTES {
+                    return Err(bad_data(format!("frame of {len} bytes exceeds the cap")));
+                }
+                self.body = vec![0; len];
+                self.body_filled = 0;
+            }
+        }
+        while self.body_filled < self.body.len() {
+            // fppv-lint: allow(panic-freedom) -- body_filled < body.len() is the loop condition
+            self.body_filled += read_some(r, &mut self.body[self.body_filled..])?;
+        }
+        Ok(())
+    }
+
+    /// Whether any byte of the frame is in.
+    pub(super) fn started(&self) -> bool {
+        self.head_filled > 0
+    }
+
+    /// The whole frame's payload; the buffer starts over for the next one.
+    pub(super) fn take(&mut self) -> Vec<u8> {
+        self.head_filled = 0;
+        std::mem::take(&mut self.body)
+    }
+}
+
+/// One read of at least a byte. A peer that closes is a *connection*
+/// failure (`ConnectionAborted` — a crashed or restarting peer, retryable
+/// on a fresh connection), never a protocol violation: the router's
+/// hedging layer treats `InvalidData` as non-retryable misbehavior, and a
+/// SIGKILLed shard must not be classified as that.
+fn read_some<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
+    loop {
+        match r.read(buf) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::ConnectionAborted,
+                    "peer closed mid-frame",
+                ))
+            }
+            Ok(n) => return Ok(n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+pub(super) fn is_timeout(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut

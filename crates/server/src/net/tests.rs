@@ -12,7 +12,7 @@ use fastppv_core::{Config, FlatIndex, HubSet, PpvStore, QueryEngine};
 use fastppv_graph::gen::EdgeEvent;
 use fastppv_graph::{toy, NodeId};
 
-use super::conn::{read_frame, read_frame_stalling, spawn_acceptor};
+use super::conn::{read_frame, read_frame_stalling, spawn_acceptor, write_frame};
 use super::wire::{
     decode_expand_request, decode_expand_response, decode_hello, decode_prime0_request,
     decode_prime0_response, decode_response_batch, decode_stats_request, decode_stats_response,
@@ -541,6 +541,75 @@ fn client_times_out_instead_of_hanging_on_a_silent_server() {
         "a silent server is a typed timeout"
     );
     hold.join().unwrap();
+}
+
+/// The split sub-op calls: `wait_reply` stops at its deadline even
+/// mid-frame — the server sends a few bytes of its reply, then holds the
+/// rest — and loses nothing, so the reply read afterwards and the next
+/// round trip on the same connection are in sync.
+#[test]
+fn wait_reply_stops_at_its_deadline_mid_frame_and_keeps_the_connection_in_sync() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    let shard = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        write_frame(&mut stream, &encode_hello(&sample_hello())).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        for round in 0..2 {
+            let frame = read_frame(&mut reader).unwrap().expect("a request");
+            assert_eq!(frame[0], OP_PRIME0);
+            let (request_id, _, _) = decode_prime0_request(&frame[1..]).unwrap();
+            let mut reply = Vec::new();
+            write_frame(&mut reply, &encode_prime0_ok(request_id, &sample_prime0())).unwrap();
+            if round == 0 {
+                stream.write_all(&reply[..6]).unwrap();
+                release_rx.recv().unwrap();
+                stream.write_all(&reply[6..]).unwrap();
+            } else {
+                stream.write_all(&reply).unwrap();
+            }
+        }
+    });
+
+    let mut client = Client::connect(addr).unwrap();
+    let id = client.send_prime0(4, None).unwrap();
+    let started = Instant::now();
+    assert_eq!(
+        client
+            .wait_reply(started + Duration::from_millis(30))
+            .unwrap(),
+        ReplyWait::Pending
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "the deadline bounds a stalled frame, not the read timeout"
+    );
+    assert_eq!(
+        client.wait_reply(Instant::now()).unwrap(),
+        ReplyWait::Pending
+    );
+    release_tx.send(()).unwrap();
+    assert_ne!(
+        client
+            .wait_reply(Instant::now() + Duration::from_secs(10))
+            .unwrap(),
+        ReplyWait::Pending
+    );
+    assert_eq!(
+        client.wait_reply(Instant::now()).unwrap(),
+        ReplyWait::Queued,
+        "a whole buffered reply is ready at once"
+    );
+    assert_eq!(
+        client.recv_prime0(id).unwrap(),
+        SubReply::Ok(sample_prime0())
+    );
+    assert_eq!(
+        client.prime0(4, None).unwrap(),
+        SubReply::Ok(sample_prime0())
+    );
+    shard.join().unwrap();
 }
 
 #[test]

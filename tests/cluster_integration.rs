@@ -2,9 +2,12 @@
 //! counted queries, compared against the in-memory engine — plus the
 //! scatter/gather router's exactness oracle: the same index sliced
 //! across shards and merged by `fastppv::router` must reproduce the
-//! single-process answer to ≤ 1e-12 for every stopping condition.
+//! single-process answer to ≤ 1e-12 for every stopping condition, and
+//! merging over loopback TCP must reproduce the in-process merge exactly.
 
+use std::net::TcpListener;
 use std::sync::Arc;
+use std::time::Duration;
 
 use fastppv::cluster::partition::{cluster_graph, ClusteringOptions};
 use fastppv::cluster::query::{disk_query, DiskQueryWorkspace};
@@ -15,7 +18,8 @@ use fastppv::core::{build_flat_index, select_hubs, Config, FlatIndex, HubPolicy}
 use fastppv::graph::gen::{BibNetwork, DblpParams};
 use fastppv::graph::vec::ScoreScratch;
 use fastppv::graph::Graph;
-use fastppv::router::{merge_query, LocalBackend, RouterConfig};
+use fastppv::router::{merge_query, LocalBackend, RouterConfig, TcpBackend, TcpBackendOptions};
+use fastppv::server::net::serve;
 use fastppv::server::{QueryService, ServiceOptions};
 
 fn temp_path(name: &str) -> std::path::PathBuf {
@@ -168,7 +172,9 @@ fn sharded_backend(
 /// merging must reproduce the single-process engine bit-for-bit up to
 /// floating-point reassociation (≤ 1e-12 — the per-shard partial sums
 /// re-associate the additions), for iteration-count and L1-target stops
-/// alike, on hub and non-hub queries.
+/// alike, on hub and non-hub queries. The same shards served over
+/// loopback TCP must merge to exactly the in-process answer — same
+/// scores, φ, iterations and epoch, bit for bit — without a hedge.
 #[test]
 fn router_merge_matches_single_process_for_every_stop() {
     let net = BibNetwork::generate(
@@ -184,7 +190,6 @@ fn router_merge_matches_single_process_for_every_stop() {
     let config = Config::default().with_epsilon(1e-6);
     let hubs = Arc::new(select_hubs(&graph, HubPolicy::ExpectedUtility, n / 25, 0));
     let (index, _) = build_flat_index(&graph, &hubs, &config, 2);
-    let (backend, map) = sharded_backend(&graph, &hubs, &index, config, 3);
     let cfg = RouterConfig {
         alpha: config.alpha,
         delta: config.delta,
@@ -204,33 +209,74 @@ fn router_merge_matches_single_process_for_every_stop() {
         .collect();
     queries.extend(hubs.ids().iter().copied().take(2));
 
-    for &q in &queries {
-        for stop in &stops {
-            let single = engine.query(q, stop);
-            let merged = merge_query(&backend, &map, &cfg, q, stop, &mut scratch)
-                .unwrap_or_else(|e| panic!("q {q}: merge failed: {e}"));
-            assert!(!merged.degraded, "q {q}: no shard was down");
-            assert!(merged.shards_skipped.is_empty(), "q {q}");
-            assert_eq!(merged.iterations, single.iterations, "q {q} stop {stop:?}");
-            assert_eq!(merged.exhausted, single.exhausted, "q {q} stop {stop:?}");
-            assert!(
-                (merged.l1_error - single.l1_error).abs() <= 1e-12,
-                "q {q} stop {stop:?}: φ {} vs {}",
-                merged.l1_error,
-                single.l1_error
-            );
-            assert_eq!(
-                merged.scores.len(),
-                single.scores.len(),
-                "q {q} stop {stop:?}"
-            );
-            for (&(va, sa), &(vb, sb)) in merged.scores.iter().zip(single.scores.entries()) {
-                assert_eq!(va, vb, "q {q} stop {stop:?}");
+    for num_shards in [2, 3] {
+        let (backend, map) = sharded_backend(&graph, &hubs, &index, config, num_shards);
+        // The same shard services behind loopback servers. The hedge
+        // floor is far above any sub-request here, so every reply must
+        // arrive on the inline path.
+        let servers: Vec<_> = (0..num_shards as usize)
+            .map(|s| {
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                serve(Arc::clone(backend.service(s)), listener).unwrap()
+            })
+            .collect();
+        let tcp = TcpBackend::new(
+            servers.iter().map(|s| s.local_addr()).collect(),
+            TcpBackendOptions {
+                hedge_delay_floor: Duration::from_secs(10),
+                sub_request_timeout: Duration::from_secs(60),
+                ..TcpBackendOptions::default()
+            },
+        );
+        for &q in &queries {
+            for stop in &stops {
+                let single = engine.query(q, stop);
+                let merged = merge_query(&backend, &map, &cfg, q, stop, &mut scratch)
+                    .unwrap_or_else(|e| panic!("q {q}: merge failed: {e}"));
+                assert!(!merged.degraded, "q {q}: no shard was down");
+                assert!(merged.shards_skipped.is_empty(), "q {q}");
+                assert_eq!(merged.iterations, single.iterations, "q {q} stop {stop:?}");
+                assert_eq!(merged.exhausted, single.exhausted, "q {q} stop {stop:?}");
                 assert!(
-                    (sa - sb).abs() <= 1e-12,
-                    "q {q} stop {stop:?} node {va}: {sa} vs {sb}"
+                    (merged.l1_error - single.l1_error).abs() <= 1e-12,
+                    "q {q} stop {stop:?}: φ {} vs {}",
+                    merged.l1_error,
+                    single.l1_error
                 );
+                assert_eq!(
+                    merged.scores.len(),
+                    single.scores.len(),
+                    "q {q} stop {stop:?}"
+                );
+                for (&(va, sa), &(vb, sb)) in merged.scores.iter().zip(single.scores.entries()) {
+                    assert_eq!(va, vb, "q {q} stop {stop:?}");
+                    assert!(
+                        (sa - sb).abs() <= 1e-12,
+                        "q {q} stop {stop:?} node {va}: {sa} vs {sb}"
+                    );
+                }
+
+                let wired = merge_query(&tcp, &map, &cfg, q, stop, &mut scratch)
+                    .unwrap_or_else(|e| panic!("q {q}: TCP merge failed: {e}"));
+                let what = format!("{num_shards} shards, q {q} stop {stop:?}");
+                assert!(!wired.degraded && wired.shards_skipped.is_empty(), "{what}");
+                assert_eq!(wired.iterations, merged.iterations, "{what}");
+                assert_eq!(wired.exhausted, merged.exhausted, "{what}");
+                assert_eq!(wired.epoch, merged.epoch, "{what}");
+                assert_eq!(
+                    wired.l1_error.to_bits(),
+                    merged.l1_error.to_bits(),
+                    "{what}"
+                );
+                let bits = |a: &[(u32, f64)]| -> Vec<(u32, u64)> {
+                    a.iter().map(|&(v, x)| (v, x.to_bits())).collect()
+                };
+                assert_eq!(bits(&wired.scores), bits(&merged.scores), "{what}");
             }
+        }
+        assert_eq!(tcp.hedges_sent(), 0, "{num_shards} shards");
+        for server in servers {
+            server.shutdown();
         }
     }
 }

@@ -1,5 +1,7 @@
 //! Router fault matrix: shards dying mid-batch, slow-loris stragglers
-//! hedged around, epoch skew injected between merge iterations,
+//! hedged around, a scatter that must pipeline its sub-requests and
+//! retry past stale pooled connections, epoch skew injected between
+//! merge iterations,
 //! malformed frames and bad start-up options met the same way by the
 //! router's front-end and a shard's, and a property-based certification
 //! check — with one dead shard, the inflated φ must still upper-bound the
@@ -9,9 +11,9 @@
 //! default keeps the suite fast).
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use fastppv::cluster::{cluster_graph, slice_store, ClusteringOptions, ShardMap};
@@ -479,6 +481,473 @@ fn connection_refused_opens_breaker_and_fails_fast() {
         "open breaker must fail fast, took {:?}",
         started.elapsed()
     );
+}
+
+// ---------------------------------------------------------------------------
+// The inline scatter over TCP: pipelined, and retried past stale pools
+// ---------------------------------------------------------------------------
+
+/// One whole frame (length prefix included), or `None` once the peer is
+/// gone.
+fn read_raw_frame(stream: &mut TcpStream) -> Option<Vec<u8>> {
+    let mut frame = vec![0u8; 4];
+    stream.read_exact(&mut frame).ok()?;
+    let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
+    frame.resize(4 + len, 0);
+    stream.read_exact(&mut frame[4..]).ok()?;
+    Some(frame)
+}
+
+/// What a [`frame_proxy`] does to the frames it forwards.
+struct ProxyRules {
+    /// Sees the op byte of every request frame as it reaches the proxy.
+    on_request: Box<dyn Fn(u8) + Send + Sync>,
+    /// Runs, and may block, before the reply to a request with this op
+    /// byte is passed back.
+    before_reply: Box<dyn Fn(u8) + Send + Sync>,
+    /// Runs, and may block, after the first bytes of the reply to a
+    /// request with this op byte are passed back and before the rest is.
+    mid_reply: Box<dyn Fn(u8) + Send + Sync>,
+    /// Close the connection after this many replies (the hello aside).
+    replies_per_connection: Option<usize>,
+}
+
+impl Default for ProxyRules {
+    /// Forward everything untouched.
+    fn default() -> Self {
+        ProxyRules {
+            on_request: Box::new(|_| {}),
+            before_reply: Box::new(|_| {}),
+            mid_reply: Box::new(|_| {}),
+            replies_per_connection: None,
+        }
+    }
+}
+
+/// A frame-aware TCP proxy in front of `upstream`, applying `rules` to
+/// every connection.
+fn frame_proxy(upstream: SocketAddr, rules: ProxyRules) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let rules = Arc::new(rules);
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(client) = conn else { break };
+            let Ok(server) = TcpStream::connect(upstream) else {
+                continue;
+            };
+            // Request ops, in order, so each reply meets its request's op.
+            let (ops_tx, ops_rx) = mpsc::channel::<u8>();
+            let (mut c_in, mut s_out) = (client.try_clone().unwrap(), server.try_clone().unwrap());
+            let up_rules = Arc::clone(&rules);
+            std::thread::spawn(move || {
+                while let Some(frame) = read_raw_frame(&mut c_in) {
+                    let op = frame.get(4).copied().unwrap_or(0);
+                    (up_rules.on_request)(op);
+                    if ops_tx.send(op).is_err() || s_out.write_all(&frame).is_err() {
+                        break;
+                    }
+                }
+                let _ = s_out.shutdown(Shutdown::Write);
+            });
+            let (mut s_in, mut c_out) = (server, client);
+            let rules = Arc::clone(&rules);
+            std::thread::spawn(move || {
+                let Some(hello) = read_raw_frame(&mut s_in) else {
+                    return;
+                };
+                let mut replies = 0;
+                if c_out.write_all(&hello).is_ok() {
+                    while let Some(reply) = read_raw_frame(&mut s_in) {
+                        let Ok(op) = ops_rx.recv() else { break };
+                        (rules.before_reply)(op);
+                        let (head, rest) = reply.split_at(reply.len().min(6));
+                        let sent = c_out.write_all(head).is_ok() && {
+                            (rules.mid_reply)(op);
+                            c_out.write_all(rest).is_ok()
+                        };
+                        if !sent {
+                            break;
+                        }
+                        replies += 1;
+                        if rules.replies_per_connection == Some(replies) {
+                            break;
+                        }
+                    }
+                }
+                let _ = c_out.shutdown(Shutdown::Both);
+                let _ = s_in.shutdown(Shutdown::Both);
+            });
+        }
+    });
+    addr
+}
+
+/// Loopback shard servers for `services`, each behind a proxy made by
+/// `proxy(shard, server address)`, and a `TcpBackend` over the proxies.
+fn proxied_cluster(
+    services: &[Arc<QueryService<FlatIndex>>],
+    options: TcpBackendOptions,
+    proxy: impl Fn(usize, SocketAddr) -> SocketAddr,
+) -> (Vec<fastppv::server::net::NetServer>, TcpBackend) {
+    let servers: Vec<_> = services
+        .iter()
+        .map(|s| serve(Arc::clone(s), TcpListener::bind("127.0.0.1:0").unwrap()).unwrap())
+        .collect();
+    let addrs = servers
+        .iter()
+        .enumerate()
+        .map(|(shard, server)| proxy(shard, server.local_addr()))
+        .collect();
+    (servers, TcpBackend::new(addrs, options))
+}
+
+/// A hedge floor (5 s) far above anything the test allows, so any hedge
+/// at all shows up as a slow merge.
+fn hedge_never() -> TcpBackendOptions {
+    TcpBackendOptions {
+        hedge_delay_floor: Duration::from_secs(5),
+        sub_request_timeout: Duration::from_secs(20),
+        ..TcpBackendOptions::default()
+    }
+}
+
+/// A one-shot gate a proxy thread can block on until the test opens it
+/// (or `limit` passes).
+#[derive(Clone, Default)]
+struct Gate(Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>);
+
+impl Gate {
+    fn open(&self) {
+        *self.0 .0.lock().unwrap() = true;
+        self.0 .1.notify_all();
+    }
+
+    fn is_open(&self) -> bool {
+        *self.0 .0.lock().unwrap()
+    }
+
+    fn wait(&self, limit: Duration) {
+        let (lock, cv) = &*self.0;
+        let guard = lock.lock().unwrap();
+        let _ = cv.wait_timeout_while(guard, limit, |open| !*open).unwrap();
+    }
+}
+
+/// A non-hub query whose prime PPV leaves live frontier mass on every
+/// one of `shards`, so its first expand round reaches each of them.
+fn query_reaching(
+    fx: &Fixture,
+    map: &ShardMap,
+    local: &LocalBackend<FlatIndex>,
+    shards: &[usize],
+) -> NodeId {
+    non_hub_queries(fx, 60)
+        .into_iter()
+        .find(|&q| match local.prime0(map.owner(q) as usize, q, None) {
+            Ok(SubReply::Ok(p0)) => shards.iter().all(|&s| {
+                p0.frontier
+                    .iter()
+                    .any(|&(h, m)| m > fx.config.delta && map.owner(h) as usize == s)
+            }),
+            _ => false,
+        })
+        .expect("some query's first round reaches every shard")
+}
+
+/// Fills each shard's pool with one connection, so the next scatter's
+/// sub-requests all take the inline path (a shard with an empty pool
+/// starts its first attempt on a thread).
+fn warm_pools(backend: &TcpBackend, q: NodeId) {
+    for shard in 0..backend.addrs().len() {
+        assert!(matches!(
+            backend.prime0(shard, q, None),
+            Ok(SubReply::Ok(_))
+        ));
+    }
+}
+
+/// Scores compared bit for bit.
+fn score_bits(scores: &[(NodeId, f64)]) -> Vec<(NodeId, u64)> {
+    scores.iter().map(|&(v, x)| (v, x.to_bits())).collect()
+}
+
+/// A scatter puts every shard's sub-request in flight before it waits on
+/// any reply: shard 0's expand reply is withheld until shard 1 has
+/// received its own expand request, and the merge still finishes at once
+/// without a hedge. A scatter that waited on shard 0 before sending to
+/// shard 1 would stall until the withholding gave up (3 s).
+#[test]
+fn scatter_sends_every_sub_request_before_waiting_on_any() {
+    let fx = fixture(600, 40, 23);
+    let map = ShardMap::round_robin(fx.graph.num_nodes(), 2);
+    let services = shard_services(&fx, &map);
+    let local = LocalBackend::new(services.clone());
+    let q = query_reaching(&fx, &map, &local, &[0, 1]);
+
+    let received = Gate::default();
+    let (servers, backend) = proxied_cluster(&services, hedge_never(), |shard, upstream| {
+        let (flag, waiter) = (received.clone(), received.clone());
+        frame_proxy(
+            upstream,
+            ProxyRules {
+                on_request: Box::new(move |op| {
+                    if shard == 1 && op == OP_EXPAND {
+                        flag.open();
+                    }
+                }),
+                before_reply: Box::new(move |op| {
+                    if shard == 0 && op == OP_EXPAND {
+                        waiter.wait(Duration::from_secs(3));
+                    }
+                }),
+                ..ProxyRules::default()
+            },
+        )
+    });
+    warm_pools(&backend, q);
+    let cfg = router_cfg(&fx);
+    let stop = StoppingCondition::iterations(2);
+    let mut scratch = ScoreScratch::new(fx.graph.num_nodes());
+    let started = Instant::now();
+    let wired = merge_query(&backend, &map, &cfg, q, &stop, &mut scratch).unwrap();
+    let elapsed = started.elapsed();
+    assert!(received.is_open(), "shard 1 never got an expand");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "merge took {elapsed:?}: shard 1's request waited on shard 0's reply"
+    );
+    assert_eq!(backend.hedges_sent(), 0);
+    assert!(!wired.degraded && wired.shards_skipped.is_empty());
+    let clean = merge_query(&local, &map, &cfg, q, &stop, &mut scratch).unwrap();
+    assert_eq!(score_bits(&wired.scores), score_bits(&clean.scores));
+    assert_eq!(wired.l1_error.to_bits(), clean.l1_error.to_bits());
+
+    for server in servers {
+        server.shutdown();
+    }
+}
+
+/// A reply that starts and then stalls mid-frame is hedged like one that
+/// never starts: shard 0's proxy passes the first bytes of one expand
+/// reply and holds the rest. The merge finishes on the hedge, far inside
+/// the sub-request timeout — the stalled read is bounded by the hedge
+/// deadline, not by the socket's 30 s read timeout.
+#[test]
+fn reply_stalled_mid_frame_is_hedged_around() {
+    let fx = fixture(600, 40, 23);
+    let map = ShardMap::round_robin(fx.graph.num_nodes(), 2);
+    let services = shard_services(&fx, &map);
+    let local = LocalBackend::new(services.clone());
+    let q = query_reaching(&fx, &map, &local, &[0, 1]);
+
+    let release = Gate::default();
+    let stalled = Arc::new(AtomicBool::new(false));
+    let options = TcpBackendOptions {
+        hedge_delay_floor: Duration::from_millis(100),
+        hedge_p99_factor: 1.0,
+        sub_request_timeout: Duration::from_secs(3),
+        ..TcpBackendOptions::default()
+    };
+    let (servers, backend) = proxied_cluster(&services, options, |shard, upstream| {
+        let (release, stalled) = (release.clone(), Arc::clone(&stalled));
+        frame_proxy(
+            upstream,
+            ProxyRules {
+                mid_reply: Box::new(move |op| {
+                    if shard == 0 && op == OP_EXPAND && !stalled.swap(true, Ordering::AcqRel) {
+                        release.wait(Duration::from_secs(20));
+                    }
+                }),
+                ..ProxyRules::default()
+            },
+        )
+    });
+    warm_pools(&backend, q);
+    let cfg = router_cfg(&fx);
+    let stop = StoppingCondition::iterations(2);
+    let mut scratch = ScoreScratch::new(fx.graph.num_nodes());
+    let started = Instant::now();
+    let wired = merge_query(&backend, &map, &cfg, q, &stop, &mut scratch).unwrap();
+    let elapsed = started.elapsed();
+    release.open();
+    assert!(
+        stalled.load(Ordering::Acquire),
+        "shard 0 never got an expand"
+    );
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "merge took {elapsed:?} behind a reply stalled mid-frame"
+    );
+    // The stalled original completes only after the release above, so
+    // the answer came from a hedge (a slow prime0 may add another).
+    assert!(backend.hedges_sent() >= 1);
+    assert!(!wired.degraded && wired.shards_skipped.is_empty());
+    let clean = merge_query(&local, &map, &cfg, q, &stop, &mut scratch).unwrap();
+    assert_eq!(score_bits(&wired.scores), score_bits(&clean.scores));
+    assert_eq!(wired.l1_error.to_bits(), clean.l1_error.to_bits());
+
+    for server in servers {
+        server.shutdown();
+    }
+}
+
+/// Each straggler is raced on its own clock: while shard 0 straggles
+/// through its whole sub-request timeout (every expand reply it sends,
+/// hedge included, stalls mid-frame past it), shard 1's one stalled
+/// reply is still hedged at its own delay. Only shard 0 is skipped.
+#[test]
+fn stragglers_are_hedged_each_on_its_own_clock() {
+    let fx = fixture(600, 40, 23);
+    let map = ShardMap::round_robin(fx.graph.num_nodes(), 2);
+    let services = shard_services(&fx, &map);
+    let local = LocalBackend::new(services.clone());
+    let q = query_reaching(&fx, &map, &local, &[0, 1]);
+
+    let release = Gate::default();
+    let stalled = Arc::new(AtomicBool::new(false));
+    let options = TcpBackendOptions {
+        hedge_delay_floor: Duration::from_millis(100),
+        hedge_p99_factor: 1.0,
+        sub_request_timeout: Duration::from_secs(2),
+        ..TcpBackendOptions::default()
+    };
+    let (servers, backend) = proxied_cluster(&services, options, |shard, upstream| {
+        let (release, stalled) = (release.clone(), Arc::clone(&stalled));
+        frame_proxy(
+            upstream,
+            ProxyRules {
+                mid_reply: Box::new(move |op| {
+                    let stall =
+                        op == OP_EXPAND && (shard == 0 || !stalled.swap(true, Ordering::AcqRel));
+                    if stall {
+                        release.wait(Duration::from_secs(20));
+                    }
+                }),
+                ..ProxyRules::default()
+            },
+        )
+    });
+    warm_pools(&backend, q);
+    let cfg = router_cfg(&fx);
+    let stop = StoppingCondition::iterations(1);
+    let mut scratch = ScoreScratch::new(fx.graph.num_nodes());
+    let started = Instant::now();
+    let wired = merge_query(&backend, &map, &cfg, q, &stop, &mut scratch).unwrap();
+    let elapsed = started.elapsed();
+    release.open();
+    assert!(elapsed < Duration::from_secs(4), "merge took {elapsed:?}");
+    assert_eq!(wired.shards_skipped, vec![0], "shard 1 was never hedged");
+    assert!(wired.degraded);
+    // One hedge per stalled shard (a slow prime0 may add another).
+    assert!(backend.hedges_sent() >= 2);
+
+    for server in servers {
+        server.shutdown();
+    }
+}
+
+/// The inline gather reads shard 1's reply only after shard 0's. When
+/// shard 0 is slow, shard 1's reply has long been queued by then, and
+/// the time it waited is shard 0's, not its own: it must not enter shard
+/// 1's latency window, or one slow shard would push up every later
+/// shard's hedge delay.
+#[test]
+fn a_slow_shard_does_not_inflate_the_next_shards_hedge_delay() {
+    let fx = fixture(600, 40, 23);
+    let map = ShardMap::round_robin(fx.graph.num_nodes(), 2);
+    let services = shard_services(&fx, &map);
+    let local = LocalBackend::new(services.clone());
+    let q = query_reaching(&fx, &map, &local, &[0, 1]);
+    let slow = Duration::from_millis(300);
+    let (servers, backend) = proxied_cluster(&services, hedge_never(), |shard, upstream| {
+        frame_proxy(
+            upstream,
+            ProxyRules {
+                before_reply: Box::new(move |op| {
+                    if shard == 0 && op == OP_EXPAND {
+                        std::thread::sleep(slow);
+                    }
+                }),
+                ..ProxyRules::default()
+            },
+        )
+    });
+    warm_pools(&backend, q);
+    let cfg = router_cfg(&fx);
+    let mut scratch = ScoreScratch::new(fx.graph.num_nodes());
+    for _ in 0..2 {
+        let wired = merge_query(
+            &backend,
+            &map,
+            &cfg,
+            q,
+            &StoppingCondition::iterations(1),
+            &mut scratch,
+        )
+        .unwrap();
+        assert!(!wired.degraded);
+    }
+    assert_eq!(backend.hedges_sent(), 0);
+    let p99 = |shard| backend.health().p99(shard).expect("samples");
+    assert!(p99(0) >= slow, "shard 0's p99 {:?}", p99(0));
+    assert!(
+        p99(1) < slow / 2,
+        "shard 1 was charged for shard 0: p99 {:?}",
+        p99(1)
+    );
+
+    for server in servers {
+        server.shutdown();
+    }
+}
+
+/// Every pooled connection goes stale: the proxy closes each one after a
+/// single reply. Each later sub-request meets a closed connection, and is
+/// retried at once on a fresh one — no hedge, no wait for the hedge floor,
+/// no degraded answer, no health hit.
+#[test]
+fn stale_pooled_connections_are_retried_fresh_without_a_hedge() {
+    let fx = fixture(500, 30, 29);
+    let map = ShardMap::round_robin(fx.graph.num_nodes(), 2);
+    let services = shard_services(&fx, &map);
+    let local = LocalBackend::new(services.clone());
+    let (servers, backend) = proxied_cluster(&services, hedge_never(), |_, upstream| {
+        frame_proxy(
+            upstream,
+            ProxyRules {
+                replies_per_connection: Some(1),
+                ..ProxyRules::default()
+            },
+        )
+    });
+
+    let cfg = router_cfg(&fx);
+    let mut scratch = ScoreScratch::new(fx.graph.num_nodes());
+    for (i, &q) in non_hub_queries(&fx, 6).iter().enumerate() {
+        let stop = StoppingCondition::iterations(1 + i % 3);
+        let started = Instant::now();
+        let wired = merge_query(&backend, &map, &cfg, q, &stop, &mut scratch).unwrap();
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "q {q}: merge took {elapsed:?} past stale connections"
+        );
+        assert!(!wired.degraded && wired.shards_skipped.is_empty(), "q {q}");
+        let clean = merge_query(&local, &map, &cfg, q, &stop, &mut scratch).unwrap();
+        assert_eq!(
+            score_bits(&wired.scores),
+            score_bits(&clean.scores),
+            "q {q}"
+        );
+    }
+    assert_eq!(backend.hedges_sent(), 0);
+    assert_eq!(backend.health().health(0), Health::Up);
+    assert_eq!(backend.health().health(1), Health::Up);
+
+    for server in servers {
+        server.shutdown();
+    }
 }
 
 // ---------------------------------------------------------------------------

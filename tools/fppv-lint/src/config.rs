@@ -151,7 +151,7 @@ impl Config {
                 // ...and the frame readers.
                 FailClosed {
                     path_suffix: "crates/server/src/net/conn.rs".into(),
-                    scope: fns(&["read_frame", "read_frame_stalling"]),
+                    scope: fns(&["read_frame", "read_frame_stalling", "fill", "read_some"]),
                 },
                 // Router read paths: a bad shard id or a dead backend is
                 // a routing error, never a router panic.
@@ -163,9 +163,14 @@ impl Config {
                         "probe",
                         "discover_hello",
                         "single_attempt",
-                        "hedged",
+                        "expand_all",
+                        "scatter",
+                        "gather_inline",
+                        "inline_failure",
+                        "race",
                         "take_pooled",
                         "return_client",
+                        "spawn_wait",
                         "spawn_attempt",
                         "check_alive",
                     ]),
