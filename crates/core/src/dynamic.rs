@@ -36,22 +36,24 @@
 //! a delta refresh runs no graph search: per held hub and tail it makes
 //! one binary search in the hub's sorted ids ([`PpvRef::score_of`]; the
 //! hub's own row carries unit mass by construction), `O(hubs · tails ·
-//! log len)` per batch — ≈ 50 µs for 800 hubs where the two ε-searches
-//! cost ≈ 1.7 ms and named 573 hubs, 99 % of which then found no entry at
-//! the tail. A node → hubs posting list would make the probe `O(holders)`;
-//! it is the follow-up only if hub counts reach 10⁵. At the default clip
-//! the two oracles name the same hubs that have work to do, and the
-//! refreshed index is bit-identical to the one the search-driven path
-//! produced. With `clip = 0` the probe is strictly *more* conservative: a
+//! log len)` per batch. On BA-20k with 800 hubs that is ≈ 150–190 µs per
+//! single-edge event (cold segments, a 2-vCPU x86-64 Xeon), where the two
+//! ε-searches cost ≈ 1.7 ms and named 573 hubs, 99 % of which then found
+//! no entry at the tail. A node → hubs posting list would make the probe
+//! `O(holders)`; it is the follow-up only if hub counts reach 10⁵. At the
+//! default clip the two oracles name the same hubs that have work to do.
+//! With `clip = 0` the probe is strictly *more* conservative: a
 //! hub stores mass at every node its extraction reached, including ε-leaves
 //! it never expanded, which the search skips; such a hub is now charged
 //! the (tiny) perturbation as an unpushed no-op — stored PPV untouched,
 //! spend grown by at most one patch allowance — where it used to be
 //! passed over.
 //!
-//! **One entry point.** [`refresh_flat_index_snapshot_delta`] returns a
-//! patched copy-on-write clone of a [`FlatIndex`] arena, configured by a
-//! [`DeltaConfig`]. It refreshes exactly the hubs the arena holds: a whole
+//! **One entry point.** [`Refresher::refresh`] returns a patched
+//! copy-on-write clone of a [`FlatIndex`] arena, configured by a
+//! [`DeltaConfig`], and keeps its graph-sized push scratch for the next
+//! batch; [`refresh_flat_index_snapshot_delta`] is the same on a fresh
+//! [`Refresher`]. It refreshes exactly the hubs the arena holds: a whole
 //! arena holds every hub, and a shard's slice stays a slice.
 //!
 //! **Exact refresh** ([`DeltaConfig::exact`]) recomputes every dirty hub's
@@ -59,9 +61,10 @@
 //! well-connected node dirties many hubs and costs a full extract + solve
 //! for each — the streaming-update throughput blocker.
 //!
-//! **Delta refresh** (a positive [`DeltaConfig::budget`]) instead *patches*
-//! the stored PPV of each hub that holds mass at a changed tail. The stored vector `S` is read as settled
-//! mass `m̂ = S/α` of a forward push whose invariant is
+//! **Delta refresh** (a positive [`DeltaConfig::budget`]) instead
+//! *patches* the stored PPV of each hub that holds mass at a changed tail.
+//! The stored vector `S` is read as settled mass `m̂ = S/α` of a forward
+//! push whose invariant is
 //! `ρ = e_σ + (1-α)·Pᵀm̂ − m̂` (the virtual start node `σ` carries the
 //! source hub's out-row with unit mass; hubs — the source included — never
 //! re-propagate). An edge change at tail `u` alters only `u`'s row of `P`,
@@ -72,6 +75,35 @@
 //! maintained state has no mass there), which is what lets the stored
 //! vector stand in for the dependence search.
 //!
+//! **One push per tail.** The push is linear in what it is given, and the
+//! perturbations the holders of one tail need differ only by the scalar
+//! `m̂_h(u)`. So each changed non-hub tail `u` gets one push of the *unit*
+//! perturbation `(1-α)·(new_row − old_row)`, down a threshold ladder that
+//! depends on the tail alone: rung 0 is the injection itself, with pending
+//! mass `L₀ = P₀` (the injected mass), and rung `j` settles every residual
+//! of at least `τ_j = P₀·2^-j`, leaving `L_j`. A holder stops at the first
+//! rung with `m̂_h(u)·L_j ≤` its allowance, takes that rung's deposits —
+//! read in id order, without draining them — times `m̂_h(u)`, merges them
+//! into its stored entries, and is charged `m̂_h(u)·L_j`. A holder that
+//! stops at rung 0 is an unpushed no-op. The ladder goes only as deep as
+//! its last holder needs, and no rung depends on which hubs an arena
+//! holds, so a shard's slice is patched bit for bit like the whole arena.
+//!
+//! **A hub's own row, in closed form.** The stored vector excludes the
+//! trivial tour (see [`crate::prime`]), so with `Q_t` the hub-absorbing
+//! push from head `t`, `S = (1-α)/d·Σ_{t ∈ row} Q_t` and a row change from
+//! `d` to `d′` heads gives
+//! `S′ = (d/d′)·S + (1-α)/d′·(Σ_added Q_t − Σ_removed Q_t)`. So instead of
+//! pushing the difference of two near-equal rows, the hub's entries are
+//! scaled by `d/d′` and the one unit push above injects `±(1-α)/d′` at the
+//! changed heads only (the multiset symmetric difference of the rows,
+//! which also covers a row shrinking to its dangling self-loop and back).
+//! Its only holder is the hub itself, at mass 1. Deposits of the hub's
+//! other changed tails in the same batch land in the scaled row, so their
+//! masses scale by `d/d′` too, and so does the error already stored: the
+//! patch is charged `(d/d′)·spent + leftover + merge losses`, which grows
+//! the spend on a deletion.
+//!
 //! **Error budget.** A patch is inexact in three places, all charged to a
 //! per-hub accumulated budget stored alongside the index entry
 //! ([`FlatIndex::budget_spent`]):
@@ -80,11 +112,13 @@
 //!   of residual mass yields at most one unit of score L1
 //!   (`α·Σ(1-α)^i = 1`), so the mass-unit leftover bounds the score-L1
 //!   error directly. How much is left is scheduled, not fixed: a patch may
-//!   leave `budget /` [`PATCHES_PER_BUDGET`] behind, and [`DeltaPush::run`]
-//!   refines its push threshold only until the leftover fits. A
+//!   leave `budget /` [`PATCHES_PER_BUDGET`] behind, split evenly over the
+//!   changed tails the hub sees, and a holder stops on the first rung of
+//!   the tail's ladder where its share of the leftover fits. A
 //!   perturbation that fits unpushed is not pushed at all (the stored PPV
 //!   stays as it is and the hub's spend grows by the injected mass); a
-//!   larger one is chased exactly as far as the allowance demands. There
+//!   larger one is chased as far as the allowance demands, to within one
+//!   halving of the threshold. There
 //!   is no absolute push threshold: work follows the mass an event moves
 //!   and the accuracy the operator asked for, not the size of the graph;
 //! * **clamp loss** — a patched entry that would go negative by the clip
@@ -269,8 +303,9 @@ pub struct DeltaConfig {
     /// `budget /` [`PATCHES_PER_BUDGET`] of residual behind (see the
     /// module docs), so there is no separate push threshold to tune.
     pub budget: f64,
-    /// Safety cap on push settles per patch; a truncated push falls back
-    /// to exact recompute.
+    /// Safety cap on the settles of one push (one per changed tail); the
+    /// holders a truncated push had not served yet fall back to exact
+    /// recompute.
     pub max_settles: usize,
 }
 
@@ -336,9 +371,10 @@ pub struct RefreshStats {
     /// dependence set, or holding no stored mass at any changed tail on
     /// the delta path. Nothing is written for them.
     pub reused: usize,
-    /// Node settles the delta path's pushes performed, summed over the
-    /// refresh's hubs — the work an event costs, counted rather than
-    /// timed. Always 0 for an exact refresh.
+    /// Node settles the delta path's pushes performed — one push per
+    /// changed tail that some held hub stores mass at, however many hubs
+    /// hold it, plus one per changed hub row — the work an event costs,
+    /// counted rather than timed. Always 0 for an exact refresh.
     pub push_settles: usize,
     /// Largest per-hub accumulated budget spend in the refreshed index —
     /// ≤ [`DeltaConfig::budget`] by construction (exceeding it forces a
@@ -421,7 +457,7 @@ fn dirty_hubs(
 
 /// Sorted, deduplicated copy of an event batch's tails. Dedup is
 /// load-bearing for the delta path: each tail's row swap must be injected
-/// exactly once per hub.
+/// exactly once.
 fn dedup_tails(changed_tails: &[NodeId]) -> Vec<NodeId> {
     let mut tails = changed_tails.to_vec();
     tails.sort_unstable();
@@ -429,35 +465,38 @@ fn dedup_tails(changed_tails: &[NodeId]) -> Vec<NodeId> {
     tails
 }
 
-/// How one held hub came out of a refresh.
-enum Patch {
-    /// The event is invisible to this hub — the exact path's search did
-    /// not reach it, or (delta path) its stored state holds no mass at any
-    /// changed tail: nothing is written, the hub counts as reused.
-    Untouched,
-    /// Recompute the prime PPV exactly (the exact path's dirty hubs, and
-    /// hubs the delta path declined).
-    Recompute,
-    /// The perturbation fits the patch allowance unpushed: keep the stored
-    /// PPV, carry the (leftover-charged) spend.
-    Unchanged { spent: f64 },
-    /// Merged entries are in the scratch; store them with this spend.
-    /// `clipped` is the part of it the merge dropped below the clip.
-    Patched { spent: f64, clipped: f64 },
+/// A held hub whose stored state sees the batch, on the delta path.
+struct Holder {
+    hub: NodeId,
+    /// `d/d′` when the batch changes the hub's own out-row (the closed form
+    /// scales every stored entry by it, see the module docs), else 1.
+    scale: f64,
+    /// The leftover this hub may be left by each tail it sees:
+    /// `budget /` [`PATCHES_PER_BUDGET`], split evenly over those tails.
+    allowance: f64,
+    /// `scale ×` the stored spend, plus every tail's leftover and every
+    /// merge's losses so far.
+    spent: f64,
+    /// The part of `spent` this batch's merges dropped below the clip.
+    clipped: f64,
+    /// Whether a merge has written the hub's segment in this batch (its
+    /// entries are then already scaled).
+    merged: bool,
+    /// A push it needed was truncated, or its spend left the budget.
+    recompute: bool,
 }
 
-/// Mutable state of the delta patch path, reused across the hubs of a
-/// refresh. Empty until a hub actually injects: the three graph-sized
-/// arrays of the push are built at the first injection, so an event no
-/// held hub sees allocates nothing.
-#[derive(Default)]
-struct DeltaScratch {
-    push: Option<DeltaPush>,
-    deposits: Vec<(NodeId, f64)>,
-    merged: Vec<(NodeId, f64)>,
-    /// Σ [`DeltaOutcome::settles`](crate::prime::DeltaOutcome::settles)
-    /// over the pushes run so far.
-    settles: usize,
+/// One holder's stake in one changed tail.
+#[derive(Clone, Copy)]
+struct Stake {
+    /// Position of the tail in the batch's sorted tails.
+    tail: u32,
+    /// Index of the holder.
+    holder: u32,
+    /// What the tail's unit deposits are multiplied by in the holder's
+    /// patch: its settled mass at the tail, `S_h(u)/α`, times its `scale`
+    /// — or 1 for the hub's own row.
+    mass: f64,
 }
 
 #[inline]
@@ -477,6 +516,25 @@ fn inject_row(push: &mut DeltaPush, row: &[NodeId], scale: f64) {
     let share = scale / row.len() as f64;
     for &t in row {
         push.inject(t, share);
+    }
+}
+
+/// Injects `+share` at every head `new_row` has and `old_row` lacks and
+/// `−share` at every head it lost — the multiset symmetric difference of
+/// two sorted rows, so a head kept (one occurrence each) injects nothing.
+fn inject_row_change(push: &mut DeltaPush, old_row: &[NodeId], new_row: &[NodeId], share: f64) {
+    let (mut i, mut j) = (0, 0);
+    while i < old_row.len() || j < new_row.len() {
+        if j == new_row.len() || (i < old_row.len() && old_row[i] < new_row[j]) {
+            push.inject(old_row[i], -share);
+            i += 1;
+        } else if i == old_row.len() || new_row[j] < old_row[i] {
+            push.inject(new_row[j], share);
+            j += 1;
+        } else {
+            i += 1;
+            j += 1;
+        }
     }
 }
 
@@ -505,145 +563,320 @@ fn merge_entry(out: &mut Vec<(NodeId, f64)>, loss: &mut MergeLoss, clip: f64, id
     }
 }
 
-/// Merges sorted score deltas into a stored view at the index's
-/// resolution: `out = view + deposits`, ascending, keeping only entries
-/// `≥ clip` (and `> 0`). Untouched stored entries pass through as they
-/// are; a deposit opens a *new* entry only if it reaches `clip` by itself,
-/// and a stored entry a deposit pulls below `clip` is dropped — so a
-/// patched segment is as sparse as a freshly solved one instead of
-/// collecting every crumb a push deposits. With `clip = 0` this is the
-/// plain clamped sum.
-fn merge_patch(
-    view: &PpvRef<'_>,
-    deposits: &[(NodeId, f64)],
+/// A merge of sorted score deltas into a stored view at the index's
+/// resolution: `out = scale·view + weight·deposits`, ascending, keeping
+/// only entries `≥ clip` (and `> 0`). With `scale = 1` untouched stored
+/// entries pass through as they are; a deposit opens a *new* entry only if
+/// it reaches `clip` by itself, and a stored entry a deposit pulls below
+/// `clip` is dropped — so a patched segment is as sparse as a freshly
+/// solved one instead of collecting every crumb a push deposits. A scaled
+/// view (the closed form of a hub's own row) sends every entry through
+/// the clip. With `clip = 0` this is the plain clamped sum. Deposits are
+/// fed one at a time, in ascending id, straight from the push.
+struct Merge<'v, 'o> {
+    view: PpvRef<'v>,
+    /// Next view entry to merge.
+    next: usize,
+    scale: f64,
+    weight: f64,
     clip: f64,
-    out: &mut Vec<(NodeId, f64)>,
-) -> MergeLoss {
-    out.clear();
-    out.reserve(view.len() + deposits.len());
-    let mut loss = MergeLoss::default();
-    let (mut i, mut j) = (0usize, 0usize);
-    let n_view = view.len();
-    while i < n_view && j < deposits.len() {
-        let (vid, vs) = view_entry(view, i);
-        let (did, ds) = deposits[j];
-        if vid < did {
-            out.push((vid, vs));
-            i += 1;
-        } else if did < vid {
-            merge_entry(out, &mut loss, clip, did, ds);
-            j += 1;
-        } else {
-            merge_entry(out, &mut loss, clip, vid, vs + ds);
-            i += 1;
-            j += 1;
-        }
-    }
-    while i < n_view {
-        out.push(view_entry(view, i));
-        i += 1;
-    }
-    while j < deposits.len() {
-        let (did, ds) = deposits[j];
-        merge_entry(out, &mut loss, clip, did, ds);
-        j += 1;
-    }
-    loss
+    out: &'o mut Vec<(NodeId, f64)>,
+    loss: MergeLoss,
 }
 
-/// Resolves one held hub on the delta path: asks its stored vector whether
-/// the batch is visible at all ([`Patch::Untouched`] if not) and patches it
-/// in place of an exact recompute if so. `tails` must be deduplicated and
-/// the two graphs must agree on node count. On [`Patch::Patched`] the
-/// merged entries are left in `scratch.merged`.
-#[allow(clippy::too_many_arguments)]
-fn try_delta_patch(
-    view: &PpvRef<'_>,
-    spent_old: f64,
-    hub: NodeId,
-    old_graph: &Graph,
-    new_graph: &Graph,
-    hubs: &HubSet,
-    tails: &[NodeId],
-    config: &Config,
-    delta: &DeltaConfig,
-    scratch: &mut DeltaScratch,
-) -> Patch {
-    let alpha = config.alpha;
-    let mut injected = false;
-    for &u in tails {
-        if hubs.is_hub(u) && u != hub {
-            continue; // another hub's row never propagates inside G'(hub)
+impl<'v, 'o> Merge<'v, 'o> {
+    fn new(
+        view: PpvRef<'v>,
+        scale: f64,
+        weight: f64,
+        clip: f64,
+        out: &'o mut Vec<(NodeId, f64)>,
+    ) -> Self {
+        out.clear();
+        out.reserve(view.len());
+        Merge {
+            view,
+            next: 0,
+            scale,
+            weight,
+            clip,
+            out,
+            loss: MergeLoss::default(),
         }
-        // Settled mass sitting on u's row in the maintained state. The
-        // source hub is the virtual start node: its row carries unit mass
-        // (its stored returns absorb and add nothing).
-        let m = if u == hub {
-            1.0
+    }
+
+    /// Emits the next stored entry, scaled.
+    fn pass_stored(&mut self) {
+        let (id, s) = view_entry(&self.view, self.next);
+        self.next += 1;
+        if self.scale == 1.0 {
+            self.out.push((id, s));
         } else {
-            match view.score_of(u) {
-                Some(s) if s != 0.0 => s / alpha,
-                // No stored mass at u: the row swap is exactly invisible
-                // to this hub's maintained state.
-                _ => continue,
+            merge_entry(self.out, &mut self.loss, self.clip, id, self.scale * s);
+        }
+    }
+
+    /// Merges the next deposit; ids must ascend.
+    fn deposit(&mut self, id: NodeId, d: f64) {
+        while self.next < self.view.len() && view_entry(&self.view, self.next).0 < id {
+            self.pass_stored();
+        }
+        let mut s = self.weight * d;
+        if self.next < self.view.len() {
+            let (vid, vs) = view_entry(&self.view, self.next);
+            if vid == id {
+                s += self.scale * vs;
+                self.next += 1;
             }
-        };
-        let (old_row, new_row) = (old_graph.out_neighbors(u), new_graph.out_neighbors(u));
-        if old_row == new_row {
-            continue;
         }
-        let push = scratch
-            .push
-            .get_or_insert_with(|| DeltaPush::new(new_graph.num_nodes()));
-        inject_row(push, old_row, -m * (1.0 - alpha));
-        inject_row(push, new_row, m * (1.0 - alpha));
-        injected = true;
+        merge_entry(self.out, &mut self.loss, self.clip, id, s);
     }
-    if !injected {
-        // The common case for a far-away event: nothing to push, nothing
-        // to merge, nothing spent, nothing written.
-        return Patch::Untouched;
-    }
-    let push = scratch.push.as_mut().expect("injected implies a push");
-    let outcome = push.run(
-        new_graph,
-        hubs,
-        alpha,
-        delta.budget / PATCHES_PER_BUDGET,
-        delta.max_settles,
-    );
-    scratch.settles += outcome.settles;
-    let mut spent = spent_old + outcome.leftover;
-    if outcome.truncated || spent > delta.budget {
-        push.reset();
-        return Patch::Recompute;
-    }
-    push.drain_deposits(&mut scratch.deposits);
-    if scratch.deposits.is_empty() {
-        return Patch::Unchanged { spent };
-    }
-    let loss = merge_patch(view, &scratch.deposits, config.clip, &mut scratch.merged);
-    spent += 2.0 * loss.clamped / alpha + loss.clipped;
-    if spent > delta.budget {
-        return Patch::Recompute;
-    }
-    Patch::Patched {
-        spent,
-        clipped: loss.clipped,
+
+    /// Emits the stored entries past the last deposit; returns what the
+    /// merge declined to store.
+    fn finish(mut self) -> MergeLoss {
+        while self.next < self.view.len() {
+            self.pass_stored();
+        }
+        self.loss
     }
 }
 
-/// Refreshes a [`FlatIndex`] arena in place after edge updates — the body
-/// of [`refresh_flat_index_snapshot_delta`]. Recomputed hubs go through
-/// [`FlatIndex::replace`] and patched ones through
-/// [`FlatIndex::replace_entries`] straight from the merge scratch
-/// (tombstone-and-append; the arena compacts itself once dead entries
-/// cross [`FlatIndex::COMPACTION_THRESHOLD`]). Unaffected segments are
-/// untouched — no entry is copied for them — and unpushed patches only bump
-/// the slot's budget spend. The arena must cover `new_graph` (node
+/// The update path's reusable state: the graph-sized [`DeltaPush`] and the
+/// per-batch holder lists of the delta path, kept warm from one refresh to
+/// the next. The push is built at the first injection, so a refresher
+/// whose events no held hub sees allocates nothing graph-sized. A serving
+/// process keeps one next to the lock that serializes its updates;
+/// [`refresh_flat_index_snapshot_delta`] makes a fresh one per call.
+#[derive(Default)]
+pub struct Refresher {
+    push: Option<DeltaPush>,
+    holders: Vec<Holder>,
+    /// Every holder's stake in every changed tail, grouped by tail.
+    stakes: Vec<Stake>,
+    /// The stakes of the tail being pushed whose holders have not stopped.
+    climbing: Vec<Stake>,
+    /// The segment a merge writes.
+    merged: Vec<(NodeId, f64)>,
+}
+
+impl Refresher {
+    /// A refresher with nothing allocated yet.
+    pub fn new() -> Self {
+        Refresher::default()
+    }
+
+    /// [`refresh_flat_index_snapshot_delta`] on this refresher's scratch:
+    /// leaves `old` untouched and returns a patched copy-on-write clone.
+    #[allow(clippy::too_many_arguments)]
+    pub fn refresh(
+        &mut self,
+        old: &FlatIndex,
+        old_graph: &Graph,
+        new_graph: &Graph,
+        hubs: &HubSet,
+        changed_tails: &[NodeId],
+        config: &Config,
+        delta: &DeltaConfig,
+    ) -> (FlatIndex, RefreshStats) {
+        let clone_start = Instant::now();
+        let mut next = old.clone();
+        let clone_elapsed = clone_start.elapsed();
+        let mut stats = refresh_flat_index_delta(
+            self,
+            &mut next,
+            old_graph,
+            new_graph,
+            hubs,
+            changed_tails,
+            config,
+            delta,
+        );
+        stats.clone_elapsed = clone_elapsed;
+        stats.elapsed += clone_elapsed;
+        (next, stats)
+    }
+
+    /// Asks every held hub's stored vector which changed `tails` it sees:
+    /// its own row (unit mass, the virtual start node's), or a non-hub tail
+    /// it stores mass at (another hub's row never propagates inside
+    /// `G'(h)`). Fills the holders, in hub-set order, and their stakes,
+    /// grouped by tail. Returns how many hubs the arena holds.
+    #[allow(clippy::too_many_arguments)]
+    fn find_holders(
+        &mut self,
+        index: &FlatIndex,
+        old_graph: &Graph,
+        new_graph: &Graph,
+        hubs: &HubSet,
+        tails: &[NodeId],
+        config: &Config,
+        delta: &DeltaConfig,
+    ) -> usize {
+        // Cleared here rather than on the way out, so a batch that
+        // panicked part-way leaves nothing behind for the next one.
+        self.holders.clear();
+        self.stakes.clear();
+        let mut held = 0;
+        for &h in hubs.ids() {
+            // A hub the arena does not hold is another shard's to refresh.
+            let Some(view) = index.view(h) else { continue };
+            held += 1;
+            let first = self.stakes.len();
+            let holder = self.holders.len() as u32;
+            let mut scale = 1.0;
+            for (tail, &u) in tails.iter().enumerate() {
+                let mass = if u == h {
+                    let (d, d_new) = (old_graph.out_degree(u), new_graph.out_degree(u));
+                    // S′ = (d/d′)·S + …; a row emptied to nothing leaves
+                    // nothing (only a graph that keeps dangling rows has one).
+                    scale = if d_new == 0 {
+                        0.0
+                    } else {
+                        d as f64 / d_new as f64
+                    };
+                    1.0
+                } else if hubs.is_hub(u) {
+                    continue;
+                } else {
+                    match view.score_of(u) {
+                        Some(s) if s != 0.0 => s / config.alpha,
+                        // No stored mass at u: the row swap is exactly
+                        // invisible to this hub's maintained state.
+                        _ => continue,
+                    }
+                };
+                let tail = tail as u32;
+                self.stakes.push(Stake { tail, holder, mass });
+            }
+            let seen = self.stakes.len() - first;
+            if seen == 0 {
+                // The common case for a far-away event: nothing to push,
+                // merge, spend or write.
+                continue;
+            }
+            // Deposits of the other tails land in the row the closed form
+            // scales, so they scale with it.
+            for stake in &mut self.stakes[first..] {
+                if tails[stake.tail as usize] != h {
+                    stake.mass *= scale;
+                }
+            }
+            self.holders.push(Holder {
+                hub: h,
+                scale,
+                allowance: delta.budget / PATCHES_PER_BUDGET / seen as f64,
+                spent: scale * index.budget_spent(h),
+                clipped: 0.0,
+                merged: false,
+                recompute: false,
+            });
+        }
+        self.stakes.sort_unstable_by_key(|s| (s.tail, s.holder));
+        held
+    }
+
+    /// Pushes each changed tail's unit perturbation once and hands every
+    /// holder of the tail its deposits at the rung it needs (module docs),
+    /// writing each patched segment as it merges. Returns the settles.
+    #[allow(clippy::too_many_arguments)]
+    fn push_tails(
+        &mut self,
+        index: &mut FlatIndex,
+        old_graph: &Graph,
+        new_graph: &Graph,
+        hubs: &HubSet,
+        tails: &[NodeId],
+        config: &Config,
+        delta: &DeltaConfig,
+    ) -> usize {
+        let Refresher {
+            push,
+            holders,
+            stakes,
+            climbing,
+            merged,
+        } = self;
+        let alpha = config.alpha;
+        let n = new_graph.num_nodes();
+        let mut settles = 0;
+        for group in stakes.chunk_by(|a, b| a.tail == b.tail) {
+            climbing.clear();
+            climbing.extend(
+                group
+                    .iter()
+                    .filter(|s| !holders[s.holder as usize].recompute),
+            );
+            if climbing.is_empty() {
+                continue;
+            }
+            let push = match push {
+                Some(push) if push.capacity() >= n => push,
+                _ => push.insert(DeltaPush::new(n)),
+            };
+            push.reset();
+            let u = tails[group[0].tail as usize];
+            let (old_row, new_row) = (old_graph.out_neighbors(u), new_graph.out_neighbors(u));
+            if hubs.is_hub(u) {
+                // The closed form's push: ±(1-α)/d′ at the changed heads.
+                if !new_row.is_empty() {
+                    let share = (1.0 - alpha) / new_row.len() as f64;
+                    inject_row_change(push, old_row, new_row, share);
+                }
+            } else {
+                inject_row(push, old_row, -(1.0 - alpha));
+                inject_row(push, new_row, 1.0 - alpha);
+            }
+            // The ladder: rung 0 is the injection itself, rung j the push
+            // settled down to P₀·2^-j. Each holder stops at the first rung
+            // whose pending mass, times its stake, fits its allowance.
+            let mut rung = push.start_ladder();
+            loop {
+                climbing.retain(|stake| {
+                    let holder = &mut holders[stake.holder as usize];
+                    if stake.mass * rung.leftover > holder.allowance {
+                        return true;
+                    }
+                    holder.spent += stake.mass * rung.leftover;
+                    if holder.spent > delta.budget {
+                        holder.recompute = true;
+                    } else if rung.settles > 0 {
+                        let push = Some(&mut *push);
+                        holder.merge(index, hubs, push, stake.mass, config, delta.budget, merged);
+                    } // else unpushed: the stored PPV stays as it is
+                    false
+                });
+                if climbing.is_empty() {
+                    break;
+                }
+                if rung.truncated {
+                    // The safety valve tripped below these holders' rungs.
+                    for stake in climbing.drain(..) {
+                        holders[stake.holder as usize].recompute = true;
+                    }
+                    break;
+                }
+                push.descend(new_graph, hubs, alpha, delta.max_settles, &mut rung);
+            }
+            settles += rung.settles;
+        }
+        settles
+    }
+}
+
+/// Refreshes a [`FlatIndex`] arena in place after edge updates — the
+/// body of [`Refresher::refresh`].
+/// Recomputed hubs go through [`FlatIndex::replace`] and patched ones
+/// through [`FlatIndex::replace_entries`] as their merges complete
+/// (tombstone-and-append; the
+/// arena compacts itself once dead entries cross
+/// [`FlatIndex::COMPACTION_THRESHOLD`]). Unaffected segments are
+/// untouched — no entry is copied for them — and unpushed patches only
+/// bump the slot's budget spend. The arena must cover `new_graph` (node
 /// additions require a rebuild via [`crate::offline::build_flat_index`]).
 #[allow(clippy::too_many_arguments)]
 fn refresh_flat_index_delta(
+    refresher: &mut Refresher,
     index: &mut FlatIndex,
     old_graph: &Graph,
     new_graph: &Graph,
@@ -663,53 +896,61 @@ fn refresh_flat_index_delta(
     let start = Instant::now();
     let cloned_before = index.bytes_cloned();
     let n = new_graph.num_nodes();
-    let tails = dedup_tails(changed_tails);
-    let delta_enabled = delta.budget > 0.0 && old_graph.num_nodes() == n;
-    let dirty = (!delta_enabled).then(|| dirty_hubs(old_graph, new_graph, hubs, &tails, config));
+    let mut tails = dedup_tails(changed_tails);
     let mut pc: Option<PrimeComputer> = None;
-    let mut ds = DeltaScratch::default();
+    let mut recompute = |index: &mut FlatIndex, h: NodeId| {
+        let pc = pc.get_or_insert_with(|| PrimeComputer::new(n));
+        let (ppv, _) = pc.prime_ppv(new_graph, hubs, h, config, config.clip);
+        index.replace(h, &ppv, hubs);
+    };
     let mut stats = RefreshStats::default();
-    for &h in hubs.ids() {
-        // A hub the arena does not hold is another shard's to refresh.
-        let Some(view) = index.view(h) else { continue };
-        let patch = match &dirty {
-            Some(dirty) if dirty[h as usize] => Patch::Recompute,
-            Some(_) => Patch::Untouched,
-            None => try_delta_patch(
-                &view,
-                index.budget_spent(h),
-                h,
-                old_graph,
-                new_graph,
-                hubs,
-                &tails,
-                config,
-                delta,
-                &mut ds,
-            ),
-        };
-        match patch {
-            Patch::Untouched => stats.reused += 1,
-            Patch::Recompute => {
-                let pc = pc.get_or_insert_with(|| PrimeComputer::new(n));
-                let (ppv, _) = pc.prime_ppv(new_graph, hubs, h, config, config.clip);
-                index.replace(h, &ppv, hubs);
-                stats.recomputed += 1;
+    if delta.budget > 0.0 && old_graph.num_nodes() == n {
+        // Only a tail whose row changed perturbs anything.
+        tails.retain(|&u| old_graph.out_neighbors(u) != new_graph.out_neighbors(u));
+        let held = refresher.find_holders(index, old_graph, new_graph, hubs, &tails, config, delta);
+        stats.reused = held - refresher.holders.len();
+        stats.push_settles =
+            refresher.push_tails(index, old_graph, new_graph, hubs, &tails, config, delta);
+        let Refresher {
+            holders, merged, ..
+        } = refresher;
+        for holder in holders.iter_mut() {
+            if !holder.recompute && !holder.merged && holder.scale != 1.0 {
+                // The hub's own row changed and no merge wrote its
+                // segment: the closed form still scales its entries.
+                holder.merge(index, hubs, None, 1.0, config, delta.budget, merged);
             }
-            Patch::Unchanged { spent } => {
-                index.set_budget_spent(h, spent);
-                stats.delta_patched += 1;
+            let h = holder.hub;
+            if holder.recompute {
+                recompute(index, h);
+                stats.recomputed += 1;
+                continue;
+            }
+            if holder.merged {
+                stats.clip_dropped += holder.clipped;
+            } else {
+                // The perturbation fit the allowance unpushed: keep the
+                // stored PPV, carry the (leftover-charged) spend.
                 stats.delta_noop += 1;
             }
-            Patch::Patched { spent, clipped } => {
-                index.replace_entries(h, &ds.merged, hubs);
-                index.set_budget_spent(h, spent);
-                stats.delta_patched += 1;
-                stats.clip_dropped += clipped;
+            index.set_budget_spent(h, holder.spent);
+            stats.delta_patched += 1;
+        }
+    } else {
+        let dirty = dirty_hubs(old_graph, new_graph, hubs, &tails, config);
+        for &h in hubs.ids() {
+            // A hub the arena does not hold is another shard's to refresh.
+            if index.view(h).is_none() {
+                continue;
+            }
+            if dirty[h as usize] {
+                recompute(index, h);
+                stats.recomputed += 1;
+            } else {
+                stats.reused += 1;
             }
         }
     }
-    stats.push_settles = ds.settles;
     stats.budget_watermark = index.budget_watermark();
     stats.live_entries = index.total_entries();
     stats.cloned_bytes = index.bytes_cloned() - cloned_before;
@@ -719,12 +960,48 @@ fn refresh_flat_index_delta(
     stats
 }
 
+impl Holder {
+    /// Merges `weight ×` the push's deposits (none without a push) into
+    /// the hub's segment — its stored entries scaled by `scale` on the
+    /// first merge — and charges the merge's losses (module docs). The
+    /// merged entries replace the segment unless the losses take the spend
+    /// past the budget, which declines the patch.
+    #[allow(clippy::too_many_arguments)]
+    fn merge(
+        &mut self,
+        index: &mut FlatIndex,
+        hubs: &HubSet,
+        push: Option<&mut DeltaPush>,
+        weight: f64,
+        config: &Config,
+        budget: f64,
+        out: &mut Vec<(NodeId, f64)>,
+    ) {
+        let view = index.view(self.hub).expect("held hub");
+        let scale = if self.merged { 1.0 } else { self.scale };
+        let mut merge = Merge::new(view, scale, weight, config.clip, out);
+        if let Some(push) = push {
+            push.for_each_deposit(|id, d| merge.deposit(id, d));
+        }
+        let loss = merge.finish();
+        self.spent += 2.0 * loss.clamped / config.alpha + loss.clipped;
+        self.clipped += loss.clipped;
+        if self.spent > budget {
+            self.recompute = true;
+            return;
+        }
+        index.replace_entries(self.hub, out, hubs);
+        self.merged = true;
+    }
+}
+
 /// Refreshes a [`FlatIndex`] arena after edge updates, touching only
 /// affected hubs: leaves `old` untouched and returns a freshly patched
 /// arena. This is the entry point an epoch-snapshot service wants —
 /// readers pinning the old arena (behind an `Arc` swap cell) keep seeing
 /// it undisturbed while the clone is patched and published as the next
-/// epoch's store.
+/// epoch's store. It runs on a fresh [`Refresher`]; a caller that refreshes
+/// repeatedly keeps one and calls [`Refresher::refresh`].
 ///
 /// `changed_tails` are the source nodes of every inserted or deleted edge;
 /// `old_graph` supplies their rows before the change (and, on the exact
@@ -758,21 +1035,15 @@ pub fn refresh_flat_index_snapshot_delta(
     config: &Config,
     delta: &DeltaConfig,
 ) -> (FlatIndex, RefreshStats) {
-    let clone_start = Instant::now();
-    let mut next = old.clone();
-    let clone_elapsed = clone_start.elapsed();
-    let mut stats = refresh_flat_index_delta(
-        &mut next,
+    Refresher::new().refresh(
+        old,
         old_graph,
         new_graph,
         hubs,
         changed_tails,
         config,
         delta,
-    );
-    stats.clone_elapsed = clone_elapsed;
-    stats.elapsed += clone_elapsed;
-    (next, stats)
+    )
 }
 
 #[cfg(test)]
@@ -926,7 +1197,16 @@ mod tests {
         let (mut flat, _) = crate::offline::build_flat_index(&g, &hubs, &config, 1);
         let u = (0..250u32).find(|&v| !hubs.is_hub(v)).unwrap();
         let g2 = add_edge(&g, u, (u + 17) % 250);
-        let stats = refresh_flat_index_delta(&mut flat, &g, &g2, &hubs, &[u], &config, &exact);
+        let stats = refresh_flat_index_delta(
+            &mut Refresher::new(),
+            &mut flat,
+            &g,
+            &g2,
+            &hubs,
+            &[u],
+            &config,
+            &exact,
+        );
         let (rebuilt, _) = crate::offline::build_flat_index(&g2, &hubs, &config, 1);
         assert_eq!(flat.hub_count(), rebuilt.hub_count());
         for &h in hubs.ids() {
@@ -1069,6 +1349,22 @@ mod tests {
         }
     }
 
+    /// [`Merge`] over a slice of sorted deposits.
+    fn merge_patch(
+        view: &PpvRef<'_>,
+        scale: f64,
+        deposits: &[(NodeId, f64)],
+        weight: f64,
+        clip: f64,
+        out: &mut Vec<(NodeId, f64)>,
+    ) -> MergeLoss {
+        let mut merge = Merge::new(view.clone(), scale, weight, clip, out);
+        for &(id, d) in deposits {
+            merge.deposit(id, d);
+        }
+        merge.finish()
+    }
+
     /// The parent merge, before it learned about the clip: every deposit
     /// stored, entries clamped at zero. The reference `clip = 0` must equal.
     fn merge_unclipped(view: &PpvRef<'_>, deposits: &[(NodeId, f64)]) -> (Vec<(NodeId, f64)>, f64) {
@@ -1109,7 +1405,7 @@ mod tests {
         let view = PpvRef::Aos(&stored);
         let (want, want_clamped) = merge_unclipped(&view, &deposits);
         let mut got = Vec::new();
-        let loss = merge_patch(&view, &deposits, 0.0, &mut got);
+        let loss = merge_patch(&view, 1.0, &deposits, 1.0, 0.0, &mut got);
         assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(&want) {
             assert_eq!((g.0, g.1.to_bits()), (w.0, w.1.to_bits()));
@@ -1131,7 +1427,7 @@ mod tests {
             (8, -3.2e-4), // stored entry overshoots to -2e-5: dropped
         ];
         let mut got = Vec::new();
-        let loss = merge_patch(&PpvRef::Aos(&stored), &deposits, clip, &mut got);
+        let loss = merge_patch(&PpvRef::Aos(&stored), 1.0, &deposits, 1.0, clip, &mut got);
         assert_eq!(got, vec![(1, 0.5), (4, 2e-4), (7, 1.5e-4)]);
         assert!(got.iter().all(|&(_, s)| s >= clip));
         assert_eq!(loss.clamped, 5e-4);

@@ -94,7 +94,7 @@ pub mod query;
 pub mod wal;
 
 pub use config::Config;
-pub use dynamic::{DeltaConfig, RefreshStats};
+pub use dynamic::{DeltaConfig, RefreshStats, Refresher};
 pub use hubs::{select_hubs, select_hubs_with_pagerank, HubPolicy, HubSet};
 pub use index::{FlatIndex, MemoryIndex, OpenError, PpvRef, PpvStore, PrimePpv};
 pub use offline::{build_flat_index, build_index, build_index_in_order, OfflineStats};

@@ -117,7 +117,7 @@
 //! offline build merge worker output in hub order and stay byte-identical
 //! to a serial build.
 
-use fastppv_graph::{CsrView, Graph, NodeId, SparseVector};
+use fastppv_graph::{CsrView, Graph, NodeId, ScoreScratch, SparseVector};
 
 use crate::config::Config;
 use crate::hubs::HubSet;
@@ -450,9 +450,9 @@ impl SweepRows for PrimeSubgraph {
 /// in sweep order, whatever the row source and whatever the order of
 /// targets within a row — so the two row sources solve to the same bits.
 ///
-/// `leave` is the residual allowance, in mass units (what
-/// [`DeltaPush::run`] calls `allowance`): when positive, the solve also
-/// stops after the first sweep that leaves Σ residual ≤ `leave`. Zero
+/// `leave` is the residual allowance, in mass units (the part a delta
+/// patch's allowance plays in [`crate::dynamic`]): when positive, the solve
+/// also stops after the first sweep that leaves Σ residual ≤ `leave`. Zero
 /// never evaluates the sum. Only settled mass is ever emitted, so an early
 /// stop keeps the result an entry-wise lower bound (module docs).
 ///
@@ -981,15 +981,15 @@ impl PrimeComputer {
     }
 }
 
-/// What a [`DeltaPush::run`] left behind.
+/// What the settle passes of a [`DeltaPush`] have done so far.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DeltaOutcome {
-    /// Σ|residual| (mass units) never settled — what the push extent left
-    /// behind (at most the caller's allowance) plus anything abandoned by
+    /// Σ|residual| (mass units) still pending after the last pass — what
+    /// the push extent has left behind so far, plus anything abandoned by
     /// the safety valve. Because one unit of residual mass can contribute
     /// at most one unit of score-L1 after α-scaling (the geometric series
     /// `α · Σ (1-α)^i = 1`), this is a sound bound on the score-L1 the
-    /// patch fails to account for.
+    /// deposits fail to account for.
     pub leftover: f64,
     /// Node settles performed.
     pub settles: usize,
@@ -998,27 +998,46 @@ pub struct DeltaOutcome {
     pub truncated: bool,
 }
 
+/// [`DeltaPush`] flag: the node is on the touched list.
+const TOUCHED: u8 = 1;
+/// [`DeltaPush`] flag: the node is on the FIFO queue.
+const QUEUED: u8 = 2;
+
 /// Signed-residual forward push over the full graph with hub absorption —
 /// the delta counterpart of the prime solve's sweeps, used by
-/// [`crate::dynamic`] to patch a stored prime PPV after an edge change
-/// instead of re-extracting and re-solving its subgraph.
+/// [`crate::dynamic`] to patch stored prime PPVs after an edge change
+/// instead of re-extracting and re-solving their subgraphs.
 ///
 /// The solve maintains `ρ = e_s + (1-α)/d · Pᵀm − m` ≡ 0 over settled mass
 /// `m` and residual `ρ`. Changing the out-row of a tail `u` perturbs only
 /// `Pᵀ`'s column block for `u`, so the invariant is restored by injecting
 /// `m(u) · (w_new − w_old)` at `u`'s old and new targets and pushing the
 /// signed residual forward: non-hub nodes re-propagate, hubs (including
-/// the source hub — its returns absorb) and dangling nodes do not. Every
-/// settle deposits `α·r` into the node's score delta, exactly like the
-/// forward solve; what is never settled is returned as
-/// [`DeltaOutcome::leftover`] and charged against the error budget.
-#[derive(Debug, Default)]
+/// the source hub — its returns absorb) and dangling nodes do not. The
+/// push is linear in what is injected, so [`crate::dynamic`] injects the
+/// *unit* perturbation of a tail once and scales the deposits by each
+/// holder's `m(u)`. Every settle deposits `α·r` into the node's score
+/// delta, exactly like the forward solve; what is never settled is
+/// [`DeltaOutcome::leftover`], charged against the error budget.
+///
+/// The extent is the caller's: the push descends a threshold ladder that
+/// depends on the injected mass alone, one [`DeltaPush::descend`] per
+/// rung, and the deposits can be read in id order
+/// ([`DeltaPush::for_each_deposit`]) between rungs without disturbing
+/// them. Graph-sized state is 17 bytes per node: the residual and the
+/// deposits (8 bytes each) and one flag byte, which is all the touched and
+/// queued bookkeeping there is.
+#[derive(Debug)]
 pub struct DeltaPush {
     residual: Vec<f64>,
-    deposit: Vec<f64>,
-    in_queue: Vec<bool>,
+    flags: Vec<u8>,
+    deposits: ScoreScratch,
     queue: std::collections::VecDeque<NodeId>,
+    /// Every node whose residual was ever nonzero since the last reset,
+    /// each once.
     touched: Vec<NodeId>,
+    /// The threshold of the ladder's next rung.
+    threshold: f64,
 }
 
 impl DeltaPush {
@@ -1026,10 +1045,11 @@ impl DeltaPush {
     pub fn new(n: usize) -> Self {
         DeltaPush {
             residual: vec![0.0; n],
-            deposit: vec![0.0; n],
-            in_queue: vec![false; n],
+            flags: vec![0; n],
+            deposits: ScoreScratch::new(n),
             queue: std::collections::VecDeque::new(),
             touched: Vec::new(),
+            threshold: 0.0,
         }
     }
 
@@ -1038,22 +1058,30 @@ impl DeltaPush {
         self.residual.len()
     }
 
+    /// Lists `v` as touched unless it already is.
+    #[inline]
+    fn touch(&mut self, v: NodeId) {
+        let flags = &mut self.flags[v as usize];
+        if *flags & TOUCHED == 0 {
+            *flags |= TOUCHED;
+            self.touched.push(v);
+        }
+    }
+
     /// Accumulates signed residual mass at `v` (call before
-    /// [`DeltaPush::run`]; repeated injections at one node sum).
+    /// [`DeltaPush::start_ladder`]; repeated injections at one node sum).
     #[inline]
     pub fn inject(&mut self, v: NodeId, mass: f64) {
         if mass == 0.0 {
             return;
         }
-        let slot = &mut self.residual[v as usize];
-        if *slot == 0.0 && self.deposit[v as usize] == 0.0 && !self.in_queue[v as usize] {
-            self.touched.push(v);
-        }
-        *slot += mass;
+        self.touch(v);
+        self.residual[v as usize] += mass;
     }
 
-    /// Σ|injected residual| currently pending (mass units) — the a-priori
-    /// bound on the score-L1 effect of the pending perturbation.
+    /// Σ|residual| currently pending (mass units) — before any pass, the
+    /// injected mass: the a-priori bound on the score-L1 effect of the
+    /// pending perturbation.
     pub fn pending_mass(&self) -> f64 {
         self.touched
             .iter()
@@ -1061,74 +1089,51 @@ impl DeltaPush {
             .sum()
     }
 
-    /// Pushes the injected residual through the non-hub nodes of `graph`
-    /// (hubs and dangling nodes absorb) until what is left behind fits
-    /// `allowance`: Σ|residual| ≤ `allowance` on return unless the settle
-    /// safety valve tripped. The extent is scheduled coarse to fine — a
-    /// FIFO pass settles every node holding `|r| ≥ threshold`, the
-    /// threshold starts at `allowance` (a single residual that large can
-    /// never be left) and is halved until the leftover fits — so a
-    /// perturbation already inside the allowance is not pushed at all and
-    /// a larger one is chased only as far as the allowance demands, never
-    /// to a fixed absolute floor. Deposits accumulate per node; collect
-    /// them with [`DeltaPush::drain_deposits`].
-    pub fn run(
-        &mut self,
-        graph: &Graph,
-        hubs: &HubSet,
-        alpha: f64,
-        allowance: f64,
-        max_settles: usize,
-    ) -> DeltaOutcome {
-        debug_assert!(self.capacity() >= graph.num_nodes());
-        debug_assert!(allowance > 0.0);
-        let mut outcome = DeltaOutcome {
-            leftover: self.pending_mass(),
+    /// Starts the threshold ladder over what has been injected: rung `j`
+    /// settles every residual of at least `P₀·2^-j`, where `P₀` is the
+    /// injected mass. Returns rung 0 — the injection itself, nothing
+    /// settled, `leftover = P₀` — and queues what rung 1 settles.
+    pub fn start_ladder(&mut self) -> DeltaOutcome {
+        let injected = self.pending_mass();
+        self.threshold = injected;
+        self.queue_next_rung();
+        DeltaOutcome {
+            leftover: injected,
             ..DeltaOutcome::default()
-        };
-        let mut threshold = allowance;
-        while outcome.leftover > allowance && !outcome.truncated {
-            self.settle_above(graph, hubs, alpha, threshold, max_settles, &mut outcome);
-            outcome.leftover = self.pending_mass();
-            threshold *= 0.5;
         }
-        outcome
     }
 
-    /// One FIFO pass of [`DeltaPush::run`]: settles every node whose
-    /// residual reaches `threshold`, including those the pass itself lifts
-    /// over it.
-    fn settle_above(
+    /// Settles the next rung of the ladder in one FIFO pass — every queued
+    /// residual, and every one the pass itself lifts over the rung's
+    /// threshold — then records the pending mass in `outcome.leftover`.
+    /// Settles accumulate in `outcome.settles`; once they reach
+    /// `max_settles` the pass stops and sets `outcome.truncated` (the rest
+    /// stays residual, inside the leftover).
+    pub fn descend(
         &mut self,
         graph: &Graph,
         hubs: &HubSet,
         alpha: f64,
-        threshold: f64,
         max_settles: usize,
         outcome: &mut DeltaOutcome,
     ) {
-        for i in 0..self.touched.len() {
-            let v = self.touched[i];
-            if self.residual[v as usize].abs() >= threshold && !self.in_queue[v as usize] {
-                self.in_queue[v as usize] = true;
-                self.queue.push_back(v);
-            }
-        }
+        debug_assert!(self.capacity() >= graph.num_nodes());
+        let threshold = self.threshold;
         while let Some(x) = self.queue.pop_front() {
-            self.in_queue[x as usize] = false;
+            self.flags[x as usize] &= !QUEUED;
             let r = self.residual[x as usize];
             if r == 0.0 {
                 continue;
             }
             if outcome.settles >= max_settles {
-                // Safety valve: leave the rest as residual (the caller
-                // counts it into the leftover, so the bound still holds).
+                // Safety valve: leave the rest as residual (it stays in
+                // the leftover, so the bound still holds).
                 outcome.truncated = true;
-                return;
+                break;
             }
             outcome.settles += 1;
             self.residual[x as usize] = 0.0;
-            self.deposit[x as usize] += alpha * r;
+            self.deposits.add(x, alpha * r);
             if hubs.is_hub(x) {
                 continue; // absorbed (source returns land here too)
             }
@@ -1138,47 +1143,52 @@ impl DeltaPush {
             }
             let share = r * (1.0 - alpha) / d as f64;
             for &t in graph.out_neighbors(x) {
+                self.touch(t);
                 let slot = &mut self.residual[t as usize];
-                if *slot == 0.0 && self.deposit[t as usize] == 0.0 && !self.in_queue[t as usize] {
-                    self.touched.push(t);
-                }
                 *slot += share;
-                if slot.abs() >= threshold && !self.in_queue[t as usize] {
-                    self.in_queue[t as usize] = true;
+                let flags = &mut self.flags[t as usize];
+                if slot.abs() >= threshold && *flags & QUEUED == 0 {
+                    *flags |= QUEUED;
                     self.queue.push_back(t);
                 }
             }
         }
+        outcome.leftover = self.queue_next_rung();
     }
 
-    /// Emits the accumulated score deltas `(id, α·settled)` sorted by node
-    /// id into `out` (cleared first) and resets the scratch for reuse.
-    pub fn drain_deposits(&mut self, out: &mut Vec<(NodeId, f64)>) {
-        out.clear();
-        self.touched.sort_unstable();
+    /// Halves the threshold and, in one scan of the touched list, queues
+    /// every residual that reaches it and sums the pending mass.
+    fn queue_next_rung(&mut self) -> f64 {
+        self.threshold *= 0.5;
+        let mut pending = 0.0;
         for &v in &self.touched {
-            let d = self.deposit[v as usize];
-            self.deposit[v as usize] = 0.0;
-            self.residual[v as usize] = 0.0;
-            self.in_queue[v as usize] = false;
-            if d != 0.0 {
-                out.push((v, d));
+            let r = self.residual[v as usize].abs();
+            pending += r;
+            let flags = &mut self.flags[v as usize];
+            if r >= self.threshold && *flags & QUEUED == 0 {
+                *flags |= QUEUED;
+                self.queue.push_back(v);
             }
         }
-        self.touched.clear();
-        self.queue.clear();
+        pending
     }
 
-    /// Discards pending residuals and deposits (the recompute fallback
-    /// path) and resets the scratch for reuse.
+    /// Calls `f(v, α·settled)` for every nonzero deposit, in ascending `v`,
+    /// leaving the push as it is — the passes may continue afterwards.
+    pub fn for_each_deposit(&mut self, f: impl FnMut(NodeId, f64)) {
+        self.deposits.for_each(f);
+    }
+
+    /// Discards pending residuals and deposits and resets the scratch for
+    /// the next injection.
     pub fn reset(&mut self) {
         for &v in &self.touched {
-            self.deposit[v as usize] = 0.0;
             self.residual[v as usize] = 0.0;
-            self.in_queue[v as usize] = false;
+            self.flags[v as usize] = 0;
         }
         self.touched.clear();
         self.queue.clear();
+        self.deposits.clear();
     }
 }
 
@@ -1194,17 +1204,39 @@ mod tests {
         HubSet::from_ids(8, toy::PAPER_HUBS.to_vec())
     }
 
+    /// Descends the threshold ladder until the pending mass fits
+    /// `allowance` — one holder's extent in [`crate::dynamic`].
+    fn descend_until(
+        push: &mut DeltaPush,
+        g: &Graph,
+        hubs: &HubSet,
+        allowance: f64,
+        max: usize,
+    ) -> DeltaOutcome {
+        let mut outcome = push.start_ladder();
+        while outcome.leftover > allowance && !outcome.truncated {
+            push.descend(g, hubs, 0.15, max, &mut outcome);
+        }
+        outcome
+    }
+
     #[test]
     fn delta_push_goes_as_far_as_the_allowance_demands() {
         let g = barabasi_albert(400, 3, 4);
         let hubs = HubSet::from_ids(400, (0..20).collect());
         let mut push = DeltaPush::new(400);
-        let mut deposits = Vec::new();
         let mut run = |allowance: f64| {
             push.inject(57, 1e-3);
             push.inject(211, -4e-4);
-            let outcome = push.run(&g, &hubs, 0.15, allowance, usize::MAX);
-            push.drain_deposits(&mut deposits);
+            let outcome = descend_until(&mut push, &g, &hubs, allowance, usize::MAX);
+            let mut deposits = Vec::new();
+            push.for_each_deposit(|v, d| deposits.push((v, d)));
+            // Reading the deposits leaves them in place, in id order.
+            let mut again = Vec::new();
+            push.for_each_deposit(|v, d| again.push((v, d)));
+            assert_eq!(deposits, again);
+            assert!(deposits.windows(2).all(|w| w[0].0 < w[1].0));
+            push.reset();
             (outcome, deposits.len())
         };
         // Inside the allowance: nothing is pushed, everything is leftover.
@@ -1224,10 +1256,22 @@ mod tests {
         }
         // The safety valve reports what it abandoned.
         push.inject(57, 1e-3);
-        let cut = push.run(&g, &hubs, 0.15, 1e-9, 5);
+        let cut = descend_until(&mut push, &g, &hubs, 1e-9, 5);
         assert!(cut.truncated && cut.settles == 5 && cut.leftover > 1e-9);
         push.reset();
         assert_eq!(push.pending_mass(), 0.0);
+    }
+
+    #[test]
+    fn a_residual_cancelled_to_zero_is_pending_once() {
+        // The third injection finds the slot at exactly 0 with nothing
+        // deposited and nothing queued; it must not list the node again,
+        // or the pending mass counts it twice.
+        let mut push = DeltaPush::new(8);
+        push.inject(3, 1e-3);
+        push.inject(3, -1e-3);
+        push.inject(3, 2e-3);
+        assert_eq!(push.pending_mass(), 2e-3);
     }
 
     #[test]

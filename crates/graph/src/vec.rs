@@ -347,6 +347,12 @@ impl ScoreScratch {
         }
     }
 
+    /// Calls `f(v, value)` for every nonzero slot, in ascending `v`,
+    /// without resetting the scratch.
+    pub fn for_each(&mut self, f: impl FnMut(NodeId, f64)) {
+        self.visit::<false>(f);
+    }
+
     /// Sum over nonzero slots, in ascending node id.
     pub fn sum(&mut self) -> f64 {
         let mut total = 0.0;

@@ -32,9 +32,7 @@ use std::time::{Duration, Instant};
 use arc_swap::ArcSwap;
 use parking_lot::Mutex;
 
-use fastppv_core::dynamic::{
-    refresh_flat_index_snapshot_delta, same_adjacency, DeltaConfig, RefreshStats,
-};
+use fastppv_core::dynamic::{same_adjacency, DeltaConfig, RefreshStats, Refresher};
 use fastppv_core::query::{expand_frontier, QueryWorkspace, StoppingCondition};
 use fastppv_core::{Config, FlatIndex, HubSet, PpvStore, QueryEngine};
 use fastppv_graph::{Graph, NodeId, SparseVector};
@@ -520,8 +518,9 @@ pub struct QueryService<S: PpvStore + Send + Sync> {
     // Serializes updates (publishers) against each other — never against
     // readers. Without it, two concurrent refreshes would both pin the
     // same old snapshot and the second publish would silently drop the
-    // first update's work.
-    update_lock: Mutex<()>,
+    // first update's work. It guards the refresher whose graph-sized push
+    // scratch every update reuses.
+    update_lock: Mutex<Refresher>,
     // Recycled per-worker scratch: graph-sized, so worth keeping across
     // batches instead of re-zeroing O(n) arrays every flush.
     workspaces: Mutex<Vec<QueryWorkspace>>,
@@ -651,7 +650,7 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
             cache,
             current_epoch: AtomicU64::new(0),
             current_nodes: AtomicUsize::new(nodes),
-            update_lock: Mutex::new(()),
+            update_lock: Mutex::new(Refresher::new()),
             workspaces: Mutex::new(Vec::new()),
             overload: None,
             staged: Mutex::new(None),
@@ -1257,7 +1256,8 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
 
 impl QueryService<FlatIndex> {
     /// Builds the next epoch's arena off the pinned snapshot `old` without
-    /// publishing it ([`refresh_flat_index_snapshot_delta`]). The arena is
+    /// publishing it ([`Refresher::refresh`], on the refresher the update
+    /// lock guards, so its push scratch stays warm). The arena is
     /// cloned and patched copy-on-write at *chunk* granularity: the clone
     /// Arc-shares every chunk with the old snapshot (O(chunks) pointer
     /// copies, no entry data moved), and the patch seals shared chunks
@@ -1269,11 +1269,12 @@ impl QueryService<FlatIndex> {
     /// and [`RefreshStats::mapped_bytes`] report the new arena's footprint.
     fn refresh(
         &self,
+        refresher: &mut Refresher,
         old: &ServingState<FlatIndex>,
         new_graph: &Graph,
         changed_tails: &[NodeId],
     ) -> (FlatIndex, RefreshStats) {
-        refresh_flat_index_snapshot_delta(
+        refresher.refresh(
             &old.store,
             &old.graph,
             new_graph,
@@ -1301,9 +1302,9 @@ impl QueryService<FlatIndex> {
     /// published at all — the epoch stays put and the warm cache survives
     /// ([`CacheStats::noop_update_skips`]).
     pub fn apply_update(&self, new_graph: Graph, changed_tails: &[NodeId]) -> RefreshStats {
-        let _updates = self.update_lock.lock();
+        let mut refresher = self.update_lock.lock();
         let old = self.snapshot();
-        let (store, stats) = self.refresh(&old, &new_graph, changed_tails);
+        let (store, stats) = self.refresh(&mut refresher, &old, &new_graph, changed_tails);
         if self.update_was_noop(&stats, &old.graph, &new_graph, changed_tails) {
             self.noop_skips.fetch_add(1, Ordering::Relaxed);
             return stats;
@@ -1336,7 +1337,7 @@ impl QueryService<FlatIndex> {
         new_graph: Graph,
         changed_tails: &[NodeId],
     ) -> Result<RefreshStats, String> {
-        let _updates = self.update_lock.lock();
+        let mut refresher = self.update_lock.lock();
         let old = self.snapshot();
         if target_epoch != old.epoch + 1 {
             return Err(format!(
@@ -1345,7 +1346,7 @@ impl QueryService<FlatIndex> {
                 old.epoch + 1
             ));
         }
-        let (store, stats) = self.refresh(&old, &new_graph, changed_tails);
+        let (store, stats) = self.refresh(&mut refresher, &old, &new_graph, changed_tails);
         *self.staged.lock() = Some(ServingState {
             graph: Arc::new(new_graph),
             hubs: Arc::clone(&old.hubs),

@@ -1,4 +1,4 @@
-//! Proves five acceptance criteria with a counting global allocator:
+//! Proves six acceptance criteria with a counting global allocator:
 //!
 //! * zero heap allocations in `IncrementalState::step` rounds and in the
 //!   assemble pass that folds them into the estimate, on the `FlatIndex`
@@ -20,7 +20,11 @@
 //!   refresh whose tail no stored PPV holds mass at allocates less than
 //!   `8·n` bytes beyond the arena's copy-on-write directory clone — no
 //!   reverse-search scratch (`8·n` by itself), no dirty mask, no push
-//!   arrays.
+//!   arrays;
+//! * nothing graph-sized for an **edge event that patches** on a warm
+//!   `Refresher`: beyond the directory clone and the segments the patch
+//!   appends to the arena, less than `8·n` bytes — the push scratch
+//!   (`17·n`), its deposits, and the merge buffers are all reused.
 //!
 //! This file deliberately holds a single test: the allocation counter is
 //! process-global, and a lone test keeps other threads from muddying the
@@ -29,14 +33,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fastppv::core::dynamic::refresh_flat_index_snapshot_delta;
+use fastppv::core::dynamic::{refresh_flat_index_snapshot_delta, Refresher};
 use fastppv::core::offline::build_flat_index;
 use fastppv::core::query::{QuerySession, QueryWorkspace, StoppingCondition};
 use fastppv::core::{
     select_hubs, Config, DeltaConfig, HubPolicy, PpvStore, PrimeComputer, QueryEngine,
 };
 use fastppv::graph::builder::from_edges;
-use fastppv::graph::gen::{apply_event, barabasi_albert, EdgeEvent};
+use fastppv::graph::gen::{apply_event, barabasi_albert, synth_events, EdgeEvent};
 use fastppv::graph::NodeId;
 
 struct CountingAlloc;
@@ -214,6 +218,63 @@ fn steps_allocate_nothing_on_flat_path_with_warm_workspace() {
         refresh_bytes < clone_bytes + 8 * n as u64,
         "an invisible event allocated {refresh_bytes} bytes; the directory \
          clone is {clone_bytes} and n is {n}"
+    );
+
+    // Phase 5: an edge event that patches, on a warm refresher. The first
+    // pass over the event builds the push scratch and grows the holder
+    // lists and merge buffers to its footprint; after that the event must
+    // allocate nothing graph-sized — only the arena's directory clone and
+    // the patched segments the arena appends (measured by writing the same
+    // segments into another clone), with less than `8·n` to spare.
+    let (event, next) = synth_events(&g, 200, 0.2, 7)
+        .into_iter()
+        .map(|event| (event, apply_event(&g, &event)))
+        .find(|(event, next)| {
+            let (_, stats) = refresh_flat_index_snapshot_delta(
+                &flat,
+                &g,
+                next,
+                &hubs,
+                &[event.tail],
+                &config,
+                &delta,
+            );
+            !hubs.is_hub(event.tail)
+                && stats.recomputed == 0
+                && stats.delta_patched > stats.delta_noop
+        })
+        .expect("an event that patches without recomputing");
+    let mut refresher = Refresher::new();
+    for _ in 0..4 {
+        refresher.refresh(&flat, &g, &next, &hubs, &[event.tail], &config, &delta);
+    }
+    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    let (refreshed, stats) =
+        refresher.refresh(&flat, &g, &next, &hubs, &[event.tail], &config, &delta);
+    let refresh_bytes = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+    let patched: Vec<(NodeId, Vec<(NodeId, f64)>)> = hubs
+        .ids()
+        .iter()
+        .filter(|&&h| refreshed.load(h) != flat.load(h))
+        .map(|&h| (h, refreshed.load(h).unwrap().entries.into_entries()))
+        .collect();
+    assert_eq!(
+        patched.len(),
+        stats.delta_patched - stats.delta_noop,
+        "{stats:?}"
+    );
+    let mut copy = flat.clone();
+    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    for (h, entries) in &patched {
+        copy.replace_entries(*h, entries, &hubs);
+    }
+    let segment_bytes = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+    assert!(
+        refresh_bytes < clone_bytes + segment_bytes + 8 * n as u64,
+        "a patching event allocated {refresh_bytes} bytes on a warm refresher; \
+         the directory clone is {clone_bytes}, its {} patched segments \
+         {segment_bytes}, and n is {n}",
+        patched.len()
     );
 
     // Sanity check that the counter is actually live.

@@ -142,10 +142,24 @@ fn stored_dependents<S: PpvStore>(
 }
 
 /// [`index_digest`] of the arena after the 320 events of
-/// `long_event_stream_does_not_bloat_the_index`, recorded at the commit
-/// before the delta path stopped running the affected-hub search: asking
-/// the stored vector instead moves no stored PPV and no spend by one bit.
-const LONG_STREAM_DIGEST: u64 = 0xab39_135e_56d9_ac08;
+/// `long_event_stream_does_not_bloat_the_index`. Re-pinned when the delta
+/// path started pushing each changed tail once for all its holders (and a
+/// hub's own row in closed form): a holder's deposits are now the unit
+/// push's, scaled by its mass at the tail, and its extent is a rung of the
+/// tail's threshold ladder rather than its own halving schedule, so the
+/// patched values and spends moved, while the stream's no-bloat and
+/// within-spend-of-fresh asserts below still hold. (The pin before it,
+/// `0xab39_135e_56d9_ac08`, was the one-push-per-hub path's.)
+const LONG_STREAM_DIGEST: u64 = 0xf5e1_63df_132b_231c;
+
+/// Σ `RefreshStats::push_settles` over the same stream: the work its 320
+/// events cost, counted. The one-push-per-hub path read 412 824; pushing
+/// each tail once reads this.
+const LONG_STREAM_SETTLES: usize = 327_532;
+
+/// Σ `recomputed` over the same stream — hubs whose patch would have left
+/// the budget. The one-push-per-hub path read the same 173.
+const LONG_STREAM_RECOMPUTED: usize = 173;
 
 /// The update path must not grow the index: a long stream of single-edge
 /// events at the default clip leaves the arena the size a fresh build
@@ -169,6 +183,7 @@ fn long_event_stream_does_not_bloat_the_index() {
     let resident_at_build = flat.resident_bytes();
     let mut graph = g0;
     let mut resident = Vec::with_capacity(EVENTS);
+    let (mut settles, mut recomputed) = (0usize, 0usize);
     for ev in &events {
         let next = apply_event(&graph, ev);
         let (f, fs) = refresh_flat_index_snapshot_delta(
@@ -206,12 +221,19 @@ fn long_event_stream_does_not_bloat_the_index() {
             );
         }
         resident.push(fs.resident_bytes);
+        settles += fs.push_settles;
+        recomputed += fs.recomputed;
         (flat, graph) = (f, next);
     }
     assert_eq!(
         index_digest(&flat, &hubs),
         LONG_STREAM_DIGEST,
         "stored PPVs or spends moved"
+    );
+    assert_eq!(
+        (settles, recomputed),
+        (LONG_STREAM_SETTLES, LONG_STREAM_RECOMPUTED),
+        "(push settles, recomputes) over the stream moved"
     );
     assert!(
         flat.resident_bytes() as f64 <= 1.5 * resident_at_build as f64,
@@ -461,49 +483,182 @@ fn apply_flip(graph: &Graph, u: NodeId, v: NodeId) -> Option<Graph> {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+/// A generated certificate case: node count, initial edge list, proposed
+/// edge-flip batches, and which hub's own row the case rewrites.
+type CertificateCase = (
+    usize,
+    Vec<(NodeId, NodeId)>,
+    Vec<Vec<(NodeId, NodeId)>>,
+    usize,
+);
 
-    /// The headline contract: across a random insert/delete sequence,
-    /// every hub of the delta-maintained index stays within its *recorded*
-    /// budget spend — itself capped by the declared budget — of a
-    /// from-scratch rebuild.
-    #[test]
-    fn delta_maintained_index_stays_within_declared_budget(
-        (n, edges, flips) in graph_and_flips()
-    ) {
-        let config = tight_config();
-        let delta = DeltaConfig::default().with_budget(0.05);
-        let mut graph = from_edges(n, &edges);
-        let hubs = select_hubs(&graph, HubPolicy::ExpectedUtility, (n / 3).max(2), 0);
-        let (mut flat, _) = build_flat_index(&graph, &hubs, &config, 1);
-        for &(u, v) in &flips {
-            let Some(next) = apply_flip(&graph, u, v) else { continue };
-            let (patched, stats) = refresh_flat_index_snapshot_delta(
-                &flat, &graph, &next, &hubs, &[u], &config, &delta,
-            );
-            prop_assert!(stats.budget_watermark <= delta.budget);
-            prop_assert_eq!(
-                stats.delta_patched + stats.recomputed + stats.reused,
-                hubs.len()
-            );
-            flat = patched;
-            graph = next;
-        }
-        // Certified accuracy: per-hub L1 against a fresh exact rebuild is
-        // bounded by that hub's recorded spend (small float slack).
-        let (rebuilt, _) = build_index(&graph, &hubs, &config);
-        for &h in hubs.ids() {
-            let ours = flat.load(h).expect("maintained hub");
-            let fresh = rebuilt.load(h).expect("rebuilt hub");
-            let l1 = entries_l1(ours.entries.entries(), fresh.entries.entries());
-            prop_assert!(
-                l1 <= flat.budget_spent(h) + 1e-6,
-                "hub {}: L1 {} exceeds recorded spend {}",
-                h, l1, flat.budget_spent(h)
-            );
+/// Strategy: [`graph_and_flips`]'s graphs, with the flips grouped into
+/// batches of one to three (so a batch may change several tails, or one
+/// tail twice), and a hub pick.
+fn certificate_case() -> impl Strategy<Value = CertificateCase> {
+    (6usize..16).prop_flat_map(|n| {
+        let edges = prop::collection::vec((0..n as NodeId, 0..n as NodeId), n..4 * n);
+        let flip = (0..n as NodeId, 0..n as NodeId);
+        let batches = prop::collection::vec(prop::collection::vec(flip, 1..4), 1..6);
+        (Just(n), edges, batches, 0usize..64)
+    })
+}
+
+/// The batches a certificate case replays: the generated ones, with a
+/// rewrite of hub `h`'s own row spliced into the middle — its out-edges
+/// deleted one batch at a time until only the dangling-fix self-loop is
+/// left, then two edges inserted back in one batch.
+fn with_own_row_rewrite(
+    graph: &Graph,
+    h: NodeId,
+    batches: &[Vec<(NodeId, NodeId)>],
+) -> Vec<Vec<(NodeId, NodeId)>> {
+    let n = graph.num_nodes() as NodeId;
+    let mid = batches.len() / 2;
+    let mut script = batches[..mid].to_vec();
+    let mut g = graph.clone();
+    for batch in &script {
+        for &(u, v) in batch {
+            g = apply_flip(&g, u, v).unwrap_or(g);
         }
     }
+    for &v in g.out_neighbors(h).iter().filter(|&&v| v != h) {
+        script.push(vec![(h, v)]);
+    }
+    script.push(vec![(h, (h + 1) % n), (h, (h + 2) % n)]);
+    script.extend_from_slice(&batches[mid..]);
+    script
+}
+
+/// Proptest case count: `FASTPPV_FUZZ_ROUNDS`, 16 by default.
+fn fuzz_rounds() -> u32 {
+    std::env::var("FASTPPV_FUZZ_ROUNDS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(16)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(fuzz_rounds()))]
+
+    /// The headline contract: after **every** batch of a random
+    /// insert/delete sequence — multi-tail batches, and a hub's own row
+    /// shrunk edge by edge to its dangling self-loop and grown back — every
+    /// hub of the delta-maintained index is within its *recorded* spend,
+    /// itself capped by the declared budget, of a from-scratch rebuild.
+    /// Checked at clip 0 and the default clip, budgets 0.01 and 0.05, on
+    /// the whole arena and on a two-shard slicing of it.
+    ///
+    /// At the default clip both sides also carry clip crumbs, which the
+    /// spend does not count (module docs of `dynamic`): a hub whose mass
+    /// at a tail was clipped away does not see the tail's event at all.
+    /// The bound is then the residual form of the certificate. A stored
+    /// vector `S` with residual `ρ` is within `|ρ|` of the exact PPV `T`;
+    /// dropping `|v|` of score moves `ρ` by at most `(2-α)/α·|v|`, so a
+    /// fresh build `F` carries `|ρ| ≤ (2-α)/α·‖T − F‖`, every charged unit
+    /// of spend at most `(2-α)/α` more, and a hub's own-row event scales
+    /// `ρ` by `d/d′` with the stored entries. Hence
+    /// `‖S − F‖ ≤ (2-α)/α·(spend + ‖T₀ − F₀‖·Π d/d′) + ‖T − F‖`, with `F₀`
+    /// the last build or recompute the hub's entries equal.
+    #[test]
+    fn delta_maintained_index_stays_within_declared_budget(
+        (n, edges, batches, pick) in certificate_case()
+    ) {
+        let graph0 = from_edges(n, &edges);
+        let hubs = select_hubs(&graph0, HubPolicy::ExpectedUtility, (n / 3).max(2), 0);
+        let h = hubs.ids()[pick % hubs.len()];
+        let script = with_own_row_rewrite(&graph0, h, &batches);
+        let map = ShardMap::round_robin(n, 2);
+        let exact = tight_config();
+        let factor = (2.0 - exact.alpha) / exact.alpha;
+        // ‖T − F‖ per hub, for a fresh build F at `config` of `graph`.
+        let crumbs = |graph: &Graph, config: &Config, fresh: &FlatIndex| -> Vec<f64> {
+            let mut crumbs = vec![0.0; n];
+            if config.clip > 0.0 {
+                let (exact, _) = build_index(graph, &hubs, &exact);
+                for &h in hubs.ids() {
+                    let t = exact.load(h).unwrap();
+                    let f = fresh.load(h).unwrap();
+                    crumbs[h as usize] = entries_l1(t.entries.entries(), f.entries.entries());
+                }
+            }
+            crumbs
+        };
+        for clip in [0.0, Config::default().clip] {
+            let config = tight_config().with_clip(clip);
+            let (built, _) = build_flat_index(&graph0, &hubs, &config, 1);
+            let crumbs0 = crumbs(&graph0, &config, &built);
+            for budget in [0.01, 0.05] {
+                let delta = DeltaConfig::default().with_budget(budget);
+                for sliced in [false, true] {
+                    let mut arenas: Vec<FlatIndex> = if sliced {
+                        (0..2).map(|s| slice_store(&built, &hubs, &map, s)).collect()
+                    } else {
+                        vec![built.clone()]
+                    };
+                    // factor · ‖T₀ − F₀‖ · Π d/d′, per hub.
+                    let mut carried: Vec<f64> = crumbs0.iter().map(|c| factor * c).collect();
+                    let mut graph = graph0.clone();
+                    for batch in &script {
+                        let mut next = graph.clone();
+                        let mut tails = Vec::new();
+                        for &(u, v) in batch {
+                            if let Some(g) = apply_flip(&next, u, v) {
+                                next = g;
+                                tails.push(u);
+                            }
+                        }
+                        for arena in &mut arenas {
+                            let (patched, stats) = refresh_flat_index_snapshot_delta(
+                                arena, &graph, &next, &hubs, &tails, &config, &delta,
+                            );
+                            prop_assert!(stats.budget_watermark <= delta.budget);
+                            prop_assert_eq!(
+                                stats.delta_patched + stats.recomputed + stats.reused,
+                                patched.hub_ids().len()
+                            );
+                            *arena = patched;
+                        }
+                        tails.sort_unstable();
+                        tails.dedup();
+                        for &u in tails.iter().filter(|&&u| hubs.is_hub(u)) {
+                            let (d, d_new) = (graph.out_degree(u), next.out_degree(u));
+                            carried[u as usize] *= d as f64 / d_new as f64;
+                        }
+                        graph = next;
+                        let (fresh, _) = build_flat_index(&graph, &hubs, &config, 1);
+                        let crumbs = crumbs(&graph, &config, &fresh);
+                        for arena in &arenas {
+                            for &h in arena.hub_ids() {
+                                let ours = arena.load(h).expect("maintained hub");
+                                let want = fresh.load(h).expect("rebuilt hub");
+                                let l1 = entries_l1(ours.entries.entries(), want.entries.entries());
+                                let spent = arena.budget_spent(h);
+                                let bound = if clip == 0.0 {
+                                    spent
+                                } else {
+                                    factor * spent + carried[h as usize] + crumbs[h as usize]
+                                };
+                                prop_assert!(
+                                    l1 <= bound + 1e-6,
+                                    "clip {}, budget {}, sliced {}, batch {:?}: hub {}: L1 {} \
+                                     exceeds {} (recorded spend {})",
+                                    clip, budget, sliced, batch, h, l1, bound, spent
+                                );
+                                if spent == 0.0 && ours == want {
+                                    carried[h as usize] = factor * crumbs[h as usize];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Budget 0 must disable the delta path entirely: nothing is patched
     /// and the refreshed index is a from-scratch build of the new graph,
