@@ -10,10 +10,9 @@
 //! TCP backend feeds it from request outcomes and the background
 //! `OP_STATS` prober.
 
-use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use fastppv_server::percentile_of_sorted;
+use fastppv_server::LatencyWindow;
 use parking_lot::Mutex;
 
 /// The observable health of one shard.
@@ -151,21 +150,14 @@ impl ShardHealth {
     }
 }
 
-/// How many latency samples each shard's ring retains for the hedge-delay
-/// p99.
-const LATENCY_WINDOW: usize = 256;
-
 struct ShardEntry {
     health: ShardHealth,
-    /// The window in arrival order (the next eviction is at the front).
-    latencies: VecDeque<Duration>,
-    /// The same window, ascending: the p99 is an index read.
-    sorted: Vec<Duration>,
+    latencies: LatencyWindow,
 }
 
 /// Shared health registry for a set of shards: the state machines plus a
-/// recent-latency ring per shard (the hedge delay is derived from its
-/// p99).
+/// recent-latency window per shard (the hedge delay is derived from its
+/// p99, read on every scatter).
 pub struct HealthBoard {
     shards: Vec<Mutex<ShardEntry>>,
 }
@@ -178,8 +170,7 @@ impl HealthBoard {
                 .map(|_| {
                     Mutex::new(ShardEntry {
                         health: ShardHealth::new(options),
-                        latencies: VecDeque::new(),
-                        sorted: Vec::new(),
+                        latencies: LatencyWindow::default(),
                     })
                 })
                 .collect(),
@@ -205,16 +196,7 @@ impl HealthBoard {
     pub fn on_success(&self, shard: usize, latency: Duration) {
         let mut e = self.shards[shard].lock();
         e.health.on_success();
-        if e.latencies.len() == LATENCY_WINDOW {
-            if let Some(old) = e.latencies.pop_front() {
-                if let Ok(at) = e.sorted.binary_search(&old) {
-                    e.sorted.remove(at);
-                }
-            }
-        }
-        e.latencies.push_back(latency);
-        let at = e.sorted.partition_point(|&x| x <= latency);
-        e.sorted.insert(at, latency);
+        e.latencies.record(latency);
     }
 
     /// Records a completed sub-request whose latency is unknown (its
@@ -237,11 +219,7 @@ impl HealthBoard {
     /// Nearest-rank p99 over the shard's recent completed sub-requests
     /// (`None` until any sample exists).
     pub fn p99(&self, shard: usize) -> Option<Duration> {
-        let e = self.shards[shard].lock();
-        if e.sorted.is_empty() {
-            return None;
-        }
-        Some(percentile_of_sorted(&e.sorted, 0.99))
+        self.shards[shard].lock().latencies.p99()
     }
 
     /// Shards currently not `Down` (the breaker clock is not advanced).
@@ -336,28 +314,5 @@ mod tests {
         assert!(!board.allow(2, now));
         board.on_success(2, Duration::from_millis(1));
         assert_eq!(board.live_shards(), vec![0, 1, 2]);
-    }
-
-    /// The sorted window answers exactly what sorting the ring would,
-    /// after every push — duplicates and evictions included.
-    #[test]
-    fn p99_matches_percentile_of_the_window_across_eviction() {
-        let board = HealthBoard::new(1, opts());
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        for push in 0..3 * LATENCY_WINDOW {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            // A narrow range forces ties, so eviction must remove one
-            // copy of a repeated value, not all of them.
-            board.on_success(0, Duration::from_micros(state % 97));
-            let window: Vec<Duration> = board.shards[0].lock().latencies.iter().copied().collect();
-            assert_eq!(window.len(), (push + 1).min(LATENCY_WINDOW));
-            assert_eq!(
-                board.p99(0),
-                Some(fastppv_server::percentile(&window, 0.99)),
-                "push {push}"
-            );
-        }
     }
 }

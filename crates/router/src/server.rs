@@ -4,10 +4,11 @@
 //! Per client request the router runs [`crate::merge_query`] over the
 //! backend, with:
 //!
-//! * an **answer cache** keyed `(query, stopping condition, epoch)` — a
-//!   hit skips the scatter entirely, and the epoch key plus an
-//!   advance-only epoch watermark keeps post-update answers from mixing
-//!   with pre-update ones;
+//! * an **answer cache** ([`fastppv_server::EpochCache`]) keyed
+//!   `(query, stopping condition)` at the merge's epoch — a hit skips the
+//!   scatter entirely, and an advance-only epoch watermark, publishing the
+//!   cache as it moves, keeps post-update answers from mixing with
+//!   pre-update ones;
 //! * **typed degradation** — a clean merge answers normally; a degraded
 //!   merge that still meets the request's accuracy target is served with
 //!   the `degraded` flag and its honest (inflated) φ; a degraded merge
@@ -15,8 +16,9 @@
 //!   `Overloaded{retry_after}` rather than silently under-delivering;
 //! * **two-phase update forwarding** — an `OP_UPDATE` frame against the
 //!   router coordinates the phase across every shard (prepare-all with
-//!   abort-on-failure, commit-all), then clears the answer cache and
-//!   advances the epoch watermark.
+//!   abort-on-failure, commit-all), then advances the epoch watermark;
+//! * a **load ledger** ([`fastppv_server::LoadTracker`], as on a shard)
+//!   behind `OP_STATS`.
 //!
 //! The router owns no connection handling: it implements
 //! [`fastppv_server::net::Frontend`] and [`serve_router`] starts it on
@@ -25,7 +27,6 @@
 //! the two. It serves no shard sub-ops (`OP_PRIME0` / `OP_EXPAND`): a
 //! client that sends one is disconnected.
 
-use std::collections::VecDeque;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,7 +40,7 @@ use fastppv_server::net::{
     serve_with_options, Frontend, NetOptions, NetServer, ServerHello, UpdatePhase, WireAnswer,
     WireRequest, WireResponse, WireStats, WireStop,
 };
-use fastppv_server::{percentile, LruCache};
+use fastppv_server::{EpochCache, LoadTracker};
 use parking_lot::Mutex;
 
 use crate::merge::{merge_query, MergeError, MergedAnswer, RouterConfig, SubBackend};
@@ -48,9 +49,8 @@ use crate::publish::{commit_all, prepare_all, PublishError, UpdateBackend};
 /// Serving knobs of a [`Router`].
 #[derive(Clone, Copy, Debug)]
 pub struct RouterOptions {
-    /// Merged answers cached (`0` disables). Keyed by
-    /// `(query, stop, epoch)`; degraded and deadline-bounded answers are
-    /// never cached.
+    /// Merged answers cached (`0` disables). Keyed by `(query, stop)` at
+    /// one epoch; degraded and deadline-bounded answers are never cached.
     pub cache_capacity: usize,
     /// Connection-level robustness knobs (frame stall, write timeout).
     pub net: NetOptions,
@@ -72,9 +72,8 @@ impl Default for RouterOptions {
     }
 }
 
-/// Cache key: query, stopping-condition discriminant + payload bits,
-/// and the epoch the answer was merged at.
-type CacheKey = (NodeId, u8, u64, u64);
+/// Cache key: query and stopping-condition discriminant + payload bits.
+type CacheKey = (NodeId, u8, u64);
 
 fn stop_key(stop: &WireStop) -> (u8, u64) {
     match stop {
@@ -82,9 +81,6 @@ fn stop_key(stop: &WireStop) -> (u8, u64) {
         WireStop::L1Error(target) => (1, target.to_bits()),
     }
 }
-
-/// How many recent merge latencies feed the router's own stats p99.
-const LATENCY_WINDOW: usize = 1024;
 
 /// How many merge workspaces (dense score scratches) stay pooled.
 const WORKSPACE_POOL: usize = 16;
@@ -96,16 +92,13 @@ pub struct Router<B> {
     map: ShardMap,
     cfg: RouterConfig,
     options: RouterOptions,
-    cache: Mutex<LruCache<CacheKey, Arc<MergedAnswer>>>,
+    cache: EpochCache<CacheKey, Arc<MergedAnswer>>,
     /// Advance-only watermark of the highest epoch seen in any merged
     /// answer or committed update: cache lookups key on it, so answers
     /// from before an observed update stop being served immediately.
     epoch: AtomicU64,
     workspaces: Mutex<Vec<ScoreScratch>>,
-    latencies: Mutex<VecDeque<Duration>>,
-    in_flight: AtomicU64,
-    degraded: AtomicU64,
-    shed: AtomicU64,
+    load: LoadTracker,
 }
 
 impl<B: SubBackend> Router<B> {
@@ -128,13 +121,10 @@ impl<B: SubBackend> Router<B> {
             map,
             cfg,
             options,
-            cache: Mutex::new(LruCache::new(options.cache_capacity)),
+            cache: EpochCache::new(options.cache_capacity),
             epoch: AtomicU64::new(0),
             workspaces: Mutex::new(Vec::new()),
-            latencies: Mutex::new(VecDeque::new()),
-            in_flight: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
+            load: LoadTracker::new(None),
         }
     }
 
@@ -150,22 +140,15 @@ impl<B: SubBackend> Router<B> {
 
     /// The router's own load picture, served to `OP_STATS` probes.
     pub fn stats(&self) -> WireStats {
-        let recent: Vec<Duration> = {
-            let l = self.latencies.lock();
-            let (a, b) = l.as_slices();
-            a.iter().chain(b.iter()).copied().collect()
-        };
-        WireStats {
-            in_flight: self.in_flight.load(Ordering::Acquire),
-            recent_p99: percentile(&recent, 0.99),
-            degraded: self.degraded.load(Ordering::Acquire),
-            shed: self.shed.load(Ordering::Acquire),
-            epoch: self.epoch(),
-        }
+        WireStats::from_load(self.load.stats(), self.epoch())
     }
 
+    /// Raises the watermark to `seen`; when it moves, the answer cache
+    /// moves with it, dropping every answer merged before.
     fn advance_epoch(&self, seen: u64) {
-        self.epoch.fetch_max(seen, Ordering::AcqRel);
+        if self.epoch.fetch_max(seen, Ordering::AcqRel) < seen {
+            self.cache.publish(seen);
+        }
     }
 
     fn take_workspace(&self) -> ScoreScratch {
@@ -182,22 +165,22 @@ impl<B: SubBackend> Router<B> {
         }
     }
 
-    fn note_latency(&self, latency: Duration) {
-        let mut l = self.latencies.lock();
-        if l.len() == LATENCY_WINDOW {
-            l.pop_front();
+    /// Counts a shed decision and answers it: a typed, retryable
+    /// rejection carrying the configured backoff hint.
+    fn shed(&self) -> WireResponse {
+        self.load.note_shed();
+        WireResponse::Overloaded {
+            retry_after_ms: (self.options.retry_after.as_millis() as u32).max(1),
         }
-        l.push_back(latency);
     }
 
     /// Serves one wire request end to end: cache, scatter/gather merge,
     /// degradation policy, response formatting.
     pub fn serve_request(&self, request: &WireRequest) -> WireResponse {
         let started = Instant::now();
-        self.in_flight.fetch_add(1, Ordering::AcqRel);
+        let _in_flight = self.load.enter(1);
         let response = self.serve_request_inner(request, started);
-        self.in_flight.fetch_sub(1, Ordering::AcqRel);
-        self.note_latency(started.elapsed());
+        self.load.record(started.elapsed());
         response
     }
 
@@ -205,8 +188,7 @@ impl<B: SubBackend> Router<B> {
         let (tag, bits) = stop_key(&request.stop);
         let cacheable = request.deadline_ms.is_none();
         if cacheable {
-            let key = (request.query, tag, bits, self.epoch());
-            if let Some(hit) = self.cache.lock().get(&key).map(Arc::clone) {
+            if let Some(hit) = self.cache.get(&(request.query, tag, bits), self.epoch()) {
                 return WireResponse::Answer(format_answer(
                     &hit,
                     request.top_k,
@@ -232,35 +214,27 @@ impl<B: SubBackend> Router<B> {
         let merged = match merged {
             Ok(m) => m,
             // Nothing serveable at all: a typed, retryable rejection.
-            Err(MergeError::AllShardsDown) | Err(MergeError::EpochSkew) => {
-                self.shed.fetch_add(1, Ordering::AcqRel);
-                return WireResponse::Overloaded {
-                    retry_after_ms: (self.options.retry_after.as_millis() as u32).max(1),
-                };
-            }
+            Err(MergeError::AllShardsDown) | Err(MergeError::EpochSkew) => return self.shed(),
             Err(MergeError::Shard(msg)) => return WireResponse::Error(msg),
         };
         self.advance_epoch(merged.epoch);
         if merged.degraded {
-            self.degraded.fetch_add(1, Ordering::AcqRel);
+            self.load.note_degraded();
             // A degraded answer that misses a requested accuracy bound is
             // an unattainable contract right now — shed it honestly
             // instead of serving a silent miss.
             if self.options.shed_unattainable {
                 if let WireStop::L1Error(target) = request.stop {
                     if merged.l1_error > target {
-                        self.shed.fetch_add(1, Ordering::AcqRel);
-                        return WireResponse::Overloaded {
-                            retry_after_ms: (self.options.retry_after.as_millis() as u32).max(1),
-                        };
+                        return self.shed();
                     }
                 }
             }
         }
         let answer = format_answer(&merged, request.top_k, false, started.elapsed());
         if cacheable && !merged.degraded {
-            let key = (request.query, tag, bits, merged.epoch);
-            self.cache.lock().insert(key, Arc::new(merged));
+            let key = (request.query, tag, bits);
+            self.cache.insert(key, merged.epoch, Arc::new(merged));
         }
         WireResponse::Answer(answer)
     }
@@ -339,7 +313,7 @@ where
 
     /// Forwards the phase to every shard. Prepare failures abort the
     /// round everywhere; a full commit advances the router's epoch
-    /// watermark and drops the answer cache.
+    /// watermark, which drops the answer cache.
     fn update(
         &self,
         phase: UpdatePhase,
@@ -353,7 +327,6 @@ where
             UpdatePhase::Commit => match commit_all(&self.backend, target_epoch) {
                 Ok(()) => {
                     self.advance_epoch(target_epoch);
-                    self.cache.lock().clear();
                     Ok(())
                 }
                 Err(PublishError::Commit { failures }) => Err(format!(
@@ -374,5 +347,59 @@ where
                 Ok(())
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::BackendError;
+    use fastppv_server::net::{SubReply, WireExpand, WirePrime0};
+
+    /// A backend whose shard fails by panicking mid-scatter.
+    struct PanickingBackend;
+
+    impl SubBackend for PanickingBackend {
+        fn num_shards(&self) -> usize {
+            1
+        }
+
+        fn prime0(
+            &self,
+            _shard: usize,
+            _query: NodeId,
+            _expect_epoch: Option<u64>,
+        ) -> Result<SubReply<WirePrime0>, BackendError> {
+            panic!("shard backend failed");
+        }
+
+        fn expand(
+            &self,
+            _shard: usize,
+            _sublist: &[(NodeId, f64)],
+            _expect_epoch: Option<u64>,
+        ) -> Result<SubReply<WireExpand>, BackendError> {
+            panic!("shard backend failed");
+        }
+    }
+
+    #[test]
+    fn a_request_that_unwinds_leaves_the_in_flight_count() {
+        let cfg = RouterConfig {
+            alpha: 0.15,
+            delta: 0.0,
+            num_nodes: 8,
+        };
+        let router = Router::new(
+            PanickingBackend,
+            ShardMap::round_robin(8, 1),
+            cfg,
+            RouterOptions::default(),
+        );
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            router.serve_request(&WireRequest::iterations(0, 2))
+        }));
+        assert!(unwound.is_err(), "the backend panic reaches the caller");
+        assert_eq!(router.stats().in_flight, 0, "the unwound request left");
     }
 }

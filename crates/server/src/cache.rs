@@ -1,12 +1,19 @@
-//! A true LRU cache with O(1) get/insert (hash map + intrusive list).
+//! A true LRU cache with O(1) get/insert (hash map + intrusive list), and
+//! the epoch-stamped wrapper every front-end cache is built on.
 //!
 //! The *service* cache sits in front of whole query results, where repeat
 //! traffic is Zipf-skewed and recency actually matters, so it pays
 //! for the doubly-linked bookkeeping. Entries live in a slab indexed by the
 //! map; the list threads through the slab, most-recently-used first.
+//!
+//! [`EpochCache`] owns the one rule that keeps a cache honest across index
+//! updates: an entry answers only for the epoch it was computed at, and a
+//! publish clears the cache and rejects late inserts from older epochs.
 
 use std::collections::HashMap;
 use std::hash::Hash;
+
+use parking_lot::Mutex;
 
 const NIL: usize = usize::MAX;
 
@@ -43,11 +50,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             tail: NIL,
             capacity,
         }
-    }
-
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current number of entries.
@@ -161,6 +163,105 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 }
 
+/// Cache hit/miss counters and current size.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CacheStats {
+    /// Cacheable requests answered from memory.
+    pub hits: u64,
+    /// Cacheable requests that ran the engine.
+    pub misses: u64,
+    /// Entries currently cached.
+    pub entries: usize,
+    /// Inserts rejected because the result was computed against a snapshot
+    /// older than the current epoch (a worker raced an update; accepting
+    /// the entry would resurrect pre-update scores).
+    pub stale_rejects: u64,
+    /// Update batches that changed nothing
+    /// ([`crate::QueryService::apply_update`] found the adjacency unchanged
+    /// and every refresh a no-op) and were therefore *not* published — the
+    /// epoch stayed put and the warm hot-PPV cache survived (0 from a bare
+    /// [`EpochCache`]).
+    pub noop_update_skips: u64,
+}
+
+struct Stamped<K: Eq + Hash + Clone, V> {
+    lru: LruCache<K, (u64, V)>,
+    /// The published epoch: inserts stamped older are rejected.
+    epoch: u64,
+    /// Hit / miss / stale-reject counts (`entries` is read off `lru`).
+    counts: CacheStats,
+}
+
+/// An [`LruCache`] whose entries are stamped with the epoch of the index
+/// version that computed them. A lookup hits only an entry stamped with
+/// exactly the caller's epoch; an insert stamped older than the published
+/// epoch is rejected and counted; [`EpochCache::publish`] clears the cache
+/// and advances its epoch under the same lock, so an insert racing a
+/// publish is either cleared (it landed first) or rejected (it landed
+/// after) — never resurrected.
+pub struct EpochCache<K: Eq + Hash + Clone, V>(Mutex<Stamped<K, V>>);
+
+impl<K: Eq + Hash + Clone, V: Clone> EpochCache<K, V> {
+    /// An empty cache at epoch 0 holding at most `capacity` entries
+    /// (0 stores nothing).
+    pub fn new(capacity: usize) -> Self {
+        EpochCache(Mutex::new(Stamped {
+            lru: LruCache::new(capacity),
+            epoch: 0,
+            counts: CacheStats::default(),
+        }))
+    }
+
+    /// The value cached for `key` at exactly `epoch`, counting the hit or
+    /// miss. An entry from another epoch is a miss: a caller pinned to one
+    /// version never mixes in another's answer.
+    pub fn get(&self, key: &K, epoch: u64) -> Option<V> {
+        let mut inner = self.0.lock();
+        let hit = inner
+            .lru
+            .get(key)
+            .filter(|(stamp, _)| *stamp == epoch)
+            .map(|(_, v)| v.clone());
+        match hit {
+            Some(_) => inner.counts.hits += 1,
+            None => inner.counts.misses += 1,
+        }
+        hit
+    }
+
+    /// Caches `value` for `key`, stamped `epoch` — unless `epoch` is older
+    /// than the published epoch: then the insert is a counted stale reject.
+    pub fn insert(&self, key: K, epoch: u64, value: V) {
+        let mut inner = self.0.lock();
+        if epoch < inner.epoch {
+            inner.counts.stale_rejects += 1;
+            return;
+        }
+        inner.lru.insert(key, (epoch, value));
+    }
+
+    /// Advances the cache to `epoch` and drops every entry, returning how
+    /// many were dropped. Epochs only move forward: publishing an epoch at
+    /// or below the current one changes nothing.
+    pub fn publish(&self, epoch: u64) -> usize {
+        let mut inner = self.0.lock();
+        if epoch <= inner.epoch {
+            return 0;
+        }
+        inner.epoch = epoch;
+        inner.lru.clear()
+    }
+
+    /// Counters and current size.
+    pub fn stats(&self) -> CacheStats {
+        let inner = self.0.lock();
+        CacheStats {
+            entries: inner.lru.len(),
+            ..inner.counts
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,5 +354,72 @@ mod tests {
         assert_eq!(c.get(&99), Some(&198));
         assert_eq!(c.get(&98), Some(&196));
         assert_eq!(c.get(&97), None);
+    }
+
+    #[test]
+    fn epoch_cache_hits_only_the_exact_epoch() {
+        let c = EpochCache::new(4);
+        c.insert("a", 0, 1);
+        assert_eq!(c.get(&"a", 0), Some(1));
+        // A newer stamp on the same key is a different answer.
+        c.insert("b", 1, 2);
+        assert_eq!(c.get(&"b", 0), None, "a hit needs exactly its epoch");
+        assert_eq!(c.get(&"b", 1), Some(2));
+        let stats = c.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 2));
+    }
+
+    #[test]
+    fn epoch_cache_publish_clears_and_rejects_older_stamps() {
+        let c = EpochCache::new(4);
+        // Inserted before the publish: cleared by it.
+        c.insert(7u32, 0, "before");
+        assert_eq!(c.publish(1), 1);
+        assert_eq!(c.get(&7, 0), None);
+        assert_eq!(c.stats().entries, 0);
+        // Computed at epoch 0 but inserted after publish(1): rejected and
+        // counted, so pre-update scores are never resurrected.
+        c.insert(7, 0, "late");
+        let stats = c.stats();
+        assert_eq!((stats.entries, stats.stale_rejects), (0, 1));
+        // A current-epoch insert is accepted.
+        c.insert(7, 1, "fresh");
+        assert_eq!(c.get(&7, 1), Some("fresh"));
+        // Epochs only advance: an older publish is a no-op.
+        assert_eq!(c.publish(0), 0);
+        assert_eq!(c.get(&7, 1), Some("fresh"));
+    }
+
+    /// A publish racing a stream of inserts stamped with the old epoch —
+    /// the stream runs until it sees the publish, then a little past it:
+    /// whatever the interleaving, no old-epoch entry survives.
+    #[test]
+    fn epoch_cache_racing_publish_never_keeps_a_stale_entry() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let c = EpochCache::new(1024);
+        let start = std::sync::Barrier::new(2);
+        let published = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                let mut k = 0u32;
+                while !published.load(Ordering::SeqCst) {
+                    c.insert(k % 4096, 0, k);
+                    k += 1;
+                }
+                for _ in 0..100 {
+                    c.insert(k % 4096, 0, k);
+                    k += 1;
+                }
+            });
+            start.wait();
+            c.publish(1);
+            published.store(true, Ordering::SeqCst);
+        });
+        // Every insert either landed before the publish (cleared) or
+        // after it (rejected).
+        let stats = c.stats();
+        assert_eq!(stats.entries, 0);
+        assert!(stats.stale_rejects >= 100);
     }
 }

@@ -18,10 +18,13 @@
 //!   snapshot, and [`QueryService::apply_update`] (`&self`, concurrent
 //!   with serving) refreshes the index against the pinned old state and
 //!   publishes the next epoch while in-flight queries finish undisturbed;
-//! * a **hot-PPV cache** — an [`cache::LruCache`] keyed by `(query, η)`
+//! * a **hot-PPV cache** — an [`EpochCache`] keyed by `(query, η)`
 //!   memoizing deterministic requests; every entry is stamped with its
 //!   snapshot's epoch, so an update both clears the cache and rejects
 //!   late inserts computed against the old state;
+//! * a **load ledger** — one [`LoadTracker`] (in-flight count, degraded /
+//!   shed counters, a [`LatencyWindow`] p99) behind admission and the
+//!   `OP_STATS` probe, the same type the router keeps;
 //! * a **TCP front-end** ([`net`]) — a length-prefixed binary protocol
 //!   (`fastppv serve --listen ADDR`) with a thread-per-connection acceptor
 //!   feeding the worker pool, relative-millisecond deadlines on the wire,
@@ -58,12 +61,13 @@
 //! ```
 
 pub mod cache;
+pub mod load;
 pub mod net;
 pub mod service;
 
-pub use cache::LruCache;
+pub use cache::{CacheStats, EpochCache, LruCache};
+pub use load::{Admission, LatencyWindow, LoadRegime, LoadStats, LoadTracker, OverloadOptions};
 pub use service::{
-    percentile, percentile_of_sorted, percentile_of_sorted_pair, Admission, CacheStats,
-    ExpandAnswer, LatencySummary, LoadRegime, LoadStats, OverloadOptions, Prime0Parts,
+    percentile_of_sorted, percentile_of_sorted_pair, ExpandAnswer, LatencySummary, Prime0Parts,
     QueryService, Request, Response, ServiceOptions, ServingState, SubQueryError,
 };

@@ -25,7 +25,10 @@ use super::wire::{
     WireRequest, WireResponse, WireStats, MAX_FRAME_BYTES, OP_EXPAND, OP_PRIME0, OP_QUERY,
     OP_STATS, OP_UPDATE,
 };
-use crate::service::{check_in_range, Admission, QueryService, Request, Response, SubQueryError};
+use crate::load::Admission;
+use crate::service::{
+    check_in_range, check_whole_store, QueryService, Request, Response, SubQueryError,
+};
 
 /// Concurrent connections a front-end accepts; beyond it new connections
 /// are closed before the hello frame (admission control — each connection
@@ -538,7 +541,9 @@ fn encode_sub_response<T>(
 }
 
 /// A shard: the whole protocol, with admission, per-request range checks
-/// and shutdown cancellation on `OP_QUERY`.
+/// and shutdown cancellation on `OP_QUERY`. A shard holding a slice of
+/// the index answers every `OP_QUERY` request with a typed error naming
+/// the router: only the scatter sub-ops are its to serve.
 impl Frontend for QueryService<FlatIndex> {
     fn hello(&self) -> ServerHello {
         let state = self.snapshot();
@@ -556,6 +561,9 @@ impl Frontend for QueryService<FlatIndex> {
         // the exact graph the batch will run on, so a concurrent update
         // cannot invalidate the check mid-flight.
         let state = self.snapshot();
+        if let Err(e) = check_whole_store(&state) {
+            return vec![WireResponse::Error(e); requests.len()];
+        }
         let mut out = Vec::with_capacity(requests.len());
         let mut batch: Vec<Request> = Vec::with_capacity(requests.len());
         let mut batch_slots: Vec<usize> = Vec::with_capacity(requests.len());
@@ -590,14 +598,7 @@ impl Frontend for QueryService<FlatIndex> {
     }
 
     fn stats(&self) -> WireStats {
-        let load = self.load_stats();
-        WireStats {
-            in_flight: load.in_flight as u64,
-            recent_p99: load.recent_p99,
-            degraded: load.degraded,
-            shed: load.shed,
-            epoch: self.epoch(),
-        }
+        WireStats::from_load(self.load_stats(), self.epoch())
     }
 
     fn update(

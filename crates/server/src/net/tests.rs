@@ -293,6 +293,74 @@ fn loopback_sub_ops_serve_scatter_halves_and_two_phase_updates() {
     server.shutdown();
 }
 
+/// A shard holding a slice of the index cannot answer a whole query (its
+/// expansion would reach hubs other shards own): `OP_QUERY` gets a typed
+/// per-request error naming the router, and the connection keeps serving
+/// the scatter sub-ops it exists for.
+#[test]
+fn sliced_shard_refuses_whole_queries_and_keeps_serving_sub_ops() {
+    let g = toy::graph();
+    let hubs = HubSet::from_ids(8, toy::PAPER_HUBS.to_vec());
+    let config = Config::exhaustive();
+    let (full, _) = build_index(&g, &hubs, &config);
+    let owned = toy::PAPER_HUBS[0];
+    let mut slice = FlatIndex::new(8);
+    slice.insert_from(&full, owned, &hubs);
+    let service = Arc::new(QueryService::new(
+        Arc::new(g),
+        Arc::new(hubs),
+        Arc::new(slice),
+        config,
+        ServiceOptions {
+            workers: 2,
+            queue_capacity: 8,
+            cache_capacity: 16,
+        },
+    ));
+    let server = serve(
+        Arc::clone(&service),
+        TcpListener::bind("127.0.0.1:0").unwrap(),
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let requests: Vec<WireRequest> = (0..8u32).map(|q| WireRequest::iterations(q, 5)).collect();
+    let responses = client.request_batch(&requests).unwrap();
+    assert_eq!(responses.len(), 8);
+    for r in &responses {
+        let err = r.error().expect("a sliced shard answers no whole query");
+        assert!(err.contains("send whole queries to the router"), "{err}");
+    }
+    // The same connection still serves the scatter halves.
+    let p0 = client.prime0(owned, Some(0)).unwrap().ok().expect("prime0");
+    let ex = client
+        .expand(&[(owned, 0.125)], Some(0))
+        .unwrap()
+        .ok()
+        .expect("expand of an owned hub");
+    assert_eq!((p0.epoch, ex.hubs_expanded), (0, 1));
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+#[should_panic(expected = "send whole queries to the router")]
+fn sliced_service_query_names_the_router() {
+    let g = toy::graph();
+    let hubs = HubSet::from_ids(8, toy::PAPER_HUBS.to_vec());
+    let config = Config::exhaustive();
+    let (full, _) = build_index(&g, &hubs, &config);
+    let mut slice = FlatIndex::new(8);
+    slice.insert_from(&full, toy::PAPER_HUBS[0], &hubs);
+    let service = QueryService::new(
+        Arc::new(g),
+        Arc::new(hubs),
+        Arc::new(slice),
+        config,
+        ServiceOptions::default(),
+    );
+    service.process_batch(vec![crate::Request::iterations(toy::A, 5)]);
+}
+
 #[test]
 fn batch_and_count_caps_are_enforced() {
     // A frame large enough to hold MAX_BATCH_REQUESTS + 1 requests is
@@ -374,7 +442,7 @@ fn loopback_expired_deadline_stops_immediately() {
 
 #[test]
 fn loopback_sheds_past_high_water_mark_and_recovers() {
-    use crate::service::OverloadOptions;
+    use crate::OverloadOptions;
     let g = toy::graph();
     let hubs = HubSet::from_ids(8, toy::PAPER_HUBS.to_vec());
     let config = Config::exhaustive();
@@ -405,7 +473,7 @@ fn loopback_sheds_past_high_water_mark_and_recovers() {
     let mut client = Client::connect(server.local_addr()).unwrap();
     // Pin the service past the high-water mark, as a flood of slow
     // batches would.
-    let held = service.track_in_flight(4);
+    let held = service.load.enter(4);
     let shed = client
         .request_one(WireRequest::iterations(toy::A, 3))
         .unwrap();
@@ -419,7 +487,7 @@ fn loopback_sheds_past_high_water_mark_and_recovers() {
         .unwrap();
     assert!(ok.answer().is_some(), "recovered after shed: {ok:?}");
     // Between the watermarks: admitted but degraded, φ still carried.
-    let held = service.track_in_flight(1); // +1 for the request itself = 2
+    let held = service.load.enter(1); // +1 for the request itself = 2
     let soft = client
         .request_one(WireRequest::iterations(toy::A, 8))
         .unwrap();

@@ -69,7 +69,7 @@
 //! condition under load; `l1_error` is still the certified φ of what was
 //! computed) and the `Overloaded` response (tag 2): a request shed past
 //! the high-water mark fails fast with a positive retry hint instead of
-//! queueing. See [`crate::service::OverloadOptions`].
+//! queueing. See [`crate::OverloadOptions`].
 //!
 //! Version 3 made request frames op-tagged and added the scatter/gather
 //! sub-ops a shard cluster needs: `stats` (router health probes),
@@ -95,6 +95,8 @@ use std::time::Duration;
 use fastppv_core::query::StoppingCondition;
 use fastppv_graph::gen::EdgeEvent;
 use fastppv_graph::NodeId;
+
+use crate::load::LoadStats;
 
 /// Wire constants, re-exported from the workspace constant registry
 /// under their historical public names. Protocol version history:
@@ -562,6 +564,19 @@ pub struct WireStats {
     pub shed: u64,
     /// Current serving epoch.
     pub epoch: u64,
+}
+
+impl WireStats {
+    /// The stats frame of a front-end whose ledger reads `load` at `epoch`.
+    pub fn from_load(load: LoadStats, epoch: u64) -> Self {
+        WireStats {
+            in_flight: load.in_flight as u64,
+            recent_p99: load.recent_p99,
+            degraded: load.degraded,
+            shed: load.shed,
+            epoch,
+        }
+    }
 }
 
 /// Iteration 0 of a scattered query as answered by a shard.
