@@ -772,7 +772,7 @@ fn serve_loop(
          p50 {:.2?}, p99 {:.2?}; \
          hub sources {} (p50 {:.2?}, p99 {:.2?}), \
          non-hub sources {} (p50 {:.2?}, p99 {:.2?}); \
-         cache hits {} / misses {}; \
+         cache hits {} / misses {}, {} entries in {:.2} MB; \
          index entries {entries_at_start} -> {}, {:.2} MB resident, {:.2} MB mapped",
         served as f64 / elapsed.as_secs_f64().max(1e-9),
         overall_p50,
@@ -785,6 +785,8 @@ fn serve_loop(
         nonhub.p99,
         stats.hits,
         stats.misses,
+        stats.entries,
+        mb(stats.bytes),
         service.store().total_entries(),
         mb(service.store().resident_bytes()),
         mb(service.store().mapped_bytes())

@@ -55,10 +55,12 @@
 //! frontier of border hubs are tracked in two more dense scratches and
 //! drained into reused buffers, and the covered mass `‖r̂‖₁` is maintained
 //! incrementally. The sorted sparse estimate is materialized exactly once,
-//! in [`IncrementalState::into_result`]. Every drain comes out in node-id
-//! order ([`ScoreScratch`] owns that order), so nothing here sorts the
-//! pending hubs, the frontier or the answer. On a warmed-up workspace over a
-//! [`crate::index::FlatIndex`], neither [`IncrementalState::step`] nor the
+//! in [`IncrementalState::into_result`] — whole, or as only the `k` best
+//! entries when the caller asked for a top-`k` answer, so a ten-node
+//! answer never allocates the vector it is chosen from. Every drain comes
+//! out in node-id order ([`ScoreScratch`] owns that order), so nothing
+//! here sorts the pending hubs, the frontier or the answer. On a warmed-up
+//! workspace over a [`crate::index::FlatIndex`], neither [`IncrementalState::step`] nor the
 //! assemble pass performs any heap allocation (the per-iteration stats
 //! vector is preallocated for 16 iterations and only reallocates —
 //! amortized — beyond that).
@@ -175,7 +177,10 @@ pub struct IterationStats {
 pub struct QueryResult {
     /// The query node.
     pub query: NodeId,
-    /// The PPV estimate (entry-wise lower bound on the exact PPV).
+    /// The PPV estimate (entry-wise lower bound on the exact PPV), in
+    /// ascending node id: the whole estimate, or only its `k` best entries
+    /// when the query was finished as a top-`k` answer
+    /// ([`QuerySession::finish`]).
     pub scores: SparseVector,
     /// Increments computed beyond iteration 0.
     pub iterations: usize,
@@ -471,7 +476,7 @@ impl<'a, S: PpvStore> QueryEngine<'a, S> {
         q: NodeId,
         stop: &StoppingCondition,
     ) -> QueryResult {
-        self.query_with_cancel(ws, q, stop, None)
+        self.query_with_cancel(ws, q, stop, 0, None)
     }
 
     /// Like [`QueryEngine::query_with`], but additionally polls `cancel`
@@ -481,11 +486,15 @@ impl<'a, S: PpvStore> QueryEngine<'a, S> {
     /// never a wrong one. Iteration 0 (the query's own prime PPV) always
     /// runs, so even an immediately-cancelled query carries a finite
     /// error bound.
+    ///
+    /// `top_k` is how much of the answer to keep: 0 keeps the whole
+    /// estimate, `k > 0` only its `k` best entries ([`QuerySession::finish`]).
     pub fn query_with_cancel(
         &self,
         ws: &mut QueryWorkspace,
         q: NodeId,
         stop: &StoppingCondition,
+        top_k: usize,
         cancel: Option<&std::sync::atomic::AtomicBool>,
     ) -> QueryResult {
         let cancelled = || cancel.is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed));
@@ -501,7 +510,7 @@ impl<'a, S: PpvStore> QueryEngine<'a, S> {
                 break;
             }
         }
-        session.into_result()
+        session.finish(top_k)
     }
 
     /// Answers a top-`k` query, iterating until the set is *certified*
@@ -795,18 +804,21 @@ impl IncrementalState {
     }
 
     /// Finalizes into a [`QueryResult`]: the query's one assemble pass,
-    /// then the single materialization of the sorted sparse estimate,
-    /// which resets the scratch's estimate for reuse.
+    /// then the single materialization of the sorted sparse estimate —
+    /// whole when `top_k` is 0, else only its `top_k` best entries
+    /// ([`ScoreScratch::drain_top_k`]) — which resets the scratch's
+    /// estimate for reuse.
     pub fn into_result<S: PpvStore>(
         self,
         store: &S,
         scratch: &mut IncrementScratch,
+        top_k: usize,
     ) -> QueryResult {
         scratch.assemble(store);
         QueryResult {
             query: self.query,
             l1_error: (1.0 - self.covered).max(0.0),
-            scores: scratch.estimate.drain_sparse(),
+            scores: scratch.estimate.drain_top_k(top_k),
             iterations: self.iterations_done,
             elapsed: self.started.elapsed(),
             exhausted: self.exhausted,
@@ -844,7 +856,7 @@ pub fn run_increments<S: PpvStore>(
             break;
         }
     }
-    state.into_result(store, scratch)
+    state.into_result(store, scratch, 0)
 }
 
 /// A list of `(node, mass)` pairs — prime-PPV entries or a border-hub
@@ -1003,14 +1015,22 @@ impl<S: PpvStore> QuerySession<'_, '_, S> {
         &self.state.stats
     }
 
-    /// Finalizes the session.
+    /// Finalizes the session with the whole estimate.
     pub fn into_result(self) -> QueryResult {
+        self.finish(0)
+    }
+
+    /// Finalizes the session keeping `top_k` entries of the estimate: all
+    /// of them when `top_k` is 0, else the `top_k` best — the entries
+    /// [`QueryResult::top_k`] of the whole answer would pick, bit for bit,
+    /// held in ascending node id.
+    pub fn finish(self, top_k: usize) -> QueryResult {
         let QuerySession {
             engine,
             mut ws,
             state,
         } = self;
-        state.into_result(engine.store, &mut ws.get_mut().inc)
+        state.into_result(engine.store, &mut ws.get_mut().inc, top_k)
     }
 }
 
@@ -1259,6 +1279,7 @@ mod tests {
             &mut ws,
             toy::A,
             &StoppingCondition::l1_error(1e-12),
+            0,
             Some(&cancel),
         );
         assert_eq!(partial.iterations, 0, "cancel stops before any step");
@@ -1278,6 +1299,7 @@ mod tests {
             &mut ws,
             toy::A,
             &StoppingCondition::l1_error(1e-9),
+            0,
             Some(&cancel),
         );
         assert!(full.l1_error <= 1e-9);

@@ -398,6 +398,22 @@ impl ScoreScratch {
         top.finish()
     }
 
+    /// Drains the scratch as an answer of `k` entries and resets it: every
+    /// nonzero entry when `k` is 0 ([`ScoreScratch::drain_sparse`]), else
+    /// the `k` that [`ScoreScratch::top_k`] selects. Either way the entries
+    /// come out in ascending node id. A top-`k` drain allocates only the
+    /// selection buffer of at most `2k` entries, never an answer-sized
+    /// vector.
+    pub fn drain_top_k(&mut self, k: usize) -> SparseVector {
+        if k == 0 {
+            return self.drain_sparse();
+        }
+        let mut top = self.top_k(k);
+        self.clear();
+        top.sort_unstable_by_key(|&(v, _)| v);
+        SparseVector::from_sorted(top)
+    }
+
     /// Resets without materializing.
     pub fn clear(&mut self) {
         for &v in &self.touched {
@@ -557,6 +573,23 @@ mod tests {
         // Still intact afterwards.
         assert_eq!(s.get(3), 0.75);
         assert_eq!(s.drain_sparse().len(), 2);
+    }
+
+    #[test]
+    fn scratch_drain_top_k_is_the_top_k_in_id_order_and_resets() {
+        // Capacity 8 takes the value-array pass, capacity 1000 the sort of
+        // the touched ids; both must leave every slot zeroed.
+        for n in [8, 1000] {
+            let mut s = ScoreScratch::new(n);
+            for (v, x) in [(6, 0.5), (1, 0.25), (4, 0.75), (2, 0.5)] {
+                s.add(v, x);
+            }
+            assert_eq!(s.drain_top_k(3).entries(), &[(2, 0.5), (4, 0.75), (6, 0.5)]);
+            assert!(s.to_sparse().is_empty(), "n = {n}");
+            assert_eq!(s.get(1), 0.0, "n = {n}");
+            s.add(5, 1.0);
+            assert_eq!(s.drain_top_k(0).entries(), &[(5, 1.0)], "n = {n}");
+        }
     }
 
     #[test]

@@ -92,7 +92,8 @@ pub struct MergedAnswer {
     /// The query node.
     pub query: NodeId,
     /// The merged PPV estimate, ascending node id (entry-wise lower
-    /// bound on the exact PPV).
+    /// bound on the exact PPV): whole, or only its `k` best entries when
+    /// [`merge_query`] was asked for `top_k = k > 0`.
     pub scores: Vec<(NodeId, f64)>,
     /// Certified L1 error φ of the estimate — exact for clean merges,
     /// honestly inflated when shards were skipped.
@@ -158,19 +159,22 @@ fn check_entries(
 }
 
 /// Scatters `query` across the cluster and gathers the merged, certified
-/// answer. Epoch skew observed mid-merge (a two-phase commit landing
-/// between iterations) is retried once from scratch before surfacing as
-/// [`MergeError::EpochSkew`].
+/// answer, keeping `top_k` entries of it (0 = the whole estimate; `k > 0`
+/// the `k` best, drained straight from `scratch` by
+/// [`ScoreScratch::drain_top_k`]). Epoch skew observed mid-merge (a
+/// two-phase commit landing between iterations) is retried once from
+/// scratch before surfacing as [`MergeError::EpochSkew`].
 pub fn merge_query<B: SubBackend>(
     backend: &B,
     map: &ShardMap,
     cfg: &RouterConfig,
     query: NodeId,
     stop: &StoppingCondition,
+    top_k: usize,
     scratch: &mut ScoreScratch,
 ) -> Result<MergedAnswer, MergeError> {
-    match merge_once(backend, map, cfg, query, stop, scratch) {
-        Err(MergeError::EpochSkew) => merge_once(backend, map, cfg, query, stop, scratch),
+    match merge_once(backend, map, cfg, query, stop, top_k, scratch) {
+        Err(MergeError::EpochSkew) => merge_once(backend, map, cfg, query, stop, top_k, scratch),
         other => other,
     }
 }
@@ -181,6 +185,7 @@ fn merge_once<B: SubBackend>(
     cfg: &RouterConfig,
     query: NodeId,
     stop: &StoppingCondition,
+    top_k: usize,
     scratch: &mut ScoreScratch,
 ) -> Result<MergedAnswer, MergeError> {
     let started = Instant::now();
@@ -333,7 +338,7 @@ fn merge_once<B: SubBackend>(
     let l1_error = (1.0 - covered).max(0.0);
     Ok(MergedAnswer {
         query,
-        scores: scratch.drain_sparse().into_entries(),
+        scores: scratch.drain_top_k(top_k).into_entries(),
         l1_error,
         iterations,
         exhausted,

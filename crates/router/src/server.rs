@@ -5,10 +5,12 @@
 //! backend, with:
 //!
 //! * an **answer cache** ([`fastppv_server::EpochCache`]) keyed
-//!   `(query, stopping condition)` at the merge's epoch — a hit skips the
-//!   scatter entirely, and an advance-only epoch watermark, publishing the
-//!   cache as it moves, keeps post-update answers from mixing with
-//!   pre-update ones;
+//!   `(query, stopping condition, top_k)` at the merge's epoch — a hit
+//!   skips the scatter entirely, and an advance-only epoch watermark,
+//!   publishing the cache as it moves, keeps post-update answers from
+//!   mixing with pre-update ones. A request for the top `k` is merged,
+//!   cached and answered as those `k` entries only, never as the whole
+//!   vector;
 //! * **typed degradation** — a clean merge answers normally; a degraded
 //!   merge that still meets the request's accuracy target is served with
 //!   the `degraded` flag and its honest (inflated) φ; a degraded merge
@@ -49,8 +51,9 @@ use crate::publish::{commit_all, prepare_all, PublishError, UpdateBackend};
 /// Serving knobs of a [`Router`].
 #[derive(Clone, Copy, Debug)]
 pub struct RouterOptions {
-    /// Merged answers cached (`0` disables). Keyed by `(query, stop)` at
-    /// one epoch; degraded and deadline-bounded answers are never cached.
+    /// Merged answers cached (`0` disables). Keyed by `(query, stop,
+    /// top_k)` at one epoch; degraded and deadline-bounded answers are
+    /// never cached.
     pub cache_capacity: usize,
     /// Connection-level robustness knobs (frame stall, write timeout).
     pub net: NetOptions,
@@ -72,8 +75,9 @@ impl Default for RouterOptions {
     }
 }
 
-/// Cache key: query and stopping-condition discriminant + payload bits.
-type CacheKey = (NodeId, u8, u64);
+/// Cache key: query, stopping-condition discriminant + payload bits, and
+/// the entries asked for (0 = all).
+type CacheKey = (NodeId, u8, u64, usize);
 
 fn stop_key(stop: &WireStop) -> (u8, u64) {
     match stop {
@@ -186,9 +190,11 @@ impl<B: SubBackend> Router<B> {
 
     fn serve_request_inner(&self, request: &WireRequest, started: Instant) -> WireResponse {
         let (tag, bits) = stop_key(&request.stop);
+        let top_k = request.top_k as usize;
+        let key = (request.query, tag, bits, top_k);
         let cacheable = request.deadline_ms.is_none();
         if cacheable {
-            if let Some(hit) = self.cache.get(&(request.query, tag, bits), self.epoch()) {
+            if let Some(hit) = self.cache.get(&key, self.epoch()) {
                 return WireResponse::Answer(format_answer(
                     &hit,
                     request.top_k,
@@ -208,6 +214,7 @@ impl<B: SubBackend> Router<B> {
             &self.cfg,
             request.query,
             &stop,
+            top_k,
             &mut ws,
         );
         self.return_workspace(ws);
@@ -233,13 +240,15 @@ impl<B: SubBackend> Router<B> {
         }
         let answer = format_answer(&merged, request.top_k, false, started.elapsed());
         if cacheable && !merged.degraded {
-            let key = (request.query, tag, bits);
             self.cache.insert(key, merged.epoch, Arc::new(merged));
         }
         WireResponse::Answer(answer)
     }
 }
 
+/// The wire answer to a request asking for `top_k` entries. For `top_k > 0`
+/// the merge already kept only those entries (in id order), so this only
+/// puts them in rank order.
 fn format_answer(merged: &MergedAnswer, top_k: u32, cached: bool, latency: Duration) -> WireAnswer {
     let entries = if top_k == 0 {
         merged.scores.clone()

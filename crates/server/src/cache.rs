@@ -12,6 +12,8 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::mem::size_of;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -129,6 +131,14 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         n
     }
 
+    /// Every entry, in no particular order.
+    fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.map.values().map(|&idx| {
+            let slot = &self.slots[idx];
+            (&slot.key, &slot.value)
+        })
+    }
+
     /// The key that would be evicted next, if any (test/diagnostic hook).
     pub fn lru_key(&self) -> Option<&K> {
         (self.tail != NIL).then(|| &self.slots[self.tail].key)
@@ -172,6 +182,10 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries currently cached.
     pub entries: usize,
+    /// Bytes those entries hold: per entry its slot and map record, and
+    /// what its key (stored twice) and value own on the heap
+    /// ([`HeapBytes`]). Read by walking the entries, so it costs O(entries).
+    pub bytes: usize,
     /// Inserts rejected because the result was computed against a snapshot
     /// older than the current epoch (a worker raced an update; accepting
     /// the entry would resurrect pre-update scores).
@@ -182,6 +196,51 @@ pub struct CacheStats {
     /// epoch stayed put and the warm hot-PPV cache survived (0 from a bare
     /// [`EpochCache`]).
     pub noop_update_skips: u64,
+}
+
+/// What a cached key or value owns on the heap beyond its inline size —
+/// the part of [`CacheStats::bytes`] a slot's size does not show. A shared
+/// allocation (an `Arc`) is counted in full by every entry holding it.
+pub trait HeapBytes {
+    /// Heap bytes owned (0 for plain values).
+    fn heap_bytes(&self) -> usize;
+}
+
+macro_rules! owns_no_heap {
+    ($($t:ty),*) => {
+        $(impl HeapBytes for $t {
+            fn heap_bytes(&self) -> usize {
+                0
+            }
+        })*
+    };
+}
+
+owns_no_heap!(u32, u64, usize, i32, f64, &str);
+
+impl<A: HeapBytes, B: HeapBytes> HeapBytes for (A, B) {
+    fn heap_bytes(&self) -> usize {
+        self.0.heap_bytes() + self.1.heap_bytes()
+    }
+}
+
+impl<A: HeapBytes, B: HeapBytes, C: HeapBytes> HeapBytes for (A, B, C) {
+    fn heap_bytes(&self) -> usize {
+        self.0.heap_bytes() + self.1.heap_bytes() + self.2.heap_bytes()
+    }
+}
+
+impl<T: HeapBytes> HeapBytes for Vec<T> {
+    fn heap_bytes(&self) -> usize {
+        self.capacity() * size_of::<T>() + self.iter().map(T::heap_bytes).sum::<usize>()
+    }
+}
+
+impl<T: HeapBytes> HeapBytes for Arc<T> {
+    /// The shared allocation: its two reference counts and the value.
+    fn heap_bytes(&self) -> usize {
+        2 * size_of::<usize>() + size_of::<T>() + T::heap_bytes(self)
+    }
 }
 
 struct Stamped<K: Eq + Hash + Clone, V> {
@@ -251,12 +310,20 @@ impl<K: Eq + Hash + Clone, V: Clone> EpochCache<K, V> {
         inner.epoch = epoch;
         inner.lru.clear()
     }
+}
 
-    /// Counters and current size.
+impl<K: Eq + Hash + Clone + HeapBytes, V: Clone + HeapBytes> EpochCache<K, V> {
+    /// Counters, current size and the bytes the entries hold.
     pub fn stats(&self) -> CacheStats {
         let inner = self.0.lock();
+        let per_entry = size_of::<Slot<K, (u64, V)>>() + size_of::<(K, usize)>();
         CacheStats {
             entries: inner.lru.len(),
+            bytes: inner
+                .lru
+                .iter()
+                .map(|(key, (_, value))| per_entry + 2 * key.heap_bytes() + value.heap_bytes())
+                .sum(),
             ..inner.counts
         }
     }
@@ -388,6 +455,25 @@ mod tests {
         // Epochs only advance: an older publish is a no-op.
         assert_eq!(c.publish(0), 0);
         assert_eq!(c.get(&7, 1), Some("fresh"));
+    }
+
+    #[test]
+    fn epoch_cache_bytes_follow_insert_eviction_and_publish() {
+        let c: EpochCache<u32, Vec<u64>> = EpochCache::new(2);
+        assert_eq!(c.stats().bytes, 0);
+        c.insert(0, 0, Vec::new());
+        let slot = c.stats().bytes;
+        assert!(slot > 0, "an entry's slot and map record count");
+        c.insert(1, 0, Vec::with_capacity(10));
+        assert_eq!(c.stats().bytes, 2 * slot + 80);
+        // Evicts key 0 (least recently used), which owned nothing.
+        c.insert(2, 0, Vec::with_capacity(20));
+        assert_eq!(c.stats().bytes, 2 * slot + 80 + 160);
+        // Replacing a value counts the new one only.
+        c.insert(1, 0, Vec::new());
+        assert_eq!(c.stats().bytes, 2 * slot + 160);
+        c.publish(1);
+        assert_eq!(c.stats().bytes, 0);
     }
 
     /// A publish racing a stream of inserts stamped with the old epoch —

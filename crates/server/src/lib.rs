@@ -18,8 +18,9 @@
 //!   snapshot, and [`QueryService::apply_update`] (`&self`, concurrent
 //!   with serving) refreshes the index against the pinned old state and
 //!   publishes the next epoch while in-flight queries finish undisturbed;
-//! * a **hot-PPV cache** — an [`EpochCache`] keyed by `(query, η)`
-//!   memoizing deterministic requests; every entry is stamped with its
+//! * a **hot-PPV cache** — an [`EpochCache`] keyed by `(query, η, k)`
+//!   memoizing deterministic requests as the `k` entries asked for (0 =
+//!   the whole vector); every entry is stamped with its
 //!   snapshot's epoch, so an update both clears the cache and rejects
 //!   late inserts computed against the old state;
 //! * a **load ledger** — one [`LoadTracker`] (in-flight count, degraded /
@@ -65,7 +66,7 @@ pub mod load;
 pub mod net;
 pub mod service;
 
-pub use cache::{CacheStats, EpochCache, LruCache};
+pub use cache::{CacheStats, EpochCache, HeapBytes, LruCache};
 pub use load::{Admission, LatencyWindow, LoadRegime, LoadStats, LoadTracker, OverloadOptions};
 pub use service::{
     percentile_of_sorted, percentile_of_sorted_pair, ExpandAnswer, LatencySummary, Prime0Parts,

@@ -565,7 +565,7 @@ impl Frontend for QueryService<FlatIndex> {
             return vec![WireResponse::Error(e); requests.len()];
         }
         let mut out = Vec::with_capacity(requests.len());
-        let mut batch: Vec<Request> = Vec::with_capacity(requests.len());
+        let mut batch: Vec<(Request, usize)> = Vec::with_capacity(requests.len());
         let mut batch_slots: Vec<usize> = Vec::with_capacity(requests.len());
         for (i, wr) in requests.iter().enumerate() {
             // Shed *before* queueing: a request past the high-water mark
@@ -580,7 +580,7 @@ impl Frontend for QueryService<FlatIndex> {
             out.push(match check_in_range(state.graph(), wr.query) {
                 Err(e) => WireResponse::Error(e),
                 Ok(()) => {
-                    batch.push(to_request(wr, received));
+                    batch.push((to_request(wr, received), wr.top_k as usize));
                     batch_slots.push(i);
                     // A placeholder (no allocation) until the answer lands.
                     WireResponse::Error(String::new())
@@ -683,6 +683,9 @@ fn to_request(wr: &WireRequest, received: Instant) -> Request {
     }
 }
 
+/// The wire answer to a request asking for `top_k` entries. For `top_k > 0`
+/// the response already holds only those entries (in id order), so this
+/// only puts them in rank order.
 fn answer_of(response: &Response, top_k: u32) -> WireAnswer {
     let entries = if top_k == 0 {
         response.scores.entries().to_vec()

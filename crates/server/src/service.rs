@@ -19,8 +19,16 @@
 //! they hold its `Arc` — and simply drop it when done.
 //!
 //! Deterministic requests (pure iteration stops) are memoized in an
-//! [`EpochCache`] keyed by `(query, η)`, and a shard's scattered
-//! sub-requests in two more; all three follow the one epoch rule of
+//! [`EpochCache`] keyed by `(query, η, k)`, where `k` is how many entries
+//! the caller asked for (0 = the whole vector; the network front-end
+//! passes the wire request's `top_k`, every in-process path 0). A top-`k`
+//! request is finished from the engine's dense scratch as its `k` best
+//! entries, so neither the answer nor its cache entry is ever larger than
+//! the question. An answer is cached only when it is what its key
+//! promises — it ran its `η` rounds or exhausted the frontier — so a
+//! cancelled partial answer is never served as a complete one. A shard's
+//! scattered sub-requests are cached in two more caches; all three follow
+//! the one epoch rule of
 //! [`EpochCache`], so a publish clears them and a worker that raced an
 //! update can never resurrect pre-update scores. Admission, degradation
 //! and the in-flight / p99 figures live in one [`LoadTracker`], the same
@@ -39,7 +47,7 @@ use fastppv_core::query::{expand_frontier, QueryWorkspace, StoppingCondition};
 use fastppv_core::{Config, FlatIndex, HubSet, PpvStore, QueryEngine};
 use fastppv_graph::{Graph, NodeId, SparseVector};
 
-use crate::cache::{CacheStats, EpochCache};
+use crate::cache::{CacheStats, EpochCache, HeapBytes};
 use crate::load::{Admission, LoadRegime, LoadStats, LoadTracker, OverloadOptions};
 
 /// Sizing knobs of a [`QueryService`].
@@ -117,7 +125,10 @@ impl Request {
 pub struct Response {
     /// The query node.
     pub query: NodeId,
-    /// The PPV estimate (shared, so cache hits copy nothing).
+    /// What was asked of the PPV estimate, in ascending node id: the whole
+    /// vector for an in-process request, or the `k` best entries for a
+    /// network request with `top_k = k > 0`. Shared, so cache hits copy
+    /// nothing.
     pub scores: Arc<SparseVector>,
     /// Accuracy-aware L1 error `φ` of the estimate (Eq. 6).
     pub l1_error: f64,
@@ -223,8 +234,33 @@ impl LatencySummary {
     }
 }
 
-/// Whole-answer cache key: the query and its iteration budget η.
-type CacheKey = (NodeId, u64);
+/// Answer cache key: the query, its iteration budget η, and how many
+/// entries were asked for (0 = all).
+type CacheKey = (NodeId, u64, usize);
+
+impl HeapBytes for SparseVector {
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(self.entries())
+    }
+}
+
+impl HeapBytes for Response {
+    fn heap_bytes(&self) -> usize {
+        self.scores.heap_bytes()
+    }
+}
+
+impl HeapBytes for Prime0Parts {
+    fn heap_bytes(&self) -> usize {
+        self.entries.heap_bytes() + self.frontier.heap_bytes()
+    }
+}
+
+impl HeapBytes for ExpandAnswer {
+    fn heap_bytes(&self) -> usize {
+        self.outcome.entries.heap_bytes() + self.outcome.frontier.heap_bytes()
+    }
+}
 
 /// One immutable serving snapshot: everything a query reads, published
 /// atomically as a unit. Readers pin a snapshot (an `Arc` clone) and keep
@@ -278,8 +314,8 @@ pub struct QueryService<S: PpvStore + Send + Sync> {
     // recompute; opt into patching with QueryService::with_delta_config.
     delta: DeltaConfig,
     options: ServiceOptions,
-    // Whole answers; a hit is the stored response (its scores `Arc`
-    // shared) with this request's flags and latency.
+    // Answers as asked for; a hit is the stored response (its scores
+    // `Arc` shared) with this request's flags and latency.
     cache: EpochCache<CacheKey, Response>,
     // Mirror of the published graph's node count: recycled workspaces are
     // checked against it so an update that grew the graph retires the
@@ -572,8 +608,8 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
         &self.options
     }
 
-    /// Hit/miss/stale-reject counters and size, summed over the
-    /// whole-answer cache and the two sub-request caches.
+    /// Hit/miss/stale-reject counters, entries and entry bytes, summed
+    /// over the answer cache and the two sub-request caches.
     pub fn cache_stats(&self) -> CacheStats {
         let mut total = CacheStats {
             noop_update_skips: self.noop_skips.load(Ordering::Relaxed),
@@ -587,6 +623,7 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
             total.hits += part.hits;
             total.misses += part.misses;
             total.entries += part.entries;
+            total.bytes += part.bytes;
             total.stale_rejects += part.stale_rejects;
         }
         total
@@ -633,7 +670,7 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
         let _in_flight = self.load.enter(1);
         let engine = state.engine(self.config);
         let mut ws = self.take_workspace(state.graph.num_nodes());
-        let response = self.execute(&engine, state.epoch, &mut ws, request, None);
+        let response = self.execute(&engine, state.epoch, &mut ws, request, 0, None);
         self.recycle_workspace(ws);
         response
     }
@@ -650,21 +687,24 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
         // spawning: an out-of-range id inside a worker would kill the pool
         // and surface as a misleading channel error.
         assert_servable(&state, &requests);
+        let requests = requests.into_iter().map(|r| (r, 0)).collect();
         self.process_batch_on_cancel(&state, requests, None)
     }
 
     /// [`QueryService::process_batch`] against an explicitly pinned
-    /// snapshot, with an optional cancellation token: when the flag flips,
-    /// requests stop at their next increment boundary and return partial
-    /// answers with their current certified φ. The network front-end
-    /// threads its shutdown flag through here so closing the server never
-    /// waits on a long-running query. Callers must have checked
-    /// [`check_whole_store`] and range-checked every request against
-    /// `state`'s graph.
+    /// snapshot, for requests that each carry how many entries to answer
+    /// with (0 = the whole vector, `k` = the `k` best; see
+    /// [`Response::scores`]), and with an optional cancellation token:
+    /// when the flag flips, requests stop at their next increment boundary
+    /// and return partial answers with their current certified φ. The
+    /// network front-end threads its shutdown flag through here so closing
+    /// the server never waits on a long-running query. Callers must have
+    /// checked [`check_whole_store`] and range-checked every request
+    /// against `state`'s graph.
     pub(crate) fn process_batch_on_cancel(
         &self,
         state: &Arc<ServingState<S>>,
-        requests: Vec<Request>,
+        requests: Vec<(Request, usize)>,
         cancel: Option<&std::sync::atomic::AtomicBool>,
     ) -> Vec<Response> {
         let n = requests.len();
@@ -679,12 +719,13 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
             let mut ws = self.take_workspace(nodes);
             let responses = requests
                 .into_iter()
-                .map(|r| self.execute(&engine, state.epoch, &mut ws, r, cancel))
+                .map(|(r, k)| self.execute(&engine, state.epoch, &mut ws, r, k, cancel))
                 .collect();
             self.recycle_workspace(ws);
             return responses;
         }
-        let (job_tx, job_rx) = mpsc::sync_channel::<(usize, Request)>(self.options.queue_capacity);
+        let (job_tx, job_rx) =
+            mpsc::sync_channel::<(usize, (Request, usize))>(self.options.queue_capacity);
         let job_rx = Mutex::new(job_rx);
         let slots: Vec<Mutex<Option<Response>>> = (0..n).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
@@ -696,9 +737,9 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
                         // for the query execution.
                         // fppv-lint: allow(lock-across-io) -- the lock IS the handoff: workers take turns blocking on the shared receiver
                         let job = job_rx.lock().recv();
-                        let Ok((i, request)) = job else { break };
+                        let Ok((i, (r, k))) = job else { break };
                         *slots[i].lock() =
-                            Some(self.execute(&engine, state.epoch, &mut ws, request, cancel));
+                            Some(self.execute(&engine, state.epoch, &mut ws, r, k, cancel));
                     }
                     self.recycle_workspace(ws);
                 });
@@ -718,8 +759,9 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
     }
 
     /// A request is cacheable when its result is a pure function of
-    /// `(query, η)`: an iteration-only stop and no deadline.
-    fn cache_key(&self, request: &Request) -> Option<CacheKey> {
+    /// `(query, η)`: an iteration-only stop and no deadline. The key adds
+    /// how many entries were asked for.
+    fn cache_key(&self, request: &Request, top_k: usize) -> Option<CacheKey> {
         if self.options.cache_capacity == 0 || request.deadline.is_some() {
             return None;
         }
@@ -728,7 +770,7 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
                 max_iterations: Some(eta),
                 l1_target: None,
                 time_limit: None,
-            } => Some((request.query, eta as u64)),
+            } => Some((request.query, eta as u64, top_k)),
             _ => None,
         }
     }
@@ -739,6 +781,7 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
         epoch: u64,
         ws: &mut QueryWorkspace,
         mut request: Request,
+        top_k: usize,
         cancel: Option<&std::sync::atomic::AtomicBool>,
     ) -> Response {
         let started = Instant::now();
@@ -746,7 +789,7 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
         // a degraded iteration request caches (and hits) under its capped
         // η — identical requests in the same regime share one entry.
         let degraded = self.load.degrade(&mut request.stop);
-        let key = self.cache_key(&request);
+        let key = self.cache_key(&request, top_k);
         // Snapshot isolation: only an entry computed against the *same*
         // epoch this request pinned is a hit. A newer entry (a racing
         // update published mid-batch) would be a perfectly fresh answer —
@@ -767,7 +810,7 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
                     let remaining = deadline.saturating_duration_since(Instant::now());
                     stop.time_limit = Some(stop.time_limit.map_or(remaining, |l| l.min(remaining)));
                 }
-                let result = engine.query_with_cancel(ws, request.query, &stop, cancel);
+                let result = engine.query_with_cancel(ws, request.query, &stop, top_k, cancel);
                 let response = Response {
                     query: request.query,
                     scores: Arc::new(result.scores),
@@ -778,7 +821,12 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
                     degraded,
                     latency: Duration::ZERO,
                 };
-                if let Some(k) = key {
+                // Only an answer that ran its η rounds (or exhausted the
+                // frontier first) is what its key promises: one cut short
+                // by cancellation is served, never cached.
+                if let Some(k) = key
+                    .filter(|&(_, eta, _)| response.exhausted || response.iterations as u64 == eta)
+                {
                     self.cache.insert(k, epoch, response.clone());
                 }
                 response
@@ -1173,6 +1221,32 @@ mod tests {
     }
 
     #[test]
+    fn a_cancelled_answer_is_not_cached_as_its_eta_answer() {
+        let service = toy_service(ServiceOptions {
+            workers: 1,
+            queue_capacity: 8,
+            cache_capacity: 16,
+        });
+        let cancelled = std::sync::atomic::AtomicBool::new(true);
+        let request = Request::iterations(toy::A, 3);
+        let partial = service.process_batch_on_cancel(
+            &service.snapshot(),
+            vec![(request, 0)],
+            Some(&cancelled),
+        );
+        assert_eq!(partial[0].iterations, 0, "the set flag stops every round");
+        assert!(!partial[0].exhausted);
+        let full = service.query(request);
+        assert!(!full.cached, "a cut-short answer stood in for η = 3");
+        assert!(full.iterations == 3 || full.exhausted);
+        assert!(full.l1_error < partial[0].l1_error);
+        assert!(
+            service.query(request).cached,
+            "the complete answer is cached"
+        );
+    }
+
+    #[test]
     fn non_deterministic_requests_bypass_cache() {
         let service = toy_service(ServiceOptions {
             workers: 1,
@@ -1435,7 +1509,7 @@ mod tests {
         // Simulate the race: a worker computed a result against epoch 0,
         // but the update (epoch 1, cache cleared) lands before its insert.
         let key = service
-            .cache_key(&Request::iterations(toy::A, 2))
+            .cache_key(&Request::iterations(toy::A, 2), 0)
             .expect("iteration stop is cacheable");
         let entry = Response {
             query: toy::A,

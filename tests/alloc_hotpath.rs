@@ -1,4 +1,4 @@
-//! Proves six acceptance criteria with a counting global allocator:
+//! Proves eight acceptance criteria with a counting global allocator:
 //!
 //! * zero heap allocations in `IncrementalState::step` rounds and in the
 //!   assemble pass that folds them into the estimate, on the `FlatIndex`
@@ -12,6 +12,14 @@
 //!   source, by either of the drain's two methods: the entry vector, at
 //!   exact capacity — the drain writes it in id order, with no sort buffer
 //!   and no growth;
+//! * under 1 KB to **finish a warm non-hub top-10 answer**
+//!   (`QuerySession::finish(10)`): the selection buffer and nothing
+//!   answer-sized;
+//! * under 1 KB **retained per cached top-10 answer**: N distinct non-hub
+//!   `top_k = 10` requests through the service's network entry point
+//!   (`Frontend::query`) grow the live heap by less than N KB — the cache
+//!   keeps the ten entries asked for, not the vector they were chosen
+//!   from;
 //! * one allocation per **stored prime PPV** (`PrimeComputer::prime_ppv`,
 //!   what the offline build and an exact recompute run per hub): on a
 //!   warm computer the solve runs on the graph's own CSR in reused
@@ -31,7 +39,8 @@
 //! measurement window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use fastppv::core::dynamic::{refresh_flat_index_snapshot_delta, Refresher};
 use fastppv::core::offline::build_flat_index;
@@ -42,11 +51,15 @@ use fastppv::core::{
 use fastppv::graph::builder::from_edges;
 use fastppv::graph::gen::{apply_event, barabasi_albert, synth_events, EdgeEvent};
 use fastppv::graph::NodeId;
+use fastppv::server::net::{Frontend, WireRequest, WireResponse};
+use fastppv::server::{QueryService, Request, ServiceOptions};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+/// Allocated minus freed bytes (wrapping: read differences only).
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: pure pass-through to the `System` allocator (plus a side-effect-
 // free counter bump), so `System`'s allocation guarantees carry over.
@@ -54,11 +67,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim — the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim — `ptr`/`layout` came from this
         // allocator, which is `System` underneath.
         unsafe { System.dealloc(ptr, layout) }
@@ -67,6 +82,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim — the caller upholds `realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -165,6 +182,60 @@ fn steps_allocate_nothing_on_flat_path_with_warm_workspace() {
          their assemble pass"
     );
     answer_is_one_exact_allocation(session, "non-hub");
+
+    // Phase 2b: the same warm non-hub session finished as a top-10 answer
+    // selects from the dense estimate; it must not build the answer it
+    // selects from.
+    let mut session = engine.session_in(&mut ws, q_cold);
+    while session.iterations_done() < 6 && session.step() {}
+    session.assemble();
+    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    let top = session.finish(10);
+    let finish_bytes = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+    assert_eq!(top.scores.len(), 10);
+    assert!(
+        finish_bytes < 1024,
+        "finishing a warm non-hub top-10 answer allocated {finish_bytes} bytes \
+         (the whole answer has {} entries)",
+        warm_cold.scores.len()
+    );
+
+    // Phase 2c: what the service keeps per top-10 answer. Every source
+    // first runs once in process (k = 0, so a different cache key): the
+    // workspace grows to the largest footprint, and those whole answers
+    // are cached before the measurement starts. Then N distinct top-10
+    // misses through the network entry point may keep their ten entries
+    // and nothing larger.
+    let service = QueryService::new(
+        Arc::new(g.clone()),
+        Arc::new(hubs.clone()),
+        Arc::new(flat.clone()),
+        config,
+        ServiceOptions {
+            workers: 1,
+            queue_capacity: 8,
+            cache_capacity: 4096,
+        },
+    );
+    let cold: Vec<NodeId> = (0..2000u32).filter(|&v| !hubs.is_hub(v)).take(64).collect();
+    for &q in &cold {
+        service.query(Request::iterations(q, 2));
+    }
+    let no_stop = AtomicBool::new(false);
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    for &q in &cold {
+        let request = WireRequest::iterations(q, 2).with_top_k(10);
+        let answered = Frontend::query(&service, &[request], &no_stop);
+        assert!(
+            matches!(&answered[..], [WireResponse::Answer(a)] if !a.cached && a.entries.len() == 10)
+        );
+    }
+    let retained = LIVE_BYTES.load(Ordering::Relaxed).wrapping_sub(before) as i64;
+    assert!(
+        retained < 1024 * cold.len() as i64,
+        "{} cached top-10 answers retained {retained} bytes",
+        cold.len()
+    );
 
     // Phase 3: the stored family, over every hub. A warm pass grows the
     // computer's buffers to the largest footprint; after it, each

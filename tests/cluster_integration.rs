@@ -231,7 +231,7 @@ fn router_merge_matches_single_process_for_every_stop() {
         for &q in &queries {
             for stop in &stops {
                 let single = engine.query(q, stop);
-                let merged = merge_query(&backend, &map, &cfg, q, stop, &mut scratch)
+                let merged = merge_query(&backend, &map, &cfg, q, stop, 0, &mut scratch)
                     .unwrap_or_else(|e| panic!("q {q}: merge failed: {e}"));
                 assert!(!merged.degraded, "q {q}: no shard was down");
                 assert!(merged.shards_skipped.is_empty(), "q {q}");
@@ -256,7 +256,7 @@ fn router_merge_matches_single_process_for_every_stop() {
                     );
                 }
 
-                let wired = merge_query(&tcp, &map, &cfg, q, stop, &mut scratch)
+                let wired = merge_query(&tcp, &map, &cfg, q, stop, 0, &mut scratch)
                     .unwrap_or_else(|e| panic!("q {q}: TCP merge failed: {e}"));
                 let what = format!("{num_shards} shards, q {q} stop {stop:?}");
                 assert!(!wired.degraded && wired.shards_skipped.is_empty(), "{what}");
@@ -317,10 +317,10 @@ fn router_degraded_phi_bounds_gap_to_full_answer() {
     for dead in 0..4 {
         backend.set_dead(dead, true);
         for &q in &queries {
-            let partial = merge_query(&backend, &map, &cfg, q, &stop, &mut scratch)
+            let partial = merge_query(&backend, &map, &cfg, q, &stop, 0, &mut scratch)
                 .unwrap_or_else(|e| panic!("q {q} dead {dead}: {e}"));
             backend.set_dead(dead, false);
-            let full = merge_query(&backend, &map, &cfg, q, &stop, &mut scratch).unwrap();
+            let full = merge_query(&backend, &map, &cfg, q, &stop, 0, &mut scratch).unwrap();
             backend.set_dead(dead, true);
             assert!(!full.degraded);
             // The partial estimate stays an entry-wise lower bound of the

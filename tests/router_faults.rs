@@ -322,7 +322,7 @@ fn epoch_skew_mid_merge_is_retried_once_and_never_mixes_epochs() {
         events,
         armed: AtomicBool::new(true),
     };
-    let merged = merge_query(&inject, &map, &cfg, q, &stop, &mut scratch)
+    let merged = merge_query(&inject, &map, &cfg, q, &stop, 0, &mut scratch)
         .expect("one retry must absorb a single mid-merge publish");
     assert!(
         !inject.armed.load(Ordering::SeqCst),
@@ -333,7 +333,7 @@ fn epoch_skew_mid_merge_is_retried_once_and_never_mixes_epochs() {
 
     // The retried answer is bit-identical to a clean merge at epoch 1:
     // no partial from epoch 0 leaked into it.
-    let clean = merge_query(&backend, &map, &cfg, q, &stop, &mut scratch).unwrap();
+    let clean = merge_query(&backend, &map, &cfg, q, &stop, 0, &mut scratch).unwrap();
     assert_eq!(clean.epoch, 1);
     assert_eq!(merged.scores, clean.scores);
     assert_eq!(merged.l1_error, clean.l1_error);
@@ -437,6 +437,7 @@ fn slow_loris_shard_is_hedged_around() {
         &cfg,
         q,
         &StoppingCondition::iterations(2),
+        0,
         &mut scratch,
     )
     .unwrap();
@@ -710,7 +711,7 @@ fn scatter_sends_every_sub_request_before_waiting_on_any() {
     let stop = StoppingCondition::iterations(2);
     let mut scratch = ScoreScratch::new(fx.graph.num_nodes());
     let started = Instant::now();
-    let wired = merge_query(&backend, &map, &cfg, q, &stop, &mut scratch).unwrap();
+    let wired = merge_query(&backend, &map, &cfg, q, &stop, 0, &mut scratch).unwrap();
     let elapsed = started.elapsed();
     assert!(received.is_open(), "shard 1 never got an expand");
     assert!(
@@ -719,7 +720,7 @@ fn scatter_sends_every_sub_request_before_waiting_on_any() {
     );
     assert_eq!(backend.hedges_sent(), 0);
     assert!(!wired.degraded && wired.shards_skipped.is_empty());
-    let clean = merge_query(&local, &map, &cfg, q, &stop, &mut scratch).unwrap();
+    let clean = merge_query(&local, &map, &cfg, q, &stop, 0, &mut scratch).unwrap();
     assert_eq!(score_bits(&wired.scores), score_bits(&clean.scores));
     assert_eq!(wired.l1_error.to_bits(), clean.l1_error.to_bits());
 
@@ -768,7 +769,7 @@ fn reply_stalled_mid_frame_is_hedged_around() {
     let stop = StoppingCondition::iterations(2);
     let mut scratch = ScoreScratch::new(fx.graph.num_nodes());
     let started = Instant::now();
-    let wired = merge_query(&backend, &map, &cfg, q, &stop, &mut scratch).unwrap();
+    let wired = merge_query(&backend, &map, &cfg, q, &stop, 0, &mut scratch).unwrap();
     let elapsed = started.elapsed();
     release.open();
     assert!(
@@ -783,7 +784,7 @@ fn reply_stalled_mid_frame_is_hedged_around() {
     // the answer came from a hedge (a slow prime0 may add another).
     assert!(backend.hedges_sent() >= 1);
     assert!(!wired.degraded && wired.shards_skipped.is_empty());
-    let clean = merge_query(&local, &map, &cfg, q, &stop, &mut scratch).unwrap();
+    let clean = merge_query(&local, &map, &cfg, q, &stop, 0, &mut scratch).unwrap();
     assert_eq!(score_bits(&wired.scores), score_bits(&clean.scores));
     assert_eq!(wired.l1_error.to_bits(), clean.l1_error.to_bits());
 
@@ -833,7 +834,7 @@ fn stragglers_are_hedged_each_on_its_own_clock() {
     let stop = StoppingCondition::iterations(1);
     let mut scratch = ScoreScratch::new(fx.graph.num_nodes());
     let started = Instant::now();
-    let wired = merge_query(&backend, &map, &cfg, q, &stop, &mut scratch).unwrap();
+    let wired = merge_query(&backend, &map, &cfg, q, &stop, 0, &mut scratch).unwrap();
     let elapsed = started.elapsed();
     release.open();
     assert!(elapsed < Duration::from_secs(4), "merge took {elapsed:?}");
@@ -883,6 +884,7 @@ fn a_slow_shard_does_not_inflate_the_next_shards_hedge_delay() {
             &cfg,
             q,
             &StoppingCondition::iterations(1),
+            0,
             &mut scratch,
         )
         .unwrap();
@@ -927,14 +929,14 @@ fn stale_pooled_connections_are_retried_fresh_without_a_hedge() {
     for (i, &q) in non_hub_queries(&fx, 6).iter().enumerate() {
         let stop = StoppingCondition::iterations(1 + i % 3);
         let started = Instant::now();
-        let wired = merge_query(&backend, &map, &cfg, q, &stop, &mut scratch).unwrap();
+        let wired = merge_query(&backend, &map, &cfg, q, &stop, 0, &mut scratch).unwrap();
         let elapsed = started.elapsed();
         assert!(
             elapsed < Duration::from_secs(1),
             "q {q}: merge took {elapsed:?} past stale connections"
         );
         assert!(!wired.degraded && wired.shards_skipped.is_empty(), "q {q}");
-        let clean = merge_query(&local, &map, &cfg, q, &stop, &mut scratch).unwrap();
+        let clean = merge_query(&local, &map, &cfg, q, &stop, 0, &mut scratch).unwrap();
         assert_eq!(
             score_bits(&wired.scores),
             score_bits(&clean.scores),
@@ -1095,9 +1097,9 @@ proptest! {
 
         for &q in non_hub_queries(&fx, 3).iter() {
             backend.set_dead(dead, true);
-            let partial = merge_query(&backend, &map, &cfg, q, &stop, &mut scratch).unwrap();
+            let partial = merge_query(&backend, &map, &cfg, q, &stop, 0, &mut scratch).unwrap();
             backend.set_dead(dead, false);
-            let full = merge_query(&backend, &map, &cfg, q, &stop, &mut scratch).unwrap();
+            let full = merge_query(&backend, &map, &cfg, q, &stop, 0, &mut scratch).unwrap();
 
             prop_assert!((0.0..=1.0 + 1e-12).contains(&partial.l1_error));
             prop_assert!(partial.l1_error + 1e-12 >= full.l1_error);
