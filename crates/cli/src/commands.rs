@@ -355,7 +355,9 @@ pub fn serve(argv: &[String]) -> CmdResult {
                  this shard owns before serving (--num-shards K for the\n\
                  default round-robin map, or --shard-map FILE written by\n\
                  `fastppv cluster --shards`); `fastppv route` scatters\n\
-                 queries across such processes.\n\
+                 queries across such processes. A shard answers only the\n\
+                 router's sub-requests, each computed straight into its\n\
+                 reply: it keeps no cache, whatever --hot-cache says.\n\
                  \n\
                  With --stats ADDR no service is started at all: the\n\
                  running service (shard or router) at ADDR is asked for\n\

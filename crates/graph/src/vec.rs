@@ -403,7 +403,8 @@ impl ScoreScratch {
     /// the `k` that [`ScoreScratch::top_k`] selects. Either way the entries
     /// come out in ascending node id. A top-`k` drain allocates only the
     /// selection buffer of at most `2k` entries, never an answer-sized
-    /// vector.
+    /// vector, and returns it shrunk to the entries it holds: a cached
+    /// top-`k` answer keeps `k` entries' storage, not `2k`.
     pub fn drain_top_k(&mut self, k: usize) -> SparseVector {
         if k == 0 {
             return self.drain_sparse();
@@ -411,6 +412,7 @@ impl ScoreScratch {
         let mut top = self.top_k(k);
         self.clear();
         top.sort_unstable_by_key(|&(v, _)| v);
+        top.shrink_to_fit();
         SparseVector::from_sorted(top)
     }
 
@@ -584,7 +586,9 @@ mod tests {
             for (v, x) in [(6, 0.5), (1, 0.25), (4, 0.75), (2, 0.5)] {
                 s.add(v, x);
             }
-            assert_eq!(s.drain_top_k(3).entries(), &[(2, 0.5), (4, 0.75), (6, 0.5)]);
+            let top = s.drain_top_k(3).into_entries();
+            assert_eq!(top, [(2, 0.5), (4, 0.75), (6, 0.5)]);
+            assert_eq!(top.capacity(), 3, "a top-3 answer keeps 3 entries' storage");
             assert!(s.to_sparse().is_empty(), "n = {n}");
             assert_eq!(s.get(1), 0.0, "n = {n}");
             s.add(5, 1.0);

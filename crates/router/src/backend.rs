@@ -764,7 +764,7 @@ impl<S: PpvStore + Send + Sync> SubBackend for LocalBackend<S> {
             .shards
             .get(shard)
             .ok_or(BackendError::ShardDown(shard))?;
-        Ok(service.prime0_reply(query, expect_epoch))
+        Ok(service.prime0(query, expect_epoch))
     }
 
     fn expand(
@@ -778,6 +778,6 @@ impl<S: PpvStore + Send + Sync> SubBackend for LocalBackend<S> {
             .shards
             .get(shard)
             .ok_or(BackendError::ShardDown(shard))?;
-        Ok(service.expand_reply(sublist, expect_epoch))
+        Ok(service.expand(sublist, expect_epoch))
     }
 }

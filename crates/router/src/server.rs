@@ -10,7 +10,8 @@
 //!   publishing the cache as it moves, keeps post-update answers from
 //!   mixing with pre-update ones. A request for the top `k` is merged,
 //!   cached and answered as those `k` entries only, never as the whole
-//!   vector;
+//!   vector. It is the cluster's only cache: shards compute every
+//!   sub-request straight into its reply and keep none;
 //! * **typed degradation** — a clean merge answers normally; a degraded
 //!   merge that still meets the request's accuracy target is served with
 //!   the `degraded` flag and its honest (inflated) φ; a degraded merge

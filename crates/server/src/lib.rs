@@ -69,6 +69,6 @@ pub mod service;
 pub use cache::{CacheStats, EpochCache, HeapBytes, LruCache};
 pub use load::{Admission, LatencyWindow, LoadRegime, LoadStats, LoadTracker, OverloadOptions};
 pub use service::{
-    percentile_of_sorted, percentile_of_sorted_pair, ExpandAnswer, LatencySummary, Prime0Parts,
-    QueryService, Request, Response, ServiceOptions, ServingState, SubQueryError,
+    percentile_of_sorted, percentile_of_sorted_pair, LatencySummary, QueryService, Request,
+    Response, ServiceOptions, ServingState,
 };

@@ -13,6 +13,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use fastppv_core::query::{expand_frontier, QueryWorkspace};
 use fastppv_core::{FlatIndex, PpvStore};
 use fastppv_graph::gen::{apply_event, EdgeEvent};
 use fastppv_graph::{Graph, NodeId};
@@ -27,7 +28,7 @@ use super::wire::{
 };
 use crate::load::Admission;
 use crate::service::{
-    check_in_range, check_whole_store, QueryService, Request, Response, SubQueryError,
+    check_in_range, check_whole_store, QueryService, Request, Response, ServingState,
 };
 
 /// Concurrent connections a front-end accepts; beyond it new connections
@@ -618,7 +619,7 @@ impl Frontend for QueryService<FlatIndex> {
     }
 
     fn prime0(&self, query: NodeId, expect_epoch: Option<u64>) -> Option<SubReply<WirePrime0>> {
-        Some(self.prime0_reply(query, expect_epoch))
+        Some(QueryService::prime0(self, query, expect_epoch))
     }
 
     fn expand(
@@ -626,49 +627,134 @@ impl Frontend for QueryService<FlatIndex> {
         sublist: &[(NodeId, f64)],
         expect_epoch: Option<u64>,
     ) -> Option<SubReply<WireExpand>> {
-        Some(self.expand_reply(sublist, expect_epoch))
+        Some(QueryService::expand(self, sublist, expect_epoch))
     }
 }
 
-/// The scatter sub-ops as the wire carries them — to a remote router
-/// through `OP_PRIME0` / `OP_EXPAND`, and to an in-process one directly.
+/// The scatter sub-ops, computed straight into their wire replies — for a
+/// remote router through `OP_PRIME0` / `OP_EXPAND`, and for an in-process
+/// one directly. Neither is cached: the router caches the answers they
+/// merge into.
 impl<S: PpvStore + Send + Sync> QueryService<S> {
-    /// [`QueryService::prime0`] as a [`SubReply`].
-    pub fn prime0_reply(&self, query: NodeId, expect_epoch: Option<u64>) -> SubReply<WirePrime0> {
-        match self.prime0(query, expect_epoch) {
-            Ok((parts, epoch)) => SubReply::Ok(WirePrime0 {
-                epoch,
-                entries: parts.entries.clone(),
-                frontier: parts.frontier.clone(),
-            }),
-            Err(e) => sub_refusal(e),
-        }
+    /// Iteration 0 of a scattered query: the prime PPV of `query` from this
+    /// shard's store (or computed on the fly for a non-hub `query`), split
+    /// into entries + border-hub frontier for the router to fan out.
+    ///
+    /// `expect_epoch` (`None` = any) pins the merge to one graph version:
+    /// a shard serving a different epoch answers [`SubReply::EpochSkew`]
+    /// instead of contributing mixed-version mass.
+    pub fn prime0(&self, query: NodeId, expect_epoch: Option<u64>) -> SubReply<WirePrime0> {
+        self.sub_request(
+            expect_epoch,
+            |graph| check_in_range(graph, query),
+            |state, ws| {
+                let (entries, frontier) = ws.prime0_parts(
+                    state.graph(),
+                    state.hubs(),
+                    state.store().as_ref(),
+                    query,
+                    self.config(),
+                );
+                Ok(WirePrime0 {
+                    epoch: state.epoch(),
+                    entries,
+                    frontier,
+                })
+            },
+        )
     }
 
-    /// [`QueryService::expand`] as a [`SubReply`].
-    pub fn expand_reply(
+    /// One shard's share of a scattered increment step: expands the border
+    /// hubs in `sublist` (this shard's slice of the router's frontier,
+    /// strictly ascending by hub id, masses as merged so far) against the
+    /// stored prime PPVs. The partial entries / frontier / increment mass
+    /// are merged router-side with the other shards'. A sublist out of
+    /// order, with a repeated hub, an out-of-range id, a non-finite or
+    /// negative mass, or a hub this shard does not hold is refused with
+    /// [`SubReply::Error`].
+    pub fn expand(
         &self,
         sublist: &[(NodeId, f64)],
         expect_epoch: Option<u64>,
     ) -> SubReply<WireExpand> {
-        match self.expand(sublist, expect_epoch) {
-            Ok(answer) => SubReply::Ok(WireExpand {
-                epoch: answer.epoch,
-                entries: answer.outcome.entries.entries().to_vec(),
-                frontier: answer.outcome.frontier,
-                increment_mass: answer.outcome.increment_mass,
-                hubs_expanded: answer.outcome.hubs_expanded as u32,
-            }),
-            Err(e) => sub_refusal(e),
+        self.sub_request(
+            expect_epoch,
+            |graph| check_sublist(graph, sublist),
+            |state, ws| {
+                let outcome = expand_frontier(
+                    sublist,
+                    state.hubs(),
+                    state.store().as_ref(),
+                    self.config(),
+                    ws.increment_scratch(),
+                )
+                .map_err(|hub| format!("hub {hub} not in this shard's store"))?;
+                Ok(WireExpand {
+                    epoch: state.epoch(),
+                    entries: outcome.entries.into_entries(),
+                    frontier: outcome.frontier,
+                    increment_mass: outcome.increment_mass,
+                    hubs_expanded: outcome.hubs_expanded as u32,
+                })
+            },
+        )
+    }
+
+    /// One sub-request on the snapshot it pins: the epoch pin, then the
+    /// input check, then — counted in flight, on a pooled workspace — the
+    /// computation, whose latency is recorded once it answers. A refused
+    /// sub-request is not served work and is not recorded, as `execute`
+    /// records only answers.
+    fn sub_request<T>(
+        &self,
+        expect_epoch: Option<u64>,
+        check: impl FnOnce(&Graph) -> Result<(), String>,
+        compute: impl FnOnce(&ServingState<S>, &mut QueryWorkspace) -> Result<T, String>,
+    ) -> SubReply<T> {
+        let state = self.snapshot();
+        if expect_epoch.is_some_and(|expected| expected != state.epoch()) {
+            return SubReply::EpochSkew {
+                current: state.epoch(),
+            };
+        }
+        if let Err(e) = check(state.graph()) {
+            return SubReply::Error(format!("bad sub-query: {e}"));
+        }
+        let started = Instant::now();
+        let _in_flight = self.load.enter(1);
+        let mut ws = self.take_workspace(state.graph().num_nodes());
+        let computed = compute(&state, &mut ws);
+        self.recycle_workspace(ws);
+        match computed {
+            Ok(answer) => {
+                self.load.record(started.elapsed());
+                SubReply::Ok(answer)
+            }
+            Err(e) => SubReply::Error(e),
         }
     }
 }
 
-fn sub_refusal<T>(e: SubQueryError) -> SubReply<T> {
-    match e {
-        SubQueryError::EpochSkew { current } => SubReply::EpochSkew { current },
-        other => SubReply::Error(other.to_string()),
+/// The input rule of `OP_EXPAND`: hub ids in range and strictly ascending
+/// (the order the router's merge expands in; a repeat would expand a hub
+/// twice), masses finite and non-negative.
+fn check_sublist(graph: &Graph, sublist: &[(NodeId, f64)]) -> Result<(), String> {
+    let mut previous: Option<NodeId> = None;
+    for &(hub, mass) in sublist {
+        check_in_range(graph, hub)?;
+        if let Some(before) = previous.filter(|&before| before >= hub) {
+            return Err(format!(
+                "frontier hub {hub} follows hub {before}: hub ids must be strictly ascending"
+            ));
+        }
+        if !mass.is_finite() || mass < 0.0 {
+            return Err(format!(
+                "non-finite or negative frontier mass {mass} at hub {hub}"
+            ));
+        }
+        previous = Some(hub);
     }
+    Ok(())
 }
 
 /// The service request a wire request asks for; its relative deadline

@@ -342,6 +342,37 @@ fn sliced_shard_refuses_whole_queries_and_keeps_serving_sub_ops() {
     server.shutdown();
 }
 
+/// The wire grammar sends an `OP_EXPAND` sublist in strictly ascending hub
+/// id — the order the single-process step expands in. A sublist out of
+/// order, or one naming a hub twice (which would expand it twice), is
+/// refused with a typed error, and the connection keeps serving.
+#[test]
+fn expand_refuses_unsorted_and_duplicate_sublists() {
+    let service = toy_service();
+    let server = serve(
+        Arc::clone(&service),
+        TcpListener::bind("127.0.0.1:0").unwrap(),
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let hubs = service.hubs();
+    let (h1, h2) = (hubs.ids()[0], hubs.ids()[1]);
+    for sublist in [[(h2, 0.125), (h1, 0.125)], [(h1, 0.125), (h1, 0.125)]] {
+        match client.expand(&sublist, Some(0)).unwrap() {
+            SubReply::Error(msg) => assert!(msg.contains("strictly ascending"), "{msg}"),
+            other => panic!("{sublist:?} was answered {other:?}"),
+        }
+    }
+    let ex = client
+        .expand(&[(h1, 0.125), (h2, 0.125)], Some(0))
+        .unwrap()
+        .ok()
+        .expect("an ascending sublist is served");
+    assert_eq!(ex.hubs_expanded, 2);
+    drop(client);
+    server.shutdown();
+}
+
 #[test]
 #[should_panic(expected = "send whole queries to the router")]
 fn sliced_service_query_names_the_router() {

@@ -26,15 +26,16 @@
 //! entries, so neither the answer nor its cache entry is ever larger than
 //! the question. An answer is cached only when it is what its key
 //! promises — it ran its `η` rounds or exhausted the frontier — so a
-//! cancelled partial answer is never served as a complete one. A shard's
-//! scattered sub-requests are cached in two more caches; all three follow
-//! the one epoch rule of
-//! [`EpochCache`], so a publish clears them and a worker that raced an
-//! update can never resurrect pre-update scores. Admission, degradation
+//! cancelled partial answer is never served as a complete one. The cache
+//! follows the one epoch rule of [`EpochCache`], so a publish clears it
+//! and a worker that raced an update can never resurrect pre-update
+//! scores. It is the service's only cache: a shard's scattered
+//! sub-requests ([`QueryService::prime0`] / [`QueryService::expand`], in
+//! [`crate::net`]) are computed straight into their wire replies, and the
+//! router caches the answers they merge into. Admission, degradation
 //! and the in-flight / p99 figures live in one [`LoadTracker`], the same
 //! ledger the router keeps.
 
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -43,7 +44,7 @@ use arc_swap::ArcSwap;
 use parking_lot::Mutex;
 
 use fastppv_core::dynamic::{same_adjacency, DeltaConfig, RefreshStats, Refresher};
-use fastppv_core::query::{expand_frontier, QueryWorkspace, StoppingCondition};
+use fastppv_core::query::{QueryWorkspace, StoppingCondition};
 use fastppv_core::{Config, FlatIndex, HubSet, PpvStore, QueryEngine};
 use fastppv_graph::{Graph, NodeId, SparseVector};
 
@@ -250,18 +251,6 @@ impl HeapBytes for Response {
     }
 }
 
-impl HeapBytes for Prime0Parts {
-    fn heap_bytes(&self) -> usize {
-        self.entries.heap_bytes() + self.frontier.heap_bytes()
-    }
-}
-
-impl HeapBytes for ExpandAnswer {
-    fn heap_bytes(&self) -> usize {
-        self.outcome.entries.heap_bytes() + self.outcome.frontier.heap_bytes()
-    }
-}
-
 /// One immutable serving snapshot: everything a query reads, published
 /// atomically as a unit. Readers pin a snapshot (an `Arc` clone) and keep
 /// it for the duration of a request or batch; an update never mutates a
@@ -337,73 +326,7 @@ pub struct QueryService<S: PpvStore + Send + Sync> {
     // (shard mode). Committed or aborted under the update lock; serving
     // never reads it.
     staged: Mutex<Option<ServingState<S>>>,
-    // Scattered iteration-0 answers, keyed by query: the shard-side
-    // analogue of the whole-answer cache (a router never asks a shard for
-    // a whole answer, so the main cache would not see its traffic).
-    sub_cache: EpochCache<NodeId, Arc<Prime0Parts>>,
-    // Scattered increment contributions, keyed by frontier slice. The
-    // router's merge is deterministic, so a repeated (query, stop)
-    // resends bit-identical frontier slices every round; keying by the
-    // exact mass bit patterns means a hit can only be an exact replay of
-    // the same expansion.
-    expand_cache: EpochCache<ExpandKey, ExpandAnswer>,
     noop_skips: AtomicU64,
-}
-
-/// Expand-cache key: the frontier slice with masses as raw IEEE-754 bit
-/// patterns (so the key is `Eq`-able and a hit implies a bit-identical
-/// resend).
-type ExpandKey = Vec<(NodeId, u64)>;
-
-/// Iteration 0 of a scattered query, as shipped to the router: the raw
-/// prime-PPV entries (trivial tour excluded) and their border-hub
-/// frontier, both in entry (ascending node id) order.
-#[derive(Clone, Debug, Default)]
-pub struct Prime0Parts {
-    /// `r̊⁰_q` entries, sorted by node id.
-    pub entries: Vec<(NodeId, f64)>,
-    /// The hub entries among them — iteration 1's frontier.
-    pub frontier: Vec<(NodeId, f64)>,
-}
-
-/// One shard's contribution to a scattered increment
-/// ([`QueryService::expand`]): a thin epoch-stamped wrapper around the
-/// core [`fastppv_core::ExpandOutcome`].
-#[derive(Clone, Debug)]
-pub struct ExpandAnswer {
-    /// Epoch of the snapshot that produced the contribution.
-    pub epoch: u64,
-    /// The partial increment.
-    pub outcome: fastppv_core::ExpandOutcome,
-}
-
-/// Why a scattered sub-query ([`QueryService::prime0`] /
-/// [`QueryService::expand`]) was refused.
-#[derive(Clone, Debug, PartialEq)]
-pub enum SubQueryError {
-    /// The shard serves a different epoch than the router scattered
-    /// against; the response names it so the router can retry once
-    /// against the new version instead of merging mixed graphs.
-    EpochSkew {
-        /// The epoch this shard currently serves.
-        current: u64,
-    },
-    /// A frontier hub this shard does not own (stale or wrong shard map).
-    MissingHub(NodeId),
-    /// Malformed request (out-of-range query node, unsorted frontier…).
-    BadRequest(String),
-}
-
-impl std::fmt::Display for SubQueryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubQueryError::EpochSkew { current } => {
-                write!(f, "epoch skew: shard serves epoch {current}")
-            }
-            SubQueryError::MissingHub(h) => write!(f, "hub {h} not in this shard's store"),
-            SubQueryError::BadRequest(msg) => write!(f, "bad sub-query: {msg}"),
-        }
-    }
 }
 
 /// Shared range check of every serving path ([`QueryService::query`],
@@ -475,8 +398,6 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
             workspaces: Mutex::new(Vec::new()),
             load: LoadTracker::new(None),
             staged: Mutex::new(None),
-            sub_cache: EpochCache::new(options.cache_capacity),
-            expand_cache: EpochCache::new(options.cache_capacity),
             noop_skips: AtomicU64::new(0),
         }
     }
@@ -537,13 +458,11 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
         self.state.load_full()
     }
 
-    /// Publishes `state` as the next snapshot. The caches advance to its
-    /// epoch first, so an insert computed on the old snapshot is either
-    /// cleared or rejected ([`EpochCache`]). Returns how many whole-answer
-    /// cache entries were dropped.
+    /// Publishes `state` as the next snapshot. The answer cache advances to
+    /// its epoch first, so an insert computed on the old snapshot is either
+    /// cleared or rejected ([`EpochCache`]). Returns how many cache entries
+    /// were dropped.
     fn publish(&self, state: ServingState<S>) -> usize {
-        self.sub_cache.publish(state.epoch);
-        self.expand_cache.publish(state.epoch);
         let dropped = self.cache.publish(state.epoch);
         self.current_nodes
             .store(state.graph.num_nodes(), Ordering::Relaxed);
@@ -554,7 +473,7 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
     /// Pops a recycled workspace covering at least `nodes` slots (or
     /// allocates one). Recycled workspaces that are too small — possible
     /// after [`QueryService::apply_update`] grew the graph — are dropped.
-    fn take_workspace(&self, nodes: usize) -> QueryWorkspace {
+    pub(crate) fn take_workspace(&self, nodes: usize) -> QueryWorkspace {
         loop {
             match self.workspaces.lock().pop() {
                 Some(ws) if ws.capacity() >= nodes => return ws,
@@ -568,7 +487,7 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
     /// *currently published* graph (an update grew it mid-flight), in
     /// which case it is dropped here instead of being popped-and-dropped
     /// forever by [`QueryService::take_workspace`].
-    fn recycle_workspace(&self, ws: QueryWorkspace) {
+    pub(crate) fn recycle_workspace(&self, ws: QueryWorkspace) {
         if ws.capacity() < self.current_nodes.load(Ordering::Relaxed) {
             return;
         }
@@ -608,25 +527,13 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
         &self.options
     }
 
-    /// Hit/miss/stale-reject counters, entries and entry bytes, summed
-    /// over the answer cache and the two sub-request caches.
+    /// The answer cache's hit/miss/stale-reject counters, entries and
+    /// entry bytes, with the count of no-op updates that kept it warm.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats {
+        CacheStats {
             noop_update_skips: self.noop_skips.load(Ordering::Relaxed),
-            ..CacheStats::default()
-        };
-        for part in [
-            self.cache.stats(),
-            self.sub_cache.stats(),
-            self.expand_cache.stats(),
-        ] {
-            total.hits += part.hits;
-            total.misses += part.misses;
-            total.entries += part.entries;
-            total.bytes += part.bytes;
-            total.stale_rejects += part.stale_rejects;
+            ..self.cache.stats()
         }
-        total
     }
 
     /// Whether an update batch changed nothing: the adjacency is unchanged
@@ -837,116 +744,6 @@ impl<S: PpvStore + Send + Sync> QueryService<S> {
         self.load.record(response.latency);
         response
     }
-
-    /// The one cached sub-request path of [`QueryService::prime0`] and
-    /// [`QueryService::expand`]: epoch check, validation and key, then —
-    /// counted in flight — probe, compute on a miss, insert, record the
-    /// latency. Refused sub-requests are not served work and are not
-    /// recorded, as `execute` records only answers.
-    fn cached_sub<K: Eq + Hash + Clone, V: Clone>(
-        &self,
-        expect_epoch: Option<u64>,
-        cache: &EpochCache<K, V>,
-        key_of: impl FnOnce(&Graph) -> Result<K, SubQueryError>,
-        compute: impl FnOnce(&ServingState<S>, &mut QueryWorkspace) -> Result<V, SubQueryError>,
-    ) -> Result<(V, u64), SubQueryError> {
-        let state = self.snapshot();
-        if let Some(expected) = expect_epoch {
-            if expected != state.epoch {
-                return Err(SubQueryError::EpochSkew {
-                    current: state.epoch,
-                });
-            }
-        }
-        let key = key_of(&state.graph)?;
-        let started = Instant::now();
-        let _in_flight = self.load.enter(1);
-        if let Some(hit) = cache.get(&key, state.epoch) {
-            self.load.record(started.elapsed());
-            return Ok((hit, state.epoch));
-        }
-        let mut ws = self.take_workspace(state.graph.num_nodes());
-        let computed = compute(&state, &mut ws);
-        self.recycle_workspace(ws);
-        let value = computed?;
-        cache.insert(key, state.epoch, value.clone());
-        self.load.record(started.elapsed());
-        Ok((value, state.epoch))
-    }
-
-    /// Serves iteration 0 of a scattered query: the prime PPV of `q` from
-    /// this shard's store (or computed on the fly for a non-hub `q`),
-    /// split into entries + border-hub frontier for the router to fan out.
-    ///
-    /// `expect_epoch` (`None` = any) pins the merge to one graph version:
-    /// a shard serving a different epoch refuses with
-    /// [`SubQueryError::EpochSkew`] instead of contributing mixed-version
-    /// mass. Results are cached per `(q, epoch)` in a dedicated
-    /// [`EpochCache`] — the
-    /// whole-answer cache never sees router traffic.
-    pub fn prime0(
-        &self,
-        q: NodeId,
-        expect_epoch: Option<u64>,
-    ) -> Result<(Arc<Prime0Parts>, u64), SubQueryError> {
-        self.cached_sub(
-            expect_epoch,
-            &self.sub_cache,
-            |graph| {
-                check_in_range(graph, q).map_err(SubQueryError::BadRequest)?;
-                Ok(q)
-            },
-            |state, ws| {
-                let (entries, frontier) = ws.prime0_parts(
-                    &state.graph,
-                    &state.hubs,
-                    state.store.as_ref(),
-                    q,
-                    &self.config,
-                );
-                Ok(Arc::new(Prime0Parts { entries, frontier }))
-            },
-        )
-    }
-
-    /// Serves one shard's share of a scattered increment step: expands the
-    /// border hubs in `sublist` (this shard's slice of the router's
-    /// frontier, ascending by hub id, masses as merged so far) against the
-    /// stored prime PPVs. The returned partial entries / frontier /
-    /// increment mass are merged router-side with the other shards'.
-    pub fn expand(
-        &self,
-        sublist: &[(NodeId, f64)],
-        expect_epoch: Option<u64>,
-    ) -> Result<ExpandAnswer, SubQueryError> {
-        let key_of = |graph: &Graph| {
-            for &(h, mass) in sublist {
-                check_in_range(graph, h).map_err(SubQueryError::BadRequest)?;
-                if !mass.is_finite() || mass < 0.0 {
-                    return Err(SubQueryError::BadRequest(format!(
-                        "non-finite or negative frontier mass {mass} at hub {h}"
-                    )));
-                }
-            }
-            Ok(sublist.iter().map(|&(h, m)| (h, m.to_bits())).collect())
-        };
-        let compute = |state: &ServingState<S>, ws: &mut QueryWorkspace| {
-            let outcome = expand_frontier(
-                sublist,
-                &state.hubs,
-                state.store.as_ref(),
-                &self.config,
-                ws.increment_scratch(),
-            )
-            .map_err(SubQueryError::MissingHub)?;
-            Ok(ExpandAnswer {
-                epoch: state.epoch,
-                outcome,
-            })
-        };
-        self.cached_sub(expect_epoch, &self.expand_cache, key_of, compute)
-            .map(|(answer, _)| answer)
-    }
 }
 
 impl QueryService<FlatIndex> {
@@ -1024,8 +821,8 @@ impl QueryService<FlatIndex> {
     /// Unlike [`QueryService::apply_update`] there is no no-op skip: the
     /// coordinator bumps every shard to `target_epoch` in lockstep, and a
     /// shard whose slice happened to be untouched must still advance or
-    /// the cluster's epochs diverge and every scattered query hits
-    /// [`SubQueryError::EpochSkew`].
+    /// the cluster's epochs diverge and every scattered query is answered
+    /// [`crate::net::SubReply::EpochSkew`].
     pub fn prepare_update(
         &self,
         target_epoch: u64,
@@ -1332,6 +1129,11 @@ mod tests {
             0,
             "update must clear the cache"
         );
+        let expanded = service
+            .expand(&[(toy::PAPER_HUBS[0], 0.125)], None)
+            .ok()
+            .expect("expand of a stored hub");
+        assert_eq!(expanded.epoch, 1, "a sub-request answers on the new epoch");
 
         let fresh = service.query(Request::iterations(toy::A, 4));
         assert!(!fresh.cached);
@@ -1398,55 +1200,6 @@ mod tests {
         assert_eq!(service.epoch(), 1);
         assert_eq!(service.cache_stats().entries, 0);
         assert_eq!(service.cache_stats().noop_update_skips, 1);
-    }
-
-    #[test]
-    fn expand_cache_replays_exactly_and_clears_on_publish() {
-        let service = toy_service(ServiceOptions {
-            workers: 1,
-            queue_capacity: 8,
-            cache_capacity: 16,
-        });
-        let hub = toy::PAPER_HUBS[0];
-        let sublist = vec![(hub, 0.125_f64)];
-        let first = service.expand(&sublist, None).expect("expand");
-        let hits_before = service.cache_stats().hits;
-        let second = service.expand(&sublist, None).expect("expand");
-        assert_eq!(
-            service.cache_stats().hits,
-            hits_before + 1,
-            "a bit-identical frontier resend must hit the expand cache"
-        );
-        // A hit is an exact replay, not a recomputation: every field of
-        // the outcome matches bit-for-bit.
-        assert_eq!(second.epoch, first.epoch);
-        assert_eq!(second.outcome.entries, first.outcome.entries);
-        assert_eq!(second.outcome.frontier, first.outcome.frontier);
-        assert_eq!(
-            second.outcome.increment_mass.to_bits(),
-            first.outcome.increment_mass.to_bits()
-        );
-        // A different mass bit pattern is a different key.
-        let misses_before = service.cache_stats().misses;
-        service.expand(&[(hub, 0.25_f64)], None).expect("expand");
-        assert_eq!(service.cache_stats().misses, misses_before + 1);
-        // Publish clears the expand cache along with the sub-caches: the
-        // same sublist recomputes and carries the new epoch.
-        let old = service.graph();
-        let mut b = GraphBuilder::new(8);
-        for (s, t) in old.edges() {
-            b.add_edge(s, t);
-        }
-        b.add_edge(toy::A, toy::E);
-        service.apply_update(b.build(), &[toy::A]);
-        let misses_before = service.cache_stats().misses;
-        let fresh = service.expand(&sublist, None).expect("expand");
-        assert_eq!(
-            service.cache_stats().misses,
-            misses_before + 1,
-            "publish must clear the expand cache"
-        );
-        assert_eq!(fresh.epoch, 1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Proves eight acceptance criteria with a counting global allocator:
+//! Proves ten acceptance criteria with a counting global allocator:
 //!
 //! * zero heap allocations in `IncrementalState::step` rounds and in the
 //!   assemble pass that folds them into the estimate, on the `FlatIndex`
@@ -15,11 +15,21 @@
 //! * under 1 KB to **finish a warm non-hub top-10 answer**
 //!   (`QuerySession::finish(10)`): the selection buffer and nothing
 //!   answer-sized;
-//! * under 1 KB **retained per cached top-10 answer**: N distinct non-hub
-//!   `top_k = 10` requests through the service's network entry point
-//!   (`Frontend::query`) grow the live heap by less than N KB — the cache
-//!   keeps the ten entries asked for, not the vector they were chosen
-//!   from;
+//! * under 300 B **retained per cached top-10 answer**: N distinct
+//!   non-hub `top_k = 10` requests through the service's network entry
+//!   point (`Frontend::query`) grow the live heap by less than 300·N bytes
+//!   — the cache keeps the ten entries asked for, in ten entries' storage,
+//!   not the vector they were chosen from or the selection buffer's `2k`;
+//! * under 1.5× its reply for a **warm shard expand** of every hub
+//!   (`QueryService::expand`): the partial is computed straight into its
+//!   wire reply, with no cache key, no cache copy and no entry copy — the
+//!   reply's `(entries + frontier) × 16` bytes are nearly all it
+//!   allocates;
+//! * under 1 KB **retained per shard prime-0**: N distinct non-hub
+//!   `QueryService::prime0`s, after a warm-up pass over the same sources
+//!   and `invalidate_cache()`, grow the live heap by less than N KB on a
+//!   service with a 4 096-entry cache — a shard keeps no sub-request
+//!   partials;
 //! * one allocation per **stored prime PPV** (`PrimeComputer::prime_ppv`,
 //!   what the offline build and an exact recompute run per hub): on a
 //!   warm computer the solve runs on the graph's own CSR in reused
@@ -232,8 +242,51 @@ fn steps_allocate_nothing_on_flat_path_with_warm_workspace() {
     }
     let retained = LIVE_BYTES.load(Ordering::Relaxed).wrapping_sub(before) as i64;
     assert!(
-        retained < 1024 * cold.len() as i64,
+        retained < 300 * cold.len() as i64,
         "{} cached top-10 answers retained {retained} bytes",
+        cold.len()
+    );
+
+    // Phase 2d: a shard's warm expand of every hub (δ = 0, so each one
+    // expands). The first call grows the pooled workspace; the second
+    // allocates the reply and little else.
+    let share = 1.0 / hubs.len() as f64;
+    let sublist: Vec<(NodeId, f64)> = hubs.ids().iter().map(|&h| (h, share)).collect();
+    service
+        .expand(&sublist, None)
+        .ok()
+        .expect("expand of every hub");
+    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    let reply = service
+        .expand(&sublist, None)
+        .ok()
+        .expect("expand of every hub");
+    let expand_bytes = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+    let reply_bytes = 16 * (reply.entries.len() + reply.frontier.len()) as u64;
+    assert_eq!(reply.hubs_expanded as usize, hubs.len());
+    assert!(
+        2 * expand_bytes < 3 * reply_bytes,
+        "a warm expand of {} hubs allocated {expand_bytes} bytes for a \
+         {reply_bytes}-byte reply",
+        hubs.len()
+    );
+
+    // Phase 2e: what a shard keeps per prime-0. A warm-up pass grows the
+    // workspace to the largest source; the publish that follows would
+    // clear any cached partial, so the measured pass misses every one.
+    for &q in &cold {
+        service.prime0(q, None).ok().expect("prime-0 of a non-hub");
+    }
+    service.invalidate_cache();
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    for &q in &cold {
+        let parts = service.prime0(q, None).ok().expect("prime-0 of a non-hub");
+        assert!(!parts.entries.is_empty());
+    }
+    let retained = LIVE_BYTES.load(Ordering::Relaxed).wrapping_sub(before) as i64;
+    assert!(
+        retained < 1024 * cold.len() as i64,
+        "{} shard prime-0s retained {retained} bytes",
         cold.len()
     );
 

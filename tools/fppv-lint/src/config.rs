@@ -148,10 +148,22 @@ impl Config {
                         "f64",
                     ]),
                 },
-                // ...and the frame readers.
+                // ...the frame readers, and the shard's sub-op handlers,
+                // which take decoded wire input straight into the engine:
+                // a bad id, an unsorted sublist or a missing hub is a typed
+                // `SubReply::Error`, never a shard panic.
                 FailClosed {
                     path_suffix: "crates/server/src/net/conn.rs".into(),
-                    scope: fns(&["read_frame", "read_frame_stalling", "fill", "read_some"]),
+                    scope: fns(&[
+                        "read_frame",
+                        "read_frame_stalling",
+                        "fill",
+                        "read_some",
+                        "prime0",
+                        "expand",
+                        "sub_request",
+                        "check_sublist",
+                    ]),
                 },
                 // Router read paths: a bad shard id or a dead backend is
                 // a routing error, never a router panic.
