@@ -606,8 +606,9 @@ impl Chunk {
 ///
 /// ## Copy-on-write snapshots
 ///
-/// `Clone` is shallow: chunks are `Arc`-shared and only the directory
-/// (`slot_of`, `segs`, `spent` — a few bytes per node/hub) is copied, so
+/// `Clone` is shallow: chunks and the node → slot map (`slot_of`, 4 B
+/// per node, written only when a hub is first inserted) are `Arc`-shared
+/// and only the per-hub directory (`segs`, `spent`, `norms`) is copied, so
 /// publishing a patched snapshot costs microseconds instead of a deep
 /// arena copy. Mutations never write through a shared chunk: appends that
 /// would touch a shared (or file-backed, or full) tail chunk *seal* it and
@@ -624,8 +625,9 @@ impl Chunk {
 /// the live segments into fresh owned chunks in ascending hub order.
 #[derive(Clone, Debug)]
 pub struct FlatIndex {
-    /// node id → directory slot (or [`NO_SLOT`]).
-    slot_of: Vec<u32>,
+    /// node id → directory slot (or [`NO_SLOT`]); shared between clones
+    /// until a hub is first inserted.
+    slot_of: Arc<[u32]>,
     /// slot → hub id.
     hub_ids: Vec<NodeId>,
     /// slot → segment location.
@@ -664,7 +666,7 @@ impl FlatIndex {
     /// An empty arena for graphs of `n` nodes.
     pub fn new(n: usize) -> Self {
         FlatIndex {
-            slot_of: vec![NO_SLOT; n],
+            slot_of: vec![NO_SLOT; n].into(),
             hub_ids: Vec::new(),
             segs: Vec::new(),
             chunks: Vec::new(),
@@ -790,7 +792,7 @@ impl FlatIndex {
     /// segment.
     fn append_segment(&mut self, hub: NodeId, view: &PpvRef<'_>, hubs: &HubSet) {
         let slot = self.hub_ids.len() as u32;
-        self.slot_of[hub as usize] = slot;
+        Arc::make_mut(&mut self.slot_of)[hub as usize] = slot;
         self.hub_ids.push(hub);
         let (seg, norm) = self.push_segment_data(view, hubs);
         self.segs.push(seg);
@@ -913,7 +915,7 @@ impl FlatIndex {
     }
 
     /// Directory overhead in bytes (`slot_of`, `hub_ids`, `segs`, `spent`,
-    /// `norms`) — the part a shallow snapshot clone actually copies.
+    /// `norms`) — a shallow snapshot clone copies all but `slot_of`.
     fn directory_bytes(&self) -> usize {
         self.slot_of.len() * 4
             + self.hub_ids.len() * 4
@@ -1219,7 +1221,7 @@ impl FlatIndex {
             .map(|_| spend.f64())
             .collect::<Result<Vec<f64>, _>>()?;
         let mut flat = FlatIndex {
-            slot_of,
+            slot_of: slot_of.into(),
             hub_ids,
             segs,
             chunks,

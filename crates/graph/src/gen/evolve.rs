@@ -8,8 +8,16 @@
 //! [`apply_event`] drive the dynamic-update experiments (§7): a seeded
 //! stream of single-edge insert/delete events applied one at a time to an
 //! otherwise fixed node set.
+//!
+//! An applied event costs what it changed: the new graph shares its
+//! predecessor's base CSR and overlaid rows, and adds only the tail's new
+//! out-row and the touched heads' new in-rows to a copy of the overlay's
+//! index (see [`crate::csr`] for the layout and when the overlay folds
+//! back into a flat base). [`try_apply_event`] is the checked entry point
+//! for events from outside the program.
 
 use std::collections::HashSet;
+use std::fmt;
 
 use rand::Rng;
 
@@ -126,44 +134,100 @@ pub fn synth_events(
     events
 }
 
+/// Why [`try_apply_event`] refused an event.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EventError {
+    /// An endpoint is not a node of the graph.
+    OutOfRange {
+        /// The event's tail.
+        tail: NodeId,
+        /// The event's head.
+        head: NodeId,
+        /// Nodes in the graph.
+        num_nodes: usize,
+    },
+    /// A delete names an edge the graph does not hold.
+    AbsentEdge {
+        /// The event's tail.
+        tail: NodeId,
+        /// The event's head.
+        head: NodeId,
+    },
+}
+
+impl fmt::Display for EventError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            EventError::OutOfRange {
+                tail,
+                head,
+                num_nodes,
+            } => write!(
+                f,
+                "event edge {tail} -> {head} out of range ({num_nodes} nodes)"
+            ),
+            EventError::AbsentEdge { tail, head } => {
+                write!(f, "delete of absent edge {tail} -> {head}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for EventError {}
+
 /// Applies one event, returning the updated graph (same node set) —
-/// exactly the graph a [`GraphBuilder`] rebuild of the edited edge list
-/// would lay out, at the cost of copying the CSR arrays instead of
-/// re-sorting every edge: only the tail's out-row and the touched heads'
-/// in-rows are spliced. The builder's dangling policy is kept by hand: a
+/// logically the graph a [`GraphBuilder`] rebuild of the edited edge list
+/// would lay out, but sharing the input's CSR: only the tail's out-row and
+/// the touched heads' in-rows are written, into the graph's row overlay
+/// ([`crate::csr`]). The builder's dangling policy is kept by hand: a
 /// node gaining its first real edge sheds its dangling-fix self-loop, a
 /// node losing its last real edge gets one back.
+///
+/// # Panics
+/// Panics on an event [`try_apply_event`] refuses: an endpoint out of
+/// range, or a delete of an edge the graph does not hold.
 pub fn apply_event(graph: &Graph, event: &EdgeEvent) -> Graph {
+    try_apply_event(graph, event).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`apply_event`] for events from outside the program: an endpoint out
+/// of range, or a delete of an edge `graph` does not hold, is refused
+/// with an [`EventError`] instead of a panic.
+pub fn try_apply_event(graph: &Graph, event: &EdgeEvent) -> Result<Graph, EventError> {
     let (u, v) = (event.tail, event.head);
+    let num_nodes = graph.num_nodes();
+    if u as usize >= num_nodes || v as usize >= num_nodes {
+        return Err(EventError::OutOfRange {
+            tail: u,
+            head: v,
+            num_nodes,
+        });
+    }
     let old_row = graph.out_neighbors(u);
     let mut row = Vec::with_capacity(old_row.len() + 1);
     if event.insert {
-        assert!(
-            (v as usize) < graph.num_nodes(),
-            "edge ({u}, {v}) out of range for {} nodes",
-            graph.num_nodes()
-        );
         row.extend(old_row.iter().copied().filter(|&t| t != u));
         row.insert(row.partition_point(|&t| t < v), v);
     } else {
+        let at = old_row
+            .binary_search(&v)
+            .map_err(|_| EventError::AbsentEdge { tail: u, head: v })?;
         row.extend_from_slice(old_row);
-        match row.binary_search(&v) {
-            Ok(at) => {
-                row.remove(at);
-            }
-            Err(_) => debug_assert!(false, "delete of absent edge ({u}, {v})"),
-        }
+        row.remove(at);
     }
     if row.is_empty() {
         row.push(u);
     }
     let mut next = graph.with_out_row(u, &row);
-    // A rebuild self-loops *every* dangling node, not just the tail (only
-    // a `DanglingPolicy::Keep` graph has any).
-    for w in graph.nodes().filter(|&w| w != u && graph.is_dangling(w)) {
-        next = next.with_out_row(w, &[w]);
+    // A rebuild self-loops *every* dangling node, not just the tail. Only
+    // a `DanglingPolicy::Keep` graph has any, and the count is O(1) to
+    // read, so every other graph skips the scan.
+    if graph.num_dangling() > 0 {
+        for w in graph.nodes().filter(|&w| w != u && graph.is_dangling(w)) {
+            next = next.with_out_row(w, &[w]);
+        }
     }
-    next
+    Ok(next)
 }
 
 #[cfg(test)]
@@ -194,12 +258,21 @@ mod tests {
 
     #[test]
     fn splice_equals_rebuild_on_random_event_sequences() {
+        // Seeds to run: `FASTPPV_FUZZ_ROUNDS`, 40 by default.
+        let rounds: u64 = std::env::var("FASTPPV_FUZZ_ROUNDS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(40);
         // Cases the stream must have hit: [self-loop shed, self-loop
-        // restored, parallel edge inserted].
-        let mut hit = [0usize; 3];
-        for seed in 0..40u64 {
+        // restored, parallel edge inserted, an event on an overlaid graph
+        // that stayed overlaid, a fold].
+        let mut hit = [0usize; 5];
+        for seed in 0..rounds {
             let mut rng = crate::gen::rng(seed);
-            let n = rng.gen_range(2..12) as NodeId;
+            // Every fourth graph is large enough for the overlay to stack
+            // several events before it folds; tiny ones fold at once.
+            let max_n = if seed % 4 == 0 { 120 } else { 12 };
+            let n = rng.gen_range(2..max_n) as NodeId;
             let edges: Vec<(NodeId, NodeId)> = (0..rng.gen_range(0..3 * n))
                 .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
                 .collect();
@@ -230,6 +303,8 @@ mod tests {
                 hit[1] += usize::from(!event.insert && row.len() == 1 && event.head != tail);
                 hit[2] += usize::from(event.insert && row.contains(&event.head));
                 let next = apply_event(&g, &event);
+                hit[3] += usize::from(g.overlay_entries() > 0 && next.overlay_entries() > 0);
+                hit[4] += usize::from(next.overlay_entries() == 0);
                 assert_eq!(
                     next,
                     rebuild_event(&g, &event),
@@ -240,6 +315,31 @@ mod tests {
             }
         }
         assert!(hit.iter().all(|&h| h > 10), "cases hit: {hit:?}");
+    }
+
+    #[test]
+    fn absent_deletes_and_out_of_range_edges_are_refused() {
+        let g = from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
+        let event = |tail, head, insert| EdgeEvent { tail, head, insert };
+        assert_eq!(
+            try_apply_event(&g, &event(0, 2, false)),
+            Err(EventError::AbsentEdge { tail: 0, head: 2 })
+        );
+        assert_eq!(
+            try_apply_event(&g, &event(3, 0, true)),
+            Err(EventError::OutOfRange {
+                tail: 3,
+                head: 0,
+                num_nodes: 3
+            })
+        );
+        assert!(try_apply_event(&g, &event(1, 7, false)).is_err());
+        let err = try_apply_event(&g, &event(0, 2, false)).unwrap_err();
+        assert!(err.to_string().contains("absent edge 0 -> 2"), "{err}");
+        assert_eq!(
+            try_apply_event(&g, &event(0, 1, false)),
+            Ok(apply_event(&g, &event(0, 1, false)))
+        );
     }
 
     #[test]

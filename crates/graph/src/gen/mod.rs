@@ -21,7 +21,10 @@ pub mod social;
 pub use ba::barabasi_albert;
 pub use dblp::{BibNetwork, DblpParams, NodeKind};
 pub use er::erdos_renyi;
-pub use evolve::{apply_event, induced_subgraph, sample_prefix, synth_events, EdgeEvent};
+pub use evolve::{
+    apply_event, induced_subgraph, sample_prefix, synth_events, try_apply_event, EdgeEvent,
+    EventError,
+};
 pub use social::{SocialNetwork, SocialParams};
 
 use rand::Rng;

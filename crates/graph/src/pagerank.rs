@@ -43,22 +43,26 @@ pub fn pagerank(graph: &Graph, opts: PageRankOptions) -> Vec<f64> {
     let uniform = 1.0 / n as f64;
     let mut rank = vec![uniform; n];
     let mut next = vec![0.0; n];
+    let csr = graph.out_csr();
     for _ in 0..opts.max_iterations {
         let mut dangling_mass = 0.0;
-        for v in graph.nodes() {
-            if graph.is_dangling(v) {
-                dangling_mass += rank[v as usize];
+        // The dangling count is O(1): a graph without any skips the scan.
+        if graph.num_dangling() > 0 {
+            for v in graph.nodes() {
+                if graph.is_dangling(v) {
+                    dangling_mass += rank[v as usize];
+                }
             }
         }
         let base = alpha * uniform + (1.0 - alpha) * dangling_mass * uniform;
         next.iter_mut().for_each(|x| *x = base);
         for u in graph.nodes() {
-            let d = graph.out_degree(u);
-            if d == 0 {
+            let row = csr.out_neighbors(u);
+            if row.is_empty() {
                 continue;
             }
-            let share = (1.0 - alpha) * rank[u as usize] / d as f64;
-            for &v in graph.out_neighbors(u) {
+            let share = (1.0 - alpha) * rank[u as usize] / row.len() as f64;
+            for &v in row {
                 next[v as usize] += share;
             }
         }

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use fastppv_core::query::{expand_frontier, QueryWorkspace};
 use fastppv_core::{FlatIndex, PpvStore};
-use fastppv_graph::gen::{apply_event, EdgeEvent};
+use fastppv_graph::gen::{try_apply_event, EdgeEvent};
 use fastppv_graph::{Graph, NodeId};
 
 use super::wire::{
@@ -792,32 +792,24 @@ fn answer_of(response: &Response, top_k: u32) -> WireAnswer {
 
 /// Phase-one handler: replays the event batch onto the pinned snapshot's
 /// graph (every shard holds the full graph; only the PPV store is sliced)
-/// and stages the shard-local refresh at `target_epoch`.
+/// and stages the shard-local refresh at `target_epoch`. Each event is
+/// checked against the graph the batch has built so far: an endpoint out
+/// of range, or a delete of an edge absent at that point of the batch,
+/// refuses the whole batch and stages nothing.
 fn prepare_from_events(
     service: &QueryService<FlatIndex>,
     target_epoch: u64,
     events: &[EdgeEvent],
 ) -> Result<(), String> {
     let state = service.snapshot();
-    let n = state.graph().num_nodes();
-    for e in events {
-        if (e.tail as usize) >= n || (e.head as usize) >= n {
-            return Err(format!(
-                "event edge {} -> {} out of range ({n} nodes)",
-                e.tail, e.head
-            ));
-        }
+    let mut graph = Graph::clone(state.graph());
+    for (i, e) in events.iter().enumerate() {
+        graph = try_apply_event(&graph, e).map_err(|err| format!("event {i}: {err}"))?;
     }
-    let mut graph: Option<Graph> = None;
-    for e in events {
-        let base = graph.as_ref().unwrap_or_else(|| state.graph());
-        graph = Some(apply_event(base, e));
-    }
-    let new_graph = graph.unwrap_or_else(|| state.graph().as_ref().clone());
     let mut tails: Vec<NodeId> = events.iter().map(|e| e.tail).collect();
     tails.sort_unstable();
     tails.dedup();
     service
-        .prepare_update(target_epoch, new_graph, &tails)
+        .prepare_update(target_epoch, graph, &tails)
         .map(|_| ())
 }

@@ -293,6 +293,73 @@ fn loopback_sub_ops_serve_scatter_halves_and_two_phase_updates() {
     server.shutdown();
 }
 
+/// An `OP_UPDATE` prepare that deletes an edge the graph does not hold —
+/// never there, or deleted earlier in the same batch — is refused with an
+/// error naming the event; nothing is staged, the epoch stays put, and
+/// the connection keeps answering.
+#[test]
+fn prepare_refuses_deletes_of_absent_edges_and_keeps_serving() {
+    let service = toy_service();
+    let server = serve(
+        Arc::clone(&service),
+        TcpListener::bind("127.0.0.1:0").unwrap(),
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let graph = service.graph();
+    let (tail, head) = graph
+        .edges()
+        .find(|&(s, t)| s != t)
+        .expect("a non-loop edge");
+    let absent = graph
+        .nodes()
+        .flat_map(|s| graph.nodes().map(move |t| (s, t)))
+        .find(|&(s, t)| s != t && !graph.has_edge(s, t))
+        .expect("an absent edge");
+    let delete = |(tail, head)| EdgeEvent {
+        tail,
+        head,
+        insert: false,
+    };
+    for (batch, bad) in [
+        (vec![delete(absent)], 0),
+        (vec![delete((tail, head)), delete((tail, head))], 1),
+    ] {
+        let refused = client
+            .update_prepare(1, &batch)
+            .expect("the connection survives the refusal")
+            .expect_err("a delete of an absent edge is refused");
+        assert!(
+            refused.contains(&format!("event {bad}: delete of absent edge")),
+            "{refused}"
+        );
+        assert_eq!(service.epoch(), 0);
+        assert!(
+            client.update_commit(1).unwrap().is_err(),
+            "a refused prepare stages nothing"
+        );
+    }
+    assert_eq!(service.epoch(), 0);
+    assert_eq!(*service.graph(), *graph);
+
+    // The canary: the same connection answers a query, and a valid batch
+    // still goes through.
+    let canary = client
+        .request_one(WireRequest::iterations(toy::A, 3))
+        .unwrap();
+    assert!(canary.answer().is_some(), "{canary:?}");
+    assert_eq!(
+        client.update_prepare(1, &[delete((tail, head))]).unwrap(),
+        Ok(())
+    );
+    assert_eq!(client.update_commit(1).unwrap(), Ok(()));
+    assert_eq!(service.epoch(), 1);
+    assert!(!service.graph().has_edge(tail, head));
+
+    drop(client);
+    server.shutdown();
+}
+
 /// A shard holding a slice of the index cannot answer a whole query (its
 /// expansion would reach hubs other shards own): `OP_QUERY` gets a typed
 /// per-request error naming the router, and the connection keeps serving

@@ -1,4 +1,4 @@
-//! Proves ten acceptance criteria with a counting global allocator:
+//! Proves eleven acceptance criteria with a counting global allocator:
 //!
 //! * zero heap allocations in `IncrementalState::step` rounds and in the
 //!   assemble pass that folds them into the estimate, on the `FlatIndex`
@@ -36,13 +36,19 @@
 //!   scratch, and the returned entry vector is all it allocates;
 //! * nothing graph-sized for an **edge event no hub sees**: a delta
 //!   refresh whose tail no stored PPV holds mass at allocates less than
-//!   `8·n` bytes beyond the arena's copy-on-write directory clone — no
+//!   `8·n` bytes beyond the arena's copy-on-write directory clone (the
+//!   per-hub part: the node → slot map is shared between clones) — no
 //!   reverse-search scratch (`8·n` by itself), no dirty mask, no push
 //!   arrays;
 //! * nothing graph-sized for an **edge event that patches** on a warm
 //!   `Refresher`: beyond the directory clone and the segments the patch
 //!   appends to the arena, less than `8·n` bytes — the push scratch
-//!   (`17·n`), its deposits, and the merge buffers are all reused.
+//!   (`17·n`), its deposits, and the merge buffers are all reused;
+//! * a stream of **edge events** publishes only what each changed: a
+//!   hundred sequential `apply_event`s on BA-2k allocate less than three
+//!   copies of its CSR in total — every epoch shares the base and the
+//!   rows earlier events replaced, where a flat copy per event would be a
+//!   hundred.
 //!
 //! This file deliberately holds a single test: the allocation counter is
 //! process-global, and a lone test keeps other threads from muddying the
@@ -330,6 +336,11 @@ fn steps_allocate_nothing_on_flat_path_with_warm_workspace() {
     let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
     let clone = flat.clone();
     let clone_bytes = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+    assert!(
+        clone_bytes < 4 * n as u64,
+        "a snapshot clone copied {clone_bytes} bytes: the node -> slot map \
+         ({n} nodes) is shared, not copied"
+    );
     drop(clone);
     let delta = DeltaConfig::default();
     let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
@@ -399,6 +410,30 @@ fn steps_allocate_nothing_on_flat_path_with_warm_workspace() {
          the directory clone is {clone_bytes}, its {} patched segments \
          {segment_bytes}, and n is {n}",
         patched.len()
+    );
+
+    // Phase 6: a stream of edge events publishes only what each changed.
+    // A hundred sequential events on the flat BA-2k graph share its CSR
+    // and the rows earlier events wrote: together they allocate less than
+    // three copies of the CSR (a fold on the way would cost one), where a
+    // flat copy per event would be a hundred.
+    let csr_bytes = g.memory_bytes() as u64;
+    let events = synth_events(&g, 100, 0.2, 9);
+    let mut cur = g.clone();
+    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    for event in &events {
+        cur = apply_event(&cur, event);
+    }
+    let stream_bytes = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        cur.num_edges(),
+        g.num_edges() + events.iter().filter(|e| e.insert).count()
+            - events.iter().filter(|e| !e.insert).count()
+    );
+    assert!(
+        stream_bytes < 3 * csr_bytes,
+        "{} edge events allocated {stream_bytes} bytes; one CSR is {csr_bytes}",
+        events.len()
     );
 
     // Sanity check that the counter is actually live.

@@ -151,7 +151,8 @@ impl Config {
                 // ...the frame readers, and the shard's sub-op handlers,
                 // which take decoded wire input straight into the engine:
                 // a bad id, an unsorted sublist or a missing hub is a typed
-                // `SubReply::Error`, never a shard panic.
+                // `SubReply::Error`, never a shard panic; an update batch
+                // naming an absent edge is refused the same way.
                 FailClosed {
                     path_suffix: "crates/server/src/net/conn.rs".into(),
                     scope: fns(&[
@@ -163,6 +164,7 @@ impl Config {
                         "expand",
                         "sub_request",
                         "check_sublist",
+                        "prepare_from_events",
                     ]),
                 },
                 // Router read paths: a bad shard id or a dead backend is
