@@ -224,6 +224,7 @@ pub fn slice_store(store: &FlatIndex, hubs: &HubSet, map: &ShardMap, shard: u32)
     for h in map.owned_hubs(hubs, shard) {
         slice.insert_from(store, h, hubs);
     }
+    slice.seal();
     slice
 }
 

@@ -387,8 +387,10 @@ pub struct RefreshStats {
     pub clone_elapsed: Duration,
     /// Wall-clock time of the whole refresh, clone included.
     pub elapsed: Duration,
-    /// Chunk bytes deep-copied during this refresh (compaction rewrites;
-    /// tombstone patches and shallow clones contribute zero).
+    /// Bytes this refresh copied out of the snapshot it patched: the
+    /// directory its shallow clone copies (40 B a hub: id, `SegRef`,
+    /// spend and norm; 16 B a chunk handle) plus the live bytes of the
+    /// chunks its seal compacted. Tombstone patches copy nothing.
     pub cloned_bytes: u64,
     /// Entries stored in the refreshed index ([`PpvStore::total_entries`])
     /// — with `delta_patched` / `recomputed` it shows whether patches
@@ -667,7 +669,8 @@ impl Refresher {
     }
 
     /// [`refresh_flat_index_snapshot_delta`] on this refresher's scratch:
-    /// leaves `old` untouched and returns a patched copy-on-write clone.
+    /// leaves `old` untouched and returns a patched copy-on-write clone,
+    /// sealed ([`FlatIndex::seal`]) and ready to publish.
     #[allow(clippy::too_many_arguments)]
     pub fn refresh(
         &mut self,
@@ -694,6 +697,7 @@ impl Refresher {
         );
         stats.clone_elapsed = clone_elapsed;
         stats.elapsed += clone_elapsed;
+        stats.cloned_bytes += old.snapshot_bytes() as u64;
         (next, stats)
     }
 
@@ -868,9 +872,11 @@ impl Refresher {
 /// body of [`Refresher::refresh`].
 /// Recomputed hubs go through [`FlatIndex::replace`] and patched ones
 /// through [`FlatIndex::replace_entries`] as their merges complete
-/// (tombstone-and-append; the
-/// arena compacts itself once dead entries cross
-/// [`FlatIndex::COMPACTION_THRESHOLD`]). Unaffected segments are
+/// (tombstone-and-append), and the arena is sealed at the end
+/// ([`FlatIndex::seal`]: chunks past
+/// [`FlatIndex::COMPACTION_THRESHOLD`] or too small to stand alone are
+/// compacted, one chunk's worth plus the refresh's tombstones over the
+/// threshold). Unaffected segments are
 /// untouched — no entry is copied for them — and unpushed patches only
 /// bump the slot's budget spend. The arena must cover `new_graph` (node
 /// additions require a rebuild via [`crate::offline::build_flat_index`]).
@@ -951,6 +957,7 @@ fn refresh_flat_index_delta(
             }
         }
     }
+    index.seal();
     stats.budget_watermark = index.budget_watermark();
     stats.live_entries = index.total_entries();
     stats.cloned_bytes = index.bytes_cloned() - cloned_before;
@@ -1023,8 +1030,9 @@ impl Holder {
 /// append to fresh ones (copy-on-write at chunk granularity) — readers
 /// pinning the old arena keep seeing every byte of it undisturbed. Clone
 /// cost is included in [`RefreshStats::elapsed`] and broken out in
-/// [`RefreshStats::clone_elapsed`]; bulk bytes copied by compactions show
-/// up in [`RefreshStats::cloned_bytes`].
+/// [`RefreshStats::clone_elapsed`]; the directory the clone copied and
+/// the chunk bytes compaction copied show up in
+/// [`RefreshStats::cloned_bytes`].
 #[allow(clippy::too_many_arguments)]
 pub fn refresh_flat_index_snapshot_delta(
     old: &FlatIndex,
@@ -1186,6 +1194,70 @@ mod tests {
         // (Locality — reused > 0 — is asserted in
         // refresh_is_much_cheaper_than_rebuild on a larger graph; at 250
         // nodes with ε = 1e-8 every hub can legitimately be upstream.)
+    }
+
+    /// `cloned_bytes` is what a refresh copies out of the snapshot it
+    /// patches: the directory its clone copies — 40 B a hub (id, `SegRef`,
+    /// spend, norm) and 16 B a chunk handle — and, when its seal compacts,
+    /// the live bytes of the chunks it rewrote (12 B an entry, 8 B a
+    /// border-sublist entry).
+    #[test]
+    fn cloned_bytes_counts_the_directory_and_the_chunks_compacted() {
+        use fastppv_graph::gen::{apply_event, synth_events};
+        let g = barabasi_albert(400, 3, 5);
+        let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 30, 0);
+        let config = Config::default().with_epsilon(1e-6);
+        let delta = DeltaConfig::default();
+        let (built, _) = crate::offline::build_flat_index(&g, &hubs, &config, 1);
+        let directory =
+            |index: &FlatIndex| (index.hub_count() * 40 + index.chunk_count() * 16) as u64;
+        let mut refresher = Refresher::new();
+
+        // A refresh that patches nothing copies exactly the directory.
+        let (_, stats) = refresher.refresh(&built, &g, &g, &hubs, &[], &config, &delta);
+        assert_eq!(stats.dirty(), 0, "{stats:?}");
+        assert_eq!(stats.cloned_bytes, directory(&built));
+
+        // Stream events, holding each previous snapshot, to the first
+        // refresh whose seal compacts.
+        let (mut graph, mut prev) = (g.clone(), built);
+        for event in synth_events(&g, 200, 0.2, 3) {
+            let next_graph = apply_event(&graph, &event);
+            let (next, stats) = refresher.refresh(
+                &prev,
+                &graph,
+                &next_graph,
+                &hubs,
+                &[event.tail],
+                &config,
+                &delta,
+            );
+            if next.compactions() == prev.compactions() {
+                assert_eq!(stats.cloned_bytes, directory(&prev), "{stats:?}");
+                (graph, prev) = (next_graph, next);
+                continue;
+            }
+            // The compacted chunks' live segments are the ones that moved
+            // without being patched.
+            let ids = |index: &FlatIndex, h| match index.view(h) {
+                Some(PpvRef::Soa { ids, .. }) => ids.as_ptr(),
+                _ => unreachable!("arena views are SoA"),
+            };
+            let moved: u64 = hubs
+                .ids()
+                .iter()
+                .filter(|&&h| ids(&prev, h) != ids(&next, h) && prev.load(h) == next.load(h))
+                .map(|&h| {
+                    let len = next.view(h).unwrap().len() as u64;
+                    let border = next.border_sublist(h).unwrap().0.len() as u64;
+                    len * 12 + border * 8
+                })
+                .sum();
+            assert!(moved > 0);
+            assert_eq!(stats.cloned_bytes, directory(&prev) + moved, "{stats:?}");
+            return;
+        }
+        panic!("200 events never compacted a chunk");
     }
 
     #[test]

@@ -417,9 +417,10 @@ impl ArenaLayout {
 }
 
 /// Directory entry of one hub segment: which chunk holds it and where.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// An empty segment lives in no chunk; its fields are all 0.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct SegRef {
-    /// Index into [`FlatIndex::chunks`].
+    /// Index into [`FlatIndex::chunks`] (meaningless when `len` is 0).
     chunk: u32,
     /// Entry offset within the chunk.
     off: u32,
@@ -440,6 +441,35 @@ struct OwnedChunk {
     border_pos: Vec<u32>,
 }
 
+impl OwnedChunk {
+    /// An empty chunk with room for exactly `len` entries and `border_len`
+    /// border-sublist entries.
+    fn with_capacity(len: usize, border_len: usize) -> Self {
+        OwnedChunk {
+            ids: Vec::with_capacity(len),
+            scores: Vec::with_capacity(len),
+            border_ids: Vec::with_capacity(border_len),
+            border_pos: Vec::with_capacity(border_len),
+        }
+    }
+
+    /// Gives back the vectors' spare capacity (a no-op when there is none).
+    fn shrink(&mut self) {
+        self.ids.shrink_to_fit();
+        self.scores.shrink_to_fit();
+        self.border_ids.shrink_to_fit();
+        self.border_pos.shrink_to_fit();
+    }
+
+    /// Heap bytes the four vectors hold, spare capacity included.
+    fn heap_bytes(&self) -> usize {
+        self.ids.capacity() * 4
+            + self.scores.capacity() * 8
+            + self.border_ids.capacity() * 4
+            + self.border_pos.capacity() * 4
+    }
+}
+
 /// Chunk storage: heap vectors, or borrowed spans of an opened arena file.
 #[derive(Debug)]
 enum ChunkData {
@@ -458,13 +488,48 @@ enum ChunkData {
     },
 }
 
-/// One fixed-capacity span of the arena. Chunks are immutable once sealed
+/// One span of the arena, at most [`FlatIndex::CHUNK_ENTRIES`] entries
+/// unless a single segment is larger. Chunks are immutable once sealed
 /// (shared with a snapshot, file-backed, or full); only the unique owned
 /// tail chunk ever grows. Snapshot clones `Arc`-share chunks wholesale —
 /// the copy-on-write unit of the publish path.
 #[derive(Debug)]
 struct Chunk {
     data: ChunkData,
+}
+
+/// A directory's handle on one chunk: the shared bytes, and how many of
+/// its entries *this* directory has tombstoned. Snapshots sharing a chunk
+/// each count their own dead entries in it.
+#[derive(Clone, Debug)]
+struct ChunkRef {
+    data: Arc<Chunk>,
+    dead: usize,
+}
+
+impl ChunkRef {
+    fn new(chunk: Chunk) -> Self {
+        ChunkRef {
+            data: Arc::new(chunk),
+            dead: 0,
+        }
+    }
+
+    /// Whether the tombstoned share of the chunk has passed
+    /// [`FlatIndex::COMPACTION_THRESHOLD`].
+    fn over_threshold(&self) -> bool {
+        self.dead as f64 > FlatIndex::COMPACTION_THRESHOLD * self.data.len() as f64
+    }
+
+    /// Whether no other snapshot holds the chunk.
+    fn is_unshared(&self) -> bool {
+        Arc::strong_count(&self.data) == 1
+    }
+
+    /// Whether appends may write into the chunk: heap-owned and unshared.
+    fn is_open(&self) -> bool {
+        self.is_unshared() && self.data.is_owned()
+    }
 }
 
 #[cfg(target_endian = "little")]
@@ -489,12 +554,6 @@ fn map_f64s(backing: &Backing, off: usize, n: usize) -> &[f64] {
 }
 
 impl Chunk {
-    fn empty() -> Self {
-        Chunk {
-            data: ChunkData::Owned(OwnedChunk::default()),
-        }
-    }
-
     fn from_owned(owned: OwnedChunk) -> Self {
         Chunk {
             data: ChunkData::Owned(owned),
@@ -587,42 +646,69 @@ impl Chunk {
     fn data_bytes(&self) -> usize {
         self.len() * (4 + 8) + self.border_len() * (4 + 4)
     }
+
+    /// Bytes the chunk keeps on the process heap: an owned chunk's
+    /// vectors at their capacity, a heap-fallback backing's viewed span,
+    /// nothing for spans of a kernel file mapping.
+    fn heap_bytes(&self) -> usize {
+        match &self.data {
+            ChunkData::Owned(o) => o.heap_bytes(),
+            ChunkData::Mapped { .. } if self.is_file_mapped() => 0,
+            ChunkData::Mapped { .. } => self.data_bytes(),
+        }
+    }
 }
 
 /// The flat structure-of-arrays PPV index — the online hot path.
 ///
-/// All entries live in fixed-capacity *chunks* (`ids` / `scores` parallel
-/// arrays plus each segment's precomputed *border-hub sublist*: the
-/// positions of the entries that are themselves hubs, so the query
-/// engine's `step()` walks only the expansion candidates instead of
-/// filtering every entry through a hub mask). A per-hub directory
-/// ([`SegRef`], budget spend, and the in-memory norm `‖r̊⁰_h‖₁` that lets
-/// `step()` account for a hub's mass without scanning it) carves the
-/// chunks into segments; segments never span a chunk boundary.
+/// All entries live in *chunks* (`ids` / `scores` parallel arrays plus
+/// each segment's precomputed *border-hub sublist*: the positions of the
+/// entries that are themselves hubs, so the query engine's `step()` walks
+/// only the expansion candidates instead of filtering every entry through
+/// a hub mask). A per-hub directory ([`SegRef`], budget spend, and the
+/// in-memory norm `‖r̊⁰_h‖₁` that lets `step()` account for a hub's mass
+/// without scanning it) carves the chunks into segments; segments never
+/// span a chunk boundary.
 ///
 /// Reads are zero-copy: [`PpvStore::view`] returns slices into the chunk.
 /// A chunk either owns its vectors on the heap or borrows spans of an
 /// opened `FPPVIDX3` file ([`FlatIndex::open`] — `mmap` where available).
+/// Sealed owned chunks hold no spare capacity — a patch reserves exactly
+/// the segment it writes, a build's chunk gives its spare back once full
+/// or sealed, a compaction sizes its chunk before filling it — and
+/// [`FlatIndex::resident_bytes`] counts their capacity.
 ///
 /// ## Copy-on-write snapshots
 ///
 /// `Clone` is shallow: chunks and the node → slot map (`slot_of`, 4 B
 /// per node, written only when a hub is first inserted) are `Arc`-shared
-/// and only the per-hub directory (`segs`, `spent`, `norms`) is copied, so
-/// publishing a patched snapshot costs microseconds instead of a deep
-/// arena copy. Mutations never write through a shared chunk: appends that
-/// would touch a shared (or file-backed, or full) tail chunk *seal* it and
-/// start a fresh owned chunk instead — see [`FlatIndex::CHUNK_ENTRIES`].
-/// The only bulk copying left is compaction, and [`FlatIndex::bytes_cloned`]
-/// meters it.
+/// and only the per-hub directory (`segs`, `spent`, `norms`, and a dead
+/// count per chunk) is copied, so publishing a patched snapshot costs
+/// microseconds instead of a deep arena copy. Mutations never write
+/// through a shared chunk: appends that would touch a shared (or
+/// file-backed, or full) tail chunk *seal* it and start a fresh owned
+/// chunk instead — see [`FlatIndex::CHUNK_ENTRIES`]. The only bulk copy
+/// left is compaction — per [`FlatIndex::seal`], at most one chunk's
+/// entries plus the refresh's tombstones over the threshold — and
+/// [`FlatIndex::bytes_cloned`] meters it.
 ///
 /// ## Dynamic updates
 ///
 /// [`FlatIndex::replace`] patches a segment by tombstoning the old one
 /// (a directory edit — chunk bytes are left in place) and appending the
-/// new entries at the tail chunk. When dead entries exceed
-/// [`FlatIndex::COMPACTION_THRESHOLD`] of the arena, compaction rewrites
-/// the live segments into fresh owned chunks in ascending hub order.
+/// new entries at the tail chunk. Dead entries are counted per chunk, and
+/// compaction works one chunk at a time: once a chunk's dead share passes
+/// [`FlatIndex::COMPACTION_THRESHOLD`], its live segments move into a
+/// fresh chunk sized to them and its `Arc` is dropped. A chunk no other
+/// snapshot holds is compacted by the tombstone that takes it past the
+/// threshold; one a snapshot still reads waits for [`FlatIndex::seal`],
+/// the publish boundary, which rewrites at most
+/// [`FlatIndex::CHUNK_ENTRIES`] entries' worth of chunks plus the entries
+/// the refresh tombstoned divided by the threshold, so reclaiming keeps
+/// pace with batches of any size. The arena's memory peak while a
+/// snapshot is being patched is therefore the live arena, its dead
+/// entries, one chunk and a multiple of what the refresh itself replaced
+/// — never two arenas.
 #[derive(Clone, Debug)]
 pub struct FlatIndex {
     /// node id → directory slot (or [`NO_SLOT`]); shared between clones
@@ -632,16 +718,18 @@ pub struct FlatIndex {
     hub_ids: Vec<NodeId>,
     /// slot → segment location.
     segs: Vec<SegRef>,
-    /// The arena: `Arc`-shared fixed-capacity chunks.
-    chunks: Vec<Arc<Chunk>>,
+    /// The arena: `Arc`-shared chunks and this directory's dead count in
+    /// each.
+    chunks: Vec<ChunkRef>,
     /// Live (non-tombstoned) arena entries.
     live_entries: usize,
-    /// Tombstoned arena entries awaiting compaction.
-    dead_entries: usize,
-    /// Compactions performed over the arena's lifetime.
+    /// Entries tombstoned since the last [`FlatIndex::seal`]: the seal's
+    /// compaction budget grows with them.
+    tombstoned: usize,
+    /// Chunk compactions performed over the arena's lifetime.
     compactions: u64,
-    /// Cumulative chunk bytes deep-copied (compactions and any other
-    /// copy-on-write materialization) over the arena's lifetime.
+    /// Cumulative chunk bytes deep-copied by compactions over the arena's
+    /// lifetime.
     bytes_cloned: u64,
     /// slot → accumulated score-L1 error bound of the segment relative to
     /// an exact recompute — runtime state of the delta-update path
@@ -654,13 +742,15 @@ pub struct FlatIndex {
 }
 
 impl FlatIndex {
-    /// Dead-entry fraction of the arena that triggers compaction on the
-    /// next [`FlatIndex::replace`].
+    /// Dead-entry fraction of one chunk past which the chunk is compacted:
+    /// at once when no other snapshot holds it, else at the next
+    /// [`FlatIndex::seal`].
     pub const COMPACTION_THRESHOLD: f64 = 0.3;
 
-    /// Target entries per chunk — the copy-on-write granule. A segment
-    /// larger than this gets a chunk of its own (segments never span
-    /// chunks).
+    /// Target entries per chunk — the copy-on-write granule, and the most
+    /// entries one [`FlatIndex::seal`] compacts beyond the share its
+    /// refresh's tombstones buy. A segment larger than this gets a chunk
+    /// of its own (segments never span chunks).
     pub const CHUNK_ENTRIES: usize = 1 << 16;
 
     /// An empty arena for graphs of `n` nodes.
@@ -671,7 +761,7 @@ impl FlatIndex {
             segs: Vec::new(),
             chunks: Vec::new(),
             live_entries: 0,
-            dead_entries: 0,
+            tombstoned: 0,
             compactions: 0,
             bytes_cloned: 0,
             spent: Vec::new(),
@@ -705,7 +795,8 @@ impl FlatIndex {
     }
 
     /// Replaces `hub`'s prime PPV: tombstone-and-append, then compaction
-    /// once the dead fraction crosses [`FlatIndex::COMPACTION_THRESHOLD`].
+    /// of the old segment's chunk once its dead share crosses
+    /// [`FlatIndex::COMPACTION_THRESHOLD`].
     pub fn replace(&mut self, hub: NodeId, ppv: &PrimePpv, hubs: &HubSet) {
         self.replace_entries(hub, ppv.entries.entries(), hubs);
     }
@@ -725,67 +816,228 @@ impl FlatIndex {
         // Tombstone the old segment: a pure directory edit. The old chunk
         // bytes are left in place, so snapshots sharing the chunk keep
         // reading them untouched.
-        let old_len = self.segs[slot].len as usize;
-        self.live_entries -= old_len;
-        self.dead_entries += old_len;
+        let old = self.segs[slot];
+        self.live_entries -= old.len as usize;
+        self.tombstoned += old.len as usize;
+        if old.len > 0 {
+            self.chunks[old.chunk as usize].dead += old.len as usize;
+        }
         // Append the new segment and point the directory at it.
-        (self.segs[slot], self.norms[slot]) = self.push_segment_data(&view, hubs);
+        (self.segs[slot], self.norms[slot]) = self.push_segment_data(&view, hubs, true);
         self.spent[slot] = 0.0;
-        if (self.dead_entries as f64)
-            > Self::COMPACTION_THRESHOLD * (self.live_entries + self.dead_entries) as f64
-        {
-            self.compact();
+        if old.len > 0 {
+            let c = &self.chunks[old.chunk as usize];
+            // No other snapshot reads the chunk: compacting it frees its
+            // bytes now. A shared one waits for the publish boundary.
+            if c.over_threshold() && c.is_unshared() {
+                self.compact_chunks(&[old.chunk as usize]);
+            }
         }
     }
 
-    /// Rewrites the live segments into fresh owned chunks in ascending
-    /// hub-id order (the same layout a fresh
-    /// [`crate::offline::build_flat_index`] produces), dropping tombstoned bytes and releasing any shared
-    /// or file-backed chunks. The copied bytes are metered in
+    /// Readies the arena to be shared as a snapshot — the publish boundary
+    /// of the update path ([`crate::dynamic::Refresher::refresh`] ends
+    /// with it, and the offline builders with it):
+    ///
+    /// * the open tail gives back its spare capacity;
+    /// * chunks past [`FlatIndex::COMPACTION_THRESHOLD`], the largest dead
+    ///   share first, and the run of small chunks at the end of the arena
+    ///   (each refresh seals one; a chunk joins the run while it is at
+    ///   most twice the run's entries and the run stays within one chunk,
+    ///   so the small chunks stay a geometric series) are compacted
+    ///   together into chunks sized to their live segments.
+    ///
+    /// One seal compacts at most [`FlatIndex::CHUNK_ENTRIES`] stored
+    /// entries plus the entries tombstoned since the last seal divided by
+    /// the threshold (and always at least the first chunk it picks). Each
+    /// chunk compacted past the threshold reclaims more than the
+    /// threshold's share of itself, so a seal that leaves a chunk past the
+    /// threshold has reclaimed more dead entries than the refresh
+    /// tombstoned: dead entries never pile up, however large the batches.
+    /// The bytes a pinned snapshot keeps alive beside the sealed one stay
+    /// under one chunk's plus that refresh's share.
+    pub fn seal(&mut self) {
+        let tombstoned = std::mem::take(&mut self.tombstoned);
+        let Some(last) = self.chunks.last_mut() else {
+            return;
+        };
+        // The open tail was written since the last seal; it is left out
+        // of this seal's compaction and joins the run at the next one.
+        let open_tail = last.is_open();
+        if open_tail {
+            Arc::get_mut(&mut last.data)
+                .expect("an open tail is unshared")
+                .owned_mut()
+                .shrink();
+        }
+        let end = self.chunks.len() - usize::from(open_tail);
+        let cap =
+            Self::CHUNK_ENTRIES + (tombstoned as f64 / Self::COMPACTION_THRESHOLD).ceil() as usize;
+        let mut picked = vec![false; end];
+        let mut budget = 0usize;
+        let mut over: Vec<usize> = (0..end)
+            .filter(|&c| self.chunks[c].over_threshold())
+            .collect();
+        let share = |c: usize| self.chunks[c].dead as f64 / self.chunks[c].data.len() as f64;
+        over.sort_by(|&a, &b| share(b).total_cmp(&share(a)));
+        for c in over {
+            let len = self.chunks[c].data.len();
+            if budget == 0 || budget + len <= cap {
+                picked[c] = true;
+                budget += len;
+            }
+        }
+        // The trailing run of small sealed chunks.
+        let (mut run, mut first) = (0usize, end);
+        while first > 0 {
+            let len = self.chunks[first - 1].data.len();
+            let extra = if picked[first - 1] { 0 } else { len };
+            if (first < end && len > 2 * run)
+                || run + len > Self::CHUNK_ENTRIES
+                || budget + extra > cap
+            {
+                break;
+            }
+            run += len;
+            budget += extra;
+            first -= 1;
+        }
+        if end - first >= 2 {
+            picked[first..].fill(true);
+        }
+        let picked: Vec<usize> = (0..end).filter(|&c| picked[c]).collect();
+        if !picked.is_empty() {
+            self.compact_chunks(&picked);
+        }
+    }
+
+    /// Compacts every chunk that holds dead entries or borrows a file:
+    /// the same per-chunk routine [`FlatIndex::seal`] runs, over all of
+    /// them, at most [`FlatIndex::CHUNK_ENTRIES`] entries per rewrite, so
+    /// the arena is never held twice. Afterwards no entry is dead and the
+    /// whole arena is on the heap (a mapped arena's file is released once
+    /// its other holders drop it). The copied bytes are metered in
     /// [`FlatIndex::bytes_cloned`].
     pub fn compact(&mut self) {
-        let mut sorted: Vec<NodeId> = self.hub_ids.clone();
-        sorted.sort_unstable();
-        let mut chunks: Vec<Arc<Chunk>> = Vec::new();
-        let mut cur = OwnedChunk::default();
-        let mut segs = self.segs.clone();
-        let mut copied = 0u64;
-        for &h in &sorted {
-            let slot = self.slot_of[h as usize] as usize;
-            let old = self.segs[slot];
-            if !cur.ids.is_empty() && cur.ids.len() + old.len as usize > Self::CHUNK_ENTRIES {
-                chunks.push(Arc::new(Chunk::from_owned(std::mem::take(&mut cur))));
+        loop {
+            let mut picked = Vec::new();
+            let mut budget = 0usize;
+            for (c, chunk) in self.chunks.iter().enumerate() {
+                let len = chunk.data.len();
+                if (chunk.dead > 0 || !chunk.data.is_owned())
+                    && (budget == 0 || budget + len <= Self::CHUNK_ENTRIES)
+                {
+                    picked.push(c);
+                    budget += len;
+                }
             }
-            let off = cur.ids.len() as u32;
-            let border_off = cur.border_ids.len() as u32;
-            if old.len > 0 {
-                let src = &self.chunks[old.chunk as usize];
-                let (o, l) = (old.off as usize, old.len as usize);
-                cur.ids.extend_from_slice(&src.ids()[o..o + l]);
-                cur.scores.extend_from_slice(&src.scores()[o..o + l]);
-                let (bo, bl) = (old.border_off as usize, old.border_len as usize);
-                cur.border_ids
-                    .extend_from_slice(&src.border_ids()[bo..bo + bl]);
-                cur.border_pos
-                    .extend_from_slice(&src.border_pos()[bo..bo + bl]);
-                copied += old.len as u64 * (4 + 8) + old.border_len as u64 * (4 + 4);
+            if picked.is_empty() {
+                return;
             }
-            segs[slot] = SegRef {
-                chunk: chunks.len() as u32,
-                off,
-                len: old.len,
+            self.compact_chunks(&picked);
+        }
+    }
+
+    /// The one compaction routine: moves the live segments of the
+    /// `picked` chunks (ascending indices), in chunk then offset order,
+    /// into fresh chunks of at most [`FlatIndex::CHUNK_ENTRIES`] entries
+    /// (a larger segment gets one of its own), each sized before it is
+    /// filled, and drops the picked chunks. The new chunks go after every
+    /// kept chunk but an open tail, so appends keep landing where they
+    /// did. Snapshots sharing a dropped chunk keep reading it until they
+    /// let it go.
+    fn compact_chunks(&mut self, picked: &[usize]) {
+        let n = self.chunks.len();
+        let mut is_picked = vec![false; n];
+        for &c in picked {
+            is_picked[c] = true;
+        }
+        let open_tail = !is_picked[n - 1] && self.chunks[n - 1].is_open();
+        let mut moving: Vec<usize> = (0..self.segs.len())
+            .filter(|&s| self.segs[s].len > 0 && is_picked[self.segs[s].chunk as usize])
+            .collect();
+        moving.sort_unstable_by_key(|&s| (self.segs[s].chunk, self.segs[s].off));
+        // Each new chunk's (entries, border entries): a segment starts the
+        // next chunk when it would take the current one past the target.
+        let mut sizes: Vec<(usize, usize)> = Vec::new();
+        for &s in &moving {
+            let (len, border_len) = (self.segs[s].len as usize, self.segs[s].border_len as usize);
+            match sizes.last_mut() {
+                Some((l, b)) if *l + len <= Self::CHUNK_ENTRIES => {
+                    *l += len;
+                    *b += border_len;
+                }
+                _ => sizes.push((len, border_len)),
+            }
+        }
+        // Kept chunks in order, then the new ones, then an open tail.
+        let mut new_index = vec![0u32; n];
+        let mut kept = 0u32;
+        for c in 0..n - usize::from(open_tail) {
+            if !is_picked[c] {
+                new_index[c] = kept;
+                kept += 1;
+            }
+        }
+        if open_tail {
+            new_index[n - 1] = kept + sizes.len() as u32;
+        }
+        for seg in &mut self.segs {
+            if seg.len > 0 && !is_picked[seg.chunk as usize] {
+                seg.chunk = new_index[seg.chunk as usize];
+            }
+        }
+        let mut outs: Vec<OwnedChunk> = sizes
+            .iter()
+            .map(|&(len, border_len)| OwnedChunk::with_capacity(len, border_len))
+            .collect();
+        let mut o = 0;
+        for &s in &moving {
+            let old = self.segs[s];
+            let src = &self.chunks[old.chunk as usize].data;
+            let (off, l) = (old.off as usize, old.len as usize);
+            let (bo, bl) = (old.border_off as usize, old.border_len as usize);
+            if outs[o].ids.len() + l > sizes[o].0 {
+                o += 1;
+            }
+            let out = &mut outs[o];
+            let new_off = out.ids.len() as u32;
+            let border_off = out.border_ids.len() as u32;
+            out.ids.extend_from_slice(&src.ids()[off..off + l]);
+            out.scores.extend_from_slice(&src.scores()[off..off + l]);
+            out.border_ids
+                .extend_from_slice(&src.border_ids()[bo..bo + bl]);
+            out.border_pos
+                .extend_from_slice(&src.border_pos()[bo..bo + bl]);
+            self.segs[s] = SegRef {
+                chunk: kept + o as u32,
+                off: new_off,
                 border_off,
-                border_len: old.border_len,
+                ..old
             };
         }
-        if !cur.ids.is_empty() {
-            chunks.push(Arc::new(Chunk::from_owned(cur)));
-        }
+        let copied: usize = outs.iter().map(OwnedChunk::heap_bytes).sum();
+        let mut chunks = Vec::with_capacity(n + outs.len() - picked.len());
+        let mut old_chunks = std::mem::take(&mut self.chunks).into_iter();
+        let tail = if open_tail {
+            old_chunks.next_back()
+        } else {
+            None
+        };
+        chunks.extend(
+            old_chunks
+                .enumerate()
+                .filter(|(c, _)| !is_picked[*c])
+                .map(|(_, chunk)| chunk),
+        );
+        chunks.extend(
+            outs.into_iter()
+                .map(|o| ChunkRef::new(Chunk::from_owned(o))),
+        );
+        chunks.extend(tail);
         self.chunks = chunks;
-        self.segs = segs;
-        self.dead_entries = 0;
         self.compactions += 1;
-        self.bytes_cloned += copied;
+        self.bytes_cloned += copied as u64;
     }
 
     /// Appends a fresh directory slot for `hub` backed by a new arena
@@ -794,7 +1046,7 @@ impl FlatIndex {
         let slot = self.hub_ids.len() as u32;
         Arc::make_mut(&mut self.slot_of)[hub as usize] = slot;
         self.hub_ids.push(hub);
-        let (seg, norm) = self.push_segment_data(view, hubs);
+        let (seg, norm) = self.push_segment_data(view, hubs, false);
         self.segs.push(seg);
         self.spent.push(0.0);
         self.norms.push(norm);
@@ -803,30 +1055,62 @@ impl FlatIndex {
     /// Copies one segment's entries (and its border-hub sublist) into the
     /// tail chunk — the single place the segment encoding is written — and
     /// returns the segment's location and its norm (the scores summed in
-    /// the order they are copied).
+    /// the order they are copied). An empty segment occupies no chunk.
     ///
     /// The tail chunk is grown in place only while it is uniquely owned,
     /// heap-resident, and has room; otherwise it is *sealed* and a fresh
     /// owned chunk is started. Appends therefore never deep-copy a chunk a
-    /// snapshot is still reading — that is what makes the shallow `Clone`
-    /// a sound copy-on-write publish.
-    fn push_segment_data(&mut self, view: &PpvRef<'_>, hubs: &HubSet) -> (SegRef, f64) {
+    /// snapshot is still reading — that is what makes the shallow `Clone` a
+    /// sound copy-on-write publish.
+    ///
+    /// With `exact`, the tail grows by exactly this segment: a patch's few
+    /// segments leave nothing spare for the seal to give back. Otherwise
+    /// it grows geometrically, as a build that fills whole chunks hub by
+    /// hub needs, and gives its spare capacity back once it is full (or at
+    /// the next [`FlatIndex::seal`]).
+    fn push_segment_data(
+        &mut self,
+        view: &PpvRef<'_>,
+        hubs: &HubSet,
+        exact: bool,
+    ) -> (SegRef, f64) {
         let need = view.len();
-        let start_new = match self.chunks.last() {
+        if need == 0 {
+            return (SegRef::default(), 0.0);
+        }
+        let start_new = match self.chunks.last_mut() {
             None => true,
-            Some(c) => {
-                !c.is_owned()
-                    || Arc::strong_count(c) > 1
-                    || (c.len() > 0 && c.len() + need > Self::CHUNK_ENTRIES)
+            Some(tail) if !tail.is_open() => true,
+            Some(tail) => {
+                let full = tail.data.len() > 0 && tail.data.len() + need > Self::CHUNK_ENTRIES;
+                if full {
+                    Arc::get_mut(&mut tail.data)
+                        .expect("an open tail is unshared")
+                        .owned_mut()
+                        .shrink();
+                }
+                full
             }
         };
         if start_new {
-            self.chunks.push(Arc::new(Chunk::empty()));
+            self.chunks
+                .push(ChunkRef::new(Chunk::from_owned(OwnedChunk::default())));
         }
         let ci = self.chunks.len() - 1;
-        let chunk = Arc::get_mut(&mut self.chunks[ci])
+        let chunk = Arc::get_mut(&mut self.chunks[ci].data)
             .expect("tail chunk is uniquely owned")
             .owned_mut();
+        if exact {
+            let mut border = 0;
+            view.for_each(|id, _| border += usize::from(hubs.is_hub(id)));
+            chunk.ids.reserve_exact(need);
+            chunk.scores.reserve_exact(need);
+            chunk.border_ids.reserve_exact(border);
+            chunk.border_pos.reserve_exact(border);
+        } else {
+            chunk.ids.reserve(need);
+            chunk.scores.reserve(need);
+        }
         let off = chunk.ids.len() as u32;
         let border_off = chunk.border_ids.len() as u32;
         let mut n_border = 0u32;
@@ -857,7 +1141,7 @@ impl FlatIndex {
         if seg.len == 0 {
             return (&[], &[]);
         }
-        let c = &self.chunks[seg.chunk as usize];
+        let c = &self.chunks[seg.chunk as usize].data;
         let (o, l) = (seg.off as usize, seg.len as usize);
         (&c.ids()[o..o + l], &c.scores()[o..o + l])
     }
@@ -867,7 +1151,7 @@ impl FlatIndex {
         if seg.border_len == 0 {
             return (&[], &[]);
         }
-        let c = &self.chunks[seg.chunk as usize];
+        let c = &self.chunks[seg.chunk as usize].data;
         let (o, l) = (seg.border_off as usize, seg.border_len as usize);
         (&c.border_ids()[o..o + l], &c.border_pos()[o..o + l])
     }
@@ -884,10 +1168,10 @@ impl FlatIndex {
 
     /// Tombstoned arena entries currently awaiting compaction.
     pub fn dead_entries(&self) -> usize {
-        self.dead_entries
+        self.chunks.iter().map(|c| c.dead).sum()
     }
 
-    /// Compactions performed over the arena's lifetime.
+    /// Chunk compactions performed over the arena's lifetime.
     pub fn compactions(&self) -> u64 {
         self.compactions
     }
@@ -914,14 +1198,22 @@ impl FlatIndex {
         self.spent.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Directory overhead in bytes (`slot_of`, `hub_ids`, `segs`, `spent`,
-    /// `norms`) — a shallow snapshot clone copies all but `slot_of`.
-    fn directory_bytes(&self) -> usize {
-        self.slot_of.len() * 4
-            + self.hub_ids.len() * 4
+    /// Bytes a shallow snapshot clone copies: the per-hub directory
+    /// (`hub_ids`, `segs`, `spent`, `norms` — 40 B a hub) and the chunk
+    /// handles with their dead counts (16 B a chunk). The node → slot map
+    /// is shared, not copied.
+    pub(crate) fn snapshot_bytes(&self) -> usize {
+        self.hub_ids.len() * 4
             + self.segs.len() * std::mem::size_of::<SegRef>()
             + self.spent.len() * 8
             + self.norms.len() * 8
+            + self.chunks.len() * std::mem::size_of::<ChunkRef>()
+    }
+
+    /// Directory overhead in bytes: the node → slot map plus what a
+    /// snapshot clone copies.
+    fn directory_bytes(&self) -> usize {
+        self.slot_of.len() * 4 + self.snapshot_bytes()
     }
 
     /// Bytes viewed through the arena chunks (including tombstoned
@@ -929,17 +1221,21 @@ impl FlatIndex {
     /// working-set figure, as opposed to the on-disk-equivalent
     /// [`PpvStore::storage_bytes`].
     pub fn arena_bytes(&self) -> usize {
-        self.chunks.iter().map(|c| c.data_bytes()).sum::<usize>() + self.directory_bytes()
+        self.chunks
+            .iter()
+            .map(|c| c.data.data_bytes())
+            .sum::<usize>()
+            + self.directory_bytes()
     }
 
-    /// Bytes resident on the process heap: owned chunks, heap-fallback
-    /// file backings, and the directory. Memory behind a kernel file
-    /// mapping is *not* counted here — see [`FlatIndex::mapped_bytes`].
+    /// Bytes resident on the process heap: owned chunks at their capacity,
+    /// heap-fallback file backings, and the directory. Memory behind a
+    /// kernel file mapping is *not* counted here — see
+    /// [`FlatIndex::mapped_bytes`].
     pub fn resident_bytes(&self) -> usize {
         self.chunks
             .iter()
-            .filter(|c| !c.is_file_mapped())
-            .map(|c| c.data_bytes())
+            .map(|c| c.data.heap_bytes())
             .sum::<usize>()
             + self.directory_bytes()
     }
@@ -949,15 +1245,16 @@ impl FlatIndex {
     pub fn mapped_bytes(&self) -> usize {
         self.chunks
             .iter()
-            .filter(|c| c.is_file_mapped())
-            .map(|c| c.data_bytes())
+            .filter(|c| c.data.is_file_mapped())
+            .map(|c| c.data.data_bytes())
             .sum::<usize>()
     }
 
     /// Cumulative chunk bytes deep-copied over the arena's lifetime
     /// (compaction rewrites; zero for shallow snapshot clones and
     /// tombstone patches). The delta-refresh path reports the per-refresh
-    /// difference as [`crate::dynamic::RefreshStats::cloned_bytes`].
+    /// difference, plus the directory the refresh's clone copied, as
+    /// [`crate::dynamic::RefreshStats::cloned_bytes`].
     pub fn bytes_cloned(&self) -> u64 {
         self.bytes_cloned
     }
@@ -973,7 +1270,7 @@ impl FlatIndex {
     pub fn shared_chunk_count(&self, other: &FlatIndex) -> usize {
         self.chunks
             .iter()
-            .filter(|c| other.chunks.iter().any(|o| Arc::ptr_eq(c, o)))
+            .filter(|c| other.chunks.iter().any(|o| Arc::ptr_eq(&c.data, &o.data)))
             .count()
     }
 
@@ -1146,7 +1443,7 @@ impl FlatIndex {
         let mut slot_of = vec![NO_SLOT; layout.num_nodes as usize];
         let mut hub_ids = Vec::with_capacity(num_hubs);
         let mut segs: Vec<SegRef> = Vec::with_capacity(num_hubs);
-        let mut chunks: Vec<Arc<Chunk>> = Vec::new();
+        let mut chunks: Vec<ChunkRef> = Vec::new();
         // Running sums double as tight-packing validation and as the
         // entry/border offsets of the chunk under construction.
         let (mut entry_sum, mut border_sum) = (0u64, 0u64);
@@ -1188,7 +1485,7 @@ impl FlatIndex {
             // Seal the chunk under construction when this segment would
             // overflow it (oversized segments get a chunk of their own).
             if c_len > 0 && c_len + len as u64 > Self::CHUNK_ENTRIES as u64 {
-                chunks.push(Arc::new(carve_chunk(
+                chunks.push(ChunkRef::new(carve_chunk(
                     &backing, layout, c_entry0, c_len, c_border0, c_blen,
                 )));
                 (c_entry0, c_border0) = (entry_start, border_start);
@@ -1212,7 +1509,7 @@ impl FlatIndex {
             return Err(bad("directory totals disagree with the header"));
         }
         if c_len > 0 || c_blen > 0 {
-            chunks.push(Arc::new(carve_chunk(
+            chunks.push(ChunkRef::new(carve_chunk(
                 &backing, layout, c_entry0, c_len, c_border0, c_blen,
             )));
         }
@@ -1226,7 +1523,7 @@ impl FlatIndex {
             segs,
             chunks,
             live_entries: layout.num_entries as usize,
-            dead_entries: 0,
+            tombstoned: 0,
             compactions: 0,
             bytes_cloned: 0,
             spent,
@@ -1865,5 +2162,223 @@ mod tests {
         assert!(patched.bytes_cloned() > 0, "compaction is metered");
         assert_eq!(patched.load(3 * 30_000).unwrap().len(), n);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// `n` entries over nodes `base + 1 ..`, none of them hubs of the
+    /// tests below.
+    fn run_of(base: NodeId, n: usize) -> PrimePpv {
+        sample_ppv(
+            &(0..n)
+                .map(|i| (base + 1 + i as NodeId, 1.0 / (i + 2) as f64))
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    /// Every owned chunk holds exactly its bytes: no spare capacity.
+    fn assert_exact(flat: &FlatIndex) {
+        for (c, chunk) in flat.chunks.iter().enumerate() {
+            if let ChunkData::Owned(o) = &chunk.data.data {
+                assert_eq!(o.heap_bytes(), chunk.data.data_bytes(), "chunk {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_shared_chunk_past_the_threshold_waits_for_the_seal() {
+        let hubs = HubSet::from_ids(100, vec![1, 2, 3]);
+        let mut flat = arena(100, &hubs, &[]);
+        flat.insert(1, &run_of(10, 10), &hubs);
+        flat.insert(2, &run_of(30, 10), &hubs);
+        let first = flat.clone();
+        // The tail is shared now: hub 3 opens chunk 1.
+        flat.insert(3, &run_of(50, 10), &hubs);
+        let pinned = flat.clone();
+        // Half of chunk 0 dies, but two snapshots still read it.
+        flat.replace(1, &run_of(70, 10), &hubs);
+        assert_eq!(flat.chunk_count(), 3);
+        assert_eq!(flat.dead_entries(), 10);
+        assert_eq!(
+            flat.compactions(),
+            0,
+            "a shared chunk is not rewritten mid-refresh"
+        );
+        flat.seal();
+        // Chunk 0 (past the threshold) and chunk 1 (a small chunk at the
+        // end of the run) move into one chunk; the open tail stays last.
+        assert_eq!(flat.compactions(), 1);
+        assert_eq!(flat.dead_entries(), 0);
+        assert_eq!(flat.chunk_count(), 2);
+        assert_eq!(flat.shared_chunk_count(&pinned), 0);
+        assert_eq!(
+            flat.bytes_cloned(),
+            2 * 10 * 12,
+            "hubs 2 and 3 moved, hub 1's old run did not"
+        );
+        assert_exact(&flat);
+        for (h, base) in [(1, 70), (2, 30), (3, 50)] {
+            assert_eq!(flat.load(h).unwrap(), run_of(base, 10), "hub {h}");
+        }
+        // The snapshots read what they read before.
+        assert_eq!(pinned.load(1).unwrap(), run_of(10, 10));
+        assert_eq!(first.load(2).unwrap(), run_of(30, 10));
+        assert!(!first.contains(3));
+    }
+
+    #[test]
+    fn a_seal_reclaims_what_its_refresh_tombstoned() {
+        // Four chunks, one segment each, all four replaced in one refresh:
+        // the seal's budget grows with the tombstones, so one rewrite
+        // drops every dead chunk rather than one chunk per seal.
+        let n = FlatIndex::CHUNK_ENTRIES / 2 + 1;
+        let hub_list: Vec<NodeId> = (0..4).map(|i| i * 40_000).collect();
+        let hubs = HubSet::from_ids(200_000, hub_list.clone());
+        let mut flat = FlatIndex::new(200_000);
+        for &h in &hub_list {
+            flat.insert(h, &run_of(h, n), &hubs);
+        }
+        flat.seal();
+        assert_eq!(flat.chunk_count(), 4, "one segment a chunk");
+        assert_eq!(
+            flat.compactions(),
+            0,
+            "a fresh build has nothing to compact"
+        );
+        let pinned = flat.clone();
+        for &h in &hub_list {
+            flat.replace(h, &run_of(h, 1), &hubs);
+        }
+        assert_eq!(flat.dead_entries(), 4 * n);
+        flat.seal();
+        assert_eq!(flat.compactions(), 1);
+        assert_eq!(flat.dead_entries(), 0);
+        assert_eq!(flat.chunk_count(), 1, "only the patches' chunk is left");
+        assert_eq!(flat.bytes_cloned(), 0, "every compacted chunk was dead");
+        flat.seal();
+        assert_eq!(flat.compactions(), 1, "nothing left to compact");
+        for &h in &hub_list {
+            assert_eq!(flat.load(h).unwrap(), run_of(h, 1));
+            assert_eq!(pinned.load(h).unwrap().len(), n);
+        }
+    }
+
+    #[test]
+    fn batched_refreshes_keep_dead_entries_and_chunks_bounded() {
+        // Refreshes the size of a multi-event batch: each replaces 16 of
+        // 64 hubs (≈ 88 k entries, more than a chunk) on an arena of six
+        // chunks, holding the previous snapshot as a serving process does
+        // until publish. Reclaiming must keep pace with the tombstones,
+        // and the chunk count must not creep up.
+        let hub_list: Vec<NodeId> = (0..64).map(|i| i * 1_000).collect();
+        let hubs = HubSet::from_ids(100_000, hub_list.clone());
+        let size = |x: u64| 3_000 + (x % 5_000) as usize;
+        let mut published = FlatIndex::new(100_000);
+        for (i, &h) in hub_list.iter().enumerate() {
+            published.insert(h, &run_of(h, size(i as u64 * 1_237)), &hubs);
+        }
+        published.seal();
+        assert!(published.chunk_count() >= 5, "{}", published.chunk_count());
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next_u64 = move || {
+            rng = rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            rng >> 33
+        };
+        for cycle in 0..60 {
+            let mut next = published.clone();
+            let dead_before = next.dead_entries();
+            let mut tombstoned = 0;
+            for _ in 0..16 {
+                let h = hub_list[next_u64() as usize % hub_list.len()];
+                tombstoned += next.view(h).unwrap().len();
+                next.replace(h, &run_of(h, size(next_u64())), &hubs);
+            }
+            assert!(tombstoned > FlatIndex::CHUNK_ENTRIES);
+            next.seal();
+            assert_exact(&next);
+            let stored = next.total_entries() + next.dead_entries();
+            let dead = next.dead_entries();
+            let over = next.chunks.iter().filter(|c| c.over_threshold()).count();
+            assert!(
+                over == 0 || dead < dead_before,
+                "cycle {cycle}: {over} chunks past the threshold and dead \
+                 entries went {dead_before} -> {dead}"
+            );
+            assert!(
+                dead as f64 <= FlatIndex::COMPACTION_THRESHOLD * stored as f64,
+                "cycle {cycle}: {dead} dead of {stored}"
+            );
+            let full = stored.div_ceil(FlatIndex::CHUNK_ENTRIES);
+            assert!(
+                next.chunk_count() <= 2 * full + 4,
+                "cycle {cycle}: {} chunks for {stored} entries",
+                next.chunk_count()
+            );
+            published = next;
+        }
+    }
+
+    #[test]
+    fn sealed_snapshots_keep_a_geometric_tail_of_exact_chunks() {
+        // A refresh a cycle: clone the published snapshot, patch one hub,
+        // seal, publish. Each cycle seals one small chunk; coalescing keeps
+        // the count logarithmic in the cycles.
+        let hub_list: Vec<NodeId> = (0..8).map(|i| i * 100).collect();
+        let hubs = HubSet::from_ids(1_000, hub_list.clone());
+        let mut published = FlatIndex::new(1_000);
+        for &h in &hub_list {
+            published.insert(h, &run_of(h, 40), &hubs);
+        }
+        published.seal();
+        for cycle in 0..200usize {
+            let mut next = published.clone();
+            let h = hub_list[cycle % hub_list.len()];
+            next.replace(h, &run_of(h, 20 + cycle % 7), &hubs);
+            next.seal();
+            assert_exact(&next);
+            assert!(
+                next.chunk_count() <= 12,
+                "cycle {cycle}: {} chunks",
+                next.chunk_count()
+            );
+            assert!(
+                next.dead_entries() as f64
+                    <= FlatIndex::COMPACTION_THRESHOLD
+                        * (next.total_entries() + next.dead_entries()) as f64
+            );
+            published = next;
+        }
+        assert_eq!(published.resident_bytes(), published.arena_bytes());
+    }
+
+    #[test]
+    fn compact_releases_a_mapped_arena_one_chunk_at_a_time() {
+        let n = FlatIndex::CHUNK_ENTRIES / 3;
+        let hub_list: Vec<NodeId> = (0..7).map(|i| i * 25_000).collect();
+        let hubs = HubSet::from_ids(200_000, hub_list.clone());
+        let mut flat = FlatIndex::new(200_000);
+        for &h in &hub_list {
+            flat.insert(h, &run_of(h, n), &hubs);
+        }
+        let path = temp_path("compact-mapped.fppv");
+        flat.write_to_file(&path).unwrap();
+        let mut opened = FlatIndex::open(&path).unwrap();
+        let chunks = opened.chunk_count();
+        assert!(chunks >= 3);
+        opened.compact();
+        assert_eq!(opened.compactions() as usize, chunks, "one rewrite a chunk");
+        assert_eq!(opened.mapped_bytes(), 0);
+        assert_exact(&opened);
+        for &h in &hub_list {
+            assert_eq!(opened.load(h).unwrap(), flat.load(h).unwrap(), "hub {h}");
+        }
+        let reopened = temp_path("compact-mapped-2.fppv");
+        opened.write_to_file(&reopened).unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(&reopened).unwrap()
+        );
+        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(&reopened).unwrap();
     }
 }

@@ -136,6 +136,8 @@ pub fn build_index_in_order(
     for (h, ppv) in built {
         index.insert(h, &ppv, hubs);
     }
+    // The last chunk gives back what it grew by and no more.
+    index.seal();
     let n_hubs = index.hub_count();
     let stats = OfflineStats {
         build_time: start.elapsed(),

@@ -757,8 +757,10 @@ impl QueryService<FlatIndex> {
     /// pre-update arena bit-identical for as long as they hold it. The
     /// refresh covers exactly the hubs the arena holds, so a shard's slice
     /// stays a slice. [`RefreshStats::cloned_bytes`] reports the bytes
-    /// actually copied (compaction only); [`RefreshStats::resident_bytes`]
-    /// and [`RefreshStats::mapped_bytes`] report the new arena's footprint.
+    /// actually copied (the directory, and what the seal compacted: one
+    /// chunk's worth plus the update's tombstones over the threshold);
+    /// [`RefreshStats::resident_bytes`] and
+    /// [`RefreshStats::mapped_bytes`] report the new arena's footprint.
     fn refresh(
         &self,
         refresher: &mut Refresher,

@@ -1,4 +1,4 @@
-//! Proves eleven acceptance criteria with a counting global allocator:
+//! Proves twelve acceptance criteria with a counting global allocator:
 //!
 //! * zero heap allocations in `IncrementalState::step` rounds and in the
 //!   assemble pass that folds them into the estimate, on the `FlatIndex`
@@ -48,7 +48,16 @@
 //!   hundred sequential `apply_event`s on BA-2k allocate less than three
 //!   copies of its CSR in total — every epoch shares the base and the
 //!   rows earlier events replaced, where a flat copy per event would be a
-//!   hundred.
+//!   hundred;
+//! * at most **one chunk** of transient heap per edge event's refresh,
+//!   plus what the refresh itself replaced: streamed through a warm
+//!   `Refresher` over an arena of four chunks or more, with the previous
+//!   snapshot held until the new one is published, each refresh's heap
+//!   peak exceeds the live heap after the publish by less than one chunk's
+//!   bytes, the segments it appended, and its tombstoned entries over the
+//!   compaction threshold (the seal's budget beyond one chunk) —
+//!   compaction rewrites chunk by chunk, never the whole arena beside the
+//!   pinned one.
 //!
 //! This file deliberately holds a single test: the allocation counter is
 //! process-global, and a lone test keeps other threads from muddying the
@@ -59,6 +68,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fastppv::core::dynamic::{refresh_flat_index_snapshot_delta, Refresher};
+use fastppv::core::index::FlatIndex;
 use fastppv::core::offline::build_flat_index;
 use fastppv::core::query::{QuerySession, QueryWorkspace, StoppingCondition};
 use fastppv::core::{
@@ -76,6 +86,16 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Allocated minus freed bytes (wrapping: read differences only).
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+/// The highest `LIVE_BYTES` has been since it was last reset to it.
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Counts `size` more live bytes and raises the peak to match.
+fn count_live(size: usize) {
+    let live = LIVE_BYTES
+        .fetch_add(size as u64, Ordering::Relaxed)
+        .wrapping_add(size as u64);
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
 
 // SAFETY: pure pass-through to the `System` allocator (plus a side-effect-
 // free counter bump), so `System`'s allocation guarantees carry over.
@@ -83,7 +103,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count_live(layout.size());
         // SAFETY: forwarded verbatim — the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -98,7 +118,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        // A moving realloc holds the old block and the new one at once.
+        count_live(new_size);
         LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim — the caller upholds `realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -436,10 +457,103 @@ fn steps_allocate_nothing_on_flat_path_with_warm_workspace() {
         events.len()
     );
 
+    // Phase 7: the transient of an edge event's refresh. BA-2.5k with 130
+    // hubs at δ = 0 and clip 0 stores nearly every node per hub: an arena
+    // of at least four chunks. Events stream through a warm refresher
+    // while the previous snapshot is held, as a serving process holds it
+    // until publish; once it is dropped, the heap peak of the refresh minus
+    // the live heap is what the refresh needed beyond the arena it left.
+    // That must stay under one chunk (at most `CHUNK_ENTRIES` entries, each
+    // with a border-sublist slot) plus the segments the refresh appended
+    // and its tombstones over the threshold (what a seal compacts beyond
+    // one chunk) — a compaction that rewrote the whole arena beside the
+    // pinned one would hold the arena twice. Run until four compactions have
+    // happened: the first ones coalesce small chunks, the later ones
+    // rewrite whole built chunks past the threshold.
+    let g = barabasi_albert(2_500, 4, 17);
+    let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 130, 0);
+    let config = Config::default()
+        .with_epsilon(1e-6)
+        .with_delta(0.0)
+        .with_clip(0.0);
+    let (flat, _) = build_flat_index(&g, &hubs, &config, 1);
+    assert!(
+        flat.chunk_count() >= 4,
+        "{} entries fill only {} chunks",
+        flat.total_entries(),
+        flat.chunk_count()
+    );
+    let one_chunk = (FlatIndex::CHUNK_ENTRIES * (4 + 8 + 4 + 4)) as u64;
+    let events = synth_events(&g, 400, 0.2, 23);
+    let mut refresher = Refresher::new();
+    let warm = apply_event(&g, &events[0]);
+    refresher.refresh(&flat, &g, &warm, &hubs, &[events[0].tail], &config, &delta);
+    let (mut graph, mut prev) = (g, flat);
+    for event in &events {
+        if prev.compactions() >= 4 {
+            break;
+        }
+        let next_graph = apply_event(&graph, event);
+        PEAK_BYTES.store(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
+        let (next, _) = refresher.refresh(
+            &prev,
+            &graph,
+            &next_graph,
+            &hubs,
+            &[event.tail],
+            &config,
+            &delta,
+        );
+        let peak = PEAK_BYTES.load(Ordering::Relaxed);
+        let patched: Vec<NodeId> = hubs
+            .ids()
+            .iter()
+            .copied()
+            .filter(|&h| !same_bits(&prev, &next, h))
+            .collect();
+        let appended: u64 = patched
+            .iter()
+            .map(|&h| {
+                let len = next.view(h).unwrap().len() as u64;
+                let border = next.border_sublist(h).unwrap().0.len() as u64;
+                len * 12 + border * 8
+            })
+            .sum();
+        // The seal may compact the refresh's tombstones over the threshold
+        // beyond its one chunk, at an entry's bytes and a border slot each.
+        let tombstoned: usize = patched.iter().map(|&h| prev.view(h).unwrap().len()).sum();
+        let share = (tombstoned as f64 / FlatIndex::COMPACTION_THRESHOLD).ceil() as u64 * 20;
+        // Publish: the previous snapshot goes.
+        drop(prev);
+        let transient = peak.wrapping_sub(LIVE_BYTES.load(Ordering::Relaxed));
+        assert!(
+            transient < one_chunk + appended + share,
+            "a refresh needed {transient} bytes beyond the arena it left; one \
+             chunk is {one_chunk}, its appended segments {appended} and its \
+             {tombstoned} tombstones' share {share}"
+        );
+        (graph, prev) = (next_graph, next);
+    }
+    assert!(
+        prev.compactions() >= 4,
+        "{} events compacted {} chunks",
+        events.len(),
+        prev.compactions()
+    );
+
     // Sanity check that the counter is actually live.
     let probe = ALLOCATIONS.load(Ordering::Relaxed);
     std::hint::black_box(Vec::<u64>::with_capacity(32));
     assert!(ALLOCATIONS.load(Ordering::Relaxed) > probe);
+}
+
+/// Whether `a` and `b` store `hub`'s entries bit for bit alike.
+fn same_bits(a: &FlatIndex, b: &FlatIndex, hub: NodeId) -> bool {
+    let (x, y) = (a.view(hub).unwrap(), b.view(hub).unwrap());
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+    x.for_each(|v, s| xs.push((v, s.to_bits())));
+    y.for_each(|v, s| ys.push((v, s.to_bits())));
+    xs == ys
 }
 
 /// Finalizes a session over a warm workspace and checks that materializing
