@@ -38,11 +38,23 @@
 //!    of the dynamic-dispatch [`AdjacencyAccess`] indirection (which
 //!    remains available for disk-resident graphs).
 //!    The same search marks every node of the subgraph — interior nodes
-//!    and the absorbers their rows reach — in a graph-sized bitmap.
+//!    and the absorbers their rows reach — in a graph-sized bitmap. Its
+//!    per-edge work has no data-dependent branch: for the call's duration
+//!    every hub's best probability reads `+∞`, so no walk weight improves
+//!    it and the relax loop needs no hub test; every target of an expanded
+//!    row is written to a candidate buffer that advances only past
+//!    improved targets, and the best probability takes a select. The
+//!    improved targets of one pop share one bucket and are appended to it
+//!    in row order with one copy, so the queue pops exactly what pushing
+//!    them one by one would.
 //! 2. **The sweep list**: the source first, then the interior by
 //!    descending global out-degree (ties by node id). High-degree nodes are
 //!    the ones every other row points at, so sweeping them first carries
-//!    mass forward through the subgraph's own core within one pass. On the
+//!    mass forward through the subgraph's own core within one pass. It is
+//!    built without a comparison sort: a walk of the membership bitmap
+//!    lists the interior in ascending id order (written at every member,
+//!    advanced past interior ones), and a stable counting sort by
+//!    descending degree keeps that id order within each degree. On the
 //!    in-memory path nothing is renumbered or copied: the sweeps read rows
 //!    straight from the graph's CSR and scatter into graph-indexed `mass`
 //!    and `residual` arrays, in which absorbers (hubs and sub-`ε` frontier
@@ -63,7 +75,11 @@
 //!    guarantee as a worklist push, in a fraction of the edge-visits.
 //! 4. **Emit** walks the membership bitmap in ascending id order, so the
 //!    entry list comes out sorted without a sort, and resets exactly the
-//!    slots it visits: O(subgraph + n/64).
+//!    slots it visits: O(subgraph + n/64). Each member's score is α × its
+//!    interior mass or its absorber residual, chosen by an exact 0/1
+//!    blend; the entry is written unconditionally and the list advances
+//!    past it only if the score is positive and reaches the clip. The
+//!    source is the one special case, settled before the walk.
 //!
 //! The stages share one reusable workspace, [`PrimeComputer`]: after
 //! warmup, [`PrimeComputer::prime_ppv_into`] — the *fused* one-shot path —
@@ -176,6 +192,12 @@ impl<A: AdjacencyAccess + ?Sized> AdjacencyAccess for &mut A {
 /// [`AdjacencyAccess`], `visit` takes a monomorphized closure, so the CSR
 /// implementation compiles down to a plain slice loop.
 trait NbrSource {
+    /// Whether probes have effects the kernel must replay in one fixed
+    /// order. A disk-resident source faults clusters in on a probe (and
+    /// refuses probes past its fault cap), so the sweep list reads its
+    /// interior degrees in discovery order, as the search found them; the
+    /// CSR's probes are plain reads, taken in id order.
+    const ORDERED_PROBES: bool;
     fn degree(&mut self, v: NodeId) -> usize;
     fn visit<F: FnMut(NodeId)>(&mut self, v: NodeId, f: F);
 }
@@ -184,6 +206,8 @@ trait NbrSource {
 struct CsrSource<'a>(CsrView<'a>);
 
 impl NbrSource for CsrSource<'_> {
+    const ORDERED_PROBES: bool = false;
+
     #[inline]
     fn degree(&mut self, v: NodeId) -> usize {
         self.0.out_degree(v)
@@ -201,6 +225,8 @@ impl NbrSource for CsrSource<'_> {
 struct DynSource<A>(A);
 
 impl<A: AdjacencyAccess> NbrSource for DynSource<A> {
+    const ORDERED_PROBES: bool = true;
+
     fn degree(&mut self, v: NodeId) -> usize {
         self.0.out_degree(v)
     }
@@ -269,18 +295,36 @@ impl BucketQueue {
         (self.key_base - (p.to_bits() >> self.shift)) as usize
     }
 
-    /// Enqueues `v` at probability `p ∈ (0, 1]`.
+    /// The bucket `count` new entries at probability `p` go to, with the
+    /// queue's bookkeeping already counting them.
     #[inline]
-    pub fn push(&mut self, p: f64, v: NodeId) {
+    fn bucket(&mut self, p: f64, count: usize) -> &mut Vec<(f64, NodeId)> {
         // Monotonicity bounds keys below by the drain cursor; clamping is a
         // release-mode safety net that keeps late entries poppable.
         let key = self.key(p).max(self.cursor);
         if key >= self.buckets.len() {
             self.buckets.resize_with(key + 1, Vec::new);
         }
-        self.buckets[key].push((p, v));
         self.high = self.high.max(key);
-        self.len += 1;
+        self.len += count;
+        &mut self.buckets[key]
+    }
+
+    /// Enqueues `v` at probability `p ∈ (0, 1]`.
+    #[inline]
+    pub fn push(&mut self, p: f64, v: NodeId) {
+        self.bucket(p, 1).push((p, v));
+    }
+
+    /// Enqueues every entry of `batch`, all at probability `p`, in slice
+    /// order: the same queue as pushing them one by one, with one bucket
+    /// lookup.
+    #[inline]
+    fn push_batch(&mut self, p: f64, batch: &[(f64, NodeId)]) {
+        debug_assert!(batch.iter().all(|&(q, _)| q == p));
+        if !batch.is_empty() {
+            self.bucket(p, batch.len()).extend_from_slice(batch);
+        }
     }
 
     /// Pops an entry from the lowest non-empty bucket (within a bucket,
@@ -321,6 +365,17 @@ impl BucketQueue {
         self.high = 0;
         self.len = 0;
     }
+
+    /// Heap bytes the buckets hold, by capacity.
+    fn heap_bytes(&self) -> usize {
+        let entries: usize = self.buckets.iter().map(Vec::capacity).sum();
+        vec_bytes(&self.buckets) + entries * std::mem::size_of::<(f64, NodeId)>()
+    }
+}
+
+/// Heap bytes a vector holds, by capacity.
+fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
 }
 
 /// The extracted prime subgraph of a source node, in local-id form — the
@@ -374,8 +429,8 @@ impl PrimeSubgraph {
     }
 }
 
-/// Work counters of a [`PrimeComputer`]'s most recent solve (see
-/// [`PrimeComputer::last_solve`]).
+/// Work counters of a [`PrimeComputer`]'s most recent search and solve
+/// (see [`PrimeComputer::last_solve`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SolveWork {
     /// Passes over the interior nodes, the final one included.
@@ -386,6 +441,19 @@ pub struct SolveWork {
     /// `solve_tolerance × |interior|` for the stored family, at most
     /// `config.delta` for the query-time family.
     pub leftover: f64,
+    /// Search: entries popped from the bucket queue, stale ones included.
+    pub pops: usize,
+    /// Search: popped entries whose probability had since improved.
+    pub stale_pops: usize,
+    /// Search: row entries visited by expanded pops (walk weight ≥ ε).
+    pub relaxations: usize,
+    /// Search: queue pushes, the source's included. The queue drains, so
+    /// this equals `pops`.
+    pub pushes: usize,
+    /// Search: interior (swept) nodes, the source included.
+    pub interior: usize,
+    /// Search: subgraph nodes, interior and absorbers.
+    pub members: usize,
 }
 
 /// Where the sweep kernel reads its rows. Position `i` of the sweep list
@@ -400,22 +468,21 @@ trait SweepRows {
 }
 
 /// The in-memory path: slots are global node ids and rows are the graph's
-/// own CSR slices. `order` holds the sweep list as packed `(!degree, id)`
-/// keys (the id in the low 32 bits).
+/// own CSR slices. `order` is the sweep list.
 struct GraphRows<'a> {
     csr: CsrView<'a>,
-    order: &'a [u64],
+    order: &'a [NodeId],
 }
 
 impl SweepRows for GraphRows<'_> {
     #[inline]
     fn slot(&self, i: usize) -> usize {
-        self.order[i] as NodeId as usize
+        self.order[i] as usize
     }
 
     #[inline]
     fn row(&self, i: usize) -> &[u32] {
-        self.csr.out_neighbors(self.order[i] as NodeId)
+        self.csr.out_neighbors(self.order[i])
     }
 }
 
@@ -594,6 +661,27 @@ fn solve_local(
     work
 }
 
+/// Counts `nodes` per out-degree into `counts` (grown to fit) and keeps
+/// each node's degree in `best` as `degree + 1`. Returns the highest degree.
+fn count_degrees<Src: NbrSource>(
+    src: &mut Src,
+    nodes: &[NodeId],
+    best: &mut [f64],
+    counts: &mut Vec<u32>,
+) -> usize {
+    let mut max_degree = 0;
+    for &v in nodes {
+        let d = src.degree(v);
+        best[v as usize] = (d + 1) as f64;
+        if counts.len() <= d {
+            counts.resize(d + 1, 0);
+        }
+        counts[d] += 1;
+        max_degree = max_degree.max(d);
+    }
+    max_degree
+}
+
 /// Reusable workspace for prime-subgraph extraction and prime-PPV solves.
 ///
 /// Repeated computations — one per hub offline, one per cold non-hub query
@@ -607,8 +695,12 @@ fn solve_local(
 /// Graph-sized scratch is 24.125 bytes per node: `best`, `mass` and
 /// `residual` (8 bytes each) and the membership bitmap (1 bit). The
 /// materialized and disk-resident paths add a 4-byte-per-node local-id map,
-/// allocated on their first call. Everything else (the bucket queue, the
-/// sweep list, the local CSR, the entries) is sized by the subgraph.
+/// allocated on their first call. Everything else is sized by what it
+/// holds: the bucket queue by the search, the candidate buffer by the
+/// widest expanded row, the interior list and the sweep list by the
+/// interior, the degree counts by the highest interior degree, the entries
+/// by the subgraph, and the local CSR by the subgraph it copies
+/// ([`PrimeComputer::heap_bytes`] adds them up).
 pub struct PrimeComputer {
     // Graph-sized, all-zero between calls: search probabilities, the
     // solve's settled mass and residual, and subgraph membership (interior
@@ -617,17 +709,26 @@ pub struct PrimeComputer {
     mass: Vec<f64>,
     residual: Vec<f64>,
     members: Vec<u64>,
-    // Search scratch and the sweep list: packed `(!degree, id)` keys, the
-    // source first.
+    // Search scratch: the bucket queue, one expanded row's improved
+    // targets, and the interior in id order (first in discovery order, for
+    // a source with ordered probes). Both lists are written at every entry
+    // and advanced by a flag, so their lengths are capacities and the
+    // filled prefix is tracked apart.
     queue: BucketQueue,
-    touched: Vec<NodeId>,
-    order: Vec<u64>,
+    candidates: Vec<(f64, NodeId)>,
+    found: Vec<NodeId>,
+    // Interior nodes per out-degree (all-zero between calls), then the
+    // sweep list built from them: the source first.
+    degree_counts: Vec<u32>,
+    order: Vec<NodeId>,
     // The local CSR of the materialized and disk paths, and its id map
     // (empty until first used).
     local: PrimeSubgraph,
     local_of: Vec<u32>,
-    // Emitted entries and the last solve's counters.
+    // Emitted entries (the first `emitted`; written unconditionally, like
+    // the search lists) and the last search's and solve's counters.
     entries: Vec<(NodeId, f64)>,
+    emitted: usize,
     last: SolveWork,
 }
 
@@ -642,19 +743,44 @@ impl PrimeComputer {
             residual: vec![0.0; n],
             members: vec![0; n.div_ceil(64)],
             queue: BucketQueue::new(),
-            touched: Vec::new(),
+            candidates: Vec::new(),
+            found: Vec::new(),
+            degree_counts: Vec::new(),
             order: Vec::new(),
             local: PrimeSubgraph::default(),
             local_of: Vec::new(),
             entries: Vec::new(),
+            emitted: 0,
             last: SolveWork::default(),
         }
     }
 
+    /// Heap bytes this workspace holds, by capacity: the graph-sized
+    /// arrays, the queue's buckets, the search lists, the degree counts,
+    /// the sweep list, the local CSR and its id map, and the entries.
+    pub fn heap_bytes(&self) -> usize {
+        let local = &self.local;
+        vec_bytes(&self.best)
+            + vec_bytes(&self.mass)
+            + vec_bytes(&self.residual)
+            + vec_bytes(&self.members)
+            + self.queue.heap_bytes()
+            + vec_bytes(&self.candidates)
+            + vec_bytes(&self.found)
+            + vec_bytes(&self.degree_counts)
+            + vec_bytes(&self.order)
+            + vec_bytes(&local.nodes)
+            + vec_bytes(&local.offsets)
+            + vec_bytes(&local.targets)
+            + vec_bytes(&self.local_of)
+            + vec_bytes(&self.entries)
+    }
+
     /// Finds `source`'s prime subgraph: a monotone bucket-queue search over
-    /// walk probability leaves the interior's probabilities in `best`, its
-    /// whole node set (interior and absorbers) in `members`, and the sweep
-    /// list in `order`.
+    /// walk probability marks its whole node set (interior and absorbers)
+    /// in `members`, leaves `best` positive exactly at the interior, and
+    /// builds the sweep list in `order`. Records the search's counters in
+    /// `last` (the solve counters zeroed).
     fn search<Src: NbrSource>(
         &mut self,
         src: &mut Src,
@@ -668,30 +794,44 @@ impl PrimeComputer {
             best,
             members,
             queue,
-            touched,
+            candidates,
+            found,
+            degree_counts,
             order,
+            last,
             ..
         } = self;
         debug_assert!(queue.is_empty());
         let mut mark = |t: NodeId| members[t as usize >> 6] |= 1u64 << (t & 63);
+        let mut work = SolveWork::default();
 
-        // Interior = every node reached with probability ≥ ε (hubs are
-        // never enqueued; like sub-ε frontier nodes they are members only,
-        // absorbers). Every interior row is visited once to mark its
+        // Interior = every node reached with probability ≥ ε; hubs, like
+        // sub-ε frontier nodes, are members only (absorbers). For the
+        // call's duration every hub's `best` reads +∞, so no walk weight
+        // improves it and the relax loop needs no hub test; a hub source
+        // keeps its 1.0. Every interior row is visited once to mark its
         // targets as members — expanded if its walk weight stays ≥ ε. A
         // popped entry whose probability no longer matches `best` is
         // stale; a node improved after its pop (possible only below the
         // monotone-width α threshold) re-enqueues itself on the
         // improvement, so `best` always converges to the exact per-node
         // maximum.
+        let ids = hubs.ids();
+        let hub_ids = &ids[..ids.partition_point(|&h| (h as usize) < best.len())];
+        for &h in hub_ids {
+            best[h as usize] = f64::INFINITY;
+        }
         best[source as usize] = 1.0;
         mark(source);
-        touched.clear();
+        let mut discovered = 0;
         queue.configure(alpha);
         queue.push(1.0, source);
+        work.pushes = 1;
         while let Some((p, v)) = queue.pop() {
+            work.pops += 1;
             if p != best[v as usize] {
-                continue; // stale entry
+                work.stale_pops += 1;
+                continue;
             }
             let d = src.degree(v);
             if d == 0 {
@@ -702,40 +842,103 @@ impl PrimeComputer {
                 src.visit(v, &mut mark);
                 continue;
             }
+            // Every target is written to the candidate list, which
+            // advances only past improved ones (the batch enqueued at
+            // `w`), and `best` takes the larger weight by a select, not a
+            // branch. A source with ordered probes lists first visits the
+            // same way.
+            if candidates.len() < d {
+                candidates.resize(d, (0.0, 0));
+            }
+            if Src::ORDERED_PROBES && found.len() < discovered + d {
+                found.resize(discovered + d, 0);
+            }
+            let mut improved_count = 0;
             src.visit(v, |t| {
                 mark(t);
-                if hubs.is_hub(t) {
-                    return;
+                let b = best[t as usize];
+                let improved = w > b;
+                candidates[improved_count] = (w, t);
+                improved_count += usize::from(improved);
+                if Src::ORDERED_PROBES {
+                    found[discovered] = t;
+                    discovered += usize::from(improved & (b == 0.0));
                 }
-                let b = &mut best[t as usize];
-                if w > *b {
-                    if *b == 0.0 {
-                        touched.push(t);
-                    }
-                    *b = w;
-                    queue.push(w, t);
-                }
+                best[t as usize] = if improved { w } else { b };
             });
+            work.relaxations += d;
+            work.pushes += improved_count;
+            queue.push_batch(w, &candidates[..improved_count]);
         }
+        for &h in hub_ids {
+            best[h as usize] = 0.0;
+        }
+        best[source as usize] = 1.0;
 
         // The sweep list: the source, then the interior by descending
         // global out-degree, ties by id — a deterministic order independent
-        // of pop order, sorted on one packed `(!degree, id)` integer per
-        // node (ascending keys are descending degrees with ascending-id
-        // ties). High-degree nodes are the ones every other row points at,
-        // so sweeping them first carries mass forward within a pass.
-        order.clear();
-        order.push(u64::from(source));
-        for &v in touched.iter() {
-            order.push((u64::from(!(src.degree(v) as u32)) << 32) | u64::from(v));
+        // of pop order. High-degree nodes are the ones every other row
+        // points at, so sweeping them first carries mass forward within a
+        // pass. The membership walk lists the interior in ascending id
+        // order, written at every member and advanced past interior ones;
+        // a stable counting sort by descending degree then keeps id order
+        // within each degree. Degrees are kept in `best` as `degree + 1`:
+        // from here on `best` only has to stay positive at the interior.
+        let mut max_degree = 0;
+        if Src::ORDERED_PROBES {
+            max_degree = count_degrees(src, &found[..discovered], best, degree_counts);
         }
-        order[1..].sort_unstable();
+        let mut interior = 0;
+        for (w, &word) in members.iter().enumerate() {
+            let mut bits = word;
+            let count = bits.count_ones() as usize;
+            work.members += count;
+            if found.len() < interior + count {
+                found.resize(interior + count, 0);
+            }
+            while bits != 0 {
+                let v = (w << 6) | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                found[interior] = v as NodeId;
+                interior += usize::from((best[v] > 0.0) & (v != source as usize));
+            }
+        }
+        if Src::ORDERED_PROBES {
+            debug_assert_eq!(interior, discovered);
+        } else {
+            max_degree = count_degrees(src, &found[..interior], best, degree_counts);
+        }
+        order.clear();
+        order.resize(interior + 1, source);
+        if interior > 0 {
+            let mut at = 1;
+            for count in degree_counts[..=max_degree].iter_mut().rev() {
+                (*count, at) = (at, at + *count);
+            }
+            for &v in &found[..interior] {
+                let slot = &mut degree_counts[best[v as usize] as usize - 1];
+                order[*slot as usize] = v;
+                *slot += 1;
+            }
+            degree_counts[..=max_degree].fill(0);
+        }
+        work.interior = order.len();
+        *last = work;
+    }
+
+    /// Records a solve's counters beside the most recent search's.
+    fn record_solve(&mut self, solve: SolveWork) {
+        self.last = SolveWork {
+            sweeps: solve.sweeps,
+            settles: solve.settles,
+            leftover: solve.leftover,
+            ..self.last
+        };
     }
 
     /// Solves the searched subgraph on the graph's own CSR and emits its
     /// clipped entries into `self.entries` in ascending id order, walking
-    /// the membership bitmap and resetting every slot it visits. Returns
-    /// the subgraph's node count.
+    /// the membership bitmap and resetting every slot it visits.
     fn solve_in_place(
         &mut self,
         csr: CsrView<'_>,
@@ -744,53 +947,69 @@ impl PrimeComputer {
         config: &Config,
         clip: f64,
         leave: f64,
-    ) -> usize {
+    ) {
+        let rows = GraphRows {
+            csr,
+            order: &self.order,
+        };
+        let work = sweep(
+            &rows,
+            self.order.len(),
+            source_is_hub,
+            &mut self.mass,
+            &mut self.residual,
+            config,
+            leave,
+        );
+        self.record_solve(work);
         let PrimeComputer {
             best,
             mass,
             residual,
             members,
-            order,
             entries,
-            last,
+            emitted,
             ..
         } = self;
-        let rows = GraphRows { csr, order };
-        *last = sweep(
-            &rows,
-            order.len(),
-            source_is_hub,
-            mass,
-            residual,
-            config,
-            leave,
-        );
-        entries.clear();
-        let mut size = 0;
+        // Every member emits α × its interior mass or its absorber
+        // residual, chosen by `best`. The choice is a blend, `m·f + r·(1−f)`
+        // with `f` 1 or 0, not a select: the compiler turns a select
+        // between two loads into a branch on them. Both are finite and
+        // non-negative, so the blend is exactly the chosen one. The source
+        // is the one special case, settled up front: a hub source emits
+        // its returns (its residual slot), a non-hub source its mass less
+        // the trivial tour.
+        let s = source as usize;
+        if source_is_hub {
+            best[s] = 0.0;
+        } else {
+            mass[s] -= 1.0;
+        }
+        let alpha = config.alpha;
+        let mut n = 0;
         for (w, word) in members.iter_mut().enumerate() {
             let mut bits = *word;
             if bits == 0 {
                 continue;
             }
             *word = 0;
-            size += bits.count_ones() as usize;
+            let room = n + bits.count_ones() as usize;
+            if entries.len() < room {
+                entries.resize(room, (0, 0.0));
+            }
             while bits != 0 {
                 let v = (w << 6) | bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let m = emitted_mass(
-                    v == source as usize,
-                    best[v] > 0.0,
-                    source_is_hub,
-                    mass[v],
-                    residual[v],
-                );
-                push_entry(entries, v as NodeId, config.alpha * m, clip);
+                let f = f64::from(u8::from(best[v] > 0.0));
+                let score = alpha * (mass[v] * f + residual[v] * (1.0 - f));
+                entries[n] = (v as NodeId, score);
+                n += usize::from((score >= clip) & (score > 0.0));
                 best[v] = 0.0;
                 mass[v] = 0.0;
                 residual[v] = 0.0;
             }
         }
-        size
+        *emitted = n;
     }
 
     /// The in-memory one-shot both families share: search, then solve and
@@ -806,7 +1025,8 @@ impl PrimeComputer {
     ) -> usize {
         let csr = graph.out_csr();
         self.search(&mut CsrSource(csr), hubs, source, config);
-        self.solve_in_place(csr, source, hubs.is_hub(source), config, clip, leave)
+        self.solve_in_place(csr, source, hubs.is_hub(source), config, clip, leave);
+        self.last.members
     }
 
     /// Searches `source`'s prime subgraph and copies it into `self.local`:
@@ -835,7 +1055,7 @@ impl PrimeComputer {
         local.source = source;
         local.source_is_hub = hubs.is_hub(source);
         local.nodes.clear();
-        local.nodes.extend(order.iter().map(|&key| key as NodeId));
+        local.nodes.extend_from_slice(order);
         local.num_interior = order.len();
         for (u, &v) in local.nodes.iter().enumerate() {
             local_of[v as usize] = u as u32;
@@ -895,8 +1115,12 @@ impl PrimeComputer {
     /// (threshold-gated Gauss–Seidel sweeps to `solve_tolerance` — the
     /// stored family). Returns the **trivial-tour-excluded** reachabilities
     /// `r̊⁰` (see module docs), clipped at `clip`.
+    ///
+    /// It runs no search: [`PrimeComputer::last_solve`] then pairs this
+    /// solve's counters with the computer's most recent search's (the
+    /// [`PrimeComputer::extract`] that made `sub`, in the usual pipeline).
     pub fn solve(&mut self, sub: &PrimeSubgraph, config: &Config, clip: f64) -> PrimePpv {
-        self.last = solve_local(
+        let work = solve_local(
             sub,
             &mut self.mass,
             &mut self.residual,
@@ -905,6 +1129,8 @@ impl PrimeComputer {
             clip,
             0.0,
         );
+        self.record_solve(work);
+        self.emitted = self.entries.len();
         self.entries_to_ppv()
     }
 
@@ -936,7 +1162,7 @@ impl PrimeComputer {
         config: &Config,
     ) -> (PrimePpv, usize) {
         self.extract_local(&mut DynSource(graph), hubs, source, config);
-        self.last = solve_local(
+        let work = solve_local(
             &self.local,
             &mut self.mass,
             &mut self.residual,
@@ -945,6 +1171,8 @@ impl PrimeComputer {
             0.0,
             config.delta,
         );
+        self.record_solve(work);
+        self.emitted = self.entries.len();
         (self.entries_to_ppv(), self.local.num_nodes())
     }
 
@@ -964,18 +1192,18 @@ impl PrimeComputer {
         config: &Config,
     ) -> (&[(NodeId, f64)], usize) {
         let size = self.prime_in_place(graph, hubs, source, config, 0.0, config.delta);
-        (&self.entries, size)
+        (&self.entries[..self.emitted], size)
     }
 
     fn entries_to_ppv(&self) -> PrimePpv {
         PrimePpv {
-            entries: SparseVector::from_sorted(self.entries.clone()),
+            entries: SparseVector::from_sorted(self.entries[..self.emitted].to_vec()),
         }
     }
 
-    /// What the most recent solve on this computer cost — any entry point
-    /// of either family. The kernel records the counters and the residual
-    /// it left as it exits, before any scratch is reset.
+    /// What the most recent search and solve on this computer cost — any
+    /// entry point of either family. The kernel records the counters and
+    /// the residual it left as it exits, before any scratch is reset.
     pub fn last_solve(&self) -> SolveWork {
         self.last
     }

@@ -1,4 +1,4 @@
-//! Proves twelve acceptance criteria with a counting global allocator:
+//! Proves thirteen acceptance criteria with a counting global allocator:
 //!
 //! * zero heap allocations in `IncrementalState::step` rounds and in the
 //!   assemble pass that folds them into the estimate, on the `FlatIndex`
@@ -25,6 +25,10 @@
 //!   wire reply, with no cache key, no cache copy and no entry copy — the
 //!   reply's `(entries + frontier) × 16` bytes are nearly all it
 //!   allocates;
+//! * a **prime computer's heap** is what it reports: after 200 non-hub
+//!   prime-0s on BA-2k, `PrimeComputer::heap_bytes()` is within 10 % of
+//!   the live bytes gained from `new` on, and a second pass over the same
+//!   sources grows the live heap by nothing;
 //! * under 1 KB **retained per shard prime-0**: N distinct non-hub
 //!   `QueryService::prime0`s, after a warm-up pass over the same sources
 //!   and `invalidate_cache()`, grow the live heap by less than N KB on a
@@ -336,6 +340,33 @@ fn steps_allocate_nothing_on_flat_path_with_warm_workspace() {
         during, returned,
         "{during} heap allocations for {returned} warm stored prime PPVs"
     );
+
+    // Phase 3b: what a prime computer holds. After 200 non-hub prime-0s
+    // its `heap_bytes()` is what the heap gained from `new` on, within
+    // 10 %, and a second pass over the same sources grows the heap by
+    // nothing: every buffer is sized by what it held, none over-reserved.
+    let prime0 = Config::default().with_epsilon(1e-6);
+    let sources: Vec<NodeId> = (0..2000u32)
+        .filter(|&v| !hubs.is_hub(v))
+        .take(200)
+        .collect();
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let mut pc = PrimeComputer::new(g.num_nodes());
+    for &q in &sources {
+        pc.prime_ppv_into(&g, &hubs, q, &prime0);
+    }
+    let gained = LIVE_BYTES.load(Ordering::Relaxed).wrapping_sub(before) as i64;
+    let held = pc.heap_bytes() as i64;
+    assert!(
+        10 * (held - gained).abs() <= gained,
+        "a prime computer reports {held} heap bytes; the heap gained {gained}"
+    );
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    for &q in &sources {
+        pc.prime_ppv_into(&g, &hubs, q, &prime0);
+    }
+    let grown = LIVE_BYTES.load(Ordering::Relaxed).wrapping_sub(before) as i64;
+    assert_eq!(grown, 0, "a warm pass of 200 prime-0s grew the heap");
 
     // Phase 4: an edge event invisible to every stored PPV. Node `n - 1`
     // is appended with one out-edge and no in-edge, so no hub holds mass

@@ -248,3 +248,57 @@ fn solve_work_and_subgraph_sizes_are_pinned() {
         "{online_left:e}"
     );
 }
+
+#[test]
+fn search_work_is_pinned() {
+    // BA-2k / 80 hubs / ε = 1e-6 once more: the search's own counters,
+    // summed over every hub and every eighth non-hub source, on both
+    // families at δ = 0.005 and at δ = 0. The search reads neither the
+    // family nor δ, so all four runs pin the same totals; each total is a
+    // fixed point of the search (the node sets, the best probabilities,
+    // the sweep list), so a change to the kernel's control flow that does
+    // the same work leaves every one of them where it is.
+    let g = barabasi_albert(2000, 4, 5);
+    let hubs = select_hubs(&g, HubPolicy::ExpectedUtility, 80, 0);
+    let config = Config::default().with_epsilon(1e-6);
+    let non_hubs: Vec<NodeId> = (0..2000).filter(|&v| !hubs.is_hub(v)).step_by(8).collect();
+    let mut pc = PrimeComputer::new(2000);
+    let add = |sum: &mut [usize; 6], work: SolveWork, size: usize| {
+        assert_eq!(work.pops, work.pushes, "the queue drains: {work:?}");
+        assert!(work.interior <= work.members && work.members == size);
+        let counts = [
+            work.pops,
+            work.stale_pops,
+            work.relaxations,
+            work.pushes,
+            work.interior,
+            work.members,
+        ];
+        for (total, count) in sum.iter_mut().zip(counts) {
+            *total += count;
+        }
+    };
+    for delta in [0.005, 0.0] {
+        let at = config.with_delta(delta);
+        for (sources, pinned) in [
+            (hubs.ids(), HUB_SEARCHES),
+            (&non_hubs[..], NON_HUB_SEARCHES),
+        ] {
+            let (mut stored, mut online) = ([0; 6], [0; 6]);
+            for &q in sources {
+                let (_, size) = pc.prime_ppv(&g, &hubs, q, &at, at.clip);
+                add(&mut stored, pc.last_solve(), size);
+                let (_, size) = pc.prime_ppv_into(&g, &hubs, q, &at);
+                add(&mut online, pc.last_solve(), size);
+            }
+            assert_eq!(stored, pinned, "stored family, δ = {delta}");
+            assert_eq!(online, pinned, "query-time family, δ = {delta}");
+        }
+    }
+}
+
+/// [`search_work_is_pinned`]'s totals over the 80 hubs: pops, stale pops,
+/// relaxations, pushes, interior nodes, subgraph nodes.
+const HUB_SEARCHES: [usize; 6] = [177_333, 24_230, 963_663, 177_333, 153_103, 159_620];
+/// The same totals over every eighth non-hub source.
+const NON_HUB_SEARCHES: [usize; 6] = [523_117, 69_046, 2_554_195, 523_117, 454_071, 478_738];

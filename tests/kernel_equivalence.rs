@@ -18,13 +18,18 @@
 //! configuration's own δ is pinned as an entry-wise lower bound that is
 //! short by at most δ. Graphs with parallel edges, self-loops (a hub source
 //! whose row points back at itself among them) and dangling interior nodes
-//! give the two row sources every chance to disagree.
+//! give the two row sources every chance to disagree. So do graphs that
+//! carry a row overlay — the epochs edge events publish, which serving
+//! answers prime-0 from — against the same graph laid out flat, through
+//! every entry point.
+//!
+//! The proptests' case count is `FASTPPV_FUZZ_ROUNDS` (24 by default).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use fastppv::core::{Config, HubSet, PrimeComputer};
-use fastppv::graph::gen::barabasi_albert;
+use fastppv::graph::gen::{barabasi_albert, synth_events, try_apply_event};
 use fastppv::graph::{DanglingPolicy, Graph, GraphBuilder, NodeId};
 use proptest::prelude::*;
 
@@ -360,8 +365,108 @@ fn assert_kernels_agree(
     );
 }
 
+/// `graph`'s edges laid out in a fresh flat CSR: the same rows, no
+/// overlay.
+fn flat_copy(graph: &Graph) -> Graph {
+    let mut b = GraphBuilder::new(graph.num_nodes()).dangling(DanglingPolicy::Keep);
+    for (u, v) in graph.edges() {
+        b.add_edge(u, v);
+    }
+    b.build()
+}
+
+/// Whether `graph` reads some rows from an overlay: it then holds more
+/// than the same rows laid out flat.
+fn carries_overlay(graph: &Graph) -> bool {
+    graph.memory_bytes() > flat_copy(graph).memory_bytes()
+}
+
+/// `base` after `count` seeded edge events, applied one at a time. An
+/// event that would fold the overlay into a fresh base is skipped, and so
+/// is a delete of an edge a skipped insert never added: the result still
+/// reads its changed rows from the overlay.
+fn overlaid_graph(base: &Graph, count: usize, delete_fraction: f64, seed: u64) -> Graph {
+    let mut graph = base.clone();
+    let mut applied = 0;
+    for event in synth_events(base, count + 32, delete_fraction, seed) {
+        match try_apply_event(&graph, &event) {
+            Ok(next) if carries_overlay(&next) => graph = next,
+            _ => continue,
+        }
+        applied += 1;
+        if applied == count {
+            break;
+        }
+    }
+    graph
+}
+
+/// Asserts that every kernel entry point reads `overlaid` exactly as it
+/// reads `flat`, the same rows laid out without an overlay: entries bit
+/// for bit, subgraph sizes and work counters.
+fn assert_overlay_reads_like_flat(
+    overlaid: &Graph,
+    flat: &Graph,
+    hubs: &HubSet,
+    pc: &mut PrimeComputer,
+    q: NodeId,
+    config: &Config,
+) {
+    for clip in [0.0, 1e-4] {
+        let (a, a_size) = pc.prime_ppv(overlaid, hubs, q, config, clip);
+        let a_work = pc.last_solve();
+        let (b, b_size) = pc.prime_ppv(flat, hubs, q, config, clip);
+        assert_eq!(
+            bits(a.entries.entries()),
+            bits(b.entries.entries()),
+            "prime_ppv, source {q}, clip {clip}"
+        );
+        assert_eq!((a_size, a_work), (b_size, pc.last_solve()));
+    }
+    for delta in [0.0, config.delta] {
+        let at = config.with_delta(delta);
+        let (a, a_size) = pc.prime_ppv_into(overlaid, hubs, q, &at);
+        let (a, a_work) = (bits(a), pc.last_solve());
+        let (b, b_size) = pc.prime_ppv_into(flat, hubs, q, &at);
+        assert_eq!(a, bits(b), "prime_ppv_into, source {q}, δ = {delta}");
+        assert_eq!((a_size, a_work), (b_size, pc.last_solve()));
+
+        let (a, a_size) = pc.prime_ppv_from(overlaid, hubs, q, &at);
+        let a_work = pc.last_solve();
+        let (b, b_size) = pc.prime_ppv_from(flat, hubs, q, &at);
+        assert_eq!(
+            bits(a.entries.entries()),
+            bits(b.entries.entries()),
+            "prime_ppv_from, source {q}, δ = {delta}"
+        );
+        assert_eq!((a_size, a_work), (b_size, pc.last_solve()));
+    }
+    let a = pc.extract(overlaid, hubs, q, config);
+    let b = pc.extract(flat, hubs, q, config);
+    assert_eq!(
+        (&a.nodes, a.num_interior, &a.offsets, &a.targets),
+        (&b.nodes, b.num_interior, &b.offsets, &b.targets),
+        "extract, source {q}"
+    );
+    let a_ppv = pc.solve(&a, config, 1e-4);
+    let b_ppv = pc.solve(&b, config, 1e-4);
+    assert_eq!(
+        bits(a_ppv.entries.entries()),
+        bits(b_ppv.entries.entries()),
+        "extract + solve, source {q}"
+    );
+}
+
+/// Proptest case count: `FASTPPV_FUZZ_ROUNDS`, 24 by default.
+fn fuzz_rounds() -> u32 {
+    std::env::var("FASTPPV_FUZZ_ROUNDS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(24)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(fuzz_rounds()))]
 
     #[test]
     fn bucket_kernel_matches_heap_kernel_on_random_ba_graphs(
@@ -393,6 +498,40 @@ proptest! {
         }
         for q in sources {
             assert_kernels_agree(&g, &hubs, &mut pc, q, &config);
+        }
+    }
+
+    #[test]
+    fn kernels_agree_on_graphs_that_carry_a_row_overlay(
+        n in 80usize..240,
+        m in 2usize..5,
+        seed in 0u64..1_000,
+        hub_stride in 2usize..12,
+        eps_exp in 4u32..9,
+        events in 1usize..12,
+        delete_fraction in 0.0f64..0.6,
+    ) {
+        // A serving epoch: edge events below the fold threshold, so the
+        // changed rows (the tails' out-rows among them) live in the
+        // overlay. Against the heap reference, and against the same rows
+        // laid out flat through every entry point.
+        let base = barabasi_albert(n, m, seed);
+        let g = overlaid_graph(&base, events, delete_fraction, seed);
+        prop_assert!(carries_overlay(&g));
+        let flat = flat_copy(&g);
+        let hubs = HubSet::from_ids(n, (0..n as NodeId).step_by(hub_stride).collect());
+        let config = tight_config(10f64.powi(-(eps_exp as i32)));
+        let mut pc = PrimeComputer::new(n);
+        // A hub source, the first node whose out-row the overlay holds,
+        // and a non-hub source.
+        let tail = (0..n as NodeId)
+            .find(|&v| g.out_neighbors(v) != base.out_neighbors(v))
+            .expect("an event changed a row");
+        let mut sources = vec![0 as NodeId, tail];
+        sources.extend((0..n as NodeId).find(|&v| !hubs.is_hub(v)));
+        for q in sources {
+            assert_kernels_agree(&g, &hubs, &mut pc, q, &config);
+            assert_overlay_reads_like_flat(&g, &flat, &hubs, &mut pc, q, &config);
         }
     }
 
