@@ -4,6 +4,13 @@
 //! across shards and merged by `fastppv::router` must reproduce the
 //! single-process answer to ≤ 1e-12 for every stopping condition, and
 //! merging over loopback TCP must reproduce the in-process merge exactly.
+//!
+//! One more test pins the disk engine itself (paper §5.3 / Fig. 16): on a
+//! seeded clustered BA graph at resident capacity 1, every query's cluster
+//! faults, its truncation flag and a digest of its answer's bits, under
+//! fault caps `None`, 1 and 4. The fault counts follow the order in which
+//! the prime-subgraph search and the row copy probe clusters, so a change
+//! that reorders probes shows here even when the answers agree.
 
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -15,12 +22,14 @@ use fastppv::cluster::store::{write_clustered_graph, DiskGraph};
 use fastppv::cluster::{slice_store, ShardMap};
 use fastppv::core::query::{QueryEngine, StoppingCondition};
 use fastppv::core::{build_flat_index, select_hubs, Config, FlatIndex, HubPolicy};
+use fastppv::graph::gen::barabasi_albert;
 use fastppv::graph::gen::{BibNetwork, DblpParams};
 use fastppv::graph::vec::ScoreScratch;
 use fastppv::graph::Graph;
 use fastppv::router::{merge_query, LocalBackend, RouterConfig, TcpBackend, TcpBackendOptions};
 use fastppv::server::net::serve;
 use fastppv::server::{QueryService, ServiceOptions};
+use fastppv_bench::workload::Fnv1a;
 
 fn temp_path(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -135,6 +144,81 @@ fn fault_cap_bounds_io_and_keeps_phi_sound() {
         assert!(res.result.l1_error >= 0.0 && res.result.l1_error <= 1.0);
     }
     std::fs::remove_file(&clg).unwrap();
+}
+
+/// Per fault cap (`None`, 1, 4), per query: `(faults, truncated, answer
+/// digest)`. The digest folds every `(node, score bits)` entry, φ's bits
+/// and the iteration count.
+const DISK_PINS: [[(u64, bool, u64); 6]; 3] = [
+    [
+        (3699, false, 0xa545_229e_1597_292c),
+        (3641, false, 0x2c25_9ddd_0bbe_2ca7),
+        (3592, false, 0x60a1_810c_47f6_e06c),
+        (3659, false, 0x5d6c_56e5_00e2_052a),
+        (3501, false, 0xb762_484e_3070_e58b),
+        (0, false, 0xaeb1_5c4d_1849_2a4e),
+    ],
+    [
+        (1, true, 0x6273_ad0d_3dc8_04ac),
+        (1, true, 0x024d_f69b_2eec_9273),
+        (1, true, 0x5314_bd04_d5ac_9d57),
+        (1, true, 0x87b8_7a0b_bf10_5f97),
+        (1, true, 0xd022_f042_1482_64f2),
+        (0, false, 0xaeb1_5c4d_1849_2a4e),
+    ],
+    [
+        (4, true, 0x2f19_9796_0aa2_ab6d),
+        (4, true, 0x024d_f69b_2eec_9273),
+        (4, true, 0xbdba_1756_cc4d_4c27),
+        (4, true, 0xde9f_481b_d60b_8dc0),
+        (4, true, 0x9608_a70b_2126_03e9),
+        (0, false, 0xaeb1_5c4d_1849_2a4e),
+    ],
+];
+
+#[test]
+fn disk_query_faults_truncation_and_answers_are_pinned() {
+    let graph = barabasi_albert(1_500, 3, 23);
+    let n = graph.num_nodes();
+    let config = Config::default().with_epsilon(1e-6);
+    let hubs = select_hubs(&graph, HubPolicy::ExpectedUtility, 40, 0);
+    let (index, _) = build_flat_index(&graph, &hubs, &config, 1);
+    let clg = temp_path("pinned.clg");
+    let clustering = cluster_graph(&graph, 12, ClusteringOptions::default());
+    write_clustered_graph(&graph, &clustering, &clg).unwrap();
+    // Five non-hub sources spread over the id range, then a hub (whose
+    // prime-0 comes from the index: no probe at all).
+    let mut queries: Vec<u32> = (0..n as u32)
+        .filter(|&v| !hubs.is_hub(v))
+        .step_by(n / 5)
+        .take(5)
+        .collect();
+    queries.push(hubs.ids()[3]);
+    let stop = StoppingCondition::iterations(2);
+    let mut got = Vec::new();
+    for cap in [None, Some(1), Some(4)] {
+        // A fresh graph per cap: the resident cluster carries from one
+        // query to the next, so each row starts from the same state.
+        let mut disk = DiskGraph::open(&clg, 1).unwrap();
+        let mut ws = DiskQueryWorkspace::new(n);
+        let mut row = Vec::new();
+        for &q in &queries {
+            let res = disk_query(&mut disk, &hubs, &index, &config, q, &stop, cap, &mut ws);
+            let mut digest = Fnv1a::default();
+            for &(v, s) in res.result.scores.entries() {
+                digest.update(&v.to_le_bytes());
+                digest.update(&s.to_bits().to_le_bytes());
+            }
+            digest.update(&res.result.l1_error.to_bits().to_le_bytes());
+            digest.update(&(res.result.iterations as u64).to_le_bytes());
+            row.push((res.faults, res.truncated, digest.finish()));
+        }
+        got.push(row);
+    }
+    std::fs::remove_file(&clg).unwrap();
+    for (cap, (got, want)) in ["None", "1", "4"].iter().zip(got.iter().zip(&DISK_PINS)) {
+        assert_eq!(got.as_slice(), want.as_slice(), "fault cap {cap}");
+    }
 }
 
 /// Slices `index` across `num_shards` in-process shard services by a
