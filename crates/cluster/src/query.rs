@@ -56,12 +56,7 @@ pub fn disk_query<S: PpvStore>(
     disk.set_fault_cap(fault_cap);
     let prime0 = match store.load(q) {
         Some(stored) => stored,
-        None => {
-            workspace
-                .prime
-                .prime_ppv_from(&mut *disk, hubs, q, config)
-                .0
-        }
+        None => workspace.prime.prime_ppv_from(disk, hubs, q, config).0,
     };
     let result = run_increments(
         q,

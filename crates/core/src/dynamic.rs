@@ -303,10 +303,6 @@ pub struct DeltaConfig {
     /// `budget /` [`PATCHES_PER_BUDGET`] of residual behind (see the
     /// module docs), so there is no separate push threshold to tune.
     pub budget: f64,
-    /// Safety cap on the settles of one push (one per changed tail); the
-    /// holders a truncated push had not served yet fall back to exact
-    /// recompute.
-    pub max_settles: usize,
 }
 
 /// How many worst-case patches one hub's budget pays for: a patch's push
@@ -316,12 +312,14 @@ pub struct DeltaConfig {
 /// deployment and is deliberately not a [`DeltaConfig`] field.
 pub const PATCHES_PER_BUDGET: f64 = 16.0;
 
+/// Safety cap on the settles of one push (one per changed tail); the
+/// holders a truncated push had not served yet fall back to exact
+/// recompute.
+const PUSH_SETTLE_CAP: usize = 1_000_000;
+
 impl Default for DeltaConfig {
     fn default() -> Self {
-        DeltaConfig {
-            budget: 0.01,
-            max_settles: 1_000_000,
-        }
+        DeltaConfig { budget: 0.01 }
     }
 }
 
@@ -329,10 +327,7 @@ impl DeltaConfig {
     /// A configuration with the delta path disabled: every dirty hub is
     /// recomputed exactly.
     pub fn exact() -> Self {
-        DeltaConfig {
-            budget: 0.0,
-            ..DeltaConfig::default()
-        }
+        DeltaConfig { budget: 0.0 }
     }
 
     /// Sets the per-hub error budget.
@@ -348,7 +343,6 @@ impl DeltaConfig {
             "delta budget must be finite and ≥ 0, got {}",
             self.budget
         );
-        assert!(self.max_settles > 0, "max_settles must be > 0");
     }
 }
 
@@ -860,7 +854,7 @@ impl Refresher {
                     }
                     break;
                 }
-                push.descend(new_graph, hubs, alpha, delta.max_settles, &mut rung);
+                push.descend(new_graph, hubs, alpha, PUSH_SETTLE_CAP, &mut rung);
             }
             settles += rung.settles;
         }

@@ -99,7 +99,7 @@ pub use hubs::{select_hubs, select_hubs_with_pagerank, HubPolicy, HubSet};
 pub use index::{FlatIndex, MemoryIndex, OpenError, PpvRef, PpvStore, PrimePpv};
 pub use offline::{build_flat_index, build_index, build_index_in_order, OfflineStats};
 pub use prime::{
-    AdjacencyAccess, BucketQueue, DeltaOutcome, DeltaPush, PrimeComputer, PrimeSubgraph, SolveWork,
+    BucketQueue, DeltaOutcome, DeltaPush, PrimeComputer, PrimeSubgraph, RowSource, SolveWork,
 };
 pub use query::{
     expand_frontier, ExpandOutcome, IncrementScratch, MassList, QueryEngine, QueryResult,

@@ -33,10 +33,10 @@
 //!
 //! 1. **Extraction** runs a max-probability search whose priority queue is
 //!    a monotone [`BucketQueue`] over quantized log-probabilities — O(1)
-//!    push/pop with no float comparator — iterating the graph's CSR arrays
-//!    directly ([`fastppv_graph::CsrView`]) on the in-memory path instead
-//!    of the dynamic-dispatch [`AdjacencyAccess`] indirection (which
-//!    remains available for disk-resident graphs).
+//!    push/pop with no float comparator — reading rows through a
+//!    [`RowSource`]: the graph's CSR arrays directly
+//!    ([`fastppv_graph::CsrView`]) on the in-memory path, or a
+//!    disk-resident clustered graph, monomorphized either way.
 //!    The same search marks every node of the subgraph — interior nodes
 //!    and the absorbers their rows reach — in a graph-sized bitmap. Its
 //!    per-edge work has no data-dependent branch: for the call's duration
@@ -54,20 +54,19 @@
 //!    built without a comparison sort: a walk of the membership bitmap
 //!    lists the interior in ascending id order (written at every member,
 //!    advanced past interior ones), and a stable counting sort by
-//!    descending degree keeps that id order within each degree. On the
-//!    in-memory path nothing is renumbered or copied: the sweeps read rows
-//!    straight from the graph's CSR and scatter into graph-indexed `mass`
-//!    and `residual` arrays, in which absorbers (hubs and sub-`ε` frontier
+//!    descending degree keeps that id order within each degree. Nothing is
+//!    renumbered: the sweeps scatter into graph-indexed `mass` and
+//!    `residual` arrays, in which absorbers (hubs and sub-`ε` frontier
 //!    nodes) just collect and a hub source's slot, after its one settle,
-//!    collects its returns. Only the materialized
+//!    collects its returns. On the in-memory path the sweeps read rows
+//!    straight from the graph's CSR. The materialized
 //!    ([`PrimeComputer::extract`] → [`PrimeSubgraph`] →
 //!    [`PrimeComputer::solve`]) and disk-resident
-//!    ([`PrimeComputer::prime_ppv_from`]) callers copy the subgraph into a
-//!    local CSR, renumbered in sweep order, since that is their only row
-//!    source. Both row sources feed one sweep loop: a target's accumulator
-//!    receives one addend per *source row*, in sweep order, whatever the
-//!    slot numbering or the order of targets within a row, so the two
-//!    solve to the same bits.
+//!    ([`PrimeComputer::prime_ppv_from`]) callers sweep a copy of the
+//!    interior's rows instead, in global ids, since a disk probe may fault
+//!    and a materialized subgraph outlives its search. A target's
+//!    accumulator receives one addend per *source row*, in sweep order,
+//!    whichever rows the sweep reads, so the two solve to the same bits.
 //! 3. **Solve** runs threshold-gated Gauss–Seidel sweeps down the sweep
 //!    list: each pass settles every residual above `solve_tolerance` and
 //!    re-propagates mass forward within the same pass, until a pass
@@ -84,7 +83,8 @@
 //! The stages share one reusable workspace, [`PrimeComputer`]: after
 //! warmup, [`PrimeComputer::prime_ppv_into`] — the *fused* one-shot path —
 //! searches, solves, and emits the sorted entry list without a single heap
-//! allocation.
+//! allocation. Every entry point runs the same search, the same sweep loop
+//! and the same emit.
 //!
 //! ## Two families, one sweep loop
 //!
@@ -96,7 +96,7 @@
 //!   that are kept: the offline build, `dynamic`'s exact recompute, a
 //!   benchmark's fresh-solve check. It sweeps until every residual is at
 //!   most `solve_tolerance` and clips at the caller's storage threshold.
-//!   The in-memory route (graph rows) and the materialized route (local
+//!   The in-memory route (graph rows) and the materialized route (copied
 //!   rows) are bit-for-bit equal (pinned by the kernel-equivalence tests).
 //! * The **query-time** family — [`PrimeComputer::prime_ppv_into`],
 //!   [`PrimeComputer::prime_ppv_from`] — computes iteration 0 of a cold
@@ -139,100 +139,41 @@ use crate::config::Config;
 use crate::hubs::HubSet;
 use crate::index::PrimePpv;
 
-/// Abstract adjacency access, so extraction can run against a disk-resident
-/// clustered graph (`fastppv-cluster`), where every probe may trigger a
-/// cluster load. Methods take `&mut self` for exactly that reason; plain
-/// in-memory graphs get the zero-indirection CSR path instead and only
-/// implement this trait for API uniformity.
-pub trait AdjacencyAccess {
-    /// Number of nodes in the underlying graph.
-    fn num_nodes(&self) -> usize;
-
-    /// Out-degree of `v`.
-    fn out_degree(&mut self, v: NodeId) -> usize;
-
-    /// Calls `f` for every out-neighbor of `v` (with multiplicity).
-    fn visit_out_neighbors(&mut self, v: NodeId, f: &mut dyn FnMut(NodeId));
-}
-
-impl AdjacencyAccess for &Graph {
-    fn num_nodes(&self) -> usize {
-        Graph::num_nodes(self)
-    }
-
-    fn out_degree(&mut self, v: NodeId) -> usize {
-        Graph::out_degree(self, v)
-    }
-
-    fn visit_out_neighbors(&mut self, v: NodeId, f: &mut dyn FnMut(NodeId)) {
-        for &t in Graph::out_neighbors(self, v) {
-            f(t);
-        }
-    }
-}
-
-/// Mutable references delegate, so call sites hand a `&mut DiskGraph` (or
-/// any other access) straight to the generic kernel entry points without
-/// re-borrowing contortions.
-impl<A: AdjacencyAccess + ?Sized> AdjacencyAccess for &mut A {
-    fn num_nodes(&self) -> usize {
-        (**self).num_nodes()
-    }
-
-    fn out_degree(&mut self, v: NodeId) -> usize {
-        (**self).out_degree(v)
-    }
-
-    fn visit_out_neighbors(&mut self, v: NodeId, f: &mut dyn FnMut(NodeId)) {
-        (**self).visit_out_neighbors(v, f)
-    }
-}
-
-/// Internal neighbor source the extraction is generic over: unlike
-/// [`AdjacencyAccess`], `visit` takes a monomorphized closure, so the CSR
-/// implementation compiles down to a plain slice loop.
-trait NbrSource {
+/// Where the prime-subgraph search reads adjacency: the in-memory graph's
+/// CSR ([`CsrView`]), or a disk-resident clustered graph
+/// (`fastppv-cluster`'s `DiskGraph`), where a probe may fault a cluster
+/// in — which is why the methods take `&mut self`. `visit` takes a
+/// monomorphized closure, so the CSR's compiles down to a plain slice loop.
+pub trait RowSource {
     /// Whether probes have effects the kernel must replay in one fixed
     /// order. A disk-resident source faults clusters in on a probe (and
     /// refuses probes past its fault cap), so the sweep list reads its
     /// interior degrees in discovery order, as the search found them; the
     /// CSR's probes are plain reads, taken in id order.
     const ORDERED_PROBES: bool;
+
+    /// Out-degree of `v`.
     fn degree(&mut self, v: NodeId) -> usize;
+
+    /// Calls `f` for every out-neighbor of `v`, with multiplicity, in
+    /// adjacency order.
     fn visit<F: FnMut(NodeId)>(&mut self, v: NodeId, f: F);
 }
 
 /// The in-memory fast path: direct CSR slice iteration.
-struct CsrSource<'a>(CsrView<'a>);
-
-impl NbrSource for CsrSource<'_> {
+impl RowSource for CsrView<'_> {
     const ORDERED_PROBES: bool = false;
 
     #[inline]
     fn degree(&mut self, v: NodeId) -> usize {
-        self.0.out_degree(v)
+        self.out_degree(v)
     }
 
     #[inline]
     fn visit<F: FnMut(NodeId)>(&mut self, v: NodeId, mut f: F) {
-        for &t in self.0.out_neighbors(v) {
+        for &t in self.out_neighbors(v) {
             f(t);
         }
-    }
-}
-
-/// Bridge from the dynamic-dispatch trait (disk-resident graphs).
-struct DynSource<A>(A);
-
-impl<A: AdjacencyAccess> NbrSource for DynSource<A> {
-    const ORDERED_PROBES: bool = true;
-
-    fn degree(&mut self, v: NodeId) -> usize {
-        self.0.out_degree(v)
-    }
-
-    fn visit<F: FnMut(NodeId)>(&mut self, v: NodeId, mut f: F) {
-        self.0.visit_out_neighbors(v, &mut f)
     }
 }
 
@@ -378,36 +319,35 @@ fn vec_bytes<T>(v: &Vec<T>) -> usize {
     v.capacity() * std::mem::size_of::<T>()
 }
 
-/// The extracted prime subgraph of a source node, in local-id form — the
-/// row source of the materialized ([`PrimeComputer::extract`] +
-/// [`PrimeComputer::solve`]) and disk-resident
-/// ([`PrimeComputer::prime_ppv_from`]) paths. The in-memory one-shots
-/// sweep the graph's own CSR instead and build none of this.
+/// The extracted prime subgraph of a source node: its members and a copy
+/// of its interior's rows, all in global ids — what the materialized
+/// ([`PrimeComputer::extract`] + [`PrimeComputer::solve`]) and
+/// disk-resident ([`PrimeComputer::prime_ppv_from`]) paths sweep. The
+/// in-memory one-shots sweep the graph's own CSR instead and copy nothing.
 ///
-/// Local ids `0..num_interior` are *interior* (propagating) nodes, in
+/// `nodes[..num_interior]` are the *interior* (propagating) nodes, in
 /// sweep order: the source first, then descending global out-degree (ties
-/// by node id). Ids `num_interior..nodes.len()` are absorbers (border hubs
-/// and sub-`ε` frontier nodes), in order of first appearance in the rows.
+/// by node id). `nodes[num_interior..]` are the absorbers (border hubs and
+/// sub-`ε` frontier nodes), in order of first appearance in the rows.
 ///
-/// Row `u` holds every out-edge of interior local `u`, in the graph's
-/// adjacency order, as local ids, so its length is the node's global
-/// out-degree (the propagation denominator). A hub source's row entries
-/// pointing back at it target local 0, which after the source's single
-/// settle only collects returns (the second visit would be an interior hub
-/// occurrence, so it absorbs).
+/// Row `u` holds every out-edge of `nodes[u]`, in the graph's adjacency
+/// order, so its length is the node's global out-degree (the propagation
+/// denominator). A hub source's row entries pointing back at it reach its
+/// own slot, which after the source's single settle only collects returns
+/// (the second visit would be an interior hub occurrence, so it absorbs).
 #[derive(Clone, Debug, Default)]
 pub struct PrimeSubgraph {
-    /// The source node (global id).
+    /// The source node.
     pub source: NodeId,
-    /// Local-to-global node map.
+    /// Every member: the interior in sweep order, then the absorbers.
     pub nodes: Vec<NodeId>,
     /// Number of interior (propagating) nodes; the rest absorb.
     pub num_interior: usize,
-    /// CSR offsets over interior locals into `targets`
+    /// CSR offsets over the interior into `targets`
     /// (`num_interior + 1` entries).
     pub offsets: Vec<u32>,
-    /// Out-edge targets (local ids), one range per interior node.
-    pub targets: Vec<u32>,
+    /// Out-edge targets, one range per interior node.
+    pub targets: Vec<NodeId>,
     /// Whether the source is a hub (its returning mass then absorbs).
     pub source_is_hub: bool,
 }
@@ -423,8 +363,8 @@ impl PrimeSubgraph {
         self.nodes.len() - self.num_interior
     }
 
-    /// Out-edges of interior local `u` (local ids, adjacency order).
-    pub fn row(&self, u: usize) -> &[u32] {
+    /// Out-edges of interior node `nodes[u]`, in adjacency order.
+    pub fn row(&self, u: usize) -> &[NodeId] {
         &self.targets[self.offsets[u] as usize..self.offsets[u + 1] as usize]
     }
 }
@@ -457,18 +397,18 @@ pub struct SolveWork {
 }
 
 /// Where the sweep kernel reads its rows. Position `i` of the sweep list
-/// names a scratch slot and that node's out-row, in the same slot space;
-/// the row's length is the node's global out-degree, because every
-/// out-neighbor of an interior node belongs to the subgraph.
+/// names a node — its slot in the graph-indexed scratch — and that node's
+/// out-row; the row's length is the node's global out-degree, because
+/// every out-neighbor of an interior node belongs to the subgraph.
 trait SweepRows {
-    /// Scratch slot of sweep position `i`.
+    /// Node at sweep position `i`.
     fn slot(&self, i: usize) -> usize;
-    /// Out-row of sweep position `i`, as scratch slots.
-    fn row(&self, i: usize) -> &[u32];
+    /// Out-row of sweep position `i`.
+    fn row(&self, i: usize) -> &[NodeId];
 }
 
-/// The in-memory path: slots are global node ids and rows are the graph's
-/// own CSR slices. `order` is the sweep list.
+/// The in-memory path: rows are the graph's own CSR slices. `order` is
+/// the sweep list.
 struct GraphRows<'a> {
     csr: CsrView<'a>,
     order: &'a [NodeId],
@@ -481,21 +421,20 @@ impl SweepRows for GraphRows<'_> {
     }
 
     #[inline]
-    fn row(&self, i: usize) -> &[u32] {
+    fn row(&self, i: usize) -> &[NodeId] {
         self.csr.out_neighbors(self.order[i])
     }
 }
 
-/// The materialized and disk paths: slots are local ids and rows the
-/// subgraph's local CSR.
+/// The materialized and disk paths: rows are the subgraph's copies.
 impl SweepRows for PrimeSubgraph {
     #[inline]
     fn slot(&self, i: usize) -> usize {
-        i
+        self.nodes[i] as usize
     }
 
     #[inline]
-    fn row(&self, i: usize) -> &[u32] {
+    fn row(&self, i: usize) -> &[NodeId] {
         PrimeSubgraph::row(self, i)
     }
 }
@@ -515,7 +454,8 @@ impl SweepRows for PrimeSubgraph {
 ///
 /// Every target's accumulator receives one addend per settled source row,
 /// in sweep order, whatever the row source and whatever the order of
-/// targets within a row — so the two row sources solve to the same bits.
+/// targets within a row — so the graph's rows and a copy of them solve to
+/// the same bits.
 ///
 /// `leave` is the residual allowance, in mass units (the part a delta
 /// patch's allowance plays in [`crate::dynamic`]): when positive, the solve
@@ -590,80 +530,9 @@ fn residual_left<R: SweepRows>(rows: &R, first: usize, len: usize, residual: &[f
     (first..len).fold(0.0, |sum, i| sum + residual[rows.slot(i)])
 }
 
-/// The mass a solved subgraph node holds for emission: settled visit mass
-/// for an interior node (minus the trivial tour at a non-hub source), the
-/// collected mass for an absorber and for a hub source's returns.
-#[inline]
-fn emitted_mass(
-    is_source: bool,
-    interior: bool,
-    source_is_hub: bool,
-    mass: f64,
-    residual: f64,
-) -> f64 {
-    match (is_source, interior) {
-        (true, _) if source_is_hub => residual,
-        (true, _) => mass - 1.0,
-        (false, true) => mass,
-        (false, false) => residual,
-    }
-}
-
-/// Appends `(v, score)` unless the score is zero or below `clip`.
-#[inline]
-fn push_entry(out: &mut Vec<(NodeId, f64)>, v: NodeId, score: f64, clip: f64) {
-    if score >= clip && score > 0.0 {
-        out.push((v, score));
-    }
-}
-
-/// Solves a local-CSR subgraph in `mass` / `residual` (grown if the
-/// subgraph outsizes them; slots `0..sub.num_nodes()` are zeroed again on
-/// return) and leaves its clipped entries, sorted by id, in `out`: α ×
-/// emitted mass, trivial tour excluded at the source.
-fn solve_local(
-    sub: &PrimeSubgraph,
-    mass: &mut Vec<f64>,
-    residual: &mut Vec<f64>,
-    out: &mut Vec<(NodeId, f64)>,
-    config: &Config,
-    clip: f64,
-    leave: f64,
-) -> SolveWork {
-    let len = sub.num_nodes();
-    if mass.len() < len {
-        mass.resize(len, 0.0);
-        residual.resize(len, 0.0);
-    }
-    let work = sweep(
-        sub,
-        sub.num_interior,
-        sub.source_is_hub,
-        mass,
-        residual,
-        config,
-        leave,
-    );
-    out.clear();
-    for (u, &v) in sub.nodes.iter().enumerate() {
-        let m = emitted_mass(
-            u == 0,
-            u < sub.num_interior,
-            sub.source_is_hub,
-            mass[u],
-            residual[u],
-        );
-        push_entry(out, v, config.alpha * m, clip);
-    }
-    mass[..len].fill(0.0);
-    residual[..len].fill(0.0);
-    out.sort_unstable_by_key(|&(id, _)| id);
-    work
-}
-
 /// Counts `nodes` per out-degree into `counts` (grown to fit) and keeps
 /// each node's degree in `best` as `degree + 1`. Returns the highest degree.
-fn count_degrees<Src: NbrSource>(
+fn count_degrees<Src: RowSource>(
     src: &mut Src,
     nodes: &[NodeId],
     best: &mut [f64],
@@ -693,14 +562,13 @@ fn count_degrees<Src: NbrSource>(
 /// footprint, and `prime_ppv` allocates only the vector it returns.
 ///
 /// Graph-sized scratch is 24.125 bytes per node: `best`, `mass` and
-/// `residual` (8 bytes each) and the membership bitmap (1 bit). The
-/// materialized and disk-resident paths add a 4-byte-per-node local-id map,
-/// allocated on their first call. Everything else is sized by what it
-/// holds: the bucket queue by the search, the candidate buffer by the
-/// widest expanded row, the interior list and the sweep list by the
-/// interior, the degree counts by the highest interior degree, the entries
-/// by the subgraph, and the local CSR by the subgraph it copies
-/// ([`PrimeComputer::heap_bytes`] adds them up).
+/// `residual` (8 bytes each) and the membership bitmap (1 bit), shared by
+/// every entry point. Everything else is sized by what it holds: the
+/// bucket queue by the search, the candidate buffer by the widest expanded
+/// row, the interior list and the sweep list by the interior, the degree
+/// counts by the highest interior degree, the entries by the subgraph, and
+/// the copied rows of the materialized and disk paths by the subgraph they
+/// copy ([`PrimeComputer::heap_bytes`] adds them up).
 pub struct PrimeComputer {
     // Graph-sized, all-zero between calls: search probabilities, the
     // solve's settled mass and residual, and subgraph membership (interior
@@ -721,18 +589,15 @@ pub struct PrimeComputer {
     // sweep list built from them: the source first.
     degree_counts: Vec<u32>,
     order: Vec<NodeId>,
-    // The local CSR of the materialized and disk paths, and its id map
-    // (empty until first used).
+    // The copied rows of the materialized and disk paths (empty until
+    // first used).
     local: PrimeSubgraph,
-    local_of: Vec<u32>,
     // Emitted entries (the first `emitted`; written unconditionally, like
     // the search lists) and the last search's and solve's counters.
     entries: Vec<(NodeId, f64)>,
     emitted: usize,
     last: SolveWork,
 }
-
-const NO_LOCAL: u32 = u32::MAX;
 
 impl PrimeComputer {
     /// A workspace for graphs of `n` nodes.
@@ -748,7 +613,6 @@ impl PrimeComputer {
             degree_counts: Vec::new(),
             order: Vec::new(),
             local: PrimeSubgraph::default(),
-            local_of: Vec::new(),
             entries: Vec::new(),
             emitted: 0,
             last: SolveWork::default(),
@@ -757,7 +621,7 @@ impl PrimeComputer {
 
     /// Heap bytes this workspace holds, by capacity: the graph-sized
     /// arrays, the queue's buckets, the search lists, the degree counts,
-    /// the sweep list, the local CSR and its id map, and the entries.
+    /// the sweep list, the copied rows, and the entries.
     pub fn heap_bytes(&self) -> usize {
         let local = &self.local;
         vec_bytes(&self.best)
@@ -772,7 +636,6 @@ impl PrimeComputer {
             + vec_bytes(&local.nodes)
             + vec_bytes(&local.offsets)
             + vec_bytes(&local.targets)
-            + vec_bytes(&self.local_of)
             + vec_bytes(&self.entries)
     }
 
@@ -781,7 +644,7 @@ impl PrimeComputer {
     /// in `members`, leaves `best` positive exactly at the interior, and
     /// builds the sweep list in `order`. Records the search's counters in
     /// `last` (the solve counters zeroed).
-    fn search<Src: NbrSource>(
+    fn search<Src: RowSource>(
         &mut self,
         src: &mut Src,
         hubs: &HubSet,
@@ -926,42 +789,25 @@ impl PrimeComputer {
         *last = work;
     }
 
-    /// Records a solve's counters beside the most recent search's.
-    fn record_solve(&mut self, solve: SolveWork) {
-        self.last = SolveWork {
-            sweeps: solve.sweeps,
-            settles: solve.settles,
-            leftover: solve.leftover,
-            ..self.last
-        };
-    }
-
-    /// Solves the searched subgraph on the graph's own CSR and emits its
-    /// clipped entries into `self.entries` in ascending id order, walking
-    /// the membership bitmap and resetting every slot it visits.
-    fn solve_in_place(
+    /// Records a solve's counters beside the most recent search's, then
+    /// emits the solved subgraph's clipped entries into `self.entries` in
+    /// ascending id order, walking the membership bitmap and resetting
+    /// every slot it visits. `best` must be positive exactly at the
+    /// interior.
+    fn emit(
         &mut self,
-        csr: CsrView<'_>,
+        work: SolveWork,
         source: NodeId,
         source_is_hub: bool,
-        config: &Config,
+        alpha: f64,
         clip: f64,
-        leave: f64,
     ) {
-        let rows = GraphRows {
-            csr,
-            order: &self.order,
+        self.last = SolveWork {
+            sweeps: work.sweeps,
+            settles: work.settles,
+            leftover: work.leftover,
+            ..self.last
         };
-        let work = sweep(
-            &rows,
-            self.order.len(),
-            source_is_hub,
-            &mut self.mass,
-            &mut self.residual,
-            config,
-            leave,
-        );
-        self.record_solve(work);
         let PrimeComputer {
             best,
             mass,
@@ -985,7 +831,6 @@ impl PrimeComputer {
         } else {
             mass[s] -= 1.0;
         }
-        let alpha = config.alpha;
         let mut n = 0;
         for (w, word) in members.iter_mut().enumerate() {
             let mut bits = *word;
@@ -1023,17 +868,33 @@ impl PrimeComputer {
         clip: f64,
         leave: f64,
     ) -> usize {
-        let csr = graph.out_csr();
-        self.search(&mut CsrSource(csr), hubs, source, config);
-        self.solve_in_place(csr, source, hubs.is_hub(source), config, clip, leave);
+        let mut csr = graph.out_csr();
+        self.search(&mut csr, hubs, source, config);
+        let source_is_hub = hubs.is_hub(source);
+        let rows = GraphRows {
+            csr,
+            order: &self.order,
+        };
+        let work = sweep(
+            &rows,
+            self.order.len(),
+            source_is_hub,
+            &mut self.mass,
+            &mut self.residual,
+            config,
+            leave,
+        );
+        self.emit(work, source, source_is_hub, config.alpha, clip);
         self.last.members
     }
 
-    /// Searches `source`'s prime subgraph and copies it into `self.local`:
-    /// interior nodes renumbered in sweep order, absorbers numbered as the
-    /// rows reach them, rows in adjacency order. Resets the graph-sized
-    /// search scratch.
-    fn extract_local<Src: NbrSource>(
+    /// Searches `source`'s prime subgraph and copies its interior's rows
+    /// into `self.local`, in sweep order, one probe per interior node;
+    /// absorbers are listed as the rows first reach them. The membership
+    /// bitmap is marked again from the copy, so it holds exactly the nodes
+    /// the copied rows reach — under a fault cap a copy's probe may be
+    /// refused, or granted, where the search's was not.
+    fn search_and_copy<Src: RowSource>(
         &mut self,
         src: &mut Src,
         hubs: &HubSet,
@@ -1042,46 +903,43 @@ impl PrimeComputer {
     ) {
         self.search(src, hubs, source, config);
         let PrimeComputer {
-            best,
             members,
             order,
             local,
-            local_of,
             ..
         } = self;
-        if local_of.len() < best.len() {
-            local_of.resize(best.len(), NO_LOCAL);
-        }
+        members.fill(0);
+        let mut mark = |t: NodeId| {
+            let (word, bit) = (&mut members[t as usize >> 6], 1u64 << (t & 63));
+            let first = *word & bit == 0;
+            *word |= bit;
+            first
+        };
         local.source = source;
         local.source_is_hub = hubs.is_hub(source);
         local.nodes.clear();
         local.nodes.extend_from_slice(order);
         local.num_interior = order.len();
-        for (u, &v) in local.nodes.iter().enumerate() {
-            local_of[v as usize] = u as u32;
+        for &v in order.iter() {
+            mark(v);
         }
         local.offsets.clear();
         local.offsets.push(0);
         local.targets.clear();
-        for u in 0..local.num_interior {
-            let PrimeSubgraph { nodes, targets, .. } = &mut *local;
-            let v = nodes[u];
+        let PrimeSubgraph {
+            nodes,
+            offsets,
+            targets,
+            ..
+        } = local;
+        for &v in order.iter() {
             src.visit(v, |t| {
-                let slot = &mut local_of[t as usize];
-                if *slot == NO_LOCAL {
-                    *slot = nodes.len() as u32;
+                if mark(t) {
                     nodes.push(t);
                 }
-                targets.push(*slot);
+                targets.push(t);
             });
-            local.offsets.push(local.targets.len() as u32);
-        }
-        // Every member is in `nodes`, so clearing whole bitmap words
-        // clears exactly this subgraph's bits.
-        for &v in &local.nodes {
-            best[v as usize] = 0.0;
-            local_of[v as usize] = NO_LOCAL;
-            members[v as usize >> 6] = 0;
+            offsets.push(targets.len() as u32);
         }
     }
 
@@ -1094,43 +952,42 @@ impl PrimeComputer {
         source: NodeId,
         config: &Config,
     ) -> PrimeSubgraph {
-        self.extract_local(&mut CsrSource(graph.out_csr()), hubs, source, config);
-        self.local.clone()
-    }
-
-    /// Like [`PrimeComputer::extract`], over any [`AdjacencyAccess`] (pass
-    /// `&mut access` for by-reference use).
-    pub fn extract_from<A: AdjacencyAccess>(
-        &mut self,
-        graph: A,
-        hubs: &HubSet,
-        source: NodeId,
-        config: &Config,
-    ) -> PrimeSubgraph {
-        self.extract_local(&mut DynSource(graph), hubs, source, config);
+        self.search_and_copy(&mut graph.out_csr(), hubs, source, config);
+        // Every member is in `nodes`, so clearing whole bitmap words
+        // clears exactly this subgraph's bits.
+        for &v in &self.local.nodes {
+            self.best[v as usize] = 0.0;
+            self.members[v as usize >> 6] = 0;
+        }
         self.local.clone()
     }
 
     /// Solves for the prime PPV of `sub.source` over the subgraph
     /// (threshold-gated Gauss–Seidel sweeps to `solve_tolerance` — the
     /// stored family). Returns the **trivial-tour-excluded** reachabilities
-    /// `r̊⁰` (see module docs), clipped at `clip`.
+    /// `r̊⁰` (see module docs), clipped at `clip`. `sub` must come from a
+    /// graph of at most the computer's `n` nodes.
     ///
     /// It runs no search: [`PrimeComputer::last_solve`] then pairs this
     /// solve's counters with the computer's most recent search's (the
     /// [`PrimeComputer::extract`] that made `sub`, in the usual pipeline).
     pub fn solve(&mut self, sub: &PrimeSubgraph, config: &Config, clip: f64) -> PrimePpv {
-        let work = solve_local(
+        for &v in &sub.nodes {
+            self.members[v as usize >> 6] |= 1u64 << (v & 63);
+        }
+        for &v in &sub.nodes[..sub.num_interior] {
+            self.best[v as usize] = 1.0;
+        }
+        let work = sweep(
             sub,
+            sub.num_interior,
+            sub.source_is_hub,
             &mut self.mass,
             &mut self.residual,
-            &mut self.entries,
             config,
-            clip,
             0.0,
         );
-        self.record_solve(work);
-        self.emitted = self.entries.len();
+        self.emit(work, sub.source, sub.source_is_hub, config.alpha, clip);
         self.entries_to_ppv()
     }
 
@@ -1151,29 +1008,30 @@ impl PrimeComputer {
     }
 
     /// Like [`PrimeComputer::prime_ppv_into`] — the query-time family —
-    /// over any [`AdjacencyAccess`] (pass `&mut access` for by-reference
-    /// use), returning an owned PPV. Disk-resident rows are copied into a
-    /// local CSR once, then swept by the same loop.
-    pub fn prime_ppv_from<A: AdjacencyAccess>(
+    /// over any [`RowSource`], returning an owned PPV and the number of
+    /// nodes the copied rows reach. Each interior row is probed twice,
+    /// once by the search and once to copy it, and the copy is swept.
+    pub fn prime_ppv_from<Src: RowSource>(
         &mut self,
-        graph: A,
+        src: &mut Src,
         hubs: &HubSet,
         source: NodeId,
         config: &Config,
     ) -> (PrimePpv, usize) {
-        self.extract_local(&mut DynSource(graph), hubs, source, config);
-        let work = solve_local(
-            &self.local,
+        self.search_and_copy(src, hubs, source, config);
+        let sub = &self.local;
+        let work = sweep(
+            sub,
+            sub.num_interior,
+            sub.source_is_hub,
             &mut self.mass,
             &mut self.residual,
-            &mut self.entries,
             config,
-            0.0,
             config.delta,
         );
-        self.record_solve(work);
-        self.emitted = self.entries.len();
-        (self.entries_to_ppv(), self.local.num_nodes())
+        let size = sub.num_nodes();
+        self.emit(work, source, sub.source_is_hub, config.alpha, 0.0);
+        (self.entries_to_ppv(), size)
     }
 
     /// The query-time family's one-shot: search, then solve on the graph's
@@ -1782,42 +1640,38 @@ mod tests {
         assert_eq!(first_a, again_a);
     }
 
+    /// The graph's CSR behind the ordered-probe search a disk-resident
+    /// source takes.
+    struct OrderedCsr<'a>(CsrView<'a>);
+
+    impl RowSource for OrderedCsr<'_> {
+        const ORDERED_PROBES: bool = true;
+
+        fn degree(&mut self, v: NodeId) -> usize {
+            self.0.degree(v)
+        }
+
+        fn visit<F: FnMut(NodeId)>(&mut self, v: NodeId, f: F) {
+            self.0.visit(v, f)
+        }
+    }
+
     #[test]
     fn generic_access_path_matches_csr_path() {
-        // The AdjacencyAccess path (disk-resident graphs) must agree with
-        // the CSR fast path exactly, within each family: same numbering,
-        // same rows (as multisets — row order is not part of the contract),
-        // same PPV bits.
+        // The search a disk-resident graph takes (interior degrees read in
+        // discovery order) and its copied rows must agree with the CSR
+        // one-shot exactly: same subgraph size, same PPV bits.
         let g = barabasi_albert(300, 3, 41);
         let hubs = crate::hubs::select_hubs(&g, crate::hubs::HubPolicy::ExpectedUtility, 25, 0);
         let config = Config::default();
         let mut pc = PrimeComputer::new(300);
-        let sorted = |row: &[u32]| {
-            let mut row = row.to_vec();
-            row.sort_unstable();
-            row
-        };
         for q in [0u32, 50, 123] {
-            let fast = pc.extract(&g, &hubs, q, &config);
-            let generic = pc.extract_from(&g, &hubs, q, &config);
-            assert_eq!(fast.nodes, generic.nodes, "query {q}");
-            for u in 0..fast.num_interior {
-                assert_eq!(
-                    sorted(fast.row(u)),
-                    sorted(generic.row(u)),
-                    "query {q} row {u}"
-                );
-            }
-            // Stored family: one solve over either extraction.
-            let fast_ppv = pc.solve(&fast, &config, 0.0);
-            let generic_ppv = pc.solve(&generic, &config, 0.0);
-            assert_eq!(fast_ppv, generic_ppv, "query {q}");
-            // Query-time family: the two fused entry points.
             let (fast_slice, fast_size) = pc.prime_ppv_into(&g, &hubs, q, &config);
             let fast_slice = fast_slice.to_vec();
-            let (generic_ppv, generic_size) = pc.prime_ppv_from(&g, &hubs, q, &config);
-            assert_eq!(fast_size, generic_size, "query {q}");
-            assert_eq!(fast_slice, generic_ppv.entries.entries(), "query {q}");
+            let mut ordered = OrderedCsr(g.out_csr());
+            let (ordered_ppv, ordered_size) = pc.prime_ppv_from(&mut ordered, &hubs, q, &config);
+            assert_eq!(fast_size, ordered_size, "query {q}");
+            assert_eq!(fast_slice, ordered_ppv.entries.entries(), "query {q}");
         }
     }
 

@@ -7,8 +7,8 @@
 //!
 //! One more test pins the disk engine itself (paper §5.3 / Fig. 16): on a
 //! seeded clustered BA graph at resident capacity 1, every query's cluster
-//! faults, its truncation flag and a digest of its answer's bits, under
-//! fault caps `None`, 1 and 4. The fault counts follow the order in which
+//! faults, its truncation flag, a digest of its answer's bits and the
+//! node count of its prime subgraph, under fault caps `None`, 1 and 4. The fault counts follow the order in which
 //! the prime-subgraph search and the row copy probe clusters, so a change
 //! that reorders probes shows here even when the answers agree.
 
@@ -21,7 +21,7 @@ use fastppv::cluster::query::{disk_query, DiskQueryWorkspace};
 use fastppv::cluster::store::{write_clustered_graph, DiskGraph};
 use fastppv::cluster::{slice_store, ShardMap};
 use fastppv::core::query::{QueryEngine, StoppingCondition};
-use fastppv::core::{build_flat_index, select_hubs, Config, FlatIndex, HubPolicy};
+use fastppv::core::{build_flat_index, select_hubs, Config, FlatIndex, HubPolicy, PrimeComputer};
 use fastppv::graph::gen::barabasi_albert;
 use fastppv::graph::gen::{BibNetwork, DblpParams};
 use fastppv::graph::vec::ScoreScratch;
@@ -176,6 +176,14 @@ const DISK_PINS: [[(u64, bool, u64); 6]; 3] = [
     ],
 ];
 
+/// Per fault cap, the node count `prime_ppv_from` reports for the five
+/// non-hub sources above, each probed from a fresh fault count.
+const DISK_PRIME0_SIZES: [[usize; 5]; 3] = [
+    [1489, 1487, 1485, 1486, 1485],
+    [268, 189, 245, 274, 237],
+    [272, 202, 146, 171, 289],
+];
+
 #[test]
 fn disk_query_faults_truncation_and_answers_are_pinned() {
     let graph = barabasi_albert(1_500, 3, 23);
@@ -215,7 +223,22 @@ fn disk_query_faults_truncation_and_answers_are_pinned() {
         }
         got.push(row);
     }
+    // The node count the disk prime-0 reports is the nodes its copied
+    // rows reach, interior and absorbers, under every cap.
+    let mut sizes = Vec::new();
+    let mut pc = PrimeComputer::new(n);
+    for cap in [None, Some(1), Some(4)] {
+        let mut disk = DiskGraph::open(&clg, 1).unwrap();
+        let mut row = Vec::new();
+        for &q in &queries[..5] {
+            disk.reset_faults();
+            disk.set_fault_cap(cap);
+            row.push(pc.prime_ppv_from(&mut disk, &hubs, q, &config).1);
+        }
+        sizes.push(row);
+    }
     std::fs::remove_file(&clg).unwrap();
+    assert_eq!(sizes, DISK_PRIME0_SIZES, "prime_ppv_from's node counts");
     for (cap, (got, want)) in ["None", "1", "4"].iter().zip(got.iter().zip(&DISK_PINS)) {
         assert_eq!(got.as_slice(), want.as_slice(), "fault cap {cap}");
     }

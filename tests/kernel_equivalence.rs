@@ -7,18 +7,21 @@
 //! sets are order-free fixed points and match exactly; the solved prime
 //! PPVs differ only in floating-point accumulation order (the new kernel
 //! sweeps interiors by degree), so entries match to ≤ 1e-12. On top of
-//! that, the two row sources of the one sweep loop are pinned bit-for-bit
-//! against each other: the in-memory one-shots, which sweep the graph's
-//! own CSR, against the local-CSR paths (the materialized `extract` +
-//! `solve` pipeline and the disk-style `prime_ppv_from`). The stored family
-//! (`prime_ppv`) matches under every configuration, unclipped and at a
-//! storage clip; the query-time family (`prime_ppv_into`) matches the
-//! stored one once δ = 0 disarms its early stop, matches `prime_ppv_from`
-//! at any δ — work counters and leftover residual included — and under the
-//! configuration's own δ is pinned as an entry-wise lower bound that is
-//! short by at most δ. Graphs with parallel edges, self-loops (a hub source
-//! whose row points back at itself among them) and dangling interior nodes
-//! give the two row sources every chance to disagree. So do graphs that
+//! that, the entry points of the one search, sweep loop and emit are
+//! pinned bit-for-bit against each other: the in-memory one-shots, which
+//! sweep the graph's own CSR, against the paths that sweep a copy of the
+//! interior's rows (the materialized `extract` + `solve` pipeline, and
+//! `prime_ppv_from` over `OrderedCsr`, a test-local row source that takes
+//! the same CSR through the ordered-probe search a disk-resident graph
+//! takes). The stored family (`prime_ppv`) matches under every
+//! configuration, unclipped and at a storage clip; the query-time family
+//! (`prime_ppv_into`) matches the stored one once δ = 0 disarms its early
+//! stop, matches `prime_ppv_from` at any δ — work counters and leftover
+//! residual included — and under the configuration's own δ is pinned as an
+//! entry-wise lower bound that is short by at most δ. Graphs with parallel
+//! edges, self-loops (a hub source whose row points back at itself among
+//! them) and dangling interior nodes give the copied rows every chance to
+//! disagree with the graph's. So do graphs that
 //! carry a row overlay — the epochs edge events publish, which serving
 //! answers prime-0 from — against the same graph laid out flat, through
 //! every entry point.
@@ -28,10 +31,40 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use fastppv::core::{Config, HubSet, PrimeComputer};
+use fastppv::core::{Config, HubSet, PrimeComputer, PrimePpv, RowSource};
 use fastppv::graph::gen::{barabasi_albert, synth_events, try_apply_event};
-use fastppv::graph::{DanglingPolicy, Graph, GraphBuilder, NodeId};
+use fastppv::graph::{CsrView, DanglingPolicy, Graph, GraphBuilder, NodeId};
 use proptest::prelude::*;
+
+/// A graph's CSR behind the ordered-probe search `DiskGraph` takes: the
+/// sweep list reads interior degrees in discovery order, and
+/// `prime_ppv_from` sweeps a copy of the rows.
+struct OrderedCsr<'a>(CsrView<'a>);
+
+impl RowSource for OrderedCsr<'_> {
+    const ORDERED_PROBES: bool = true;
+
+    fn degree(&mut self, v: NodeId) -> usize {
+        self.0.out_degree(v)
+    }
+
+    fn visit<F: FnMut(NodeId)>(&mut self, v: NodeId, mut f: F) {
+        for &t in self.0.out_neighbors(v) {
+            f(t);
+        }
+    }
+}
+
+/// `prime_ppv_from` over `graph` through [`OrderedCsr`].
+fn prime_ppv_ordered(
+    pc: &mut PrimeComputer,
+    graph: &Graph,
+    hubs: &HubSet,
+    q: NodeId,
+    config: &Config,
+) -> (PrimePpv, usize) {
+    pc.prime_ppv_from(&mut OrderedCsr(graph.out_csr()), hubs, q, config)
+}
 
 /// The original kernel, kept verbatim as a test oracle: max-probability
 /// Dijkstra over a `BinaryHeap` with exact float priorities, interior
@@ -73,10 +106,10 @@ mod reference {
         let eps = config.epsilon;
         let n = graph.num_nodes();
         let mut best = vec![0.0f64; n];
-        let mut local_of = vec![u32::MAX; n];
+        let mut slot_of = vec![u32::MAX; n];
         let mut nodes: Vec<NodeId> = Vec::new();
-        let push_local = |v: NodeId, nodes: &mut Vec<NodeId>, local_of: &mut [u32]| -> u32 {
-            let slot = &mut local_of[v as usize];
+        let push_local = |v: NodeId, nodes: &mut Vec<NodeId>, slot_of: &mut [u32]| -> u32 {
+            let slot = &mut slot_of[v as usize];
             if *slot == u32::MAX {
                 *slot = nodes.len() as u32;
                 nodes.push(v);
@@ -112,7 +145,7 @@ mod reference {
             }
         }
         for &v in &interior {
-            push_local(v, &mut nodes, &mut local_of);
+            push_local(v, &mut nodes, &mut slot_of);
         }
         let num_interior = nodes.len();
         let mut adj_offsets = vec![0usize];
@@ -122,7 +155,7 @@ mod reference {
             let v = nodes[u];
             out_degree.push(graph.out_degree(v) as u32);
             for &t in graph.out_neighbors(v) {
-                let lt = push_local(t, &mut nodes, &mut local_of);
+                let lt = push_local(t, &mut nodes, &mut slot_of);
                 adj_targets.push(lt);
             }
             adj_offsets.push(adj_targets.len());
@@ -295,7 +328,7 @@ fn assert_kernels_agree(
         );
     }
 
-    // The graph-row one-shots are pinned bit-for-bit to the local-row
+    // The graph-row one-shots are pinned bit-for-bit to the copied-row
     // paths (one sweep loop, same addends in the same order): the stored
     // family unclipped and at a storage clip, the query-time family with
     // its early stop disarmed.
@@ -321,7 +354,7 @@ fn assert_kernels_agree(
         let (slice, fused_size) = pc.prime_ppv_into(g, hubs, q, &at);
         let fused = bits(slice);
         let fused_work = pc.last_solve();
-        let (local, local_size) = pc.prime_ppv_from(g, hubs, q, &at);
+        let (local, local_size) = prime_ppv_ordered(pc, g, hubs, q, &at);
         assert_eq!(local_size, fused_size, "source {q}, δ = {delta}");
         assert_eq!(
             bits(local.entries.entries()),
@@ -431,9 +464,9 @@ fn assert_overlay_reads_like_flat(
         assert_eq!(a, bits(b), "prime_ppv_into, source {q}, δ = {delta}");
         assert_eq!((a_size, a_work), (b_size, pc.last_solve()));
 
-        let (a, a_size) = pc.prime_ppv_from(overlaid, hubs, q, &at);
+        let (a, a_size) = prime_ppv_ordered(pc, overlaid, hubs, q, &at);
         let a_work = pc.last_solve();
-        let (b, b_size) = pc.prime_ppv_from(flat, hubs, q, &at);
+        let (b, b_size) = prime_ppv_ordered(pc, flat, hubs, q, &at);
         assert_eq!(
             bits(a.entries.entries()),
             bits(b.entries.entries()),

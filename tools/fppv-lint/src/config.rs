@@ -167,6 +167,14 @@ impl Config {
                         "prepare_from_events",
                     ]),
                 },
+                // Clustered-graph open: a corrupt `FPPVCLG1` file is a
+                // typed `InvalidData` before anything is sized from it, and
+                // a file that opens holds no id a probe could index out of
+                // bounds with.
+                FailClosed {
+                    path_suffix: "crates/cluster/src/store.rs".into(),
+                    scope: fns(&["open", "parse", "load_cluster", "u32_at", "u64_at"]),
+                },
                 // Router read paths: a bad shard id or a dead backend is
                 // a routing error, never a router panic.
                 FailClosed {
